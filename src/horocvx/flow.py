@@ -5,8 +5,13 @@ d/dt phi = Phi(t) phi^{1-(n+p)/(n-k)} f^{-1/(n-k)} - p_{n-k}(A[phi])^{-1/(n-k)}
 with the global term Phi chosen so that W_k is conserved; the functional
 J_p decreases and the flow converges to a solution of
 phi^{-p-k} p_{n-k}(A[phi]) = gamma f.  Time stepping is explicit RK4
-with Phi refreshed at every stage; steps that lose uniform h-convexity
-are rejected and retried at half the step size.
+with Phi refreshed at every stage.  An accepted step costs four speed
+evaluations, each one spectral derivative pass: three inner RK4 stages
+and the new state after its band (and even) projection.  That last one
+is the cone check, and its speed and diagnostics start the next step and
+fill its trace row, whose W_k column reuses the stage's gradient and
+Hessian.  A step whose stages or projected state leave the uniformly
+h-convex cone is rejected and retried at half the step size.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .hconvex import SupportField, _parts, a_eigenvalues
 from .problems import check_assumption_h
-from .quermass import _homotopy_value, _p_tensor
+from .quermass import HOMOTOPY_ORDER, _homotopy_value, _p_tensor
 from .sphere_grid import (
     Grid,
     band_project,
@@ -121,15 +126,18 @@ class FlowResult:
     steps: int
     t_final: float
     warnings: list[str]
+    rejections: int  # rejected step attempts over the whole run
 
 
 def _evaluate(state: FlowState, phi: np.ndarray):
     """Speed field and diagnostics at a candidate phi; raises on cone exit."""
-    if np.any(phi <= 0.0) or not np.all(np.isfinite(phi)):
+    # SupportField's own check, made first so that any phi off the
+    # positive cone, NaN and inf included, is a FlowStepError.
+    if not (0.0 < np.min(phi) and np.max(phi) < math.inf):
         raise FlowStepError("phi left the positive cone")
     n, k = state.n, state.k
     K = SupportField(state.grid, phi)
-    g, _, A = _parts(K)
+    g, _, A, H = _parts(K)
     eigs = a_eigenvalues(A)
     eig_min = float(np.min(eigs[:, 0]))
     if eig_min <= 0.0:
@@ -146,6 +154,7 @@ def _evaluate(state: FlowState, phi: np.ndarray):
         "eig_min": eig_min,
         "eigs": eigs,
         "grad": g,
+        "hess": H,
         "pA": pA,
         "Phi": Phi,
         "speed": speed,
@@ -184,7 +193,8 @@ def step(state: FlowState, dt: float, _k1: np.ndarray | None = None) -> FlowStat
     """One explicit RK4 step with Phi recomputed per stage.
 
     Raises FlowStepError if any stage loses uniform h-convexity; the
-    caller is expected to halve dt and retry.
+    caller is expected to halve dt and retry.  The new state itself is
+    not evaluated here: `run` checks it after projecting it.
     """
     phi = state.phi
     k1 = _k1 if _k1 is not None else _evaluate(state, phi)[0]
@@ -192,7 +202,6 @@ def step(state: FlowState, dt: float, _k1: np.ndarray | None = None) -> FlowStat
     k3 = _evaluate(state, phi + 0.5 * dt * k2)[0]
     k4 = _evaluate(state, phi + dt * k3)[0]
     phi_new = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _evaluate(state, phi_new)  # reject steps that land outside the cone
     return replace(state, phi=phi_new)
 
 
@@ -259,12 +268,13 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     trace = FlowTrace()
     t = 0.0
     steps = 0
+    rejections = 0
     status = "max-steps"
     gamma = math.nan
     gamma_var = math.inf
     first = True
+    speed, diag = _evaluate(state, state.phi)
     while True:
-        speed, diag = _evaluate(state, state.phi)
         gamma_field = state.phi ** (-(state.p + k)) * diag["pA"] / state.f
         gamma = integrate(grid, gamma_field) / omega
         gamma_var = float((np.max(gamma_field) - np.min(gamma_field)) / gamma)
@@ -276,7 +286,13 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         stop = speed_sup < config.eps_stop and gamma_var <= 10.0 * config.eps_stop
         terminal_row = stop or steps >= config.max_steps
         if terminal_row or record:
-            wk = _homotopy_value(SupportField(grid, state.phi), k, 32)
+            wk = _homotopy_value(
+                SupportField(grid, state.phi),
+                k,
+                HOMOTOPY_ORDER,
+                diag["grad"],
+                diag["hess"],
+            )
             trace.append(
                 t=t,
                 dt=0.0 if terminal_row else math.nan,
@@ -302,10 +318,15 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         while True:
             try:
                 new_state = step(state, dt, _k1=speed)
+                new_state.phi = band_project(grid, new_state.phi)
+                if enforce_even:
+                    new_state.phi = even_project(grid, new_state.phi)
+                speed, diag = _evaluate(new_state, new_state.phi)
                 break
             except FlowStepError:
                 dt *= 0.5
                 rejected += 1
+                rejections += 1
                 if dt < MIN_DT or rejected > MAX_REJECTIONS:
                     new_state = None
                     break
@@ -318,9 +339,6 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
             if math.isnan(last[1]):
                 trace.rows[-1] = last[:1] + (dt,) + last[2:]
         state = new_state
-        state.phi = band_project(grid, state.phi)
-        if enforce_even:
-            state.phi = even_project(grid, state.phi)
         t += dt
         steps += 1
     return FlowResult(
@@ -332,4 +350,5 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         steps=steps,
         t_final=t,
         warnings=warnings,
+        rejections=rejections,
     )

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lorentz
-from .sphere_grid import (
-    Grid,
-    frame_vectors,
-    gradient,
-    hessian,
-    resample,
-)
+from .sphere_grid import Grid, derivatives, frame_vectors, resample
 
 __all__ = [
     "SupportField",
@@ -42,7 +36,7 @@ UNIFORM_TOL_SCALE = 1e-8
 
 @dataclass
 class SupportField:
-    """phi = e^u sampled at grid nodes; positive everywhere."""
+    """phi = e^u sampled at grid nodes; finite and positive everywhere."""
 
     grid: Grid
     phi: np.ndarray
@@ -53,7 +47,10 @@ class SupportField:
             raise ValueError(
                 f"support field has {self.phi.shape} values, grid has {self.grid.size} nodes"
             )
-        if np.any(self.phi <= 0.0):
+        # One pass each for min and max; NaN propagates into both.
+        if not (0.0 < self.phi.min() and self.phi.max() < math.inf):
+            if not np.all(np.isfinite(self.phi)):
+                raise ValueError("support field phi must be finite")
             raise ValueError("support field phi must be positive")
 
     @property
@@ -103,15 +100,16 @@ def support_of_ball(grid: Grid, X, r: float) -> SupportField:
 
 
 def _parts(K: SupportField):
-    """One spectral pass: gradient, q = |Dphi|^2 / (2 phi), and A[phi]."""
+    """One spectral pass: gradient, q = |Dphi|^2 / (2 phi), A[phi], and
+    the unshifted Hessian D^2 phi."""
     phi = K.phi
-    g = gradient(K.grid, phi)
+    g, H = derivatives(K.grid, phi)
     q = 0.5 * np.sum(g * g, axis=1) / phi
-    A = hessian(K.grid, phi)
+    A = H.copy()
     shift = -q + 0.5 * (phi - 1.0 / phi)
     idx = np.arange(K.grid.n)
     A[:, idx, idx] += shift[:, None]
-    return g, q, A
+    return g, q, A, H
 
 
 def a_tensor(K: SupportField) -> np.ndarray:
@@ -153,7 +151,7 @@ def boundary_data(K: SupportField, tol: float | None = None) -> BoundaryData:
 
     Requires at least h-convexity; raises ValueError otherwise.
     """
-    g, q, A = _parts(K)
+    g, q, A, _ = _parts(K)
     eigs = a_eigenvalues(A)
     report = _classify(K, eigs, tol)
     if report.classification == "not-h-convex":

@@ -65,12 +65,20 @@ def normalize_to_hyperboloid(X) -> np.ndarray:
 
 
 def geodesic_distance(X, Y) -> np.ndarray | float:
-    """arccosh(-<X, Y>) between hyperboloid points."""
+    """Distance d between hyperboloid points, cosh d = -<X, Y>.
+
+    Near points use 2 asinh(|X - Y|_L / 2), since <X - Y, X - Y> =
+    4 sinh^2(d / 2): arccosh(-<X, Y>) cancels to 0 below d ~ 1e-8.  Far
+    points (cosh d >= 2) keep arccosh, where the chord form cancels.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     c = -inner(X, Y)
     if np.any(c < 1.0 - DISTANCE_SLACK):
         raise ValueError(f"cosh(distance) = {np.min(c)} is below 1 beyond round-off")
-    c = np.maximum(c, 1.0)
-    return np.arccosh(c)
+    D = X - Y
+    near = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(inner(D, D), 0.0)))
+    return np.where(c < 2.0, near, np.arccosh(np.maximum(c, 1.0)))[()]
 
 
 def origin(n: int) -> np.ndarray:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .hconvex import SupportField, _parts, boundary_data
+from .hconvex import SupportField, _parts, a_tensor, boundary_data
 from .quermass import _p_tensor
-from .sphere_grid import Grid, frame_vectors, gradient, hessian, integrate
+from .sphere_grid import Grid, derivatives, frame_vectors, gradient, integrate
 
 __all__ = [
     "KWReport",
@@ -81,8 +81,7 @@ def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
     n = K.grid.n
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    _, _, A = _parts(K)
-    return K.phi ** (-(p + k)) * _p_tensor(A, n - k)
+    return K.phi ** (-(p + k)) * _p_tensor(a_tensor(K), n - k)
 
 
 def mixed_quermass(K: SupportField, L: SupportField, p: float, k: int) -> float:
@@ -122,7 +121,7 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     f = _validate_f(f, grid)
-    g_phi, _, A = _parts(K)
+    g_phi, _, A, _ = _parts(K)
     g_f = gradient(grid, f)
     weight = K.phi ** (-float(n))
     coords = []
@@ -283,8 +282,7 @@ def check_assumption_h(f, grid: Grid, n: int, k: int, p: float) -> AssumptionHRe
         c_grad = 0.5
         c_zero = 0.5 if regime == 4 else (n - k) / (n + p)
         grad_term_power = 2
-    g = gradient(grid, base)
-    H = hessian(grid, base)
+    g, H = derivatives(grid, base)
     grad_sq = np.sum(g * g, axis=1)
     if grad_term_power == 1:
         grad_term = c_grad * np.sqrt(grad_sq)

@@ -3,12 +3,17 @@
 W_k is evaluated by integrating its first variation along the support
 homotopy phi_t = (1 - t) + t phi from the origin point to the body,
 with Gauss-Legendre quadrature in t; the k = n case has the closed form
-(1/n) int (1 - phi^{-n}) dsigma used as a cross-check.  I_k(r) is the
-k-th quermass of the centered ball of radius r.
+(1/n) int (1 - phi^{-n}) dsigma used as a cross-check.  The nodes on
+[0, 1] are cached per order, the t-nodes are evaluated together in
+array passes of bounded size from a single gradient and Hessian, and
+each node's sphere integral is a compensated sum, as is their weighted
+total.  I_k(r) is the k-th
+quermass of the centered ball of radius r.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +22,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
-from .hconvex import BoundaryData, SupportField, _parts, boundary_data
-from .sphere_grid import Grid, gradient, hessian, integrate, sphere_area
+from .hconvex import BoundaryData, SupportField, a_tensor, boundary_data
+from .sphere_grid import Grid, derivatives, integrate, sphere_area
 
 __all__ = [
     "QuermassReport",
@@ -42,6 +47,10 @@ __all__ = [
 HOMOTOPY_ORDER = 32
 HOMOTOPY_MAX_ORDER = 256
 HOMOTOPY_CROSS_TOL = 1e-9
+# Values per array pass of the homotopy (t-nodes times grid nodes): the
+# flow grids at order 32 fit in one pass, and the temporaries stay near
+# 1 MB on any grid at any order.
+HOMOTOPY_BLOCK = 16384
 CONSTANT_FIELD_TOL = 1e-13
 QUAD_KW = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
 
@@ -173,33 +182,56 @@ def curvature_integral(K: SupportField, m: int) -> float:
     n = K.grid.n
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in 0..{n}, got {m}")
-    _, _, A = _parts(K)
-    return integrate(K.grid, K.phi ** (-m) * _p_tensor(A, n - m))
+    return integrate(K.grid, K.phi ** (-m) * _p_tensor(a_tensor(K), n - m))
 
 
-def _homotopy_value(K: SupportField, k: int, order: int, g=None, H=None) -> float:
-    """Gauss-Legendre evaluation of the homotopy integral for W_k."""
-    grid, phi = K.grid, K.phi
-    n = grid.n
-    if g is None:
-        g = gradient(grid, phi)
-    if H is None:
-        H = hessian(grid, phi)
-    grad_sq = np.sum(g * g, axis=1)
+@functools.lru_cache(maxsize=None)
+def _unit_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], read-only."""
     x, wts = roots_legendre(order)
     ts = 0.5 * (x + 1.0)
     wts = 0.5 * wts
-    idx = np.arange(n)
-    contributions = []
+    ts.flags.writeable = False
+    wts.flags.writeable = False
+    return ts, wts
+
+
+def _homotopy_value(K: SupportField, k: int, order: int, g=None, H=None) -> float:
+    """Gauss-Legendre evaluation of the homotopy integral for W_k.
+
+    The t-nodes are evaluated in blocks of (rows, size) arrays, with
+    p_{n-k}(A_t) built from the entries of A_t = t H + shift_t I.  Each
+    node's integral is one compensated sum, and the weighted node
+    integrals are summed compensated again.
+    """
+    grid, phi = K.grid, K.phi
+    n = grid.n
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    if g is None or H is None:
+        g, H = derivatives(grid, phi)
+    grad_sq = np.sum(g * g, axis=1)
+    ts, wts = _unit_gauss_legendre(order)
     dphi = phi - 1.0
-    for t, wt in zip(ts, wts):
+    m = n - k
+    rows = max(1, HOMOTOPY_BLOCK // grid.size)
+    sums = []
+    for start in range(0, order, rows):
+        t = ts[start : start + rows, None]
         phit = 1.0 + t * dphi
         qt = 0.5 * t * t * grad_sq / phit
-        At = t * H.copy()
-        At[:, idx, idx] += (-qt + 0.5 * (phit - 1.0 / phit))[:, None]
-        field = (dphi / phit) * phit ** (-float(k)) * _p_tensor(At, n - k)
-        contributions.append(wt * integrate(grid, field))
-    return math.fsum(contributions)
+        shift = -qt + 0.5 * (phit - 1.0 / phit)
+        if m == 0:
+            pm = np.ones(phit.shape)
+        elif n == 1:
+            pm = t * H[:, 0, 0] + shift
+        else:
+            a = t * H[:, 0, 0] + shift
+            d = t * H[:, 1, 1] + shift
+            pm = 0.5 * (a + d) if m == 1 else a * d - (t * H[:, 0, 1]) ** 2
+        field = (dphi / phit) * phit ** (-float(k)) * pm
+        sums.extend(math.fsum(row.tolist()) for row in grid.weights * field)
+    return math.fsum((wts * np.array(sums)).tolist())
 
 
 def _closed_form_k_n(K: SupportField) -> float:
@@ -220,8 +252,7 @@ def modified_quermass(K: SupportField, k: int) -> QuermassReport:
         r = max(math.log(c), 0.0)
         return QuermassReport(k, I_k(n, k, r), "ball-closed-form", 1e-15)
     closed_n = _closed_form_k_n(K)
-    g = gradient(grid, phi)
-    H = hessian(grid, phi)
+    g, H = derivatives(grid, phi)
     order = HOMOTOPY_ORDER
     while True:
         cross = abs(_homotopy_value(K, n, order, g, H) - closed_n)

@@ -5,7 +5,9 @@ involution and the maximal exactly-representable degree (band_limit).
 Scalar fields are plain value arrays in node order.  Differentiation is
 spectral: FFT on S^1, per-order associated Legendre transforms combined
 with an azimuthal FFT on S^2.  Gradients and Hessians are expressed in
-the orthonormal frame {d_theta, (1/sin theta) d_phi}.
+the orthonormal frame {d_theta, (1/sin theta) d_phi}; `derivatives`
+returns both from one analysis, and `gradient` / `hessian` are views of
+it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "make_grid",
     "sphere_area",
     "integrate",
+    "derivatives",
     "gradient",
     "hessian",
     "laplacian",
@@ -213,10 +216,16 @@ def _s1_synth(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _s1_derivative_multipliers(grid: Grid, order: int) -> np.ndarray:
-    N = grid.resolution[0]
-    k = np.arange(N // 2 + 1, dtype=float)
-    mult = (1j * k) ** order
-    mult[-1] = 0.0  # Nyquist mode carries no derivative information
+    """(i k)^order for k = 0..N/2, cached read-only per grid."""
+    key = ("s1_mult", order)
+    mult = grid._cache.get(key)
+    if mult is None:
+        N = grid.resolution[0]
+        k = np.arange(N // 2 + 1, dtype=float)
+        mult = (1j * k) ** order
+        mult[-1] = 0.0  # Nyquist mode carries no derivative information
+        mult.flags.writeable = False
+        grid._cache[key] = mult
     return mult
 
 
@@ -305,42 +314,45 @@ def _s2_synth_many(grid: Grid, per_m_columns: list[list[np.ndarray]]) -> list[np
 # public spectral operators
 
 
-def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Gradient in the orthonormal frame, shape (size, n)."""
+def derivatives(
+    grid: Grid, values: np.ndarray, first: bool = True, second: bool = True
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Gradient (size, n) and covariant Hessian (size, n, n) in the
+    orthonormal frame, both from one spectral analysis.
+
+    first / second select the outputs; one not asked for is returned as
+    None and costs no synthesis.  On S^2 the gradient comes free with the
+    Hessian, whose synthesis already holds both of its profiles.
+    """
     if grid.n == 1:
         c = _s1_coeffs(grid, values)
-        d1 = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 1))
-        return d1[:, None]
-    P, dP, _ = _s2_tables(grid)
-    a = _s2_analyze(grid, values)
-    B = grid.band_limit
-    cols_ft = [dP[m] @ a[m] for m in range(B + 1)]
-    cols_fp = [(1j * m) * (P[m] @ a[m]) for m in range(B + 1)]
-    ft, fp = _s2_synth_many(grid, [cols_ft, cols_fp])
-    L, M = grid.resolution
-    inv_s = np.repeat(1.0 / grid._cache["s"], M)
-    return np.stack([ft, fp * inv_s], axis=1)
-
-
-def hessian(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Covariant Hessian in the orthonormal frame, shape (size, n, n)."""
-    if grid.n == 1:
-        c = _s1_coeffs(grid, values)
-        d2 = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 2))
-        return d2[:, None, None]
+        g = H = None
+        if first:
+            g = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 1))[:, None]
+        if second:
+            H = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 2))[:, None, None]
+        return g, H
     P, dP, ll1 = _s2_tables(grid)
     a = _s2_analyze(grid, values)
     B = grid.band_limit
     L, M = grid.resolution
     cols_v = [P[m] @ a[m] for m in range(B + 1)]
     cols_vt = [dP[m] @ a[m] for m in range(B + 1)]
-    cols_lap = [P[m] @ (ll1[m] * a[m]) for m in range(B + 1)]
     cols_fp = [(1j * m) * cols_v[m] for m in range(B + 1)]
-    cols_ftp = [(1j * m) * cols_vt[m] for m in range(B + 1)]
-    cols_fpp = [-(m * m) * cols_v[m] for m in range(B + 1)]
-    v, vt, lap, fp, ftp, fpp = _s2_synth_many(
-        grid, [cols_v, cols_vt, cols_lap, cols_fp, cols_ftp, cols_fpp]
-    )
+    if second:
+        cols_lap = [P[m] @ (ll1[m] * a[m]) for m in range(B + 1)]
+        cols_ftp = [(1j * m) * cols_vt[m] for m in range(B + 1)]
+        cols_fpp = [-(m * m) * cols_v[m] for m in range(B + 1)]
+        vt, lap, fp, ftp, fpp = _s2_synth_many(
+            grid, [cols_vt, cols_lap, cols_fp, cols_ftp, cols_fpp]
+        )
+    else:
+        vt, fp = _s2_synth_many(grid, [cols_vt, cols_fp])
+    g = None
+    if first:
+        g = np.stack([vt, fp * np.repeat(1.0 / grid._cache["s"], M)], axis=1)
+    if not second:
+        return g, None
     s = np.repeat(grid._cache["s"], M)
     x = np.repeat(grid._cache["x"], M)
     # theta-theta from the associated Legendre ODE; mixed and azimuthal
@@ -351,7 +363,17 @@ def hessian(grid: Grid, values: np.ndarray) -> np.ndarray:
     H[:, 0, 1] = ftp / s - (x / (s * s)) * fp
     H[:, 1, 0] = H[:, 0, 1]
     H[:, 1, 1] = fpp / (s * s) + (x / s) * vt
-    return H
+    return g, H
+
+
+def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Gradient in the orthonormal frame, shape (size, n)."""
+    return derivatives(grid, values, second=False)[0]
+
+
+def hessian(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Covariant Hessian in the orthonormal frame, shape (size, n, n)."""
+    return derivatives(grid, values, first=False)[1]
 
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .euclid_bridge import (
     _support_form,
     project,
 )
-from .hconvex import SupportField, boundary_data, convexity, support_of_ball
+from .hconvex import SupportField, a_tensor, boundary_data, convexity, support_of_ball
 from .psum import p_dilate, p_sum
 from .quermass import (
     I_k,
@@ -38,8 +38,7 @@ from .quermass import (
 )
 from .sphere_grid import (
     Grid,
-    gradient,
-    hessian,
+    derivatives,
     integrate,
     make_grid,
     sphere_area,
@@ -393,7 +392,7 @@ def _suite_min_I_p1_Lball(corpus, tol, eq_tol):
         ("origin-ball", _origin_ball(grid, 0.8), True),
     ]
     for tag, K, eq in bodies:
-        _, _, A = _parts_of(K)
+        A = a_tensor(K)
         term1 = integrate(grid, K.phi ** (-(1.0 + k)) * _p_tensor(A, n - k))
         term2 = curvature_integral(K, k)
         rk = _exp_radius(K, k)
@@ -418,12 +417,6 @@ def _suite_min_I_p1_Lball(corpus, tol, eq_tol):
     return records
 
 
-def _parts_of(K: SupportField):
-    from .hconvex import _parts
-
-    return _parts(K)
-
-
 def _suite_min_II(corpus, tol, eq_tol):
     records = []
     omega2 = sphere_area(2)
@@ -434,7 +427,7 @@ def _suite_min_II(corpus, tol, eq_tol):
     ]
     n, k = 2, 1
     for tag, K, eq in bodies2:
-        _, _, A = _parts_of(K)
+        A = a_tensor(K)
         rk = _exp_radius(K, k)
         mass = curvature_integral(K, k)
         for p in (1.0, 2.0, 3.0):
@@ -460,7 +453,7 @@ def _suite_min_II(corpus, tol, eq_tol):
             ("perturbed-even", _perturbed(grid, 0.6, even=True), False),
             ("origin-ball", _origin_ball(grid, 0.8), True),
         ):
-            _, _, A = _parts_of(K)
+            A = a_tensor(K)
             r0 = _exp_radius(K, 0)
             lhs = integrate(grid, K.phi ** (-1.0) * _p_tensor(A, n))
             rhs = sphere_area(n) * math.sinh(r0) ** n * math.exp(-r0)
@@ -577,8 +570,8 @@ def _suite_hk_n1(corpus, tol, eq_tol):
         A = bd.lambda_tilde[:, 0] / K.phi
         hk = integrate(grid, (A - bd.u_tilde) * A)
         records.append(_record("hk_n1", f"{tag}", hk, 0.0, eq, tol, eq_tol))
-        d1 = gradient(grid, K.phi)[:, 0]
-        d2 = hessian(grid, K.phi)[:, 0, 0]
+        g, H = derivatives(grid, K.phi)
+        d1, d2 = g[:, 0], H[:, 0, 0]
         wirtinger = integrate(grid, d2 * d2 - d1 * d1)
         records.append(
             _record("hk_n1", f"{tag}/wirtinger-identity", wirtinger, hk, True, tol, eq_tol)
@@ -751,7 +744,7 @@ def _suite_xp_bm_general(corpus, tol, eq_tol):
 def _xp_min_terms(K: SupportField, L: SupportField, p: float, k: int):
     grid = K.grid
     n = grid.n
-    _, _, A = _parts_of(K)
+    A = a_tensor(K)
     pk = _p_tensor(A, n - k)
     mixed = integrate(grid, L.phi**p * K.phi ** (-(p + k)) * pk)
     mass = integrate(grid, K.phi ** (-float(k)) * pk)

@@ -2,10 +2,12 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from horocvx import flow
 from horocvx.flow import (
     TRACE_COLUMNS,
     FlowConfig,
@@ -17,6 +19,7 @@ from horocvx.flow import (
 )
 from horocvx.hconvex import SupportField
 from horocvx.problems import measure_density
+from horocvx.quermass import HOMOTOPY_ORDER, _homotopy_value
 from horocvx.sphere_grid import make_grid
 
 S1 = make_grid(1, 64)
@@ -110,6 +113,77 @@ def test_step_rejects_cone_exit():
     state = make_state(FlowConfig(n=1, k=0, p=0.0), perturbed_circle())
     with pytest.raises(FlowStepError):
         step(state, 50.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_evaluate_raises_flow_step_error_off_the_cone(bad):
+    state = make_state(FlowConfig(n=1, k=0, p=0.0), perturbed_circle())
+    phi = state.phi.copy()
+    phi[5] = bad
+    with pytest.raises(FlowStepError):
+        flow._evaluate(state, phi)
+
+
+def test_rejected_projected_state_halves_dt_and_continues(monkeypatch):
+    cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=3)
+    reference = run(cfg, perturbed_circle())
+    assert reference.rejections == 0
+    real = flow.band_project
+    calls = []
+
+    def faulty(grid, values):
+        # Call 1 projects the initial field; call 2 is the first stepped
+        # state, which gets a kink no uniformly h-convex body has.
+        calls.append(1)
+        out = real(grid, values)
+        if len(calls) == 2:
+            out = out * (1.0 + 0.3 * np.cos(12 * grid._cache["theta"]))
+        return out
+
+    monkeypatch.setattr(flow, "band_project", faulty)
+    res = run(cfg, perturbed_circle())
+    assert res.status == "max-steps"
+    assert res.steps == 3
+    assert res.rejections == 1
+    dt = TRACE_COLUMNS.index("dt")
+    assert res.trace.rows[0][dt] == 0.5 * reference.trace.rows[0][dt]
+
+
+@pytest.mark.parametrize(
+    "cfg, body",
+    [
+        (FlowConfig(n=1, k=0, p=0.0), perturbed_circle),
+        (FlowConfig(n=2, k=1, p=1.0), perturbed_sphere),
+    ],
+    ids=["s1", "s2"],
+)
+def test_trace_wk_matches_a_fresh_homotopy(cfg, body):
+    # The terminal row of each run is the trace row of its terminal phi.
+    wk = TRACE_COLUMNS.index("Wk")
+    for max_steps in (0, 3, 8):
+        res = run(replace(cfg, max_steps=max_steps), body())
+        fresh = _homotopy_value(res.terminal, cfg.k, HOMOTOPY_ORDER)
+        assert res.trace.rows[-1][wk] == fresh
+
+
+@pytest.mark.parametrize(
+    "cfg, body, budget",
+    [
+        (FlowConfig(n=1, k=0, p=0.0), perturbed_circle, 14),
+        (FlowConfig(n=2, k=1, p=1.0), perturbed_sphere, 30),
+    ],
+    ids=["s1", "s2"],
+)
+def test_fft_calls_per_accepted_step(cfg, body, budget, fft_counts):
+    totals = []
+    for max_steps in (4, 12):
+        fft_counts.update(rfft=0, irfft=0)
+        res = run(replace(cfg, max_steps=max_steps), body())
+        assert res.steps == max_steps
+        assert res.rejections == 0
+        totals.append(fft_counts["rfft"] + fft_counts["irfft"])
+    # The difference cancels the set-up and the terminal row.
+    assert (totals[1] - totals[0]) / 8 <= budget
 
 
 def test_dt_initial_is_respected():

@@ -41,6 +41,14 @@ def test_support_field_validation():
     assert np.allclose(K.u, math.log(2.0), atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_support_field_rejects_non_finite_values(bad):
+    phi = np.full(S1.size, 2.0)
+    phi[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SupportField(S1, phi)
+
+
 def test_support_of_point_formula():
     # phi(z) = x_{n+1} - <x, z> for the point X = (x, x_{n+1}).
     X = np.array([0.3, -0.1, math.sqrt(1.1)])

@@ -68,6 +68,19 @@ def test_geodesic_distance_oracle():
         geodesic_distance(N, np.array([0.0, 0.0, 0.5]))
 
 
+def test_geodesic_distance_resolves_nearby_points():
+    # arccosh(-<X, Y>) rounds cosh d = 1 + 3.5e-24 to 1 and returns 0.
+    N = origin(1)
+    A = hpoint([2.658e-12, 0.0])
+    assert math.isclose(geodesic_distance(N, A), 2.658e-12, rel_tol=1e-12)
+    assert math.isclose(geodesic_distance(A, N), 2.658e-12, rel_tol=1e-12)
+    # The Hypothesis example that missed the triangle inequality by 2.66e-12.
+    B = hpoint([-1.0, 0.0])
+    dAB = geodesic_distance(A, B)
+    assert dAB <= geodesic_distance(A, N) + geodesic_distance(N, B) + 1e-12
+    assert math.isclose(dAB, math.asinh(1.0) + 2.658e-12, rel_tol=0.0, abs_tol=1e-15)
+
+
 def test_boost_moves_origin():
     for n in (1, 2):
         d = np.zeros(n + 1)

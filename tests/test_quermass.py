@@ -1,15 +1,18 @@
 """Modified quermassintegrals, Steiner expansions, weighted volume."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from horocvx.hconvex import SupportField, support_of_ball
 from horocvx.lorentz import boost, origin
 from horocvx.quermass import (
+    HOMOTOPY_ORDER,
     I_k,
     I_k_inverse,
     S_functional,
@@ -21,7 +24,8 @@ from horocvx.quermass import (
     weighted_steiner_check,
     weighted_volume,
 )
-from horocvx.sphere_grid import make_grid, sphere_area
+from horocvx.quermass import _homotopy_value, _p_tensor
+from horocvx.sphere_grid import gradient, hessian, integrate, make_grid, sphere_area
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -135,6 +139,58 @@ def test_modified_quermass_validation():
         modified_quermass(K, 2)
     with pytest.raises(ValueError):
         modified_quermass(SupportField(S1, np.full(S1.size, 0.5)), 0)
+
+
+def _homotopy_reference(K, k, order):
+    """The homotopy integral one t-node at a time, with a full A_t tensor."""
+    grid, phi = K.grid, K.phi
+    n = grid.n
+    g = gradient(grid, phi)
+    H = hessian(grid, phi)
+    grad_sq = np.sum(g * g, axis=1)
+    x, wts = roots_legendre(order)
+    ts = 0.5 * (x + 1.0)
+    wts = 0.5 * wts
+    idx = np.arange(n)
+    contributions = []
+    dphi = phi - 1.0
+    for t, wt in zip(ts, wts):
+        phit = 1.0 + t * dphi
+        qt = 0.5 * t * t * grad_sq / phit
+        At = t * H.copy()
+        At[:, idx, idx] += (-qt + 0.5 * (phit - 1.0 / phit))[:, None]
+        field = (dphi / phit) * phit ** (-float(k)) * _p_tensor(At, n - k)
+        contributions.append(wt * integrate(grid, field))
+    return math.fsum(contributions)
+
+
+@pytest.mark.parametrize("order", [HOMOTOPY_ORDER, 64])
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_homotopy_value_matches_per_node_loop_bitwise(grid, order):
+    K = smooth_body(grid)
+    for k in range(grid.n + 1):
+        assert _homotopy_value(K, k, order) == _homotopy_reference(K, k, order)
+
+
+def test_homotopy_temporaries_stay_bounded():
+    grid = make_grid(2, 32)
+    K = smooth_body(grid)
+    g, H = gradient(grid, K.phi), hessian(grid, K.phi)
+    tracemalloc.start()
+    try:
+        _homotopy_value(K, 1, 256, g, H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A single (order, size) array would take 256 * 2048 * 8 = 4.2 MB.
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_modified_quermass_does_one_analysis(grid, fft_counts):
+    rep = modified_quermass(smooth_body(grid), 0)
+    assert rep.method == "homotopy"
+    assert fft_counts["rfft"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horocvx import sphere_grid
 from horocvx.sphere_grid import (
     antipodal,
     band_project,
+    derivatives,
     even_error,
     even_project,
     field_from_json_dict,
@@ -148,6 +150,76 @@ def test_s1_derivative_oracles():
         assert np.allclose(g, -k * np.sin(k * theta), atol=1e-11)
         assert np.allclose(h, -k * k * np.cos(k * theta), atol=1e-10)
         assert np.allclose(laplacian(S1, f), h, atol=1e-12)
+
+
+def _two_pass_gradient(grid, values):
+    """Gradient from its own analysis, as before the fused pass."""
+    if grid.n == 1:
+        c = sphere_grid._s1_coeffs(grid, values)
+        mult = sphere_grid._s1_derivative_multipliers(grid, 1)
+        return sphere_grid._s1_synth(grid, c * mult)[:, None]
+    P, dP, _ = sphere_grid._s2_tables(grid)
+    a = sphere_grid._s2_analyze(grid, values)
+    B = grid.band_limit
+    cols_ft = [dP[m] @ a[m] for m in range(B + 1)]
+    cols_fp = [(1j * m) * (P[m] @ a[m]) for m in range(B + 1)]
+    ft, fp = sphere_grid._s2_synth_many(grid, [cols_ft, cols_fp])
+    inv_s = np.repeat(1.0 / grid._cache["s"], grid.resolution[1])
+    return np.stack([ft, fp * inv_s], axis=1)
+
+
+def _two_pass_hessian(grid, values):
+    """Hessian from its own analysis, as before the fused pass."""
+    if grid.n == 1:
+        c = sphere_grid._s1_coeffs(grid, values)
+        mult = sphere_grid._s1_derivative_multipliers(grid, 2)
+        return sphere_grid._s1_synth(grid, c * mult)[:, None, None]
+    P, dP, ll1 = sphere_grid._s2_tables(grid)
+    a = sphere_grid._s2_analyze(grid, values)
+    B = grid.band_limit
+    M = grid.resolution[1]
+    cols_v = [P[m] @ a[m] for m in range(B + 1)]
+    cols_vt = [dP[m] @ a[m] for m in range(B + 1)]
+    cols_lap = [P[m] @ (ll1[m] * a[m]) for m in range(B + 1)]
+    cols_fp = [(1j * m) * cols_v[m] for m in range(B + 1)]
+    cols_ftp = [(1j * m) * cols_vt[m] for m in range(B + 1)]
+    cols_fpp = [-(m * m) * cols_v[m] for m in range(B + 1)]
+    vt, lap, fp, ftp, fpp = sphere_grid._s2_synth_many(
+        grid, [cols_vt, cols_lap, cols_fp, cols_ftp, cols_fpp]
+    )
+    s = np.repeat(grid._cache["s"], M)
+    x = np.repeat(grid._cache["x"], M)
+    H = np.empty((grid.size, 2, 2))
+    H[:, 0, 0] = -(x / s) * vt - lap - fpp / (s * s)
+    H[:, 0, 1] = ftp / s - (x / (s * s)) * fp
+    H[:, 1, 0] = H[:, 0, 1]
+    H[:, 1, 1] = fpp / (s * s) + (x / s) * vt
+    return H
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 96), (2, 16), (2, 20)])
+def test_fused_derivatives_match_two_passes_bitwise(n, resolution):
+    grid = make_grid(n, resolution)
+    rng = np.random.default_rng(resolution)
+    f = 2.0 + 0.1 * rng.standard_normal(grid.size)
+    g, H = derivatives(grid, f)
+    assert np.array_equal(g, _two_pass_gradient(grid, f))
+    assert np.array_equal(H, _two_pass_hessian(grid, f))
+    assert np.array_equal(gradient(grid, f), g)
+    assert np.array_equal(hessian(grid, f), H)
+    assert derivatives(grid, f, second=False)[1] is None
+    assert derivatives(grid, f, first=False)[0] is None
+
+
+def test_fused_derivatives_do_one_analysis(fft_counts):
+    # S^1: one analysis, one synthesis per derivative order.
+    derivatives(S1, np.cos(s1_theta(S1)))
+    assert fft_counts == {"rfft": 1, "irfft": 2}
+    # S^2: one analysis, and the five profiles of the Hessian also carry
+    # the gradient.
+    fft_counts.update(rfft=0, irfft=0)
+    derivatives(S2, 1.0 + S2.nodes[:, 2] ** 2)
+    assert fft_counts == {"rfft": 1, "irfft": 5}
 
 
 def test_s2_gradient_oracles():
