@@ -390,6 +390,13 @@ def _resolve_field_entry(entry, inputs: list[str]) -> ScalarField:
     return ScalarField(grid, values)
 
 
+FLOW_CONFIG_KEYS = frozenset({
+    "n", "k", "p", "f", "initial", "grid", "initial_radius", "seed",
+    "dt_initial", "max_dt", "eps_stop", "max_steps", "enforce_even",
+    "assumption_mode", "trace_every",
+})
+
+
 def _cmd_flow(args) -> int:
     try:
         with open(args.config) as fh:
@@ -398,6 +405,11 @@ def _cmd_flow(args) -> int:
         raise UsageError(f"no such config file: {args.config}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"bad config file {args.config}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError(f"flow config {args.config} must be a JSON object")
+    unknown = sorted(set(cfg) - FLOW_CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"unknown flow config key(s): {', '.join(unknown)}")
     inputs = [args.config]
     try:
         n = int(cfg["n"])
@@ -430,7 +442,6 @@ def _cmd_flow(args) -> int:
         p=p,
         f=f_field.values if f_field is not None else None,
         dt_initial=cfg.get("dt_initial"),
-        safety=float(cfg.get("safety", 0.05)),
         max_dt=float(cfg.get("max_dt", 0.05)),
         eps_stop=float(cfg.get("eps_stop", 1e-6)),
         max_steps=int(cfg.get("max_steps", 200000)),

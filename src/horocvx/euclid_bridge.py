@@ -49,8 +49,9 @@ class EuclideanSupport:
             raise ValueError(
                 f"support has {self.u_hat.shape} values, grid has {self.grid.size} nodes"
             )
-        if np.any(self.u_hat <= 0.0):
-            raise ValueError("Euclidean support must be positive")
+        # One pass each for min and max; NaN propagates into both.
+        if not (0.0 < self.u_hat.min() and self.u_hat.max() < math.inf):
+            raise ValueError("Euclidean support must be finite and positive")
 
 
 @dataclass

@@ -1,17 +1,25 @@
 """Volume-preserving flow solving the (p, k) prescription problem.
 
-d/dt phi = Phi(t) phi^{1-(n+p)/(n-k)} f^{-1/(n-k)} - p_{n-k}(A[phi])^{-1/(n-k)}
+d/dt phi = Phi G - h,  G = phi^{1-(n+p)/(n-k)} f^{-1/(n-k)},  h = p_{n-k}(A[phi])^{-1/(n-k)},
 
-with the global term Phi chosen so that W_k is conserved; the functional
-J_p decreases and the flow converges to a solution of
-phi^{-p-k} p_{n-k}(A[phi]) = gamma f.  Time stepping is explicit RK4
-with Phi refreshed at every stage.  An accepted step costs four speed
-evaluations, each one spectral derivative pass: three inner RK4 stages
-and the new state after its band (and even) projection.  That last one
-is the cone check, and its speed and diagnostics start the next step and
-fill its trace row, whose W_k column reuses the stage's gradient and
-Hessian.  A step whose stages or projected state leave the uniformly
-h-convex cone is rejected and retried at half the step size.
+with the global term Phi keeping W_k fixed; J_p decreases and the flow
+converges to a solution of phi^{-p-k} p_{n-k}(A[phi]) = gamma f.  A step
+is linearly implicit, phi_new = phi + dt R[Phi G - h] with G and h
+frozen at phi and R = (1 - dt c Laplacian)^{-1} for c the largest
+diffusivity of h at phi; R is diagonal in the Fourier and Legendre
+bases, 1 / (1 + dt c lambda) with lambda = k^2 on S^1 and l (l + 1) on
+S^2.  Phi is the Lagrange multiplier of the constraint W_k(phi_new) =
+W_k(phi_0), solved by Newton's method to roundoff with slope
+dt int w_new R G, w = phi^{-(k+1)} p_{n-k}(A) the first variation of
+W_k; phi_new and its derivatives are affine in Phi, so the iterates need
+no further spectral pass.  Fixed points are the flow's steady states,
+and dt = max_dt makes the step count independent of resolution.  The
+trajectory, and the time t in the trace, are first-order accurate in
+dt; W_k is conserved at every step.  A step costs one resolvent pass
+each of G and h and one derivative pass of the new state after its band
+(and even) projection: the cone check, whose diagnostics start the next
+step and fill its trace row.  A step that leaves the uniformly h-convex
+cone, or misses its constraint, is retried at half the step size.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hconvex import SupportField, _parts, a_eigenvalues
-from .problems import check_assumption_h
+from .hconvex import SupportField, _parts, _q_and_a, a_eigenvalues
+from .problems import J_p, _validate_f, check_assumption_h
 from .quermass import HOMOTOPY_ORDER, _homotopy_value, _p_tensor
 from .sphere_grid import (
     Grid,
@@ -31,6 +39,7 @@ from .sphere_grid import (
     even_error,
     even_project,
     integrate,
+    resolvent,
     sphere_area,
 )
 
@@ -59,15 +68,16 @@ TRACE_COLUMNS = (
     "speedSup",
 )
 
-# RK4 remains stable up to ~2.785 / (diffusivity * spectral radius); the
-# cap below keeps a margin under the sharp bound.
-STABILITY_CAP_FACTOR = 2.0
 MIN_DT = 1e-15
 MAX_REJECTIONS = 40
+# Newton on the W_k constraint stops at roundoff: a looser residual
+# shows up as a rise of J_p along the flow.
+NEWTON_RTOL = 1e-13
+NEWTON_MAX_ITER = 20
 
 
 class FlowStepError(RuntimeError):
-    """A stage left the uniformly h-convex cone."""
+    """A step left the uniformly h-convex cone or missed its constraint."""
 
 
 @dataclass
@@ -77,7 +87,6 @@ class FlowConfig:
     p: float
     f: np.ndarray | None = None  # positive data at grid nodes, default 1
     dt_initial: float | None = None
-    safety: float = 0.05
     max_dt: float = 0.05
     eps_stop: float = 1e-6
     max_steps: int = 200_000
@@ -95,6 +104,7 @@ class FlowState:
     p: float
     f: np.ndarray
     fpow: np.ndarray  # f^{-1/(n-k)}
+    even: bool = False  # project each step onto even fields
 
 
 @dataclass
@@ -129,7 +139,7 @@ class FlowResult:
     rejections: int  # rejected step attempts over the whole run
 
 
-def _evaluate(state: FlowState, phi: np.ndarray):
+def _evaluate(state: FlowState, phi: np.ndarray) -> dict:
     """Speed field and diagnostics at a candidate phi; raises on cone exit."""
     # SupportField's own check, made first so that any phi off the
     # positive cone, NaN and inf included, is a FlowStepError.
@@ -149,17 +159,15 @@ def _evaluate(state: FlowState, phi: np.ndarray):
         state.grid, state.fpow * phi ** (-(k + (n + state.p) / nk)) * pA
     )
     Phi = num / den
-    speed = Phi * phi ** (1.0 - (n + state.p) / nk) * state.fpow - pA ** (-1.0 / nk)
-    diag = {
-        "eig_min": eig_min,
-        "eigs": eigs,
-        "grad": g,
-        "hess": H,
-        "pA": pA,
-        "Phi": Phi,
-        "speed": speed,
-    }
-    return speed, diag
+    G = phi ** (1.0 - (n + state.p) / nk) * state.fpow
+    h = pA ** (-1.0 / nk)
+    # Largest diffusivity of h in D^2 phi: the implicit part of a step.
+    if nk == 1:
+        c = float(np.max(pA ** (-2.0))) / n
+    else:
+        c = float(np.max(pA ** (-0.5) / (2.0 * eigs[:, 0])))
+    return dict(eig_min=eig_min, grad=g, hess=H, pA=pA, Phi=Phi, G=G, h=h, c=c,
+                speed=Phi * G - h)
 
 
 def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
@@ -169,69 +177,67 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
         raise ValueError(f"config has n = {config.n}, grid lives on S^{n}")
     if not 0 <= config.k <= n - 1:
         raise ValueError(f"flow needs 0 <= k <= n-1, got k = {config.k}")
-    f = config.f
-    if f is None:
-        f = np.ones(grid.size)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.size,):
-        raise ValueError(f"f has shape {f.shape}, grid has {grid.size} nodes")
-    if np.any(f <= 0.0):
-        raise ValueError("f must be positive everywhere")
+    f = _validate_f(np.ones(grid.size) if config.f is None else config.f, grid)
     if config.k >= 1 and config.p < -n:
         raise ValueError(f"k >= 1 flows need p >= -n, got p = {config.p}")
+    even = config.k >= 1 if config.enforce_even is None else bool(config.enforce_even)
     fpow = f ** (-1.0 / (n - config.k))
-    return FlowState(grid, phi0.phi.copy(), n, config.k, config.p, f, fpow)
+    return FlowState(grid, phi0.phi.copy(), n, config.k, config.p, f, fpow, even)
 
 
 def phi_global(state: FlowState) -> float:
     """Volume-preserving global term Phi at the current phi."""
-    _, diag = _evaluate(state, state.phi)
-    return diag["Phi"]
+    return _evaluate(state, state.phi)["Phi"]
 
 
-def step(state: FlowState, dt: float, _k1: np.ndarray | None = None) -> FlowState:
-    """One explicit RK4 step with Phi recomputed per stage.
+def _wk(state: FlowState, diag: dict) -> float:
+    return _homotopy_value(
+        SupportField(state.grid, state.phi), state.k, HOMOTOPY_ORDER,
+        diag["grad"], diag["hess"],
+    )
 
-    Raises FlowStepError if any stage loses uniform h-convexity; the
-    caller is expected to halve dt and retry.  The new state itself is
-    not evaluated here: `run` checks it after projecting it.
+
+def step(state: FlowState, dt: float, diag: dict | None = None,
+         target: float | None = None) -> tuple[FlowState, dict]:
+    """One linearly implicit step holding W_k at target (default: its
+    value at state); returns the projected new state and its diagnostics.
+
+    diag is `_evaluate` at state.  Raises FlowStepError if the new state
+    leaves the uniformly h-convex cone or the constraint does not
+    converge; the caller is expected to halve dt and retry.
     """
-    phi = state.phi
-    k1 = _k1 if _k1 is not None else _evaluate(state, phi)[0]
-    k2 = _evaluate(state, phi + 0.5 * dt * k1)[0]
-    k3 = _evaluate(state, phi + 0.5 * dt * k2)[0]
-    k4 = _evaluate(state, phi + dt * k3)[0]
-    phi_new = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return replace(state, phi=phi_new)
-
-
-def _dt_policy(state: FlowState, config: FlowConfig, diag) -> float:
-    grid = state.grid
-    n, k = state.n, state.k
-    nk = n - k
-    phi = state.phi
-    pA = diag["pA"]
-    lam_scale = float(np.min(phi * pA ** (1.0 / nk)))
-    if grid.n == 1:
-        h = 2.0 * math.pi / grid.resolution[0]
+    grid, phi, k = state.grid, state.phi, state.k
+    if diag is None:
+        diag = _evaluate(state, phi)
+    if target is None:
+        target = _wk(state, diag)
+    mu = dt * diag["c"]
+    rG, gG, HG = resolvent(grid, diag["G"], mu)
+    rh, gh, Hh = resolvent(grid, diag["h"], mu)
+    w = phi ** (-(k + 1.0)) * diag["pA"]
+    Phi = integrate(grid, w * rh) / integrate(grid, w * rG)
+    for _ in range(NEWTON_MAX_ITER):
+        phi_new = phi + dt * (Phi * rG - rh)
+        if not (0.0 < np.min(phi_new) and np.max(phi_new) < math.inf):
+            raise FlowStepError("phi left the positive cone")
+        g = diag["grad"] + dt * (Phi * gG - gh)
+        H = diag["hess"] + dt * (Phi * HG - Hh)
+        K = SupportField(grid, phi_new)
+        residual = _homotopy_value(K, k, HOMOTOPY_ORDER, g, H) - target
+        if abs(residual) <= NEWTON_RTOL * abs(target):
+            break
+        pA = _p_tensor(_q_and_a(phi_new, g, H)[1], state.n - k)
+        slope = dt * integrate(grid, phi_new ** (-(k + 1.0)) * pA * rG)
+        if not slope > 0.0:
+            raise FlowStepError(f"W_k constraint has slope {slope}")
+        Phi -= residual / slope
     else:
-        h = math.pi / grid.resolution[0]
-    base = config.safety * lam_scale**2 * h * h
-    # Parabolic stability bound for the diffusive part of the speed.
-    if nk == 1:
-        D = np.max(pA ** (-2.0)) / n
-    else:
-        D = float(np.max(pA ** (-0.5) / (2.0 * diag["eigs"][:, 0])))
-    B = grid.band_limit
-    spectral_radius = B * (B + n - 1)
-    cap = STABILITY_CAP_FACTOR / (D * spectral_radius)
-    return min(base, cap, config.max_dt)
-
-
-def _j_p(state: FlowState) -> float:
-    if state.p == 0.0:
-        return integrate(state.grid, state.f * np.log(state.phi))
-    return integrate(state.grid, state.f * state.phi**state.p) / state.p
+        raise FlowStepError(f"W_k constraint missed by {residual:.3e}")
+    phi_new = band_project(grid, phi_new)
+    if state.even:
+        phi_new = even_project(grid, phi_new)
+    new_state = replace(state, phi=phi_new)
+    return new_state, _evaluate(new_state, phi_new)
 
 
 def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
@@ -254,10 +260,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
             if config.assumption_mode == "strict":
                 raise ValueError(msg)
             warnings.append(msg)
-    enforce_even = config.enforce_even
-    if enforce_even is None:
-        enforce_even = k >= 1
-    if enforce_even:
+    if state.even:
         f_even = even_error(grid, state.f)
         if f_even > 1e-8 * max(1.0, float(np.max(state.f))):
             raise ValueError(f"evenness enforcement needs even data, deviation {f_even}")
@@ -273,8 +276,10 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     gamma = math.nan
     gamma_var = math.inf
     first = True
-    speed, diag = _evaluate(state, state.phi)
+    diag = _evaluate(state, state.phi)
+    target = _wk(state, diag)
     while True:
+        speed = diag["speed"]
         gamma_field = state.phi ** (-(state.p + k)) * diag["pA"] / state.f
         gamma = integrate(grid, gamma_field) / omega
         gamma_var = float((np.max(gamma_field) - np.min(gamma_field)) / gamma)
@@ -286,18 +291,11 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         stop = speed_sup < config.eps_stop and gamma_var <= 10.0 * config.eps_stop
         terminal_row = stop or steps >= config.max_steps
         if terminal_row or record:
-            wk = _homotopy_value(
-                SupportField(grid, state.phi),
-                k,
-                HOMOTOPY_ORDER,
-                diag["grad"],
-                diag["hess"],
-            )
             trace.append(
                 t=t,
                 dt=0.0 if terminal_row else math.nan,
-                Wk=wk,
-                Jp=_j_p(state),
+                Wk=target if first else _wk(state, diag),
+                Jp=J_p(SupportField(grid, state.phi), state.f, state.p),
                 minEigA=diag["eig_min"],
                 maxGradRatio=grad_ratio,
                 evenErr=even_error(grid, state.phi),
@@ -311,17 +309,13 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         if steps >= config.max_steps:
             status = "max-steps"
             break
-        dt = _dt_policy(state, config, diag)
+        dt = config.max_dt
         if steps == 0 and config.dt_initial is not None:
             dt = min(dt, config.dt_initial)
         rejected = 0
         while True:
             try:
-                new_state = step(state, dt, _k1=speed)
-                new_state.phi = band_project(grid, new_state.phi)
-                if enforce_even:
-                    new_state.phi = even_project(grid, new_state.phi)
-                speed, diag = _evaluate(new_state, new_state.phi)
+                new_state, diag = step(state, dt, diag, target)
                 break
             except FlowStepError:
                 dt *= 0.5

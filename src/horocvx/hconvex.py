@@ -102,14 +102,19 @@ def support_of_ball(grid: Grid, X, r: float) -> SupportField:
 def _parts(K: SupportField):
     """One spectral pass: gradient, q = |Dphi|^2 / (2 phi), A[phi], and
     the unshifted Hessian D^2 phi."""
-    phi = K.phi
-    g, H = derivatives(K.grid, phi)
+    g, H = derivatives(K.grid, K.phi)
+    q, A = _q_and_a(K.phi, g, H)
+    return g, q, A, H
+
+
+def _q_and_a(phi: np.ndarray, g: np.ndarray, H: np.ndarray):
+    """q = |Dphi|^2 / (2 phi) and A[phi] from phi's gradient and Hessian."""
     q = 0.5 * np.sum(g * g, axis=1) / phi
     A = H.copy()
     shift = -q + 0.5 * (phi - 1.0 / phi)
-    idx = np.arange(K.grid.n)
+    idx = np.arange(H.shape[1])
     A[:, idx, idx] += shift[:, None]
-    return g, q, A, H
+    return q, A
 
 
 def a_tensor(K: SupportField) -> np.ndarray:

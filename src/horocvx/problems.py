@@ -71,8 +71,9 @@ def _validate_f(f: np.ndarray, grid: Grid) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.size,):
         raise ValueError(f"f has shape {f.shape}, grid has {grid.size} nodes")
-    if np.any(f <= 0.0):
-        raise ValueError("f must be positive everywhere")
+    # One pass each for min and max; NaN propagates into both.
+    if not (0.0 < f.min() and f.max() < math.inf):
+        raise ValueError("f must be finite and positive everywhere")
     return f
 
 

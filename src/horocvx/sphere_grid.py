@@ -7,7 +7,8 @@ spectral: FFT on S^1, per-order associated Legendre transforms combined
 with an azimuthal FFT on S^2.  Gradients and Hessians are expressed in
 the orthonormal frame {d_theta, (1/sin theta) d_phi}; `derivatives`
 returns both from one analysis, and `gradient` / `hessian` are views of
-it.
+it.  `resolvent` applies (1 - mu Laplacian)^{-1}, diagonal in the same
+bases, and returns the result with its derivatives from one analysis.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "sphere_area",
     "integrate",
     "derivatives",
+    "resolvent",
     "gradient",
     "hessian",
     "laplacian",
@@ -90,6 +92,8 @@ class ScalarField:
             raise ValueError(
                 f"field has {self.values.shape} values, grid has {self.grid.size} nodes"
             )
+        if not (-math.inf < self.values.min() and self.values.max() < math.inf):
+            raise ValueError("field values must be finite")
 
 
 def sphere_area(n: int) -> float:
@@ -324,21 +328,50 @@ def derivatives(
     None and costs no synthesis.  On S^2 the gradient comes free with the
     Hessian, whose synthesis already holds both of its profiles.
     """
+    return _spectral_pass(grid, values, None, first, second)[1:]
+
+
+def resolvent(
+    grid: Grid, values: np.ndarray, mu: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R v = (1 - mu Laplacian)^{-1} v on the band, with its gradient and
+    Hessian, all from one spectral analysis.
+
+    R multiplies each mode by 1 / (1 + mu lambda), lambda = k^2 on S^1
+    and l (l + 1) on S^2, and drops what lies above the band (the Nyquist
+    bin on S^1), so R v is band-limited.
+    """
+    return _spectral_pass(grid, values, mu, True, True)
+
+
+def _spectral_pass(grid: Grid, values: np.ndarray, mu, first: bool, second: bool):
+    """(R v or None, gradient, Hessian) of v, or of R v when mu is given."""
+    v = None
     if grid.n == 1:
         c = _s1_coeffs(grid, values)
         g = H = None
+        if mu is not None:
+            N = grid.resolution[0]
+            k = np.arange(N // 2 + 1, dtype=float)
+            c = c / (1.0 + mu * k * k)
+            c[-1] = 0.0
+            v = _s1_synth(grid, c)
         if first:
             g = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 1))[:, None]
         if second:
             H = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 2))[:, None, None]
-        return g, H
+        return v, g, H
     P, dP, ll1 = _s2_tables(grid)
     a = _s2_analyze(grid, values)
     B = grid.band_limit
     L, M = grid.resolution
+    if mu is not None:
+        a = [a[m] / (1.0 + mu * ll1[m]) for m in range(B + 1)]
     cols_v = [P[m] @ a[m] for m in range(B + 1)]
     cols_vt = [dP[m] @ a[m] for m in range(B + 1)]
     cols_fp = [(1j * m) * cols_v[m] for m in range(B + 1)]
+    if mu is not None:
+        (v,) = _s2_synth_many(grid, [cols_v])
     if second:
         cols_lap = [P[m] @ (ll1[m] * a[m]) for m in range(B + 1)]
         cols_ftp = [(1j * m) * cols_vt[m] for m in range(B + 1)]
@@ -352,7 +385,7 @@ def derivatives(
     if first:
         g = np.stack([vt, fp * np.repeat(1.0 / grid._cache["s"], M)], axis=1)
     if not second:
-        return g, None
+        return v, g, None
     s = np.repeat(grid._cache["s"], M)
     x = np.repeat(grid._cache["x"], M)
     # theta-theta from the associated Legendre ODE; mixed and azimuthal
@@ -363,7 +396,7 @@ def derivatives(
     H[:, 0, 1] = ftp / s - (x / (s * s)) * fp
     H[:, 1, 0] = H[:, 0, 1]
     H[:, 1, 1] = fpp / (s * s) + (x / s) * vt
-    return g, H
+    return v, g, H
 
 
 def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:

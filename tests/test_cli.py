@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import horocvx
 from horocvx.cli import main
 from horocvx.sphere_grid import load_field, make_grid, save_field
 
@@ -293,6 +298,45 @@ def test_flow_config_errors(tmp_path):
     nokeys = tmp_path / "nokeys.json"
     nokeys.write_text(json.dumps({"n": 1}))
     assert main(["flow", "--config", str(nokeys), "--out", str(tmp_path / "t.csv")]) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 0, 0.0]")
+    assert main(["flow", "--config", str(listed), "--out", str(tmp_path / "t.csv")]) == 2
+
+
+def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
+    # safety was the explicit scheme's dt limiter; eps_stp is a typo.
+    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "safety": 0.05, "eps_stp": 1e-6}
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    assert main(["flow", "--config", str(path), "--out", str(out)]) == 2
+    assert "eps_stp, safety" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_outputs_are_identical_across_thread_counts(tmp_path):
+    # Steep data, so the run takes steps rather than stopping at the ball.
+    grid = make_grid(1, 64)
+    f_path = tmp_path / "f.json"
+    save_field(f_path, grid, 1.0 + 0.2 * np.cos(2 * grid._cache["theta"]))
+    cfg = {"n": 1, "k": 0, "p": 2.0, "f": str(f_path), "initial_radius": math.log(2.0)}
+    (tmp_path / "flow.json").write_text(json.dumps(cfg))
+    src = str(Path(horocvx.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, HOROCVX_THREADS=threads, PYTHONPATH=src)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        trace, terminal = f"trace{threads}.csv", f"terminal{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "horocvx.cli", "flow", "--config", "flow.json",
+             "--out", trace, "--terminal", terminal],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(((tmp_path / trace).read_bytes(), (tmp_path / terminal).read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) > 10
 
 
 # ---------------------------------------------------------------------------

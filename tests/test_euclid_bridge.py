@@ -58,6 +58,14 @@ def test_euclidean_support_validation():
         EuclideanSupport(S1, np.ones(S1.size - 1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_euclidean_support_rejects_non_finite_values(bad):
+    u = np.ones(S1.size)
+    u[4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        EuclideanSupport(S1, u)
+
+
 # ---------------------------------------------------------------------------
 # Euclidean volume oracles
 

@@ -20,7 +20,7 @@ from horocvx.flow import (
 from horocvx.hconvex import SupportField
 from horocvx.problems import measure_density
 from horocvx.quermass import HOMOTOPY_ORDER, _homotopy_value
-from horocvx.sphere_grid import make_grid
+from horocvx.sphere_grid import band_project, even_project, integrate, make_grid
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 10)
@@ -105,14 +105,107 @@ def test_flow_terminal_solves_the_equation():
     assert (np.max(dens) - np.min(dens)) / mean <= 10.0 * cfg.eps_stop
 
 
+def rk4_reference(cfg, body):
+    """Terminal phi and gamma of the explicit RK4 flow the implicit step
+    replaced: Phi refreshed at every stage, dt the smallest of max_dt, the
+    0.05 lambda^2 h^2 limiter and twice the inverse of c times the
+    spectral radius of the Laplacian on the band."""
+    state = make_state(cfg, body)
+    grid, n = state.grid, state.n
+    nk = n - state.k
+    phi = even_project(grid, state.phi) if state.even else state.phi
+    phi = band_project(grid, phi)
+    h = (2.0 if n == 1 else 1.0) * math.pi / grid.resolution[0]
+    B = grid.band_limit
+    omega = 2.0 * math.pi if n == 1 else 4.0 * math.pi
+    while True:
+        d = flow._evaluate(state, phi)
+        gamma_field = phi ** (-(state.p + state.k)) * d["pA"] / state.f
+        gamma = integrate(grid, gamma_field) / omega
+        gamma_var = (np.max(gamma_field) - np.min(gamma_field)) / gamma
+        if np.max(np.abs(d["speed"])) < cfg.eps_stop and gamma_var <= 10 * cfg.eps_stop:
+            return phi, gamma
+        lam = np.min(phi * d["pA"] ** (1.0 / nk))
+        dt = min(0.05 * lam**2 * h * h, 2.0 / (d["c"] * B * (B + n - 1)), cfg.max_dt)
+
+        def speed(x):
+            return flow._evaluate(state, x)["speed"]
+
+        k1 = d["speed"]
+        k2 = speed(phi + 0.5 * dt * k1)
+        k3 = speed(phi + 0.5 * dt * k2)
+        k4 = speed(phi + dt * k3)
+        phi = band_project(grid, phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        if state.even:
+            phi = even_project(grid, phi)
+
+
+@pytest.mark.parametrize(
+    "cfg, body",
+    [
+        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-7), perturbed_circle),
+        (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-7), perturbed_sphere),
+    ],
+    ids=["s1", "s2"],
+)
+def test_implicit_flow_agrees_with_rk4(cfg, body):
+    res = run(cfg, body())
+    assert res.status == "converged"
+    phi_ref, gamma_ref = rk4_reference(cfg, body())
+    phi = res.terminal.phi
+    assert np.max(np.abs(phi - phi_ref)) <= 1e-6 * np.max(phi_ref)
+    assert res.gamma == pytest.approx(gamma_ref, rel=1e-6)
+
+
+def bench_like_s1(N):
+    grid = make_grid(1, N)
+    f = 1.0 + 0.2 * np.cos(2.0 * grid._cache["theta"])
+    return FlowConfig(n=1, k=0, p=2.0, f=f), SupportField(grid, np.full(N, 2.0))
+
+
+def sphere_body(L):
+    grid = make_grid(2, L)
+    z = grid.nodes
+    bump = 0.0225 * (3.0 * z[:, 2] ** 2 - 1.0) + 0.06 * (z[:, 0] ** 2 - z[:, 1] ** 2)
+    return FlowConfig(n=2, k=1, p=1.0), SupportField(grid, 2.0 * (1.0 + bump))
+
+
+@pytest.mark.parametrize(
+    "make, sizes", [(bench_like_s1, (48, 96, 192)), (sphere_body, (8, 16, 24))],
+    ids=["s1", "s2"],
+)
+def test_step_count_is_flat_in_resolution(make, sizes):
+    steps = []
+    for size in sizes:
+        res = run(*make(size))
+        assert res.status == "converged"
+        steps.append(res.steps)
+    assert max(steps) <= 1.1 * min(steps)
+
+
 # ---------------------------------------------------------------------------
 # stepping mechanics
 
 
 def test_step_rejects_cone_exit():
-    state = make_state(FlowConfig(n=1, k=0, p=0.0), perturbed_circle())
-    with pytest.raises(FlowStepError):
-        step(state, 50.0)
+    # Data this steep pulls the first step, even at the default max_dt,
+    # out of the uniformly h-convex cone: A[phi_new] gets a negative
+    # eigenvalue where f^{-1} peaks.
+    f = 1.0 + 0.9 * np.cos(2 * S1._cache["theta"])
+    state = make_state(
+        FlowConfig(n=1, k=0, p=0.0, f=f), SupportField(S1, np.full(S1.size, 2.0))
+    )
+    with pytest.raises(FlowStepError, match="eigenvalue"):
+        step(state, FlowConfig(n=1, k=0, p=0.0).max_dt)
+
+
+def test_step_holds_wk_to_roundoff():
+    state = make_state(FlowConfig(n=2, k=1, p=1.0), perturbed_sphere())
+    w0 = _homotopy_value(perturbed_sphere(), 1, HOMOTOPY_ORDER)
+    new_state, _ = step(state, 0.05)
+    w1 = _homotopy_value(SupportField(S2, new_state.phi), 1, HOMOTOPY_ORDER)
+    assert abs(w1 - w0) <= 1e-12 * w0
+    assert np.max(np.abs(new_state.phi - state.phi)) > 1e-4
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
@@ -186,6 +279,38 @@ def test_fft_calls_per_accepted_step(cfg, body, budget, fft_counts):
     assert (totals[1] - totals[0]) / 8 <= budget
 
 
+def test_max_steps_outcome():
+    cfg = FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-12, max_steps=4)
+    res = run(cfg, perturbed_circle())
+    assert res.status == "max-steps"
+    assert res.steps == 4
+    assert res.t_final == pytest.approx(4 * cfg.max_dt)
+    dt = res.trace.column("dt")
+    assert list(dt) == [cfg.max_dt] * 4 + [0.0]
+    assert res.trace.column("speedSup")[-1] >= cfg.eps_stop
+
+
+def test_stalled_outcome(monkeypatch):
+    # Every attempt is rejected: dt halves until the rejection limit, and
+    # the run returns its last accepted state instead of raising.
+    attempts = []
+
+    def rejecting(state, dt, *args):
+        attempts.append(dt)
+        raise FlowStepError("rejected")
+
+    monkeypatch.setattr(flow, "step", rejecting)
+    cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=10)
+    body = perturbed_circle()
+    res = run(cfg, body)
+    assert res.status == "stalled"
+    assert res.steps == 0
+    assert res.rejections == len(attempts) == flow.MAX_REJECTIONS + 1
+    assert attempts == [cfg.max_dt * 0.5**i for i in range(len(attempts))]
+    assert np.allclose(res.terminal.phi, body.phi, atol=1e-14)
+    assert len(res.trace.rows) == 1
+
+
 def test_dt_initial_is_respected():
     cfg = FlowConfig(n=1, k=0, p=0.0, dt_initial=1e-6, max_steps=3)
     res = run(cfg, perturbed_circle())
@@ -228,6 +353,14 @@ def test_make_state_validation():
         make_state(FlowConfig(n=1, k=0, p=0.0, f=-np.ones(S1.size)), K)
     with pytest.raises(ValueError):
         make_state(FlowConfig(n=2, k=1, p=-3.0), perturbed_sphere())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_state_rejects_non_finite_f(bad):
+    f = np.ones(S1.size)
+    f[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        make_state(FlowConfig(n=1, k=0, p=0.0, f=f), perturbed_circle())
 
 
 def test_even_enforcement_rejects_odd_data():

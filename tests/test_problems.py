@@ -29,6 +29,19 @@ def zeta(c, n, k, p):
     return c ** (-(p + k)) * (0.5 * (c - 1.0 / c)) ** (n - k)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_data_f_must_be_finite(bad):
+    K = support_of_ball(S1, origin(1), 0.5)
+    f = np.ones(S1.size)
+    f[11] = bad
+    with pytest.raises(ValueError, match="finite"):
+        J_p(K, f, 1.0)
+    f2 = np.ones(S2.size)
+    f2[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        check_assumption_h(f2, S2, 2, 1, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # measure density and mixed quermass
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from horocvx import sphere_grid
 from horocvx.sphere_grid import (
+    ScalarField,
     antipodal,
     band_project,
     derivatives,
@@ -28,6 +29,7 @@ from horocvx.sphere_grid import (
     make_grid,
     refine,
     resample,
+    resolvent,
     save_field,
     sphere_area,
 )
@@ -222,6 +224,30 @@ def test_fused_derivatives_do_one_analysis(fft_counts):
     assert fft_counts == {"rfft": 1, "irfft": 5}
 
 
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_resolvent_inverts_one_minus_mu_laplacian(grid, fft_counts):
+    # R v solves (1 - mu Laplacian) R v = v for band-limited v, and its
+    # derivatives are those of R v, all from one analysis.
+    rng = np.random.default_rng(7)
+    v = band_project(grid, 2.0 + 0.1 * rng.standard_normal(grid.size))
+    fft_counts.update(rfft=0, irfft=0)
+    Rv, g, H = resolvent(grid, v, 0.3)
+    assert fft_counts == {"rfft": 1, "irfft": 3 if grid.n == 1 else 6}
+    assert np.allclose(Rv - 0.3 * laplacian(grid, Rv), v, atol=1e-12)
+    g_ref, H_ref = derivatives(grid, Rv)
+    assert np.allclose(g, g_ref, atol=1e-12)
+    assert np.allclose(H, H_ref, atol=1e-12)
+    # mu = 0 is the band projection; a resolvent output is band-limited.
+    assert np.allclose(resolvent(grid, v, 0.0)[0], v, atol=1e-13)
+    assert np.allclose(band_project(grid, Rv), Rv, atol=1e-13)
+
+
+def test_resolvent_drops_the_s1_nyquist_bin():
+    N = S1.resolution[0]
+    alternating = np.cos((N // 2) * s1_theta(S1))
+    assert np.max(np.abs(resolvent(S1, alternating, 0.1)[0])) < 1e-15
+
+
 def test_s2_gradient_oracles():
     theta, phi = s2_angles(S2)
     # z_3 = cos theta: frame gradient (-sin theta, 0).
@@ -395,6 +421,15 @@ def test_field_json_roundtrip(tmp_path):
     assert np.array_equal(back2, values)
     raw = json.loads(path.read_text())
     assert set(raw) == {"n", "grid", "values", "kind"}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_field_rejects_non_finite_values(bad):
+    values = np.zeros(S1.size)
+    values[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ScalarField(S1, values)
+    assert ScalarField(S1, -np.ones(S1.size)).values[0] == -1.0
 
 
 def test_field_json_value_count_mismatch():
