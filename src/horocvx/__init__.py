@@ -6,6 +6,10 @@ modified and weighted quermassintegrals, Steiner expansions, surface
 measures, curvature-equation residuals, normalized curvature flows,
 and the Euclidean projection bridge, plus inequality verification
 suites over deterministic corpora.
+
+scipy (quadrature, root finding, Gauss-Legendre nodes) is imported
+inside the functions that call it, so importing the package and the
+CLI loads numpy only.
 """
 
 import os as _os

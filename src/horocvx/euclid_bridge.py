@@ -17,7 +17,7 @@ import numpy as np
 
 from .hconvex import SupportField, boundary_data, convexity
 from .psum import p_sum
-from .quermass import _p_tensor
+from .quermass import p_tensor
 from .sphere_grid import Grid, hessian, integrate
 
 __all__ = [
@@ -127,7 +127,7 @@ def euclid_volume(Khat: EuclideanSupport) -> float:
     _check_admissible(Khat)
     n = Khat.grid.n
     S = _support_form(Khat)
-    return integrate(Khat.grid, Khat.u_hat * _p_tensor(S, n)) / (n + 1)
+    return integrate(Khat.grid, Khat.u_hat * p_tensor(S, n)) / (n + 1)
 
 
 def euclid_mixed_volume_p(
@@ -141,7 +141,7 @@ def euclid_mixed_volume_p(
     _check_admissible(Khat)
     n = Khat.grid.n
     S = _support_form(Khat)
-    field = Lhat.u_hat**p * Khat.u_hat ** (1.0 - p) * _p_tensor(S, n)
+    field = Lhat.u_hat**p * Khat.u_hat ** (1.0 - p) * p_tensor(S, n)
     return integrate(Khat.grid, field) / (n + 1)
 
 

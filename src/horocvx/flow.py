@@ -32,7 +32,7 @@ import numpy as np
 
 from .hconvex import SupportField, _parts, _q_and_a, a_eigenvalues
 from .problems import J_p, _validate_f, check_assumption_h
-from .quermass import HOMOTOPY_ORDER, _homotopy_value, _p_tensor
+from .quermass import HOMOTOPY_ORDER, _homotopy_value, p_tensor
 from .sphere_grid import (
     Grid,
     band_project,
@@ -153,7 +153,7 @@ def _evaluate(state: FlowState, phi: np.ndarray) -> dict:
     if eig_min <= 0.0:
         raise FlowStepError(f"minimum eigenvalue of A reached {eig_min}")
     nk = n - k
-    pA = _p_tensor(A, nk)
+    pA = p_tensor(A, nk)
     num = integrate(state.grid, phi ** (-(k + 1.0)) * pA ** (1.0 - 1.0 / nk))
     den = integrate(
         state.grid, state.fpow * phi ** (-(k + (n + state.p) / nk)) * pA
@@ -226,7 +226,7 @@ def step(state: FlowState, dt: float, diag: dict | None = None,
         residual = _homotopy_value(K, k, HOMOTOPY_ORDER, g, H) - target
         if abs(residual) <= NEWTON_RTOL * abs(target):
             break
-        pA = _p_tensor(_q_and_a(phi_new, g, H)[1], state.n - k)
+        pA = p_tensor(_q_and_a(phi_new, g, H)[1], state.n - k)
         slope = dt * integrate(grid, phi_new ** (-(k + 1.0)) * pA * rG)
         if not slope > 0.0:
             raise FlowStepError(f"W_k constraint has slope {slope}")

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .hconvex import SupportField, _parts, a_tensor, boundary_data
-from .quermass import _p_tensor
+from .quermass import p_tensor
 from .sphere_grid import Grid, derivatives, frame_vectors, gradient, integrate
 
 __all__ = [
@@ -82,7 +81,7 @@ def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
     n = K.grid.n
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    return K.phi ** (-(p + k)) * _p_tensor(a_tensor(K), n - k)
+    return K.phi ** (-(p + k)) * p_tensor(a_tensor(K), n - k)
 
 
 def mixed_quermass(K: SupportField, L: SupportField, p: float, k: int) -> float:
@@ -133,7 +132,7 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     frames = frame_vectors(grid)
     grad_ambient = np.einsum("ia,iac->ic", g_phi, frames)
     vec_field = grad_ambient / K.phi[:, None] + grid.nodes
-    density = K.phi ** (-float(k)) * _p_tensor(A, n - k)
+    density = K.phi ** (-float(k)) * p_tensor(A, n - k)
     residual_vec = np.array(
         [integrate(grid, vec_field[:, i] * density) for i in range(n + 1)]
     )
@@ -162,6 +161,8 @@ def _polish_root(c: float, n: int, k: int, p: float, gamma: float) -> float:
 
 
 def _bracketed_root(lo: float, hi: float, n: int, k: int, p: float, gamma: float) -> float:
+    from scipy.optimize import brentq
+
     c = brentq(lambda c: _zeta(c, n, k, p) - gamma, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return _polish_root(c, n, k, p, gamma)
 

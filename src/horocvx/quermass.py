@@ -18,9 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
 from .hconvex import BoundaryData, SupportField, a_tensor, boundary_data
 from .sphere_grid import Grid, derivatives, integrate, sphere_area
@@ -42,15 +39,16 @@ __all__ = [
     "minkowski_formula_residuals",
     "HOMOTOPY_ORDER",
     "HOMOTOPY_CROSS_TOL",
+    "p_tensor",
 ]
 
 HOMOTOPY_ORDER = 32
 HOMOTOPY_MAX_ORDER = 256
 HOMOTOPY_CROSS_TOL = 1e-9
 # Values per array pass of the homotopy (t-nodes times grid nodes): the
-# flow grids at order 32 fit in one pass, and the temporaries stay near
-# 1 MB on any grid at any order.
-HOMOTOPY_BLOCK = 16384
+# flow grids at order 32 fit in one pass.  64 KiB temporaries stay well
+# under glibc's 128 KiB mmap threshold, so they reuse heap memory.
+HOMOTOPY_BLOCK = 8192
 CONSTANT_FIELD_TOL = 1e-13
 QUAD_KW = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
 
@@ -110,7 +108,7 @@ def sigma_elementary(eigs: np.ndarray, m: int) -> np.ndarray:
     return p_normalized(eigs, m) * math.comb(eigs.shape[1], m)
 
 
-def _p_tensor(A: np.ndarray, m: int) -> np.ndarray:
+def p_tensor(A: np.ndarray, m: int) -> np.ndarray:
     """p_m of the eigenvalues of pointwise symmetric forms, via invariants."""
     n = A.shape[1]
     if m == 0:
@@ -141,6 +139,8 @@ def I_k(n: int, k: int, r: float) -> float:
         return (omega / n) * -math.expm1(-n * r)
     if r == 0.0:
         return 0.0
+    from scipy.integrate import quad
+
     val, _ = quad(lambda t: math.sinh(t) ** (n - k) * math.exp(-k * t), 0.0, r, **QUAD_KW)
     return omega * val
 
@@ -165,6 +165,8 @@ def I_k_inverse(n: int, k: int, w: float) -> float:
         r_hi *= 2.0
         if r_hi > 512.0:
             raise ValueError(f"no radius found for quermass value {w}")
+    from scipy.optimize import brentq
+
     r = brentq(lambda t: I_k(n, k, t) - w, 0.0, r_hi, xtol=1e-15, rtol=8.9e-16)
     for _ in range(2):
         d = _I_k_derivative(n, k, r)
@@ -182,12 +184,14 @@ def curvature_integral(K: SupportField, m: int) -> float:
     n = K.grid.n
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in 0..{n}, got {m}")
-    return integrate(K.grid, K.phi ** (-m) * _p_tensor(a_tensor(K), n - m))
+    return integrate(K.grid, K.phi ** (-m) * p_tensor(a_tensor(K), n - m))
 
 
 @functools.lru_cache(maxsize=None)
 def _unit_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1], read-only."""
+    from scipy.special import roots_legendre
+
     x, wts = roots_legendre(order)
     ts = 0.5 * (x + 1.0)
     wts = 0.5 * wts
@@ -311,6 +315,8 @@ def steiner_check(K: SupportField, rho: float) -> SteinerReport:
     """
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
+    from scipy.integrate import quad
+
     grid = K.grid
     n = grid.n
     bd = boundary_data(K)
@@ -353,6 +359,8 @@ def weighted_steiner_check(K: SupportField, rho: float) -> WeightedSteinerReport
     """Residuals of both weighted Steiner forms under rho-enlargement."""
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
+    from scipy.integrate import quad
+
     grid = K.grid
     n = grid.n
     bd = boundary_data(K)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_legendre
 
 __all__ = [
     "Grid",
@@ -67,6 +66,38 @@ class Grid:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    def _table(self, name: str) -> np.ndarray:
+        if name not in self._cache:
+            raise AttributeError(f"{name} is a node table of S^2 grids only")
+        view = self._cache[name].view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Node angles on S^1; the L polar angles, ascending, on S^2."""
+        return self._table("theta")
+
+    @property
+    def phi(self) -> np.ndarray:
+        """The M azimuth angles of an S^2 grid."""
+        return self._table("phi")
+
+    @property
+    def x(self) -> np.ndarray:
+        """cos of the polar angles of an S^2 grid (Gauss-Legendre nodes)."""
+        return self._table("x")
+
+    @property
+    def wx(self) -> np.ndarray:
+        """Gauss-Legendre weights of the polar nodes of an S^2 grid."""
+        return self._table("wx")
+
+    @property
+    def s(self) -> np.ndarray:
+        """sin of the polar angles of an S^2 grid."""
+        return self._table("s")
 
     def __eq__(self, other) -> bool:
         return (
@@ -127,6 +158,8 @@ def make_grid(n: int, resolution) -> Grid:
         L = int(resolution)
         if L < 2:
             raise ValueError(f"n=2 grid needs a polar count >= 2, got {resolution}")
+        from scipy.special import roots_legendre
+
         M = 2 * L
         x, wx = roots_legendre(L)
         # Symmetrize so the antipodal map is exact in floating point.

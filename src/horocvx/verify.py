@@ -30,9 +30,9 @@ from .quermass import (
     I_k,
     I_k_inverse,
     S_functional,
-    _p_tensor,
     curvature_integral,
     modified_quermass,
+    p_tensor,
     sigma_elementary,
     weighted_volume,
 )
@@ -148,7 +148,7 @@ def _perturbed(grid: Grid, r0: float, even: bool, flavor: int = 0) -> SupportFie
     """Fixed smooth uniformly h-convex bodies used across the suites."""
     c = math.exp(r0)
     if grid.n == 1:
-        theta = grid._cache["theta"]
+        theta = grid.theta
         if even:
             pert = 0.08 * np.cos(2 * theta) + 0.05 * np.sin(4 * theta + 0.4 * flavor)
         else:
@@ -183,7 +183,7 @@ def random_h_convex_fields(seed: int, grids: list[Grid], count: int) -> list[Sup
         r0 = rng.uniform(0.4, 1.0)
         c = math.exp(r0)
         if grid.n == 1:
-            theta = grid._cache["theta"]
+            theta = grid.theta
             pert = np.zeros(grid.size)
             for kk in range(1, 5):
                 pert += rng.uniform(-0.05, 0.05) * np.cos(kk * theta)
@@ -393,7 +393,7 @@ def _suite_min_I_p1_Lball(corpus, tol, eq_tol):
     ]
     for tag, K, eq in bodies:
         A = a_tensor(K)
-        term1 = integrate(grid, K.phi ** (-(1.0 + k)) * _p_tensor(A, n - k))
+        term1 = integrate(grid, K.phi ** (-(1.0 + k)) * p_tensor(A, n - k))
         term2 = curvature_integral(K, k)
         rk = _exp_radius(K, k)
         base = omega * math.sinh(rk) ** (n - k) * math.exp(-k * rk)
@@ -431,7 +431,7 @@ def _suite_min_II(corpus, tol, eq_tol):
         rk = _exp_radius(K, k)
         mass = curvature_integral(K, k)
         for p in (1.0, 2.0, 3.0):
-            lhs = integrate(grid2, K.phi ** (-(p + k)) * _p_tensor(A, n - k))
+            lhs = integrate(grid2, K.phi ** (-(p + k)) * p_tensor(A, n - k))
             rhs = omega2 * math.sinh(rk) ** (n - k) * math.exp(-(k + p) * rk)
             records.append(
                 _record("min_II", f"n2/k1/{tag}/p{p}", lhs, rhs, eq, tol, eq_tol)
@@ -455,7 +455,7 @@ def _suite_min_II(corpus, tol, eq_tol):
         ):
             A = a_tensor(K)
             r0 = _exp_radius(K, 0)
-            lhs = integrate(grid, K.phi ** (-1.0) * _p_tensor(A, n))
+            lhs = integrate(grid, K.phi ** (-1.0) * p_tensor(A, n))
             rhs = sphere_area(n) * math.sinh(r0) ** n * math.exp(-r0)
             records.append(
                 _record("min_II", f"n{n}/k0/{tag}/p1", lhs, rhs, eq, tol, eq_tol)
@@ -629,7 +629,7 @@ def _suite_euclid(corpus, tol, eq_tol):
                 hat = project(body)
                 Sform = _support_form(hat)
                 lhs = integrate(
-                    grid, hat.u_hat ** (1.0 - p) * _p_tensor(Sform, n)
+                    grid, hat.u_hat ** (1.0 - p) * p_tensor(Sform, n)
                 )
                 v = V_functional(body).value
                 rhs = (
@@ -745,7 +745,7 @@ def _xp_min_terms(K: SupportField, L: SupportField, p: float, k: int):
     grid = K.grid
     n = grid.n
     A = a_tensor(K)
-    pk = _p_tensor(A, n - k)
+    pk = p_tensor(A, n - k)
     mixed = integrate(grid, L.phi**p * K.phi ** (-(p + k)) * pk)
     mass = integrate(grid, K.phi ** (-float(k)) * pk)
     rK = _exp_radius(K, k)

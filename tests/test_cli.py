@@ -104,6 +104,32 @@ def test_cli_arg_parsing_exit_codes(tmp_path):
     assert main(["--version"]) == 0
 
 
+SCIPY_FREE_SESSION = """
+import sys
+import horocvx, horocvx.cli
+from horocvx.cli import main
+assert main(["--version"]) == 0
+for name, radius in (("K.json", "0.4"), ("L.json", "0.9")):
+    assert main(["mkfield", "--grid", "s1:64", "--ball", "--radius", radius, "--out", name]) == 0
+assert main(["psum", "--a", "0.7", "--K", "K.json", "--p", "1.5", "--b", "0.6",
+             "--L", "L.json", "--out", "sum.json"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_import_and_scipy_free_commands_load_no_scipy(tmp_path):
+    # scipy is imported where a quadrature, root or Legendre node is needed.
+    src = str(Path(horocvx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SESSION],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "sum.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # pipelines through files
 

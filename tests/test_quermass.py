@@ -24,7 +24,8 @@ from horocvx.quermass import (
     weighted_steiner_check,
     weighted_volume,
 )
-from horocvx.quermass import _homotopy_value, _p_tensor
+from horocvx import quermass
+from horocvx.quermass import _homotopy_value, p_tensor
 from horocvx.sphere_grid import gradient, hessian, integrate, make_grid, sphere_area
 
 S1 = make_grid(1, 64)
@@ -159,7 +160,7 @@ def _homotopy_reference(K, k, order):
         qt = 0.5 * t * t * grad_sq / phit
         At = t * H.copy()
         At[:, idx, idx] += (-qt + 0.5 * (phit - 1.0 / phit))[:, None]
-        field = (dphi / phit) * phit ** (-float(k)) * _p_tensor(At, n - k)
+        field = (dphi / phit) * phit ** (-float(k)) * p_tensor(At, n - k)
         contributions.append(wt * integrate(grid, field))
     return math.fsum(contributions)
 
@@ -170,6 +171,20 @@ def test_homotopy_value_matches_per_node_loop_bitwise(grid, order):
     K = smooth_body(grid)
     for k in range(grid.n + 1):
         assert _homotopy_value(K, k, order) == _homotopy_reference(K, k, order)
+
+
+@pytest.mark.parametrize("order", [HOMOTOPY_ORDER, 256])
+@pytest.mark.parametrize("grid", [make_grid(1, 96), make_grid(2, 20)], ids=["s1:96", "s2:20"])
+def test_homotopy_value_does_not_depend_on_block_size(grid, order, monkeypatch):
+    # Each node's row is its own compensated sum, so the blocking of the
+    # t-nodes cannot change a bit of the result.
+    K = smooth_body(grid)
+    g, H = gradient(grid, K.phi), hessian(grid, K.phi)
+    values = []
+    for block in (16384, 8192, 512):
+        monkeypatch.setattr(quermass, "HOMOTOPY_BLOCK", block)
+        values.append([_homotopy_value(K, k, order, g, H) for k in range(grid.n + 1)])
+    assert values[0] == values[1] == values[2]
 
 
 def test_homotopy_temporaries_stay_bounded():

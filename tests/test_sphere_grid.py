@@ -74,6 +74,23 @@ def test_grid_shapes():
     assert np.allclose(np.linalg.norm(S2.nodes, axis=1), 1.0, atol=1e-15)
 
 
+def test_node_tables_are_read_only_properties():
+    assert np.array_equal(S1.theta, 2.0 * math.pi * np.arange(64) / 64)
+    L, M = S2.resolution
+    assert S2.theta.shape == S2.x.shape == S2.wx.shape == S2.s.shape == (L,)
+    assert S2.phi.shape == (M,)
+    assert np.allclose(S2.x, np.cos(S2.theta), rtol=0.0, atol=1e-15)
+    assert np.array_equal(S2.s, np.sqrt(1.0 - S2.x * S2.x))
+    assert math.isclose(S2.wx.sum(), 2.0, rel_tol=1e-14)
+    for name in ("theta", "phi", "x", "wx", "s"):
+        table = getattr(S2, name)
+        assert table is not S2._cache[name] and np.array_equal(table, S2._cache[name])
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    with pytest.raises(AttributeError, match="S\\^2"):
+        S1.phi
+
+
 def test_weights_sum_to_sphere_area():
     assert math.isclose(sum(S1.weights), 2.0 * math.pi, rel_tol=1e-14)
     assert math.isclose(sum(S2.weights), 4.0 * math.pi, rel_tol=1e-14)
