@@ -441,7 +441,7 @@ def _cmd_flow(args) -> int:
         k=k,
         p=p,
         f=f_field.values if f_field is not None else None,
-        dt_initial=cfg.get("dt_initial"),
+        dt_initial=None if cfg.get("dt_initial") is None else float(cfg["dt_initial"]),
         max_dt=float(cfg.get("max_dt", 0.05)),
         eps_stop=float(cfg.get("eps_stop", 1e-6)),
         max_steps=int(cfg.get("max_steps", 200000)),

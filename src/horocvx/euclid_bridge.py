@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hconvex import SupportField, boundary_data, convexity
+from .hconvex import SupportField, a_eigenvalues, boundary_data, convexity
 from .psum import p_sum
 from .quermass import p_tensor
 from .sphere_grid import Grid, hessian, integrate
@@ -36,22 +37,37 @@ __all__ = [
 ADMISSIBILITY_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class EuclideanSupport:
-    """Euclidean support function u^ at grid nodes; D^2 u^ + u^ I >= 0."""
+    """Euclidean support function u^ at grid nodes; D^2 u^ + u^ I >= 0.
+
+    Immutable like SupportField: u_hat is a read-only copy, and the form
+    D^2 u^ + u^ I is computed once, on first use.
+    """
 
     grid: Grid
     u_hat: np.ndarray
 
     def __post_init__(self):
-        self.u_hat = np.asarray(self.u_hat, dtype=float)
-        if self.u_hat.shape != (self.grid.size,):
+        u_hat = np.array(self.u_hat, dtype=float)
+        if u_hat.shape != (self.grid.size,):
             raise ValueError(
-                f"support has {self.u_hat.shape} values, grid has {self.grid.size} nodes"
+                f"support has {u_hat.shape} values, grid has {self.grid.size} nodes"
             )
         # One pass each for min and max; NaN propagates into both.
-        if not (0.0 < self.u_hat.min() and self.u_hat.max() < math.inf):
+        if not (0.0 < u_hat.min() and u_hat.max() < math.inf):
             raise ValueError("Euclidean support must be finite and positive")
+        u_hat.flags.writeable = False
+        object.__setattr__(self, "u_hat", u_hat)
+
+    @cached_property
+    def form(self) -> np.ndarray:
+        """D^2 u^ + u^ I in the orthonormal frame, read-only."""
+        S = hessian(self.grid, self.u_hat)
+        idx = np.arange(self.grid.n)
+        S[:, idx, idx] += self.u_hat[:, None]
+        S.flags.writeable = False
+        return S
 
 
 @dataclass
@@ -60,21 +76,8 @@ class BridgeReport:
     cross_residual: float  # relative gap between the two evaluation routes
 
 
-def _support_form(Khat: EuclideanSupport) -> np.ndarray:
-    """D^2 u^ + u^ I in the orthonormal frame."""
-    H = hessian(Khat.grid, Khat.u_hat)
-    idx = np.arange(Khat.grid.n)
-    H[:, idx, idx] += Khat.u_hat[:, None]
-    return H
-
-
 def _check_admissible(Khat: EuclideanSupport) -> None:
-    S = _support_form(Khat)
-    if Khat.grid.n == 1:
-        eig_min = float(np.min(S[:, 0, 0]))
-    else:
-        a, b, d = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
-        eig_min = float(np.min(0.5 * (a + d) - np.sqrt((0.5 * (a - d)) ** 2 + b * b)))
+    eig_min = float(np.min(a_eigenvalues(Khat.form)[:, 0]))
     scale = 1.0 + float(np.max(Khat.u_hat))
     if eig_min < -ADMISSIBILITY_TOL * scale:
         raise ValueError(f"support function is not convex: min eig {eig_min}")
@@ -89,7 +92,7 @@ def project(K: SupportField) -> EuclideanSupport:
     report = convexity(K)
     if report.classification == "not-h-convex":
         raise ValueError("projection requires an h-convex field")
-    return EuclideanSupport(K.grid, K.phi.copy())
+    return EuclideanSupport(K.grid, K.phi)
 
 
 def firey_sum(
@@ -126,8 +129,7 @@ def euclid_volume(Khat: EuclideanSupport) -> float:
     """Euclidean volume (1/(n+1)) int u^ p_n(D^2 u^ + u^ I) dsigma."""
     _check_admissible(Khat)
     n = Khat.grid.n
-    S = _support_form(Khat)
-    return integrate(Khat.grid, Khat.u_hat * p_tensor(S, n)) / (n + 1)
+    return integrate(Khat.grid, Khat.u_hat * p_tensor(Khat.form, n)) / (n + 1)
 
 
 def euclid_mixed_volume_p(
@@ -140,8 +142,7 @@ def euclid_mixed_volume_p(
         raise ValueError("mixed volume requires a common grid")
     _check_admissible(Khat)
     n = Khat.grid.n
-    S = _support_form(Khat)
-    field = Lhat.u_hat**p * Khat.u_hat ** (1.0 - p) * p_tensor(S, n)
+    field = Lhat.u_hat**p * Khat.u_hat ** (1.0 - p) * p_tensor(Khat.form, n)
     return integrate(Khat.grid, field) / (n + 1)
 
 
@@ -149,10 +150,7 @@ def _hyperbolic_v_integrand(K: SupportField, p: float) -> np.ndarray:
     """phi_gap^{p - n - 1} p_n(cosh(r) kappa - u~) against dmu, evaluated
     from the boundary data with kappa = 1 + 1/lambda~."""
     bd = boundary_data(K)
-    lam = bd.lambda_tilde
-    if np.min(lam) <= 0.0:
-        raise ValueError("boundary route requires a uniformly h-convex body")
-    kappa = 1.0 + 1.0 / lam
+    kappa = 1.0 + bd.kappa_tilde
     gap = bd.coshr - bd.u_tilde
     factors = bd.coshr[:, None] * kappa - bd.u_tilde[:, None]
     pn = np.prod(factors, axis=1)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hconvex import SupportField, _parts, _q_and_a, a_eigenvalues
+from .hconvex import SupportField, _q_and_a
 from .problems import J_p, _validate_f, check_assumption_h
 from .quermass import HOMOTOPY_ORDER, _homotopy_value, p_tensor
 from .sphere_grid import (
@@ -147,13 +147,12 @@ def _evaluate(state: FlowState, phi: np.ndarray) -> dict:
         raise FlowStepError("phi left the positive cone")
     n, k = state.n, state.k
     K = SupportField(state.grid, phi)
-    g, _, A, H = _parts(K)
-    eigs = a_eigenvalues(A)
+    eigs = K.eigenvalues
     eig_min = float(np.min(eigs[:, 0]))
     if eig_min <= 0.0:
         raise FlowStepError(f"minimum eigenvalue of A reached {eig_min}")
     nk = n - k
-    pA = p_tensor(A, nk)
+    pA = p_tensor(K.A, nk)
     num = integrate(state.grid, phi ** (-(k + 1.0)) * pA ** (1.0 - 1.0 / nk))
     den = integrate(
         state.grid, state.fpow * phi ** (-(k + (n + state.p) / nk)) * pA
@@ -166,8 +165,7 @@ def _evaluate(state: FlowState, phi: np.ndarray) -> dict:
         c = float(np.max(pA ** (-2.0))) / n
     else:
         c = float(np.max(pA ** (-0.5) / (2.0 * eigs[:, 0])))
-    return dict(eig_min=eig_min, grad=g, hess=H, pA=pA, Phi=Phi, G=G, h=h, c=c,
-                speed=Phi * G - h)
+    return dict(K=K, eig_min=eig_min, pA=pA, Phi=Phi, G=G, h=h, c=c, speed=Phi * G - h)
 
 
 def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
@@ -180,6 +178,19 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     f = _validate_f(np.ones(grid.size) if config.f is None else config.f, grid)
     if config.k >= 1 and config.p < -n:
         raise ValueError(f"k >= 1 flows need p >= -n, got p = {config.p}")
+    # Comparisons with NaN are false, so NaN fails these checks too.
+    if not 0.0 < config.max_dt < math.inf:
+        raise ValueError(f"max_dt must be finite and positive, got {config.max_dt}")
+    if config.dt_initial is not None and not 0.0 < config.dt_initial < math.inf:
+        raise ValueError(f"dt_initial must be finite and positive, got {config.dt_initial}")
+    if config.trace_every < 1:
+        raise ValueError(f"trace_every must be at least 1, got {config.trace_every}")
+    if config.max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {config.max_steps}")
+    if config.assumption_mode not in ("strict", "warn", "skip"):
+        raise ValueError(
+            f"assumption_mode must be strict, warn or skip, got {config.assumption_mode!r}"
+        )
     even = config.k >= 1 if config.enforce_even is None else bool(config.enforce_even)
     fpow = f ** (-1.0 / (n - config.k))
     return FlowState(grid, phi0.phi.copy(), n, config.k, config.p, f, fpow, even)
@@ -190,27 +201,21 @@ def phi_global(state: FlowState) -> float:
     return _evaluate(state, state.phi)["Phi"]
 
 
-def _wk(state: FlowState, diag: dict) -> float:
-    return _homotopy_value(
-        SupportField(state.grid, state.phi), state.k, HOMOTOPY_ORDER,
-        diag["grad"], diag["hess"],
-    )
-
-
 def step(state: FlowState, dt: float, diag: dict | None = None,
          target: float | None = None) -> tuple[FlowState, dict]:
     """One linearly implicit step holding W_k at target (default: its
     value at state); returns the projected new state and its diagnostics.
 
-    diag is `_evaluate` at state.  Raises FlowStepError if the new state
-    leaves the uniformly h-convex cone or the constraint does not
-    converge; the caller is expected to halve dt and retry.
+    diag is `_evaluate` at state; the Newton iterates are affine in Phi
+    on the derivatives cached in its field K.  Raises FlowStepError if
+    the new state leaves the uniformly h-convex cone or the constraint
+    does not converge; the caller is expected to halve dt and retry.
     """
     grid, phi, k = state.grid, state.phi, state.k
     if diag is None:
         diag = _evaluate(state, phi)
     if target is None:
-        target = _wk(state, diag)
+        target = _homotopy_value(diag["K"], k, HOMOTOPY_ORDER)
     mu = dt * diag["c"]
     rG, gG, HG = resolvent(grid, diag["G"], mu)
     rh, gh, Hh = resolvent(grid, diag["h"], mu)
@@ -220,8 +225,8 @@ def step(state: FlowState, dt: float, diag: dict | None = None,
         phi_new = phi + dt * (Phi * rG - rh)
         if not (0.0 < np.min(phi_new) and np.max(phi_new) < math.inf):
             raise FlowStepError("phi left the positive cone")
-        g = diag["grad"] + dt * (Phi * gG - gh)
-        H = diag["hess"] + dt * (Phi * HG - Hh)
+        g = diag["K"].gradient + dt * (Phi * gG - gh)
+        H = diag["K"].hessian + dt * (Phi * HG - Hh)
         K = SupportField(grid, phi_new)
         residual = _homotopy_value(K, k, HOMOTOPY_ORDER, g, H) - target
         if abs(residual) <= NEWTON_RTOL * abs(target):
@@ -277,7 +282,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     gamma_var = math.inf
     first = True
     diag = _evaluate(state, state.phi)
-    target = _wk(state, diag)
+    target = _homotopy_value(diag["K"], k, HOMOTOPY_ORDER)
     while True:
         speed = diag["speed"]
         gamma_field = state.phi ** (-(state.p + k)) * diag["pA"] / state.f
@@ -285,7 +290,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         gamma_var = float((np.max(gamma_field) - np.min(gamma_field)) / gamma)
         speed_sup = float(np.max(np.abs(speed)))
         grad_ratio = float(
-            np.max(np.sqrt(np.sum(diag["grad"] ** 2, axis=1)) / state.phi)
+            np.max(np.sqrt(np.sum(diag["K"].gradient ** 2, axis=1)) / state.phi)
         )
         record = steps % config.trace_every == 0 or first
         stop = speed_sup < config.eps_stop and gamma_var <= 10.0 * config.eps_stop
@@ -294,8 +299,8 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
             trace.append(
                 t=t,
                 dt=0.0 if terminal_row else math.nan,
-                Wk=target if first else _wk(state, diag),
-                Jp=J_p(SupportField(grid, state.phi), state.f, state.p),
+                Wk=target if first else _homotopy_value(diag["K"], k, HOMOTOPY_ORDER),
+                Jp=J_p(diag["K"], state.f, state.p),
                 minEigA=diag["eig_min"],
                 maxGradRatio=grad_ratio,
                 evenErr=even_error(grid, state.phi),
@@ -337,7 +342,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         steps += 1
     return FlowResult(
         status=status,
-        terminal=SupportField(grid, state.phi),
+        terminal=diag["K"],
         gamma=gamma,
         gamma_variation=gamma_var,
         trace=trace,

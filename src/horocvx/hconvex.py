@@ -4,13 +4,15 @@ A domain is the intersection of the horo-balls {B_z(u(z))} over all unit
 directions z; we store phi = e^u at grid nodes.  The shifted second
 fundamental form A[phi] decides convexity: A > 0 is uniform h-convexity.
 Boundary position and normal are recovered pointwise from phi and its
-first two frame derivatives.
+first two frame derivatives.  A SupportField is immutable and computes
+its geometry once, on first use, from one spectral pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +25,6 @@ __all__ = [
     "BoundaryData",
     "support_of_point",
     "support_of_ball",
-    "a_tensor",
     "a_eigenvalues",
     "convexity",
     "boundary_data",
@@ -34,41 +35,14 @@ __all__ = [
 UNIFORM_TOL_SCALE = 1e-8
 
 
-@dataclass
-class SupportField:
-    """phi = e^u sampled at grid nodes; finite and positive everywhere."""
-
-    grid: Grid
-    phi: np.ndarray
-
-    def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
-        if self.phi.shape != (self.grid.size,):
-            raise ValueError(
-                f"support field has {self.phi.shape} values, grid has {self.grid.size} nodes"
-            )
-        # One pass each for min and max; NaN propagates into both.
-        if not (0.0 < self.phi.min() and self.phi.max() < math.inf):
-            if not np.all(np.isfinite(self.phi)):
-                raise ValueError("support field phi must be finite")
-            raise ValueError("support field phi must be positive")
-
-    @property
-    def u(self) -> np.ndarray:
-        return np.log(self.phi)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-@dataclass
-class ConvexityReport:
-    classification: str  # uniformly-h-convex | h-convex | not-h-convex
-    min_eigenvalue: float
-    argmin_node: int
-    tol: float
-
-
-@dataclass
+@dataclass(frozen=True)
 class BoundaryData:
-    """Pointwise boundary quantities indexed by grid node.
+    """Pointwise boundary quantities indexed by grid node, read-only.
 
     X, nu: boundary point and outward unit normal in R^{n+1,1};
     lambda_tilde = phi * eig(A[phi]) are the shifted principal radii;
@@ -81,6 +55,100 @@ class BoundaryData:
     u_tilde: np.ndarray
     lambda_tilde: np.ndarray
     area_density: np.ndarray
+
+    @cached_property
+    def kappa_tilde(self) -> np.ndarray:
+        """Shifted principal curvatures 1 / lambda~; the true ones are
+        1 + kappa_tilde.  Requires lambda~ > 0."""
+        if np.min(self.lambda_tilde) <= 0.0:
+            raise ValueError("curvature data requires a uniformly h-convex body")
+        return _read_only(1.0 / self.lambda_tilde)
+
+
+@dataclass(frozen=True)
+class SupportField:
+    """phi = e^u sampled at grid nodes; finite and positive everywhere.
+
+    Immutable: phi is a read-only copy of the given values.  The gradient,
+    Hessian, A[phi], its eigenvalues and the boundary data are computed
+    once, on first use, from one spectral pass; their arrays are
+    read-only too.
+    """
+
+    grid: Grid
+    phi: np.ndarray
+
+    def __post_init__(self):
+        phi = np.array(self.phi, dtype=float)
+        if phi.shape != (self.grid.size,):
+            raise ValueError(
+                f"support field has {phi.shape} values, grid has {self.grid.size} nodes"
+            )
+        # One pass each for min and max; NaN propagates into both.
+        if not (0.0 < phi.min() and phi.max() < math.inf):
+            if not np.all(np.isfinite(phi)):
+                raise ValueError("support field phi must be finite")
+            raise ValueError("support field phi must be positive")
+        object.__setattr__(self, "phi", _read_only(phi))
+
+    @property
+    def u(self) -> np.ndarray:
+        return np.log(self.phi)
+
+    @cached_property
+    def _pass(self) -> tuple:
+        return tuple(_read_only(a) for a in _parts(self))
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """Frame gradient D phi, shape (size, n)."""
+        return self._pass[0]
+
+    @property
+    def hessian(self) -> np.ndarray:
+        """Covariant Hessian D^2 phi in the orthonormal frame."""
+        return self._pass[3]
+
+    @property
+    def A(self) -> np.ndarray:
+        """Shifted second fundamental form A[phi] in the orthonormal frame."""
+        return self._pass[2]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of A[phi] per node, ascending."""
+        return _read_only(a_eigenvalues(self.A))
+
+    @cached_property
+    def _boundary(self) -> BoundaryData:
+        grid, phi = self.grid, self.phi
+        g, q, A, _ = self._pass
+        frames = frame_vectors(grid)
+        grad_ambient = np.einsum("ia,iac->ic", g, frames)
+        z = grid.nodes
+        half_minus = 0.5 * (phi - 1.0 / phi)
+        half_plus = 0.5 * (phi + 1.0 / phi)
+        X = np.empty((grid.size, grid.n + 2))
+        nu = np.empty_like(X)
+        X[:, :-1] = (q - half_minus)[:, None] * z - grad_ambient
+        X[:, -1] = q + half_plus
+        nu[:, :-1] = (q - half_plus)[:, None] * z - grad_ambient
+        nu[:, -1] = q + half_minus
+        lam = phi[:, None] * self.eigenvalues
+        if grid.n == 1:
+            density = A[:, 0, 0]
+        else:
+            density = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
+        arrays = (X, nu, q + half_plus, q + half_minus, lam, density)
+        return BoundaryData(*(_read_only(a) for a in arrays))
+
+
+@dataclass
+class ConvexityReport:
+    classification: str  # uniformly-h-convex | h-convex | not-h-convex
+    min_eigenvalue: float
+    argmin_node: int
+    tol: float
 
 
 def support_of_point(grid: Grid, X) -> SupportField:
@@ -101,7 +169,7 @@ def support_of_ball(grid: Grid, X, r: float) -> SupportField:
 
 def _parts(K: SupportField):
     """One spectral pass: gradient, q = |Dphi|^2 / (2 phi), A[phi], and
-    the unshifted Hessian D^2 phi."""
+    the unshifted Hessian D^2 phi.  SupportField caches its result."""
     g, H = derivatives(K.grid, K.phi)
     q, A = _q_and_a(K.phi, g, H)
     return g, q, A, H
@@ -115,11 +183,6 @@ def _q_and_a(phi: np.ndarray, g: np.ndarray, H: np.ndarray):
     idx = np.arange(H.shape[1])
     A[:, idx, idx] += shift[:, None]
     return q, A
-
-
-def a_tensor(K: SupportField) -> np.ndarray:
-    """Shifted second fundamental form A[phi] in the orthonormal frame."""
-    return _parts(K)[2]
 
 
 def a_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -148,47 +211,22 @@ def _classify(K: SupportField, eigs: np.ndarray, tol: float | None) -> Convexity
 
 def convexity(K: SupportField, tol: float | None = None) -> ConvexityReport:
     """Classify by the minimum eigenvalue of A[phi] over the grid."""
-    return _classify(K, a_eigenvalues(a_tensor(K)), tol)
+    return _classify(K, K.eigenvalues, tol)
 
 
 def boundary_data(K: SupportField, tol: float | None = None) -> BoundaryData:
-    """Recover boundary points, normals and curvature data from phi.
+    """Boundary points, normals and curvature data of K, computed once
+    per field.
 
     Requires at least h-convexity; raises ValueError otherwise.
     """
-    g, q, A, _ = _parts(K)
-    eigs = a_eigenvalues(A)
-    report = _classify(K, eigs, tol)
+    report = _classify(K, K.eigenvalues, tol)
     if report.classification == "not-h-convex":
         raise ValueError(
             f"field is not h-convex: min eig A = {report.min_eigenvalue} "
             f"at node {report.argmin_node}"
         )
-    grid, phi = K.grid, K.phi
-    frames = frame_vectors(grid)
-    grad_ambient = np.einsum("ia,iac->ic", g, frames)
-    z = grid.nodes
-    half_minus = 0.5 * (phi - 1.0 / phi)
-    half_plus = 0.5 * (phi + 1.0 / phi)
-    X = np.empty((grid.size, grid.n + 2))
-    nu = np.empty_like(X)
-    X[:, :-1] = (q - half_minus)[:, None] * z - grad_ambient
-    X[:, -1] = q + half_plus
-    nu[:, :-1] = (q - half_plus)[:, None] * z - grad_ambient
-    nu[:, -1] = q + half_minus
-    lam = phi[:, None] * eigs
-    if grid.n == 1:
-        density = A[:, 0, 0].copy()
-    else:
-        density = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
-    return BoundaryData(
-        X=X,
-        nu=nu,
-        coshr=q + half_plus,
-        u_tilde=q + half_minus,
-        lambda_tilde=lam,
-        area_density=density,
-    )
+    return K._boundary
 
 
 def apply_isometry_field(K: SupportField, F) -> SupportField:

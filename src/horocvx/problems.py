@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, _parts, a_tensor, boundary_data
+from .hconvex import SupportField, a_eigenvalues
 from .quermass import p_tensor
 from .sphere_grid import Grid, derivatives, frame_vectors, gradient, integrate
 
@@ -81,7 +81,7 @@ def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
     n = K.grid.n
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    return K.phi ** (-(p + k)) * p_tensor(a_tensor(K), n - k)
+    return K.phi ** (-(p + k)) * p_tensor(K.A, n - k)
 
 
 def mixed_quermass(K: SupportField, L: SupportField, p: float, k: int) -> float:
@@ -121,7 +121,6 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     f = _validate_f(f, grid)
-    g_phi, _, A, _ = _parts(K)
     g_f = gradient(grid, f)
     weight = K.phi ** (-float(n))
     coords = []
@@ -130,9 +129,9 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
         pairing = np.sum(g_f * g_x, axis=1)
         coords.append(integrate(grid, weight * pairing))
     frames = frame_vectors(grid)
-    grad_ambient = np.einsum("ia,iac->ic", g_phi, frames)
+    grad_ambient = np.einsum("ia,iac->ic", K.gradient, frames)
     vec_field = grad_ambient / K.phi[:, None] + grid.nodes
-    density = K.phi ** (-float(k)) * p_tensor(A, n - k)
+    density = K.phi ** (-float(k)) * p_tensor(K.A, n - k)
     residual_vec = np.array(
         [integrate(grid, vec_field[:, i] * density) for i in range(n + 1)]
     )
@@ -293,11 +292,7 @@ def check_assumption_h(f, grid: Grid, n: int, k: int, p: float) -> AssumptionHRe
     M = H.copy()
     idx = np.arange(n)
     M[:, idx, idx] += (-grad_term + c_zero * base)[:, None]
-    if n == 2:
-        a, b, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 1]
-        eig_min = 0.5 * (a + d) - np.sqrt((0.5 * (a - d)) ** 2 + b * b)
-    else:
-        eig_min = M[:, 0, 0]
+    eig_min = a_eigenvalues(M)[:, 0]
     node = int(np.argmin(eig_min))
     worst = float(eig_min[node])
     scale = max(1.0, float(np.max(np.abs(base))))

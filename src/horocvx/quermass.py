@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import BoundaryData, SupportField, a_tensor, boundary_data
-from .sphere_grid import Grid, derivatives, integrate, sphere_area
+from .hconvex import SupportField, boundary_data
+from .sphere_grid import Grid, integrate, sphere_area
 
 __all__ = [
     "QuermassReport",
@@ -184,7 +184,7 @@ def curvature_integral(K: SupportField, m: int) -> float:
     n = K.grid.n
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in 0..{n}, got {m}")
-    return integrate(K.grid, K.phi ** (-m) * p_tensor(a_tensor(K), n - m))
+    return integrate(K.grid, K.phi ** (-m) * p_tensor(K.A, n - m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,17 +203,18 @@ def _unit_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _homotopy_value(K: SupportField, k: int, order: int, g=None, H=None) -> float:
     """Gauss-Legendre evaluation of the homotopy integral for W_k.
 
-    The t-nodes are evaluated in blocks of (rows, size) arrays, with
-    p_{n-k}(A_t) built from the entries of A_t = t H + shift_t I.  Each
-    node's integral is one compensated sum, and the weighted node
-    integrals are summed compensated again.
+    g and H default to K's cached gradient and Hessian.  The t-nodes are
+    evaluated in blocks of (rows, size) arrays, with p_{n-k}(A_t) built
+    from the entries of A_t = t H + shift_t I.  Each node's integral is
+    one compensated sum, and the weighted node integrals are summed
+    compensated again.
     """
     grid, phi = K.grid, K.phi
     n = grid.n
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     if g is None or H is None:
-        g, H = derivatives(grid, phi)
+        g, H = K.gradient, K.hessian
     grad_sq = np.sum(g * g, axis=1)
     ts, wts = _unit_gauss_legendre(order)
     dphi = phi - 1.0
@@ -256,10 +257,9 @@ def modified_quermass(K: SupportField, k: int) -> QuermassReport:
         r = max(math.log(c), 0.0)
         return QuermassReport(k, I_k(n, k, r), "ball-closed-form", 1e-15)
     closed_n = _closed_form_k_n(K)
-    g, H = derivatives(grid, phi)
     order = HOMOTOPY_ORDER
     while True:
-        cross = abs(_homotopy_value(K, n, order, g, H) - closed_n)
+        cross = abs(_homotopy_value(K, n, order) - closed_n)
         if cross <= HOMOTOPY_CROSS_TOL * max(1.0, abs(closed_n)):
             break
         if order >= HOMOTOPY_MAX_ORDER:
@@ -267,7 +267,7 @@ def modified_quermass(K: SupportField, k: int) -> QuermassReport:
         order *= 2
     if k == n:
         return QuermassReport(k, closed_n, "closed-form-k=n", cross)
-    value = _homotopy_value(K, k, order, g, H)
+    value = _homotopy_value(K, k, order)
     return QuermassReport(k, value, "homotopy", cross)
 
 
@@ -298,15 +298,6 @@ def S_functional(K: SupportField) -> float:
 # Steiner formulas
 
 
-def _kappa_fields(bd: BoundaryData):
-    """True and shifted principal curvatures; requires lambda~ > 0."""
-    lam = bd.lambda_tilde
-    if np.min(lam) <= 0.0:
-        raise ValueError("curvature fields require a uniformly h-convex body")
-    kt = 1.0 / lam
-    return 1.0 + kt, kt
-
-
 def steiner_check(K: SupportField, rho: float) -> SteinerReport:
     """Residuals of the Steiner expansions of W_k under rho-enlargement.
 
@@ -320,7 +311,7 @@ def steiner_check(K: SupportField, rho: float) -> SteinerReport:
     grid = K.grid
     n = grid.n
     bd = boundary_data(K)
-    kappa, _ = _kappa_fields(bd)
+    kappa = 1.0 + bd.kappa_tilde
     K_rho = SupportField(grid, math.exp(rho) * K.phi)
     W = [modified_quermass(K, k).value for k in range(n + 1)]
     W_rho = [modified_quermass(K_rho, k).value for k in range(n + 1)]
@@ -364,7 +355,7 @@ def weighted_steiner_check(K: SupportField, rho: float) -> WeightedSteinerReport
     grid = K.grid
     n = grid.n
     bd = boundary_data(K)
-    _, kappa_tilde = _kappa_fields(bd)
+    kappa_tilde = bd.kappa_tilde
     vw = weighted_volume(K)
     direct = weighted_volume(SupportField(grid, math.exp(rho) * K.phi))
     form1 = vw
@@ -406,7 +397,8 @@ def minkowski_formula_residuals(K: SupportField) -> MinkowskiResiduals:
     grid = K.grid
     n = grid.n
     bd = boundary_data(K)
-    kappa, kappa_tilde = _kappa_fields(bd)
+    kappa_tilde = bd.kappa_tilde
+    kappa = 1.0 + kappa_tilde
     classical, shifted = [], []
     dmu = bd.area_density
     for m in range(n):

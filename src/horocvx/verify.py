@@ -18,31 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lorentz
-from .euclid_bridge import (
-    V_functional,
-    V_p_functional,
-    _support_form,
-    project,
-)
-from .hconvex import SupportField, a_tensor, boundary_data, convexity, support_of_ball
+from .euclid_bridge import V_functional, V_p_functional, project
+from .hconvex import SupportField, boundary_data, convexity, support_of_ball
 from .psum import p_dilate, p_sum
 from .quermass import (
     I_k,
     I_k_inverse,
     S_functional,
     curvature_integral,
+    k_mean_radius,
     modified_quermass,
     p_tensor,
     sigma_elementary,
     weighted_volume,
 )
-from .sphere_grid import (
-    Grid,
-    derivatives,
-    integrate,
-    make_grid,
-    sphere_area,
-)
+from .sphere_grid import Grid, integrate, make_grid, sphere_area
 
 __all__ = [
     "CheckRecord",
@@ -216,22 +206,6 @@ def random_h_convex_fields(seed: int, grids: list[Grid], count: int) -> list[Sup
     return fields
 
 
-# ---------------------------------------------------------------------------
-# shared boundary integrals
-
-
-def _boundary_pack(K: SupportField):
-    bd = boundary_data(K)
-    lam = bd.lambda_tilde
-    if np.min(lam) <= 0.0:
-        raise ValueError("suite body must be uniformly h-convex")
-    return bd, 1.0 + 1.0 / lam, 1.0 / lam
-
-
-def _exp_radius(K: SupportField, k: int) -> float:
-    return I_k_inverse(K.grid.n, k, modified_quermass(K, k).value)
-
-
 def _term_S(S: float) -> float:
     return S + math.sqrt(S * S + 1.0)
 
@@ -258,9 +232,9 @@ def _suite_bm_balls(corpus, tol, eq_tol):
                     K = _offset_ball(grid, 0.5 * sep, r1)
                     L = _offset_ball(grid, -0.5 * sep, r2)
                 omega_sum = p_sum(a, K, p, b, L)
-                lhs = math.exp(p * _exp_radius(omega_sum, k))
-                rhs = a * math.exp(p * _exp_radius(K, k)) + b * math.exp(
-                    p * _exp_radius(L, k)
+                lhs = math.exp(p * k_mean_radius(omega_sum, k))
+                rhs = a * math.exp(p * k_mean_radius(K, k)) + b * math.exp(
+                    p * k_mean_radius(L, k)
                 )
                 records.append(
                     _record(
@@ -287,9 +261,9 @@ def _suite_bm_k_n(corpus, tol, eq_tol):
             for tag, L, eq in (("dilates", L_dil, True), ("general", L_gen, False)):
                 a, b = 0.8, 0.6
                 omega_sum = p_sum(a, K, p, b, L)
-                lhs = math.exp(p * _exp_radius(omega_sum, n))
-                rhs = a * math.exp(p * _exp_radius(K, n)) + b * math.exp(
-                    p * _exp_radius(L, n)
+                lhs = math.exp(p * k_mean_radius(omega_sum, n))
+                rhs = a * math.exp(p * k_mean_radius(K, n)) + b * math.exp(
+                    p * k_mean_radius(L, n)
                 )
                 records.append(
                     _record("bm_k_n", f"n{n}/p{p}/{tag}", lhs, rhs, eq, tol, eq_tol)
@@ -355,7 +329,7 @@ def _suite_min_I_Kball(corpus, tol, eq_tol):
         ]
         for tag, L in bodies:
             for k in range(n + 1):
-                rk = _exp_radius(L, k)
+                rk = k_mean_radius(L, k)
                 for p in ps:
                     if p == 0.0:
                         lhs = integrate(grid, np.log(L.phi))
@@ -392,10 +366,9 @@ def _suite_min_I_p1_Lball(corpus, tol, eq_tol):
         ("origin-ball", _origin_ball(grid, 0.8), True),
     ]
     for tag, K, eq in bodies:
-        A = a_tensor(K)
-        term1 = integrate(grid, K.phi ** (-(1.0 + k)) * p_tensor(A, n - k))
+        term1 = integrate(grid, K.phi ** (-(1.0 + k)) * p_tensor(K.A, n - k))
         term2 = curvature_integral(K, k)
-        rk = _exp_radius(K, k)
+        rk = k_mean_radius(K, k)
         base = omega * math.sinh(rk) ** (n - k) * math.exp(-k * rk)
         for rL in (0.4, 1.0):
             lhs = math.exp(rL) * term1 - term2
@@ -427,11 +400,10 @@ def _suite_min_II(corpus, tol, eq_tol):
     ]
     n, k = 2, 1
     for tag, K, eq in bodies2:
-        A = a_tensor(K)
-        rk = _exp_radius(K, k)
+        rk = k_mean_radius(K, k)
         mass = curvature_integral(K, k)
         for p in (1.0, 2.0, 3.0):
-            lhs = integrate(grid2, K.phi ** (-(p + k)) * p_tensor(A, n - k))
+            lhs = integrate(grid2, K.phi ** (-(p + k)) * p_tensor(K.A, n - k))
             rhs = omega2 * math.sinh(rk) ** (n - k) * math.exp(-(k + p) * rk)
             records.append(
                 _record("min_II", f"n2/k1/{tag}/p{p}", lhs, rhs, eq, tol, eq_tol)
@@ -453,9 +425,8 @@ def _suite_min_II(corpus, tol, eq_tol):
             ("perturbed-even", _perturbed(grid, 0.6, even=True), False),
             ("origin-ball", _origin_ball(grid, 0.8), True),
         ):
-            A = a_tensor(K)
-            r0 = _exp_radius(K, 0)
-            lhs = integrate(grid, K.phi ** (-1.0) * p_tensor(A, n))
+            r0 = k_mean_radius(K, 0)
+            lhs = integrate(grid, K.phi ** (-1.0) * p_tensor(K.A, n))
             rhs = sphere_area(n) * math.sinh(r0) ** n * math.exp(-r0)
             records.append(
                 _record("min_II", f"n{n}/k0/{tag}/p1", lhs, rhs, eq, tol, eq_tol)
@@ -474,7 +445,8 @@ def _suite_weighted_af(corpus, tol, eq_tol):
             ("origin-ball", _origin_ball(grid, 0.9), True),
         ]
         for tag, K, eq in bodies:
-            bd, kappa, _ = _boundary_pack(K)
+            bd = boundary_data(K)
+            kappa = 1.0 + bd.kappa_tilde
             vw = weighted_volume(K)
             cosh_total = integrate(grid, bd.coshr * bd.area_density)
             weighted_sum = vw
@@ -506,7 +478,7 @@ def _suite_weighted_iso(corpus, tol, eq_tol):
             ("origin-ball", _origin_ball(grid, 0.9), True),
         ]
         for tag, K, eq in bodies:
-            bd, _, _ = _boundary_pack(K)
+            bd = boundary_data(K)
             vw = weighted_volume(K)
             cosh_total = integrate(grid, bd.coshr * bd.area_density)
             rhs = math.sqrt(
@@ -547,7 +519,7 @@ def _suite_weighted_vol_cmp(corpus, tol, eq_tol):
         ]
         for tag, K, eq in bodies:
             vw = weighted_volume(K)
-            r0 = _exp_radius(K, 0)
+            r0 = k_mean_radius(K, 0)
             rhs = sphere_area(n) / (n + 1) * math.sinh(r0) ** (n + 1)
             records.append(
                 _record("weighted_vol_cmp", f"n{n}/{tag}", vw, rhs, eq, tol, eq_tol)
@@ -566,12 +538,11 @@ def _suite_hk_n1(corpus, tol, eq_tol):
         ("offset-ball", _offset_ball(grid, 0.6, 0.7), True),
     ]
     for tag, K, eq in bodies:
-        bd, _, _ = _boundary_pack(K)
+        bd = boundary_data(K)
         A = bd.lambda_tilde[:, 0] / K.phi
         hk = integrate(grid, (A - bd.u_tilde) * A)
         records.append(_record("hk_n1", f"{tag}", hk, 0.0, eq, tol, eq_tol))
-        g, H = derivatives(grid, K.phi)
-        d1, d2 = g[:, 0], H[:, 0, 0]
+        d1, d2 = K.gradient[:, 0], K.hessian[:, 0, 0]
         wirtinger = integrate(grid, d2 * d2 - d1 * d1)
         records.append(
             _record("hk_n1", f"{tag}/wirtinger-identity", wirtinger, hk, True, tol, eq_tol)
@@ -627,10 +598,7 @@ def _suite_euclid(corpus, tol, eq_tol):
             for tag, body, eq in iso_bodies:
                 eq_flag = (eq is True) or (eq is None and p == 1.0)
                 hat = project(body)
-                Sform = _support_form(hat)
-                lhs = integrate(
-                    grid, hat.u_hat ** (1.0 - p) * p_tensor(Sform, n)
-                )
+                lhs = integrate(grid, hat.u_hat ** (1.0 - p) * p_tensor(hat.form, n))
                 v = V_functional(body).value
                 rhs = (
                     (n + 1.0) ** ((n + 1.0 - p) / (n + 1.0))
@@ -731,9 +699,9 @@ def _suite_xp_bm_general(corpus, tol, eq_tol):
             for k in range(n + 1):
                 a, b = 0.7, 0.6
                 omega_sum = p_sum(a, K, p, b, L)
-                lhs = math.exp(p * _exp_radius(omega_sum, k))
-                rhs = a * math.exp(p * _exp_radius(K, k)) + b * math.exp(
-                    p * _exp_radius(L, k)
+                lhs = math.exp(p * k_mean_radius(omega_sum, k))
+                rhs = a * math.exp(p * k_mean_radius(K, k)) + b * math.exp(
+                    p * k_mean_radius(L, k)
                 )
                 records.append(
                     _record("xp_bm_general", f"n{n}/p{p}/k{k}", lhs, rhs, False, tol, eq_tol)
@@ -744,12 +712,11 @@ def _suite_xp_bm_general(corpus, tol, eq_tol):
 def _xp_min_terms(K: SupportField, L: SupportField, p: float, k: int):
     grid = K.grid
     n = grid.n
-    A = a_tensor(K)
-    pk = p_tensor(A, n - k)
+    pk = p_tensor(K.A, n - k)
     mixed = integrate(grid, L.phi**p * K.phi ** (-(p + k)) * pk)
     mass = integrate(grid, K.phi ** (-float(k)) * pk)
-    rK = _exp_radius(K, k)
-    rL = _exp_radius(L, k)
+    rK = k_mean_radius(K, k)
+    rL = k_mean_radius(L, k)
     base = sphere_area(n) * math.sinh(rK) ** (n - k) * math.exp(-k * rK)
     return mixed, mass, rK, rL, base
 
@@ -816,7 +783,7 @@ def _suite_xp_weighted_min(corpus, tol, eq_tol):
         grid = _grid_for(corpus, n)
         K = _perturbed(grid, 0.6, even=True)
         L = _perturbed(grid, 0.8, even=True, flavor=5)
-        bd, _, _ = _boundary_pack(K)
+        bd = boundary_data(K)
         SK = S_functional(K)
         SL = S_functional(L)
         ratio = _term_S(SL) / _term_S(SK)

@@ -130,9 +130,9 @@ def _shrinks(base: float, refined: float) -> bool:
 
 def test_criterion_04_steiner_formulas():
     g1 = make_grid(1, 128)
-    K1 = SupportField(g1, 2.0 + 0.2 * np.cos(2.0 * g1._cache["theta"]))
+    K1 = SupportField(g1, 2.0 + 0.2 * np.cos(2.0 * g1.theta))
     g1f = refine(g1)
-    K1f = SupportField(g1f, 2.0 + 0.2 * np.cos(2.0 * g1f._cache["theta"]))
+    K1f = SupportField(g1f, 2.0 + 0.2 * np.cos(2.0 * g1f.theta))
 
     def n2_field(grid):
         z = grid.nodes
@@ -220,7 +220,7 @@ def _run_constant_flow(config: FlowConfig, start_body: SupportField):
 
 def test_criterion_06_constant_data_flows():
     g1 = make_grid(1, 96)
-    body1 = SupportField(g1, 2.0 + 0.2 * np.cos(2.0 * g1._cache["theta"]))
+    body1 = SupportField(g1, 2.0 + 0.2 * np.cos(2.0 * g1.theta))
     g2 = make_grid(2, 16)
     z = g2.nodes
     body2 = SupportField(
@@ -254,7 +254,7 @@ def test_criterion_06_constant_data_flows():
 
 def test_criterion_07_nonconstant_data_solve():
     grid = make_grid(1, 96)
-    theta = grid._cache["theta"]
+    theta = grid.theta
     f = 1.0 + 0.2 * np.cos(2.0 * theta)
     start_body = SupportField(grid, np.full(grid.size, 2.0))
     result = run(FlowConfig(n=1, k=0, p=2.0, f=f, eps_stop=1e-6), start_body)
@@ -311,7 +311,7 @@ def test_criterion_08_ball_classification():
 
 def test_criterion_09_euclidean_bridge():
     g1 = make_grid(1, 96)
-    theta = g1._cache["theta"]
+    theta = g1.theta
     K1 = SupportField(g1, 2.0 + 0.2 * np.cos(2.0 * theta))
     L1 = SupportField(g1, 1.8 + 0.1 * np.cos(2.0 * theta) + 0.02 * np.sin(3.0 * theta))
     defect = commute_check(0.7, K1, 1.5, 0.6, L1)

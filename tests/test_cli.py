@@ -220,7 +220,7 @@ def test_measure_report(tmp_path):
 def test_kw_report(tmp_path):
     K = mkball(tmp_path, "K.json", math.log(2.0))
     grid = make_grid(1, 64)
-    theta = grid._cache["theta"]
+    theta = grid.theta
     fpath = tmp_path / "f.json"
     save_field(fpath, grid, 1.0 + 0.5 * np.cos(theta), kind="data")
     out = tmp_path / "kw.json"
@@ -273,7 +273,7 @@ def test_project_report(tmp_path):
 
 def test_flow_converged_run(tmp_path):
     grid = make_grid(1, 32)
-    theta = grid._cache["theta"]
+    theta = grid.theta
     phi0 = tmp_path / "phi0.json"
     save_field(phi0, grid, 2.0 * (1.0 + 0.04 * np.cos(2 * theta)), kind="support")
     cfg = {
@@ -305,7 +305,7 @@ def test_flow_converged_run(tmp_path):
 
 def test_flow_unconverged_exit_code(tmp_path):
     grid = make_grid(1, 32)
-    theta = grid._cache["theta"]
+    theta = grid.theta
     phi0 = tmp_path / "phi0.json"
     save_field(phi0, grid, 2.0 * (1.0 + 0.04 * np.cos(2 * theta)), kind="support")
     cfg = {"n": 1, "k": 0, "p": 0.0, "initial": str(phi0), "max_steps": 3}
@@ -340,11 +340,26 @@ def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
+    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "trace_every": 0}
+    (tmp_path / "flow.json").write_text(json.dumps(cfg))
+    src = str(Path(horocvx.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "horocvx.cli", "flow", "--config", "flow.json",
+         "--out", "t.csv"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "trace_every" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_flow_outputs_are_identical_across_thread_counts(tmp_path):
     # Steep data, so the run takes steps rather than stopping at the ball.
     grid = make_grid(1, 64)
     f_path = tmp_path / "f.json"
-    save_field(f_path, grid, 1.0 + 0.2 * np.cos(2 * grid._cache["theta"]))
+    save_field(f_path, grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
     cfg = {"n": 1, "k": 0, "p": 2.0, "f": str(f_path), "initial_radius": math.log(2.0)}
     (tmp_path / "flow.json").write_text(json.dumps(cfg))
     src = str(Path(horocvx.__file__).resolve().parents[1])
@@ -408,7 +423,7 @@ def test_corrupt_input_file(tmp_path):
 
 def test_nonconvex_input_is_a_runtime_error(tmp_path):
     grid = make_grid(1, 64)
-    theta = grid._cache["theta"]
+    theta = grid.theta
     bad = tmp_path / "bad.json"
     save_field(bad, grid, 2.2 * (1.0 + 0.05 * np.cos(3 * theta)), kind="support")
     rc = main(["steiner", "--K", str(bad), "--rho", "0.3", "--out", str(tmp_path / "o.json")])

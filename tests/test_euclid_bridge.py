@@ -24,7 +24,7 @@ S2 = make_grid(2, 12)
 
 
 def wavy_circle(scale=2.0, amp=0.05):
-    theta = S1._cache["theta"]
+    theta = S1.theta
     return SupportField(S1, scale * (1.0 + amp * np.cos(2 * theta)))
 
 
@@ -45,7 +45,7 @@ def test_project_copies_phi_as_support():
 
 
 def test_project_rejects_nonconvex():
-    theta = S1._cache["theta"]
+    theta = S1.theta
     bad = SupportField(S1, 2.2 * (1.0 + 0.05 * np.cos(3 * theta)))
     with pytest.raises(ValueError):
         project(bad)
@@ -56,6 +56,18 @@ def test_euclidean_support_validation():
         EuclideanSupport(S1, np.zeros(S1.size))
     with pytest.raises(ValueError):
         EuclideanSupport(S1, np.ones(S1.size - 1))
+
+
+def test_euclidean_support_is_immutable_with_a_cached_form():
+    u = np.full(S1.size, 2.0)
+    Khat = EuclideanSupport(S1, u)
+    u[0] = 3.0
+    assert Khat.u_hat[0] == 2.0
+    assert Khat.form is Khat.form
+    assert np.allclose(Khat.form[:, 0, 0], 2.0, atol=1e-12)
+    for array in (Khat.u_hat, Khat.form):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -27,7 +27,7 @@ S2 = make_grid(2, 10)
 
 
 def perturbed_circle(amplitude=0.05):
-    theta = S1._cache["theta"]
+    theta = S1.theta
     return SupportField(S1, 2.0 * (1.0 + amplitude * np.cos(2 * theta)))
 
 
@@ -159,7 +159,7 @@ def test_implicit_flow_agrees_with_rk4(cfg, body):
 
 def bench_like_s1(N):
     grid = make_grid(1, N)
-    f = 1.0 + 0.2 * np.cos(2.0 * grid._cache["theta"])
+    f = 1.0 + 0.2 * np.cos(2.0 * grid.theta)
     return FlowConfig(n=1, k=0, p=2.0, f=f), SupportField(grid, np.full(N, 2.0))
 
 
@@ -191,7 +191,7 @@ def test_step_rejects_cone_exit():
     # Data this steep pulls the first step, even at the default max_dt,
     # out of the uniformly h-convex cone: A[phi_new] gets a negative
     # eigenvalue where f^{-1} peaks.
-    f = 1.0 + 0.9 * np.cos(2 * S1._cache["theta"])
+    f = 1.0 + 0.9 * np.cos(2 * S1.theta)
     state = make_state(
         FlowConfig(n=1, k=0, p=0.0, f=f), SupportField(S1, np.full(S1.size, 2.0))
     )
@@ -230,7 +230,7 @@ def test_rejected_projected_state_halves_dt_and_continues(monkeypatch):
         calls.append(1)
         out = real(grid, values)
         if len(calls) == 2:
-            out = out * (1.0 + 0.3 * np.cos(12 * grid._cache["theta"]))
+            out = out * (1.0 + 0.3 * np.cos(12 * grid.theta))
         return out
 
     monkeypatch.setattr(flow, "band_project", faulty)
@@ -361,6 +361,31 @@ def test_make_state_rejects_non_finite_f(bad):
     f[3] = bad
     with pytest.raises(ValueError, match="finite"):
         make_state(FlowConfig(n=1, k=0, p=0.0, f=f), perturbed_circle())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_dt", 0.0),
+        ("max_dt", -0.05),
+        ("max_dt", math.nan),
+        ("max_dt", math.inf),
+        ("dt_initial", 0.0),
+        ("dt_initial", -1e-3),
+        ("dt_initial", math.nan),
+        ("dt_initial", math.inf),
+        ("trace_every", 0),
+        ("trace_every", -1),
+        ("max_steps", -1),
+        ("assumption_mode", "lenient"),
+    ],
+)
+def test_make_state_rejects_bad_config_values(field, value):
+    # Unchecked, these divide by zero, take every step at dt = 0, stall,
+    # or act as another mode.
+    cfg = replace(FlowConfig(n=1, k=0, p=0.0), **{field: value})
+    with pytest.raises(ValueError, match=field):
+        make_state(cfg, perturbed_circle())
 
 
 def test_even_enforcement_rejects_odd_data():

@@ -1,5 +1,6 @@
 """Support fields, the shifted form A[phi], boundary recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocvx.hconvex import (
+    BoundaryData,
     SupportField,
     a_eigenvalues,
-    a_tensor,
     apply_isometry_field,
     boundary_data,
     convexity,
@@ -39,6 +40,39 @@ def test_support_field_validation():
         SupportField(S1, np.zeros(S1.size))
     K = SupportField(S1, np.full(S1.size, 2.0))
     assert np.allclose(K.u, math.log(2.0), atol=1e-15)
+
+
+def test_support_field_is_an_immutable_copy():
+    values = np.full(S2.size, 2.0)
+    K = SupportField(S2, values)
+    values[0] = 3.0
+    assert K.phi[0] == 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        K.phi = values
+    with pytest.raises(ValueError, match="read-only"):
+        K.phi[0] = 3.0
+
+
+def test_cached_geometry_is_read_only_and_computed_once():
+    theta = S1.theta
+    K = SupportField(S1, 2.0 * (1.0 + 0.05 * np.cos(2 * theta)))
+    bd = boundary_data(K)
+    assert boundary_data(K) is bd and K.A is K.A
+    cached = (K.gradient, K.hessian, K.A, K.eigenvalues, bd.kappa_tilde)
+    cached += tuple(getattr(bd, f.name) for f in dataclasses.fields(bd))
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_kappa_tilde_needs_positive_radii():
+    ones = np.ones((3, 1))
+    bd = BoundaryData(ones, ones, ones, ones, np.array([[2.0], [0.5], [4.0]]), ones)
+    assert np.array_equal(bd.kappa_tilde, [[0.5], [2.0], [0.25]])
+    # A zero radius is a point of the boundary with no curvature data.
+    bd = BoundaryData(ones, ones, ones, ones, np.array([[2.0], [0.0], [4.0]]), ones)
+    with pytest.raises(ValueError, match="uniformly h-convex"):
+        bd.kappa_tilde
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -76,7 +110,7 @@ def test_ball_a_tensor_is_constant_multiple_of_identity():
     for grid in (S1, S2):
         c = 2.0
         K = SupportField(grid, np.full(grid.size, c))
-        A = a_tensor(K)
+        A = K.A
         want = 0.5 * (c - 1.0 / c)
         idx = np.arange(grid.n)
         assert np.allclose(A[:, idx, idx], want, atol=1e-11)
@@ -88,14 +122,14 @@ def test_point_field_has_vanishing_a():
     # A single point is the degenerate ball r = 0: A[phi_point] = 0.
     X = np.array([0.4, 0.2, -0.1, math.sqrt(1.0 + 0.16 + 0.04 + 0.01)])
     K = support_of_point(S2, X)
-    A = a_tensor(K)
+    A = K.A
     assert np.max(np.abs(A)) < 1e-10
     report = convexity(K)
     assert report.classification in ("h-convex", "uniformly-h-convex")
 
 
 def test_convexity_classes():
-    theta = S1._cache["theta"]
+    theta = S1.theta
     good = SupportField(S1, 2.0 * (1.0 + 0.05 * np.cos(2 * theta)))
     assert convexity(good).classification == "uniformly-h-convex"
     # A large mode-3 ripple has |phi''| exceeding (phi - 1/phi)/2 somewhere.
@@ -108,10 +142,10 @@ def test_convexity_classes():
 
 
 def test_a_eigenvalues_ascending():
-    theta = S2._cache["theta"]
+    theta = S2.theta
     L, M = S2.resolution
     f = 2.0 + 0.1 * np.repeat(np.cos(theta), M) ** 2
-    eigs = a_eigenvalues(a_tensor(SupportField(S2, f)))
+    eigs = a_eigenvalues(SupportField(S2, f).A)
     assert eigs.shape == (S2.size, 2)
     assert np.all(eigs[:, 0] <= eigs[:, 1] + 1e-15)
 
@@ -146,7 +180,7 @@ def test_point_boundary_collapses_to_the_point():
 
 def test_normal_gauge_relation():
     # X - nu = phi^{-1} (z, 1) holds pointwise for any h-convex field.
-    theta = S1._cache["theta"]
+    theta = S1.theta
     K = SupportField(S1, 2.0 * (1.0 + 0.1 * np.cos(2 * theta)))
     bd = boundary_data(K)
     diff = bd.X - bd.nu
@@ -160,14 +194,14 @@ def test_normal_gauge_relation():
 
 
 def test_derived_scalars_consistency():
-    theta = S1._cache["theta"]
+    theta = S1.theta
     K = SupportField(S1, 1.8 * (1.0 + 0.08 * np.cos(2 * theta)))
     bd = boundary_data(K)
     # cosh r - u_tilde = 1 / phi and cosh r = height of X.
     assert np.allclose(bd.coshr - bd.u_tilde, 1.0 / K.phi, atol=1e-12)
     assert np.allclose(bd.coshr, bd.X[:, -1], atol=1e-12)
     # lambda_tilde = phi * eig(A) and area density = det A.
-    A = a_tensor(K)
+    A = K.A
     assert np.allclose(bd.lambda_tilde[:, 0], K.phi * A[:, 0, 0], atol=1e-12)
     assert np.allclose(bd.area_density, A[:, 0, 0], atol=0.0)
 
@@ -207,7 +241,7 @@ def test_isometry_covariance_of_ball():
 
 
 def test_isometry_preserves_curvature_range():
-    theta = S1._cache["theta"]
+    theta = S1.theta
     K = SupportField(S1, 2.0 * (1.0 + 0.06 * np.cos(2 * theta)))
     F = boost(1, [0.0, 1.0], 0.3)
     moved = apply_isometry_field(K, F)

@@ -119,7 +119,7 @@ def test_pde_residual_vanishes_for_matched_ball():
 def test_kw_coordinate_integral_oracle():
     # n = 1, phi = 2, f = 1 + cos(theta)/2, k = 0: the first coordinate
     # integral is int (1/2)(sin theta / 2)(sin theta) dtheta = pi / 4.
-    theta = S1._cache["theta"]
+    theta = S1.theta
     K = SupportField(S1, np.full(S1.size, 2.0))
     f = 1.0 + 0.5 * np.cos(theta)
     rep = kw_residual(K, f, 0)
@@ -131,7 +131,7 @@ def test_kw_coordinate_integral_oracle():
 def test_kw_general_identity_on_perturbed_bodies():
     # int (Dphi/phi + z) phi^{-k} p_{n-k}(A) dsigma = 0 for every
     # h-convex field and every k.
-    theta = S1._cache["theta"]
+    theta = S1.theta
     K1 = SupportField(S1, 2.0 * (1.0 + 0.08 * np.cos(2 * theta)))
     z = S2.nodes
     K2 = SupportField(S2, 2.0 * (1.0 + 0.03 * (3.0 * z[:, 2] ** 2 - 1.0)))

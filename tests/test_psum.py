@@ -81,7 +81,7 @@ def test_p_dilate_is_outer_parallel_set():
 
 
 def test_p_sum_associativity_on_support_level():
-    theta = S1._cache["theta"]
+    theta = S1.theta
     K = SupportField(S1, 2.0 * (1.0 + 0.05 * np.cos(2 * theta)))
     L = support_of_ball(S1, origin(1), 0.5)
     M = support_of_ball(S1, origin(1), 0.8)
@@ -189,7 +189,7 @@ def test_two_point_sum_field_positive_and_convex():
 
 
 def test_dilates_check_detects_rescaled_field():
-    theta = S1._cache["theta"]
+    theta = S1.theta
     K = SupportField(S1, 2.0 * (1.0 + 0.05 * np.cos(2 * theta)))
     L = SupportField(S1, 1.37 * K.phi)
     rep = dilates_check(K, L)
@@ -198,7 +198,7 @@ def test_dilates_check_detects_rescaled_field():
 
 
 def test_dilates_check_rejects_different_shapes():
-    theta = S1._cache["theta"]
+    theta = S1.theta
     K = SupportField(S1, 2.0 * (1.0 + 0.05 * np.cos(2 * theta)))
     L = SupportField(S1, np.full(S1.size, 2.0))
     rep = dilates_check(K, L)

@@ -5,11 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from horocvx.hconvex import SupportField, support_of_ball
+from horocvx.hconvex import (
+    SupportField,
+    apply_isometry_field,
+    boundary_data,
+    convexity,
+    support_of_ball,
+)
 from horocvx.lorentz import boost, origin
 from horocvx.quermass import (
     HOMOTOPY_ORDER,
@@ -27,6 +33,7 @@ from horocvx.quermass import (
 from horocvx import quermass
 from horocvx.quermass import _homotopy_value, p_tensor
 from horocvx.sphere_grid import gradient, hessian, integrate, make_grid, sphere_area
+from horocvx.verify import random_h_convex_fields
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -34,7 +41,7 @@ S2 = make_grid(2, 12)
 
 def smooth_body(grid):
     if grid.n == 1:
-        theta = grid._cache["theta"]
+        theta = grid.theta
         phi = 2.0 * (1.0 + 0.05 * np.cos(2 * theta) + 0.015 * np.sin(3 * theta))
     else:
         z = grid.nodes
@@ -208,6 +215,24 @@ def test_modified_quermass_does_one_analysis(grid, fft_counts):
     assert fft_counts["rfft"] == 1
 
 
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_one_analysis_serves_every_quantity_of_a_field(grid, fft_counts):
+    K = smooth_body(grid)
+    for k in range(grid.n + 1):
+        assert modified_quermass(K, k).method != "ball-closed-form"
+    boundary_data(K)
+    for m in range(grid.n + 1):
+        curvature_integral(K, m)
+    assert fft_counts["rfft"] == 1
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_steiner_check_analyses_each_of_its_two_fields_once(grid, fft_counts):
+    # K and its outer parallel body K_rho.
+    steiner_check(smooth_body(grid), 0.3)
+    assert fft_counts["rfft"] == 2
+
+
 # ---------------------------------------------------------------------------
 # curvature integrals
 
@@ -313,3 +338,28 @@ def test_weighted_volume_grows_under_translation(r, s):
     K0 = support_of_ball(S1, origin(1), r)
     Ks = offcenter_ball(S1, s, r)
     assert weighted_volume(Ks) >= weighted_volume(K0) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# isometry invariance
+
+
+@pytest.mark.parametrize(
+    "grid", [make_grid(1, 128), make_grid(2, 20)], ids=["s1:128", "s2:20"]
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    direction=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
+    s=st.floats(min_value=-0.8, max_value=0.8),
+)
+@settings(max_examples=12, deadline=None)
+def test_quermass_and_convexity_are_isometry_invariant(grid, seed, direction, s):
+    d = np.array(direction[: grid.n + 1])
+    assume(np.linalg.norm(d) > 0.1)
+    (K,) = random_h_convex_fields(seed, [grid], 1)
+    moved = apply_isometry_field(K, boost(grid.n, d / np.linalg.norm(d), s))
+    assert convexity(moved).classification == convexity(K).classification
+    for k in range(grid.n + 1):
+        before = modified_quermass(K, k).value
+        after = modified_quermass(moved, k).value
+        assert math.isclose(after, before, rel_tol=1e-10), (k, before, after)

@@ -39,13 +39,13 @@ S2 = make_grid(2, 16)
 
 
 def s1_theta(grid):
-    return grid._cache["theta"]
+    return grid.theta
 
 
 def s2_angles(grid):
     L, M = grid.resolution
-    theta = np.repeat(grid._cache["theta"], M)
-    phi = np.tile(grid._cache["phi"], L)
+    theta = np.repeat(grid.theta, M)
+    phi = np.tile(grid.phi, L)
     return theta, phi
 
 
@@ -183,7 +183,7 @@ def _two_pass_gradient(grid, values):
     cols_ft = [dP[m] @ a[m] for m in range(B + 1)]
     cols_fp = [(1j * m) * (P[m] @ a[m]) for m in range(B + 1)]
     ft, fp = sphere_grid._s2_synth_many(grid, [cols_ft, cols_fp])
-    inv_s = np.repeat(1.0 / grid._cache["s"], grid.resolution[1])
+    inv_s = np.repeat(1.0 / grid.s, grid.resolution[1])
     return np.stack([ft, fp * inv_s], axis=1)
 
 
@@ -206,8 +206,8 @@ def _two_pass_hessian(grid, values):
     vt, lap, fp, ftp, fpp = sphere_grid._s2_synth_many(
         grid, [cols_vt, cols_lap, cols_fp, cols_ftp, cols_fpp]
     )
-    s = np.repeat(grid._cache["s"], M)
-    x = np.repeat(grid._cache["x"], M)
+    s = np.repeat(grid.s, M)
+    x = np.repeat(grid.x, M)
     H = np.empty((grid.size, 2, 2))
     H[:, 0, 0] = -(x / s) * vt - lap - fpp / (s * s)
     H[:, 0, 1] = ftp / s - (x / (s * s)) * fp
