@@ -7,9 +7,9 @@ measures, curvature-equation residuals, normalized curvature flows,
 and the Euclidean projection bridge, plus inequality verification
 suites over deterministic corpora.
 
-scipy (quadrature, root finding, Gauss-Legendre nodes) is imported
-inside the functions that call it, so importing the package and the
-CLI loads numpy only.
+scipy (quadrature, root finding, the S^2 grid's Gauss-Legendre nodes)
+is imported inside the functions that call it, so importing the package
+and the CLI loads numpy only.
 """
 
 import os as _os

@@ -225,7 +225,6 @@ def _cmd_quermass(args) -> int:
         values[f"W{k}"] = {
             "value": rep.value,
             "method": rep.method,
-            "est_error": rep.est_error,
             "mean_radius": I_k_inverse(n, k, rep.value),
         }
     report = {"n": n, "quermass": values}

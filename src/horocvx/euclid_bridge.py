@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hconvex import SupportField, a_eigenvalues, boundary_data, convexity
+from .hconvex import SupportField, a_eigenvalues, boundary_data, convexity, plus_identity
 from .psum import p_sum
 from .quermass import p_tensor
 from .sphere_grid import Grid, hessian, integrate
@@ -42,7 +42,8 @@ class EuclideanSupport:
     """Euclidean support function u^ at grid nodes; D^2 u^ + u^ I >= 0.
 
     Immutable like SupportField: u_hat is a read-only copy, and the form
-    D^2 u^ + u^ I is computed once, on first use.
+    D^2 u^ + u^ I is computed once, on first use, or taken from the
+    field's cached Hessian by `project`.
     """
 
     grid: Grid
@@ -63,11 +64,7 @@ class EuclideanSupport:
     @cached_property
     def form(self) -> np.ndarray:
         """D^2 u^ + u^ I in the orthonormal frame, read-only."""
-        S = hessian(self.grid, self.u_hat)
-        idx = np.arange(self.grid.n)
-        S[:, idx, idx] += self.u_hat[:, None]
-        S.flags.writeable = False
-        return S
+        return plus_identity(hessian(self.grid, self.u_hat), self.u_hat)
 
 
 @dataclass
@@ -87,12 +84,16 @@ def project(K: SupportField) -> EuclideanSupport:
     """Euclidean body with support function u^ = phi.
 
     Admissibility is automatic for h-convex fields since
-    D^2 phi + phi I = A[phi] + cosh(r) I.
+    D^2 phi + phi I = A[phi] + cosh(r) I.  The form is built from K's
+    cached Hessian, so a projection costs no spectral pass.
     """
     report = convexity(K)
     if report.classification == "not-h-convex":
         raise ValueError("projection requires an h-convex field")
-    return EuclideanSupport(K.grid, K.phi)
+    hat = EuclideanSupport(K.grid, K.phi)
+    # Fill the cached_property the way it fills itself on first use.
+    hat.__dict__["form"] = plus_identity(K.hessian, hat.u_hat)
+    return hat
 
 
 def firey_sum(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .hconvex import SupportField, _q_and_a
 from .problems import J_p, _validate_f, check_assumption_h
-from .quermass import HOMOTOPY_ORDER, _homotopy_value, p_tensor
+from .quermass import p_tensor, wk_value
 from .sphere_grid import (
     Grid,
     band_project,
@@ -215,7 +215,7 @@ def step(state: FlowState, dt: float, diag: dict | None = None,
     if diag is None:
         diag = _evaluate(state, phi)
     if target is None:
-        target = _homotopy_value(diag["K"], k, HOMOTOPY_ORDER)
+        target = wk_value(diag["K"], k)
     mu = dt * diag["c"]
     rG, gG, HG = resolvent(grid, diag["G"], mu)
     rh, gh, Hh = resolvent(grid, diag["h"], mu)
@@ -228,7 +228,7 @@ def step(state: FlowState, dt: float, diag: dict | None = None,
         g = diag["K"].gradient + dt * (Phi * gG - gh)
         H = diag["K"].hessian + dt * (Phi * HG - Hh)
         K = SupportField(grid, phi_new)
-        residual = _homotopy_value(K, k, HOMOTOPY_ORDER, g, H) - target
+        residual = wk_value(K, k, g, H) - target
         if abs(residual) <= NEWTON_RTOL * abs(target):
             break
         pA = p_tensor(_q_and_a(phi_new, g, H)[1], state.n - k)
@@ -282,7 +282,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     gamma_var = math.inf
     first = True
     diag = _evaluate(state, state.phi)
-    target = _homotopy_value(diag["K"], k, HOMOTOPY_ORDER)
+    target = wk_value(diag["K"], k)
     while True:
         speed = diag["speed"]
         gamma_field = state.phi ** (-(state.p + k)) * diag["pA"] / state.f
@@ -299,7 +299,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
             trace.append(
                 t=t,
                 dt=0.0 if terminal_row else math.nan,
-                Wk=target if first else _homotopy_value(diag["K"], k, HOMOTOPY_ORDER),
+                Wk=target if first else wk_value(diag["K"], k),
                 Jp=J_p(diag["K"], state.f, state.p),
                 minEigA=diag["eig_min"],
                 maxGradRatio=grad_ratio,

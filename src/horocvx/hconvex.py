@@ -26,6 +26,7 @@ __all__ = [
     "support_of_point",
     "support_of_ball",
     "a_eigenvalues",
+    "plus_identity",
     "convexity",
     "boundary_data",
     "apply_isometry_field",
@@ -178,11 +179,16 @@ def _parts(K: SupportField):
 def _q_and_a(phi: np.ndarray, g: np.ndarray, H: np.ndarray):
     """q = |Dphi|^2 / (2 phi) and A[phi] from phi's gradient and Hessian."""
     q = 0.5 * np.sum(g * g, axis=1) / phi
-    A = H.copy()
-    shift = -q + 0.5 * (phi - 1.0 / phi)
-    idx = np.arange(H.shape[1])
-    A[:, idx, idx] += shift[:, None]
-    return q, A
+    return q, plus_identity(H, -q + 0.5 * (phi - 1.0 / phi))
+
+
+def plus_identity(M: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """M + s I, read-only, for pointwise forms M of shape (size, n, n) and
+    a node field s."""
+    out = M.copy()
+    idx = np.arange(M.shape[1])
+    out[:, idx, idx] += s[:, None]
+    return _read_only(out)
 
 
 def a_eigenvalues(A: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, a_eigenvalues
+from .hconvex import SupportField, a_eigenvalues, plus_identity
 from .quermass import p_tensor
 from .sphere_grid import Grid, derivatives, frame_vectors, gradient, integrate
 
@@ -289,10 +289,7 @@ def check_assumption_h(f, grid: Grid, n: int, k: int, p: float) -> AssumptionHRe
         grad_term = c_grad * np.sqrt(grad_sq)
     else:
         grad_term = c_grad * grad_sq / base
-    M = H.copy()
-    idx = np.arange(n)
-    M[:, idx, idx] += (-grad_term + c_zero * base)[:, None]
-    eig_min = a_eigenvalues(M)[:, 0]
+    eig_min = a_eigenvalues(plus_identity(H, -grad_term + c_zero * base))[:, 0]
     node = int(np.argmin(eig_min))
     worst = float(eig_min[node])
     scale = max(1.0, float(np.max(np.abs(base))))

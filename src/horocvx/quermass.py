@@ -1,14 +1,15 @@
 """Modified quermassintegrals, Steiner formulas, and weighted volume.
 
-W_k is evaluated by integrating its first variation along the support
-homotopy phi_t = (1 - t) + t phi from the origin point to the body,
-with Gauss-Legendre quadrature in t; the k = n case has the closed form
-(1/n) int (1 - phi^{-n}) dsigma used as a cross-check.  The nodes on
-[0, 1] are cached per order, the t-nodes are evaluated together in
-array passes of bounded size from a single gradient and Hessian, and
-each node's sphere integral is a compensated sum, as is their weighted
-total.  I_k(r) is the k-th
-quermass of the centered ball of radius r.
+W_k is the integral of its first variation along the support homotopy
+phi_t = 1 + t (phi - 1) from the origin point to the body.  On that path
+phi_t A[phi_t] is quadratic in t with pointwise coefficients, so the
+integrand is d P(t) / phi_t^{n+1}, d = phi - 1, with P a polynomial of
+degree at most 4, and the t-integral is exact: a sum of P's coefficients
+times the moments int_0^1 t^j (1 + d t)^{-(n+1)} dt, which have a closed
+form in log1p(d) away from d = 0 and a binomial series near it.  One
+gradient and Hessian and one compensated sum give W_k; for k = n it is
+(1/n) int (1 - phi^{-n}) dsigma.  I_k(r) is the k-th quermass of the
+centered ball of radius r.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, boundary_data
+from .hconvex import SupportField, boundary_data, plus_identity
 from .sphere_grid import Grid, integrate, sphere_area
 
 __all__ = [
@@ -37,18 +38,14 @@ __all__ = [
     "steiner_check",
     "weighted_steiner_check",
     "minkowski_formula_residuals",
-    "HOMOTOPY_ORDER",
-    "HOMOTOPY_CROSS_TOL",
+    "wk_value",
     "p_tensor",
 ]
 
-HOMOTOPY_ORDER = 32
-HOMOTOPY_MAX_ORDER = 256
-HOMOTOPY_CROSS_TOL = 1e-9
-# Values per array pass of the homotopy (t-nodes times grid nodes): the
-# flow grids at order 32 fit in one pass.  64 KiB temporaries stay well
-# under glibc's 128 KiB mmap threshold, so they reuse heap memory.
-HOMOTOPY_BLOCK = 8192
+# The t-moments of W_k switch from their closed form to the binomial
+# series below |phi - 1| = 0.5, where 74 terms reach roundoff.
+MOMENT_SERIES_SWITCH = 0.5
+MOMENT_SERIES_TERMS = 74
 CONSTANT_FIELD_TOL = 1e-13
 QUAD_KW = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
 
@@ -57,8 +54,7 @@ QUAD_KW = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
 class QuermassReport:
     k: int
     value: float
-    method: str  # homotopy | closed-form-k=n | ball-closed-form
-    est_error: float
+    method: str  # closed-form | ball-closed-form
 
 
 @dataclass
@@ -176,7 +172,7 @@ def I_k_inverse(n: int, k: int, w: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# curvature integrals and the homotopy evaluation of W_k
+# curvature integrals and the closed form of W_k along the homotopy path
 
 
 def curvature_integral(K: SupportField, m: int) -> float:
@@ -188,26 +184,53 @@ def curvature_integral(K: SupportField, m: int) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], read-only."""
-    from scipy.special import roots_legendre
+def _moment_tables(n: int, js: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only exponents a, matrix C(j, i) (-1)^{j-i} and series
+    coefficients of `_t_moments`."""
+    a = np.arange(-n, js[-1] - n + 1)
+    B = np.array([[(-1) ** (j - i) * math.comb(j, i) for i in range(a.size)] for j in js], float)
+    series = np.array(
+        [[math.comb(n + i, i) / (i + j + 1) for j in js] for i in range(MOMENT_SERIES_TERMS)]
+    )
+    for table in (a, B, series):
+        table.flags.writeable = False
+    return a, B, series
 
-    x, wts = roots_legendre(order)
-    ts = 0.5 * (x + 1.0)
-    wts = 0.5 * wts
-    ts.flags.writeable = False
-    wts.flags.writeable = False
-    return ts, wts
+
+def _t_moments(n: int, d: np.ndarray, js: range) -> np.ndarray:
+    """I_j(d) = int_0^1 t^j (1 + d t)^{-(n+1)} dt for j in js, shape
+    (len(d), len(js)); d > -1.
+
+    Where |d| >= MOMENT_SERIES_SWITCH, u = 1 + d t gives
+    I_j = d^{-(j+1)} sum_i C(j, i) (-1)^{j-i} F_{i-n} with
+    F_a = ((1 + d)^a - 1) / a = expm1(a log1p(d)) / a and F_0 = log1p(d).
+    Below the switch those terms cancel, and the binomial series
+    I_j = sum_i C(n+i, i) (-d)^i / (j+i+1) is one Vandermonde matmul.
+    """
+    a, B, series = _moment_tables(n, js)
+    out = np.empty((d.size, len(js)))
+    far = np.abs(d) >= MOMENT_SERIES_SWITCH
+    if np.any(far):
+        df = d[far]
+        log1p_d = np.log1p(df)
+        F = np.expm1(np.outer(a, log1p_d)) / np.where(a == 0, 1, a)[:, None]
+        F[a == 0] = log1p_d
+        out[far] = ((B @ F) / df ** (np.array(js)[:, None] + 1.0)).T
+    near = ~far
+    if np.any(near):
+        out[near] = np.vander(-d[near], MOMENT_SERIES_TERMS, increasing=True) @ series
+    return out
 
 
-def _homotopy_value(K: SupportField, k: int, order: int, g=None, H=None) -> float:
-    """Gauss-Legendre evaluation of the homotopy integral for W_k.
+def wk_value(K: SupportField, k: int, g=None, H=None) -> float:
+    """W_k by integrating its first variation along phi_t = 1 + t (phi - 1).
 
-    g and H default to K's cached gradient and Hessian.  The t-nodes are
-    evaluated in blocks of (rows, size) arrays, with p_{n-k}(A_t) built
-    from the entries of A_t = t H + shift_t I.  Each node's integral is
-    one compensated sum, and the weighted node integrals are summed
-    compensated again.
+    g and H default to K's cached gradient and Hessian.  With d = phi - 1,
+    C0 = H + d I and C1 = d H + (d^2 - |g|^2) / 2 I, phi_t A_t = t (C0 + t C1),
+    so the integrand (phi - 1) phi_t^{-1-k} p_m(A_t), m = n - k, is
+    d t^m p_m(C0 + t C1) / phi_t^{n+1} and its t-integral is exact:
+    W_k = int d sum_j P_j I_j(d) dsigma, j = m..2m, P_j the coefficients
+    of t^m p_m(C0 + t C1).  One compensated sum over the grid.
     """
     grid, phi = K.grid, K.phi
     n = grid.n
@@ -215,60 +238,31 @@ def _homotopy_value(K: SupportField, k: int, order: int, g=None, H=None) -> floa
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     if g is None or H is None:
         g, H = K.gradient, K.hessian
-    grad_sq = np.sum(g * g, axis=1)
-    ts, wts = _unit_gauss_legendre(order)
-    dphi = phi - 1.0
     m = n - k
-    rows = max(1, HOMOTOPY_BLOCK // grid.size)
-    sums = []
-    for start in range(0, order, rows):
-        t = ts[start : start + rows, None]
-        phit = 1.0 + t * dphi
-        qt = 0.5 * t * t * grad_sq / phit
-        shift = -qt + 0.5 * (phit - 1.0 / phit)
-        if m == 0:
-            pm = np.ones(phit.shape)
-        elif n == 1:
-            pm = t * H[:, 0, 0] + shift
-        else:
-            a = t * H[:, 0, 0] + shift
-            d = t * H[:, 1, 1] + shift
-            pm = 0.5 * (a + d) if m == 1 else a * d - (t * H[:, 0, 1]) ** 2
-        field = (dphi / phit) * phit ** (-float(k)) * pm
-        sums.extend(math.fsum(row.tolist()) for row in grid.weights * field)
-    return math.fsum((wts * np.array(sums)).tolist())
-
-
-def _closed_form_k_n(K: SupportField) -> float:
-    n = K.grid.n
-    return (1.0 / n) * integrate(K.grid, 1.0 - K.phi ** (-float(n)))
+    d = phi - 1.0
+    C0 = plus_identity(H, d)
+    C1 = plus_identity(d[:, None, None] * H, 0.5 * (d * d - np.sum(g * g, axis=1)))
+    P = [p_tensor(C0, m)]
+    if m == 2:
+        P.append(
+            C0[:, 0, 0] * C1[:, 1, 1] + C1[:, 0, 0] * C0[:, 1, 1] - 2.0 * C0[:, 0, 1] * C1[:, 0, 1]
+        )
+    if m >= 1:
+        P.append(p_tensor(C1, m))
+    moments = _t_moments(n, d, range(m, 2 * m + 1))
+    return integrate(grid, d * sum(Pj * moments[:, i] for i, Pj in enumerate(P)))
 
 
 def modified_quermass(K: SupportField, k: int) -> QuermassReport:
     """Modified quermassintegral W_k of an h-convex support field."""
-    grid, phi = K.grid, K.phi
-    n = grid.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    phi = K.phi
     c = float(phi[0])
     if np.max(np.abs(phi - c)) <= CONSTANT_FIELD_TOL * max(1.0, c):
         if c < 1.0 - 1e-12:
             raise ValueError(f"constant field phi = {c} < 1 is not h-convex")
         r = max(math.log(c), 0.0)
-        return QuermassReport(k, I_k(n, k, r), "ball-closed-form", 1e-15)
-    closed_n = _closed_form_k_n(K)
-    order = HOMOTOPY_ORDER
-    while True:
-        cross = abs(_homotopy_value(K, n, order) - closed_n)
-        if cross <= HOMOTOPY_CROSS_TOL * max(1.0, abs(closed_n)):
-            break
-        if order >= HOMOTOPY_MAX_ORDER:
-            break
-        order *= 2
-    if k == n:
-        return QuermassReport(k, closed_n, "closed-form-k=n", cross)
-    value = _homotopy_value(K, k, order)
-    return QuermassReport(k, value, "homotopy", cross)
+        return QuermassReport(k, I_k(K.grid.n, k, r), "ball-closed-form")
+    return QuermassReport(k, wk_value(K, k), "closed-form")
 
 
 def k_mean_radius(K: SupportField, k: int) -> float:

@@ -105,6 +105,7 @@ def test_cli_arg_parsing_exit_codes(tmp_path):
 
 
 SCIPY_FREE_SESSION = """
+import json
 import sys
 import horocvx, horocvx.cli
 from horocvx.cli import main
@@ -113,12 +114,17 @@ for name, radius in (("K.json", "0.4"), ("L.json", "0.9")):
     assert main(["mkfield", "--grid", "s1:64", "--ball", "--radius", radius, "--out", name]) == 0
 assert main(["psum", "--a", "0.7", "--K", "K.json", "--p", "1.5", "--b", "0.6",
              "--L", "L.json", "--out", "sum.json"]) == 0
+assert main(["mkfield", "--grid", "s1:64", "--random", "--seed", "3", "--out", "R.json"]) == 0
+with open("flow.json", "w") as fh:
+    json.dump({"n": 1, "k": 0, "p": 2.0, "initial": "R.json", "max_steps": 5}, fh)
+assert main(["flow", "--config", "flow.json", "--out", "trace.csv"]) == 1  # max-steps
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 def test_import_and_scipy_free_commands_load_no_scipy(tmp_path):
-    # scipy is imported where a quadrature, root or Legendre node is needed.
+    # scipy is imported where a quadrature, root or Legendre node is needed;
+    # an S^1 flow needs none.
     src = str(Path(horocvx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -128,6 +134,7 @@ def test_import_and_scipy_free_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "sum.json").exists()
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +179,7 @@ def test_quermass_report(tmp_path):
     )
     assert rep["quermass"]["W1"]["value"] == pytest.approx(math.pi, abs=1e-10)
     assert rep["quermass"]["W0"]["mean_radius"] == pytest.approx(r, abs=1e-10)
-    assert rep["quermass"]["W1"]["method"] in ("ball-closed-form", "closed-form-k=n")
+    assert rep["quermass"]["W1"]["method"] == "ball-closed-form"
 
 
 def test_steiner_kinds(tmp_path):

@@ -70,6 +70,20 @@ def test_euclidean_support_is_immutable_with_a_cached_form():
             array[0] = 1.0
 
 
+@pytest.mark.parametrize("body", [wavy_circle, wavy_sphere], ids=["s1", "s2"])
+def test_projection_form_comes_from_the_fields_hessian(body, fft_counts):
+    K = body()
+    K.hessian
+    fft_counts.update(rfft=0)
+    Khat = project(K)
+    assert fft_counts["rfft"] == 0
+    # Bit for bit the form a fresh EuclideanSupport computes for itself.
+    assert np.array_equal(Khat.form, EuclideanSupport(K.grid, K.phi).form)
+    assert fft_counts["rfft"] == 1
+    with pytest.raises(ValueError, match="read-only"):
+        Khat.form[0] = 1.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_euclidean_support_rejects_non_finite_values(bad):
     u = np.ones(S1.size)

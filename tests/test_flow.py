@@ -19,7 +19,7 @@ from horocvx.flow import (
 )
 from horocvx.hconvex import SupportField
 from horocvx.problems import measure_density
-from horocvx.quermass import HOMOTOPY_ORDER, _homotopy_value
+from horocvx.quermass import wk_value
 from horocvx.sphere_grid import band_project, even_project, integrate, make_grid
 
 S1 = make_grid(1, 64)
@@ -201,9 +201,9 @@ def test_step_rejects_cone_exit():
 
 def test_step_holds_wk_to_roundoff():
     state = make_state(FlowConfig(n=2, k=1, p=1.0), perturbed_sphere())
-    w0 = _homotopy_value(perturbed_sphere(), 1, HOMOTOPY_ORDER)
+    w0 = wk_value(perturbed_sphere(), 1)
     new_state, _ = step(state, 0.05)
-    w1 = _homotopy_value(SupportField(S2, new_state.phi), 1, HOMOTOPY_ORDER)
+    w1 = wk_value(SupportField(S2, new_state.phi), 1)
     assert abs(w1 - w0) <= 1e-12 * w0
     assert np.max(np.abs(new_state.phi - state.phi)) > 1e-4
 
@@ -255,7 +255,7 @@ def test_trace_wk_matches_a_fresh_homotopy(cfg, body):
     wk = TRACE_COLUMNS.index("Wk")
     for max_steps in (0, 3, 8):
         res = run(replace(cfg, max_steps=max_steps), body())
-        fresh = _homotopy_value(res.terminal, cfg.k, HOMOTOPY_ORDER)
+        fresh = wk_value(res.terminal, cfg.k)
         assert res.trace.rows[-1][wk] == fresh
 
 

@@ -1,8 +1,8 @@
 """Modified quermassintegrals, Steiner expansions, weighted volume."""
 
 import math
-import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +18,7 @@ from horocvx.hconvex import (
 )
 from horocvx.lorentz import boost, origin
 from horocvx.quermass import (
-    HOMOTOPY_ORDER,
+    MOMENT_SERIES_SWITCH,
     I_k,
     I_k_inverse,
     S_functional,
@@ -29,9 +29,9 @@ from horocvx.quermass import (
     steiner_check,
     weighted_steiner_check,
     weighted_volume,
+    wk_value,
 )
-from horocvx import quermass
-from horocvx.quermass import _homotopy_value, p_tensor
+from horocvx.quermass import _t_moments, p_tensor
 from horocvx.sphere_grid import gradient, hessian, integrate, make_grid, sphere_area
 from horocvx.verify import random_h_convex_fields
 
@@ -124,15 +124,14 @@ def test_ball_quermass_matches_I_k():
 
 
 def test_offcenter_ball_quermass_is_isometry_invariant():
-    # The homotopy evaluation on a boosted ball must still equal I_k.
+    # The closed form on a boosted ball must still equal I_k.
     r = 0.6
     for grid in (S1, S2):
         K = offcenter_ball(grid, 0.5, r)
         for k in range(grid.n + 1):
             rep = modified_quermass(K, k)
-            assert rep.method in ("homotopy", "closed-form-k=n")
+            assert rep.method == "closed-form"
             assert abs(rep.value - I_k(grid.n, k, r)) < 1e-8
-            assert rep.est_error < 1e-9
 
 
 def test_k_mean_radius_of_ball():
@@ -172,46 +171,56 @@ def _homotopy_reference(K, k, order):
     return math.fsum(contributions)
 
 
-@pytest.mark.parametrize("order", [HOMOTOPY_ORDER, 64])
+# Both sides of the series switch, d = 0, the pole side d -> -1 and
+# bodies far from the origin point.
+MOMENT_SAMPLES = sorted(
+    {-0.999, -0.9, -0.75, -0.6, -0.5000001, -0.5, -0.4999999, -0.3, -1e-3, -1e-9}
+    | {0.0, 1e-9, 1e-3, 0.25, 0.4999999, 0.5, 0.5000001, 0.75, 1.0, 2.5, 7.0, 20.0}
+)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_t_moments_match_mpmath(n):
+    # I_j(d) = int_0^1 t^j (1 + d t)^{-(n+1)} dt = 2F1(n+1, j+1; j+2; -d) / (j+1).
+    assert -MOMENT_SERIES_SWITCH in MOMENT_SAMPLES and MOMENT_SERIES_SWITCH in MOMENT_SAMPLES
+    d = np.array(MOMENT_SAMPLES)
+    got = _t_moments(n, d, range(5))
+    with mpmath.workdps(40):
+        for row, di in zip(got, MOMENT_SAMPLES):
+            for j, value in enumerate(row):
+                want = mpmath.hyp2f1(n + 1, j + 1, j + 2, -mpmath.mpf(di)) / (j + 1)
+                assert abs(mpmath.mpf(value) / want - 1) <= 2e-13, (n, di, j, value)
+
+
+def _bodies_for_reference():
+    bodies = random_h_convex_fields(3, [S1, S2], 4)
+    # A boosted ball reaches phi = e^{-0.5} < 1 on one side and phi = e^{1.1}
+    # on the other, so the closed form meets d in (-1, 0) and d > 1.
+    bodies += [offcenter_ball(S1, 0.8, 0.3), offcenter_ball(S2, 0.8, 0.3)]
+    assert min(float(np.min(K.phi)) for K in bodies) < 1.0
+    return bodies
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_wk_value_matches_an_order_256_homotopy(index):
+    K = _bodies_for_reference()[index]
+    for k in range(K.grid.n + 1):
+        want = _homotopy_reference(K, k, 256)
+        assert abs(wk_value(K, k) - want) <= 1e-13 * max(1.0, abs(want)), (k, want)
+
+
 @pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
-def test_homotopy_value_matches_per_node_loop_bitwise(grid, order):
-    K = smooth_body(grid)
-    for k in range(grid.n + 1):
-        assert _homotopy_value(K, k, order) == _homotopy_reference(K, k, order)
-
-
-@pytest.mark.parametrize("order", [HOMOTOPY_ORDER, 256])
-@pytest.mark.parametrize("grid", [make_grid(1, 96), make_grid(2, 20)], ids=["s1:96", "s2:20"])
-def test_homotopy_value_does_not_depend_on_block_size(grid, order, monkeypatch):
-    # Each node's row is its own compensated sum, so the blocking of the
-    # t-nodes cannot change a bit of the result.
-    K = smooth_body(grid)
-    g, H = gradient(grid, K.phi), hessian(grid, K.phi)
-    values = []
-    for block in (16384, 8192, 512):
-        monkeypatch.setattr(quermass, "HOMOTOPY_BLOCK", block)
-        values.append([_homotopy_value(K, k, order, g, H) for k in range(grid.n + 1)])
-    assert values[0] == values[1] == values[2]
-
-
-def test_homotopy_temporaries_stay_bounded():
-    grid = make_grid(2, 32)
-    K = smooth_body(grid)
-    g, H = gradient(grid, K.phi), hessian(grid, K.phi)
-    tracemalloc.start()
-    try:
-        _homotopy_value(K, 1, 256, g, H)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # A single (order, size) array would take 256 * 2048 * 8 = 4.2 MB.
-    assert peak < 4e6
+def test_wk_value_k_n_is_the_closed_form(grid):
+    n = grid.n
+    for K in random_h_convex_fields(5, [grid], 2) + [offcenter_ball(grid, 0.8, 0.3)]:
+        want = integrate(grid, 1.0 - K.phi ** (-float(n))) / n
+        assert abs(wk_value(K, n) - want) <= 1e-14
 
 
 @pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
 def test_modified_quermass_does_one_analysis(grid, fft_counts):
     rep = modified_quermass(smooth_body(grid), 0)
-    assert rep.method == "homotopy"
+    assert rep.method == "closed-form"
     assert fft_counts["rfft"] == 1
 
 

@@ -31,6 +31,13 @@ def test_every_asserted_suite_passes():
         assert not bad, f"suite {name} failed: {bad[:3]}"
 
 
+def test_euclid_suite_analyses_each_body_once(fft_counts):
+    # One derivative pass per SupportField; each projection reuses its
+    # field's Hessian instead of analysing u^ = phi again.
+    run_suite("euclid")
+    assert fft_counts["rfft"] == 25
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("no_such_suite", CORPUS)
