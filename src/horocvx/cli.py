@@ -423,12 +423,13 @@ def _cmd_flow(args) -> int:
         init = _resolve_field_entry(cfg["initial"], inputs)
         phi0 = SupportField(init.grid, init.values)
     else:
-        if "grid" in cfg:
-            grid = (
-                _parse_grid(cfg["grid"])
-                if isinstance(cfg["grid"], str)
-                else grid_from_json_dict(n, cfg["grid"])
-            )
+        if isinstance(cfg.get("grid"), str):
+            grid = _parse_grid(cfg["grid"])
+        elif "grid" in cfg:
+            try:
+                grid = grid_from_json_dict(n, cfg["grid"])
+            except (KeyError, ValueError) as exc:
+                raise UsageError(f"bad grid in {args.config}: {exc}") from None
         elif f_field is not None:
             grid = f_field.grid
         else:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hconvex import SupportField, _q_and_a
-from .problems import J_p, _validate_f, check_assumption_h
+from .hconvex import SupportField, shifted_form
+from .problems import J_p, check_assumption_h, validate_f
 from .quermass import p_tensor, wk_value
 from .sphere_grid import (
     Grid,
@@ -175,7 +175,7 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
         raise ValueError(f"config has n = {config.n}, grid lives on S^{n}")
     if not 0 <= config.k <= n - 1:
         raise ValueError(f"flow needs 0 <= k <= n-1, got k = {config.k}")
-    f = _validate_f(np.ones(grid.size) if config.f is None else config.f, grid)
+    f = validate_f(np.ones(grid.size) if config.f is None else config.f, grid)
     if config.k >= 1 and config.p < -n:
         raise ValueError(f"k >= 1 flows need p >= -n, got p = {config.p}")
     # Comparisons with NaN are false, so NaN fails these checks too.
@@ -231,7 +231,7 @@ def step(state: FlowState, dt: float, diag: dict | None = None,
         residual = wk_value(K, k, g, H) - target
         if abs(residual) <= NEWTON_RTOL * abs(target):
             break
-        pA = p_tensor(_q_and_a(phi_new, g, H)[1], state.n - k)
+        pA = p_tensor(shifted_form(phi_new, g, H)[1], state.n - k)
         slope = dt * integrate(grid, phi_new ** (-(k + 1.0)) * pA * rG)
         if not slope > 0.0:
             raise FlowStepError(f"W_k constraint has slope {slope}")

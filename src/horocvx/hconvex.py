@@ -26,6 +26,7 @@ __all__ = [
     "support_of_point",
     "support_of_ball",
     "a_eigenvalues",
+    "shifted_form",
     "plus_identity",
     "convexity",
     "boundary_data",
@@ -172,12 +173,12 @@ def _parts(K: SupportField):
     """One spectral pass: gradient, q = |Dphi|^2 / (2 phi), A[phi], and
     the unshifted Hessian D^2 phi.  SupportField caches its result."""
     g, H = derivatives(K.grid, K.phi)
-    q, A = _q_and_a(K.phi, g, H)
+    q, A = shifted_form(K.phi, g, H)
     return g, q, A, H
 
 
-def _q_and_a(phi: np.ndarray, g: np.ndarray, H: np.ndarray):
-    """q = |Dphi|^2 / (2 phi) and A[phi] from phi's gradient and Hessian."""
+def shifted_form(phi: np.ndarray, g: np.ndarray, H: np.ndarray):
+    """q = |Dphi|^2 / (2 phi) and A[phi] = D^2 phi + ((phi - 1/phi) / 2 - q) I."""
     q = 0.5 * np.sum(g * g, axis=1) / phi
     return q, plus_identity(H, -q + 0.5 * (phi - 1.0 / phi))
 

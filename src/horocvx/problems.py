@@ -29,6 +29,7 @@ __all__ = [
     "kw_residual",
     "ball_solutions",
     "check_assumption_h",
+    "validate_f",
     "ROOT_RESIDUAL_TOL",
     "ASSUMPTION_TIE_TOL",
 ]
@@ -66,7 +67,8 @@ class AssumptionHReport:
     worst_eigenvalue: float
 
 
-def _validate_f(f: np.ndarray, grid: Grid) -> np.ndarray:
+def validate_f(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """f as a node array of the grid; ValueError unless finite and positive."""
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.size,):
         raise ValueError(f"f has shape {f.shape}, grid has {grid.size} nodes")
@@ -95,7 +97,7 @@ def mixed_quermass(K: SupportField, L: SupportField, p: float, k: int) -> float:
 
 def J_p(K: SupportField, f, p: float) -> float:
     """Flow functional (1/p) int f phi^p dsigma, or int f log(phi) at p = 0."""
-    f = _validate_f(f, K.grid)
+    f = validate_f(f, K.grid)
     if p == 0.0:
         return integrate(K.grid, f * np.log(K.phi))
     return integrate(K.grid, f * K.phi**p) / p
@@ -103,7 +105,7 @@ def J_p(K: SupportField, f, p: float) -> float:
 
 def pde_residual(K: SupportField, f, p: float, k: int) -> tuple[np.ndarray, float]:
     """Residual field phi^{-p-k} p_{n-k}(A[phi]) - f and its sup norm."""
-    f = _validate_f(f, K.grid)
+    f = validate_f(f, K.grid)
     field = measure_density(K, p, k) - f
     return field, float(np.max(np.abs(field)))
 
@@ -120,7 +122,7 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     n = grid.n
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    f = _validate_f(f, grid)
+    f = validate_f(f, grid)
     g_f = gradient(grid, f)
     weight = K.phi ** (-float(n))
     coords = []
@@ -257,7 +259,7 @@ def check_assumption_h(f, grid: Grid, n: int, k: int, p: float) -> AssumptionHRe
         raise ValueError(f"grid lives on S^{grid.n}, data needs S^{n}")
     if p < -n:
         raise ValueError(f"p must be at least -n = {-n}, got {p}")
-    f = _validate_f(f, grid)
+    f = validate_f(f, grid)
     h = f ** (-1.0 / (n - k))
     if p == -n:
         mean = float(np.mean(h))

@@ -99,11 +99,6 @@ def p_normalized(eigs: np.ndarray, m: int) -> np.ndarray:
     raise ValueError(f"p_{m} undefined for {n} eigenvalues")
 
 
-def sigma_elementary(eigs: np.ndarray, m: int) -> np.ndarray:
-    """Unnormalized elementary symmetric sigma_m."""
-    return p_normalized(eigs, m) * math.comb(eigs.shape[1], m)
-
-
 def p_tensor(A: np.ndarray, m: int) -> np.ndarray:
     """p_m of the eigenvalues of pointwise symmetric forms, via invariants."""
     n = A.shape[1]
@@ -327,7 +322,8 @@ def steiner_check(K: SupportField, rho: float) -> SteinerReport:
         scale = max(scale, abs(lhs), abs(rhs))
     rhs_classical = 0.0
     for i in range(n + 1):
-        si = integrate(grid, sigma_elementary(kappa, i) * bd.area_density)
+        sigma_i = p_normalized(kappa, i) * math.comb(n, i)
+        si = integrate(grid, sigma_i * bd.area_density)
         t_int, _ = quad(
             lambda t, i=i: math.cosh(t) ** (n - i) * math.sinh(t) ** i,
             0.0,
@@ -355,7 +351,7 @@ def weighted_steiner_check(K: SupportField, rho: float) -> WeightedSteinerReport
     form1 = vw
     form2 = vw * math.exp((n + 1) * rho)
     for k in range(n + 1):
-        sk = sigma_elementary(kappa_tilde, k)
+        sk = p_normalized(kappa_tilde, k) * math.comb(n, k)
         cosh_int = integrate(grid, bd.coshr * sk * bd.area_density)
         gap_int = integrate(grid, (bd.coshr - bd.u_tilde) * sk * bd.area_density)
         q1, _ = quad(

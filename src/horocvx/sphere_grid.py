@@ -3,12 +3,15 @@
 A Grid carries quadrature nodes and weights together with the antipodal
 involution and the maximal exactly-representable degree (band_limit).
 Scalar fields are plain value arrays in node order.  Differentiation is
-spectral: FFT on S^1, per-order associated Legendre transforms combined
-with an azimuthal FFT on S^2.  Gradients and Hessians are expressed in
-the orthonormal frame {d_theta, (1/sin theta) d_phi}; `derivatives`
-returns both from one analysis, and `gradient` / `hessian` are views of
-it.  `resolvent` applies (1 - mu Laplacian)^{-1}, diagonal in the same
-bases, and returns the result with its derivatives from one analysis.
+spectral: FFT on S^1; on S^2 an azimuthal FFT (one rfft per analysis,
+one irfft per synthesized field) and associated Legendre transforms held
+as one padded tensor P[m, node, l], zero for l < m, so that analysis and
+synthesis over all orders m are each one batched real matmul.  Gradients
+and Hessians are expressed in the orthonormal frame
+{d_theta, (1/sin theta) d_phi}; `derivatives` returns both from one
+analysis, and `gradient` / `hessian` are views of it.  `resolvent`
+applies (1 - mu Laplacian)^{-1}, diagonal in the same bases, and returns
+the result with its derivatives from one analysis.
 """
 
 from __future__ import annotations
@@ -136,15 +139,22 @@ def sphere_area(n: int) -> float:
     raise ValueError(f"n must be 1 or 2, got {n}")
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; ValueError unless it is an integer (numpy's too)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def make_grid(n: int, resolution) -> Grid:
     """Build the standard grid on S^n.
 
     For n=1, resolution is the even node count N >= 4.  For n=2 it is the
     polar count L >= 2; the azimuth count is fixed at M = 2 L and the band
-    limit at L - 1.
+    limit at L - 1.  A resolution that is not an integer is a ValueError.
     """
     if n == 1:
-        N = int(resolution)
+        N = _integer(resolution, "n=1 node count")
         if N <= 0 or N % 2 != 0 or N < 4:
             raise ValueError(f"n=1 grid needs an even node count >= 4, got {resolution}")
         theta = 2.0 * math.pi * np.arange(N) / N
@@ -155,7 +165,7 @@ def make_grid(n: int, resolution) -> Grid:
         g._cache["theta"] = theta
         return g
     if n == 2:
-        L = int(resolution)
+        L = _integer(resolution, "n=2 polar count")
         if L < 2:
             raise ValueError(f"n=2 grid needs a polar count >= 2, got {resolution}")
         from scipy.special import roots_legendre
@@ -233,10 +243,8 @@ def band_project(grid: Grid, values: np.ndarray) -> np.ndarray:
         c = np.fft.rfft(v)
         c[grid.resolution[0] // 2] = 0.0
         return np.fft.irfft(c, n=grid.size)
-    coeffs = _s2_analyze(grid, v)
-    P, _, _ = _s2_tables(grid)
-    profiles = [[P[m] @ coeffs[m] for m in range(grid.band_limit + 1)]]
-    return _s2_synth_many(grid, profiles)[0]
+    P = _s2_tables(grid)[0]
+    return _s2_synth_many(grid, [_real_matmul(P, _s2_analyze(grid, v))])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,60 +299,55 @@ def _legendre_columns(m: int, lmax: int, x: np.ndarray, s: np.ndarray) -> np.nda
     return out
 
 
-def _legendre_theta_derivative(
-    m: int, lmax: int, x: np.ndarray, s: np.ndarray, P: np.ndarray
-) -> np.ndarray:
-    """d/dtheta of the columns of P, via the degree-lowering recurrence."""
-    out = np.empty_like(P)
-    ls = np.arange(m, lmax + 1)
-    for idx, l in enumerate(ls):
-        if l == m:
-            out[:, idx] = l * x * P[:, idx] / s
-        else:
-            c = math.sqrt((2 * l + 1) * (l * l - m * m) / (2 * l - 1))
-            out[:, idx] = (l * x * P[:, idx] - c * P[:, idx - 1]) / s
-    return out
-
-
 def _s2_tables(grid: Grid):
-    """Per-order Legendre matrices at the grid's polar nodes, cached."""
+    """Legendre tables (P, dP, ll1) at the grid's polar nodes, cached.
+
+    P[m, j, l] is P_l^m at polar node j and dP[m, j, l] its theta
+    derivative, both of shape (B+1, L, B+1) and exactly zero for l < m;
+    ll1[l] = l (l + 1) for l = 0..B.
+    """
     tab = grid._cache.get("s2_tables")
     if tab is None:
-        x = grid._cache["x"]
-        s = grid._cache["s"]
-        B = grid.band_limit
-        P, dP, ll1 = [], [], []
+        x, s, B = grid._cache["x"], grid._cache["s"], grid.band_limit
+        P = np.zeros((B + 1, x.shape[0], B + 1))
         for m in range(B + 1):
-            Pm = _legendre_columns(m, B, x, s)
-            P.append(Pm)
-            dP.append(_legendre_theta_derivative(m, B, x, s, Pm))
-            ls = np.arange(m, B + 1, dtype=float)
-            ll1.append(ls * (ls + 1.0))
-        tab = (P, dP, ll1)
-        grid._cache["s2_tables"] = tab
+            P[m, :, m:] = _legendre_columns(m, B, x, s)
+        # d/dtheta by the degree-lowering recurrence; c(l, m) = 0 for l <= m.
+        l = np.arange(B + 1, dtype=float)
+        m = l[:, None]
+        c = np.sqrt(np.abs((2 * l + 1) * (l * l - m * m) / (2 * l - 1))) * (l > m)
+        P_lower = np.concatenate([np.zeros_like(P[:, :, :1]), P[:, :, :-1]], axis=2)
+        dP = (l * x[:, None] * P - c[:, None, :] * P_lower) / s[:, None]
+        P.flags.writeable = dP.flags.writeable = False
+        tab = grid._cache["s2_tables"] = (P, dP, l * (l + 1.0))
     return tab
 
 
-def _s2_analyze(grid: Grid, values: np.ndarray) -> list[np.ndarray]:
-    """Band-limited coefficients a_m[l] for m = 0..band_limit."""
+def _real_matmul(table: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """table @ z for real table and complex z: one real (batched) matmul
+    on the (re, im) view of z, with no complex copy of the table."""
+    z = np.ascontiguousarray(z)
+    return (table @ z.view(float).reshape(z.shape + (2,))).view(complex)[..., 0]
+
+
+def _s2_analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Band-limited coefficients a[m, l], shape (B+1, B+1), zero for l < m."""
     L, M = grid.resolution
-    P, _, _ = _s2_tables(grid)
-    wx = grid._cache["wx"]
+    P = _s2_tables(grid)[0]
     G = np.fft.rfft(np.asarray(values, dtype=float).reshape(L, M), axis=1) / M
-    return [
-        2.0 * math.pi * (P[m].T @ (wx * G[:, m])) for m in range(grid.band_limit + 1)
-    ]
+    w = (grid._cache["wx"][:, None] * G[:, : grid.band_limit + 1]).T
+    return 2.0 * math.pi * _real_matmul(P.transpose(0, 2, 1), w)
 
 
-def _s2_synth_many(grid: Grid, per_m_columns: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Synthesize several fields given their per-m polar profiles."""
+def _s2_synth_many(grid: Grid, profiles) -> list[np.ndarray]:
+    """One field per (B+1, L) polar profile table[m] @ a[m], one irfft each."""
     L, M = grid.resolution
-    nfields = len(per_m_columns)
-    Gs = [np.zeros((L, M // 2 + 1), dtype=complex) for _ in range(nfields)]
-    for m in range(grid.band_limit + 1):
-        for k in range(nfields):
-            Gs[k][:, m] = per_m_columns[k][m]
-    return [np.fft.irfft(G * M, n=M, axis=1).ravel() for G in Gs]
+    G = np.zeros((L, M // 2 + 1), dtype=complex)
+    out = []
+    for prof in profiles:
+        G[:, : grid.band_limit + 1] = prof.T
+        out.append(np.fft.irfft(G * M, n=M, axis=1).ravel())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +399,23 @@ def _spectral_pass(grid: Grid, values: np.ndarray, mu, first: bool, second: bool
         return v, g, H
     P, dP, ll1 = _s2_tables(grid)
     a = _s2_analyze(grid, values)
-    B = grid.band_limit
-    L, M = grid.resolution
+    M = grid.resolution[1]
     if mu is not None:
-        a = [a[m] / (1.0 + mu * ll1[m]) for m in range(B + 1)]
-    cols_v = [P[m] @ a[m] for m in range(B + 1)]
-    cols_vt = [dP[m] @ a[m] for m in range(B + 1)]
-    cols_fp = [(1j * m) * cols_v[m] for m in range(B + 1)]
+        a = a / (1.0 + mu * ll1)
+    # Polar profiles per order m; azimuthal derivatives are 1j m and -m m.
+    m = np.arange(grid.band_limit + 1)[:, None]
+    v_m = _real_matmul(P, a)
+    vt_m = _real_matmul(dP, a)
+    fp_m = (1j * m) * v_m
     if mu is not None:
-        (v,) = _s2_synth_many(grid, [cols_v])
+        (v,) = _s2_synth_many(grid, [v_m])
     if second:
-        cols_lap = [P[m] @ (ll1[m] * a[m]) for m in range(B + 1)]
-        cols_ftp = [(1j * m) * cols_vt[m] for m in range(B + 1)]
-        cols_fpp = [-(m * m) * cols_v[m] for m in range(B + 1)]
+        lap_m = _real_matmul(P, ll1 * a)
         vt, lap, fp, ftp, fpp = _s2_synth_many(
-            grid, [cols_vt, cols_lap, cols_fp, cols_ftp, cols_fpp]
+            grid, [vt_m, lap_m, fp_m, (1j * m) * vt_m, -(m * m) * v_m]
         )
     else:
-        vt, fp = _s2_synth_many(grid, [cols_vt, cols_fp])
+        vt, fp = _s2_synth_many(grid, [vt_m, fp_m])
     g = None
     if first:
         g = np.stack([vt, fp * np.repeat(1.0 / grid._cache["s"], M)], axis=1)
@@ -449,9 +451,7 @@ def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
         return _s1_synth(grid, c * _s1_derivative_multipliers(grid, 2))
     P, _, ll1 = _s2_tables(grid)
     a = _s2_analyze(grid, values)
-    cols = [P[m] @ (-ll1[m] * a[m]) for m in range(grid.band_limit + 1)]
-    (out,) = _s2_synth_many(grid, [cols])
-    return out
+    return _s2_synth_many(grid, [_real_matmul(P, -ll1 * a)])[0]
 
 
 def frame_vectors(grid: Grid) -> np.ndarray:
@@ -504,8 +504,7 @@ def resample(grid: Grid, values: np.ndarray, targets) -> np.ndarray:
     B = grid.band_limit
     out = np.zeros(pts.shape[0])
     for m in range(B + 1):
-        Pm = _legendre_columns(m, B, x, s)
-        contrib = Pm @ a[m]
+        contrib = _real_matmul(_legendre_columns(m, B, x, s), a[m, m:])
         if m == 0:
             out += contrib.real
         else:
@@ -532,8 +531,8 @@ def grid_from_json_dict(n: int, d: dict) -> Grid:
     if d["type"] == "gl_product":
         if n != 2:
             raise ValueError("gl_product grids live on S^2")
-        polar = int(d["polar"])
-        if int(d.get("azimuth", 2 * polar)) != 2 * polar:
+        polar = _integer(d["polar"], "polar count")
+        if _integer(d.get("azimuth", 2 * polar), "azimuth count") != 2 * polar:
             raise ValueError("gl_product grids require azimuth = 2 * polar")
         return make_grid(2, polar)
     raise ValueError(f"unknown grid type {d.get('type')!r}")
@@ -551,7 +550,7 @@ def field_to_json_dict(grid: Grid, values: np.ndarray, kind: str | None = None) 
 
 
 def field_from_json_dict(d: dict) -> tuple[Grid, np.ndarray, str | None]:
-    grid = grid_from_json_dict(int(d["n"]), d["grid"])
+    grid = grid_from_json_dict(_integer(d["n"], "n"), d["grid"])
     values = np.asarray(d["values"], dtype=float)
     if values.shape != (grid.size,):
         raise ValueError(

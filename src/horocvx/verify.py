@@ -28,8 +28,8 @@ from .quermass import (
     curvature_integral,
     k_mean_radius,
     modified_quermass,
+    p_normalized,
     p_tensor,
-    sigma_elementary,
     weighted_volume,
 )
 from .sphere_grid import Grid, integrate, make_grid, sphere_area
@@ -451,7 +451,7 @@ def _suite_weighted_af(corpus, tol, eq_tol):
             cosh_total = integrate(grid, bd.coshr * bd.area_density)
             weighted_sum = vw
             for k in range(n + 1):
-                sk = sigma_elementary(kappa, k)
+                sk = p_normalized(kappa, k) * math.comb(n, k)
                 weighted_sum += integrate(grid, bd.coshr * sk * bd.area_density) / (
                     k + 1
                 )

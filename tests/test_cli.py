@@ -12,7 +12,7 @@ import pytest
 
 import horocvx
 from horocvx.cli import main
-from horocvx.sphere_grid import load_field, make_grid, save_field
+from horocvx.sphere_grid import field_to_json_dict, load_field, make_grid, save_field
 
 MANIFEST_KEYS = {"command", "parameters", "inputs", "outputs", "seed", "version", "grid"}
 
@@ -336,6 +336,27 @@ def test_flow_config_errors(tmp_path):
     assert main(["flow", "--config", str(listed), "--out", str(tmp_path / "t.csv")]) == 2
 
 
+def test_non_integral_grid_sizes_in_files_exit_2(tmp_path):
+    grid = make_grid(1, 16)
+    good = field_to_json_dict(grid, np.full(grid.size, 2.0), kind="support")
+    s2 = make_grid(2, 8)
+    good_s2 = field_to_json_dict(s2, np.full(s2.size, 2.0), kind="support")
+    bad_docs = [
+        dict(good, grid={"type": "uniform_s1", "nodes": 16.5}),
+        dict(good, n=1.9),
+        dict(good_s2, grid={"type": "gl_product", "polar": 8.5, "azimuth": 16}),
+    ]
+    out = str(tmp_path / "o.json")
+    for i, doc in enumerate(bad_docs):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["quermass", "--K", str(path), "--out", out]) == 2
+    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": {"type": "uniform_s1", "nodes": 32.5}}
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+
+
 def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
     # safety was the explicit scheme's dt limiter; eps_stp is a typo.
     cfg = {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "safety": 0.05, "eps_stp": 1e-6}
@@ -362,12 +383,8 @@ def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_flow_outputs_are_identical_across_thread_counts(tmp_path):
-    # Steep data, so the run takes steps rather than stopping at the ball.
-    grid = make_grid(1, 64)
-    f_path = tmp_path / "f.json"
-    save_field(f_path, grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
-    cfg = {"n": 1, "k": 0, "p": 2.0, "f": str(f_path), "initial_radius": math.log(2.0)}
+def _flow_outputs_by_thread_count(tmp_path, cfg):
+    """Trace and terminal bytes of one CLI flow under HOROCVX_THREADS=1, 2."""
     (tmp_path / "flow.json").write_text(json.dumps(cfg))
     src = str(Path(horocvx.__file__).resolve().parents[1])
     outputs = []
@@ -383,6 +400,28 @@ def test_flow_outputs_are_identical_across_thread_counts(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(((tmp_path / trace).read_bytes(), (tmp_path / terminal).read_bytes()))
+    return outputs
+
+
+def test_flow_outputs_are_identical_across_thread_counts(tmp_path):
+    # Steep data, so the run takes steps rather than stopping at the ball.
+    grid = make_grid(1, 64)
+    f_path = tmp_path / "f.json"
+    save_field(f_path, grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
+    cfg = {"n": 1, "k": 0, "p": 2.0, "f": str(f_path), "initial_radius": math.log(2.0)}
+    outputs = _flow_outputs_by_thread_count(tmp_path, cfg)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) > 10
+
+
+def test_s2_flow_outputs_are_identical_across_thread_counts(tmp_path):
+    # The S^2 Legendre transforms are BLAS matrix products; an n=2 k=1
+    # flow must not depend on how many threads BLAS may use.
+    grid = make_grid(2, 16)
+    f_path = tmp_path / "f.json"
+    save_field(f_path, grid, 1.0 + 0.2 * grid.nodes[:, 2] ** 2)
+    cfg = {"n": 2, "k": 1, "p": 1.0, "f": str(f_path), "initial_radius": math.log(2.0)}
+    outputs = _flow_outputs_by_thread_count(tmp_path, cfg)
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0].splitlines()) > 10
 

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from horocvx.euclid_bridge import EuclideanSupport
 from horocvx.hconvex import SupportField
-from horocvx.problems import _validate_f
+from horocvx.problems import validate_f
 from horocvx.sphere_grid import ScalarField, make_grid
 
 CONSTRUCTORS = {
     "SupportField": SupportField,
     "ScalarField": ScalarField,
     "EuclideanSupport": EuclideanSupport,
-    "validate_f": lambda grid, values: _validate_f(values, grid),
+    "validate_f": lambda grid, values: validate_f(values, grid),
 }
 
 

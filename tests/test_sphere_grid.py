@@ -64,6 +64,23 @@ def test_make_grid_validation():
         make_grid(3, 8)
 
 
+def test_make_grid_rejects_non_integral_resolutions():
+    for n, res in ((1, 96.7), (1, 96.0), (2, 8.5), (2, "8"), (1, True)):
+        with pytest.raises(ValueError, match="integer"):
+            make_grid(n, res)
+    assert make_grid(1, np.int64(16)).resolution == (16,)
+    assert make_grid(2, np.int32(4)).resolution == (4, 8)
+    d = field_to_json_dict(S1, np.ones(S1.size))
+    for bad in (
+        dict(d, n=1.9),
+        dict(d, grid={"type": "uniform_s1", "nodes": 64.5}),
+        dict(d, n=2, grid={"type": "gl_product", "polar": 8.5, "azimuth": 16}),
+        dict(d, n=2, grid={"type": "gl_product", "polar": 8, "azimuth": 16.0}),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            field_from_json_dict(bad)
+
+
 def test_grid_shapes():
     assert S1.size == 64
     assert S1.band_limit == 31
@@ -179,10 +196,10 @@ def _two_pass_gradient(grid, values):
         return sphere_grid._s1_synth(grid, c * mult)[:, None]
     P, dP, _ = sphere_grid._s2_tables(grid)
     a = sphere_grid._s2_analyze(grid, values)
-    B = grid.band_limit
-    cols_ft = [dP[m] @ a[m] for m in range(B + 1)]
-    cols_fp = [(1j * m) * (P[m] @ a[m]) for m in range(B + 1)]
-    ft, fp = sphere_grid._s2_synth_many(grid, [cols_ft, cols_fp])
+    m = np.arange(grid.band_limit + 1)[:, None]
+    ft_m = sphere_grid._real_matmul(dP, a)
+    fp_m = (1j * m) * sphere_grid._real_matmul(P, a)
+    ft, fp = sphere_grid._s2_synth_many(grid, [ft_m, fp_m])
     inv_s = np.repeat(1.0 / grid.s, grid.resolution[1])
     return np.stack([ft, fp * inv_s], axis=1)
 
@@ -195,16 +212,13 @@ def _two_pass_hessian(grid, values):
         return sphere_grid._s1_synth(grid, c * mult)[:, None, None]
     P, dP, ll1 = sphere_grid._s2_tables(grid)
     a = sphere_grid._s2_analyze(grid, values)
-    B = grid.band_limit
+    m = np.arange(grid.band_limit + 1)[:, None]
     M = grid.resolution[1]
-    cols_v = [P[m] @ a[m] for m in range(B + 1)]
-    cols_vt = [dP[m] @ a[m] for m in range(B + 1)]
-    cols_lap = [P[m] @ (ll1[m] * a[m]) for m in range(B + 1)]
-    cols_fp = [(1j * m) * cols_v[m] for m in range(B + 1)]
-    cols_ftp = [(1j * m) * cols_vt[m] for m in range(B + 1)]
-    cols_fpp = [-(m * m) * cols_v[m] for m in range(B + 1)]
+    v_m = sphere_grid._real_matmul(P, a)
+    vt_m = sphere_grid._real_matmul(dP, a)
+    lap_m = sphere_grid._real_matmul(P, ll1 * a)
     vt, lap, fp, ftp, fpp = sphere_grid._s2_synth_many(
-        grid, [cols_vt, cols_lap, cols_fp, cols_ftp, cols_fpp]
+        grid, [vt_m, lap_m, (1j * m) * v_m, (1j * m) * vt_m, -(m * m) * v_m]
     )
     s = np.repeat(grid.s, M)
     x = np.repeat(grid.x, M)
@@ -228,6 +242,47 @@ def test_fused_derivatives_match_two_passes_bitwise(n, resolution):
     assert np.array_equal(hessian(grid, f), H)
     assert derivatives(grid, f, second=False)[1] is None
     assert derivatives(grid, f, first=False)[0] is None
+
+
+def _per_order_tables(grid):
+    """Ragged per-order tables P[m], dP[m] of shape (L, B-m+1), built with
+    the degree-lowering recurrence one column at a time."""
+    x, s, B = grid.x, grid.s, grid.band_limit
+    P, dP = [], []
+    for m in range(B + 1):
+        Pm = sphere_grid._legendre_columns(m, B, x, s)
+        dPm = np.empty_like(Pm)
+        for idx, l in enumerate(range(m, B + 1)):
+            if l == m:
+                dPm[:, idx] = l * x * Pm[:, idx] / s
+            else:
+                c = math.sqrt((2 * l + 1) * (l * l - m * m) / (2 * l - 1))
+                dPm[:, idx] = (l * x * Pm[:, idx] - c * Pm[:, idx - 1]) / s
+        P.append(Pm)
+        dP.append(dPm)
+    return P, dP
+
+
+@pytest.mark.parametrize("L", [2, 3, 8, 16, 64])
+def test_padded_legendre_tables_match_the_per_order_recurrence(L):
+    grid = make_grid(2, L)
+    P, dP, ll1 = sphere_grid._s2_tables(grid)
+    B = grid.band_limit
+    assert P.shape == dP.shape == (B + 1, L, B + 1)
+    assert not P.flags.writeable and not dP.flags.writeable
+    l = np.arange(B + 1)
+    assert np.array_equal(ll1, l * (l + 1.0))
+    P_ref, dP_ref = _per_order_tables(grid)
+    for m in range(B + 1):
+        assert np.array_equal(P[m, :, m:], P_ref[m])
+        assert np.array_equal(dP[m, :, m:], dP_ref[m])
+        assert not P[m, :, :m].any() and not dP[m, :, :m].any()
+    # Discrete orthonormality: 2 pi sum_j wx_j P[m, j, l] P[m, j, l'] = delta.
+    gram = 2.0 * math.pi * np.einsum("j,mjl,mjk->mlk", grid.wx, P, P)
+    want = np.zeros_like(gram)
+    for m in range(B + 1):
+        want[m, m:, m:] = np.eye(B + 1 - m)
+    assert np.max(np.abs(gram - want)) < 1e-13
 
 
 def test_fused_derivatives_do_one_analysis(fft_counts):
