@@ -7,8 +7,8 @@ measures, curvature-equation residuals, normalized curvature flows,
 and the Euclidean projection bridge, plus inequality verification
 suites over deterministic corpora.
 
-scipy (quadrature, root finding, the S^2 grid's Gauss-Legendre nodes)
-is imported inside the functions that call it, so importing the package
+scipy is used only for the S^2 grid's Gauss-Legendre nodes, and is
+imported inside the function that builds them, so importing the package
 and the CLI loads numpy only.
 """
 

@@ -41,6 +41,7 @@ from .quermass import (
 from .sphere_grid import (
     Grid,
     ScalarField,
+    as_integer,
     field_from_json_dict,
     field_to_json_dict,
     grid_from_json_dict,
@@ -411,11 +412,13 @@ def _cmd_flow(args) -> int:
         raise UsageError(f"unknown flow config key(s): {', '.join(unknown)}")
     inputs = [args.config]
     try:
-        n = int(cfg["n"])
-        k = int(cfg["k"])
+        n = as_integer(cfg["n"], "flow config n")
+        k = as_integer(cfg["k"], "flow config k")
         p = float(cfg["p"])
     except KeyError as exc:
         raise UsageError(f"flow config missing key {exc}") from None
+    except ValueError as exc:
+        raise UsageError(f"bad flow config {args.config}: {exc}") from None
     f_field = None
     if cfg.get("f") is not None:
         f_field = _resolve_field_entry(cfg["f"], inputs)

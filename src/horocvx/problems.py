@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hconvex import SupportField, a_eigenvalues, plus_identity
-from .quermass import p_tensor
+from .quermass import bracketed_newton, p_tensor
 from .sphere_grid import Grid, derivatives, frame_vectors, gradient, integrate
 
 __all__ = [
@@ -152,20 +152,13 @@ def _zeta_log_derivative(c: float, n: int, k: int, p: float) -> float:
     return -(p + k) / c + (n - k) * (1.0 + 1.0 / (c * c)) / (c - 1.0 / c)
 
 
-def _polish_root(c: float, n: int, k: int, p: float, gamma: float) -> float:
-    for _ in range(3):
-        val = _zeta(c, n, k, p)
-        d = val * _zeta_log_derivative(c, n, k, p)
-        if d != 0.0:
-            c -= (val - gamma) / d
-    return c
-
-
 def _bracketed_root(lo: float, hi: float, n: int, k: int, p: float, gamma: float) -> float:
-    from scipy.optimize import brentq
-
-    c = brentq(lambda c: _zeta(c, n, k, p) - gamma, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return _polish_root(c, n, k, p, gamma)
+    return bracketed_newton(
+        lambda c: _zeta(c, n, k, p) - gamma,
+        lambda c: _zeta(c, n, k, p) * _zeta_log_derivative(c, n, k, p),
+        lo,
+        hi,
+    )
 
 
 def ball_solutions(n: int, k: int, p: float, gamma: float) -> BallSolutionReport:

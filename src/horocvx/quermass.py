@@ -8,26 +8,36 @@ degree at most 4, and the t-integral is exact: a sum of P's coefficients
 times the moments int_0^1 t^j (1 + d t)^{-(n+1)} dt, which have a closed
 form in log1p(d) away from d = 0 and a binomial series near it.  One
 gradient and Hessian and one compensated sum give W_k; for k = n it is
-(1/n) int (1 - phi^{-n}) dsigma.  I_k(r) is the k-th quermass of the
-centered ball of radius r.
+(1/n) int (1 - phi^{-n}) dsigma.
+
+On balls and Steiner parallels every quantity reduces to
+int_0^rho e^{at} sinh(t)^b dt with small integers a, b
+(`exp_sinh_integral`): I_k(r), the k-th quermass of the centered ball of
+radius r, the Steiner coefficients and the weighted Steiner
+coefficients.  I_k's inverse is elementary for k = n and for n = 1,
+k = 0, and otherwise a bracketed Newton root (`bracketed_newton`), so
+nothing here loads scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hconvex import SupportField, boundary_data, plus_identity
-from .sphere_grid import Grid, integrate, sphere_area
+from .sphere_grid import Grid, as_integer, integrate, sphere_area
 
 __all__ = [
     "QuermassReport",
     "SteinerReport",
     "WeightedSteinerReport",
     "MinkowskiResiduals",
+    "exp_sinh_integral",
+    "bracketed_newton",
     "I_k",
     "I_k_inverse",
     "curvature_integral",
@@ -47,7 +57,12 @@ __all__ = [
 MOMENT_SERIES_SWITCH = 0.5
 MOMENT_SERIES_TERMS = 74
 CONSTANT_FIELD_TOL = 1e-13
-QUAD_KW = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+# Below rho = 1 the binomial sum of exp_sinh_integral cancels (its terms
+# are O(rho), the integral O(rho^{b+1})) and a positive series takes over.
+EXP_SINH_SERIES_SWITCH = 1.0
+# bracketed_newton stops once a step moves the iterate by at most 4 ulp.
+NEWTON_RTOL = 4.0 * np.finfo(float).eps
+NEWTON_MAX_ITER = 200
 
 
 @dataclass
@@ -116,24 +131,131 @@ def p_tensor(A: np.ndarray, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# scalar kernels: exp-sinh integrals and a bracketed Newton root
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_sinh_series(a: int, b: int) -> tuple[float, ...]:
+    """Coefficients q_N, N = b, b+1, ..., highest N first, of
+    int_0^rho e^{at} sinh(t)^b dt = e^{min(a, 0) rho} sum_N q_N rho^{N+1}, b >= 1.
+
+    num_m = sum_j C(b, j) (-1)^j (b - 2j)^m = 2^b m! [t^m] sinh(t)^b is a
+    nonnegative integer.  For a >= 0, integrating the Taylor series of
+    e^{at} sinh(t)^b term by term gives
+    q_N = sum_m C(N, m) a^{N-m} num_m / (2^b (N+1)!);
+    for a < 0, the integral is e^{a rho} int_0^rho e^{|a| (rho-t)} sinh(t)^b dt
+    and its beta integrals give q_N = sum_m |a|^{N-m} num_m / (2^b (N+1)!).
+    Every q_N >= 0, so the series does not cancel.  Each q_N is an integer
+    ratio rounded once; terms are kept until one at the switch falls below
+    2^-60 of the sum and below half the term before it.
+    """
+    alpha = abs(a)
+    num: list[int] = []
+    coeffs: list[float] = []
+    total = 0.0
+    last = math.inf
+    for N in itertools.count(b):
+        while len(num) <= N:
+            m = len(num)
+            num.append(sum(math.comb(b, j) * (-1) ** j * (b - 2 * j) ** m for j in range(b + 1)))
+        q = sum(
+            (math.comb(N, m) if a >= 0 else 1) * alpha ** (N - m) * num[m] for m in range(b, N + 1)
+        )
+        coeffs.append(q / (2**b * math.factorial(N + 1)))
+        term = coeffs[-1] * EXP_SINH_SERIES_SWITCH ** (N + 1)
+        total += term
+        if term > 0.0:
+            if term < 2.0**-60 * total and term < 0.5 * last:
+                return tuple(reversed(coeffs))
+            last = term
+
+
+def exp_sinh_integral(a: int, b: int, rho: float) -> float:
+    """int_0^rho e^{at} sinh(t)^b dt for integers a and b >= 0, rho >= 0.
+
+    From rho = EXP_SINH_SERIES_SWITCH on, and for b = 0 at every rho, the
+    binomial expansion sinh^b = 2^{-b} sum_j C(b, j) (-1)^j e^{(b-2j)t}
+    gives 2^{-b} sum_j C(b, j) (-1)^j expm1(c_j rho) / c_j with
+    c_j = a + b - 2j (rho where c_j = 0), summed exactly.  Below the
+    switch that sum cancels, and the positive series of `_exp_sinh_series`
+    is used.  inf where the value overflows.
+    """
+    a = as_integer(a, "exponent a")
+    b = as_integer(b, "sinh power b")
+    if b < 0:
+        raise ValueError(f"sinh power b must be nonnegative, got {b}")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"upper limit must be finite and nonnegative, got {rho}")
+    if b > 0 and rho < EXP_SINH_SERIES_SWITCH:
+        acc = 0.0
+        for q in _exp_sinh_series(a, b):
+            acc = acc * rho + q
+        value = acc * rho ** (b + 1)
+        return value * math.exp(a * rho) if a < 0 else value
+    terms = []
+    try:
+        for j in range(b + 1):
+            c = a + b - 2 * j
+            t = rho if c == 0 else math.expm1(c * rho) / c
+            terms.append((-1) ** j * math.comb(b, j) * t)
+    except OverflowError:
+        return math.inf
+    return math.fsum(terms) / 2**b
+
+
+def bracketed_newton(f, fprime, lo: float, hi: float, x: float | None = None) -> float:
+    """Root of f between lo and hi, where f changes sign, from x (default
+    the midpoint).
+
+    Newton steps on a bracket that shrinks to each iterate; a step that
+    would leave the bracket, or is not below half the previous step, is
+    replaced by bisection.  Returns after a Newton step of at most
+    NEWTON_RTOL relative, or the midpoint once the bracket is that narrow.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError(f"f does not change sign on [{lo}, {hi}]")
+    if x is None or not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    dx_old = hi - lo
+    for _ in range(NEWTON_MAX_ITER):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= NEWTON_RTOL * abs(x):
+            return 0.5 * (lo + hi)
+        d = fprime(x)
+        step = fx / d if d != 0.0 else math.inf
+        if abs(step) <= NEWTON_RTOL * abs(x):
+            return x - step
+        x_new = x - step
+        if not (lo < x_new < hi and abs(step) < 0.5 * abs(dx_old)):
+            x_new = 0.5 * (lo + hi)
+        dx_old = x_new - x
+        x = x_new
+    raise RuntimeError(f"no root to {NEWTON_RTOL:.1e} in {NEWTON_MAX_ITER} steps on [{lo}, {hi}]")
+
+
+# ---------------------------------------------------------------------------
 # ball quermass I_k and its inverse
 
 
 def I_k(n: int, k: int, r: float) -> float:
-    """Modified k-quermass of the centered geodesic ball of radius r."""
+    """Modified k-quermass of the centered geodesic ball of radius r,
+    omega_n int_0^r sinh(t)^{n-k} e^{-kt} dt."""
     if n not in (1, 2) or not 0 <= k <= n:
         raise ValueError(f"invalid (n, k) = ({n}, {k})")
     if r < 0.0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    omega = sphere_area(n)
-    if k == n:
-        return (omega / n) * -math.expm1(-n * r)
-    if r == 0.0:
-        return 0.0
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda t: math.sinh(t) ** (n - k) * math.exp(-k * t), 0.0, r, **QUAD_KW)
-    return omega * val
+    return sphere_area(n) * exp_sinh_integral(-k, n - k, r)
 
 
 def _I_k_derivative(n: int, k: int, r: float) -> float:
@@ -141,7 +263,7 @@ def _I_k_derivative(n: int, k: int, r: float) -> float:
 
 
 def I_k_inverse(n: int, k: int, w: float) -> float:
-    """Radius r with I_k(n, k, r) = w, to 1e-12."""
+    """Radius r with I_k(n, k, r) = w, to a few ulp."""
     if w < 0.0:
         raise ValueError(f"quermass value must be nonnegative, got {w}")
     if w == 0.0:
@@ -151,19 +273,22 @@ def I_k_inverse(n: int, k: int, w: float) -> float:
         if w >= omega / n:
             raise ValueError(f"I_n is bounded by {omega / n}, got {w}")
         return -math.log1p(-n * w / omega) / n
+    if (n, k) == (1, 0):  # I_0 = 4 pi sinh(r/2)^2
+        return 2.0 * math.asinh(math.sqrt(w / (2.0 * omega)))
     r_hi = 1.0
     while I_k(n, k, r_hi) < w:
         r_hi *= 2.0
         if r_hi > 512.0:
             raise ValueError(f"no radius found for quermass value {w}")
-    from scipy.optimize import brentq
-
-    r = brentq(lambda t: I_k(n, k, t) - w, 0.0, r_hi, xtol=1e-15, rtol=8.9e-16)
-    for _ in range(2):
-        d = _I_k_derivative(n, k, r)
-        if d > 0.0:
-            r -= (I_k(n, k, r) - w) / d
-    return float(r)
+    # I_k ~ omega r^{m+1} / (m+1) near r = 0, m = n - k.
+    m = n - k
+    return bracketed_newton(
+        lambda t: I_k(n, k, t) - w,
+        lambda t: _I_k_derivative(n, k, t),
+        0.0,
+        r_hi,
+        ((m + 1) * w / omega) ** (1.0 / (m + 1)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +420,6 @@ def steiner_check(K: SupportField, rho: float) -> SteinerReport:
     """
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    from scipy.integrate import quad
-
     grid = K.grid
     n = grid.n
     bd = boundary_data(K)
@@ -310,12 +433,7 @@ def steiner_check(K: SupportField, rho: float) -> SteinerReport:
     for k in range(n + 1):
         rhs = 0.0
         for i in range(k, n + 1):
-            t_int, _ = quad(
-                lambda t, i=i: math.exp((n - k - i) * t) * math.sinh(t) ** (i - k),
-                0.0,
-                rho,
-                **QUAD_KW,
-            )
+            t_int = exp_sinh_integral(n - k - i, i - k, rho)
             rhs += math.comb(n - k, i - k) * CI[i] * t_int
         lhs = W_rho[k] - W[k]
         residuals.append(lhs - rhs)
@@ -324,11 +442,10 @@ def steiner_check(K: SupportField, rho: float) -> SteinerReport:
     for i in range(n + 1):
         sigma_i = p_normalized(kappa, i) * math.comb(n, i)
         si = integrate(grid, sigma_i * bd.area_density)
-        t_int, _ = quad(
-            lambda t, i=i: math.cosh(t) ** (n - i) * math.sinh(t) ** i,
-            0.0,
-            rho,
-            **QUAD_KW,
+        # int cosh^{n-i} sinh^i, with cosh = sinh + e^{-t} expanded.
+        t_int = sum(
+            math.comb(n - i, j) * exp_sinh_integral(i + j - n, i + j, rho)
+            for j in range(n - i + 1)
         )
         rhs_classical += si * t_int
     classical_residual = (W_rho[0] - W[0]) - rhs_classical
@@ -340,8 +457,6 @@ def weighted_steiner_check(K: SupportField, rho: float) -> WeightedSteinerReport
     """Residuals of both weighted Steiner forms under rho-enlargement."""
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    from scipy.integrate import quad
-
     grid = K.grid
     n = grid.n
     bd = boundary_data(K)
@@ -354,18 +469,8 @@ def weighted_steiner_check(K: SupportField, rho: float) -> WeightedSteinerReport
         sk = p_normalized(kappa_tilde, k) * math.comb(n, k)
         cosh_int = integrate(grid, bd.coshr * sk * bd.area_density)
         gap_int = integrate(grid, (bd.coshr - bd.u_tilde) * sk * bd.area_density)
-        q1, _ = quad(
-            lambda t, k=k: math.exp((n - k + 1) * t) * math.sinh(t) ** k,
-            0.0,
-            rho,
-            **QUAD_KW,
-        )
-        q2, _ = quad(
-            lambda t, k=k: math.exp((n - k) * t) * math.sinh(t) ** (k + 1),
-            0.0,
-            rho,
-            **QUAD_KW,
-        )
+        q1 = exp_sinh_integral(n - k + 1, k, rho)
+        q2 = exp_sinh_integral(n - k, k + 1, rho)
         form1 += cosh_int * q1 - gap_int * q2
         form2 += (
             gap_int

@@ -26,6 +26,7 @@ __all__ = [
     "Grid",
     "ScalarField",
     "make_grid",
+    "as_integer",
     "sphere_area",
     "integrate",
     "derivatives",
@@ -139,7 +140,7 @@ def sphere_area(n: int) -> float:
     raise ValueError(f"n must be 1 or 2, got {n}")
 
 
-def _integer(value, what: str) -> int:
+def as_integer(value, what: str) -> int:
     """value as an int; ValueError unless it is an integer (numpy's too)."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
@@ -154,7 +155,7 @@ def make_grid(n: int, resolution) -> Grid:
     limit at L - 1.  A resolution that is not an integer is a ValueError.
     """
     if n == 1:
-        N = _integer(resolution, "n=1 node count")
+        N = as_integer(resolution, "n=1 node count")
         if N <= 0 or N % 2 != 0 or N < 4:
             raise ValueError(f"n=1 grid needs an even node count >= 4, got {resolution}")
         theta = 2.0 * math.pi * np.arange(N) / N
@@ -165,7 +166,7 @@ def make_grid(n: int, resolution) -> Grid:
         g._cache["theta"] = theta
         return g
     if n == 2:
-        L = _integer(resolution, "n=2 polar count")
+        L = as_integer(resolution, "n=2 polar count")
         if L < 2:
             raise ValueError(f"n=2 grid needs a polar count >= 2, got {resolution}")
         from scipy.special import roots_legendre
@@ -531,8 +532,8 @@ def grid_from_json_dict(n: int, d: dict) -> Grid:
     if d["type"] == "gl_product":
         if n != 2:
             raise ValueError("gl_product grids live on S^2")
-        polar = _integer(d["polar"], "polar count")
-        if _integer(d.get("azimuth", 2 * polar), "azimuth count") != 2 * polar:
+        polar = as_integer(d["polar"], "polar count")
+        if as_integer(d.get("azimuth", 2 * polar), "azimuth count") != 2 * polar:
             raise ValueError("gl_product grids require azimuth = 2 * polar")
         return make_grid(2, polar)
     raise ValueError(f"unknown grid type {d.get('type')!r}")
@@ -550,7 +551,7 @@ def field_to_json_dict(grid: Grid, values: np.ndarray, kind: str | None = None) 
 
 
 def field_from_json_dict(d: dict) -> tuple[Grid, np.ndarray, str | None]:
-    grid = grid_from_json_dict(_integer(d["n"], "n"), d["grid"])
+    grid = grid_from_json_dict(as_integer(d["n"], "n"), d["grid"])
     values = np.asarray(d["values"], dtype=float)
     if values.shape != (grid.size,):
         raise ValueError(

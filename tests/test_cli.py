@@ -115,6 +115,13 @@ for name, radius in (("K.json", "0.4"), ("L.json", "0.9")):
 assert main(["psum", "--a", "0.7", "--K", "K.json", "--p", "1.5", "--b", "0.6",
              "--L", "L.json", "--out", "sum.json"]) == 0
 assert main(["mkfield", "--grid", "s1:64", "--random", "--seed", "3", "--out", "R.json"]) == 0
+for name in ("sum", "R"):
+    assert main(["quermass", "--K", name + ".json", "--out", "w" + name + ".json"]) == 0
+for kind in ("shifted", "weighted", "classical"):
+    assert main(["steiner", "--K", "R.json", "--rho", "0.3", "--kind", kind,
+                 "--out", kind + ".json"]) == 0
+assert main(["ballsolve", "--n", "2", "--k", "0", "--p", "4", "--gamma", "0.02",
+             "--out", "balls.json"]) == 0  # two bracketed roots
 with open("flow.json", "w") as fh:
     json.dump({"n": 1, "k": 0, "p": 2.0, "initial": "R.json", "max_steps": 5}, fh)
 assert main(["flow", "--config", "flow.json", "--out", "trace.csv"]) == 1  # max-steps
@@ -123,8 +130,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_import_and_scipy_free_commands_load_no_scipy(tmp_path):
-    # scipy is imported where a quadrature, root or Legendre node is needed;
-    # an S^1 flow needs none.
+    # scipy is imported only for the S^2 grid's Gauss-Legendre nodes; no
+    # command on an S^1 field, and no ball solve, needs it.
     src = str(Path(horocvx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -351,10 +358,19 @@ def test_non_integral_grid_sizes_in_files_exit_2(tmp_path):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(doc))
         assert main(["quermass", "--K", str(path), "--out", out]) == 2
-    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": {"type": "uniform_s1", "nodes": 32.5}}
+    bad_cfgs = [
+        {"n": 1, "k": 0, "p": 0.0, "grid": {"type": "uniform_s1", "nodes": 32.5}},
+        # int() would run these as n=1, k=0.
+        {"n": 1.9, "k": 0.7, "p": 2.0, "grid": "s1:32", "max_steps": 3},
+        {"n": 1, "k": 0.7, "p": 2.0, "grid": "s1:32", "max_steps": 3},
+        {"n": True, "k": 0, "p": 2.0, "grid": "s1:32", "max_steps": 3},
+    ]
     path = tmp_path / "flow.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+    trace = tmp_path / "t.csv"
+    for cfg in bad_cfgs:
+        path.write_text(json.dumps(cfg))
+        assert main(["flow", "--config", str(path), "--out", str(trace)]) == 2
+        assert not trace.exists()
 
 
 def test_flow_config_rejects_unknown_keys(tmp_path, capsys):

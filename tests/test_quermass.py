@@ -18,9 +18,12 @@ from horocvx.hconvex import (
 )
 from horocvx.lorentz import boost, origin
 from horocvx.quermass import (
+    EXP_SINH_SERIES_SWITCH,
     MOMENT_SERIES_SWITCH,
     I_k,
     I_k_inverse,
+    bracketed_newton,
+    exp_sinh_integral,
     S_functional,
     curvature_integral,
     k_mean_radius,
@@ -31,7 +34,7 @@ from horocvx.quermass import (
     weighted_volume,
     wk_value,
 )
-from horocvx.quermass import _t_moments, p_tensor
+from horocvx.quermass import _I_k_derivative, _t_moments, p_tensor
 from horocvx.sphere_grid import gradient, hessian, integrate, make_grid, sphere_area
 from horocvx.verify import random_h_convex_fields
 
@@ -90,13 +93,62 @@ def test_I_k_edge_cases():
 def test_I_k_inverse_roundtrip():
     for n in (1, 2):
         for k in range(n + 1):
-            for r in (0.2, 0.7, 1.5):
-                assert abs(I_k_inverse(n, k, I_k(n, k, r)) - r) < 1e-12
+            for r in (1e-6, 1e-3, 0.2, 0.7, 1.5, 10.0):
+                w = I_k(n, k, r)
+                # I_n saturates, so r is ill-conditioned in w there.
+                cond = max(1.0, w / (r * _I_k_derivative(n, k, r)))
+                assert abs(I_k_inverse(n, k, w) - r) <= 1e-14 * r * cond, (n, k, r)
     assert I_k_inverse(2, 1, 0.0) == 0.0
     with pytest.raises(ValueError):
         I_k_inverse(1, 1, 2.0 * math.pi)  # I_1 < 2 pi is strict
     with pytest.raises(ValueError):
         I_k_inverse(1, 0, -1.0)
+
+
+EXP_SINH_RHOS = (
+    1e-8,
+    1e-4,
+    0.01,
+    0.5,
+    math.nextafter(EXP_SINH_SERIES_SWITCH, 0.0),
+    EXP_SINH_SERIES_SWITCH,
+    math.nextafter(EXP_SINH_SERIES_SWITCH, 2.0),
+    2.0,
+    5.0,
+    20.0,
+)
+
+
+@pytest.mark.parametrize("b", range(4))
+def test_exp_sinh_integral_matches_mpmath(b):
+    with mpmath.workdps(40):
+        for a in range(-3, 4):
+            for rho in EXP_SINH_RHOS:
+                want = mpmath.quad(lambda t: mpmath.exp(a * t) * mpmath.sinh(t) ** b, [0, rho])
+                got = exp_sinh_integral(a, b, rho)
+                assert abs(mpmath.mpf(got) / want - 1) <= 2e-14, (a, b, rho, got)
+
+
+def test_exp_sinh_integral_edges():
+    assert exp_sinh_integral(-2, 3, 0.0) == 0.0
+    assert exp_sinh_integral(0, 0, 0.3) == 0.3
+    assert exp_sinh_integral(3, 3, 300.0) == math.inf
+    for a, b, rho in ((0, -1, 0.5), (1.5, 1, 0.5), (0, 1, -0.1), (0, 1, math.nan), (0, 1, math.inf)):
+        with pytest.raises(ValueError):
+            exp_sinh_integral(a, b, rho)
+
+
+def test_bracketed_newton_falls_back_to_bisection():
+    # Newton on atan diverges from x = 20; an f' that vanishes gives no step.
+    root = bracketed_newton(
+        lambda x: math.atan(x - 1.0), lambda x: 1.0 / (1.0 + (x - 1.0) ** 2), -10.0, 30.0, 20.0
+    )
+    assert abs(root - 1.0) <= 1e-15
+    root = bracketed_newton(lambda x: x**3 - 2.0, lambda x: 0.0, 0.0, 2.0)
+    assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-15
+    assert bracketed_newton(lambda x: x - 0.5, lambda x: 1.0, 0.5, 1.0) == 0.5
+    with pytest.raises(ValueError):
+        bracketed_newton(lambda x: x * x + 1.0, lambda x: 2.0 * x, -1.0, 1.0)
 
 
 @given(r=st.floats(min_value=0.01, max_value=3.0))
