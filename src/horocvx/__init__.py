@@ -7,9 +7,9 @@ measures, curvature-equation residuals, normalized curvature flows,
 and the Euclidean projection bridge, plus inequality verification
 suites over deterministic corpora.
 
-scipy is used only for the S^2 grid's Gauss-Legendre nodes, and is
-imported inside the function that builds them, so importing the package
-and the CLI loads numpy only.
+The only dependency is numpy.  The S^2 grid's Gauss-Legendre rule is
+Newton's method on the Legendre recurrence (`sphere_grid.gauss_legendre`),
+and the ball quermassintegrals are closed forms, so no module loads scipy.
 """
 
 import os as _os

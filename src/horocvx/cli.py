@@ -55,6 +55,18 @@ class UsageError(Exception):
     pass
 
 
+def _as_real(value, what: str) -> float:
+    """value as a float; ValueError unless it is a finite number (not a
+    bool, not a string)."""
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    ):
+        return float(value)
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
 def _parse_grid(spec: str) -> Grid:
     try:
         kind, _, rest = spec.partition(":")
@@ -414,7 +426,20 @@ def _cmd_flow(args) -> int:
     try:
         n = as_integer(cfg["n"], "flow config n")
         k = as_integer(cfg["k"], "flow config k")
-        p = float(cfg["p"])
+        p = _as_real(cfg["p"], "flow config p")
+        max_dt = _as_real(cfg.get("max_dt", 0.05), "flow config max_dt")
+        eps_stop = _as_real(cfg.get("eps_stop", 1e-6), "flow config eps_stop")
+        r0 = _as_real(cfg.get("initial_radius", math.log(2.0)), "flow config initial_radius")
+        dt_initial = cfg.get("dt_initial")
+        if dt_initial is not None:
+            dt_initial = _as_real(dt_initial, "flow config dt_initial")
+        max_steps = as_integer(cfg.get("max_steps", 200000), "flow config max_steps")
+        trace_every = as_integer(cfg.get("trace_every", 1), "flow config trace_every")
+        enforce_even = cfg.get("enforce_even")
+        if not isinstance(enforce_even, (bool, type(None))):
+            raise ValueError(
+                f"flow config enforce_even must be true, false or null, got {enforce_even!r}"
+            )
     except KeyError as exc:
         raise UsageError(f"flow config missing key {exc}") from None
     except ValueError as exc:
@@ -437,20 +462,19 @@ def _cmd_flow(args) -> int:
             grid = f_field.grid
         else:
             raise UsageError("flow config needs 'initial', 'grid', or 'f'")
-        r0 = float(cfg.get("initial_radius", math.log(2.0)))
         phi0 = support_of_ball(grid, origin(grid.n), r0)
     config = FlowConfig(
         n=n,
         k=k,
         p=p,
         f=f_field.values if f_field is not None else None,
-        dt_initial=None if cfg.get("dt_initial") is None else float(cfg["dt_initial"]),
-        max_dt=float(cfg.get("max_dt", 0.05)),
-        eps_stop=float(cfg.get("eps_stop", 1e-6)),
-        max_steps=int(cfg.get("max_steps", 200000)),
-        enforce_even=cfg.get("enforce_even"),
+        dt_initial=dt_initial,
+        max_dt=max_dt,
+        eps_stop=eps_stop,
+        max_steps=max_steps,
+        enforce_even=enforce_even,
         assumption_mode=cfg.get("assumption_mode", "strict"),
-        trace_every=int(cfg.get("trace_every", 1)),
+        trace_every=trace_every,
     )
     result = run_flow(config, phi0)
     outputs = []

@@ -12,10 +12,15 @@ and Hessians are expressed in the orthonormal frame
 analysis, and `gradient` / `hessian` are views of it.  `resolvent`
 applies (1 - mu Laplacian)^{-1}, diagonal in the same bases, and returns
 the result with its derivatives from one analysis.
+
+Grids are built once per (n, resolution) and shared: `make_grid` returns
+the same read-only Grid for equal arguments, so its node tables,
+Legendre tensor and frame are computed once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,6 +31,7 @@ __all__ = [
     "Grid",
     "ScalarField",
     "make_grid",
+    "gauss_legendre",
     "as_integer",
     "sphere_area",
     "integrate",
@@ -50,13 +56,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid:
     """Quadrature grid on S^n, n in {1, 2}.
 
     n=1: resolution (N,), nodes theta_j = 2 pi j / N, weights 2 pi / N.
     n=2: resolution (L, M) with M = 2 L; Gauss-Legendre in cos(polar)
     times uniform azimuth, node order row-major polar-major.
+    Build grids with `make_grid`; their arrays are read-only.
     """
 
     n: int
@@ -74,9 +81,7 @@ class Grid:
     def _table(self, name: str) -> np.ndarray:
         if name not in self._cache:
             raise AttributeError(f"{name} is a node table of S^2 grids only")
-        view = self._cache[name].view()
-        view.flags.writeable = False
-        return view
+        return self._cache[name]
 
     @property
     def theta(self) -> np.ndarray:
@@ -147,58 +152,109 @@ def as_integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+# Newton on the Legendre recurrence converges in 3-4 steps from these
+# guesses; a step below GL_NEWTON_TOL leaves the nodes at rounding level.
+GL_NEWTON_TOL = 1e-14
+GL_NEWTON_MAX_ITER = 20
+
+
+def _frozen(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def gauss_legendre(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The L-point Gauss-Legendre rule on [-1, 1]: nodes ascending, weights.
+
+    Newton's method on P_L(x) = 0, with P_L and P_L' from the Legendre
+    recurrence of `_legendre_columns` (m = 0), started from the guesses
+    cos(pi (i - 1/4) / (L + 1/2)); the weights are the Christoffel sums
+    1 / sum_{l<L} p_l(x)^2 of the orthonormal p_l at the converged nodes.
+    """
+    L = as_integer(L, "Gauss-Legendre order")
+    if L < 1:
+        raise ValueError(f"Gauss-Legendre needs at least one node, got {L}")
+    # q_l = sqrt((2l + 1) / (4 pi)) P_l, so p_l^2 = 2 pi q_l^2 and
+    # (x^2 - 1) q_L' = L (x q_L - c q_{L-1}).  s is unused at m = 0.
+    c = math.sqrt((2 * L + 1) / (2 * L - 1))
+    x = np.cos(math.pi * (np.arange(L, 0, -1) - 0.25) / (L + 0.5))
+    for _ in range(GL_NEWTON_MAX_ITER):
+        q = _legendre_columns(0, L, x, None)
+        dx = (x * x - 1.0) * q[:, L] / (L * (x * q[:, L] - c * q[:, L - 1]))
+        x = x - dx
+        if np.max(np.abs(dx)) < GL_NEWTON_TOL:
+            break
+    else:
+        raise RuntimeError(f"Gauss-Legendre Newton did not converge at L = {L}")
+    q = _legendre_columns(0, L - 1, x, None)
+    return x, 1.0 / (2.0 * math.pi * np.sum(q * q, axis=1))
+
+
 def make_grid(n: int, resolution) -> Grid:
-    """Build the standard grid on S^n.
+    """The standard grid on S^n, shared by all callers.
 
     For n=1, resolution is the even node count N >= 4.  For n=2 it is the
-    polar count L >= 2; the azimuth count is fixed at M = 2 L and the band
-    limit at L - 1.  A resolution that is not an integer is a ValueError.
+    polar count L >= 2; the polar nodes are the Gauss-Legendre rule of
+    `gauss_legendre` (Newton on the Legendre recurrence), the azimuth
+    count is fixed at M = 2 L and the band limit at L - 1.  A resolution
+    that is not an integer is a ValueError.  Equal arguments return the
+    same Grid object, built once.
     """
     if n == 1:
         N = as_integer(resolution, "n=1 node count")
         if N <= 0 or N % 2 != 0 or N < 4:
             raise ValueError(f"n=1 grid needs an even node count >= 4, got {resolution}")
-        theta = 2.0 * math.pi * np.arange(N) / N
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(N, 2.0 * math.pi / N)
-        anti = (np.arange(N) + N // 2) % N
-        g = Grid(1, (N,), nodes, weights, anti, N // 2 - 1)
-        g._cache["theta"] = theta
-        return g
+        return _uniform_s1(N)
     if n == 2:
         L = as_integer(resolution, "n=2 polar count")
         if L < 2:
             raise ValueError(f"n=2 grid needs a polar count >= 2, got {resolution}")
-        from scipy.special import roots_legendre
-
-        M = 2 * L
-        x, wx = roots_legendre(L)
-        # Symmetrize so the antipodal map is exact in floating point.
-        x = 0.5 * (x - x[::-1])
-        wx = 0.5 * (wx + wx[::-1])
-        order = np.argsort(-x)  # theta ascending from the north pole
-        x = x[order]
-        wx = wx[order]
-        theta = np.arccos(np.clip(x, -1.0, 1.0))
-        phi = 2.0 * math.pi * np.arange(M) / M
-        s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-        st, ct = s[:, None], x[:, None]
-        cp, sp = np.cos(phi)[None, :], np.sin(phi)[None, :]
-        nodes = np.stack(
-            [
-                (st * cp).ravel(),
-                (st * sp).ravel(),
-                np.broadcast_to(ct, (L, M)).ravel(),
-            ],
-            axis=1,
-        )
-        weights = (wx[:, None] * (2.0 * math.pi / M)).repeat(M).reshape(L, M).ravel()
-        ii, jj = np.meshgrid(np.arange(L), np.arange(M), indexing="ij")
-        anti = ((L - 1 - ii) * M + (jj + M // 2) % M).ravel()
-        g = Grid(2, (L, M), nodes, weights, anti, L - 1)
-        g._cache.update(theta=theta, phi=phi, x=x, wx=wx, s=s)
-        return g
+        return _gl_product_s2(L)
     raise ValueError(f"n must be 1 or 2, got {n}")
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform_s1(N: int) -> Grid:
+    theta = 2.0 * math.pi * np.arange(N) / N
+    nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    weights = np.full(N, 2.0 * math.pi / N)
+    anti = (np.arange(N) + N // 2) % N
+    _frozen(theta, nodes, weights, anti)
+    g = Grid(1, (N,), nodes, weights, anti, N // 2 - 1)
+    g._cache["theta"] = theta
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def _gl_product_s2(L: int) -> Grid:
+    M = 2 * L
+    x, wx = gauss_legendre(L)
+    # Symmetrize so the antipodal map is exact in floating point.
+    x = 0.5 * (x - x[::-1])
+    wx = 0.5 * (wx + wx[::-1])
+    order = np.argsort(-x)  # theta ascending from the north pole
+    x = x[order]
+    wx = wx[order]
+    theta = np.arccos(np.clip(x, -1.0, 1.0))
+    phi = 2.0 * math.pi * np.arange(M) / M
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    st, ct = s[:, None], x[:, None]
+    cp, sp = np.cos(phi)[None, :], np.sin(phi)[None, :]
+    nodes = np.stack(
+        [
+            (st * cp).ravel(),
+            (st * sp).ravel(),
+            np.broadcast_to(ct, (L, M)).ravel(),
+        ],
+        axis=1,
+    )
+    weights = (wx[:, None] * (2.0 * math.pi / M)).repeat(M).reshape(L, M).ravel()
+    ii, jj = np.meshgrid(np.arange(L), np.arange(M), indexing="ij")
+    anti = ((L - 1 - ii) * M + (jj + M // 2) % M).ravel()
+    _frozen(theta, phi, x, wx, s, nodes, weights, anti)
+    g = Grid(2, (L, M), nodes, weights, anti, L - 1)
+    g._cache.update(theta=theta, phi=phi, x=x, wx=wx, s=s)
+    return g
 
 
 def refine(grid: Grid) -> Grid:
@@ -279,8 +335,9 @@ def _s1_derivative_multipliers(grid: Grid, order: int) -> np.ndarray:
 # S^2 spectral calculus
 
 
-def _legendre_columns(m: int, lmax: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Orthonormal associated Legendre P_l^m(x) for l = m..lmax.
+def _legendre_columns(m: int, lmax: int, x: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+    """Orthonormal associated Legendre P_l^m(x) for l = m..lmax, with
+    s = sqrt(1 - x^2) (read for m >= 1 only).
 
     Normalized so that 2 pi * int_{-1}^{1} P_l^m P_l'^m dx = delta_{l l'}.
     Returns shape (len(x), lmax - m + 1).
@@ -456,19 +513,26 @@ def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def frame_vectors(grid: Grid) -> np.ndarray:
-    """Ambient coordinates of the orthonormal frame, shape (size, n, n+1)."""
+    """Ambient coordinates of the orthonormal frame, shape (size, n, n+1),
+    cached read-only per grid."""
+    frames = grid._cache.get("frames")
+    if frames is not None:
+        return frames
     if grid.n == 1:
         theta = grid._cache["theta"]
-        e = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-        return e[:, None, :]
-    L, M = grid.resolution
-    theta = np.repeat(grid._cache["theta"], M)
-    phi = np.tile(grid._cache["phi"], L)
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
-    e_phi = np.stack([-sp, cp, np.zeros_like(cp)], axis=1)
-    return np.stack([e_theta, e_phi], axis=1)
+        frames = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
+    else:
+        L, M = grid.resolution
+        theta = np.repeat(grid._cache["theta"], M)
+        phi = np.tile(grid._cache["phi"], L)
+        ct, st = np.cos(theta), np.sin(theta)
+        cp, sp = np.cos(phi), np.sin(phi)
+        e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
+        e_phi = np.stack([-sp, cp, np.zeros_like(cp)], axis=1)
+        frames = np.stack([e_theta, e_phi], axis=1)
+    _frozen(frames)
+    grid._cache["frames"] = frames
+    return frames
 
 
 def resample(grid: Grid, values: np.ndarray, targets) -> np.ndarray:
@@ -490,14 +554,12 @@ def resample(grid: Grid, values: np.ndarray, targets) -> np.ndarray:
     if grid.n == 1:
         c = _s1_coeffs(grid, values)
         theta = np.arctan2(pts[:, 1], pts[:, 0])
-        N = grid.resolution[0]
-        out = np.full(theta.shape, c[0].real)
-        for k in range(1, N // 2):
-            out += 2.0 * (
-                c[k].real * np.cos(k * theta) - c[k].imag * np.sin(k * theta)
-            )
-        out += c[N // 2].real * np.cos((N // 2) * theta)
-        return out
+        K = grid.resolution[0] // 2
+        # (T, K) phases k theta; modes 1..K-1 count twice, Nyquist once.
+        kt = theta[:, None] * np.arange(1, K + 1)
+        ck = 2.0 * c[1:]
+        ck[-1] = c[K].real
+        return c[0].real + np.cos(kt) @ ck.real - np.sin(kt) @ ck.imag
     a = _s2_analyze(grid, values)
     x = np.clip(pts[:, 2], -1.0, 1.0)
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))

@@ -115,7 +115,8 @@ for name, radius in (("K.json", "0.4"), ("L.json", "0.9")):
 assert main(["psum", "--a", "0.7", "--K", "K.json", "--p", "1.5", "--b", "0.6",
              "--L", "L.json", "--out", "sum.json"]) == 0
 assert main(["mkfield", "--grid", "s1:64", "--random", "--seed", "3", "--out", "R.json"]) == 0
-for name in ("sum", "R"):
+assert main(["mkfield", "--grid", "s2:16", "--random", "--seed", "3", "--out", "R2.json"]) == 0
+for name in ("sum", "R", "R2"):
     assert main(["quermass", "--K", name + ".json", "--out", "w" + name + ".json"]) == 0
 for kind in ("shifted", "weighted", "classical"):
     assert main(["steiner", "--K", "R.json", "--rho", "0.3", "--kind", kind,
@@ -125,13 +126,17 @@ assert main(["ballsolve", "--n", "2", "--k", "0", "--p", "4", "--gamma", "0.02",
 with open("flow.json", "w") as fh:
     json.dump({"n": 1, "k": 0, "p": 2.0, "initial": "R.json", "max_steps": 5}, fh)
 assert main(["flow", "--config", "flow.json", "--out", "trace.csv"]) == 1  # max-steps
+with open("flow2.json", "w") as fh:
+    json.dump({"n": 2, "k": 1, "p": 1.0, "initial": "R2.json", "max_steps": 3}, fh)
+assert main(["flow", "--config", "flow2.json", "--out", "trace2.csv"]) == 1
+assert main(["verify", "min_I_p1_Lball", "--out", "records.csv"]) == 0  # S^2 bodies
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_import_and_scipy_free_commands_load_no_scipy(tmp_path):
-    # scipy is imported only for the S^2 grid's Gauss-Legendre nodes; no
-    # command on an S^1 field, and no ball solve, needs it.
+def test_import_and_every_command_load_no_scipy(tmp_path):
+    # The package has no scipy import: commands on S^1 and S^2 fields, the
+    # ball solve, both flows and a verify suite on S^2 bodies run without it.
     src = str(Path(horocvx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -142,6 +147,7 @@ def test_import_and_scipy_free_commands_load_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "sum.json").exists()
     assert len((tmp_path / "trace.csv").read_text().splitlines()) == 7
+    assert len((tmp_path / "trace2.csv").read_text().splitlines()) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +377,38 @@ def test_non_integral_grid_sizes_in_files_exit_2(tmp_path):
         path.write_text(json.dumps(cfg))
         assert main(["flow", "--config", str(path), "--out", str(trace)]) == 2
         assert not trace.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_steps", 3.7),
+        ("max_steps", "3"),
+        ("trace_every", 1.5),
+        ("trace_every", True),
+        ("p", True),
+        ("p", "2.0"),
+        ("dt_initial", "0.01"),
+        ("dt_initial", False),
+        ("max_dt", "0.05"),
+        ("max_dt", float("inf")),
+        ("eps_stop", True),
+        ("eps_stop", float("nan")),
+        ("initial_radius", "0.6"),
+        ("initial_radius", None),
+        ("enforce_even", 1),
+        ("enforce_even", "yes"),
+    ],
+)
+def test_flow_config_rejects_mistyped_values(tmp_path, capsys, key, value):
+    # int() and float() would run 3.7 steps as 3, p = true as 1.0, "2.0" as 2.0.
+    cfg = {"n": 1, "k": 0, "p": 2.0, "grid": "s1:32", "max_steps": 3, key: value}
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(cfg))
+    trace = tmp_path / "t.csv"
+    assert main(["flow", "--config", str(path), "--out", str(trace)]) == 2
+    assert f"flow config {key} must be" in capsys.readouterr().err
+    assert not trace.exists()
 
 
 def test_flow_config_rejects_unknown_keys(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horocvx import sphere_grid
 from horocvx.hconvex import (
     BoundaryData,
     SupportField,
@@ -63,6 +64,26 @@ def test_cached_geometry_is_read_only_and_computed_once():
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+def test_bodies_on_one_resolution_share_the_grid_tables(monkeypatch):
+    # A fresh grid cache, so that the count sees the one table build.
+    sphere_grid._gl_product_s2.cache_clear()
+    grid = make_grid(2, 10)
+    calls = []
+    columns = sphere_grid._legendre_columns
+
+    def counted(*args):
+        calls.append(args[0])
+        return columns(*args)
+
+    monkeypatch.setattr(sphere_grid, "_legendre_columns", counted)
+    z = grid.nodes[:, 2]
+    bodies = [ball_at_origin(make_grid(2, 10), 0.5), SupportField(grid, 2.0 + 0.1 * z * z)]
+    for K in bodies:
+        boundary_data(K)
+    assert sorted(calls) == list(range(grid.band_limit + 1))
+    assert bodies[0].grid is bodies[1].grid
 
 
 def test_kappa_tilde_needs_positive_radii():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_legendre
 
 from horocvx.hconvex import (
     SupportField,
@@ -35,7 +34,14 @@ from horocvx.quermass import (
     wk_value,
 )
 from horocvx.quermass import _I_k_derivative, _t_moments, p_tensor
-from horocvx.sphere_grid import gradient, hessian, integrate, make_grid, sphere_area
+from horocvx.sphere_grid import (
+    gauss_legendre,
+    gradient,
+    hessian,
+    integrate,
+    make_grid,
+    sphere_area,
+)
 from horocvx.verify import random_h_convex_fields
 
 S1 = make_grid(1, 64)
@@ -207,7 +213,7 @@ def _homotopy_reference(K, k, order):
     g = gradient(grid, phi)
     H = hessian(grid, phi)
     grad_sq = np.sum(g * g, axis=1)
-    x, wts = roots_legendre(order)
+    x, wts = gauss_legendre(order)
     ts = 0.5 * (x + 1.0)
     wts = 0.5 * wts
     idx = np.arange(n)

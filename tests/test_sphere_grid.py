@@ -1,8 +1,10 @@
 """Grid construction, quadrature, spectral calculus, serialization."""
 
+import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from horocvx.sphere_grid import (
     field_from_json_dict,
     field_to_json_dict,
     frame_vectors,
+    gauss_legendre,
     gradient,
     grid_from_json_dict,
     grid_to_json_dict,
@@ -101,11 +104,57 @@ def test_node_tables_are_read_only_properties():
     assert math.isclose(S2.wx.sum(), 2.0, rel_tol=1e-14)
     for name in ("theta", "phi", "x", "wx", "s"):
         table = getattr(S2, name)
-        assert table is not S2._cache[name] and np.array_equal(table, S2._cache[name])
+        assert table is S2._cache[name]
         with pytest.raises(ValueError):
             table[0] = 0.0
     with pytest.raises(AttributeError, match="S\\^2"):
         S1.phi
+
+
+def test_make_grid_returns_one_read_only_grid_per_resolution():
+    assert make_grid(2, 20) is make_grid(2, np.int64(20))
+    assert make_grid(1, 64) is make_grid(1, 64) == S1
+    for g in (S1, S2):
+        for a in (g.nodes, g.weights, g.antipodal_index, g.theta, frame_vectors(g)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert frame_vectors(g) is frame_vectors(g)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.band_limit = 3
+
+
+def _gauss_legendre_reference(L, x0):
+    """Nodes and weights in 40 digits: Newton on mpmath's P_L from x0."""
+
+    def dP(t):
+        return L * (t * mpmath.legendre(L, t) - mpmath.legendre(L - 1, t)) / (t * t - 1)
+
+    with mpmath.workdps(40):
+        nodes, weights = [], []
+        for t in map(mpmath.mpf, x0.tolist()):
+            for _ in range(4):
+                t -= mpmath.legendre(L, t) / dP(t)
+            nodes.append(t)
+            weights.append(2 / ((1 - t * t) * dP(t) ** 2))
+        return nodes, weights
+
+
+@pytest.mark.parametrize("L", [2, 3, 8, 16, 20, 32, 64, 65, 128])
+def test_gauss_legendre_rule_matches_mpmath(L):
+    x, w = gauss_legendre(L)
+    grid = make_grid(2, L)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(grid.x, -grid.x[::-1]) and np.array_equal(grid.wx, grid.wx[::-1])
+    x_ref, w_ref = _gauss_legendre_reference(L, x)
+    # The grid holds the rule symmetrized, polar angle ascending.
+    for nodes, weights in ((x, w), (grid.x[::-1], grid.wx[::-1])):
+        for xi, wi, xr, wr in zip(nodes, weights, x_ref, w_ref):
+            assert abs(xi - xr) <= 2.3e-16
+            assert abs(wi / wr - 1) <= 1e-12
+        assert abs(math.fsum(weights) - 2.0) <= 1e-15
+        for j in range(L):  # exact through degree 2L - 1
+            moment = math.fsum((weights * nodes ** (2 * j)).tolist())
+            assert math.isclose(moment, 2.0 / (2 * j + 1), rel_tol=1e-13)
 
 
 def test_weights_sum_to_sphere_area():
@@ -448,6 +497,26 @@ def test_resample_to_refined_grid():
     on_fine = resample(S2, f, fine)
     zf = fine.nodes[:, 2]
     assert np.allclose(on_fine, 1.0 + 0.3 * (3.0 * zf * zf - 1.0), atol=1e-11)
+
+
+def _s1_resample_loop(grid, values, theta):
+    """S^1 band-limited synthesis one Fourier mode at a time."""
+    c = np.fft.rfft(values) / grid.resolution[0]
+    K = grid.resolution[0] // 2
+    out = np.full(theta.shape, c[0].real)
+    for k in range(1, K):
+        out += 2.0 * (c[k].real * np.cos(k * theta) - c[k].imag * np.sin(k * theta))
+    return out + c[K].real * np.cos(K * theta)
+
+
+@pytest.mark.parametrize("N", [4, 64, 96])
+def test_s1_resample_matches_the_per_mode_loop(N):
+    grid = make_grid(1, N)
+    rng = np.random.default_rng(N)
+    f = 2.0 + 0.3 * rng.standard_normal(N)  # Nyquist content included
+    t = rng.uniform(-math.pi, math.pi, 37)
+    got = resample(grid, f, np.stack([np.cos(t), np.sin(t)], axis=1))
+    assert np.max(np.abs(got - _s1_resample_loop(grid, f, t))) <= 1e-14
 
 
 def test_resample_rejects_mismatched_targets():
