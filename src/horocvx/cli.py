@@ -427,19 +427,26 @@ def _cmd_flow(args) -> int:
         n = as_integer(cfg["n"], "flow config n")
         k = as_integer(cfg["k"], "flow config k")
         p = _as_real(cfg["p"], "flow config p")
-        max_dt = _as_real(cfg.get("max_dt", 0.05), "flow config max_dt")
-        eps_stop = _as_real(cfg.get("eps_stop", 1e-6), "flow config eps_stop")
         r0 = _as_real(cfg.get("initial_radius", math.log(2.0)), "flow config initial_radius")
-        dt_initial = cfg.get("dt_initial")
-        if dt_initial is not None:
-            dt_initial = _as_real(dt_initial, "flow config dt_initial")
-        max_steps = as_integer(cfg.get("max_steps", 200000), "flow config max_steps")
-        trace_every = as_integer(cfg.get("trace_every", 1), "flow config trace_every")
+        # Only the keys the file gives; FlowConfig holds the defaults.
+        options = {}
+        for key in ("max_dt", "eps_stop"):
+            if key in cfg:
+                options[key] = _as_real(cfg[key], f"flow config {key}")
+        if cfg.get("dt_initial") is not None:
+            options["dt_initial"] = _as_real(cfg["dt_initial"], "flow config dt_initial")
+        for key in ("max_steps", "trace_every"):
+            if key in cfg:
+                options[key] = as_integer(cfg[key], f"flow config {key}")
         enforce_even = cfg.get("enforce_even")
         if not isinstance(enforce_even, (bool, type(None))):
             raise ValueError(
                 f"flow config enforce_even must be true, false or null, got {enforce_even!r}"
             )
+        if enforce_even is not None:
+            options["enforce_even"] = enforce_even
+        if "assumption_mode" in cfg:
+            options["assumption_mode"] = cfg["assumption_mode"]
     except KeyError as exc:
         raise UsageError(f"flow config missing key {exc}") from None
     except ValueError as exc:
@@ -468,13 +475,7 @@ def _cmd_flow(args) -> int:
         k=k,
         p=p,
         f=f_field.values if f_field is not None else None,
-        dt_initial=dt_initial,
-        max_dt=max_dt,
-        eps_stop=eps_stop,
-        max_steps=max_steps,
-        enforce_even=enforce_even,
-        assumption_mode=cfg.get("assumption_mode", "strict"),
-        trace_every=trace_every,
+        **options,
     )
     result = run_flow(config, phi0)
     outputs = []

@@ -12,14 +12,26 @@ S^2.  Phi is the Lagrange multiplier of the constraint W_k(phi_new) =
 W_k(phi_0), solved by Newton's method to roundoff with slope
 dt int w_new R G, w = phi^{-(k+1)} p_{n-k}(A) the first variation of
 W_k; phi_new and its derivatives are affine in Phi, so the iterates need
-no further spectral pass.  Fixed points are the flow's steady states,
-and dt = max_dt makes the step count independent of resolution.  The
-trajectory, and the time t in the trace, are first-order accurate in
-dt; W_k is conserved at every step.  A step costs one resolvent pass
+no further spectral pass.  Fixed points are the flow's steady states.
+
+The pseudo-time step follows switched evolution relaxation (Mulder and
+van Leer 1985; Kelley and Keyes 1998): the first step is dt_initial, and
+after each accepted step dt <- min(max_dt, dt S_prev / S_new) with S the
+sup of |speed|, so dt grows as the flow nears its steady state and
+max_dt is only a cap.  The step count does not grow with resolution,
+because R damps every mode the explicit step would limit.  A step that
+leaves the uniformly h-convex cone, or misses its constraint, is
+retried at half the step size, and that halved dt is the base of the
+next update.  At large steps the trajectory, and the time t in the
+trace, are a pseudo-time path: only its steady state is the solution,
+while W_k is conserved at every step.  A step costs one resolvent pass
 each of G and h and one derivative pass of the new state after its band
 (and even) projection: the cone check, whose diagnostics start the next
-step and fill its trace row.  A step that leaves the uniformly h-convex
-cone, or misses its constraint, is retried at half the step size.
+step and fill its trace row.
+
+By default evenness is enforced for k >= 1, and for k = 0 when f and
+the initial phi are both even: large steps let roundoff in the odd
+modes grow at strongly negative p.
 """
 
 from __future__ import annotations
@@ -66,6 +78,7 @@ TRACE_COLUMNS = (
     "evenErr",
     "gammaVar",
     "speedSup",
+    "rejected",
 )
 
 MIN_DT = 1e-15
@@ -86,11 +99,11 @@ class FlowConfig:
     k: int
     p: float
     f: np.ndarray | None = None  # positive data at grid nodes, default 1
-    dt_initial: float | None = None
-    max_dt: float = 0.05
+    dt_initial: float = 0.05  # the first step; later steps follow SER
+    max_dt: float = 5.0  # cap on the SER step
     eps_stop: float = 1e-6
     max_steps: int = 200_000
-    enforce_even: bool | None = None  # default: on for k >= 1
+    enforce_even: bool | None = None  # default: k >= 1, or f and phi0 even
     assumption_mode: str = "strict"  # strict | warn | skip
     trace_every: int = 1
 
@@ -168,6 +181,11 @@ def _evaluate(state: FlowState, phi: np.ndarray) -> dict:
     return dict(K=K, eig_min=eig_min, pA=pA, Phi=Phi, G=G, h=h, c=c, speed=Phi * G - h)
 
 
+def _is_even(grid: Grid, values: np.ndarray) -> bool:
+    """Odd part at most 1e-8 relative to max(1, sup)."""
+    return even_error(grid, values) <= 1e-8 * max(1.0, float(np.max(values)))
+
+
 def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     grid = phi0.grid
     n = grid.n
@@ -181,7 +199,7 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     # Comparisons with NaN are false, so NaN fails these checks too.
     if not 0.0 < config.max_dt < math.inf:
         raise ValueError(f"max_dt must be finite and positive, got {config.max_dt}")
-    if config.dt_initial is not None and not 0.0 < config.dt_initial < math.inf:
+    if not 0.0 < config.dt_initial < math.inf:
         raise ValueError(f"dt_initial must be finite and positive, got {config.dt_initial}")
     if config.trace_every < 1:
         raise ValueError(f"trace_every must be at least 1, got {config.trace_every}")
@@ -191,7 +209,10 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
         raise ValueError(
             f"assumption_mode must be strict, warn or skip, got {config.assumption_mode!r}"
         )
-    even = config.k >= 1 if config.enforce_even is None else bool(config.enforce_even)
+    if config.enforce_even is None:
+        even = config.k >= 1 or (_is_even(grid, f) and _is_even(grid, phi0.phi))
+    else:
+        even = bool(config.enforce_even)
     fpow = f ** (-1.0 / (n - config.k))
     return FlowState(grid, phi0.phi.copy(), n, config.k, config.p, f, fpow, even)
 
@@ -266,9 +287,10 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
                 raise ValueError(msg)
             warnings.append(msg)
     if state.even:
-        f_even = even_error(grid, state.f)
-        if f_even > 1e-8 * max(1.0, float(np.max(state.f))):
-            raise ValueError(f"evenness enforcement needs even data, deviation {f_even}")
+        if not _is_even(grid, state.f):
+            raise ValueError(
+                f"evenness enforcement needs even data, deviation {even_error(grid, state.f)}"
+            )
         state.phi = even_project(grid, state.phi)
     state.phi = band_project(grid, state.phi)
 
@@ -278,9 +300,8 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     steps = 0
     rejections = 0
     status = "max-steps"
-    gamma = math.nan
-    gamma_var = math.inf
-    first = True
+    dt = min(config.max_dt, config.dt_initial)
+    speed_prev = math.nan
     diag = _evaluate(state, state.phi)
     target = wk_value(diag["K"], k)
     while True:
@@ -289,17 +310,16 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         gamma = integrate(grid, gamma_field) / omega
         gamma_var = float((np.max(gamma_field) - np.min(gamma_field)) / gamma)
         speed_sup = float(np.max(np.abs(speed)))
-        grad_ratio = float(
-            np.max(np.sqrt(np.sum(diag["K"].gradient ** 2, axis=1)) / state.phi)
-        )
-        record = steps % config.trace_every == 0 or first
         stop = speed_sup < config.eps_stop and gamma_var <= 10.0 * config.eps_stop
         terminal_row = stop or steps >= config.max_steps
-        if terminal_row or record:
-            trace.append(
+        row = None
+        if terminal_row or steps % config.trace_every == 0:
+            grad_ratio = float(
+                np.max(np.sqrt(np.sum(diag["K"].gradient ** 2, axis=1)) / state.phi)
+            )
+            row = dict(
                 t=t,
-                dt=0.0 if terminal_row else math.nan,
-                Wk=target if first else wk_value(diag["K"], k),
+                Wk=target if steps == 0 else wk_value(diag["K"], k),
                 Jp=J_p(diag["K"], state.f, state.p),
                 minEigA=diag["eig_min"],
                 maxGradRatio=grad_ratio,
@@ -307,16 +327,15 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
                 gammaVar=gamma_var,
                 speedSup=speed_sup,
             )
-        first = False
-        if stop:
-            status = "converged"
+        if terminal_row:
+            trace.append(dt=0.0, rejected=0, **row)
+            status = "converged" if stop else "max-steps"
             break
-        if steps >= config.max_steps:
-            status = "max-steps"
-            break
-        dt = config.max_dt
-        if steps == 0 and config.dt_initial is not None:
-            dt = min(dt, config.dt_initial)
+        if steps > 0 and speed_sup > 0.0:
+            # Switched evolution relaxation: dt grows as the speed falls.
+            # A speed of exactly 0 (a ball with eps_stop = 0) keeps dt.
+            dt = min(config.max_dt, dt * speed_prev / speed_sup)
+        speed_prev = speed_sup
         rejected = 0
         while True:
             try:
@@ -329,14 +348,11 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
                 if dt < MIN_DT or rejected > MAX_REJECTIONS:
                     new_state = None
                     break
+        if row is not None:
+            trace.append(dt=math.nan if new_state is None else dt, rejected=rejected, **row)
         if new_state is None:
             status = "stalled"
             break
-        if trace.rows:
-            # Patch the dt actually used into the row recorded for this state.
-            last = trace.rows[-1]
-            if math.isnan(last[1]):
-                trace.rows[-1] = last[:1] + (dt,) + last[2:]
         state = new_state
         t += dt
         steps += 1

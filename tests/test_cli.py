@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import horocvx
+from horocvx import cli
 from horocvx.cli import main
+from horocvx.flow import FlowConfig
 from horocvx.sphere_grid import field_to_json_dict, load_field, make_grid, save_field
 
 MANIFEST_KEYS = {"command", "parameters", "inputs", "outputs", "seed", "version", "grid"}
@@ -333,6 +335,30 @@ def test_flow_unconverged_exit_code(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     rc = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")])
     assert rc == 1
+
+
+def test_flow_config_without_optional_keys_uses_flowconfig_defaults(tmp_path, monkeypatch):
+    # A key the file leaves out takes FlowConfig's default, not a copy
+    # kept in the CLI.
+    seen = []
+    real = cli.run_flow
+
+    def spy(config, phi0):
+        seen.append(config)
+        return real(config, phi0)
+
+    monkeypatch.setattr(cli, "run_flow", spy)
+    cfg_path = tmp_path / "flow.json"
+    cfg_path.write_text(json.dumps({"n": 1, "k": 0, "p": 2.0, "grid": "s1:32"}))
+    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
+    assert seen == [FlowConfig(n=1, k=0, p=2.0)]
+    # Given keys still reach the config; null means the default.
+    cfg_path.write_text(json.dumps({
+        "n": 1, "k": 0, "p": 2.0, "grid": "s1:32", "max_dt": 0.5, "dt_initial": None,
+        "enforce_even": None, "max_steps": 7,
+    }))
+    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
+    assert seen[1] == FlowConfig(n=1, k=0, p=2.0, max_dt=0.5, max_steps=7)
 
 
 def test_flow_config_errors(tmp_path):

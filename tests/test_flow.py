@@ -18,7 +18,7 @@ from horocvx.flow import (
     step,
 )
 from horocvx.hconvex import SupportField
-from horocvx.problems import measure_density
+from horocvx.problems import measure_density, pde_residual
 from horocvx.quermass import wk_value
 from horocvx.sphere_grid import band_project, even_project, integrate, make_grid
 
@@ -59,6 +59,17 @@ def test_ball_is_stationary():
     assert res.steps == 0
     assert res.gamma_variation < 1e-12
     assert np.allclose(res.terminal.phi, 2.0, atol=1e-12)
+
+
+def test_zero_speed_keeps_dt():
+    # With eps_stop = 0 the ball never stops, and its speed is exactly 0.
+    res = run(
+        FlowConfig(n=1, k=0, p=0.0, eps_stop=0.0, max_steps=3),
+        SupportField(S1, np.full(S1.size, 2.0)),
+    )
+    assert res.status == "max-steps"
+    assert list(res.trace.column("speedSup")) == [0.0] * 4
+    assert list(res.trace.column("dt")) == [0.05] * 3 + [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +194,60 @@ def test_step_count_is_flat_in_resolution(make, sizes):
     assert max(steps) <= 1.1 * min(steps)
 
 
+# The paper's p range (ROADMAP item 3): (n, k, p, step bound).  Bounds
+# are about 1.25 times the measured steps; p = -10 is left out until the
+# flow contracts the slow mode at large |p|.
+P_TABLE = (
+    [(1, 0, p, b) for p, b in ((-5, 130), (-2, 45), (-1, 37), (0, 30), (1, 25), (2, 23), (5, 15))]
+    + [(2, 0, p, b) for p, b in ((-5, 53), (-2, 32), (-1, 28), (0, 25), (1, 22), (2, 20), (5, 15))]
+    + [(2, 1, p, b) for p, b in ((-1.5, 22), (0, 15), (1, 12), (2, 10))]
+)
+
+
+@pytest.mark.parametrize("n, k, p, bound", P_TABLE)
+def test_p_table_converges_within_its_step_bound(n, k, p, bound):
+    # Even data from the ball phi = 2; k = 1 data weak enough to meet the
+    # structural condition at p = -1.5.
+    if n == 1:
+        grid = make_grid(1, 64)
+        f = 1.0 + 0.2 * np.cos(2.0 * grid.theta)
+    else:
+        grid = make_grid(2, 12)
+        z = grid.nodes
+        f = 1.0 + (0.1 if k == 0 else 0.02) * (3.0 * z[:, 2] ** 2 - 1.0)
+        if k == 0:
+            f += 0.1 * (z[:, 0] ** 2 - z[:, 1] ** 2)
+    cfg = FlowConfig(n=n, k=k, p=float(p), f=f, max_steps=bound)
+    res = run(cfg, SupportField(grid, np.full(grid.size, 2.0)))
+    assert res.status == "converged"
+    _, residual = pde_residual(res.terminal, res.gamma * f, float(p), k)
+    assert residual < 1e-4
+
+
+def test_even_data_at_p_minus_5_converges_under_the_default_config():
+    # Without evenness the odd modes grow under large steps and this run
+    # does not converge.
+    grid = make_grid(1, 96)
+    f = 1.0 + 0.2 * np.cos(2.0 * grid.theta)
+    res = run(FlowConfig(n=1, k=0, p=-5.0, f=f), SupportField(grid, np.full(96, 2.0)))
+    assert res.status == "converged"
+    assert res.steps <= 130
+    assert np.max(res.trace.column("evenErr")) < 1e-13
+
+
+def test_k0_evenness_default_follows_the_data():
+    even_f = 1.0 + 0.2 * np.cos(2.0 * S1.theta)
+    odd_f = even_f + 0.1 * np.cos(S1.theta)
+    ball = SupportField(S1, np.full(S1.size, 2.0))
+    shifted = SupportField(S1, 2.0 + 0.1 * np.cos(S1.theta))
+    assert make_state(FlowConfig(n=1, k=0, p=0.0, f=even_f), ball).even
+    assert make_state(FlowConfig(n=1, k=0, p=0.0), ball).even
+    assert not make_state(FlowConfig(n=1, k=0, p=0.0, f=odd_f), ball).even
+    assert not make_state(FlowConfig(n=1, k=0, p=0.0, f=even_f), shifted).even
+    cfg = FlowConfig(n=1, k=0, p=0.0, f=even_f, enforce_even=False)
+    assert not make_state(cfg, ball).even
+
+
 # ---------------------------------------------------------------------------
 # stepping mechanics
 
@@ -238,8 +303,11 @@ def test_rejected_projected_state_halves_dt_and_continues(monkeypatch):
     assert res.status == "max-steps"
     assert res.steps == 3
     assert res.rejections == 1
-    dt = TRACE_COLUMNS.index("dt")
-    assert res.trace.rows[0][dt] == 0.5 * reference.trace.rows[0][dt]
+    dt, speed = res.trace.column("dt"), res.trace.column("speedSup")
+    assert dt[0] == 0.5 * reference.trace.column("dt")[0]
+    # The halved step is the base of the next update, not max_dt.
+    assert dt[1] == min(cfg.max_dt, dt[0] * speed[0] / speed[1])
+    assert list(res.trace.column("rejected")) == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize(
@@ -262,8 +330,10 @@ def test_trace_wk_matches_a_fresh_homotopy(cfg, body):
 @pytest.mark.parametrize(
     "cfg, body, budget",
     [
-        (FlowConfig(n=1, k=0, p=0.0), perturbed_circle, 14),
-        (FlowConfig(n=2, k=1, p=1.0), perturbed_sphere, 30),
+        # eps_stop below the roundoff floor of speedSup: both runs step
+        # to max_steps instead of converging.
+        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14), perturbed_circle, 14),
+        (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-14), perturbed_sphere, 30),
     ],
     ids=["s1", "s2"],
 )
@@ -284,10 +354,15 @@ def test_max_steps_outcome():
     res = run(cfg, perturbed_circle())
     assert res.status == "max-steps"
     assert res.steps == 4
-    assert res.t_final == pytest.approx(4 * cfg.max_dt)
-    dt = res.trace.column("dt")
-    assert list(dt) == [cfg.max_dt] * 4 + [0.0]
-    assert res.trace.column("speedSup")[-1] >= cfg.eps_stop
+    # Switched evolution relaxation from dt_initial, capped at max_dt.
+    speed = res.trace.column("speedSup")
+    expected = [cfg.dt_initial]
+    for i in range(1, 4):
+        expected.append(min(cfg.max_dt, expected[-1] * speed[i - 1] / speed[i]))
+    assert list(res.trace.column("dt")) == expected + [0.0]
+    assert expected[-1] > expected[0]
+    assert res.t_final == pytest.approx(sum(expected))
+    assert speed[-1] >= cfg.eps_stop
 
 
 def test_stalled_outcome(monkeypatch):
@@ -306,9 +381,21 @@ def test_stalled_outcome(monkeypatch):
     assert res.status == "stalled"
     assert res.steps == 0
     assert res.rejections == len(attempts) == flow.MAX_REJECTIONS + 1
-    assert attempts == [cfg.max_dt * 0.5**i for i in range(len(attempts))]
+    assert attempts == [cfg.dt_initial * 0.5**i for i in range(len(attempts))]
     assert np.allclose(res.terminal.phi, body.phi, atol=1e-14)
     assert len(res.trace.rows) == 1
+    assert list(res.trace.column("rejected")) == [res.rejections]
+
+
+def test_rejected_column_sums_to_the_rejections():
+    # The first step from the ball leaves the cone at dt_initial and
+    # twice more after halving (see test_step_rejects_cone_exit).
+    f = 1.0 + 0.9 * np.cos(2 * S1.theta)
+    cfg = FlowConfig(n=1, k=0, p=0.0, f=f, max_steps=20)
+    res = run(cfg, SupportField(S1, np.full(S1.size, 2.0)))
+    rejected = res.trace.column("rejected")
+    assert res.rejections == rejected.sum() == rejected[0] == 3
+    assert res.trace.column("dt")[0] == cfg.dt_initial / 8
 
 
 def test_dt_initial_is_respected():
@@ -318,7 +405,7 @@ def test_dt_initial_is_respected():
 
 
 def test_trace_every_thins_rows():
-    cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=20, trace_every=10)
+    cfg = FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14, max_steps=20, trace_every=10)
     res = run(cfg, perturbed_circle())
     assert res.status == "max-steps"
     assert len(res.trace.rows) <= 4
@@ -416,8 +503,7 @@ def test_assumption_mode_strict_and_warn():
 
 
 def test_enforce_even_override():
-    # k = 0 flows default to no evenness enforcement; forcing it on with
-    # an even start keeps evenErr at zero.
+    # Forcing evenness on with an even start keeps evenErr at zero.
     cfg = FlowConfig(n=1, k=0, p=0.0, enforce_even=True, max_steps=50)
     res = run(cfg, perturbed_circle())
     assert np.max(res.trace.column("evenErr")) < 1e-13
