@@ -10,6 +10,11 @@ suites over deterministic corpora.
 The only dependency is numpy.  The S^2 grid's Gauss-Legendre rule is
 Newton's method on the Legendre recurrence (`sphere_grid.gauss_legendre`),
 and the ball quermassintegrals are closed forms, so no module loads scipy.
+
+Importing the package loads none of its submodules, nor numpy: each one
+is imported on first use, by ``import horocvx.quermass`` or by the
+attribute ``horocvx.quermass`` (PEP 562).  A command-line run therefore
+loads only the modules its command uses.
 """
 
 import os as _os
@@ -26,18 +31,6 @@ if _threads:
 
 __version__ = "0.1.0"
 
-from . import (  # noqa: E402
-    euclid_bridge,
-    flow,
-    hconvex,
-    lorentz,
-    problems,
-    psum,
-    quermass,
-    sphere_grid,
-    verify,
-)
-
 __all__ = [
     "__version__",
     "sphere_grid",
@@ -50,3 +43,11 @@ __all__ = [
     "euclid_bridge",
     "verify",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        import importlib
+
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

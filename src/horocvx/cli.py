@@ -5,6 +5,14 @@ Every invocation that writes an output file also writes a run manifest
 file hashes, all output paths, seed, package version, and grid, so a
 run can be reproduced exactly; identical manifests imply bit-identical
 outputs.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+Start-up is part of every command's cost, so this module imports at top
+level only what every numeric command uses (`sphere_grid` and `hconvex`,
+which brings `lorentz`); each `_cmd_*` imports its own kernels when it
+runs.  `mkfield` loads no further module, `psum` and `dilate` load
+`psum`, `quermass`, `steiner` and `weighted` load `quermass`, the
+curvature-data commands load `problems`, `flow` loads `flow`, `project`
+loads `euclid_bridge` and `verify` loads `verify`.
 """
 
 from __future__ import annotations
@@ -17,27 +25,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, verify as verify_mod
-from .euclid_bridge import EuclideanSupport, euclid_volume, project
-from .flow import FlowConfig, run as run_flow
-from .hconvex import SupportField, convexity, support_of_ball
+from . import __version__
+from .hconvex import SupportField, convexity, random_h_convex_fields, support_of_ball
 from .lorentz import hpoint, origin, validate_hpoint
-from .problems import (
-    ball_solutions,
-    check_assumption_h,
-    kw_residual,
-    measure_density,
-)
-from .psum import p_dilate, p_sum
-from .quermass import (
-    I_k_inverse,
-    S_functional,
-    minkowski_formula_residuals,
-    modified_quermass,
-    steiner_check,
-    weighted_steiner_check,
-    weighted_volume,
-)
 from .sphere_grid import (
     Grid,
     ScalarField,
@@ -65,6 +55,15 @@ def _as_real(value, what: str) -> float:
     ):
         return float(value)
     raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def _finite(text: str) -> float:
+    """argparse type of the float options: a finite number, so that NaN
+    and infinity stop at the flag that gave them (exit 2)."""
+    try:
+        return _as_real(float(text), "value")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
 
 
 def _parse_grid(spec: str) -> Grid:
@@ -173,7 +172,7 @@ def _cmd_mkfield(args) -> int:
             raise UsageError("--constant must be positive")
         values = np.full(grid.size, args.constant)
     elif args.random:
-        fields = verify_mod.random_h_convex_fields(args.seed or 0, [grid], 1)
+        fields = random_h_convex_fields(args.seed or 0, [grid], 1)
         values = fields[0].phi
     else:
         raise UsageError("mkfield needs one of --ball, --constant, --random")
@@ -198,6 +197,8 @@ def _cmd_mkfield(args) -> int:
 
 
 def _cmd_psum(args) -> int:
+    from .psum import p_sum
+
     K = _load_support(args.K)
     L = _load_support(args.L)
     result = p_sum(args.a, K, args.p, args.b, L)
@@ -214,6 +215,8 @@ def _cmd_psum(args) -> int:
 
 
 def _cmd_dilate(args) -> int:
+    from .psum import p_dilate
+
     K = _load_support(args.K)
     result = p_dilate(args.a, args.p, K)
     _dump_json(args.out, _field_json(result, "support"))
@@ -229,6 +232,8 @@ def _cmd_dilate(args) -> int:
 
 
 def _cmd_quermass(args) -> int:
+    from .quermass import I_k_inverse, modified_quermass
+
     K = _load_support(args.K)
     n = K.grid.n
     ks = [args.k] if args.k is not None else list(range(n + 1))
@@ -254,6 +259,8 @@ def _cmd_quermass(args) -> int:
 
 
 def _cmd_steiner(args) -> int:
+    from .quermass import steiner_check, weighted_steiner_check
+
     K = _load_support(args.K)
     if args.kind == "weighted":
         rep = weighted_steiner_check(K, args.rho)
@@ -286,6 +293,8 @@ def _cmd_steiner(args) -> int:
 
 
 def _cmd_weighted(args) -> int:
+    from .quermass import S_functional, minkowski_formula_residuals, weighted_volume
+
     K = _load_support(args.K)
     mink = minkowski_formula_residuals(K)
     report = {
@@ -302,6 +311,8 @@ def _cmd_weighted(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from .problems import measure_density
+
     K = _load_support(args.K)
     density = measure_density(K, args.p, args.k)
     total = integrate(K.grid, density)
@@ -322,6 +333,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_kw(args) -> int:
+    from .problems import kw_residual
+
     K = _load_support(args.K)
     f = _load_scalar(args.f)
     rep = kw_residual(K, f.values, args.k)
@@ -346,6 +359,8 @@ def _cmd_kw(args) -> int:
 
 
 def _cmd_ballsolve(args) -> int:
+    from .problems import ball_solutions
+
     rep = ball_solutions(args.n, args.k, args.p, args.gamma)
     report = {
         "case": rep.case,
@@ -372,6 +387,8 @@ def _cmd_ballsolve(args) -> int:
 
 
 def _cmd_assumption_h(args) -> int:
+    from .problems import check_assumption_h
+
     f = _load_scalar(args.f)
     rep = check_assumption_h(f.values, f.grid, f.grid.n, args.k, args.p)
     report = {
@@ -410,6 +427,8 @@ FLOW_CONFIG_KEYS = frozenset({
 
 
 def _cmd_flow(args) -> int:
+    from .flow import FlowConfig, run as run_flow
+
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -508,6 +527,8 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .euclid_bridge import EuclideanSupport, euclid_volume, project
+
     K = _load_support(args.K)
     hat = project(K)
     extra = {}
@@ -525,15 +546,20 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
+    known = ("all",) + verify_mod.SUITES + verify_mod.EXPLORATORY_SUITES
+    if args.suite not in known:
+        raise UsageError(f"unknown suite {args.suite!r}; known: {', '.join(known)}")
+    tol = verify_mod.DEFAULT_TOL if args.tol is None else args.tol
+    eq_tol = verify_mod.DEFAULT_EQ_TOL if args.eq_tol is None else args.eq_tol
     corpus = verify_mod.Corpus(seed=args.seed or 0)
     if args.suite == "all":
         records = verify_mod.run_all(
-            corpus, tol=args.tol, eq_tol=args.eq_tol, exploratory=args.exploratory
+            corpus, tol=tol, eq_tol=eq_tol, exploratory=args.exploratory
         )
     else:
-        records = verify_mod.run_suite(
-            args.suite, corpus, tol=args.tol, eq_tol=args.eq_tol
-        )
+        records = verify_mod.run_suite(args.suite, corpus, tol=tol, eq_tol=eq_tol)
     by_suite: dict[str, list] = {}
     for r in records:
         by_suite.setdefault(r.suite, []).append(r)
@@ -554,8 +580,8 @@ def _cmd_verify(args) -> int:
             "verify",
             {
                 "suite": args.suite,
-                "tol": args.tol,
-                "eq_tol": args.eq_tol,
+                "tol": tol,
+                "eq_tol": eq_tol,
                 "exploratory": args.exploratory,
             },
             [],
@@ -582,25 +608,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="s1:N or s2:LxM")
     p.add_argument("--ball", action="store_true", help="geodesic ball support field")
     p.add_argument("--center", default="origin", help="'origin' or comma separated coordinates")
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--constant", type=float, default=None, help="constant field value")
+    p.add_argument("--radius", type=_finite, default=None)
+    p.add_argument("--constant", type=_finite, default=None, help="constant field value")
     p.add_argument("--random", action="store_true", help="seeded random uniformly h-convex field")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mkfield)
 
     p = sub.add_parser("psum", help="hyperbolic p-sum of two support fields")
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=_finite, required=True)
     p.add_argument("--K", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--L", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_psum)
 
     p = sub.add_parser("dilate", help="p-dilation of a support field")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--a", type=_finite, required=True)
+    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--K", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_dilate)
@@ -613,7 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steiner", help="Steiner expansion residuals for outer parallels")
     p.add_argument("--K", required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--rho", type=_finite, required=True)
     p.add_argument("--kind", choices=["shifted", "classical", "weighted"], default="shifted")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_steiner)
@@ -625,7 +651,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="surface area measure density and total mass")
     p.add_argument("--K", required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_measure)
@@ -640,15 +666,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ballsolve", help="classify constant-data ball solutions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ballsolve)
 
     p = sub.add_parser("assumption-h", help="check the structural convexity condition on data f")
     p.add_argument("--f", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_assumption_h)
 
@@ -664,10 +690,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("verify", help="run inequality and identity suites")
-    p.add_argument("suite", choices=("all",) + verify_mod.SUITES + verify_mod.EXPLORATORY_SUITES)
+    p.add_argument("suite", help="a suite name, or 'all'")
     p.add_argument("--out", default=None, help="records CSV path")
-    p.add_argument("--tol", type=float, default=verify_mod.DEFAULT_TOL)
-    p.add_argument("--eq-tol", type=float, default=verify_mod.DEFAULT_EQ_TOL)
+    p.add_argument("--tol", type=_finite, default=None, help="default: verify.DEFAULT_TOL")
+    p.add_argument("--eq-tol", type=_finite, default=None, help="default: verify.DEFAULT_EQ_TOL")
     p.add_argument("--exploratory", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)

@@ -19,7 +19,13 @@ import numpy as np
 
 from . import lorentz
 from .euclid_bridge import V_functional, V_p_functional, project
-from .hconvex import SupportField, boundary_data, convexity, support_of_ball
+from .hconvex import (
+    SupportField,
+    boundary_data,
+    convexity,
+    random_h_convex_fields,
+    support_of_ball,
+)
 from .psum import p_dilate, p_sum
 from .quermass import (
     I_k,
@@ -162,48 +168,6 @@ def _perturbed(grid: Grid, r0: float, even: bool, flavor: int = 0) -> SupportFie
             return K
         amp *= 0.6
     raise RuntimeError("could not build a uniformly h-convex perturbed body")
-
-
-def random_h_convex_fields(seed: int, grids: list[Grid], count: int) -> list[SupportField]:
-    """Seeded corpus of uniformly h-convex fields on the given grids."""
-    rng = np.random.default_rng(seed)
-    fields = []
-    while len(fields) < count:
-        grid = grids[len(fields) % len(grids)]
-        r0 = rng.uniform(0.4, 1.0)
-        c = math.exp(r0)
-        if grid.n == 1:
-            theta = grid.theta
-            pert = np.zeros(grid.size)
-            for kk in range(1, 5):
-                pert += rng.uniform(-0.05, 0.05) * np.cos(kk * theta)
-                pert += rng.uniform(-0.05, 0.05) * np.sin(kk * theta)
-        else:
-            z = grid.nodes
-            basis = [
-                z[:, 0],
-                z[:, 1],
-                z[:, 2],
-                0.5 * (3.0 * z[:, 2] ** 2 - 1.0),
-                z[:, 0] ** 2 - z[:, 1] ** 2,
-                z[:, 0] * z[:, 1],
-                z[:, 0] * z[:, 2],
-                z[:, 1] * z[:, 2],
-            ]
-            pert = np.zeros(grid.size)
-            for b in basis:
-                pert += rng.uniform(-0.04, 0.04) * b
-        amp = 1.0
-        while amp > 1e-3:
-            K = SupportField(grid, c * (1.0 + amp * pert))
-            rep = convexity(K)
-            if rep.classification == "uniformly-h-convex" and rep.min_eigenvalue > 0.02:
-                fields.append(K)
-                break
-            amp *= 0.6
-        else:
-            continue
-    return fields
 
 
 def _term_S(S: float) -> float:

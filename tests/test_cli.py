@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import horocvx
-from horocvx import cli
+from horocvx import flow
 from horocvx.cli import main
 from horocvx.flow import FlowConfig
 from horocvx.sphere_grid import field_to_json_dict, load_field, make_grid, save_field
@@ -106,6 +106,41 @@ def test_cli_arg_parsing_exit_codes(tmp_path):
     assert main(["--version"]) == 0
 
 
+# Every float option, each in a command line that is otherwise valid.
+FLOAT_OPTIONS = [
+    (["mkfield", "--grid", "s1:64", "--ball", "--radius", "0.5"], "--radius"),
+    (["mkfield", "--grid", "s1:64", "--constant", "2.0"], "--constant"),
+    (["psum", "--a", "1", "--K", "K.json", "--p", "2", "--b", "1", "--L", "L.json"], "--a"),
+    (["psum", "--a", "1", "--K", "K.json", "--p", "2", "--b", "1", "--L", "L.json"], "--p"),
+    (["psum", "--a", "1", "--K", "K.json", "--p", "2", "--b", "1", "--L", "L.json"], "--b"),
+    (["dilate", "--a", "2", "--p", "1", "--K", "K.json"], "--a"),
+    (["dilate", "--a", "2", "--p", "1", "--K", "K.json"], "--p"),
+    (["steiner", "--K", "K.json", "--rho", "0.3"], "--rho"),
+    (["measure", "--K", "K.json", "--p", "1", "--k", "0"], "--p"),
+    (["ballsolve", "--n", "2", "--k", "0", "--p", "4", "--gamma", "0.02"], "--p"),
+    (["ballsolve", "--n", "2", "--k", "0", "--p", "4", "--gamma", "0.02"], "--gamma"),
+    (["assumption-h", "--f", "f.json", "--k", "1", "--p", "1"], "--p"),
+    (["verify", "bm_balls", "--tol", "1e-8"], "--tol"),
+    (["verify", "bm_balls", "--eq-tol", "1e-6"], "--eq-tol"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv, flag", FLOAT_OPTIONS, ids=[f"{a[0]}{f}" for a, f in FLOAT_OPTIONS]
+)
+def test_non_finite_float_option_is_a_usage_error(tmp_path, capsys, argv, flag, value):
+    # NaN or infinity would reach the kernels, or the output JSON as NaN.
+    # --flag=value, since argparse reads a separate "-inf" as an option.
+    i = argv.index(flag)
+    argv = argv[:i] + [f"{flag}={value}"] + argv[i + 2:]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a finite number" in err
+    assert not out.exists()
+
+
 SCIPY_FREE_SESSION = """
 import json
 import sys
@@ -150,6 +185,47 @@ def test_import_and_every_command_load_no_scipy(tmp_path):
     assert (tmp_path / "sum.json").exists()
     assert len((tmp_path / "trace.csv").read_text().splitlines()) == 7
     assert len((tmp_path / "trace2.csv").read_text().splitlines()) == 5
+
+
+def _loaded_modules(tmp_path, code):
+    """Sorted ``sys.modules`` names after running ``code`` in a fresh
+    interpreter in ``tmp_path``."""
+    src = str(Path(horocvx.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(json.dumps(sorted(sys.modules)))"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule_and_commands_load_only_their_own(tmp_path):
+    loaded = _loaded_modules(tmp_path, "import json, horocvx")
+    assert [m for m in loaded if m.startswith("horocvx")] == ["horocvx"]
+    assert "numpy" not in loaded
+    loaded = _loaded_modules(
+        tmp_path, "import json, horocvx\nassert callable(horocvx.quermass.I_k)"
+    )
+    assert "horocvx.quermass" in loaded
+    (tmp_path / "flow.json").write_text(json.dumps({"n": 1, "k": 0, "p": 0.0, "grid": "s1:32"}))
+    session = [
+        ["mkfield", "--grid", "s1:32", "--random", "--seed", "3", "--out", "K.json"],
+        ["mkfield", "--grid", "s1:32", "--ball", "--radius", "0.9", "--out", "L.json"],
+        ["psum", "--a", "1", "--K", "K.json", "--p", "2", "--b", "1", "--L", "L.json",
+         "--out", "M.json"],
+        ["quermass", "--K", "M.json", "--out", "w.json"],
+        ["steiner", "--K", "M.json", "--rho", "0.3", "--out", "s.json"],
+        ["flow", "--config", "flow.json", "--out", "t.csv"],
+    ]
+    for argv in session:
+        loaded = _loaded_modules(
+            tmp_path, f"import json\nfrom horocvx.cli import main\nassert main({argv!r}) == 0"
+        )
+        assert "horocvx.verify" not in loaded, argv
+        assert "horocvx.euclid_bridge" not in loaded, argv
+        if argv[0] == "mkfield":
+            assert "horocvx.flow" not in loaded, argv
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +417,13 @@ def test_flow_config_without_optional_keys_uses_flowconfig_defaults(tmp_path, mo
     # A key the file leaves out takes FlowConfig's default, not a copy
     # kept in the CLI.
     seen = []
-    real = cli.run_flow
+    real = flow.run
 
     def spy(config, phi0):
         seen.append(config)
         return real(config, phi0)
 
-    monkeypatch.setattr(cli, "run_flow", spy)
+    monkeypatch.setattr(flow, "run", spy)
     cfg_path = tmp_path / "flow.json"
     cfg_path.write_text(json.dumps({"n": 1, "k": 0, "p": 2.0, "grid": "s1:32"}))
     assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
@@ -529,6 +605,13 @@ def test_verify_failure_exit_code(tmp_path):
 
 def test_verify_rejects_unknown_suite():
     assert main(["verify", "nonsense"]) == 2
+
+
+def test_verify_unknown_suite_error_lists_the_suites(capsys):
+    assert main(["verify", "nonsense"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown suite 'nonsense'" in err
+    assert "all, bm_balls" in err and "xp_weighted_scaling" in err
 
 
 # ---------------------------------------------------------------------------
