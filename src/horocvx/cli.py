@@ -66,6 +66,32 @@ def _finite(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
 
 
+def _nonnegative(text: str) -> float:
+    """argparse type of --radius: a finite number >= 0."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as the RNG requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
+def _check_k(k: int, n: int) -> int:
+    """k as an index 0..n of the quermassintegrals on S^n."""
+    if not 0 <= k <= n:
+        raise UsageError(f"--k must lie in 0..{n} for n = {n}, got {k}")
+    return k
+
+
 def _parse_grid(spec: str) -> Grid:
     try:
         kind, _, rest = spec.partition(":")
@@ -236,7 +262,7 @@ def _cmd_quermass(args) -> int:
 
     K = _load_support(args.K)
     n = K.grid.n
-    ks = [args.k] if args.k is not None else list(range(n + 1))
+    ks = [_check_k(args.k, n)] if args.k is not None else list(range(n + 1))
     values = {}
     for k in ks:
         rep = modified_quermass(K, k)
@@ -314,7 +340,7 @@ def _cmd_measure(args) -> int:
     from .problems import measure_density
 
     K = _load_support(args.K)
-    density = measure_density(K, args.p, args.k)
+    density = measure_density(K, args.p, _check_k(args.k, K.grid.n))
     total = integrate(K.grid, density)
     obj = field_to_json_dict(K.grid, density, kind="measure-density")
     obj["total"] = total
@@ -337,7 +363,7 @@ def _cmd_kw(args) -> int:
 
     K = _load_support(args.K)
     f = _load_scalar(args.f)
-    rep = kw_residual(K, f.values, args.k)
+    rep = kw_residual(K, f.values, _check_k(args.k, K.grid.n))
     report = {
         "k": args.k,
         "coordinate_integrals": list(rep.coordinate_integrals),
@@ -361,7 +387,9 @@ def _cmd_kw(args) -> int:
 def _cmd_ballsolve(args) -> int:
     from .problems import ball_solutions
 
-    rep = ball_solutions(args.n, args.k, args.p, args.gamma)
+    if args.n not in (1, 2):
+        raise UsageError(f"--n must be 1 or 2, got {args.n}")
+    rep = ball_solutions(args.n, _check_k(args.k, args.n), args.p, args.gamma)
     report = {
         "case": rep.case,
         "n": rep.n,
@@ -390,7 +418,7 @@ def _cmd_assumption_h(args) -> int:
     from .problems import check_assumption_h
 
     f = _load_scalar(args.f)
-    rep = check_assumption_h(f.values, f.grid, f.grid.n, args.k, args.p)
+    rep = check_assumption_h(f.values, f.grid, f.grid.n, _check_k(args.k, f.grid.n), args.p)
     report = {
         "passes": rep.passes,
         "regime": rep.regime,
@@ -527,15 +555,13 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    from .euclid_bridge import EuclideanSupport, euclid_volume, project
+    from .euclid_bridge import euclid_volume, project
 
     K = _load_support(args.K)
     hat = project(K)
     extra = {}
     if convexity(K).classification == "uniformly-h-convex":
-        extra["euclidean_volume"] = euclid_volume(
-            EuclideanSupport(hat.grid, hat.u_hat)
-        )
+        extra["euclidean_volume"] = euclid_volume(hat)
     obj = field_to_json_dict(hat.grid, hat.u_hat, kind="euclidean-support")
     obj.update(extra)
     _dump_json(args.out, obj)
@@ -608,10 +634,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="s1:N or s2:LxM")
     p.add_argument("--ball", action="store_true", help="geodesic ball support field")
     p.add_argument("--center", default="origin", help="'origin' or comma separated coordinates")
-    p.add_argument("--radius", type=_finite, default=None)
+    p.add_argument("--radius", type=_nonnegative, default=None)
     p.add_argument("--constant", type=_finite, default=None, help="constant field value")
     p.add_argument("--random", action="store_true", help="seeded random uniformly h-convex field")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mkfield)
 

@@ -1,12 +1,21 @@
 """Inequality and identity suites over deterministic body corpora.
 
-Each suite emits CheckRecords (lhs, rhs, gap = lhs - rhs); a record
-passes when gap >= -tol * scale, and an equality-expected record also
-needs |gap| <= eq_tol * scale.  Reversed inequalities are stored with
-sides swapped so a nonnegative gap always means "holds".  Conjecture
-suites carry the xp_ prefix, run only on request, and are recorded
-without contributing to the overall verdict.  The counterexample suite
-must produce exactly one negative gap, marked expected.
+Each record holds lhs, rhs and gap = lhs - rhs; it passes when
+gap >= -tol * scale, and an equality-expected record also needs
+|gap| <= eq_tol * scale.  Reversed inequalities are stored with sides
+swapped so a nonnegative gap always means "holds".  Conjecture suites
+carry the xp_ prefix, run only on request, and are recorded without
+contributing to the overall verdict.
+
+A suite is a generator registered with the `_suite` decorator under
+its function name minus the ``_suite_`` prefix; registration order is
+the run order and so the CSV order.  It takes the run's `Bodies` and
+yields ``(case, lhs, rhs, equality_expected)``, or with a fifth item
+True for a record whose gap is expected to be negative; `run_suite`
+adds the suite name and the tolerances.  A `Bodies` set builds each
+grid body on its first request and lives for one `run_all` call (or
+one lone `run_suite` call), so every suite of a run that asks for the
+same body shares it and what its field has computed.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .sphere_grid import Grid, integrate, make_grid, sphere_area
 __all__ = [
     "CheckRecord",
     "Corpus",
+    "Bodies",
     "SUITES",
     "EXPLORATORY_SUITES",
     "run_suite",
@@ -56,30 +66,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 DEFAULT_EQ_TOL = 1e-6
-
-SUITES = (
-    "bm_balls",
-    "bm_k_n",
-    "af_chain",
-    "min_I_Kball",
-    "min_I_p1_Lball",
-    "min_II",
-    "weighted_af",
-    "weighted_iso",
-    "weighted_vol_cmp",
-    "hk_n1",
-    "euclid",
-    "counterexample",
-)
-
-EXPLORATORY_SUITES = (
-    "xp_bm_general",
-    "xp_min_I",
-    "xp_min_II",
-    "xp_weighted_bm",
-    "xp_weighted_min",
-    "xp_weighted_scaling",
-)
 
 
 @dataclass
@@ -125,10 +111,6 @@ def _record(
 # deterministic corpora
 
 
-def _grid_for(corpus: Corpus, n: int) -> Grid:
-    return make_grid(n, corpus.n1_resolution if n == 1 else corpus.n2_resolution)
-
-
 def _origin_ball(grid: Grid, r: float) -> SupportField:
     return support_of_ball(grid, lorentz.origin(grid.n), r)
 
@@ -170,18 +152,80 @@ def _perturbed(grid: Grid, r0: float, even: bool, flavor: int = 0) -> SupportFie
     raise RuntimeError("could not build a uniformly h-convex perturbed body")
 
 
+class Bodies:
+    """The corpus grids and the bodies on them for one verify run.
+
+    Each body is built on its first request and handed out again on
+    every later one, so the suites of a run share its field analysis.
+    Nothing outlives the set: a new set does all the work again.
+    """
+
+    def __init__(self, corpus: Corpus | None = None):
+        self.corpus = Corpus() if corpus is None else corpus
+        self._built: dict = {}
+
+    def grid(self, n: int) -> Grid:
+        c = self.corpus
+        return make_grid(n, c.n1_resolution if n == 1 else c.n2_resolution)
+
+    def _body(self, build, n: int, *args) -> SupportField:
+        key = (build, n, *args)
+        if key not in self._built:
+            self._built[key] = build(self.grid(n), *args)
+        return self._built[key]
+
+    def origin_ball(self, n: int, r: float) -> SupportField:
+        return self._body(_origin_ball, n, r)
+
+    def offset_ball(self, n: int, s: float, r: float) -> SupportField:
+        """The radius-r ball about the origin boosted by s along x_1."""
+        return self._body(_offset_ball, n, s, r)
+
+    def perturbed(self, n: int, r0: float, even: bool, flavor: int = 0) -> SupportField:
+        return self._body(_perturbed, n, r0, even, flavor)
+
+
 def _term_S(S: float) -> float:
     return S + math.sqrt(S * S + 1.0)
+
+
+def _bm_sides(a: float, K: SupportField, p: float, b: float, L: SupportField, k: int):
+    """Both sides of the k-th p-Brunn-Minkowski inequality for a K +_p b L:
+    exp(p r_k) of the sum against the same combination of the summands."""
+    lhs = math.exp(p * k_mean_radius(p_sum(a, K, p, b, L), k))
+    rhs = a * math.exp(p * k_mean_radius(K, k)) + b * math.exp(p * k_mean_radius(L, k))
+    return lhs, rhs
+
+
+def _weighted_bodies(bodies: Bodies):
+    """(n, tag, K, equality_expected) over the bodies of the weighted suites."""
+    for n in (1, 2):
+        yield n, "perturbed-even", bodies.perturbed(n, 0.6, even=True), False
+        yield n, "perturbed", bodies.perturbed(n, 0.8, even=False), False
+        yield n, "offset-ball", bodies.offset_ball(n, 0.5, 0.7), False
+        yield n, "origin-ball", bodies.origin_ball(n, 0.9), True
+
+
+def _even_and_ball(bodies: Bodies, n: int):
+    """(tag, K, equality_expected) over a perturbed even body and a ball."""
+    yield "perturbed-even", bodies.perturbed(n, 0.6, even=True), False
+    yield "origin-ball", bodies.origin_ball(n, 0.8), True
 
 
 # ---------------------------------------------------------------------------
 # suites
 
+_REGISTRY: dict = {}
 
-def _suite_bm_balls(corpus, tol, eq_tol):
-    records = []
+
+def _suite(fn):
+    _REGISTRY[fn.__name__.removeprefix("_suite_")] = fn
+    return fn
+
+
+@_suite
+def _suite_bm_balls(bodies):
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
         configs = [
             (0.5, 0, 1.0, 1.0, 0.5, 0.8),
             (1.0, n, 0.6, 0.7, 0.3, 0.6),
@@ -190,108 +234,54 @@ def _suite_bm_balls(corpus, tol, eq_tol):
         for p, k, a, b, r1, r2 in configs:
             for sep in (0.0, 0.7):
                 if sep == 0.0:
-                    K = _origin_ball(grid, r1)
-                    L = _origin_ball(grid, r2)
+                    K, L = bodies.origin_ball(n, r1), bodies.origin_ball(n, r2)
                 else:
-                    K = _offset_ball(grid, 0.5 * sep, r1)
-                    L = _offset_ball(grid, -0.5 * sep, r2)
-                omega_sum = p_sum(a, K, p, b, L)
-                lhs = math.exp(p * k_mean_radius(omega_sum, k))
-                rhs = a * math.exp(p * k_mean_radius(K, k)) + b * math.exp(
-                    p * k_mean_radius(L, k)
-                )
-                records.append(
-                    _record(
-                        "bm_balls",
-                        f"n{n}/p{p}/k{k}/sep{sep}",
-                        lhs,
-                        rhs,
-                        sep == 0.0,
-                        tol,
-                        eq_tol,
-                    )
-                )
-    return records
+                    K = bodies.offset_ball(n, 0.5 * sep, r1)
+                    L = bodies.offset_ball(n, -0.5 * sep, r2)
+                yield f"n{n}/p{p}/k{k}/sep{sep}", *_bm_sides(a, K, p, b, L, k), sep == 0.0
 
 
-def _suite_bm_k_n(corpus, tol, eq_tol):
-    records = []
+@_suite
+def _suite_bm_k_n(bodies):
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
         for p in (0.5, 1.5):
-            K = _perturbed(grid, 0.5, even=True)
+            K = bodies.perturbed(n, 0.5, even=True)
             L_dil = p_dilate(1.7, p, K)
-            L_gen = _perturbed(grid, 0.7, even=False, flavor=1)
+            L_gen = bodies.perturbed(n, 0.7, even=False, flavor=1)
             for tag, L, eq in (("dilates", L_dil, True), ("general", L_gen, False)):
-                a, b = 0.8, 0.6
-                omega_sum = p_sum(a, K, p, b, L)
-                lhs = math.exp(p * k_mean_radius(omega_sum, n))
-                rhs = a * math.exp(p * k_mean_radius(K, n)) + b * math.exp(
-                    p * k_mean_radius(L, n)
-                )
-                records.append(
-                    _record("bm_k_n", f"n{n}/p{p}/{tag}", lhs, rhs, eq, tol, eq_tol)
-                )
-    return records
+                yield f"n{n}/p{p}/{tag}", *_bm_sides(0.8, K, p, 0.6, L, n), eq
 
 
-def _suite_af_chain(corpus, tol, eq_tol):
-    records = []
+@_suite
+def _suite_af_chain(bodies):
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
-        bodies = [
-            ("perturbed-even", _perturbed(grid, 0.6, even=True), False),
-            ("perturbed", _perturbed(grid, 0.8, even=False), False),
-            ("offset-ball", _offset_ball(grid, 0.6, 0.7), True),
-            ("origin-ball", _origin_ball(grid, 0.9), True),
-        ]
-        for tag, K, eq in bodies:
+        for tag, K, eq in (
+            ("perturbed-even", bodies.perturbed(n, 0.6, even=True), False),
+            ("perturbed", bodies.perturbed(n, 0.8, even=False), False),
+            ("offset-ball", bodies.offset_ball(n, 0.6, 0.7), True),
+            ("origin-ball", bodies.origin_ball(n, 0.9), True),
+        ):
             W = {k: modified_quermass(K, k).value for k in range(n + 1)}
             for k in range(1, n + 1):
                 for l in range(k):
-                    lhs = W[k]
-                    rhs = I_k(n, k, I_k_inverse(n, l, W[l]))
-                    records.append(
-                        _record(
-                            "af_chain",
-                            f"n{n}/{tag}/W{k}-vs-W{l}",
-                            lhs,
-                            rhs,
-                            eq,
-                            tol,
-                            eq_tol,
-                        )
-                    )
+                    yield f"n{n}/{tag}/W{k}-vs-W{l}", W[k], I_k(n, k, I_k_inverse(n, l, W[l])), eq
             for k in range(n):
                 rk = I_k_inverse(n, k, W[k])
-                lhs = curvature_integral(K, k)
                 rhs = sphere_area(n) * math.sinh(rk) ** (n - k) * math.exp(-k * rk)
-                records.append(
-                    _record(
-                        "af_chain",
-                        f"n{n}/{tag}/curvature-k{k}",
-                        lhs,
-                        rhs,
-                        eq,
-                        tol,
-                        eq_tol,
-                    )
-                )
-    return records
+                yield f"n{n}/{tag}/curvature-k{k}", curvature_integral(K, k), rhs, eq
 
 
-def _suite_min_I_Kball(corpus, tol, eq_tol):
-    records = []
+@_suite
+def _suite_min_I_Kball(bodies):
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
+        grid = bodies.grid(n)
         omega = sphere_area(n)
         ps = (-1.0, 0.0, 1.0, 2.0) if n == 1 else (-2.0, -1.0, 0.0, 2.0)
-        bodies = [
-            ("perturbed-even", _perturbed(grid, 0.6, even=True)),
-            ("offset-ball", _offset_ball(grid, 0.5, 0.6)),
-            ("origin-ball", _origin_ball(grid, 0.8)),
-        ]
-        for tag, L in bodies:
+        for tag, L in (
+            ("perturbed-even", bodies.perturbed(n, 0.6, even=True)),
+            ("offset-ball", bodies.offset_ball(n, 0.5, 0.6)),
+            ("origin-ball", bodies.origin_ball(n, 0.8)),
+        ):
             for k in range(n + 1):
                 rk = k_mean_radius(L, k)
                 for p in ps:
@@ -305,262 +295,143 @@ def _suite_min_I_Kball(corpus, tol, eq_tol):
                         eq = tag != "perturbed-even" or k == n
                     else:
                         eq = tag == "origin-ball"
-                    records.append(
-                        _record(
-                            "min_I_Kball",
-                            f"n{n}/{tag}/k{k}/p{p}",
-                            lhs,
-                            rhs,
-                            eq,
-                            tol,
-                            eq_tol,
-                        )
-                    )
-    return records
+                    yield f"n{n}/{tag}/k{k}/p{p}", lhs, rhs, eq
 
 
-def _suite_min_I_p1_Lball(corpus, tol, eq_tol):
+@_suite
+def _suite_min_I_p1_Lball(bodies):
     # n = 2, k = 1, p = 1 only.
     n, k = 2, 1
-    grid = _grid_for(corpus, n)
+    grid = bodies.grid(n)
     omega = sphere_area(n)
-    records = []
-    bodies = [
-        ("perturbed-even", _perturbed(grid, 0.6, even=True), False),
-        ("origin-ball", _origin_ball(grid, 0.8), True),
-    ]
-    for tag, K, eq in bodies:
+    for tag, K, eq in _even_and_ball(bodies, n):
         term1 = integrate(grid, K.phi ** (-(1.0 + k)) * p_tensor(K.A, n - k))
         term2 = curvature_integral(K, k)
         rk = k_mean_radius(K, k)
         base = omega * math.sinh(rk) ** (n - k) * math.exp(-k * rk)
         for rL in (0.4, 1.0):
             lhs = math.exp(rL) * term1 - term2
-            rhs = base * (math.exp(rL - rk) - 1.0)
-            records.append(
-                _record(
-                    "min_I_p1_Lball", f"{tag}/rL{rL}", lhs, rhs, eq, tol, eq_tol
-                )
-            )
+            yield f"{tag}/rL{rL}", lhs, base * (math.exp(rL - rk) - 1.0), eq
         # L-point chain: the rL -> 0 limit splits into two comparisons.
         lhs_a = term1 - omega * math.sinh(rk) ** (n - k) * math.exp(-(k + 1) * rk)
         rhs_a = term2 - base
-        records.append(
-            _record("min_I_p1_Lball", f"{tag}/chain-upper", lhs_a, rhs_a, eq, tol, eq_tol)
-        )
-        records.append(
-            _record("min_I_p1_Lball", f"{tag}/chain-lower", rhs_a, 0.0, eq, tol, eq_tol)
-        )
-    return records
+        yield f"{tag}/chain-upper", lhs_a, rhs_a, eq
+        yield f"{tag}/chain-lower", rhs_a, 0.0, eq
 
 
-def _suite_min_II(corpus, tol, eq_tol):
-    records = []
-    omega2 = sphere_area(2)
-    grid2 = _grid_for(corpus, 2)
-    bodies2 = [
-        ("perturbed-even", _perturbed(grid2, 0.6, even=True), False),
-        ("origin-ball", _origin_ball(grid2, 0.8), True),
-    ]
+@_suite
+def _suite_min_II(bodies):
     n, k = 2, 1
-    for tag, K, eq in bodies2:
+    grid = bodies.grid(n)
+    for tag, K, eq in _even_and_ball(bodies, n):
         rk = k_mean_radius(K, k)
         mass = curvature_integral(K, k)
         for p in (1.0, 2.0, 3.0):
-            lhs = integrate(grid2, K.phi ** (-(p + k)) * p_tensor(K.A, n - k))
-            rhs = omega2 * math.sinh(rk) ** (n - k) * math.exp(-(k + p) * rk)
-            records.append(
-                _record("min_II", f"n2/k1/{tag}/p{p}", lhs, rhs, eq, tol, eq_tol)
-            )
-            records.append(
-                _record(
-                    "min_II",
-                    f"n2/k1/{tag}/p{p}/intermediate",
-                    lhs,
-                    mass * math.exp(-p * rk),
-                    eq,
-                    tol,
-                    eq_tol,
-                )
-            )
+            lhs = integrate(grid, K.phi ** (-(p + k)) * p_tensor(K.A, n - k))
+            rhs = sphere_area(n) * math.sinh(rk) ** (n - k) * math.exp(-(k + p) * rk)
+            yield f"n2/k1/{tag}/p{p}", lhs, rhs, eq
+            yield f"n2/k1/{tag}/p{p}/intermediate", lhs, mass * math.exp(-p * rk), eq
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
-        for tag, K, eq in (
-            ("perturbed-even", _perturbed(grid, 0.6, even=True), False),
-            ("origin-ball", _origin_ball(grid, 0.8), True),
-        ):
+        for tag, K, eq in _even_and_ball(bodies, n):
             r0 = k_mean_radius(K, 0)
-            lhs = integrate(grid, K.phi ** (-1.0) * p_tensor(K.A, n))
+            lhs = integrate(K.grid, K.phi ** (-1.0) * p_tensor(K.A, n))
             rhs = sphere_area(n) * math.sinh(r0) ** n * math.exp(-r0)
-            records.append(
-                _record("min_II", f"n{n}/k0/{tag}/p1", lhs, rhs, eq, tol, eq_tol)
-            )
-    return records
+            yield f"n{n}/k0/{tag}/p1", lhs, rhs, eq
 
 
-def _suite_weighted_af(corpus, tol, eq_tol):
-    records = []
-    for n in (1, 2):
-        grid = _grid_for(corpus, n)
-        bodies = [
-            ("perturbed-even", _perturbed(grid, 0.6, even=True), False),
-            ("perturbed", _perturbed(grid, 0.8, even=False), False),
-            ("offset-ball", _offset_ball(grid, 0.5, 0.7), False),
-            ("origin-ball", _origin_ball(grid, 0.9), True),
-        ]
-        for tag, K, eq in bodies:
-            bd = boundary_data(K)
-            kappa = 1.0 + bd.kappa_tilde
-            vw = weighted_volume(K)
-            cosh_total = integrate(grid, bd.coshr * bd.area_density)
-            weighted_sum = vw
-            for k in range(n + 1):
-                sk = p_normalized(kappa, k) * math.comb(n, k)
-                weighted_sum += integrate(grid, bd.coshr * sk * bd.area_density) / (
-                    k + 1
-                )
-            # Stored swapped: the power-mean side is the larger one.
-            lhs = (
-                vw ** (1.0 / (n + 1))
-                + vw ** (-n / (n + 1.0)) * cosh_total / (n + 1)
-            ) ** (n + 1)
-            records.append(
-                _record("weighted_af", f"n{n}/{tag}", lhs, weighted_sum, eq, tol, eq_tol)
-            )
-    return records
+@_suite
+def _suite_weighted_af(bodies):
+    for n, tag, K, eq in _weighted_bodies(bodies):
+        grid = K.grid
+        bd = boundary_data(K)
+        kappa = 1.0 + bd.kappa_tilde
+        vw = weighted_volume(K)
+        cosh_total = integrate(grid, bd.coshr * bd.area_density)
+        weighted_sum = vw
+        for k in range(n + 1):
+            sk = p_normalized(kappa, k) * math.comb(n, k)
+            weighted_sum += integrate(grid, bd.coshr * sk * bd.area_density) / (k + 1)
+        # Stored swapped: the power-mean side is the larger one.
+        lhs = (
+            vw ** (1.0 / (n + 1))
+            + vw ** (-n / (n + 1.0)) * cosh_total / (n + 1)
+        ) ** (n + 1)
+        yield f"n{n}/{tag}", lhs, weighted_sum, eq
 
 
-def _suite_weighted_iso(corpus, tol, eq_tol):
-    records = []
-    for n in (1, 2):
-        grid = _grid_for(corpus, n)
+@_suite
+def _suite_weighted_iso(bodies):
+    for n, tag, K, eq in _weighted_bodies(bodies):
+        grid = K.grid
         omega = sphere_area(n)
-        bodies = [
-            ("perturbed-even", _perturbed(grid, 0.6, even=True), False),
-            ("perturbed", _perturbed(grid, 0.8, even=False), False),
-            ("offset-ball", _offset_ball(grid, 0.5, 0.7), False),
-            ("origin-ball", _origin_ball(grid, 0.9), True),
-        ]
-        for tag, K, eq in bodies:
-            bd = boundary_data(K)
-            vw = weighted_volume(K)
-            cosh_total = integrate(grid, bd.coshr * bd.area_density)
-            rhs = math.sqrt(
-                ((n + 1) * vw) ** 2
-                + omega ** (2.0 / (n + 1)) * ((n + 1) * vw) ** (2.0 * n / (n + 1))
-            )
-            records.append(
-                _record("weighted_iso", f"n{n}/{tag}/area", cosh_total, rhs, eq, tol, eq_tol)
-            )
-            S = S_functional(K)
-            for p in (1.0, 2.0):
-                lhs = integrate(
-                    grid, bd.coshr * K.phi ** (-p) * bd.area_density
-                )
-                rhs_p = (
-                    omega
-                    * S**n
-                    * math.sqrt(S * S + 1.0)
-                    * _term_S(S) ** (-p)
-                )
-                records.append(
-                    _record(
-                        "weighted_iso", f"n{n}/{tag}/p{p}", lhs, rhs_p, eq, tol, eq_tol
-                    )
-                )
-    return records
+        bd = boundary_data(K)
+        vw = weighted_volume(K)
+        cosh_total = integrate(grid, bd.coshr * bd.area_density)
+        rhs = math.sqrt(
+            ((n + 1) * vw) ** 2
+            + omega ** (2.0 / (n + 1)) * ((n + 1) * vw) ** (2.0 * n / (n + 1))
+        )
+        yield f"n{n}/{tag}/area", cosh_total, rhs, eq
+        S = S_functional(K)
+        for p in (1.0, 2.0):
+            lhs = integrate(grid, bd.coshr * K.phi ** (-p) * bd.area_density)
+            rhs_p = omega * S**n * math.sqrt(S * S + 1.0) * _term_S(S) ** (-p)
+            yield f"n{n}/{tag}/p{p}", lhs, rhs_p, eq
 
 
-def _suite_weighted_vol_cmp(corpus, tol, eq_tol):
-    records = []
-    for n in (1, 2):
-        grid = _grid_for(corpus, n)
-        bodies = [
-            ("perturbed-even", _perturbed(grid, 0.6, even=True), False),
-            ("perturbed", _perturbed(grid, 0.8, even=False), False),
-            ("offset-ball", _offset_ball(grid, 0.5, 0.7), False),
-            ("origin-ball", _origin_ball(grid, 0.9), True),
-        ]
-        for tag, K, eq in bodies:
-            vw = weighted_volume(K)
-            r0 = k_mean_radius(K, 0)
-            rhs = sphere_area(n) / (n + 1) * math.sinh(r0) ** (n + 1)
-            records.append(
-                _record("weighted_vol_cmp", f"n{n}/{tag}", vw, rhs, eq, tol, eq_tol)
-            )
-    return records
+@_suite
+def _suite_weighted_vol_cmp(bodies):
+    for n, tag, K, eq in _weighted_bodies(bodies):
+        r0 = k_mean_radius(K, 0)
+        rhs = sphere_area(n) / (n + 1) * math.sinh(r0) ** (n + 1)
+        yield f"n{n}/{tag}", weighted_volume(K), rhs, eq
 
 
-def _suite_hk_n1(corpus, tol, eq_tol):
+@_suite
+def _suite_hk_n1(bodies):
     n = 1
-    grid = _grid_for(corpus, n)
-    records = []
-    bodies = [
-        ("perturbed-even", _perturbed(grid, 0.6, even=True), False),
-        ("perturbed", _perturbed(grid, 0.8, even=False), False),
-        ("origin-ball", _origin_ball(grid, 0.9), True),
-        ("offset-ball", _offset_ball(grid, 0.6, 0.7), True),
-    ]
-    for tag, K, eq in bodies:
+    grid = bodies.grid(n)
+    for tag, K, eq in (
+        ("perturbed-even", bodies.perturbed(n, 0.6, even=True), False),
+        ("perturbed", bodies.perturbed(n, 0.8, even=False), False),
+        ("origin-ball", bodies.origin_ball(n, 0.9), True),
+        ("offset-ball", bodies.offset_ball(n, 0.6, 0.7), True),
+    ):
         bd = boundary_data(K)
         A = bd.lambda_tilde[:, 0] / K.phi
         hk = integrate(grid, (A - bd.u_tilde) * A)
-        records.append(_record("hk_n1", f"{tag}", hk, 0.0, eq, tol, eq_tol))
+        yield tag, hk, 0.0, eq
         d1, d2 = K.gradient[:, 0], K.hessian[:, 0, 0]
         wirtinger = integrate(grid, d2 * d2 - d1 * d1)
-        records.append(
-            _record("hk_n1", f"{tag}/wirtinger-identity", wirtinger, hk, True, tol, eq_tol)
-        )
-    return records
+        yield f"{tag}/wirtinger-identity", wirtinger, hk, True
 
 
-def _suite_euclid(corpus, tol, eq_tol):
-    records = []
+@_suite
+def _suite_euclid(bodies):
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
+        grid = bodies.grid(n)
         omega = sphere_area(n)
-        K = _perturbed(grid, 0.5, even=True)
-        L_gen = _perturbed(grid, 0.7, even=False, flavor=2)
+        K = bodies.perturbed(n, 0.5, even=True)
+        L_gen = bodies.perturbed(n, 0.7, even=False, flavor=2)
         L_dil = p_dilate(1.6, 2.0, K)
         a, b = 0.7, 0.8
+        vK = V_functional(K).value
         for p in (1.25, 2.0):
             for tag, L, eq in (("general", L_gen, False), ("dilates", L_dil, True)):
-                omega_sum = p_sum(a, K, p, b, L)
-                vK = V_functional(K).value
                 vL = V_functional(L).value
-                vS = V_functional(omega_sum).value
+                vS = V_functional(p_sum(a, K, p, b, L)).value
                 e = p / (n + 1.0)
-                records.append(
-                    _record(
-                        "euclid",
-                        f"n{n}/bm/p{p}/{tag}",
-                        vS**e,
-                        a * vK**e + b * vL**e,
-                        eq,
-                        tol,
-                        eq_tol,
-                    )
-                )
+                yield f"n{n}/bm/p{p}/{tag}", vS**e, a * vK**e + b * vL**e, eq
                 vp = V_p_functional(K, L, p).value
-                records.append(
-                    _record(
-                        "euclid",
-                        f"n{n}/minkowski/p{p}/{tag}",
-                        vp ** (n + 1.0),
-                        vK ** (n + 1.0 - p) * vL**p,
-                        eq,
-                        tol,
-                        eq_tol,
-                    )
-                )
+                rhs = vK ** (n + 1.0 - p) * vL**p
+                yield f"n{n}/minkowski/p{p}/{tag}", vp ** (n + 1.0), rhs, eq
         iso_bodies = [
             ("perturbed", K, False),
-            ("origin-ball", _origin_ball(grid, 0.7), True),
-            ("offset-ball", _offset_ball(grid, 0.5, 0.6), None),
+            ("origin-ball", bodies.origin_ball(n, 0.7), True),
+            ("offset-ball", bodies.offset_ball(n, 0.5, 0.6), None),
         ]
         for p in (1.0, 2.0):
             for tag, body, eq in iso_bodies:
-                eq_flag = (eq is True) or (eq is None and p == 1.0)
                 hat = project(body)
                 lhs = integrate(grid, hat.u_hat ** (1.0 - p) * p_tensor(hat.form, n))
                 v = V_functional(body).value
@@ -569,27 +440,13 @@ def _suite_euclid(corpus, tol, eq_tol):
                     * omega ** (p / (n + 1.0))
                     * v ** ((n + 1.0 - p) / (n + 1.0))
                 )
-                records.append(
-                    _record(
-                        "euclid", f"n{n}/iso/p{p}/{tag}", lhs, rhs, eq_flag, tol, eq_tol
-                    )
-                )
-        ball = _origin_ball(grid, math.log(2.0))
-        records.append(
-            _record(
-                "euclid",
-                f"n{n}/ball-volume-identity",
-                V_functional(ball).value,
-                omega * 2.0 ** (n + 1) / (n + 1),
-                True,
-                tol,
-                eq_tol,
-            )
-        )
-    return records
+                yield f"n{n}/iso/p{p}/{tag}", lhs, rhs, (eq is True) or (eq is None and p == 1.0)
+        ball_volume = V_functional(bodies.origin_ball(n, math.log(2.0))).value
+        yield f"n{n}/ball-volume-identity", ball_volume, omega * 2.0 ** (n + 1) / (n + 1), True
 
 
-def _suite_counterexample(corpus, tol, eq_tol):
+@_suite
+def _suite_counterexample(bodies):
     """Concentric-ball counterexample to the unrestricted weighted
     Brunn-Minkowski statement: positive gap at scale 100, negative at
     scale 2 (the negative record is the expected behaviour).
@@ -600,153 +457,94 @@ def _suite_counterexample(corpus, tol, eq_tol):
     """
     r1, r2, r3 = math.log(11.0 / 10.0), math.log(4.0 / 3.0), math.log(73.0 / 60.0)
     sinh1, sinh2, sinh3 = 21.0 / 220.0, 7.0 / 24.0, 1729.0 / 8760.0
-    records = []
     for n in (1, 2):
         for scale, expect_negative in ((100.0, False), (2.0, True)):
-            SK = scale * sinh1
-            SL = scale * sinh2
-            SO = scale * sinh3
-            lhs = _term_S(SO)
-            rhs = 0.5 * _term_S(SK) + 0.5 * _term_S(SL)
-            records.append(
-                _record(
-                    "counterexample",
-                    f"n{n}/scale{scale:g}",
-                    lhs,
-                    rhs,
-                    False,
-                    tol,
-                    eq_tol,
-                    expect_negative=expect_negative,
-                )
-            )
-    # Grid cross-check of the closed-form S values at the benign scale.
+            lhs = _term_S(scale * sinh3)
+            rhs = 0.5 * _term_S(scale * sinh1) + 0.5 * _term_S(scale * sinh2)
+            # Marked: at scale 2 the record certifies a negative gap.
+            yield f"n{n}/scale{scale:g}", lhs, rhs, False, expect_negative
+    # Grid cross-check of the closed-form S values at the benign scale,
+    # on a finer grid than the corpus.
     grid = make_grid(1, 512)
     s = math.acosh(4.0)
-    direction = np.array([1.0, 0.0])
-    center = lorentz.apply_isometry(
-        lorentz.boost(1, direction, s), lorentz.origin(1)
-    )
-    terms = []
-    for r in (r1, r2, r3):
-        K = support_of_ball(grid, center, r)
-        terms.append(_term_S(S_functional(K)))
+    terms = [_term_S(S_functional(_offset_ball(grid, s, r))) for r in (r1, r2, r3)]
     lhs_grid = terms[2] - 0.5 * terms[0] - 0.5 * terms[1]
-    lhs_closed = _term_S(2.0 * sinh3) - 0.5 * _term_S(2.0 * sinh1) - 0.5 * _term_S(
-        2.0 * sinh2
+    lhs_closed = (
+        _term_S(2.0 * sinh3) - 0.5 * _term_S(2.0 * sinh1) - 0.5 * _term_S(2.0 * sinh2)
     )
-    records.append(
-        _record(
-            "counterexample",
-            "n1/scale2/grid-cross-check",
-            lhs_grid,
-            lhs_closed,
-            True,
-            tol,
-            eq_tol,
-        )
-    )
-    return records
+    yield "n1/scale2/grid-cross-check", lhs_grid, lhs_closed, True
 
 
 # ---------------------------------------------------------------------------
 # exploratory (conjecture) suites: recorded, never asserted
 
 
-def _suite_xp_bm_general(corpus, tol, eq_tol):
-    records = []
+@_suite
+def _suite_xp_bm_general(bodies):
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
-        K = _perturbed(grid, 0.5, even=True)
-        L = _perturbed(grid, 0.7, even=True, flavor=3)
+        K = bodies.perturbed(n, 0.5, even=True)
+        L = bodies.perturbed(n, 0.7, even=True, flavor=3)
         for p in (0.5, 1.0, 2.0):
             for k in range(n + 1):
-                a, b = 0.7, 0.6
-                omega_sum = p_sum(a, K, p, b, L)
-                lhs = math.exp(p * k_mean_radius(omega_sum, k))
-                rhs = a * math.exp(p * k_mean_radius(K, k)) + b * math.exp(
-                    p * k_mean_radius(L, k)
-                )
-                records.append(
-                    _record("xp_bm_general", f"n{n}/p{p}/k{k}", lhs, rhs, False, tol, eq_tol)
-                )
-    return records
+                yield f"n{n}/p{p}/k{k}", *_bm_sides(0.7, K, p, 0.6, L, k), False
 
 
-def _xp_min_terms(K: SupportField, L: SupportField, p: float, k: int):
-    grid = K.grid
-    n = grid.n
-    pk = p_tensor(K.A, n - k)
-    mixed = integrate(grid, L.phi**p * K.phi ** (-(p + k)) * pk)
-    mass = integrate(grid, K.phi ** (-float(k)) * pk)
-    rK = k_mean_radius(K, k)
-    rL = k_mean_radius(L, k)
-    base = sphere_area(n) * math.sinh(rK) ** (n - k) * math.exp(-k * rK)
-    return mixed, mass, rK, rL, base
-
-
-def _suite_xp_min(corpus, tol, eq_tol, variant: str):
-    records = []
+def _xp_min(bodies, variant: str):
+    """Minkowski inequalities of the first (I) and second (II) kind for
+    two perturbed bodies."""
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
-        K = _perturbed(grid, 0.6, even=True)
-        L = _perturbed(grid, 0.8, even=True, flavor=2)
+        grid = bodies.grid(n)
+        K = bodies.perturbed(n, 0.6, even=True)
+        L = bodies.perturbed(n, 0.8, even=True, flavor=2)
         for k in range(n):
             for p in (-1.0, 0.5, 1.0, 2.0):
-                if p < -n:
+                if p < -n or (variant == "II" and p < 0.0):
                     continue
-                mixed, mass, rK, rL, base = _xp_min_terms(K, L, p, k)
+                pk = p_tensor(K.A, n - k)
+                mixed = integrate(grid, L.phi**p * K.phi ** (-(p + k)) * pk)
+                rK = k_mean_radius(K, k)
+                rL = k_mean_radius(L, k)
+                base = sphere_area(n) * math.sinh(rK) ** (n - k) * math.exp(-k * rK)
                 if variant == "I":
+                    mass = integrate(grid, K.phi ** (-float(k)) * pk)
                     lhs = mixed - mass
                     rhs = base * (math.exp(p * (rL - rK)) - 1.0)
                     if p < 0.0:
                         lhs, rhs = rhs, lhs  # reversed inequality, stored swapped
                 else:
-                    if p < 0.0:
-                        continue
                     lhs = mixed
                     rhs = base * math.exp(p * (rL - rK))
-                records.append(
-                    _record(
-                        f"xp_min_{variant}",
-                        f"n{n}/k{k}/p{p}",
-                        lhs,
-                        rhs,
-                        False,
-                        tol,
-                        eq_tol,
-                    )
-                )
-    return records
+                yield f"n{n}/k{k}/p{p}", lhs, rhs, False
 
 
-def _suite_xp_weighted_bm(corpus, tol, eq_tol):
-    records = []
+@_suite
+def _suite_xp_min_I(bodies):
+    return _xp_min(bodies, "I")
+
+
+@_suite
+def _suite_xp_min_II(bodies):
+    return _xp_min(bodies, "II")
+
+
+@_suite
+def _suite_xp_weighted_bm(bodies):
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
-        K = _perturbed(grid, 0.5, even=True)
-        L = _perturbed(grid, 0.7, even=True, flavor=4)
+        K = bodies.perturbed(n, 0.5, even=True)
+        L = bodies.perturbed(n, 0.7, even=True, flavor=4)
         for p in (0.5, 1.0, 2.0):
             for a, b in ((0.6, 0.7), (1.0, 1.0)):
-                omega_sum = p_sum(a, K, p, b, L)
-                lhs = _term_S(S_functional(omega_sum)) ** p
-                rhs = a * _term_S(S_functional(K)) ** p + b * _term_S(
-                    S_functional(L)
-                ) ** p
-                records.append(
-                    _record(
-                        "xp_weighted_bm", f"n{n}/p{p}/a{a}b{b}", lhs, rhs, False, tol, eq_tol
-                    )
-                )
-    return records
+                lhs = _term_S(S_functional(p_sum(a, K, p, b, L))) ** p
+                rhs = a * _term_S(S_functional(K)) ** p + b * _term_S(S_functional(L)) ** p
+                yield f"n{n}/p{p}/a{a}b{b}", lhs, rhs, False
 
 
-def _suite_xp_weighted_min(corpus, tol, eq_tol):
-    records = []
+@_suite
+def _suite_xp_weighted_min(bodies):
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
-        K = _perturbed(grid, 0.6, even=True)
-        L = _perturbed(grid, 0.8, even=True, flavor=5)
+        grid = bodies.grid(n)
+        K = bodies.perturbed(n, 0.6, even=True)
+        L = bodies.perturbed(n, 0.8, even=True, flavor=5)
         bd = boundary_data(K)
         SK = S_functional(K)
         SL = S_functional(L)
@@ -754,77 +552,24 @@ def _suite_xp_weighted_min(corpus, tol, eq_tol):
         base = sphere_area(n) * SK**n * math.sqrt(SK * SK + 1.0)
         cosh_total = integrate(grid, bd.coshr * bd.area_density)
         for p in (0.5, 1.0, 2.0):
-            mixed = integrate(
-                grid,
-                L.phi**p * bd.coshr * K.phi ** (-p) * bd.area_density,
-            )
-            lhs = mixed - cosh_total
-            rhs = base * (ratio**p - 1.0)
-            records.append(
-                _record("xp_weighted_min", f"n{n}/I/p{p}", lhs, rhs, False, tol, eq_tol)
-            )
-            records.append(
-                _record(
-                    "xp_weighted_min",
-                    f"n{n}/II/p{p}",
-                    mixed,
-                    base * ratio**p,
-                    False,
-                    tol,
-                    eq_tol,
-                )
-            )
-    return records
+            mixed = integrate(grid, L.phi**p * bd.coshr * K.phi ** (-p) * bd.area_density)
+            yield f"n{n}/I/p{p}", mixed - cosh_total, base * (ratio**p - 1.0), False
+            yield f"n{n}/II/p{p}", mixed, base * ratio**p, False
 
 
-def _suite_xp_weighted_scaling(corpus, tol, eq_tol):
-    records = []
+@_suite
+def _suite_xp_weighted_scaling(bodies):
     for n in (1, 2):
-        grid = _grid_for(corpus, n)
-        bodies = [
-            ("perturbed-even", _perturbed(grid, 0.6, even=True), False),
-            ("origin-ball", _origin_ball(grid, 0.8), True),
-        ]
-        for tag, K, eq in bodies:
+        for tag, K, eq in _even_and_ball(bodies, n):
             for p in (0.5, 1.0, 2.0):
                 for t in (1.5, 2.5):
-                    Kt = p_dilate(t, p, K)
-                    lhs = _term_S(S_functional(Kt)) ** p
-                    rhs = t * _term_S(S_functional(K)) ** p
-                    records.append(
-                        _record(
-                            "xp_weighted_scaling",
-                            f"n{n}/{tag}/p{p}/t{t}",
-                            lhs,
-                            rhs,
-                            eq,
-                            tol,
-                            eq_tol,
-                        )
-                    )
-    return records
+                    lhs = _term_S(S_functional(p_dilate(t, p, K))) ** p
+                    yield f"n{n}/{tag}/p{p}/t{t}", lhs, t * _term_S(S_functional(K)) ** p, eq
 
 
-_SUITE_FUNCS = {
-    "bm_balls": _suite_bm_balls,
-    "bm_k_n": _suite_bm_k_n,
-    "af_chain": _suite_af_chain,
-    "min_I_Kball": _suite_min_I_Kball,
-    "min_I_p1_Lball": _suite_min_I_p1_Lball,
-    "min_II": _suite_min_II,
-    "weighted_af": _suite_weighted_af,
-    "weighted_iso": _suite_weighted_iso,
-    "weighted_vol_cmp": _suite_weighted_vol_cmp,
-    "hk_n1": _suite_hk_n1,
-    "euclid": _suite_euclid,
-    "counterexample": _suite_counterexample,
-    "xp_bm_general": _suite_xp_bm_general,
-    "xp_min_I": lambda c, t, e: _suite_xp_min(c, t, e, "I"),
-    "xp_min_II": lambda c, t, e: _suite_xp_min(c, t, e, "II"),
-    "xp_weighted_bm": _suite_xp_weighted_bm,
-    "xp_weighted_min": _suite_xp_weighted_min,
-    "xp_weighted_scaling": _suite_xp_weighted_scaling,
-}
+# Registration order is the run order, and so the CSV order.
+SUITES = tuple(name for name in _REGISTRY if not name.startswith("xp_"))
+EXPLORATORY_SUITES = tuple(name for name in _REGISTRY if name.startswith("xp_"))
 
 
 def run_suite(
@@ -832,13 +577,25 @@ def run_suite(
     corpus: Corpus | None = None,
     tol: float = DEFAULT_TOL,
     eq_tol: float = DEFAULT_EQ_TOL,
+    *,
+    bodies: Bodies | None = None,
 ) -> list[CheckRecord]:
-    """Run one named suite and return its records."""
-    if name not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(_SUITE_FUNCS)}")
-    if corpus is None:
-        corpus = Corpus()
-    return _SUITE_FUNCS[name](corpus, tol, eq_tol)
+    """Run one named suite and return its records.
+
+    ``bodies`` is a body set shared with other calls (`run_all` passes
+    one set to every suite); by default the call builds its own from
+    ``corpus``.
+    """
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(_REGISTRY)}")
+    if bodies is None:
+        bodies = Bodies(corpus)
+    elif corpus is not None and corpus != bodies.corpus:
+        raise ValueError("corpus differs from the corpus of the body set")
+    return [
+        _record(name, case, lhs, rhs, eq, tol, eq_tol, *negative)
+        for case, lhs, rhs, eq, *negative in _REGISTRY[name](bodies)
+    ]
 
 
 def run_all(
@@ -847,10 +604,12 @@ def run_all(
     eq_tol: float = DEFAULT_EQ_TOL,
     exploratory: bool = False,
 ) -> list[CheckRecord]:
-    names = SUITES + (EXPLORATORY_SUITES if exploratory else ())
+    """Every asserted suite, then the exploratory ones on request, over
+    one body set."""
+    bodies = Bodies(corpus)
     records = []
-    for name in names:
-        records.extend(run_suite(name, corpus, tol, eq_tol))
+    for name in SUITES + (EXPLORATORY_SUITES if exploratory else ()):
+        records.extend(run_suite(name, tol=tol, eq_tol=eq_tol, bodies=bodies))
     return records
 
 

@@ -141,6 +141,34 @@ def test_non_finite_float_option_is_a_usage_error(tmp_path, capsys, argv, flag, 
     assert not out.exists()
 
 
+# Values of the right type that a command cannot use, on an s1:64 ball
+# K.json; each is rejected where it enters, before any kernel runs.
+BALLSOLVE = ["ballsolve", "--p", "4", "--gamma", "1"]
+OUT_OF_RANGE = [
+    pytest.param(["mkfield", "--grid", "s1:64", "--ball", "--radius=-1"], id="radius"),
+    pytest.param(["mkfield", "--grid", "s1:64", "--random", "--seed=-3"], id="seed"),
+    pytest.param(["quermass", "--K", "K.json", "--k", "7"], id="quermass-k7"),
+    pytest.param(["quermass", "--K", "K.json", "--k=-1"], id="quermass-k-1"),
+    pytest.param(["measure", "--K", "K.json", "--p", "1", "--k", "9"], id="measure-k9"),
+    pytest.param(["kw", "--K", "K.json", "--f", "K.json", "--k", "4"], id="kw-k4"),
+    pytest.param(["assumption-h", "--f", "K.json", "--k", "2", "--p", "1"], id="assumption-h-k2"),
+    pytest.param(BALLSOLVE + ["--n", "0", "--k", "0"], id="ballsolve-n0"),
+    pytest.param(BALLSOLVE + ["--n", "3", "--k", "0"], id="ballsolve-n3"),
+    pytest.param(BALLSOLVE + ["--n", "2", "--k", "3"], id="ballsolve-k3"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE)
+def test_out_of_range_option_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    mkball(tmp_path, "K.json", 0.5)
+    capsys.readouterr()
+    assert main(argv + ["--out", "out.json"]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 SCIPY_FREE_SESSION = """
 import json
 import sys
@@ -363,6 +391,15 @@ def test_project_report(tmp_path):
     rep = read_json(out)
     assert rep["kind"] == "euclidean-support"
     assert rep["euclidean_volume"] == pytest.approx(4.0 * math.pi, abs=1e-10)
+
+
+def test_project_reuses_its_projection(tmp_path, fft_counts):
+    # One derivative pass for K; the volume reads the form that project()
+    # built from K's Hessian instead of analysing u^ = phi again.
+    K = mkball(tmp_path, "K.json", math.log(2.0))
+    fft_counts.update(rfft=0, irfft=0)
+    assert main(["project", "--K", str(K), "--out", str(tmp_path / "hat.json")]) == 0
+    assert fft_counts["rfft"] + fft_counts["irfft"] == 3
 
 
 # ---------------------------------------------------------------------------

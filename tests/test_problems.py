@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocvx.hconvex import SupportField, support_of_ball
+from horocvx.hconvex import SupportField, random_h_convex_fields, support_of_ball
 from horocvx.lorentz import origin
 from horocvx.problems import (
     J_p,
@@ -18,7 +18,7 @@ from horocvx.problems import (
     mixed_quermass,
     pde_residual,
 )
-from horocvx.quermass import curvature_integral
+from horocvx.quermass import curvature_integral, modified_quermass
 from horocvx.sphere_grid import make_grid
 
 S1 = make_grid(1, 64)
@@ -77,6 +77,24 @@ def test_mixed_quermass_validation():
         mixed_quermass(K, L, 0.4, 0)
     with pytest.raises(ValueError):
         mixed_quermass(K, support_of_ball(make_grid(1, 32), origin(1), 0.8), 1.0, 0)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n, resolution", [(1, 128), (2, 24)])
+def test_mixed_quermass_is_the_variation_of_modified_quermass(n, resolution, p):
+    # The defining first variation: d/dt W_k((phi_K^p + t phi_L^p)^{1/p})
+    # at t = 0 is W_{p,k}(K, L), here by central differences.
+    grid = make_grid(n, resolution)
+    K, L = random_h_convex_fields(3, [grid], 2)
+    h = 1e-4
+
+    def W(t, k):
+        phi_t = (K.phi**p + t * L.phi**p) ** (1.0 / p)
+        return modified_quermass(SupportField(grid, phi_t), k).value
+
+    for k in range(n + 1):
+        variation = (W(h, k) - W(-h, k)) / (2.0 * h)
+        assert variation == pytest.approx(mixed_quermass(K, L, p, k), rel=1e-6), k
 
 
 # ---------------------------------------------------------------------------

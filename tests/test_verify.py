@@ -11,6 +11,7 @@ from horocvx.sphere_grid import make_grid
 from horocvx.verify import (
     EXPLORATORY_SUITES,
     SUITES,
+    Bodies,
     CheckRecord,
     Corpus,
     all_passed,
@@ -38,9 +39,24 @@ def test_euclid_suite_analyses_each_body_once(fft_counts):
     assert fft_counts["rfft"] == 25
 
 
+def test_run_all_builds_each_body_once(fft_counts):
+    # One body set for the whole run: a body that several suites use is
+    # analysed once (250 rfft calls when every suite built its own).
+    run_all(Corpus(), exploratory=True)
+    assert fft_counts["rfft"] <= 149
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("no_such_suite", CORPUS)
+
+
+def test_shared_body_set_gives_the_records_of_a_fresh_one():
+    bodies = Bodies(CORPUS)
+    for name in ("af_chain", "weighted_af", "af_chain"):
+        assert run_suite(name, bodies=bodies) == run_suite(name, CORPUS)
+    with pytest.raises(ValueError):
+        run_suite("af_chain", Corpus(), bodies=bodies)
 
 
 def test_equality_witnesses_are_tight():
