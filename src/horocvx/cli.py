@@ -11,8 +11,16 @@ level only what every numeric command uses (`sphere_grid` and `hconvex`,
 which brings `lorentz`); each `_cmd_*` imports its own kernels when it
 runs.  `mkfield` loads no further module, `psum` and `dilate` load
 `psum`, `quermass`, `steiner` and `weighted` load `quermass`, the
-curvature-data commands load `problems`, `flow` loads `flow`, `project`
-loads `euclid_bridge` and `verify` loads `verify`.
+curvature-data commands (`measure`, `kw`, `ballsolve`, `assumption-h`)
+load `problems` and `quermass`, `flow` loads `flow` with those two,
+`project` loads `euclid_bridge` and `psum` but not `quermass`, and
+`verify` loads `verify` with everything but `flow` and `problems`.
+
+Every field input, a `--K`, `--L` or `--f` file or a flow config's
+`initial` or `f` (a path or an inline field object), goes through one
+loader and becomes a SupportField: a field that cannot be read, parsed
+or validated (values finite and positive, one per grid node) is a
+usage error naming its source.
 """
 
 from __future__ import annotations
@@ -30,13 +38,13 @@ from .hconvex import SupportField, convexity, random_h_convex_fields, support_of
 from .lorentz import hpoint, origin, validate_hpoint
 from .sphere_grid import (
     Grid,
-    ScalarField,
     as_integer,
     field_from_json_dict,
     field_to_json_dict,
     grid_from_json_dict,
     grid_to_json_dict,
     integrate,
+    load_field,
     make_grid,
 )
 
@@ -71,6 +79,14 @@ def _nonnegative(text: str) -> float:
     value = _finite(text)
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type of --gamma and --rho: a finite number > 0."""
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
 
 
@@ -118,20 +134,24 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _load_scalar(path: str) -> ScalarField:
+def _load_scalar(source) -> SupportField:
+    """The one loader of field inputs (support fields and data f): a path
+    to a field JSON file, or a field dict given inline in a flow config.
+    Values must be finite and positive; any read, parse or validation
+    error is a UsageError naming the source."""
+    what = f"field file {source}" if isinstance(source, str) else "inline field"
     try:
-        with open(path) as fh:
-            grid, values, _ = field_from_json_dict(json.load(fh))
-        return ScalarField(grid, values)
+        if isinstance(source, str):
+            grid, values, _ = load_field(source)
+        else:
+            grid, values, _ = field_from_json_dict(source)
+        return SupportField(grid, values)
     except FileNotFoundError:
-        raise UsageError(f"no such field file: {path}") from None
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise UsageError(f"bad field file {path}: {exc}") from None
-
-
-def _load_support(path: str) -> SupportField:
-    f = _load_scalar(path)
-    return SupportField(f.grid, f.values)
+        raise UsageError(f"no such field file: {source}") from None
+    except KeyError as exc:
+        raise UsageError(f"bad {what}: missing key {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad {what}: {exc}") from None
 
 
 def _dump_json(path: str, obj) -> None:
@@ -161,9 +181,8 @@ def _write_manifest(
         _dump_json(out + ".manifest.json", manifest)
 
 
-def _field_json(field, kind: str, extra: dict | None = None) -> dict:
-    values = field.phi if hasattr(field, "phi") else field.values
-    obj = field_to_json_dict(field.grid, np.asarray(values), kind=kind)
+def _field_json(field: SupportField, kind: str, extra: dict | None = None) -> dict:
+    obj = field_to_json_dict(field.grid, field.phi, kind=kind)
     if extra:
         obj.update(extra)
     return obj
@@ -225,8 +244,8 @@ def _cmd_mkfield(args) -> int:
 def _cmd_psum(args) -> int:
     from .psum import p_sum
 
-    K = _load_support(args.K)
-    L = _load_support(args.L)
+    K = _load_scalar(args.K)
+    L = _load_scalar(args.L)
     result = p_sum(args.a, K, args.p, args.b, L)
     _dump_json(args.out, _field_json(result, "support"))
     _write_manifest(
@@ -243,7 +262,7 @@ def _cmd_psum(args) -> int:
 def _cmd_dilate(args) -> int:
     from .psum import p_dilate
 
-    K = _load_support(args.K)
+    K = _load_scalar(args.K)
     result = p_dilate(args.a, args.p, K)
     _dump_json(args.out, _field_json(result, "support"))
     _write_manifest(
@@ -260,7 +279,7 @@ def _cmd_dilate(args) -> int:
 def _cmd_quermass(args) -> int:
     from .quermass import I_k_inverse, modified_quermass
 
-    K = _load_support(args.K)
+    K = _load_scalar(args.K)
     n = K.grid.n
     ks = [_check_k(args.k, n)] if args.k is not None else list(range(n + 1))
     values = {}
@@ -287,7 +306,7 @@ def _cmd_quermass(args) -> int:
 def _cmd_steiner(args) -> int:
     from .quermass import steiner_check, weighted_steiner_check
 
-    K = _load_support(args.K)
+    K = _load_scalar(args.K)
     if args.kind == "weighted":
         rep = weighted_steiner_check(K, args.rho)
         report = {
@@ -321,7 +340,7 @@ def _cmd_steiner(args) -> int:
 def _cmd_weighted(args) -> int:
     from .quermass import S_functional, minkowski_formula_residuals, weighted_volume
 
-    K = _load_support(args.K)
+    K = _load_scalar(args.K)
     mink = minkowski_formula_residuals(K)
     report = {
         "weighted_volume": weighted_volume(K),
@@ -339,7 +358,7 @@ def _cmd_weighted(args) -> int:
 def _cmd_measure(args) -> int:
     from .problems import measure_density
 
-    K = _load_support(args.K)
+    K = _load_scalar(args.K)
     density = measure_density(K, args.p, _check_k(args.k, K.grid.n))
     total = integrate(K.grid, density)
     obj = field_to_json_dict(K.grid, density, kind="measure-density")
@@ -361,9 +380,9 @@ def _cmd_measure(args) -> int:
 def _cmd_kw(args) -> int:
     from .problems import kw_residual
 
-    K = _load_support(args.K)
+    K = _load_scalar(args.K)
     f = _load_scalar(args.f)
-    rep = kw_residual(K, f.values, _check_k(args.k, K.grid.n))
+    rep = kw_residual(K, f.phi, _check_k(args.k, K.grid.n))
     report = {
         "k": args.k,
         "coordinate_integrals": list(rep.coordinate_integrals),
@@ -387,9 +406,15 @@ def _cmd_kw(args) -> int:
 def _cmd_ballsolve(args) -> int:
     from .problems import ball_solutions
 
-    if args.n not in (1, 2):
-        raise UsageError(f"--n must be 1 or 2, got {args.n}")
-    rep = ball_solutions(args.n, _check_k(args.k, args.n), args.p, args.gamma)
+    n = args.n
+    if n not in (1, 2):
+        raise UsageError(f"--n must be 1 or 2, got {n}")
+    # k = n leaves no curvature factor, so no ball equation.
+    if not 0 <= args.k < n:
+        raise UsageError(f"--k must lie in 0..{n - 1} for n = {n}, got {args.k}")
+    if args.p < -n:
+        raise UsageError(f"--p must be at least -n = {-n}, got {args.p}")
+    rep = ball_solutions(n, args.k, args.p, args.gamma)
     report = {
         "case": rep.case,
         "n": rep.n,
@@ -418,7 +443,7 @@ def _cmd_assumption_h(args) -> int:
     from .problems import check_assumption_h
 
     f = _load_scalar(args.f)
-    rep = check_assumption_h(f.values, f.grid, f.grid.n, _check_k(args.k, f.grid.n), args.p)
+    rep = check_assumption_h(f.phi, f.grid, f.grid.n, _check_k(args.k, f.grid.n), args.p)
     report = {
         "passes": rep.passes,
         "regime": rep.regime,
@@ -437,14 +462,6 @@ def _cmd_assumption_h(args) -> int:
         f.grid,
     )
     return 0
-
-
-def _resolve_field_entry(entry, inputs: list[str]) -> ScalarField:
-    if isinstance(entry, str):
-        inputs.append(entry)
-        return _load_scalar(entry)
-    grid, values, _ = field_from_json_dict(entry)
-    return ScalarField(grid, values)
 
 
 FLOW_CONFIG_KEYS = frozenset({
@@ -498,12 +515,20 @@ def _cmd_flow(args) -> int:
         raise UsageError(f"flow config missing key {exc}") from None
     except ValueError as exc:
         raise UsageError(f"bad flow config {args.config}: {exc}") from None
-    f_field = None
-    if cfg.get("f") is not None:
-        f_field = _resolve_field_entry(cfg["f"], inputs)
-    if cfg.get("initial") is not None:
-        init = _resolve_field_entry(cfg["initial"], inputs)
-        phi0 = SupportField(init.grid, init.values)
+    fields = {}
+    for key in ("f", "initial"):
+        entry = cfg.get(key)
+        if entry is None:
+            continue
+        if isinstance(entry, str):
+            inputs.append(entry)
+        try:
+            fields[key] = _load_scalar(entry)
+        except UsageError as exc:
+            raise UsageError(f"flow config {key}: {exc}") from None
+    f_field = fields.get("f")
+    if "initial" in fields:
+        phi0 = fields["initial"]
     else:
         if isinstance(cfg.get("grid"), str):
             grid = _parse_grid(cfg["grid"])
@@ -521,7 +546,7 @@ def _cmd_flow(args) -> int:
         n=n,
         k=k,
         p=p,
-        f=f_field.values if f_field is not None else None,
+        f=f_field.phi if f_field is not None else None,
         **options,
     )
     result = run_flow(config, phi0)
@@ -557,12 +582,12 @@ def _cmd_flow(args) -> int:
 def _cmd_project(args) -> int:
     from .euclid_bridge import euclid_volume, project
 
-    K = _load_support(args.K)
+    K = _load_scalar(args.K)
     hat = project(K)
     extra = {}
     if convexity(K).classification == "uniformly-h-convex":
         extra["euclidean_volume"] = euclid_volume(hat)
-    obj = field_to_json_dict(hat.grid, hat.u_hat, kind="euclidean-support")
+    obj = field_to_json_dict(hat.grid, hat.phi, kind="euclidean-support")
     obj.update(extra)
     _dump_json(args.out, obj)
     _write_manifest(
@@ -665,7 +690,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steiner", help="Steiner expansion residuals for outer parallels")
     p.add_argument("--K", required=True)
-    p.add_argument("--rho", type=_finite, required=True)
+    p.add_argument("--rho", type=_positive, required=True)
     p.add_argument("--kind", choices=["shifted", "classical", "weighted"], default="shifted")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_steiner)
@@ -693,7 +718,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=_finite, required=True)
-    p.add_argument("--gamma", type=_finite, required=True)
+    p.add_argument("--gamma", type=_positive, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ballsolve)
 

@@ -1,30 +1,29 @@
 """Projection onto Euclidean convex bodies and the volume functionals.
 
 The projection pi sends an h-convex domain to the Euclidean convex body
-whose support function u^ equals phi; it intertwines the hyperbolic
-p-sum with the Firey p-sum, and the weighted functionals V, V_p pull
-back Euclidean volume and p-mixed volume.  Both functionals are
+whose support function u^ equals phi, so on node arrays it is the
+identity: a Euclidean body is a SupportField too, and `euclid_form`
+gives its form D^2 u^ + u^ I.  pi intertwines the hyperbolic p-sum with
+the Firey p-sum, and the weighted functionals V, V_p pull back
+Euclidean volume and p-mixed volume.  Both functionals are
 evaluated two ways: through the projection and directly as hyperbolic
 boundary integrals, with the cross-residual reported as a certificate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .hconvex import SupportField, a_eigenvalues, boundary_data, convexity, plus_identity
+from .hconvex import SupportField, a_eigenvalues, boundary_data, convexity, p_tensor, plus_identity
 from .psum import p_sum
-from .quermass import p_tensor
-from .sphere_grid import Grid, hessian, integrate
+from .sphere_grid import integrate
 
 __all__ = [
-    "EuclideanSupport",
     "BridgeReport",
     "project",
+    "euclid_form",
     "firey_sum",
     "commute_check",
     "euclid_volume",
@@ -37,68 +36,44 @@ __all__ = [
 ADMISSIBILITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EuclideanSupport:
-    """Euclidean support function u^ at grid nodes; D^2 u^ + u^ I >= 0.
-
-    Immutable like SupportField: u_hat is a read-only copy, and the form
-    D^2 u^ + u^ I is computed once, on first use, or taken from the
-    field's cached Hessian by `project`.
-    """
-
-    grid: Grid
-    u_hat: np.ndarray
-
-    def __post_init__(self):
-        u_hat = np.array(self.u_hat, dtype=float)
-        if u_hat.shape != (self.grid.size,):
-            raise ValueError(
-                f"support has {u_hat.shape} values, grid has {self.grid.size} nodes"
-            )
-        # One pass each for min and max; NaN propagates into both.
-        if not (0.0 < u_hat.min() and u_hat.max() < math.inf):
-            raise ValueError("Euclidean support must be finite and positive")
-        u_hat.flags.writeable = False
-        object.__setattr__(self, "u_hat", u_hat)
-
-    @cached_property
-    def form(self) -> np.ndarray:
-        """D^2 u^ + u^ I in the orthonormal frame, read-only."""
-        return plus_identity(hessian(self.grid, self.u_hat), self.u_hat)
-
-
 @dataclass
 class BridgeReport:
     value: float
     cross_residual: float  # relative gap between the two evaluation routes
 
 
-def _check_admissible(Khat: EuclideanSupport) -> None:
-    eig_min = float(np.min(a_eigenvalues(Khat.form)[:, 0]))
-    scale = 1.0 + float(np.max(Khat.u_hat))
+def euclid_form(K: SupportField) -> np.ndarray:
+    """D^2 phi + phi I in the orthonormal frame, read-only: the form whose
+    p_n is the Euclidean curvature-radius density of the body with
+    support function phi.  Built from K's cached Hessian."""
+    return plus_identity(K.hessian, K.phi)
+
+
+def _admissible_form(Khat: SupportField) -> np.ndarray:
+    """euclid_form(Khat); ValueError unless it is positive semidefinite."""
+    form = euclid_form(Khat)
+    eig_min = float(np.min(a_eigenvalues(form)[:, 0]))
+    scale = 1.0 + float(np.max(Khat.phi))
     if eig_min < -ADMISSIBILITY_TOL * scale:
         raise ValueError(f"support function is not convex: min eig {eig_min}")
+    return form
 
 
-def project(K: SupportField) -> EuclideanSupport:
-    """Euclidean body with support function u^ = phi.
+def project(K: SupportField) -> SupportField:
+    """The Euclidean body with support function phi, which is K itself.
 
     Admissibility is automatic for h-convex fields since
-    D^2 phi + phi I = A[phi] + cosh(r) I.  The form is built from K's
-    cached Hessian, so a projection costs no spectral pass.
+    D^2 phi + phi I = A[phi] + cosh(r) I, so only h-convexity is checked.
     """
     report = convexity(K)
     if report.classification == "not-h-convex":
         raise ValueError("projection requires an h-convex field")
-    hat = EuclideanSupport(K.grid, K.phi)
-    # Fill the cached_property the way it fills itself on first use.
-    hat.__dict__["form"] = plus_identity(K.hessian, hat.u_hat)
-    return hat
+    return K
 
 
 def firey_sum(
-    a: float, Khat: EuclideanSupport, p: float, b: float, Lhat: EuclideanSupport
-) -> EuclideanSupport:
+    a: float, Khat: SupportField, p: float, b: float, Lhat: SupportField
+) -> SupportField:
     """Firey combination (a u_K^p + b u_L^p)^{1/p}, p >= 1."""
     if p < 1.0:
         raise ValueError(f"Firey sum needs p >= 1, got {p}")
@@ -106,10 +81,8 @@ def firey_sum(
         raise ValueError("Firey coefficients must be nonnegative")
     if Khat.grid != Lhat.grid:
         raise ValueError("firey_sum requires a common grid")
-    out = EuclideanSupport(
-        Khat.grid, (a * Khat.u_hat**p + b * Lhat.u_hat**p) ** (1.0 / p)
-    )
-    _check_admissible(out)
+    out = SupportField(Khat.grid, (a * Khat.phi**p + b * Lhat.phi**p) ** (1.0 / p))
+    _admissible_form(out)
     return out
 
 
@@ -123,27 +96,25 @@ def commute_check(
         raise ValueError(f"commutation holds on the common range p in [1, 2], got {p}")
     hyperbolic = project(p_sum(a, K, p, b, L))
     euclidean = firey_sum(a, project(K), p, b, project(L))
-    return float(np.max(np.abs(hyperbolic.u_hat - euclidean.u_hat)))
+    return float(np.max(np.abs(hyperbolic.phi - euclidean.phi)))
 
 
-def euclid_volume(Khat: EuclideanSupport) -> float:
+def euclid_volume(Khat: SupportField) -> float:
     """Euclidean volume (1/(n+1)) int u^ p_n(D^2 u^ + u^ I) dsigma."""
-    _check_admissible(Khat)
+    form = _admissible_form(Khat)
     n = Khat.grid.n
-    return integrate(Khat.grid, Khat.u_hat * p_tensor(Khat.form, n)) / (n + 1)
+    return integrate(Khat.grid, Khat.phi * p_tensor(form, n)) / (n + 1)
 
 
-def euclid_mixed_volume_p(
-    Khat: EuclideanSupport, Lhat: EuclideanSupport, p: float
-) -> float:
+def euclid_mixed_volume_p(Khat: SupportField, Lhat: SupportField, p: float) -> float:
     """p-mixed volume (1/(n+1)) int u_L^p u_K^{1-p} p_n(D^2 u_K + u_K I)."""
     if p < 1.0:
         raise ValueError(f"p-mixed volume needs p >= 1, got {p}")
     if Khat.grid != Lhat.grid:
         raise ValueError("mixed volume requires a common grid")
-    _check_admissible(Khat)
+    form = _admissible_form(Khat)
     n = Khat.grid.n
-    field = Lhat.u_hat**p * Khat.u_hat ** (1.0 - p) * p_tensor(Khat.form, n)
+    field = Lhat.phi**p * Khat.phi ** (1.0 - p) * p_tensor(form, n)
     return integrate(Khat.grid, field) / (n + 1)
 
 

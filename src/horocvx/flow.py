@@ -42,9 +42,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hconvex import SupportField, shifted_form
+from .hconvex import SupportField, p_tensor, shifted_form
 from .problems import J_p, check_assumption_h, validate_f
-from .quermass import p_tensor, wk_value
+from .quermass import wk_value
 from .sphere_grid import (
     Grid,
     band_project,

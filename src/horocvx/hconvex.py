@@ -26,6 +26,7 @@ __all__ = [
     "support_of_point",
     "support_of_ball",
     "a_eigenvalues",
+    "p_tensor",
     "shifted_form",
     "plus_identity",
     "convexity",
@@ -49,7 +50,8 @@ class BoundaryData:
 
     X, nu: boundary point and outward unit normal in R^{n+1,1};
     lambda_tilde = phi * eig(A[phi]) are the shifted principal radii;
-    area_density is det A[phi], the density of d(mu) against d(sigma).
+    area_density is p_n(A[phi]) = det A[phi], the density of d(mu)
+    against d(sigma).
     """
 
     X: np.ndarray
@@ -138,11 +140,7 @@ class SupportField:
         nu[:, :-1] = (q - half_plus)[:, None] * z - grad_ambient
         nu[:, -1] = q + half_minus
         lam = phi[:, None] * self.eigenvalues
-        if grid.n == 1:
-            density = A[:, 0, 0]
-        else:
-            density = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
-        arrays = (X, nu, q + half_plus, q + half_minus, lam, density)
+        arrays = (X, nu, q + half_plus, q + half_minus, lam, p_tensor(A, grid.n))
         return BoundaryData(*(_read_only(a) for a in arrays))
 
 
@@ -201,6 +199,22 @@ def a_eigenvalues(A: np.ndarray) -> np.ndarray:
     mean = 0.5 * (a + d)
     rad = np.sqrt((0.5 * (a - d)) ** 2 + b * b)
     return np.stack([mean - rad, mean + rad], axis=1)
+
+
+def p_tensor(A: np.ndarray, m: int) -> np.ndarray:
+    """p_m of the eigenvalues of pointwise symmetric forms, via invariants."""
+    n = A.shape[1]
+    if m == 0:
+        return np.ones(A.shape[0])
+    if n == 1:
+        if m == 1:
+            return A[:, 0, 0]
+    else:
+        if m == 1:
+            return 0.5 * (A[:, 0, 0] + A[:, 1, 1])
+        if m == 2:
+            return A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
+    raise ValueError(f"p_{m} undefined for {n}x{n} forms")
 
 
 def _classify(K: SupportField, eigs: np.ndarray, tol: float | None) -> ConvexityReport:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, a_eigenvalues, plus_identity
-from .quermass import bracketed_newton, p_tensor
+from .hconvex import SupportField, a_eigenvalues, p_tensor, plus_identity
+from .quermass import bracketed_newton
 from .sphere_grid import Grid, derivatives, frame_vectors, gradient, integrate
 
 __all__ = [

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, boundary_data, plus_identity
+from .hconvex import SupportField, boundary_data, p_tensor, plus_identity
 from .sphere_grid import Grid, as_integer, integrate, sphere_area
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "weighted_steiner_check",
     "minkowski_formula_residuals",
     "wk_value",
-    "p_tensor",
 ]
 
 # The t-moments of W_k switch from their closed form to the binomial
@@ -112,22 +111,6 @@ def p_normalized(eigs: np.ndarray, m: int) -> np.ndarray:
         if m == 2:
             return eigs[:, 0] * eigs[:, 1]
     raise ValueError(f"p_{m} undefined for {n} eigenvalues")
-
-
-def p_tensor(A: np.ndarray, m: int) -> np.ndarray:
-    """p_m of the eigenvalues of pointwise symmetric forms, via invariants."""
-    n = A.shape[1]
-    if m == 0:
-        return np.ones(A.shape[0])
-    if n == 1:
-        if m == 1:
-            return A[:, 0, 0]
-    else:
-        if m == 1:
-            return 0.5 * (A[:, 0, 0] + A[:, 1, 1])
-        if m == 2:
-            return A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
-    raise ValueError(f"p_{m} undefined for {n}x{n} forms")
 
 
 # ---------------------------------------------------------------------------

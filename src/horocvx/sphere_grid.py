@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "ScalarField",
     "make_grid",
     "gauss_legendre",
     "as_integer",
@@ -117,23 +116,6 @@ class Grid:
 
     def __hash__(self) -> int:
         return hash((self.n, self.resolution))
-
-
-@dataclass
-class ScalarField:
-    """Values of a scalar function at the nodes of a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.size,):
-            raise ValueError(
-                f"field has {self.values.shape} values, grid has {self.grid.size} nodes"
-            )
-        if not (-math.inf < self.values.min() and self.values.max() < math.inf):
-            raise ValueError("field values must be finite")
 
 
 def sphere_area(n: int) -> float:
@@ -616,9 +598,7 @@ def field_from_json_dict(d: dict) -> tuple[Grid, np.ndarray, str | None]:
     grid = grid_from_json_dict(as_integer(d["n"], "n"), d["grid"])
     values = np.asarray(d["values"], dtype=float)
     if values.shape != (grid.size,):
-        raise ValueError(
-            f"field has {values.shape[0]} values, grid has {grid.size} nodes"
-        )
+        raise ValueError(f"field values have shape {values.shape}, grid has {grid.size} nodes")
     return grid, values, d.get("kind")
 
 

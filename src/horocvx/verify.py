@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lorentz
-from .euclid_bridge import V_functional, V_p_functional, project
+from .euclid_bridge import V_functional, V_p_functional, euclid_form, project
 from .hconvex import (
     SupportField,
     boundary_data,
     convexity,
+    p_tensor,
     random_h_convex_fields,
     support_of_ball,
 )
@@ -44,7 +45,6 @@ from .quermass import (
     k_mean_radius,
     modified_quermass,
     p_normalized,
-    p_tensor,
     weighted_volume,
 )
 from .sphere_grid import Grid, integrate, make_grid, sphere_area
@@ -433,7 +433,7 @@ def _suite_euclid(bodies):
         for p in (1.0, 2.0):
             for tag, body, eq in iso_bodies:
                 hat = project(body)
-                lhs = integrate(grid, hat.u_hat ** (1.0 - p) * p_tensor(hat.form, n))
+                lhs = integrate(grid, hat.phi ** (1.0 - p) * p_tensor(euclid_form(hat), n))
                 v = V_functional(body).value
                 rhs = (
                     (n + 1.0) ** ((n + 1.0 - p) / (n + 1.0))

@@ -155,6 +155,11 @@ OUT_OF_RANGE = [
     pytest.param(BALLSOLVE + ["--n", "0", "--k", "0"], id="ballsolve-n0"),
     pytest.param(BALLSOLVE + ["--n", "3", "--k", "0"], id="ballsolve-n3"),
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "3"], id="ballsolve-k3"),
+    pytest.param(BALLSOLVE + ["--n", "2", "--k", "2"], id="ballsolve-k=n"),
+    pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--p=-5"], id="ballsolve-p-5"),
+    pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--gamma", "0"], id="ballsolve-gamma0"),
+    pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--gamma=-1"], id="ballsolve-gamma-1"),
+    pytest.param(["steiner", "--K", "K.json", "--rho=-5"], id="steiner-rho-5"),
 ]
 
 
@@ -246,12 +251,16 @@ def test_import_loads_no_submodule_and_commands_load_only_their_own(tmp_path):
         ["steiner", "--K", "M.json", "--rho", "0.3", "--out", "s.json"],
         ["flow", "--config", "flow.json", "--out", "t.csv"],
     ]
+    session.append(["project", "--K", "M.json", "--out", "hat.json"])
     for argv in session:
         loaded = _loaded_modules(
             tmp_path, f"import json\nfrom horocvx.cli import main\nassert main({argv!r}) == 0"
         )
         assert "horocvx.verify" not in loaded, argv
-        assert "horocvx.euclid_bridge" not in loaded, argv
+        if argv[0] == "project":
+            assert "horocvx.quermass" not in loaded, argv
+        else:
+            assert "horocvx.euclid_bridge" not in loaded, argv
         if argv[0] == "mkfield":
             assert "horocvx.flow" not in loaded, argv
 
@@ -659,12 +668,59 @@ def test_missing_input_file(tmp_path):
     out = str(tmp_path / "out.json")
     rc = main(["quermass", "--K", str(tmp_path / "missing.json"), "--out", out])
     assert rc == 2
+    assert main(["quermass", "--K", str(tmp_path), "--out", out]) == 2  # a directory
 
 
 def test_corrupt_input_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["quermass", "--K", str(bad), "--out", str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--K", "--f"], ids=["K", "f"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_bad_field_value_is_a_usage_error(tmp_path, capsys, bad, flag):
+    # Every field input is a SupportField: finite and positive at each node.
+    K = mkball(tmp_path, "K.json", 0.5)
+    grid = make_grid(1, 64)
+    values = np.full(grid.size, 2.0)
+    values[5] = bad
+    path = tmp_path / "bad.json"
+    save_field(path, grid, values, kind="support")
+    argv = ["quermass", "--K", str(path)]
+    if flag == "--f":
+        argv = ["kw", "--K", str(K), "--f", str(path)]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad field file {path}") and "Traceback" not in err
+    assert not out.exists()
+
+
+INLINE_FIELD_DEFECTS = {
+    "missing-values": lambda d: {key: v for key, v in d.items() if key != "values"},
+    "short": lambda d: dict(d, values=d["values"][:-1]),
+    "scalar": lambda d: dict(d, values=2.0),
+    "zero": lambda d: dict(d, values=[0.0] + d["values"][1:]),
+    "negative": lambda d: dict(d, values=[-1.0] + d["values"][1:]),
+    "not-an-object": lambda d: d["values"],
+}
+
+
+@pytest.mark.parametrize("key", ["f", "initial"])
+@pytest.mark.parametrize("defect", list(INLINE_FIELD_DEFECTS))
+def test_bad_inline_flow_field_is_a_usage_error(tmp_path, capsys, key, defect):
+    grid = make_grid(1, 32)
+    field = INLINE_FIELD_DEFECTS[defect](field_to_json_dict(grid, np.full(grid.size, 2.0)))
+    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", key: field}
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(cfg))
+    trace = tmp_path / "t.csv"
+    assert main(["flow", "--config", str(path), "--out", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: flow config {key}: bad inline field")
+    assert not trace.exists()
 
 
 def test_nonconvex_input_is_a_runtime_error(tmp_path):

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 from horocvx.euclid_bridge import (
-    EuclideanSupport,
     V_functional,
     V_p_functional,
     commute_check,
+    euclid_form,
     euclid_mixed_volume_p,
     euclid_volume,
     firey_sum,
     project,
 )
-from horocvx.hconvex import SupportField, support_of_ball
+from horocvx.hconvex import SupportField, plus_identity, support_of_ball
 from horocvx.lorentz import origin
-from horocvx.sphere_grid import make_grid
+from horocvx.sphere_grid import hessian, make_grid
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -38,10 +38,9 @@ def wavy_sphere():
 
 
 def test_project_copies_phi_as_support():
+    # u^ = phi on the nodes, so the projection is the field itself.
     K = wavy_circle()
-    Khat = project(K)
-    assert np.array_equal(Khat.u_hat, K.phi)
-    assert Khat.grid == K.grid
+    assert project(K) is K
 
 
 def test_project_rejects_nonconvex():
@@ -52,20 +51,20 @@ def test_project_rejects_nonconvex():
 
 
 def test_euclidean_support_validation():
-    with pytest.raises(ValueError):
-        EuclideanSupport(S1, np.zeros(S1.size))
-    with pytest.raises(ValueError):
-        EuclideanSupport(S1, np.ones(S1.size - 1))
+    # A Euclidean support is a SupportField: a Firey sum that vanishes
+    # somewhere is no body.
+    Khat = project(wavy_circle())
+    with pytest.raises(ValueError, match="positive"):
+        firey_sum(0.0, Khat, 2.0, 0.0, Khat)
 
 
-def test_euclidean_support_is_immutable_with_a_cached_form():
+def test_euclidean_support_is_immutable_and_its_form_read_only():
     u = np.full(S1.size, 2.0)
-    Khat = EuclideanSupport(S1, u)
+    Khat = SupportField(S1, u)
     u[0] = 3.0
-    assert Khat.u_hat[0] == 2.0
-    assert Khat.form is Khat.form
-    assert np.allclose(Khat.form[:, 0, 0], 2.0, atol=1e-12)
-    for array in (Khat.u_hat, Khat.form):
+    assert Khat.phi[0] == 2.0
+    assert np.allclose(euclid_form(Khat)[:, 0, 0], 2.0, atol=1e-12)
+    for array in (Khat.phi, euclid_form(Khat)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
@@ -74,14 +73,12 @@ def test_euclidean_support_is_immutable_with_a_cached_form():
 def test_projection_form_comes_from_the_fields_hessian(body, fft_counts):
     K = body()
     K.hessian
-    fft_counts.update(rfft=0)
-    Khat = project(K)
-    assert fft_counts["rfft"] == 0
-    # Bit for bit the form a fresh EuclideanSupport computes for itself.
-    assert np.array_equal(Khat.form, EuclideanSupport(K.grid, K.phi).form)
+    fft_counts.update(rfft=0, irfft=0)
+    form = euclid_form(project(K))
+    assert fft_counts["rfft"] + fft_counts["irfft"] == 0
+    # Bit for bit the form of a fresh Hessian of u^ = phi.
+    assert np.array_equal(form, plus_identity(hessian(K.grid, K.phi), K.phi))
     assert fft_counts["rfft"] == 1
-    with pytest.raises(ValueError, match="read-only"):
-        Khat.form[0] = 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -89,7 +86,7 @@ def test_euclidean_support_rejects_non_finite_values(bad):
     u = np.ones(S1.size)
     u[4] = bad
     with pytest.raises(ValueError, match="finite"):
-        EuclideanSupport(S1, u)
+        SupportField(S1, u)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +110,7 @@ def test_euclid_volume_of_ball_projection():
 
 def test_euclid_volume_direct_disc():
     # u^ = R constant on S^1 describes the disc of radius R: area pi R^2.
-    Khat = EuclideanSupport(S1, np.full(S1.size, 3.0))
+    Khat = SupportField(S1, np.full(S1.size, 3.0))
     assert euclid_volume(Khat) == pytest.approx(9.0 * math.pi, abs=1e-10)
 
 
@@ -156,8 +153,8 @@ def test_firey_sum_validation():
     Khat = project(wavy_circle())
     Lhat = project(support_of_ball(S1, origin(1), 0.6))
     out = firey_sum(1.0, Khat, 2.0, 1.0, Lhat)
-    want = np.sqrt(Khat.u_hat**2 + Lhat.u_hat**2)
-    assert np.allclose(out.u_hat, want, atol=1e-13)
+    want = np.sqrt(Khat.phi**2 + Lhat.phi**2)
+    assert np.allclose(out.phi, want, atol=1e-13)
     with pytest.raises(ValueError):
         firey_sum(1.0, Khat, 0.5, 1.0, Lhat)
     with pytest.raises(ValueError):

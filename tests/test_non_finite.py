@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocvx.euclid_bridge import EuclideanSupport
 from horocvx.hconvex import SupportField
 from horocvx.problems import validate_f
-from horocvx.sphere_grid import ScalarField, make_grid
+from horocvx.sphere_grid import make_grid
 
 CONSTRUCTORS = {
     "SupportField": SupportField,
-    "ScalarField": ScalarField,
-    "EuclideanSupport": EuclideanSupport,
     "validate_f": lambda grid, values: validate_f(values, grid),
 }
 

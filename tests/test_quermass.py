@@ -33,7 +33,8 @@ from horocvx.quermass import (
     weighted_volume,
     wk_value,
 )
-from horocvx.quermass import _I_k_derivative, _t_moments, p_tensor
+from horocvx.hconvex import p_tensor
+from horocvx.quermass import _I_k_derivative, _t_moments
 from horocvx.sphere_grid import (
     gauss_legendre,
     gradient,

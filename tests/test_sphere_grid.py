@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from horocvx import sphere_grid
 from horocvx.sphere_grid import (
-    ScalarField,
     antipodal,
     band_project,
     derivatives,
@@ -562,15 +561,6 @@ def test_field_json_roundtrip(tmp_path):
     assert np.array_equal(back2, values)
     raw = json.loads(path.read_text())
     assert set(raw) == {"n", "grid", "values", "kind"}
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_scalar_field_rejects_non_finite_values(bad):
-    values = np.zeros(S1.size)
-    values[2] = bad
-    with pytest.raises(ValueError, match="finite"):
-        ScalarField(S1, values)
-    assert ScalarField(S1, -np.ones(S1.size)).values[0] == -1.0
 
 
 def test_field_json_value_count_mismatch():
