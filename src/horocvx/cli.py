@@ -20,7 +20,11 @@ Every field input, a `--K`, `--L` or `--f` file or a flow config's
 `initial` or `f` (a path or an inline field object), goes through one
 loader and becomes a SupportField: a field that cannot be read, parsed
 or validated (values finite and positive, one per grid node) is a
-usage error naming its source.
+usage error naming its source.  Two field inputs of one command (`--K`
+and `--L`, `--K` and `--f`, a flow config's `initial` and `f`) must lie
+on one grid, a flow config's fields on S^n for its `n`, and a flow
+config gives `initial` or `grid`, not both: otherwise it is a usage
+error naming both sources.
 """
 
 from __future__ import annotations
@@ -154,6 +158,20 @@ def _load_scalar(source) -> SupportField:
         raise UsageError(f"bad {what}: {exc}") from None
 
 
+def _grid_spec(grid: Grid) -> str:
+    """The grid as `--grid` spells it: s1:N or s2:LxM."""
+    return f"s{grid.n}:" + "x".join(str(r) for r in grid.resolution)
+
+
+def _same_grid(first: SupportField, first_source, second: SupportField, second_source) -> None:
+    """UsageError, naming both sources, unless two fields share one grid."""
+    if first.grid != second.grid:
+        raise UsageError(
+            f"{first_source} is on {_grid_spec(first.grid)} but "
+            f"{second_source} is on {_grid_spec(second.grid)}"
+        )
+
+
 def _dump_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -246,6 +264,7 @@ def _cmd_psum(args) -> int:
 
     K = _load_scalar(args.K)
     L = _load_scalar(args.L)
+    _same_grid(K, f"--K {args.K}", L, f"--L {args.L}")
     result = p_sum(args.a, K, args.p, args.b, L)
     _dump_json(args.out, _field_json(result, "support"))
     _write_manifest(
@@ -382,6 +401,7 @@ def _cmd_kw(args) -> int:
 
     K = _load_scalar(args.K)
     f = _load_scalar(args.f)
+    _same_grid(K, f"--K {args.K}", f, f"--f {args.f}")
     rep = kw_residual(K, f.phi, _check_k(args.k, K.grid.n))
     report = {
         "k": args.k,
@@ -515,19 +535,23 @@ def _cmd_flow(args) -> int:
         raise UsageError(f"flow config missing key {exc}") from None
     except ValueError as exc:
         raise UsageError(f"bad flow config {args.config}: {exc}") from None
-    fields = {}
+    fields, sources = {}, {}
     for key in ("f", "initial"):
         entry = cfg.get(key)
         if entry is None:
             continue
         if isinstance(entry, str):
             inputs.append(entry)
+        sources[key] = f"flow config {key} " + (entry if isinstance(entry, str) else "(inline)")
         try:
             fields[key] = _load_scalar(entry)
         except UsageError as exc:
             raise UsageError(f"flow config {key}: {exc}") from None
     f_field = fields.get("f")
     if "initial" in fields:
+        # The initial field fixes the grid; a second grid would be ignored.
+        if "grid" in cfg:
+            raise UsageError("flow config gives both 'initial' and 'grid'; give one")
         phi0 = fields["initial"]
     else:
         if isinstance(cfg.get("grid"), str):
@@ -542,6 +566,15 @@ def _cmd_flow(args) -> int:
         else:
             raise UsageError("flow config needs 'initial', 'grid', or 'f'")
         phi0 = support_of_ball(grid, origin(grid.n), r0)
+        sources["initial"] = (
+            f"flow config grid {_grid_spec(grid)}" if "grid" in cfg else sources["f"]
+        )
+    if phi0.grid.n != n:
+        raise UsageError(
+            f"flow config has n = {n} but {sources['initial']} lives on S^{phi0.grid.n}"
+        )
+    if f_field is not None:
+        _same_grid(phi0, sources["initial"], f_field, sources["f"])
     config = FlowConfig(
         n=n,
         k=k,

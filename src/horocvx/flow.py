@@ -15,14 +15,16 @@ W_k; phi_new and its derivatives are affine in Phi, so the iterates need
 no further spectral pass.  Fixed points are the flow's steady states.
 
 The pseudo-time step follows switched evolution relaxation (Mulder and
-van Leer 1985; Kelley and Keyes 1998): the first step is dt_initial, and
-after each accepted step dt <- min(max_dt, dt S_prev / S_new) with S the
-sup of |speed|, so dt grows as the flow nears its steady state and
-max_dt is only a cap.  The step count does not grow with resolution,
-because R damps every mode the explicit step would limit.  A step that
-leaves the uniformly h-convex cone, or misses its constraint, is
-retried at half the step size, and that halved dt is the base of the
-next update.  At large steps the trajectory, and the time t in the
+van Leer 1985; Kelley and Keyes 1998): after each accepted step
+dt <- min(max_dt, dt S_prev / S_new) with S the sup of |speed|.  Only
+the steady state is the answer and R keeps large steps stable, so the
+first step is tried at the cap, max_dt, unless dt_initial sets a smaller
+one.  SER then matters after a rejection or a rise in speed: a step that
+leaves the uniformly h-convex cone, or misses its constraint, is retried
+at half the step size, that halved dt is the base of the next update,
+and dt grows back to the cap as the speed falls.  The step count does
+not grow with resolution, because R damps every mode the explicit step
+would limit.  At large steps the trajectory, and the time t in the
 trace, are a pseudo-time path: only its steady state is the solution,
 while W_k is conserved at every step.  A step costs one resolvent pass
 each of G and h and one derivative pass of the new state after its band
@@ -99,7 +101,7 @@ class FlowConfig:
     k: int
     p: float
     f: np.ndarray | None = None  # positive data at grid nodes, default 1
-    dt_initial: float = 0.05  # the first step; later steps follow SER
+    dt_initial: float | None = None  # the first step, None: max_dt; later ones follow SER
     max_dt: float = 5.0  # cap on the SER step
     eps_stop: float = 1e-6
     max_steps: int = 200_000
@@ -199,7 +201,7 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     # Comparisons with NaN are false, so NaN fails these checks too.
     if not 0.0 < config.max_dt < math.inf:
         raise ValueError(f"max_dt must be finite and positive, got {config.max_dt}")
-    if not 0.0 < config.dt_initial < math.inf:
+    if config.dt_initial is not None and not 0.0 < config.dt_initial < math.inf:
         raise ValueError(f"dt_initial must be finite and positive, got {config.dt_initial}")
     if config.trace_every < 1:
         raise ValueError(f"trace_every must be at least 1, got {config.trace_every}")
@@ -300,7 +302,9 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     steps = 0
     rejections = 0
     status = "max-steps"
-    dt = min(config.max_dt, config.dt_initial)
+    dt = config.max_dt
+    if config.dt_initial is not None:
+        dt = min(dt, config.dt_initial)
     speed_prev = math.nan
     diag = _evaluate(state, state.phi)
     target = wk_value(diag["K"], k)

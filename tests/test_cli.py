@@ -622,7 +622,10 @@ def test_s2_flow_outputs_are_identical_across_thread_counts(tmp_path):
     grid = make_grid(2, 16)
     f_path = tmp_path / "f.json"
     save_field(f_path, grid, 1.0 + 0.2 * grid.nodes[:, 2] ** 2)
-    cfg = {"n": 2, "k": 1, "p": 1.0, "f": str(f_path), "initial_radius": math.log(2.0)}
+    cfg = {
+        "n": 2, "k": 1, "p": 1.0, "f": str(f_path), "initial_radius": math.log(2.0),
+        "dt_initial": 0.05,
+    }
     outputs = _flow_outputs_by_thread_count(tmp_path, cfg)
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0].splitlines()) > 10
@@ -721,6 +724,61 @@ def test_bad_inline_flow_field_is_a_usage_error(tmp_path, capsys, key, defect):
     err = capsys.readouterr().err
     assert err.startswith(f"error: flow config {key}: bad inline field")
     assert not trace.exists()
+
+
+def _flow_usage_error(tmp_path, capsys, cfg):
+    """Run a flow config that must be a usage error; return its message."""
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(cfg))
+    trace = tmp_path / "t.csv"
+    capsys.readouterr()
+    assert main(["flow", "--config", str(path), "--out", str(trace)]) == 2
+    assert not trace.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["psum", "kw"])
+def test_field_inputs_on_different_grids_are_a_usage_error(tmp_path, capsys, command):
+    A = mkball(tmp_path, "A.json", 0.5, grid="s1:64")
+    B = mkball(tmp_path, "B.json", 0.5, grid="s1:32")
+    if command == "psum":
+        argv = ["psum", "--a", "1", "--K", str(A), "--p", "1", "--b", "1", "--L", str(B)]
+        second = f"--L {B}"
+    else:
+        argv = ["kw", "--K", str(A), "--f", str(B)]
+        second = f"--f {B}"
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--K {A} is on s1:64" in err and f"{second} is on s1:32" in err
+    assert not out.exists()
+
+
+def test_flow_f_and_initial_on_different_grids_are_a_usage_error(tmp_path, capsys):
+    A = mkball(tmp_path, "A.json", 0.5, grid="s1:64")
+    B = mkball(tmp_path, "B.json", 0.5, grid="s1:32")
+    err = _flow_usage_error(
+        tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0, "initial": str(A), "f": str(B)}
+    )
+    assert f"flow config initial {A} is on s1:64" in err
+    assert f"flow config f {B} is on s1:32" in err
+
+
+def test_flow_initial_off_the_configs_sphere_is_a_usage_error(tmp_path, capsys):
+    A = mkball(tmp_path, "A.json", 0.5, grid="s1:64")
+    err = _flow_usage_error(tmp_path, capsys, {"n": 2, "k": 1, "p": 1.0, "initial": str(A)})
+    assert f"flow config has n = 2 but flow config initial {A} lives on S^1" in err
+
+
+def test_flow_config_with_initial_and_grid_is_a_usage_error(tmp_path, capsys):
+    # The initial field fixes the grid, so the config's grid would be ignored.
+    A = mkball(tmp_path, "A.json", 0.5, grid="s1:64")
+    for grid in ("s1:32", "s1:64"):
+        err = _flow_usage_error(
+            tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0, "initial": str(A), "grid": grid}
+        )
+        assert "both 'initial' and 'grid'" in err
 
 
 def test_nonconvex_input_is_a_runtime_error(tmp_path):
