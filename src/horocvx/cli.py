@@ -432,8 +432,9 @@ def _cmd_ballsolve(args) -> int:
     # k = n leaves no curvature factor, so no ball equation.
     if not 0 <= args.k < n:
         raise UsageError(f"--k must lie in 0..{n - 1} for n = {n}, got {args.k}")
-    if args.p < -n:
-        raise UsageError(f"--p must be at least -n = {-n}, got {args.p}")
+    # p < -n lies outside the k >= 1 range; at k = 0 it has one ball.
+    if args.p < -n and args.k > 0:
+        raise UsageError(f"--p must be at least -n = {-n} for --k >= 1, got {args.p}")
     rep = ball_solutions(n, args.k, args.p, args.gamma)
     report = {
         "case": rep.case,

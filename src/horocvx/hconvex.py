@@ -5,14 +5,15 @@ directions z; we store phi = e^u at grid nodes.  The shifted second
 fundamental form A[phi] decides convexity: A > 0 is uniform h-convexity.
 Boundary position and normal are recovered pointwise from phi and its
 first two frame derivatives.  A SupportField is immutable and computes
-its geometry once, on first use, from one spectral pass.
+its geometry once, on first use, from one spectral pass; a functional
+decorated with `per_field` is cached on the field too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "boundary_data",
     "apply_isometry_field",
     "random_h_convex_fields",
+    "per_field",
     "UNIFORM_TOL_SCALE",
 ]
 
@@ -77,7 +79,10 @@ class SupportField:
     Immutable: phi is a read-only copy of the given values.  The gradient,
     Hessian, A[phi], its eigenvalues and the boundary data are computed
     once, on first use, from one spectral pass; their arrays are
-    read-only too.
+    read-only too.  `memo` caches any value computed from the field
+    alone: quermass caches W_k, the k-mean radius and the weighted
+    volume there.  Since nothing about a field can change, a cached value
+    stays valid for the field's whole life, and it dies with the field.
     """
 
     grid: Grid
@@ -95,6 +100,23 @@ class SupportField:
                 raise ValueError("support field phi must be finite")
             raise ValueError("support field phi must be positive")
         object.__setattr__(self, "phi", _read_only(phi))
+
+    def memo(self, fn, *args):
+        """fn(self, *args), computed on the first call with these args and
+        returned again on every later one.
+
+        fn must read only the field and args, and return an immutable
+        value.  A call that raises stores nothing, so it raises again.
+        """
+        key = (fn, *args)
+        cache = self._memo
+        if key not in cache:
+            cache[key] = fn(self, *args)
+        return cache[key]
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
 
     @property
     def u(self) -> np.ndarray:
@@ -142,6 +164,17 @@ class SupportField:
         lam = phi[:, None] * self.eigenvalues
         arrays = (X, nu, q + half_plus, q + half_minus, lam, p_tensor(A, grid.n))
         return BoundaryData(*(_read_only(a) for a in arrays))
+
+
+def per_field(fn):
+    """Decorate fn(K, *args) so that each field K computes it once per
+    args (`SupportField.memo`)."""
+
+    @wraps(fn)
+    def cached(K: SupportField, *args):
+        return K.memo(fn, *args)
+
+    return cached
 
 
 @dataclass

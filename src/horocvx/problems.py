@@ -170,12 +170,15 @@ def ball_solutions(n: int, k: int, p: float, gamma: float) -> BallSolutionReport
     t_0 when gamma < gamma_0, one at gamma = gamma_0, none above.  For
     p = n - 2k there is one root iff gamma < 2^{k-n}; for -n < p < n - 2k
     always exactly one; at p = -n every center works and the radius is
-    determined by gamma alone.
+    determined by gamma alone.  For k = 0 and p < -n,
+    zeta = c^{-p} ((c - 1/c)/2)^n still increases onto (0, inf), so there
+    is exactly one root; for k >= 1, p < -n lies outside the problem's
+    range and is rejected.
     """
     if n not in (1, 2) or not 0 <= k <= n:
         raise ValueError(f"invalid (n, k) = ({n}, {k})")
-    if p < -n:
-        raise ValueError(f"p must be at least -n = {-n}, got {p}")
+    if p < -n and k > 0:
+        raise ValueError(f"p must be at least -n = {-n} for k >= 1, got {p}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if k == n:
@@ -228,7 +231,8 @@ def ball_solutions(n: int, k: int, p: float, gamma: float) -> BallSolutionReport
         while _zeta(hi, n, k, p) < gamma:
             hi *= 2.0
         return report("unique", [_bracketed_root(1.0 + 1e-14, hi, n, k, p, gamma)])
-    # -n < p < n - 2k: zeta is increasing and onto (0, inf).
+    # -n < p < n - 2k, or k = 0 and p < -n: zeta is increasing and onto
+    # (0, inf).
     hi = 2.0
     while _zeta(hi, n, k, p) < gamma:
         hi *= 2.0

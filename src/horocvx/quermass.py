@@ -17,6 +17,13 @@ radius r, the Steiner coefficients and the weighted Steiner
 coefficients.  I_k's inverse is elementary for k = n and for n = 1,
 k = 0, and otherwise a bracketed Newton root (`bracketed_newton`), so
 nothing here loads scipy.
+
+`modified_quermass`, `k_mean_radius` and `weighted_volume` are computed
+once per field and k and then read from the field's cache
+(`hconvex.per_field`): a SupportField cannot change, so its W_k cannot
+either, and the cached values go with the field.  `QuermassReport` is
+frozen because every caller shares the cached one.  `wk_value` is not
+cached: with explicit g and H it evaluates a trial state, not the field.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, boundary_data, p_tensor, plus_identity
+from .hconvex import SupportField, boundary_data, p_tensor, per_field, plus_identity
 from .sphere_grid import Grid, as_integer, integrate, sphere_area
 
 __all__ = [
@@ -64,7 +71,7 @@ NEWTON_RTOL = 4.0 * np.finfo(float).eps
 NEWTON_MAX_ITER = 200
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuermassReport:
     k: int
     value: float
@@ -356,8 +363,10 @@ def wk_value(K: SupportField, k: int, g=None, H=None) -> float:
     return integrate(grid, d * sum(Pj * moments[:, i] for i, Pj in enumerate(P)))
 
 
+@per_field
 def modified_quermass(K: SupportField, k: int) -> QuermassReport:
-    """Modified quermassintegral W_k of an h-convex support field."""
+    """Modified quermassintegral W_k of an h-convex support field, cached
+    on K."""
     phi = K.phi
     c = float(phi[0])
     if np.max(np.abs(phi - c)) <= CONSTANT_FIELD_TOL * max(1.0, c):
@@ -368,8 +377,9 @@ def modified_quermass(K: SupportField, k: int) -> QuermassReport:
     return QuermassReport(k, wk_value(K, k), "closed-form")
 
 
+@per_field
 def k_mean_radius(K: SupportField, k: int) -> float:
-    """Radius of the centered ball with the same W_k."""
+    """Radius of the centered ball with the same W_k, cached on K."""
     return I_k_inverse(K.grid.n, k, modified_quermass(K, k).value)
 
 
@@ -377,15 +387,17 @@ def k_mean_radius(K: SupportField, k: int) -> float:
 # weighted volume
 
 
+@per_field
 def weighted_volume(K: SupportField) -> float:
-    """Vol_w = int_Omega cosh r dv = (1/(n+1)) int u~ dmu."""
+    """Vol_w = int_Omega cosh r dv = (1/(n+1)) int u~ dmu, cached on K."""
     bd = boundary_data(K)
     return integrate(K.grid, bd.u_tilde * bd.area_density) / (K.grid.n + 1)
 
 
 def S_functional(K: SupportField) -> float:
-    """S = ((n+1) Vol_w / omega_n)^{1/(n+1)}; equals sinh(r) for a
-    centered ball and x_{n+1}^{1/(n+1)} sinh(r) for a ball at (x, x_{n+1})."""
+    """S = ((n+1) Vol_w / omega_n)^{1/(n+1)}, from K's cached Vol_w;
+    equals sinh(r) for a centered ball and x_{n+1}^{1/(n+1)} sinh(r) for
+    a ball at (x, x_{n+1})."""
     n = K.grid.n
     vw = weighted_volume(K)
     return ((n + 1) * vw / sphere_area(n)) ** (1.0 / (n + 1))

@@ -156,7 +156,7 @@ OUT_OF_RANGE = [
     pytest.param(BALLSOLVE + ["--n", "3", "--k", "0"], id="ballsolve-n3"),
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "3"], id="ballsolve-k3"),
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "2"], id="ballsolve-k=n"),
-    pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--p=-5"], id="ballsolve-p-5"),
+    pytest.param(BALLSOLVE + ["--n", "2", "--k", "1", "--p=-5"], id="ballsolve-p-5"),
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--gamma", "0"], id="ballsolve-gamma0"),
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--gamma=-1"], id="ballsolve-gamma-1"),
     pytest.param(["steiner", "--K", "K.json", "--rho=-5"], id="steiner-rho-5"),
@@ -379,6 +379,15 @@ def test_ballsolve_report(tmp_path):
     c1, c2 = rep["c_values"]
     assert c1 < math.sqrt(3.0) < c2
     assert all(r <= 1e-12 for r in rep["residuals"])
+
+
+def test_ballsolve_at_k0_accepts_p_below_minus_n(tmp_path):
+    out = tmp_path / "b.json"
+    argv = ["ballsolve", "--n", "1", "--k", "0", "--p", "-5", "--gamma", "1", "--out", str(out)]
+    assert main(argv) == 0
+    rep = read_json(out)
+    assert rep["case"] == "unique"
+    assert len(rep["c_values"]) == 1 and rep["residuals"][0] <= 1e-12
 
 
 def test_assumption_h_report(tmp_path):

@@ -225,11 +225,27 @@ def test_ball_solutions_validation():
     with pytest.raises(ValueError):
         ball_solutions(1, 1, 1.0, 0.5)  # k = n
     with pytest.raises(ValueError):
-        ball_solutions(2, 0, -3.0, 0.5)  # p < -n
+        ball_solutions(2, 1, -3.0, 0.5)  # p < -n at k >= 1
+    with pytest.raises(ValueError):
+        ball_solutions(1, 0, -5.0, 0.0)  # gamma <= 0 below p = -n too
     with pytest.raises(ValueError):
         ball_solutions(2, 0, 1.0, 0.0)
     with pytest.raises(ValueError):
         ball_solutions(3, 0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [-1.5, -5.0, -10.0])
+def test_ball_solutions_below_minus_n_at_k0_have_one_root(n, p):
+    # For k = 0, zeta = c^{-p} ((c - 1/c)/2)^n increases onto (0, inf)
+    # below p = -n as well (p = -1.5 is below -n only for n = 1).
+    for gamma in (1e-3, 0.3, 1.0, 50.0):
+        rep = ball_solutions(n, 0, p, gamma)
+        assert rep.case == "unique"
+        (c,) = rep.c_values
+        assert c > 1.0
+        assert abs(zeta(c, n, 0, p) - gamma) <= 1e-13 * max(1.0, gamma)
+        assert rep.residuals == [abs(zeta(c, n, 0, p) - gamma)]
 
 
 @given(

@@ -1,5 +1,6 @@
 """Modified quermassintegrals, Steiner expansions, weighted volume."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -33,6 +34,7 @@ from horocvx.quermass import (
     weighted_volume,
     wk_value,
 )
+from horocvx import quermass
 from horocvx.hconvex import p_tensor
 from horocvx.quermass import _I_k_derivative, _t_moments
 from horocvx.sphere_grid import (
@@ -299,6 +301,68 @@ def test_steiner_check_analyses_each_of_its_two_fields_once(grid, fft_counts):
     # K and its outer parallel body K_rho.
     steiner_check(smooth_body(grid), 0.3)
     assert fft_counts["rfft"] == 2
+
+
+# ---------------------------------------------------------------------------
+# per-field cache of W_k, the k-mean radius and the weighted volume
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_cached_scalars_equal_those_of_a_fresh_field(grid):
+    K = smooth_body(grid)
+    reports = [modified_quermass(K, k) for k in range(grid.n + 1)]
+    radii = [k_mean_radius(K, k) for k in range(grid.n + 1)]
+    vw = weighted_volume(K)
+    fresh = SupportField(grid, K.phi)
+    for k in range(grid.n + 1):
+        assert modified_quermass(K, k) is reports[k]
+        assert reports[k].value == modified_quermass(fresh, k).value
+        assert k_mean_radius(K, k) == radii[k] == k_mean_radius(fresh, k)
+    assert weighted_volume(K) == vw == weighted_volume(fresh)
+    assert S_functional(K) == S_functional(fresh)
+
+
+def test_wk_value_with_explicit_derivatives_bypasses_the_cache(monkeypatch):
+    # The flow's Newton solve passes a trial state's g and H with the
+    # field's phi; that value is neither taken from the field's cache nor
+    # stored in it.
+    K = smooth_body(S2)
+    other = SupportField(S2, 1.2 * K.phi)
+    g, H = other.gradient, other.hessian
+    trial = wk_value(K, 1, g, H)
+    real = quermass.wk_value
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quermass, "wk_value", counted)
+    W = modified_quermass(K, 1).value
+    assert len(calls) == 1
+    assert modified_quermass(K, 1).value == W
+    assert len(calls) == 1
+    assert W != trial
+    assert real(K, 1, g, H) == trial
+
+
+def test_a_call_that_raises_is_not_cached():
+    below_one = SupportField(S1, np.full(S1.size, 0.5))
+    nonconvex = SupportField(S1, 2.2 * (1.0 + 0.05 * np.cos(3 * S1.theta)))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not h-convex"):
+            modified_quermass(below_one, 0)
+        with pytest.raises(ValueError, match="not h-convex"):
+            k_mean_radius(below_one, 0)
+        with pytest.raises(ValueError, match="not h-convex"):
+            weighted_volume(nonconvex)
+
+
+def test_quermass_report_is_frozen():
+    rep = modified_quermass(smooth_body(S1), 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.value = 0.0
+    assert modified_quermass(SupportField(S1, smooth_body(S1).phi), 0) == rep
 
 
 # ---------------------------------------------------------------------------

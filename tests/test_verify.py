@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from horocvx import quermass
 from horocvx.hconvex import convexity
 from horocvx.sphere_grid import make_grid
 from horocvx.verify import (
@@ -44,6 +45,26 @@ def test_run_all_builds_each_body_once(fft_counts):
     # analysed once (250 rfft calls when every suite built its own).
     run_all(Corpus(), exploratory=True)
     assert fft_counts["rfft"] <= 149
+
+
+def test_run_all_evaluates_each_w_k_once_per_field(monkeypatch, fft_counts):
+    # The suites ask for W_k 164 times over 82 distinct (field, k) pairs;
+    # each field caches its own, and a new run's fields compute it again.
+    real = quermass.wk_value
+    seen = []
+
+    def counted(K, k, *rest):
+        seen.append((K, k))
+        return real(K, k, *rest)
+
+    monkeypatch.setattr(quermass, "wk_value", counted)
+    for _ in range(2):
+        seen.clear()
+        fft_counts.update(rfft=0, irfft=0)
+        run_all(Corpus(), exploratory=True)
+        # seen holds each field, so no two live fields share an id.
+        assert len({(id(K), k) for K, k in seen}) == len(seen) == 82
+        assert fft_counts["rfft"] + fft_counts["irfft"] == 648
 
 
 def test_unknown_suite_rejected():
