@@ -26,10 +26,10 @@ and dt grows back to the cap as the speed falls.  The step count does
 not grow with resolution, because R damps every mode the explicit step
 would limit.  At large steps the trajectory, and the time t in the
 trace, are a pseudo-time path: only its steady state is the solution,
-while W_k is conserved at every step.  A step costs one resolvent pass
-each of G and h and one derivative pass of the new state after its band
-(and even) projection: the cone check, whose diagnostics start the next
-step and fill its trace row.
+while W_k is conserved at every step.  A step costs one batched
+resolvent pass of G and h and one derivative pass of the new state after
+its band (and even) projection: the cone check, whose diagnostics start
+the next step and fill its trace row.
 
 By default evenness is enforced for k >= 1, and for k = 0 when f and
 the initial phi are both even: large steps let roundoff in the odd
@@ -240,8 +240,7 @@ def step(state: FlowState, dt: float, diag: dict | None = None,
     if target is None:
         target = wk_value(diag["K"], k)
     mu = dt * diag["c"]
-    rG, gG, HG = resolvent(grid, diag["G"], mu)
-    rh, gh, Hh = resolvent(grid, diag["h"], mu)
+    (rG, rh), (gG, gh), (HG, Hh) = resolvent(grid, np.stack([diag["G"], diag["h"]]), mu)
     w = phi ** (-(k + 1.0)) * diag["pA"]
     Phi = integrate(grid, w * rh) / integrate(grid, w * rG)
     for _ in range(NEWTON_MAX_ITER):

@@ -123,13 +123,9 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     f = validate_f(f, grid)
-    g_f = gradient(grid, f)
+    g_f, *g_x = gradient(grid, np.vstack([f, grid.nodes.T]))
     weight = K.phi ** (-float(n))
-    coords = []
-    for i in range(n + 1):
-        g_x = gradient(grid, grid.nodes[:, i])
-        pairing = np.sum(g_f * g_x, axis=1)
-        coords.append(integrate(grid, weight * pairing))
+    coords = [integrate(grid, weight * np.sum(g_f * g_i, axis=1)) for g_i in g_x]
     frames = frame_vectors(grid)
     grad_ambient = np.einsum("ia,iac->ic", K.gradient, frames)
     vec_field = grad_ambient / K.phi[:, None] + grid.nodes

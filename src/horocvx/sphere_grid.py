@@ -2,16 +2,21 @@
 
 A Grid carries quadrature nodes and weights together with the antipodal
 involution and the maximal exactly-representable degree (band_limit).
-Scalar fields are plain value arrays in node order.  Differentiation is
-spectral: FFT on S^1; on S^2 an azimuthal FFT (one rfft per analysis,
-one irfft per synthesized field) and associated Legendre transforms held
-as one padded tensor P[m, node, l], zero for l < m, so that analysis and
-synthesis over all orders m are each one batched real matmul.  Gradients
-and Hessians are expressed in the orthonormal frame
-{d_theta, (1/sin theta) d_phi}; `derivatives` returns both from one
-analysis, and `gradient` / `hessian` are views of it.  `resolvent`
-applies (1 - mu Laplacian)^{-1}, diagonal in the same bases, and returns
-the result with its derivatives from one analysis.
+Scalar fields are plain value arrays in node order, and the spectral
+operators also take a stack of fields, shape (..., size), returning
+outputs with the same leading axes.  Differentiation is spectral: FFT on
+S^1, one rfft per analysis of the whole stack and one irfft per
+derivative order; on S^2 an azimuthal FFT (one rfft per analysis and one
+irfft for every polar profile of every field of a pass) and associated
+Legendre transforms held as one padded tensor P[m, node, l], zero for
+l < m, so that analysis and synthesis over all orders m are each one
+batched real matmul per field.  Gradients and Hessians are expressed in
+the orthonormal frame {d_theta, (1/sin theta) d_phi}; `derivatives`
+returns both from one analysis, and `gradient` / `hessian` are views of
+it.  `resolvent` applies (1 - mu Laplacian)^{-1}, diagonal in the same
+bases, and returns the result with its derivatives from one analysis.
+A field whose last axis does not hold one value per node is a ValueError
+where it enters.
 
 Grids are built once per (n, resolution) and shared: `make_grid` returns
 the same read-only Grid for equal arguments, so its node tables,
@@ -246,9 +251,22 @@ def refine(grid: Grid) -> Grid:
     return make_grid(2, 2 * grid.resolution[0])
 
 
+def _node_values(grid: Grid, values, stack: bool = True) -> np.ndarray:
+    """values as floats, one per node along the last axis; a stack of
+    fields only where stack is true.  Anything else is a ValueError."""
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1:] != (grid.size,) or (v.ndim > 1 and not stack):
+        want = f"(..., {grid.size})" if stack else f"({grid.size},)"
+        raise ValueError(
+            f"a field of shape {v.shape} does not fit a grid of {grid.size} nodes; "
+            f"expected shape {want}"
+        )
+    return v
+
+
 def integrate(grid: Grid, values: np.ndarray) -> float:
     """Quadrature of a node field, deterministic compensated summation."""
-    v = np.asarray(values, dtype=float)
+    v = _node_values(grid, values, stack=False)
     return math.fsum((grid.weights * v).tolist())
 
 
@@ -277,13 +295,13 @@ def band_project(grid: Grid, values: np.ndarray) -> np.ndarray:
     Evolution driven by pointwise terms can pump those components, so
     time steppers project each accepted state back onto the band.
     """
-    v = np.asarray(values, dtype=float)
+    v = _node_values(grid, values)
     if grid.n == 1:
         c = np.fft.rfft(v)
-        c[grid.resolution[0] // 2] = 0.0
+        c[..., grid.resolution[0] // 2] = 0.0
         return np.fft.irfft(c, n=grid.size)
     P = _s2_tables(grid)[0]
-    return _s2_synth_many(grid, [_real_matmul(P, _s2_analyze(grid, v))])[0]
+    return _s2_synth_many(grid, _real_matmul(P, _s2_analyze(grid, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +309,12 @@ def band_project(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def _s1_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.fft.rfft(np.asarray(values, dtype=float)) / grid.resolution[0]
+    """Fourier coefficients of each field of a stack (..., N), one rfft."""
+    return np.fft.rfft(values) / grid.resolution[0]
 
 
 def _s1_synth(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Node values of each coefficient row of a stack, one irfft."""
     N = grid.resolution[0]
     return np.fft.irfft(coeffs * N, n=N)
 
@@ -364,30 +384,35 @@ def _s2_tables(grid: Grid):
 
 
 def _real_matmul(table: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """table @ z for real table and complex z: one real (batched) matmul
-    on the (re, im) view of z, with no complex copy of the table."""
+    """table @ z for real table (B+1, I, J) and complex z (..., B+1, J):
+    one real batched matmul over the orders m per field of the stack, on
+    the (re, im) view of z, with no complex copy of the table.  Fields
+    are not batched into one matmul: its blocking could change the
+    rounding."""
     z = np.ascontiguousarray(z)
+    if z.ndim > 2:
+        return np.stack([_real_matmul(table, zf) for zf in z])
     return (table @ z.view(float).reshape(z.shape + (2,))).view(complex)[..., 0]
 
 
 def _s2_analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Band-limited coefficients a[m, l], shape (B+1, B+1), zero for l < m."""
+    """Band-limited coefficients a[..., m, l], shape (..., B+1, B+1), zero
+    for l < m, of each field of a stack (..., size): one rfft."""
     L, M = grid.resolution
     P = _s2_tables(grid)[0]
-    G = np.fft.rfft(np.asarray(values, dtype=float).reshape(L, M), axis=1) / M
-    w = (grid._cache["wx"][:, None] * G[:, : grid.band_limit + 1]).T
+    G = np.fft.rfft(values.reshape(values.shape[:-1] + (L, M)), axis=-1) / M
+    w = np.swapaxes(grid._cache["wx"][:, None] * G[..., : grid.band_limit + 1], -1, -2)
     return 2.0 * math.pi * _real_matmul(P.transpose(0, 2, 1), w)
 
 
-def _s2_synth_many(grid: Grid, profiles) -> list[np.ndarray]:
-    """One field per (B+1, L) polar profile table[m] @ a[m], one irfft each."""
+def _s2_synth_many(grid: Grid, profiles: np.ndarray) -> np.ndarray:
+    """Node values (..., size) of a stack of (B+1, L) polar profiles
+    table[m] @ a[m], shape (..., B+1, L): one irfft for the whole stack."""
     L, M = grid.resolution
-    G = np.zeros((L, M // 2 + 1), dtype=complex)
-    out = []
-    for prof in profiles:
-        G[:, : grid.band_limit + 1] = prof.T
-        out.append(np.fft.irfft(G * M, n=M, axis=1).ravel())
-    return out
+    lead = profiles.shape[:-2]
+    G = np.zeros(lead + (L, M // 2 + 1), dtype=complex)
+    G[..., : grid.band_limit + 1] = np.swapaxes(profiles, -1, -2)
+    return np.fft.irfft(G * M, n=M, axis=-1).reshape(lead + (grid.size,))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +423,8 @@ def derivatives(
     grid: Grid, values: np.ndarray, first: bool = True, second: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Gradient (size, n) and covariant Hessian (size, n, n) in the
-    orthonormal frame, both from one spectral analysis.
+    orthonormal frame, both from one spectral analysis; a stack of fields
+    (..., size) gives (..., size, n) and (..., size, n, n).
 
     first / second select the outputs; one not asked for is returned as
     None and costs no synthesis.  On S^2 the gradient comes free with the
@@ -415,13 +441,17 @@ def resolvent(
 
     R multiplies each mode by 1 / (1 + mu lambda), lambda = k^2 on S^1
     and l (l + 1) on S^2, and drops what lies above the band (the Nyquist
-    bin on S^1), so R v is band-limited.
+    bin on S^1), so R v is band-limited.  A stack of fields (..., size)
+    is resolved in one pass, each output with the same leading axes.
     """
     return _spectral_pass(grid, values, mu, True, True)
 
 
 def _spectral_pass(grid: Grid, values: np.ndarray, mu, first: bool, second: bool):
-    """(R v or None, gradient, Hessian) of v, or of R v when mu is given."""
+    """(R v or None, gradient, Hessian) of v, or of R v when mu is given,
+    for one field or a stack (..., size): one analysis of the stack, and
+    on S^2 one synthesis of all its profiles."""
+    values = _node_values(grid, values)
     v = None
     if grid.n == 1:
         c = _s1_coeffs(grid, values)
@@ -430,12 +460,12 @@ def _spectral_pass(grid: Grid, values: np.ndarray, mu, first: bool, second: bool
             N = grid.resolution[0]
             k = np.arange(N // 2 + 1, dtype=float)
             c = c / (1.0 + mu * k * k)
-            c[-1] = 0.0
+            c[..., -1] = 0.0
             v = _s1_synth(grid, c)
         if first:
-            g = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 1))[:, None]
+            g = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 1))[..., None]
         if second:
-            H = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 2))[:, None, None]
+            H = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 2))[..., None, None]
         return v, g, H
     P, dP, ll1 = _s2_tables(grid)
     a = _s2_analyze(grid, values)
@@ -446,31 +476,30 @@ def _spectral_pass(grid: Grid, values: np.ndarray, mu, first: bool, second: bool
     m = np.arange(grid.band_limit + 1)[:, None]
     v_m = _real_matmul(P, a)
     vt_m = _real_matmul(dP, a)
-    fp_m = (1j * m) * v_m
-    if mu is not None:
-        (v,) = _s2_synth_many(grid, [v_m])
+    profiles = [vt_m, (1j * m) * v_m]
     if second:
-        lap_m = _real_matmul(P, ll1 * a)
-        vt, lap, fp, ftp, fpp = _s2_synth_many(
-            grid, [vt_m, lap_m, fp_m, (1j * m) * vt_m, -(m * m) * v_m]
-        )
-    else:
-        vt, fp = _s2_synth_many(grid, [vt_m, fp_m])
+        profiles += [_real_matmul(P, ll1 * a), (1j * m) * vt_m, -(m * m) * v_m]
+    if mu is not None:
+        profiles.append(v_m)
+    fields = _s2_synth_many(grid, np.stack(profiles, axis=-3))
+    vt, fp, *rest = np.moveaxis(fields, -2, 0)
+    if mu is not None:
+        v = rest.pop()
     g = None
     if first:
-        g = np.stack([vt, fp * np.repeat(1.0 / grid._cache["s"], M)], axis=1)
+        g = np.stack([vt, fp * np.repeat(1.0 / grid._cache["s"], M)], axis=-1)
     if not second:
         return v, g, None
+    lap, ftp, fpp = rest
     s = np.repeat(grid._cache["s"], M)
     x = np.repeat(grid._cache["x"], M)
     # theta-theta from the associated Legendre ODE; mixed and azimuthal
     # entries carry the Christoffel corrections of the orthonormal frame.
-    ftt = -(x / s) * vt - lap - fpp / (s * s)
-    H = np.empty((grid.size, 2, 2))
-    H[:, 0, 0] = ftt
-    H[:, 0, 1] = ftp / s - (x / (s * s)) * fp
-    H[:, 1, 0] = H[:, 0, 1]
-    H[:, 1, 1] = fpp / (s * s) + (x / s) * vt
+    H = np.empty(vt.shape + (2, 2))
+    H[..., 0, 0] = -(x / s) * vt - lap - fpp / (s * s)
+    H[..., 0, 1] = ftp / s - (x / (s * s)) * fp
+    H[..., 1, 0] = H[..., 0, 1]
+    H[..., 1, 1] = fpp / (s * s) + (x / s) * vt
     return v, g, H
 
 
@@ -486,12 +515,13 @@ def hessian(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami operator applied spectrally."""
+    values = _node_values(grid, values)
     if grid.n == 1:
         c = _s1_coeffs(grid, values)
         return _s1_synth(grid, c * _s1_derivative_multipliers(grid, 2))
     P, _, ll1 = _s2_tables(grid)
     a = _s2_analyze(grid, values)
-    return _s2_synth_many(grid, [_real_matmul(P, -ll1 * a)])[0]
+    return _s2_synth_many(grid, _real_matmul(P, -ll1 * a))
 
 
 def frame_vectors(grid: Grid) -> np.ndarray:
@@ -523,6 +553,7 @@ def resample(grid: Grid, values: np.ndarray, targets) -> np.ndarray:
     targets may be a Grid (its nodes are used) or an array of unit
     directions with shape (T, n+1).
     """
+    values = _node_values(grid, values, stack=False)
     if isinstance(targets, Grid):
         if targets.n != grid.n:
             raise ValueError("target grid lives on a different sphere")

@@ -362,8 +362,11 @@ def test_trace_wk_matches_a_fresh_homotopy(cfg, body):
     [
         # eps_stop below the roundoff floor of speedSup: both runs step
         # to max_steps instead of converging.
-        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14), perturbed_circle, 14),
-        (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-14), perturbed_sphere, 30),
+        # Per step: the stacked resolvent of G and h, the band projection
+        # and the derivative pass of the new state, each one analysis with
+        # one synthesis per output on S^1 and one per pass on S^2.
+        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14), perturbed_circle, 9),
+        (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-14), perturbed_sphere, 6),
     ],
     ids=["s1", "s2"],
 )

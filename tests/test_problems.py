@@ -19,7 +19,7 @@ from horocvx.problems import (
     pde_residual,
 )
 from horocvx.quermass import curvature_integral, modified_quermass
-from horocvx.sphere_grid import make_grid
+from horocvx.sphere_grid import gradient, integrate, make_grid
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -161,6 +161,24 @@ def test_kw_general_identity_on_perturbed_bodies():
             assert rep.general_identity_residual < 1e-10
     with pytest.raises(ValueError):
         kw_residual(K1, f1, 2)
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 96), make_grid(2, 16)], ids=["s1", "s2"])
+def test_kw_coordinate_integrals_from_one_stacked_gradient(grid, fft_counts):
+    # One gradient pass over f and the n + 1 coordinate functions gives
+    # bit for bit the integrals of one pass per function.
+    rng = np.random.default_rng(2)
+    K = SupportField(grid, 2.0 + 0.02 * rng.standard_normal(grid.size))
+    f = 1.0 + 0.1 * rng.random(grid.size)
+    K.hessian  # the field's own pass, made before counting
+    fft_counts.update(rfft=0, irfft=0)
+    rep = kw_residual(K, f, 0)
+    assert fft_counts["rfft"] == 1
+    g_f = gradient(grid, f)
+    weight = K.phi ** (-float(grid.n))
+    for i, value in enumerate(rep.coordinate_integrals):
+        g_x = gradient(grid, grid.nodes[:, i])
+        assert value == integrate(grid, weight * np.sum(g_f * g_x, axis=1))
 
 
 def test_kw_constant_f_clears_obstruction():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -247,7 +248,7 @@ def _two_pass_gradient(grid, values):
     m = np.arange(grid.band_limit + 1)[:, None]
     ft_m = sphere_grid._real_matmul(dP, a)
     fp_m = (1j * m) * sphere_grid._real_matmul(P, a)
-    ft, fp = sphere_grid._s2_synth_many(grid, [ft_m, fp_m])
+    ft, fp = sphere_grid._s2_synth_many(grid, np.stack([ft_m, fp_m]))
     inv_s = np.repeat(1.0 / grid.s, grid.resolution[1])
     return np.stack([ft, fp * inv_s], axis=1)
 
@@ -266,7 +267,7 @@ def _two_pass_hessian(grid, values):
     vt_m = sphere_grid._real_matmul(dP, a)
     lap_m = sphere_grid._real_matmul(P, ll1 * a)
     vt, lap, fp, ftp, fpp = sphere_grid._s2_synth_many(
-        grid, [vt_m, lap_m, (1j * m) * v_m, (1j * m) * vt_m, -(m * m) * v_m]
+        grid, np.stack([vt_m, lap_m, (1j * m) * v_m, (1j * m) * vt_m, -(m * m) * v_m])
     )
     s = np.repeat(grid.s, M)
     x = np.repeat(grid.x, M)
@@ -337,11 +338,11 @@ def test_fused_derivatives_do_one_analysis(fft_counts):
     # S^1: one analysis, one synthesis per derivative order.
     derivatives(S1, np.cos(s1_theta(S1)))
     assert fft_counts == {"rfft": 1, "irfft": 2}
-    # S^2: one analysis, and the five profiles of the Hessian also carry
-    # the gradient.
+    # S^2: one analysis, and one synthesis of the five profiles of the
+    # Hessian, which also carry the gradient.
     fft_counts.update(rfft=0, irfft=0)
     derivatives(S2, 1.0 + S2.nodes[:, 2] ** 2)
-    assert fft_counts == {"rfft": 1, "irfft": 5}
+    assert fft_counts == {"rfft": 1, "irfft": 1}
 
 
 @pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
@@ -352,7 +353,11 @@ def test_resolvent_inverts_one_minus_mu_laplacian(grid, fft_counts):
     v = band_project(grid, 2.0 + 0.1 * rng.standard_normal(grid.size))
     fft_counts.update(rfft=0, irfft=0)
     Rv, g, H = resolvent(grid, v, 0.3)
-    assert fft_counts == {"rfft": 1, "irfft": 3 if grid.n == 1 else 6}
+    assert fft_counts == {"rfft": 1, "irfft": 3 if grid.n == 1 else 1}
+    # A stack of two fields is resolved in the same number of calls.
+    fft_counts.update(rfft=0, irfft=0)
+    resolvent(grid, np.stack([v, 2.0 * v]), 0.3)
+    assert fft_counts == {"rfft": 1, "irfft": 3 if grid.n == 1 else 1}
     assert np.allclose(Rv - 0.3 * laplacian(grid, Rv), v, atol=1e-12)
     g_ref, H_ref = derivatives(grid, Rv)
     assert np.allclose(g, g_ref, atol=1e-12)
@@ -360,6 +365,82 @@ def test_resolvent_inverts_one_minus_mu_laplacian(grid, fft_counts):
     # mu = 0 is the band projection; a resolvent output is band-limited.
     assert np.allclose(resolvent(grid, v, 0.0)[0], v, atol=1e-13)
     assert np.allclose(band_project(grid, Rv), Rv, atol=1e-13)
+
+
+@pytest.mark.parametrize("F", [1, 2, 3])
+@pytest.mark.parametrize("grid", [make_grid(1, 96), S2], ids=["s1", "s2"])
+def test_stacked_pass_is_bitwise_the_per_field_passes(grid, F):
+    rng = np.random.default_rng(F)
+    stack = 2.0 + 0.1 * rng.standard_normal((F, grid.size))
+    g, H = derivatives(grid, stack)
+    assert g.shape == (F, grid.size, grid.n) and H.shape == (F, grid.size, grid.n, grid.n)
+    out = resolvent(grid, stack, 0.3)
+    for i, field in enumerate(stack):
+        gi, Hi = derivatives(grid, field)
+        assert np.array_equal(g[i], gi) and np.array_equal(H[i], Hi)
+        for stacked, single in zip(out, resolvent(grid, field, 0.3)):
+            assert np.array_equal(stacked[i], single)
+        assert np.array_equal(gradient(grid, stack)[i], gi)
+        assert np.array_equal(hessian(grid, stack)[i], Hi)
+        assert np.array_equal(laplacian(grid, stack)[i], laplacian(grid, field))
+        assert np.array_equal(band_project(grid, stack)[i], band_project(grid, field))
+    # Any leading axes, not only one.
+    deep = np.stack([stack, stack[::-1]])
+    assert np.array_equal(derivatives(grid, deep)[1][1], H[::-1])
+
+
+def test_one_synthesis_of_many_profiles_is_bitwise_one_per_profile():
+    rng = np.random.default_rng(3)
+    shape = (2, 6, S2.band_limit + 1, S2.resolution[0])
+    profiles = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fields = sphere_grid._s2_synth_many(S2, profiles)
+    assert fields.shape == (2, 6, S2.size)
+    for idx in np.ndindex(2, 6):
+        assert np.array_equal(fields[idx], sphere_grid._s2_synth_many(S2, profiles[idx]))
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 96), S2], ids=["s1", "s2"])
+def test_one_field_keeps_its_shapes(grid):
+    f = 2.0 + 0.1 * grid.nodes[:, 0]
+    size, n = grid.size, grid.n
+    g, H = derivatives(grid, f)
+    assert g.shape == (size, n) and H.shape == (size, n, n)
+    assert [a.shape for a in resolvent(grid, f, 0.3)] == [(size,), (size, n), (size, n, n)]
+    assert gradient(grid, f).shape == (size, n)
+    assert hessian(grid, f).shape == (size, n, n)
+    assert laplacian(grid, f).shape == band_project(grid, f).shape == (size,)
+
+
+FIELD_OPERATORS = {
+    "derivatives": derivatives,
+    "resolvent": lambda grid, v: resolvent(grid, v, 0.3),
+    "gradient": gradient,
+    "hessian": hessian,
+    "band_project": band_project,
+    "laplacian": laplacian,
+    "resample": lambda grid, v: resample(grid, v, grid),
+    "integrate": integrate,
+}
+
+
+@pytest.mark.parametrize("op", sorted(FIELD_OPERATORS))
+@pytest.mark.parametrize(
+    "grid, count",
+    [(make_grid(1, 96), 97), (make_grid(1, 96), 64), (S2, 513), (S2, 256)],
+    ids=["s1-97", "s1-64", "s2-513", "s2-256"],
+)
+def test_mis_sized_fields_are_rejected_where_they_enter(op, grid, count):
+    # A 97-value field has the rfft bins of a 96-node one, so only a
+    # shape check at the entry can tell them apart.
+    for bad in (np.ones(count), np.ones((2, count)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"{bad.shape}") + f".*{grid.size} nodes"):
+            FIELD_OPERATORS[op](grid, bad)
+
+
+@pytest.mark.parametrize("op", ["resample", "integrate"])
+def test_one_field_operators_reject_a_stack(op):
+    with pytest.raises(ValueError, match=r"\(2, 64\).*64 nodes"):
+        FIELD_OPERATORS[op](S1, np.ones((2, S1.size)))
 
 
 def test_resolvent_drops_the_s1_nyquist_bin():

@@ -64,7 +64,7 @@ def test_run_all_evaluates_each_w_k_once_per_field(monkeypatch, fft_counts):
         run_all(Corpus(), exploratory=True)
         # seen holds each field, so no two live fields share an id.
         assert len({(id(K), k) for K, k in seen}) == len(seen) == 82
-        assert fft_counts["rfft"] + fft_counts["irfft"] == 648
+        assert fft_counts["rfft"] + fft_counts["irfft"] == 380
 
 
 def test_unknown_suite_rejected():
