@@ -4,7 +4,12 @@ Every invocation that writes an output file also writes a run manifest
 (`<output>.manifest.json`) recording the command, parameters, input
 file hashes, all output paths, seed, package version, and grid, so a
 run can be reproduced exactly; identical manifests imply bit-identical
-outputs.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+outputs.  One function builds it from the parsed arguments: the
+parameters are every option but the output paths and `--seed`, plus
+`n`, `k` and `p` for `flow` and the resolved tolerances for `verify`;
+the inputs are the files that `--K`, `--L`, `--f` and `--config` name,
+plus the field files a flow config names.  Exit codes: 0 success, 1
+verification failure, 2 usage error.
 
 Start-up is part of every command's cost, so this module imports at top
 level only what every numeric command uses (`sphere_grid` and `hconvex`,
@@ -178,32 +183,36 @@ def _dump_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(
-    command: str,
-    parameters: dict,
-    inputs: list[str],
-    outputs: list[str],
-    seed: int | None,
-    grid: Grid | None,
-) -> None:
+# Parsed options the manifest does not list as parameters: the handler,
+# the command, the output paths and the seed, which it records apart.
+_NOT_PARAMETERS = frozenset({"func", "command", "out", "terminal", "seed"})
+# Options that name input files.
+_INPUT_OPTIONS = ("K", "L", "f", "config")
+
+
+def _write_manifest(args, grid: Grid | None, *more_inputs: str) -> None:
+    """Write the run manifest of the parsed args beside each output.
+
+    Parameters, input files, outputs and seed all come from args, so a
+    command that records more stores it on args first; more_inputs are
+    input files that no option names.
+    """
+    options = vars(args)
+    inputs = [options[key] for key in _INPUT_OPTIONS if key in options] + list(more_inputs)
+    outputs = sorted(path for path in (options.get("out"), options.get("terminal")) if path)
     manifest = {
-        "command": command,
-        "parameters": parameters,
+        "command": args.command,
+        "parameters": {
+            key: value for key, value in options.items() if key not in _NOT_PARAMETERS
+        },
         "inputs": {path: _sha256(path) for path in inputs},
-        "outputs": sorted(outputs),
-        "seed": seed,
+        "outputs": outputs,
+        "seed": options.get("seed"),
         "version": __version__,
         "grid": grid_to_json_dict(grid) if grid is not None else None,
     }
     for out in outputs:
         _dump_json(out + ".manifest.json", manifest)
-
-
-def _field_json(field: SupportField, kind: str, extra: dict | None = None) -> dict:
-    obj = field_to_json_dict(field.grid, field.phi, kind=kind)
-    if extra:
-        obj.update(extra)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +248,8 @@ def _cmd_mkfield(args) -> int:
         values = fields[0].phi
     else:
         raise UsageError("mkfield needs one of --ball, --constant, --random")
-    obj = field_to_json_dict(grid, values, kind="support")
-    _dump_json(args.out, obj)
-    _write_manifest(
-        "mkfield",
-        {
-            "grid": args.grid,
-            "ball": args.ball,
-            "center": args.center,
-            "radius": args.radius,
-            "constant": args.constant,
-            "random": args.random,
-        },
-        [],
-        [args.out],
-        args.seed,
-        grid,
-    )
+    _dump_json(args.out, field_to_json_dict(grid, values, kind="support"))
+    _write_manifest(args, grid)
     return 0
 
 
@@ -266,15 +260,8 @@ def _cmd_psum(args) -> int:
     L = _load_scalar(args.L)
     _same_grid(K, f"--K {args.K}", L, f"--L {args.L}")
     result = p_sum(args.a, K, args.p, args.b, L)
-    _dump_json(args.out, _field_json(result, "support"))
-    _write_manifest(
-        "psum",
-        {"a": args.a, "p": args.p, "b": args.b, "K": args.K, "L": args.L},
-        [args.K, args.L],
-        [args.out],
-        None,
-        K.grid,
-    )
+    _dump_json(args.out, field_to_json_dict(result.grid, result.phi, kind="support"))
+    _write_manifest(args, K.grid)
     return 0
 
 
@@ -283,15 +270,8 @@ def _cmd_dilate(args) -> int:
 
     K = _load_scalar(args.K)
     result = p_dilate(args.a, args.p, K)
-    _dump_json(args.out, _field_json(result, "support"))
-    _write_manifest(
-        "dilate",
-        {"a": args.a, "p": args.p, "K": args.K},
-        [args.K],
-        [args.out],
-        None,
-        K.grid,
-    )
+    _dump_json(args.out, field_to_json_dict(result.grid, result.phi, kind="support"))
+    _write_manifest(args, K.grid)
     return 0
 
 
@@ -309,32 +289,19 @@ def _cmd_quermass(args) -> int:
             "method": rep.method,
             "mean_radius": I_k_inverse(n, k, rep.value),
         }
-    report = {"n": n, "quermass": values}
-    _dump_json(args.out, report)
-    _write_manifest(
-        "quermass",
-        {"K": args.K, "k": args.k},
-        [args.K],
-        [args.out],
-        None,
-        K.grid,
-    )
+    _dump_json(args.out, {"n": n, "quermass": values})
+    _write_manifest(args, K.grid)
     return 0
 
 
 def _cmd_steiner(args) -> int:
+    from dataclasses import asdict
+
     from .quermass import steiner_check, weighted_steiner_check
 
     K = _load_scalar(args.K)
     if args.kind == "weighted":
-        rep = weighted_steiner_check(K, args.rho)
-        report = {
-            "rho": args.rho,
-            "kind": "weighted",
-            "residual_integral_form": rep.residual_integral_form,
-            "residual_closed_form": rep.residual_closed_form,
-            "scale": rep.scale,
-        }
+        report = {**asdict(weighted_steiner_check(K, args.rho)), "kind": "weighted"}
     else:
         rep = steiner_check(K, args.rho)
         report = {
@@ -345,14 +312,7 @@ def _cmd_steiner(args) -> int:
             "scale": rep.scale,
         }
     _dump_json(args.out, report)
-    _write_manifest(
-        "steiner",
-        {"K": args.K, "rho": args.rho, "kind": args.kind},
-        [args.K],
-        [args.out],
-        None,
-        K.grid,
-    )
+    _write_manifest(args, K.grid)
     return 0
 
 
@@ -368,9 +328,7 @@ def _cmd_weighted(args) -> int:
         "minkowski_shifted_residuals": mink.shifted,
     }
     _dump_json(args.out, report)
-    _write_manifest(
-        "weighted", {"K": args.K}, [args.K], [args.out], None, K.grid
-    )
+    _write_manifest(args, K.grid)
     return 0
 
 
@@ -379,24 +337,15 @@ def _cmd_measure(args) -> int:
 
     K = _load_scalar(args.K)
     density = measure_density(K, args.p, _check_k(args.k, K.grid.n))
-    total = integrate(K.grid, density)
     obj = field_to_json_dict(K.grid, density, kind="measure-density")
-    obj["total"] = total
-    obj["p"] = args.p
-    obj["k"] = args.k
-    _dump_json(args.out, obj)
-    _write_manifest(
-        "measure",
-        {"K": args.K, "p": args.p, "k": args.k},
-        [args.K],
-        [args.out],
-        None,
-        K.grid,
-    )
+    _dump_json(args.out, {**obj, "total": integrate(K.grid, density), "p": args.p, "k": args.k})
+    _write_manifest(args, K.grid)
     return 0
 
 
 def _cmd_kw(args) -> int:
+    from dataclasses import asdict
+
     from .problems import kw_residual
 
     K = _load_scalar(args.K)
@@ -404,26 +353,18 @@ def _cmd_kw(args) -> int:
     _same_grid(K, f"--K {args.K}", f, f"--f {args.f}")
     rep = kw_residual(K, f.phi, _check_k(args.k, K.grid.n))
     report = {
+        **asdict(rep),
         "k": args.k,
-        "coordinate_integrals": list(rep.coordinate_integrals),
-        "max_abs_coordinate_integral": max(
-            abs(v) for v in rep.coordinate_integrals
-        ),
-        "general_identity_residual": rep.general_identity_residual,
+        "max_abs_coordinate_integral": max(abs(v) for v in rep.coordinate_integrals),
     }
     _dump_json(args.out, report)
-    _write_manifest(
-        "kw",
-        {"K": args.K, "f": args.f, "k": args.k},
-        [args.K, args.f],
-        [args.out],
-        None,
-        K.grid,
-    )
+    _write_manifest(args, K.grid)
     return 0
 
 
 def _cmd_ballsolve(args) -> int:
+    from dataclasses import asdict
+
     from .problems import ball_solutions
 
     n = args.n
@@ -435,53 +376,20 @@ def _cmd_ballsolve(args) -> int:
     # p < -n lies outside the k >= 1 range; at k = 0 it has one ball.
     if args.p < -n and args.k > 0:
         raise UsageError(f"--p must be at least -n = {-n} for --k >= 1, got {args.p}")
-    rep = ball_solutions(n, args.k, args.p, args.gamma)
-    report = {
-        "case": rep.case,
-        "n": rep.n,
-        "k": rep.k,
-        "p": rep.p,
-        "gamma": rep.gamma,
-        "gamma0": rep.gamma0,
-        "t0": rep.t0,
-        "c_values": list(rep.c_values),
-        "radii": list(rep.radii),
-        "residuals": list(rep.residuals),
-    }
-    _dump_json(args.out, report)
-    _write_manifest(
-        "ballsolve",
-        {"n": args.n, "k": args.k, "p": args.p, "gamma": args.gamma},
-        [],
-        [args.out],
-        None,
-        None,
-    )
+    _dump_json(args.out, asdict(ball_solutions(n, args.k, args.p, args.gamma)))
+    _write_manifest(args, None)
     return 0
 
 
 def _cmd_assumption_h(args) -> int:
+    from dataclasses import asdict
+
     from .problems import check_assumption_h
 
     f = _load_scalar(args.f)
     rep = check_assumption_h(f.phi, f.grid, f.grid.n, _check_k(args.k, f.grid.n), args.p)
-    report = {
-        "passes": rep.passes,
-        "regime": rep.regime,
-        "k": args.k,
-        "p": args.p,
-        "worst_node": rep.worst_node,
-        "worst_eigenvalue": rep.worst_eigenvalue,
-    }
-    _dump_json(args.out, report)
-    _write_manifest(
-        "assumption-h",
-        {"f": args.f, "k": args.k, "p": args.p},
-        [args.f],
-        [args.out],
-        None,
-        f.grid,
-    )
+    _dump_json(args.out, {**asdict(rep), "k": args.k, "p": args.p})
+    _write_manifest(args, f.grid)
     return 0
 
 
@@ -493,7 +401,7 @@ FLOW_CONFIG_KEYS = frozenset({
 
 
 def _cmd_flow(args) -> int:
-    from .flow import FlowConfig, run as run_flow
+    from .flow import FlowConfig, make_state, run as run_flow
 
     try:
         with open(args.config) as fh:
@@ -507,7 +415,6 @@ def _cmd_flow(args) -> int:
     unknown = sorted(set(cfg) - FLOW_CONFIG_KEYS)
     if unknown:
         raise UsageError(f"unknown flow config key(s): {', '.join(unknown)}")
-    inputs = [args.config]
     try:
         n = as_integer(cfg["n"], "flow config n")
         k = as_integer(cfg["k"], "flow config k")
@@ -536,7 +443,7 @@ def _cmd_flow(args) -> int:
         raise UsageError(f"flow config missing key {exc}") from None
     except ValueError as exc:
         raise UsageError(f"bad flow config {args.config}: {exc}") from None
-    fields, sources = {}, {}
+    fields, sources, inputs = {}, {}, []
     for key in ("f", "initial"):
         entry = cfg.get(key)
         if entry is None:
@@ -583,12 +490,17 @@ def _cmd_flow(args) -> int:
         f=f_field.phi if f_field is not None else None,
         **options,
     )
+    # make_state holds the range checks of the config's values: a
+    # ValueError there is a bad config, one from run a failed flow.
+    try:
+        make_state(config, phi0)
+    except ValueError as exc:
+        raise UsageError(f"bad flow config {args.config}: {exc}") from None
     result = run_flow(config, phi0)
-    outputs = []
     result.trace.to_csv(args.out)
-    outputs.append(args.out)
     if args.terminal:
-        extra = {
+        terminal = {
+            **field_to_json_dict(result.terminal.grid, result.terminal.phi, kind="support"),
             "status": result.status,
             "gamma": result.gamma,
             "gamma_variation": result.gamma_variation,
@@ -596,16 +508,9 @@ def _cmd_flow(args) -> int:
             "t_final": result.t_final,
             "warnings": result.warnings,
         }
-        _dump_json(args.terminal, _field_json(result.terminal, "support", extra))
-        outputs.append(args.terminal)
-    _write_manifest(
-        "flow",
-        {"config": args.config, "n": n, "k": k, "p": p},
-        inputs,
-        outputs,
-        cfg.get("seed"),
-        phi0.grid,
-    )
+        _dump_json(args.terminal, terminal)
+    args.n, args.k, args.p, args.seed = n, k, p, cfg.get("seed")
+    _write_manifest(args, phi0.grid, *inputs)
     print(
         f"flow {result.status}: steps={result.steps} t={result.t_final:.6g} "
         f"gamma={result.gamma:.9g} gamma_variation={result.gamma_variation:.3g}"
@@ -618,15 +523,11 @@ def _cmd_project(args) -> int:
 
     K = _load_scalar(args.K)
     hat = project(K)
-    extra = {}
-    if convexity(K).classification == "uniformly-h-convex":
-        extra["euclidean_volume"] = euclid_volume(hat)
     obj = field_to_json_dict(hat.grid, hat.phi, kind="euclidean-support")
-    obj.update(extra)
+    if convexity(K).classification == "uniformly-h-convex":
+        obj["euclidean_volume"] = euclid_volume(hat)
     _dump_json(args.out, obj)
-    _write_manifest(
-        "project", {"K": args.K}, [args.K], [args.out], None, K.grid
-    )
+    _write_manifest(args, K.grid)
     return 0
 
 
@@ -636,15 +537,16 @@ def _cmd_verify(args) -> int:
     known = ("all",) + verify_mod.SUITES + verify_mod.EXPLORATORY_SUITES
     if args.suite not in known:
         raise UsageError(f"unknown suite {args.suite!r}; known: {', '.join(known)}")
-    tol = verify_mod.DEFAULT_TOL if args.tol is None else args.tol
-    eq_tol = verify_mod.DEFAULT_EQ_TOL if args.eq_tol is None else args.eq_tol
+    # Resolved on args, so that the manifest records the values used.
+    args.tol = verify_mod.DEFAULT_TOL if args.tol is None else args.tol
+    args.eq_tol = verify_mod.DEFAULT_EQ_TOL if args.eq_tol is None else args.eq_tol
     corpus = verify_mod.Corpus(seed=args.seed or 0)
     if args.suite == "all":
         records = verify_mod.run_all(
-            corpus, tol=tol, eq_tol=eq_tol, exploratory=args.exploratory
+            corpus, tol=args.tol, eq_tol=args.eq_tol, exploratory=args.exploratory
         )
     else:
-        records = verify_mod.run_suite(args.suite, corpus, tol=tol, eq_tol=eq_tol)
+        records = verify_mod.run_suite(args.suite, corpus, tol=args.tol, eq_tol=args.eq_tol)
     by_suite: dict[str, list] = {}
     for r in records:
         by_suite.setdefault(r.suite, []).append(r)
@@ -657,23 +559,9 @@ def _cmd_verify(args) -> int:
             print(
                 f"  FAIL {r.case}: lhs={r.lhs:.12g} rhs={r.rhs:.12g} gap={r.gap:.3g}"
             )
-    outputs = []
     if args.out:
         verify_mod.write_records_csv(args.out, records)
-        outputs.append(args.out)
-        _write_manifest(
-            "verify",
-            {
-                "suite": args.suite,
-                "tol": tol,
-                "eq_tol": eq_tol,
-                "exploratory": args.exploratory,
-            },
-            [],
-            outputs,
-            args.seed,
-            None,
-        )
+        _write_manifest(args, None)
     return 0 if verify_mod.all_passed(records) else 1
 
 
@@ -780,7 +668,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_finite, default=None, help="default: verify.DEFAULT_TOL")
     p.add_argument("--eq-tol", type=_finite, default=None, help="default: verify.DEFAULT_EQ_TOL")
     p.add_argument("--exploratory", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -203,6 +203,10 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
         raise ValueError(f"max_dt must be finite and positive, got {config.max_dt}")
     if config.dt_initial is not None and not 0.0 < config.dt_initial < math.inf:
         raise ValueError(f"dt_initial must be finite and positive, got {config.dt_initial}")
+    # Below 0, or NaN, the stop test speed_sup < eps_stop can never hold;
+    # 0 stays valid, to run a flow at rest for max_steps.
+    if not config.eps_stop >= 0.0:
+        raise ValueError(f"eps_stop must be nonnegative, got {config.eps_stop}")
     if config.trace_every < 1:
         raise ValueError(f"trace_every must be at least 1, got {config.trace_every}")
     if config.max_steps < 0:

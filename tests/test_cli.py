@@ -1,5 +1,6 @@
 """End-to-end CLI: exit codes, file formats, manifests, reproducibility."""
 
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import horocvx
 from horocvx import flow
-from horocvx.cli import main
+from horocvx.cli import _build_parser, main
 from horocvx.flow import FlowConfig
 from horocvx.sphere_grid import field_to_json_dict, load_field, make_grid, save_field
 
@@ -160,6 +161,7 @@ OUT_OF_RANGE = [
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--gamma", "0"], id="ballsolve-gamma0"),
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--gamma=-1"], id="ballsolve-gamma-1"),
     pytest.param(["steiner", "--K", "K.json", "--rho=-5"], id="steiner-rho-5"),
+    pytest.param(["verify", "bm_balls", "--seed=-1"], id="verify-seed"),
 ]
 
 
@@ -589,9 +591,29 @@ def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, timeout=120,
     )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:") and "trace_every" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: bad flow config flow.json:")
+    assert "trace_every" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_dt", -1),
+        ("trace_every", 0),
+        ("max_steps", -1),
+        ("assumption_mode", "lenient"),
+        ("eps_stop", -1),
+        ("k", 1),  # k = n has no flow
+    ],
+)
+def test_flow_config_out_of_range_value_is_a_usage_error(tmp_path, capsys, key, value):
+    # The right JSON type, but a value make_state rejects: the config is
+    # at fault, not the flow.
+    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", key: value}
+    err = _flow_usage_error(tmp_path, capsys, cfg)
+    assert err.startswith(f"error: bad flow config {tmp_path / 'flow.json'}:")
+    assert key in err
 
 
 def _flow_outputs_by_thread_count(tmp_path, cfg):
@@ -797,6 +819,49 @@ def test_nonconvex_input_is_a_runtime_error(tmp_path):
     save_field(bad, grid, 2.2 * (1.0 + 0.05 * np.cos(3 * theta)), kind="support")
     rc = main(["steiner", "--K", str(bad), "--rho", "0.3", "--out", str(tmp_path / "o.json")])
     assert rc == 1
+
+
+# One valid command line per subcommand, without --out, on the fields
+# and config the test writes.
+MANIFEST_SESSION = {
+    "mkfield": ["--grid", "s1:32", "--random", "--seed", "2"],
+    "psum": ["--a", "1", "--K", "K.json", "--p", "2", "--b", "1", "--L", "K.json"],
+    "dilate": ["--a", "2", "--p", "1", "--K", "K.json"],
+    "quermass": ["--K", "K.json"],
+    "steiner": ["--K", "K.json", "--rho", "0.3"],
+    "weighted": ["--K", "K.json"],
+    "measure": ["--K", "K.json", "--p", "1", "--k", "0"],
+    "kw": ["--K", "K.json", "--f", "K.json"],
+    "ballsolve": ["--n", "2", "--k", "0", "--p", "4", "--gamma", "0.02"],
+    "assumption-h": ["--f", "F2.json", "--k", "1", "--p", "1"],
+    "flow": ["--config", "flow.json"],
+    "project": ["--K", "K.json"],
+    "verify": ["bm_balls"],
+}
+
+
+def test_manifest_parameters_are_every_parsed_option(tmp_path, monkeypatch):
+    # A command that lists its parameters by hand drops the next option
+    # added to its parser, and identical manifests stop implying
+    # identical outputs.
+    monkeypatch.chdir(tmp_path)
+    mkball(tmp_path, "K.json", 0.5, grid="s1:32")
+    assert main(["mkfield", "--grid", "s2:8", "--constant", "1", "--out", "F2.json"]) == 0
+    (tmp_path / "flow.json").write_text(json.dumps({"n": 1, "k": 0, "p": 0.0, "grid": "s1:32"}))
+    commands = next(
+        action.choices for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(MANIFEST_SESSION) == set(commands)
+    for command, argv in MANIFEST_SESSION.items():
+        out = f"{command}.out"
+        assert main([command, *argv, "--out", out]) == 0, command
+        options = {action.dest for action in commands[command]._actions}
+        expected = options - {"help", "out", "terminal", "seed"}
+        if command == "flow":
+            expected |= {"n", "k", "p"}
+        manifest = read_json(out + ".manifest.json")
+        assert set(manifest["parameters"]) == expected, command
 
 
 def test_reruns_are_bit_identical(tmp_path):

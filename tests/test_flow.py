@@ -498,11 +498,14 @@ def test_make_state_rejects_non_finite_f(bad):
         ("trace_every", -1),
         ("max_steps", -1),
         ("assumption_mode", "lenient"),
+        ("eps_stop", -1.0),
+        ("eps_stop", math.nan),
     ],
 )
 def test_make_state_rejects_bad_config_values(field, value):
     # Unchecked, these divide by zero, take every step at dt = 0, stall,
-    # or act as another mode.
+    # act as another mode, or run to max_steps, since no speed is below
+    # a negative or NaN eps_stop.
     cfg = replace(FlowConfig(n=1, k=0, p=0.0), **{field: value})
     with pytest.raises(ValueError, match=field):
         make_state(cfg, perturbed_circle())
