@@ -29,7 +29,8 @@ usage error naming its source.  Two field inputs of one command (`--K`
 and `--L`, `--K` and `--f`, a flow config's `initial` and `f`) must lie
 on one grid, a flow config's fields on S^n for its `n`, and a flow
 config gives `initial` or `grid`, not both: otherwise it is a usage
-error naming both sources.
+error naming both sources.  So is an `--out` or `--terminal` that names
+an input file, which it would replace before the manifest hashes it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -188,6 +190,23 @@ def _dump_json(path: str, obj) -> None:
 _NOT_PARAMETERS = frozenset({"func", "command", "out", "terminal", "seed"})
 # Options that name input files.
 _INPUT_OPTIONS = ("K", "L", "f", "config")
+
+
+def _refuse_overwrite(args, more_inputs: dict[str, str] | None = None) -> None:
+    """UsageError, naming both, if --out or --terminal names an input
+    file: the output would replace the input before the manifest hashes
+    it.  more_inputs maps a source's description to its path."""
+    options = vars(args)
+    inputs = {f"--{key} {options[key]}": options[key] for key in _INPUT_OPTIONS
+              if options.get(key)}
+    inputs.update(more_inputs or {})
+    for key in ("out", "terminal"):
+        out = options.get(key)
+        if not out or not os.path.exists(out):
+            continue
+        for source, path in inputs.items():
+            if os.path.exists(path) and os.path.samefile(out, path):
+                raise UsageError(f"--{key} {out} would overwrite the input {source}")
 
 
 def _write_manifest(args, grid: Grid | None, *more_inputs: str) -> None:
@@ -439,22 +458,27 @@ def _cmd_flow(args) -> int:
             options["enforce_even"] = enforce_even
         if "assumption_mode" in cfg:
             options["assumption_mode"] = cfg["assumption_mode"]
+        # Read by nothing but the manifest; the rule of --seed.
+        seed = cfg.get("seed")
+        if seed is not None and as_integer(seed, "flow config seed") < 0:
+            raise ValueError(f"flow config seed must be nonnegative, got {seed}")
     except KeyError as exc:
         raise UsageError(f"flow config missing key {exc}") from None
     except ValueError as exc:
         raise UsageError(f"bad flow config {args.config}: {exc}") from None
-    fields, sources, inputs = {}, {}, []
+    fields, sources, inputs = {}, {}, {}
     for key in ("f", "initial"):
         entry = cfg.get(key)
         if entry is None:
             continue
-        if isinstance(entry, str):
-            inputs.append(entry)
         sources[key] = f"flow config {key} " + (entry if isinstance(entry, str) else "(inline)")
+        if isinstance(entry, str):
+            inputs[sources[key]] = entry
         try:
             fields[key] = _load_scalar(entry)
         except UsageError as exc:
             raise UsageError(f"flow config {key}: {exc}") from None
+    _refuse_overwrite(args, inputs)
     f_field = fields.get("f")
     if "initial" in fields:
         # The initial field fixes the grid; a second grid would be ignored.
@@ -509,8 +533,8 @@ def _cmd_flow(args) -> int:
             "warnings": result.warnings,
         }
         _dump_json(args.terminal, terminal)
-    args.n, args.k, args.p, args.seed = n, k, p, cfg.get("seed")
-    _write_manifest(args, phi0.grid, *inputs)
+    args.n, args.k, args.p, args.seed = n, k, p, seed
+    _write_manifest(args, phi0.grid, *inputs.values())
     print(
         f"flow {result.status}: steps={result.steps} t={result.t_final:.6g} "
         f"gamma={result.gamma:.9g} gamma_variation={result.gamma_variation:.3g}"
@@ -681,6 +705,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _refuse_overwrite(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,9 +27,11 @@ not grow with resolution, because R damps every mode the explicit step
 would limit.  At large steps the trajectory, and the time t in the
 trace, are a pseudo-time path: only its steady state is the solution,
 while W_k is conserved at every step.  A step costs one batched
-resolvent pass of G and h and one derivative pass of the new state after
-its band (and even) projection: the cone check, whose diagnostics start
-the next step and fill its trace row.
+resolvent pass of G and h, plus one projection-and-derivative pass of
+the new state: after its even projection (when enforced), resolvent with
+mu = 0 gives its band projection with the gradient and Hessian, all
+from one analysis.  That pass is the cone check, and its diagnostics
+start the next step and fill its trace row.
 
 By default evenness is enforced for k >= 1, and for k = 0 when f and
 the initial phi are both even: large steps let roundoff in the odd
@@ -49,7 +51,6 @@ from .problems import J_p, check_assumption_h, validate_f
 from .quermass import wk_value
 from .sphere_grid import (
     Grid,
-    band_project,
     even_error,
     even_project,
     integrate,
@@ -154,14 +155,32 @@ class FlowResult:
     rejections: int  # rejected step attempts over the whole run
 
 
-def _evaluate(state: FlowState, phi: np.ndarray) -> dict:
-    """Speed field and diagnostics at a candidate phi; raises on cone exit."""
-    # SupportField's own check, made first so that any phi off the
-    # positive cone, NaN and inf included, is a FlowStepError.
+def _in_cone(phi: np.ndarray) -> None:
+    """FlowStepError unless phi is finite and positive; NaN fails too."""
     if not (0.0 < np.min(phi) and np.max(phi) < math.inf):
         raise FlowStepError("phi left the positive cone")
-    n, k = state.n, state.k
-    K = SupportField(state.grid, phi)
+
+
+def _project(state: FlowState, phi: np.ndarray) -> SupportField:
+    """The field of phi projected onto even fields (when state.even) and
+    onto the grid's band, with its gradient and Hessian from the same
+    analysis; raises FlowStepError if phi or its projection is off the
+    positive cone.
+
+    resolvent with mu = 0 is the band projection: it keeps every mode
+    below the band and drops the rest (the Nyquist bin on S^1).
+    """
+    _in_cone(phi)
+    if state.even:
+        phi = even_project(state.grid, phi)
+    v, g, H = resolvent(state.grid, phi, 0.0)
+    _in_cone(v)
+    return SupportField.with_derivatives(state.grid, v, g, H)
+
+
+def _evaluate(state: FlowState, K: SupportField) -> dict:
+    """Speed field and diagnostics at a candidate field; raises on cone exit."""
+    n, k, phi = state.n, state.k, K.phi
     eigs = K.eigenvalues
     eig_min = float(np.min(eigs[:, 0]))
     if eig_min <= 0.0:
@@ -225,7 +244,7 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
 
 def phi_global(state: FlowState) -> float:
     """Volume-preserving global term Phi at the current phi."""
-    return _evaluate(state, state.phi)["Phi"]
+    return _evaluate(state, SupportField(state.grid, state.phi))["Phi"]
 
 
 def step(state: FlowState, dt: float, diag: dict | None = None,
@@ -240,7 +259,7 @@ def step(state: FlowState, dt: float, diag: dict | None = None,
     """
     grid, phi, k = state.grid, state.phi, state.k
     if diag is None:
-        diag = _evaluate(state, phi)
+        diag = _evaluate(state, SupportField(grid, phi))
     if target is None:
         target = wk_value(diag["K"], k)
     mu = dt * diag["c"]
@@ -249,8 +268,7 @@ def step(state: FlowState, dt: float, diag: dict | None = None,
     Phi = integrate(grid, w * rh) / integrate(grid, w * rG)
     for _ in range(NEWTON_MAX_ITER):
         phi_new = phi + dt * (Phi * rG - rh)
-        if not (0.0 < np.min(phi_new) and np.max(phi_new) < math.inf):
-            raise FlowStepError("phi left the positive cone")
+        _in_cone(phi_new)
         g = diag["K"].gradient + dt * (Phi * gG - gh)
         H = diag["K"].hessian + dt * (Phi * HG - Hh)
         K = SupportField(grid, phi_new)
@@ -264,11 +282,9 @@ def step(state: FlowState, dt: float, diag: dict | None = None,
         Phi -= residual / slope
     else:
         raise FlowStepError(f"W_k constraint missed by {residual:.3e}")
-    phi_new = band_project(grid, phi_new)
-    if state.even:
-        phi_new = even_project(grid, phi_new)
-    new_state = replace(state, phi=phi_new)
-    return new_state, _evaluate(new_state, phi_new)
+    K = _project(state, phi_new)
+    new_state = replace(state, phi=K.phi)
+    return new_state, _evaluate(new_state, K)
 
 
 def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
@@ -291,13 +307,14 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
             if config.assumption_mode == "strict":
                 raise ValueError(msg)
             warnings.append(msg)
-    if state.even:
-        if not _is_even(grid, state.f):
-            raise ValueError(
-                f"evenness enforcement needs even data, deviation {even_error(grid, state.f)}"
-            )
-        state.phi = even_project(grid, state.phi)
-    state.phi = band_project(grid, state.phi)
+    if state.even and not _is_even(grid, state.f):
+        raise ValueError(
+            f"evenness enforcement needs even data, deviation {even_error(grid, state.f)}"
+        )
+    K = _project(state, state.phi)
+    state.phi = K.phi
+    diag = _evaluate(state, K)
+    target = wk_value(K, k)
 
     omega = sphere_area(n)
     trace = FlowTrace()
@@ -309,8 +326,6 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     if config.dt_initial is not None:
         dt = min(dt, config.dt_initial)
     speed_prev = math.nan
-    diag = _evaluate(state, state.phi)
-    target = wk_value(diag["K"], k)
     while True:
         speed = diag["speed"]
         gamma_field = state.phi ** (-(state.p + k)) * diag["pA"] / state.f

@@ -78,8 +78,9 @@ class SupportField:
 
     Immutable: phi is a read-only copy of the given values.  The gradient,
     Hessian, A[phi], its eigenvalues and the boundary data are computed
-    once, on first use, from one spectral pass; their arrays are
-    read-only too.  `memo` caches any value computed from the field
+    once, on first use, from one spectral pass (or from the gradient and
+    Hessian given to `with_derivatives`); their arrays are read-only
+    too.  `memo` caches any value computed from the field
     alone: quermass caches W_k, the k-mean radius and the weighted
     volume there.  Since nothing about a field can change, a cached value
     stays valid for the field's whole life, and it dies with the field.
@@ -125,6 +126,29 @@ class SupportField:
     @cached_property
     def _pass(self) -> tuple:
         return tuple(_read_only(a) for a in _parts(self))
+
+    @classmethod
+    def with_derivatives(cls, grid: Grid, phi, gradient, hessian) -> SupportField:
+        """The field of phi with the given frame gradient (size, n) and
+        covariant Hessian (size, n, n) as its cached geometry, so that no
+        spectral pass of its own is made.
+
+        The caller vouches that they are phi's spectral derivatives, as
+        `sphere_grid.resolvent(grid, phi, 0.0)` returns them with the
+        band-limited phi from one analysis.
+        """
+        K = cls(grid, phi)
+        g, H = (np.array(a, dtype=float) for a in (gradient, hessian))
+        n = grid.n
+        if g.shape != (grid.size, n) or H.shape != (grid.size, n, n):
+            raise ValueError(
+                f"derivatives have shapes {g.shape} and {H.shape}, "
+                f"grid needs {(grid.size, n)} and {(grid.size, n, n)}"
+            )
+        q, A = shifted_form(K.phi, g, H)
+        # Filled as cached_property would fill it: the field stays frozen.
+        K.__dict__["_pass"] = tuple(_read_only(a) for a in (g, q, A, H))
+        return K
 
     @property
     def gradient(self) -> np.ndarray:

@@ -605,6 +605,9 @@ def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
         ("assumption_mode", "lenient"),
         ("eps_stop", -1),
         ("k", 1),  # k = n has no flow
+        ("seed", -1),  # the rule of --seed: null or an integer >= 0
+        ("seed", "not a seed"),
+        ("seed", 1.5),
     ],
 )
 def test_flow_config_out_of_range_value_is_a_usage_error(tmp_path, capsys, key, value):
@@ -810,6 +813,38 @@ def test_flow_config_with_initial_and_grid_is_a_usage_error(tmp_path, capsys):
             tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0, "initial": str(A), "grid": grid}
         )
         assert "both 'initial' and 'grid'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dilate", "--a", "2", "--p", "1", "--K", "K.json", "--out", "K.json"],
+         "--out K.json would overwrite the input --K K.json"),
+        (["dilate", "--a", "2", "--p", "1", "--K", "./K.json", "--out", "K.json"],
+         "--out K.json would overwrite the input --K ./K.json"),
+        (["flow", "--config", "flow.json", "--out", "t.csv", "--terminal", "K.json"],
+         "--terminal K.json would overwrite the input flow config initial K.json"),
+        (["flow", "--config", "flow.json", "--out", "flow.json"],
+         "--out flow.json would overwrite the input --config flow.json"),
+    ],
+    ids=["dilate", "dilate-other-spelling", "flow-terminal", "flow-config"],
+)
+def test_output_naming_an_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, message):
+    # Written first, the output would replace the input, and the manifest
+    # would record the output's hash as the input's.
+    monkeypatch.chdir(tmp_path)
+    mkball(tmp_path, "K.json", 0.5)
+    (tmp_path / "flow.json").write_text(
+        json.dumps({"n": 1, "k": 0, "p": 0.0, "initial": "K.json"})
+    )
+    before = {name: (tmp_path / name).read_bytes() for name in ("K.json", "flow.json")}
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "flow.json.manifest.json").exists()
 
 
 def test_nonconvex_input_is_a_runtime_error(tmp_path):

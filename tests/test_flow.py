@@ -20,7 +20,7 @@ from horocvx.flow import (
 from horocvx.hconvex import SupportField
 from horocvx.problems import measure_density, pde_residual
 from horocvx.quermass import wk_value
-from horocvx.sphere_grid import band_project, even_project, integrate, make_grid
+from horocvx.sphere_grid import band_project, derivatives, even_project, integrate, make_grid
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 10)
@@ -130,7 +130,7 @@ def rk4_reference(cfg, body):
     B = grid.band_limit
     omega = 2.0 * math.pi if n == 1 else 4.0 * math.pi
     while True:
-        d = flow._evaluate(state, phi)
+        d = flow._evaluate(state, SupportField(grid, phi))
         gamma_field = phi ** (-(state.p + state.k)) * d["pA"] / state.f
         gamma = integrate(grid, gamma_field) / omega
         gamma_var = (np.max(gamma_field) - np.min(gamma_field)) / gamma
@@ -140,7 +140,7 @@ def rk4_reference(cfg, body):
         dt = min(0.05 * lam**2 * h * h, 2.0 / (d["c"] * B * (B + n - 1)), cfg.max_dt)
 
         def speed(x):
-            return flow._evaluate(state, x)["speed"]
+            return flow._evaluate(state, SupportField(grid, x))["speed"]
 
         k1 = d["speed"]
         k2 = speed(phi + 0.5 * dt * k1)
@@ -305,30 +305,33 @@ def test_step_holds_wk_to_roundoff():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_evaluate_raises_flow_step_error_off_the_cone(bad):
+    # Each candidate state reaches _evaluate through the projection, whose
+    # cone check makes any phi off it, NaN and inf included, a
+    # FlowStepError rather than SupportField's ValueError.
     state = make_state(FlowConfig(n=1, k=0, p=0.0), perturbed_circle())
     phi = state.phi.copy()
     phi[5] = bad
     with pytest.raises(FlowStepError):
-        flow._evaluate(state, phi)
+        flow._project(state, phi)
 
 
 def test_rejected_projected_state_halves_dt_and_continues(monkeypatch):
     cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=3)
     reference = run(cfg, perturbed_circle())
     assert reference.rejections == 0
-    real = flow.band_project
+    real = flow._project
     calls = []
 
-    def faulty(grid, values):
+    def faulty(state, phi):
         # Call 1 projects the initial field; call 2 is the first stepped
         # state, which gets a kink no uniformly h-convex body has.
         calls.append(1)
-        out = real(grid, values)
+        K = real(state, phi)
         if len(calls) == 2:
-            out = out * (1.0 + 0.3 * np.cos(12 * grid.theta))
-        return out
+            K = SupportField(K.grid, K.phi * (1.0 + 0.3 * np.cos(12 * K.grid.theta)))
+        return K
 
-    monkeypatch.setattr(flow, "band_project", faulty)
+    monkeypatch.setattr(flow, "_project", faulty)
     res = run(cfg, perturbed_circle())
     assert res.status == "max-steps"
     assert res.steps == 3
@@ -358,15 +361,49 @@ def test_trace_wk_matches_a_fresh_homotopy(cfg, body):
 
 
 @pytest.mark.parametrize(
+    "cfg, body",
+    [
+        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14, max_steps=6), perturbed_circle),
+        (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-14, max_steps=6), perturbed_sphere),
+    ],
+    ids=["s1", "s2"],
+)
+def test_accepted_states_cache_their_own_derivatives(cfg, body, monkeypatch):
+    # Each accepted state keeps the derivatives of the projection pass that
+    # made it; they must be those of its stored phi, or the Wk and Jp
+    # columns would measure another field.  eps_stop is below the roundoff
+    # floor of speedSup, so both runs take all their steps.
+    real, accepted = flow.step, []
+
+    def recording(*args, **kwargs):
+        new_state, diag = real(*args, **kwargs)
+        accepted.append((new_state, diag["K"]))
+        return new_state, diag
+
+    monkeypatch.setattr(flow, "step", recording)
+    res = run(cfg, body())
+    assert res.steps == len(accepted) == cfg.max_steps
+    for state, K in accepted:
+        assert K.phi is state.phi
+        g, H = derivatives(K.grid, K.phi)
+        assert np.max(np.abs(K.gradient - g)) <= 1e-12
+        assert np.max(np.abs(K.hessian - H)) <= 1e-12
+        if K.grid.n == 1:
+            N = K.grid.size
+            assert abs(np.fft.rfft(K.phi)[N // 2]) / N < 1e-14
+
+
+@pytest.mark.parametrize(
     "cfg, body, budget",
     [
         # eps_stop below the roundoff floor of speedSup: both runs step
         # to max_steps instead of converging.
-        # Per step: the stacked resolvent of G and h, the band projection
-        # and the derivative pass of the new state, each one analysis with
-        # one synthesis per output on S^1 and one per pass on S^2.
-        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14), perturbed_circle, 9),
-        (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-14), perturbed_sphere, 6),
+        # Per step: the stacked resolvent of G and h, and the projection
+        # of the new state with its derivatives, each one analysis with one
+        # synthesis per output (value, gradient, Hessian) on S^1 and one
+        # per pass on S^2.
+        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14), perturbed_circle, 8),
+        (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-14), perturbed_sphere, 4),
     ],
     ids=["s1", "s2"],
 )

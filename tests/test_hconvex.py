@@ -66,6 +66,26 @@ def test_cached_geometry_is_read_only_and_computed_once():
             array[0] = 1.0
 
 
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_field_with_given_derivatives_makes_no_pass(grid, monkeypatch):
+    z = grid.nodes[:, -1]
+    v, g, H = sphere_grid.resolvent(grid, 2.0 + 0.1 * z * z + 0.05 * z, 0.0)
+    fresh = SupportField(grid, v)
+    monkeypatch.setattr(sphere_grid, "_spectral_pass", None)
+    K = SupportField.with_derivatives(grid, v, g, H)
+    assert K.gradient is not g and np.array_equal(K.gradient, g)
+    assert np.array_equal(K.hessian, H)
+    for array in (K.gradient, K.hessian, K.A, K.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    monkeypatch.undo()
+    # The same form as the field's own pass gives, to the roundoff of
+    # differentiating the projected values a second time.
+    assert np.max(np.abs(K.A - fresh.A)) <= 1e-12
+    with pytest.raises(ValueError, match="derivatives have shapes"):
+        SupportField.with_derivatives(grid, v, g[:, :1] if grid.n == 2 else g[:-1], H)
+
+
 def test_bodies_on_one_resolution_share_the_grid_tables(monkeypatch):
     # A fresh grid cache, so that the count sees the one table build.
     sphere_grid._gl_product_s2.cache_clear()
