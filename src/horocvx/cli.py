@@ -30,7 +30,8 @@ and `--L`, `--K` and `--f`, a flow config's `initial` and `f`) must lie
 on one grid, a flow config's fields on S^n for its `n`, and a flow
 config gives `initial` or `grid`, not both: otherwise it is a usage
 error naming both sources.  So is an `--out` or `--terminal` that names
-an input file, which it would replace before the manifest hashes it.
+an input file, which it would replace before the manifest hashes it,
+and an `--out` and a `--terminal` that name one file.
 """
 
 from __future__ import annotations
@@ -194,9 +195,16 @@ _INPUT_OPTIONS = ("K", "L", "f", "config")
 
 def _refuse_overwrite(args, more_inputs: dict[str, str] | None = None) -> None:
     """UsageError, naming both, if --out or --terminal names an input
-    file: the output would replace the input before the manifest hashes
-    it.  more_inputs maps a source's description to its path."""
+    file, which it would replace before the manifest hashes it, or if
+    the two name one file, existing or not.  more_inputs maps a source's
+    description to its path."""
     options = vars(args)
+    out, terminal = options.get("out"), options.get("terminal")
+    if out and terminal and (
+        os.path.realpath(out) == os.path.realpath(terminal)
+        or os.path.exists(out) and os.path.exists(terminal) and os.path.samefile(out, terminal)
+    ):
+        raise UsageError(f"--out {out} and --terminal {terminal} name the same file")
     inputs = {f"--{key} {options[key]}": options[key] for key in _INPUT_OPTIONS
               if options.get(key)}
     inputs.update(more_inputs or {})

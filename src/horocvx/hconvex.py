@@ -6,7 +6,9 @@ fundamental form A[phi] decides convexity: A > 0 is uniform h-convexity.
 Boundary position and normal are recovered pointwise from phi and its
 first two frame derivatives.  A SupportField is immutable and computes
 its geometry once, on first use, from one spectral pass; a functional
-decorated with `per_field` is cached on the field too.
+decorated with `per_field` is cached on the field too.  `measure_density`,
+phi^{-p-k} p_{n-k}(A[phi]), is the package's one curvature-measure
+kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "support_of_ball",
     "a_eigenvalues",
     "p_tensor",
+    "measure_density",
     "shifted_form",
     "plus_identity",
     "convexity",
@@ -63,13 +66,17 @@ class BoundaryData:
     lambda_tilde: np.ndarray
     area_density: np.ndarray
 
+    def require_curvature(self) -> BoundaryData:
+        """self; ValueError unless every lambda~ > 0 (uniform h-convexity)."""
+        if np.min(self.lambda_tilde) <= 0.0:
+            raise ValueError("curvature data requires a uniformly h-convex body")
+        return self
+
     @cached_property
     def kappa_tilde(self) -> np.ndarray:
         """Shifted principal curvatures 1 / lambda~; the true ones are
         1 + kappa_tilde.  Requires lambda~ > 0."""
-        if np.min(self.lambda_tilde) <= 0.0:
-            raise ValueError("curvature data requires a uniformly h-convex body")
-        return _read_only(1.0 / self.lambda_tilde)
+        return _read_only(1.0 / self.require_curvature().lambda_tilde)
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,13 @@ class SupportField:
 
     @cached_property
     def _pass(self) -> tuple:
-        return tuple(_read_only(a) for a in _parts(self))
+        """Gradient, q = |Dphi|^2 / (2 phi), A[phi] and the unshifted
+        Hessian D^2 phi, read-only, from one spectral pass."""
+        return self._geometry(*derivatives(self.grid, self.phi))
+
+    def _geometry(self, g: np.ndarray, H: np.ndarray) -> tuple:
+        q, A = shifted_form(self.phi, g, H)
+        return tuple(_read_only(a) for a in (g, q, A, H))
 
     @classmethod
     def with_derivatives(cls, grid: Grid, phi, gradient, hessian) -> SupportField:
@@ -145,9 +158,8 @@ class SupportField:
                 f"derivatives have shapes {g.shape} and {H.shape}, "
                 f"grid needs {(grid.size, n)} and {(grid.size, n, n)}"
             )
-        q, A = shifted_form(K.phi, g, H)
         # Filled as cached_property would fill it: the field stays frozen.
-        K.__dict__["_pass"] = tuple(_read_only(a) for a in (g, q, A, H))
+        K.__dict__["_pass"] = K._geometry(g, H)
         return K
 
     @property
@@ -225,14 +237,6 @@ def support_of_ball(grid: Grid, X, r: float) -> SupportField:
     return SupportField(grid, math.exp(r) * point.phi)
 
 
-def _parts(K: SupportField):
-    """One spectral pass: gradient, q = |Dphi|^2 / (2 phi), A[phi], and
-    the unshifted Hessian D^2 phi.  SupportField caches its result."""
-    g, H = derivatives(K.grid, K.phi)
-    q, A = shifted_form(K.phi, g, H)
-    return g, q, A, H
-
-
 def shifted_form(phi: np.ndarray, g: np.ndarray, H: np.ndarray):
     """q = |Dphi|^2 / (2 phi) and A[phi] = D^2 phi + ((phi - 1/phi) / 2 - q) I."""
     q = 0.5 * np.sum(g * g, axis=1) / phi
@@ -272,6 +276,15 @@ def p_tensor(A: np.ndarray, m: int) -> np.ndarray:
         if m == 2:
             return A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
     raise ValueError(f"p_{m} undefined for {n}x{n} forms")
+
+
+def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
+    """Density of dS_{p,k}(K, .) against dsigma: phi^{-p-k} p_{n-k}(A); at
+    p = 0, of p_k(kappa~) dmu, as kappa~ = 1 / (phi eig A), dmu = p_n(A) dsigma."""
+    n = K.grid.n
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    return K.phi ** (-(p + k)) * p_tensor(K.A, n - k)
 
 
 def _classify(K: SupportField, eigs: np.ndarray, tol: float | None) -> ConvexityReport:

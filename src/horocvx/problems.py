@@ -1,10 +1,11 @@
 """Surface-area measures, Minkowski-type problems, and their obstructions.
 
 The (p, k) surface-area measure has density phi^{-p-k} p_{n-k}(A[phi])
-against the sphere measure; the prescription problem asks for phi with
-that density equal to a given positive f.  Ball solutions for constant
-f reduce to a scalar equation classified below; the Kazdan-Warner type
-identities give necessary conditions at the critical exponent p = -n.
+against the sphere measure (`hconvex.measure_density`, re-exported
+here); the prescription problem asks for phi with that density equal
+to a given positive f.  Ball solutions for constant f reduce to a
+scalar equation classified below; the Kazdan-Warner type identities
+give necessary conditions at the critical exponent p = -n.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, a_eigenvalues, p_tensor, plus_identity
+from .hconvex import SupportField, a_eigenvalues, measure_density, plus_identity
 from .quermass import bracketed_newton
 from .sphere_grid import Grid, derivatives, frame_vectors, gradient, integrate
 
@@ -78,14 +79,6 @@ def validate_f(f: np.ndarray, grid: Grid) -> np.ndarray:
     return f
 
 
-def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
-    """Density of dS_{p,k}(K, .) against dsigma: phi^{-p-k} p_{n-k}(A)."""
-    n = K.grid.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
-    return K.phi ** (-(p + k)) * p_tensor(K.A, n - k)
-
-
 def mixed_quermass(K: SupportField, L: SupportField, p: float, k: int) -> float:
     """W_{p,k}(K, L) = (1/p) int phi_L^p dS_{p,k}(K, .)."""
     if not (0.5 <= p <= 2.0):
@@ -120,8 +113,7 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     """
     grid = K.grid
     n = grid.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    density = measure_density(K, 0.0, k)
     f = validate_f(f, grid)
     g_f, *g_x = gradient(grid, np.vstack([f, grid.nodes.T]))
     weight = K.phi ** (-float(n))
@@ -129,7 +121,6 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     frames = frame_vectors(grid)
     grad_ambient = np.einsum("ia,iac->ic", K.gradient, frames)
     vec_field = grad_ambient / K.phi[:, None] + grid.nodes
-    density = K.phi ** (-float(k)) * p_tensor(K.A, n - k)
     residual_vec = np.array(
         [integrate(grid, vec_field[:, i] * density) for i in range(n + 1)]
     )

@@ -8,7 +8,10 @@ degree at most 4, and the t-integral is exact: a sum of P's coefficients
 times the moments int_0^1 t^j (1 + d t)^{-(n+1)} dt, which have a closed
 form in log1p(d) away from d = 0 and a binomial series near it.  One
 gradient and Hessian and one compensated sum give W_k; for k = n it is
-(1/n) int (1 - phi^{-n}) dsigma.
+(1/n) int (1 - phi^{-n}) dsigma.  Curvature integrals and the Steiner
+and Minkowski formulas integrate `hconvex.measure_density`, p_j(kappa~)
+dmu at p = 0, and the true curvatures through p_m(1 + kappa~) =
+sum_j C(m, j) p_j(kappa~).
 
 On balls and Steiner parallels every quantity reduces to
 int_0^rho e^{at} sinh(t)^b dt with small integers a, b
@@ -35,7 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, boundary_data, p_tensor, per_field, plus_identity
+from .hconvex import (
+    SupportField,
+    boundary_data,
+    measure_density,
+    p_tensor,
+    per_field,
+    plus_identity,
+)
 from .sphere_grid import Grid, as_integer, integrate, sphere_area
 
 __all__ = [
@@ -47,7 +57,9 @@ __all__ = [
     "bracketed_newton",
     "I_k",
     "I_k_inverse",
+    "ball_curvature_integral",
     "curvature_integral",
+    "classical_curvature_density",
     "modified_quermass",
     "k_mean_radius",
     "weighted_volume",
@@ -98,26 +110,6 @@ class WeightedSteinerReport:
 class MinkowskiResiduals:
     classical: list[float]  # m = 0..n-1
     shifted: list[float]
-
-
-# ---------------------------------------------------------------------------
-# symmetric function helpers on pointwise eigenvalue arrays (size, n)
-
-
-def p_normalized(eigs: np.ndarray, m: int) -> np.ndarray:
-    """Normalized elementary symmetric p_m = sigma_m / C(n, m)."""
-    n = eigs.shape[1]
-    if m == 0:
-        return np.ones(eigs.shape[0])
-    if n == 1:
-        if m == 1:
-            return eigs[:, 0]
-    else:
-        if m == 1:
-            return 0.5 * (eigs[:, 0] + eigs[:, 1])
-        if m == 2:
-            return eigs[:, 0] * eigs[:, 1]
-    raise ValueError(f"p_{m} undefined for {n} eigenvalues")
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +240,9 @@ def I_k(n: int, k: int, r: float) -> float:
     return sphere_area(n) * exp_sinh_integral(-k, n - k, r)
 
 
-def _I_k_derivative(n: int, k: int, r: float) -> float:
+def ball_curvature_integral(n: int, k: int, r: float) -> float:
+    """int p_k(kappa~) dmu over the sphere of radius r, the r-derivative
+    of I_k: omega_n sinh(r)^{n-k} e^{-kr}."""
     return sphere_area(n) * math.sinh(r) ** (n - k) * math.exp(-k * r)
 
 
@@ -274,7 +268,7 @@ def I_k_inverse(n: int, k: int, w: float) -> float:
     m = n - k
     return bracketed_newton(
         lambda t: I_k(n, k, t) - w,
-        lambda t: _I_k_derivative(n, k, t),
+        lambda t: ball_curvature_integral(n, k, t),
         0.0,
         r_hi,
         ((m + 1) * w / omega) ** (1.0 / (m + 1)),
@@ -287,10 +281,13 @@ def I_k_inverse(n: int, k: int, w: float) -> float:
 
 def curvature_integral(K: SupportField, m: int) -> float:
     """int p_m(shifted curvature) dmu = int phi^{-m} p_{n-m}(A[phi]) dsigma."""
-    n = K.grid.n
-    if not 0 <= m <= n:
-        raise ValueError(f"m must lie in 0..{n}, got {m}")
-    return integrate(K.grid, K.phi ** (-m) * p_tensor(K.A, n - m))
+    return integrate(K.grid, measure_density(K, 0, m))
+
+
+def classical_curvature_density(K: SupportField, m: int) -> np.ndarray:
+    """Density of p_m(kappa) dmu against dsigma, kappa = 1 + kappa~ the
+    true principal curvatures: p_m(1 + kappa~) = sum_j C(m, j) p_j(kappa~)."""
+    return sum(math.comb(m, j) * measure_density(K, 0, j) for j in range(m + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,8 +414,7 @@ def steiner_check(K: SupportField, rho: float) -> SteinerReport:
         raise ValueError(f"rho must be positive, got {rho}")
     grid = K.grid
     n = grid.n
-    bd = boundary_data(K)
-    kappa = 1.0 + bd.kappa_tilde
+    boundary_data(K).require_curvature()
     K_rho = SupportField(grid, math.exp(rho) * K.phi)
     W = [modified_quermass(K, k).value for k in range(n + 1)]
     W_rho = [modified_quermass(K_rho, k).value for k in range(n + 1)]
@@ -435,8 +431,7 @@ def steiner_check(K: SupportField, rho: float) -> SteinerReport:
         scale = max(scale, abs(lhs), abs(rhs))
     rhs_classical = 0.0
     for i in range(n + 1):
-        sigma_i = p_normalized(kappa, i) * math.comb(n, i)
-        si = integrate(grid, sigma_i * bd.area_density)
+        si = math.comb(n, i) * integrate(grid, classical_curvature_density(K, i))
         # int cosh^{n-i} sinh^i, with cosh = sinh + e^{-t} expanded.
         t_int = sum(
             math.comb(n - i, j) * exp_sinh_integral(i + j - n, i + j, rho)
@@ -454,25 +449,19 @@ def weighted_steiner_check(K: SupportField, rho: float) -> WeightedSteinerReport
         raise ValueError(f"rho must be positive, got {rho}")
     grid = K.grid
     n = grid.n
-    bd = boundary_data(K)
-    kappa_tilde = bd.kappa_tilde
+    bd = boundary_data(K).require_curvature()
     vw = weighted_volume(K)
     direct = weighted_volume(SupportField(grid, math.exp(rho) * K.phi))
     form1 = vw
     form2 = vw * math.exp((n + 1) * rho)
     for k in range(n + 1):
-        sk = p_normalized(kappa_tilde, k) * math.comb(n, k)
-        cosh_int = integrate(grid, bd.coshr * sk * bd.area_density)
-        gap_int = integrate(grid, (bd.coshr - bd.u_tilde) * sk * bd.area_density)
+        sk = math.comb(n, k) * measure_density(K, 0, k)
+        cosh_int = integrate(grid, bd.coshr * sk)
+        gap_int = integrate(grid, (bd.coshr - bd.u_tilde) * sk)
         q1 = exp_sinh_integral(n - k + 1, k, rho)
         q2 = exp_sinh_integral(n - k, k + 1, rho)
         form1 += cosh_int * q1 - gap_int * q2
-        form2 += (
-            gap_int
-            / (k + 1)
-            * math.exp((n - k) * rho)
-            * math.sinh(rho) ** (k + 1)
-        )
+        form2 += gap_int / (k + 1) * math.exp((n - k) * rho) * math.sinh(rho) ** (k + 1)
     scale = max(1.0, abs(direct), abs(form1), abs(form2))
     return WeightedSteinerReport(rho, direct - form1, direct - form2, scale)
 
@@ -486,18 +475,15 @@ def minkowski_formula_residuals(K: SupportField) -> MinkowskiResiduals:
     """
     grid = K.grid
     n = grid.n
-    bd = boundary_data(K)
-    kappa_tilde = bd.kappa_tilde
-    kappa = 1.0 + kappa_tilde
+    bd = boundary_data(K).require_curvature()
     classical, shifted = [], []
-    dmu = bd.area_density
     for m in range(n):
         classical.append(
-            integrate(grid, bd.coshr * p_normalized(kappa, m) * dmu)
-            - integrate(grid, bd.u_tilde * p_normalized(kappa, m + 1) * dmu)
+            integrate(grid, bd.coshr * classical_curvature_density(K, m))
+            - integrate(grid, bd.u_tilde * classical_curvature_density(K, m + 1))
         )
         shifted.append(
-            integrate(grid, (bd.coshr - bd.u_tilde) * p_normalized(kappa_tilde, m) * dmu)
-            - integrate(grid, bd.u_tilde * p_normalized(kappa_tilde, m + 1) * dmu)
+            integrate(grid, (bd.coshr - bd.u_tilde) * measure_density(K, 0, m))
+            - integrate(grid, bd.u_tilde * measure_density(K, 0, m + 1))
         )
     return MinkowskiResiduals(classical, shifted)

@@ -32,6 +32,7 @@ from .hconvex import (
     SupportField,
     boundary_data,
     convexity,
+    measure_density,
     p_tensor,
     random_h_convex_fields,
     support_of_ball,
@@ -41,10 +42,11 @@ from .quermass import (
     I_k,
     I_k_inverse,
     S_functional,
+    ball_curvature_integral,
+    classical_curvature_density,
     curvature_integral,
     k_mean_radius,
     modified_quermass,
-    p_normalized,
     weighted_volume,
 )
 from .sphere_grid import Grid, integrate, make_grid, sphere_area
@@ -266,8 +268,7 @@ def _suite_af_chain(bodies):
                 for l in range(k):
                     yield f"n{n}/{tag}/W{k}-vs-W{l}", W[k], I_k(n, k, I_k_inverse(n, l, W[l])), eq
             for k in range(n):
-                rk = I_k_inverse(n, k, W[k])
-                rhs = sphere_area(n) * math.sinh(rk) ** (n - k) * math.exp(-k * rk)
+                rhs = ball_curvature_integral(n, k, I_k_inverse(n, k, W[k]))
                 yield f"n{n}/{tag}/curvature-k{k}", curvature_integral(K, k), rhs, eq
 
 
@@ -305,10 +306,10 @@ def _suite_min_I_p1_Lball(bodies):
     grid = bodies.grid(n)
     omega = sphere_area(n)
     for tag, K, eq in _even_and_ball(bodies, n):
-        term1 = integrate(grid, K.phi ** (-(1.0 + k)) * p_tensor(K.A, n - k))
+        term1 = integrate(grid, measure_density(K, 1.0, k))
         term2 = curvature_integral(K, k)
         rk = k_mean_radius(K, k)
-        base = omega * math.sinh(rk) ** (n - k) * math.exp(-k * rk)
+        base = ball_curvature_integral(n, k, rk)
         for rL in (0.4, 1.0):
             lhs = math.exp(rL) * term1 - term2
             yield f"{tag}/rL{rL}", lhs, base * (math.exp(rL - rk) - 1.0), eq
@@ -327,14 +328,14 @@ def _suite_min_II(bodies):
         rk = k_mean_radius(K, k)
         mass = curvature_integral(K, k)
         for p in (1.0, 2.0, 3.0):
-            lhs = integrate(grid, K.phi ** (-(p + k)) * p_tensor(K.A, n - k))
+            lhs = integrate(grid, measure_density(K, p, k))
             rhs = sphere_area(n) * math.sinh(rk) ** (n - k) * math.exp(-(k + p) * rk)
             yield f"n2/k1/{tag}/p{p}", lhs, rhs, eq
             yield f"n2/k1/{tag}/p{p}/intermediate", lhs, mass * math.exp(-p * rk), eq
     for n in (1, 2):
         for tag, K, eq in _even_and_ball(bodies, n):
             r0 = k_mean_radius(K, 0)
-            lhs = integrate(K.grid, K.phi ** (-1.0) * p_tensor(K.A, n))
+            lhs = integrate(K.grid, measure_density(K, 1.0, 0))
             rhs = sphere_area(n) * math.sinh(r0) ** n * math.exp(-r0)
             yield f"n{n}/k0/{tag}/p1", lhs, rhs, eq
 
@@ -343,19 +344,15 @@ def _suite_min_II(bodies):
 def _suite_weighted_af(bodies):
     for n, tag, K, eq in _weighted_bodies(bodies):
         grid = K.grid
-        bd = boundary_data(K)
-        kappa = 1.0 + bd.kappa_tilde
+        bd = boundary_data(K).require_curvature()
         vw = weighted_volume(K)
         cosh_total = integrate(grid, bd.coshr * bd.area_density)
         weighted_sum = vw
         for k in range(n + 1):
-            sk = p_normalized(kappa, k) * math.comb(n, k)
-            weighted_sum += integrate(grid, bd.coshr * sk * bd.area_density) / (k + 1)
+            sk = math.comb(n, k) * classical_curvature_density(K, k)
+            weighted_sum += integrate(grid, bd.coshr * sk) / (k + 1)
         # Stored swapped: the power-mean side is the larger one.
-        lhs = (
-            vw ** (1.0 / (n + 1))
-            + vw ** (-n / (n + 1.0)) * cosh_total / (n + 1)
-        ) ** (n + 1)
+        lhs = (vw ** (1.0 / (n + 1)) + vw ** (-n / (n + 1.0)) * cosh_total / (n + 1)) ** (n + 1)
         yield f"n{n}/{tag}", lhs, weighted_sum, eq
 
 
@@ -500,14 +497,12 @@ def _xp_min(bodies, variant: str):
             for p in (-1.0, 0.5, 1.0, 2.0):
                 if p < -n or (variant == "II" and p < 0.0):
                     continue
-                pk = p_tensor(K.A, n - k)
-                mixed = integrate(grid, L.phi**p * K.phi ** (-(p + k)) * pk)
+                mixed = integrate(grid, L.phi**p * measure_density(K, p, k))
                 rK = k_mean_radius(K, k)
                 rL = k_mean_radius(L, k)
-                base = sphere_area(n) * math.sinh(rK) ** (n - k) * math.exp(-k * rK)
+                base = ball_curvature_integral(n, k, rK)
                 if variant == "I":
-                    mass = integrate(grid, K.phi ** (-float(k)) * pk)
-                    lhs = mixed - mass
+                    lhs = mixed - curvature_integral(K, k)
                     rhs = base * (math.exp(p * (rL - rK)) - 1.0)
                     if p < 0.0:
                         lhs, rhs = rhs, lhs  # reversed inequality, stored swapped

@@ -826,8 +826,13 @@ def test_flow_config_with_initial_and_grid_is_a_usage_error(tmp_path, capsys):
          "--terminal K.json would overwrite the input flow config initial K.json"),
         (["flow", "--config", "flow.json", "--out", "flow.json"],
          "--out flow.json would overwrite the input --config flow.json"),
+        (["flow", "--config", "flow.json", "--out", "t.csv", "--terminal", "t.csv"],
+         "--out t.csv and --terminal t.csv name the same file"),
+        (["flow", "--config", "flow.json", "--out", "t.csv", "--terminal", "./t.csv"],
+         "--out t.csv and --terminal ./t.csv name the same file"),
     ],
-    ids=["dilate", "dilate-other-spelling", "flow-terminal", "flow-config"],
+    ids=["dilate", "dilate-other-spelling", "flow-terminal", "flow-config",
+         "flow-out-is-terminal", "flow-out-is-terminal-other-spelling"],
 )
 def test_output_naming_an_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, message):
     # Written first, the output would replace the input, and the manifest
@@ -845,6 +850,30 @@ def test_output_naming_an_input_is_a_usage_error(tmp_path, monkeypatch, capsys, 
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
     assert not (tmp_path / "t.csv").exists()
     assert not (tmp_path / "flow.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["same-name", "symlink"])
+def test_out_and_terminal_naming_one_existing_file_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, link
+):
+    # The terminal field would be written over the trace CSV.
+    monkeypatch.chdir(tmp_path)
+    mkball(tmp_path, "K.json", 0.5)
+    (tmp_path / "flow.json").write_text(
+        json.dumps({"n": 1, "k": 0, "p": 0.0, "initial": "K.json"})
+    )
+    (tmp_path / "t.csv").write_text("old\n")
+    terminal = "t.csv"
+    if link:
+        (tmp_path / "link.csv").symlink_to(tmp_path / "t.csv")
+        terminal = "link.csv"
+    capsys.readouterr()
+    argv = ["flow", "--config", "flow.json", "--out", "t.csv", "--terminal", terminal]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--out t.csv and --terminal {terminal} name the same file" in err
+    assert (tmp_path / "t.csv").read_text() == "old\n"
+    assert not list(tmp_path.glob("*.csv.manifest.json"))
 
 
 def test_nonconvex_input_is_a_runtime_error(tmp_path):

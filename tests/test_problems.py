@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horocvx import hconvex
 from horocvx.hconvex import SupportField, random_h_convex_fields, support_of_ball
 from horocvx.lorentz import origin
 from horocvx.problems import (
@@ -58,6 +59,8 @@ def test_ball_measure_density_closed_form():
                 assert np.allclose(got, zeta(c, n, k, p), atol=1e-12)
     with pytest.raises(ValueError):
         measure_density(K, 1.0, 3)
+    # One kernel: problems re-exports the curvature-measure density of hconvex.
+    assert measure_density is hconvex.measure_density
 
 
 def test_mixed_quermass_self_pairing():

@@ -14,7 +14,9 @@ from horocvx.hconvex import (
     apply_isometry_field,
     boundary_data,
     convexity,
+    measure_density,
     support_of_ball,
+    support_of_point,
 )
 from horocvx.lorentz import boost, origin
 from horocvx.quermass import (
@@ -25,6 +27,8 @@ from horocvx.quermass import (
     bracketed_newton,
     exp_sinh_integral,
     S_functional,
+    ball_curvature_integral,
+    classical_curvature_density,
     curvature_integral,
     k_mean_radius,
     minkowski_formula_residuals,
@@ -36,7 +40,7 @@ from horocvx.quermass import (
 )
 from horocvx import quermass
 from horocvx.hconvex import p_tensor
-from horocvx.quermass import _I_k_derivative, _t_moments
+from horocvx.quermass import _t_moments
 from horocvx.sphere_grid import (
     gauss_legendre,
     gradient,
@@ -105,7 +109,7 @@ def test_I_k_inverse_roundtrip():
             for r in (1e-6, 1e-3, 0.2, 0.7, 1.5, 10.0):
                 w = I_k(n, k, r)
                 # I_n saturates, so r is ill-conditioned in w there.
-                cond = max(1.0, w / (r * _I_k_derivative(n, k, r)))
+                cond = max(1.0, w / (r * ball_curvature_integral(n, k, r)))
                 assert abs(I_k_inverse(n, k, w) - r) <= 1e-14 * r * cond, (n, k, r)
     assert I_k_inverse(2, 1, 0.0) == 0.0
     with pytest.raises(ValueError):
@@ -379,6 +383,40 @@ def test_ball_curvature_integral_closed_form():
         for m in range(n + 1):
             want = omega * math.sinh(r) ** (n - m) * math.exp(-m * r)
             assert abs(curvature_integral(K, m) - want) < 1e-12
+            assert ball_curvature_integral(n, m, r) == want
+            # It is the r-derivative of I_m.
+            h = 1e-5
+            slope = (I_k(n, m, r + h) - I_k(n, m, r - h)) / (2.0 * h)
+            assert abs(slope - want) < 1e-9 * want
+
+
+def _p_normalized(eigs, m):
+    """Reference: the normalized elementary symmetric p_m = sigma_m / C(n, m)
+    of pointwise eigenvalues (size, n), the route the kernel replaced."""
+    n = eigs.shape[1]
+    if m == 0:
+        return np.ones(eigs.shape[0])
+    if n == 1:
+        return eigs[:, 0]
+    if m == 1:
+        return 0.5 * (eigs[:, 0] + eigs[:, 1])
+    return eigs[:, 0] * eigs[:, 1]
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_curvature_densities_match_the_eigenvalue_route(grid):
+    # p_m(kappa~) dmu = phi^{-m} p_{n-m}(A) dsigma, and the true
+    # curvatures through p_m(1 + kappa~) = sum_j C(m, j) p_j(kappa~).
+    for K in random_h_convex_fields(11, [grid], 6):
+        bd = boundary_data(K)
+        for m in range(grid.n + 1):
+            shifted = _p_normalized(bd.kappa_tilde, m) * bd.area_density
+            classical = _p_normalized(1.0 + bd.kappa_tilde, m) * bd.area_density
+            assert np.all(shifted > 0.0) and np.all(classical > 0.0)
+            np.testing.assert_allclose(measure_density(K, 0, m), shifted, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                classical_curvature_density(K, m), classical, rtol=1e-12, atol=0
+            )
 
 
 def test_quermass_recursion():
@@ -435,6 +473,25 @@ def test_minkowski_formula_residuals():
         assert len(rep.shifted) == grid.n
         for resid in rep.classical + rep.shifted:
             assert abs(resid) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda K: steiner_check(K, 0.3),
+        lambda K: weighted_steiner_check(K, 0.3),
+        minkowski_formula_residuals,
+    ],
+    ids=["steiner", "weighted-steiner", "minkowski"],
+)
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_curvature_checks_refuse_a_body_that_is_not_uniformly_h_convex(grid, check):
+    # A point is h-convex, but A[phi] = 0 and its boundary has no
+    # curvature data, so each check that expands in curvatures refuses it.
+    K = support_of_point(grid, origin(grid.n))
+    assert convexity(K).classification == "h-convex"
+    with pytest.raises(ValueError, match="curvature data requires a uniformly h-convex body"):
+        check(K)
 
 
 # ---------------------------------------------------------------------------
