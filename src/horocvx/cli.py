@@ -32,6 +32,11 @@ config gives `initial` or `grid`, not both: otherwise it is a usage
 error naming both sources.  So is an `--out` or `--terminal` that names
 an input file, which it would replace before the manifest hashes it,
 and an `--out` and a `--terminal` that name one file.
+
+A flow config's keys are `flow.FlowConfig`'s fields plus `initial`,
+`grid`, `initial_radius` and `seed`.  FlowConfig checks its values when
+it is built; its ValueError is a usage error (`bad flow config <path>:
+...`), while a ValueError from the run itself is a failed flow (exit 1).
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .lorentz import hpoint, origin, validate_hpoint
 from .sphere_grid import (
     Grid,
     as_integer,
+    as_real,
     field_from_json_dict,
     field_to_json_dict,
     grid_from_json_dict,
@@ -65,23 +71,11 @@ class UsageError(Exception):
     pass
 
 
-def _as_real(value, what: str) -> float:
-    """value as a float; ValueError unless it is a finite number (not a
-    bool, not a string)."""
-    if (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    ):
-        return float(value)
-    raise ValueError(f"{what} must be a finite number, got {value!r}")
-
-
 def _finite(text: str) -> float:
     """argparse type of the float options: a finite number, so that NaN
     and infinity stop at the flag that gave them (exit 2)."""
     try:
-        return _as_real(float(text), "value")
+        return as_real(float(text), "value")
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
 
@@ -414,21 +408,16 @@ def _cmd_assumption_h(args) -> int:
     from .problems import check_assumption_h
 
     f = _load_scalar(args.f)
-    rep = check_assumption_h(f.phi, f.grid, f.grid.n, _check_k(args.k, f.grid.n), args.p)
+    rep = check_assumption_h(f.phi, f.grid, _check_k(args.k, f.grid.n), args.p)
     _dump_json(args.out, {**asdict(rep), "k": args.k, "p": args.p})
     _write_manifest(args, f.grid)
     return 0
 
 
-FLOW_CONFIG_KEYS = frozenset({
-    "n", "k", "p", "f", "initial", "grid", "initial_radius", "seed",
-    "dt_initial", "max_dt", "eps_stop", "max_steps", "enforce_even",
-    "assumption_mode", "trace_every",
-})
-
-
 def _cmd_flow(args) -> int:
-    from .flow import FlowConfig, make_state, run as run_flow
+    from dataclasses import MISSING, fields, replace
+
+    from .flow import FlowConfig, run as run_flow
 
     try:
         with open(args.config) as fh:
@@ -439,42 +428,26 @@ def _cmd_flow(args) -> int:
         raise UsageError(f"bad config file {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"flow config {args.config} must be a JSON object")
-    unknown = sorted(set(cfg) - FLOW_CONFIG_KEYS)
+    # FlowConfig's fields, which it checks itself; f, one of them, is a
+    # field input, loaded below with initial.  grid, initial_radius and
+    # seed are read only here.
+    settings = {fld.name: fld for fld in fields(FlowConfig) if fld.name != "f"}
+    unknown = sorted(set(cfg) - set(settings) - {"f", "initial", "grid", "initial_radius", "seed"})
     if unknown:
         raise UsageError(f"unknown flow config key(s): {', '.join(unknown)}")
+    for key, fld in settings.items():
+        if fld.default is MISSING and key not in cfg:
+            raise UsageError(f"flow config missing key {key!r}")
     try:
-        n = as_integer(cfg["n"], "flow config n")
-        k = as_integer(cfg["k"], "flow config k")
-        p = _as_real(cfg["p"], "flow config p")
-        r0 = _as_real(cfg.get("initial_radius", math.log(2.0)), "flow config initial_radius")
-        # Only the keys the file gives; FlowConfig holds the defaults.
-        options = {}
-        for key in ("max_dt", "eps_stop"):
-            if key in cfg:
-                options[key] = _as_real(cfg[key], f"flow config {key}")
-        if cfg.get("dt_initial") is not None:
-            options["dt_initial"] = _as_real(cfg["dt_initial"], "flow config dt_initial")
-        for key in ("max_steps", "trace_every"):
-            if key in cfg:
-                options[key] = as_integer(cfg[key], f"flow config {key}")
-        enforce_even = cfg.get("enforce_even")
-        if not isinstance(enforce_even, (bool, type(None))):
-            raise ValueError(
-                f"flow config enforce_even must be true, false or null, got {enforce_even!r}"
-            )
-        if enforce_even is not None:
-            options["enforce_even"] = enforce_even
-        if "assumption_mode" in cfg:
-            options["assumption_mode"] = cfg["assumption_mode"]
+        config = FlowConfig(**{key: cfg[key] for key in settings if key in cfg})
+        r0 = as_real(cfg.get("initial_radius", math.log(2.0)), "flow config initial_radius")
         # Read by nothing but the manifest; the rule of --seed.
         seed = cfg.get("seed")
         if seed is not None and as_integer(seed, "flow config seed") < 0:
             raise ValueError(f"flow config seed must be nonnegative, got {seed}")
-    except KeyError as exc:
-        raise UsageError(f"flow config missing key {exc}") from None
     except ValueError as exc:
         raise UsageError(f"bad flow config {args.config}: {exc}") from None
-    fields, sources, inputs = {}, {}, {}
+    loaded, sources, inputs = {}, {}, {}
     for key in ("f", "initial"):
         entry = cfg.get(key)
         if entry is None:
@@ -483,22 +456,22 @@ def _cmd_flow(args) -> int:
         if isinstance(entry, str):
             inputs[sources[key]] = entry
         try:
-            fields[key] = _load_scalar(entry)
+            loaded[key] = _load_scalar(entry)
         except UsageError as exc:
             raise UsageError(f"flow config {key}: {exc}") from None
     _refuse_overwrite(args, inputs)
-    f_field = fields.get("f")
-    if "initial" in fields:
+    f_field = loaded.get("f")
+    if "initial" in loaded:
         # The initial field fixes the grid; a second grid would be ignored.
         if "grid" in cfg:
             raise UsageError("flow config gives both 'initial' and 'grid'; give one")
-        phi0 = fields["initial"]
+        phi0 = loaded["initial"]
     else:
         if isinstance(cfg.get("grid"), str):
             grid = _parse_grid(cfg["grid"])
         elif "grid" in cfg:
             try:
-                grid = grid_from_json_dict(n, cfg["grid"])
+                grid = grid_from_json_dict(config.n, cfg["grid"])
             except (KeyError, ValueError) as exc:
                 raise UsageError(f"bad grid in {args.config}: {exc}") from None
         elif f_field is not None:
@@ -509,25 +482,13 @@ def _cmd_flow(args) -> int:
         sources["initial"] = (
             f"flow config grid {_grid_spec(grid)}" if "grid" in cfg else sources["f"]
         )
-    if phi0.grid.n != n:
+    if phi0.grid.n != config.n:
         raise UsageError(
-            f"flow config has n = {n} but {sources['initial']} lives on S^{phi0.grid.n}"
+            f"flow config has n = {config.n} but {sources['initial']} lives on S^{phi0.grid.n}"
         )
     if f_field is not None:
         _same_grid(phi0, sources["initial"], f_field, sources["f"])
-    config = FlowConfig(
-        n=n,
-        k=k,
-        p=p,
-        f=f_field.phi if f_field is not None else None,
-        **options,
-    )
-    # make_state holds the range checks of the config's values: a
-    # ValueError there is a bad config, one from run a failed flow.
-    try:
-        make_state(config, phi0)
-    except ValueError as exc:
-        raise UsageError(f"bad flow config {args.config}: {exc}") from None
+        config = replace(config, f=f_field.phi)
     result = run_flow(config, phi0)
     result.trace.to_csv(args.out)
     if args.terminal:
@@ -541,7 +502,7 @@ def _cmd_flow(args) -> int:
             "warnings": result.warnings,
         }
         _dump_json(args.terminal, terminal)
-    args.n, args.k, args.p, args.seed = n, k, p, seed
+    args.n, args.k, args.p, args.seed = config.n, config.k, config.p, seed
     _write_manifest(args, phi0.grid, *inputs.values())
     print(
         f"flow {result.status}: steps={result.steps} t={result.t_final:.6g} "

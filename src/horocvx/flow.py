@@ -46,11 +46,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hconvex import SupportField, p_tensor, shifted_form
+from .hconvex import SupportField, p_tensor
 from .problems import J_p, check_assumption_h, validate_f
 from .quermass import wk_value
 from .sphere_grid import (
     Grid,
+    as_integer,
+    as_real,
     even_error,
     even_project,
     integrate,
@@ -98,6 +100,13 @@ class FlowStepError(RuntimeError):
 
 @dataclass
 class FlowConfig:
+    """The settings of one flow run, checked where they enter: building a
+    config with a value of the wrong type or out of range raises
+    ValueError ("flow config <key> must be ..."), and the values are
+    stored as int or float.  Only what needs the grid, n against it and
+    f, waits for `make_state`.
+    """
+
     n: int
     k: int
     p: float
@@ -109,6 +118,30 @@ class FlowConfig:
     enforce_even: bool | None = None  # default: k >= 1, or f and phi0 even
     assumption_mode: str = "strict"  # strict | warn | skip
     trace_every: int = 1
+
+    def __post_init__(self) -> None:
+        for key in ("n", "k", "max_steps", "trace_every"):
+            setattr(self, key, as_integer(getattr(self, key), f"flow config {key}"))
+        for key in ("p", "max_dt", "eps_stop", "dt_initial"):
+            if key != "dt_initial" or self.dt_initial is not None:
+                setattr(self, key, as_real(getattr(self, key), f"flow config {key}"))
+        n, k = self.n, self.k
+        for key, ok, rule in (
+            ("enforce_even", isinstance(self.enforce_even, (bool, type(None))), "a bool or None"),
+            ("assumption_mode", self.assumption_mode in ("strict", "warn", "skip"),
+             "strict, warn or skip"),
+            ("k", 0 <= k <= n - 1, f"in 0..n-1 for n = {n}"),
+            ("p", k == 0 or self.p >= -n, f"at least -n = {-n} for k >= 1"),
+            ("max_dt", self.max_dt > 0.0, "positive"),
+            ("dt_initial", self.dt_initial is None or self.dt_initial > 0.0, "positive"),
+            # Below 0 the stop test speed_sup < eps_stop can never hold; 0
+            # stays valid, to run a flow at rest for max_steps.
+            ("eps_stop", self.eps_stop >= 0.0, "nonnegative"),
+            ("trace_every", self.trace_every >= 1, "at least 1"),
+            ("max_steps", self.max_steps >= 0, "nonnegative"),
+        ):
+            if not ok:
+                raise ValueError(f"flow config {key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -208,36 +241,17 @@ def _is_even(grid: Grid, values: np.ndarray) -> bool:
 
 
 def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
+    """The flow's state at phi0; checks what the config could not check
+    without the grid: its n, and its data f."""
     grid = phi0.grid
     n = grid.n
     if config.n != n:
         raise ValueError(f"config has n = {config.n}, grid lives on S^{n}")
-    if not 0 <= config.k <= n - 1:
-        raise ValueError(f"flow needs 0 <= k <= n-1, got k = {config.k}")
     f = validate_f(np.ones(grid.size) if config.f is None else config.f, grid)
-    if config.k >= 1 and config.p < -n:
-        raise ValueError(f"k >= 1 flows need p >= -n, got p = {config.p}")
-    # Comparisons with NaN are false, so NaN fails these checks too.
-    if not 0.0 < config.max_dt < math.inf:
-        raise ValueError(f"max_dt must be finite and positive, got {config.max_dt}")
-    if config.dt_initial is not None and not 0.0 < config.dt_initial < math.inf:
-        raise ValueError(f"dt_initial must be finite and positive, got {config.dt_initial}")
-    # Below 0, or NaN, the stop test speed_sup < eps_stop can never hold;
-    # 0 stays valid, to run a flow at rest for max_steps.
-    if not config.eps_stop >= 0.0:
-        raise ValueError(f"eps_stop must be nonnegative, got {config.eps_stop}")
-    if config.trace_every < 1:
-        raise ValueError(f"trace_every must be at least 1, got {config.trace_every}")
-    if config.max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {config.max_steps}")
-    if config.assumption_mode not in ("strict", "warn", "skip"):
-        raise ValueError(
-            f"assumption_mode must be strict, warn or skip, got {config.assumption_mode!r}"
-        )
     if config.enforce_even is None:
         even = config.k >= 1 or (_is_even(grid, f) and _is_even(grid, phi0.phi))
     else:
-        even = bool(config.enforce_even)
+        even = config.enforce_even
     fpow = f ** (-1.0 / (n - config.k))
     return FlowState(grid, phi0.phi.copy(), n, config.k, config.p, f, fpow, even)
 
@@ -269,13 +283,16 @@ def step(state: FlowState, dt: float, diag: dict | None = None,
     for _ in range(NEWTON_MAX_ITER):
         phi_new = phi + dt * (Phi * rG - rh)
         _in_cone(phi_new)
-        g = diag["K"].gradient + dt * (Phi * gG - gh)
-        H = diag["K"].hessian + dt * (Phi * HG - Hh)
-        K = SupportField(grid, phi_new)
-        residual = wk_value(K, k, g, H) - target
+        K = SupportField.with_derivatives(
+            grid,
+            phi_new,
+            diag["K"].gradient + dt * (Phi * gG - gh),
+            diag["K"].hessian + dt * (Phi * HG - Hh),
+        )
+        residual = wk_value(K, k) - target
         if abs(residual) <= NEWTON_RTOL * abs(target):
             break
-        pA = p_tensor(shifted_form(phi_new, g, H)[1], state.n - k)
+        pA = p_tensor(K.A, state.n - k)
         slope = dt * integrate(grid, phi_new ** (-(k + 1.0)) * pA * rG)
         if not slope > 0.0:
             raise FlowStepError(f"W_k constraint has slope {slope}")
@@ -298,7 +315,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     grid = state.grid
     n, k = state.n, state.k
     if k >= 1 and config.assumption_mode != "skip":
-        rep = check_assumption_h(state.f, grid, n, k, config.p)
+        rep = check_assumption_h(state.f, grid, k, config.p)
         if not rep.passes:
             msg = (
                 f"data fails the structural condition (regime {rep.regime}, "

@@ -131,20 +131,22 @@ class SupportField:
         return np.log(self.phi)
 
     @cached_property
-    def _pass(self) -> tuple:
-        """Gradient, q = |Dphi|^2 / (2 phi), A[phi] and the unshifted
-        Hessian D^2 phi, read-only, from one spectral pass."""
-        return self._geometry(*derivatives(self.grid, self.phi))
+    def _derivatives(self) -> tuple:
+        """Gradient and unshifted Hessian D^2 phi, read-only, from one
+        spectral pass."""
+        return tuple(_read_only(a) for a in derivatives(self.grid, self.phi))
 
-    def _geometry(self, g: np.ndarray, H: np.ndarray) -> tuple:
-        q, A = shifted_form(self.phi, g, H)
-        return tuple(_read_only(a) for a in (g, q, A, H))
+    @cached_property
+    def _shifted(self) -> tuple:
+        """q = |Dphi|^2 / (2 phi) and A[phi], read-only."""
+        q, A = shifted_form(self.phi, *self._derivatives)
+        return _read_only(q), A
 
     @classmethod
     def with_derivatives(cls, grid: Grid, phi, gradient, hessian) -> SupportField:
         """The field of phi with the given frame gradient (size, n) and
-        covariant Hessian (size, n, n) as its cached geometry, so that no
-        spectral pass of its own is made.
+        covariant Hessian (size, n, n) as its cached derivatives, so that
+        no spectral pass of its own is made.
 
         The caller vouches that they are phi's spectral derivatives, as
         `sphere_grid.resolvent(grid, phi, 0.0)` returns them with the
@@ -159,23 +161,23 @@ class SupportField:
                 f"grid needs {(grid.size, n)} and {(grid.size, n, n)}"
             )
         # Filled as cached_property would fill it: the field stays frozen.
-        K.__dict__["_pass"] = K._geometry(g, H)
+        K.__dict__["_derivatives"] = (_read_only(g), _read_only(H))
         return K
 
     @property
     def gradient(self) -> np.ndarray:
         """Frame gradient D phi, shape (size, n)."""
-        return self._pass[0]
+        return self._derivatives[0]
 
     @property
     def hessian(self) -> np.ndarray:
         """Covariant Hessian D^2 phi in the orthonormal frame."""
-        return self._pass[3]
+        return self._derivatives[1]
 
     @property
     def A(self) -> np.ndarray:
         """Shifted second fundamental form A[phi] in the orthonormal frame."""
-        return self._pass[2]
+        return self._shifted[1]
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -185,7 +187,7 @@ class SupportField:
     @cached_property
     def _boundary(self) -> BoundaryData:
         grid, phi = self.grid, self.phi
-        g, q, A, _ = self._pass
+        g, (q, A) = self.gradient, self._shifted
         frames = frame_vectors(grid)
         grad_ambient = np.einsum("ia,iac->ic", g, frames)
         z = grid.nodes
@@ -287,9 +289,9 @@ def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
     return K.phi ** (-(p + k)) * p_tensor(K.A, n - k)
 
 
-def _classify(K: SupportField, eigs: np.ndarray, tol: float | None) -> ConvexityReport:
-    if tol is None:
-        tol = UNIFORM_TOL_SCALE * (1.0 + float(np.max(K.phi)))
+def _classify(K: SupportField) -> ConvexityReport:
+    eigs = K.eigenvalues
+    tol = UNIFORM_TOL_SCALE * (1.0 + float(np.max(K.phi)))
     node = int(np.argmin(eigs[:, 0]))
     min_eig = float(eigs[node, 0])
     if min_eig > tol:
@@ -301,18 +303,19 @@ def _classify(K: SupportField, eigs: np.ndarray, tol: float | None) -> Convexity
     return ConvexityReport(cls, min_eig, node, tol)
 
 
-def convexity(K: SupportField, tol: float | None = None) -> ConvexityReport:
-    """Classify by the minimum eigenvalue of A[phi] over the grid."""
-    return _classify(K, K.eigenvalues, tol)
+def convexity(K: SupportField) -> ConvexityReport:
+    """Classify by the minimum eigenvalue of A[phi] over the grid, against
+    the tolerance UNIFORM_TOL_SCALE (1 + max phi)."""
+    return _classify(K)
 
 
-def boundary_data(K: SupportField, tol: float | None = None) -> BoundaryData:
+def boundary_data(K: SupportField) -> BoundaryData:
     """Boundary points, normals and curvature data of K, computed once
     per field.
 
     Requires at least h-convexity; raises ValueError otherwise.
     """
-    report = _classify(K, K.eigenvalues, tol)
+    report = _classify(K)
     if report.classification == "not-h-convex":
         raise ValueError(
             f"field is not h-convex: min eig A = {report.min_eigenvalue} "

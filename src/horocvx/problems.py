@@ -230,17 +230,17 @@ def ball_solutions(n: int, k: int, p: float, gamma: float) -> BallSolutionReport
 # structural condition on the data for 1 <= k <= n-1 flows
 
 
-def check_assumption_h(f, grid: Grid, n: int, k: int, p: float) -> AssumptionHReport:
-    """Convexity-type condition on h = f^{-1/(n-k)} for the k-flow data.
+def check_assumption_h(f, grid: Grid, k: int, p: float) -> AssumptionHReport:
+    """Convexity-type condition on h = f^{-1/(n-k)} for k-flow data f on
+    the grid's S^n.
 
     Five regimes in p >= -n; passes when the worst eigenvalue of the
     regime's tensor is >= -1e-10 (ties at zero pass).  At p = -n the
     condition is that h is constant.
     """
+    n = grid.n
     if n < 2 or not 1 <= k <= n - 1:
         raise ValueError(f"assumption applies for n >= 2, 1 <= k <= n-1, got ({n}, {k})")
-    if grid.n != n:
-        raise ValueError(f"grid lives on S^{grid.n}, data needs S^{n}")
     if p < -n:
         raise ValueError(f"p must be at least -n = {-n}, got {p}")
     f = validate_f(f, grid)

@@ -25,8 +25,10 @@ nothing here loads scipy.
 once per field and k and then read from the field's cache
 (`hconvex.per_field`): a SupportField cannot change, so its W_k cannot
 either, and the cached values go with the field.  `QuermassReport` is
-frozen because every caller shares the cached one.  `wk_value` is not
-cached: with explicit g and H it evaluates a trial state, not the field.
+frozen because every caller shares the cached one.  `wk_value` is the
+uncached kernel under `modified_quermass`: the flow's Newton solve calls
+it once on each trial field, which it builds from the derivatives it
+already has (`SupportField.with_derivatives`).
 """
 
 from __future__ import annotations
@@ -329,10 +331,10 @@ def _t_moments(n: int, d: np.ndarray, js: range) -> np.ndarray:
     return out
 
 
-def wk_value(K: SupportField, k: int, g=None, H=None) -> float:
+def wk_value(K: SupportField, k: int) -> float:
     """W_k by integrating its first variation along phi_t = 1 + t (phi - 1).
 
-    g and H default to K's cached gradient and Hessian.  With d = phi - 1,
+    With g and H the gradient and Hessian of K and d = phi - 1,
     C0 = H + d I and C1 = d H + (d^2 - |g|^2) / 2 I, phi_t A_t = t (C0 + t C1),
     so the integrand (phi - 1) phi_t^{-1-k} p_m(A_t), m = n - k, is
     d t^m p_m(C0 + t C1) / phi_t^{n+1} and its t-integral is exact:
@@ -343,8 +345,7 @@ def wk_value(K: SupportField, k: int, g=None, H=None) -> float:
     n = grid.n
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    if g is None or H is None:
-        g, H = K.gradient, K.hessian
+    g, H = K.gradient, K.hessian
     m = n - k
     d = phi - 1.0
     C0 = plus_identity(H, d)

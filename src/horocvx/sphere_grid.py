@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "make_grid",
     "gauss_legendre",
     "as_integer",
+    "as_real",
     "sphere_area",
     "integrate",
     "derivatives",
@@ -137,6 +139,20 @@ def as_integer(value, what: str) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def as_real(value, what: str) -> float:
+    """value as a float; ValueError unless it is a finite number (numpy's
+    too; not a bool, not a string)."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    ):
+        return float(value)
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 # Newton on the Legendre recurrence converges in 3-4 steps from these

@@ -371,7 +371,7 @@ def _suite_weighted_iso(bodies):
         yield f"n{n}/{tag}/area", cosh_total, rhs, eq
         S = S_functional(K)
         for p in (1.0, 2.0):
-            lhs = integrate(grid, bd.coshr * K.phi ** (-p) * bd.area_density)
+            lhs = integrate(grid, bd.coshr * measure_density(K, p, 0))
             rhs_p = omega * S**n * math.sqrt(S * S + 1.0) * _term_S(S) ** (-p)
             yield f"n{n}/{tag}/p{p}", lhs, rhs_p, eq
 
@@ -395,7 +395,7 @@ def _suite_hk_n1(bodies):
         ("offset-ball", bodies.offset_ball(n, 0.6, 0.7), True),
     ):
         bd = boundary_data(K)
-        A = bd.lambda_tilde[:, 0] / K.phi
+        A = K.A[:, 0, 0]
         hk = integrate(grid, (A - bd.u_tilde) * A)
         yield tag, hk, 0.0, eq
         d1, d2 = K.gradient[:, 0], K.hessian[:, 0, 0]
@@ -547,7 +547,7 @@ def _suite_xp_weighted_min(bodies):
         base = sphere_area(n) * SK**n * math.sqrt(SK * SK + 1.0)
         cosh_total = integrate(grid, bd.coshr * bd.area_density)
         for p in (0.5, 1.0, 2.0):
-            mixed = integrate(grid, L.phi**p * bd.coshr * K.phi ** (-p) * bd.area_density)
+            mixed = integrate(grid, L.phi**p * bd.coshr * measure_density(K, p, 0))
             yield f"n{n}/I/p{p}", mixed - cosh_total, base * (ratio**p - 1.0), False
             yield f"n{n}/II/p{p}", mixed, base * ratio**p, False
 

@@ -542,10 +542,37 @@ def test_make_state_rejects_non_finite_f(bad):
 def test_make_state_rejects_bad_config_values(field, value):
     # Unchecked, these divide by zero, take every step at dt = 0, stall,
     # act as another mode, or run to max_steps, since no speed is below
-    # a negative or NaN eps_stop.
-    cfg = replace(FlowConfig(n=1, k=0, p=0.0), **{field: value})
+    # a negative or NaN eps_stop.  FlowConfig refuses them when the
+    # config is built, so none reaches make_state.
     with pytest.raises(ValueError, match=field):
-        make_state(cfg, perturbed_circle())
+        make_state(replace(FlowConfig(n=1, k=0, p=0.0), **{field: value}), perturbed_circle())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_steps", 3.7),  # ran 4 steps
+        ("n", 1.0),
+        ("p", True),  # ran as p = 1
+        ("p", math.nan),
+        ("eps_stop", math.inf),  # "converged" at step 0
+    ],
+)
+def test_flow_config_rejects_values_of_the_wrong_type(field, value):
+    # The CLI refuses these in a config file; the Python API refuses
+    # them too, where the config is built.
+    settings = dict(n=1, k=0, p=0.0)
+    settings[field] = value
+    with pytest.raises(ValueError, match=f"flow config {field} must be"):
+        FlowConfig(**settings)
+
+
+def test_flow_config_stores_ints_and_floats():
+    cfg = FlowConfig(n=np.int64(2), k=1, p=2, max_dt=1, eps_stop=0, dt_initial=np.float32(0.5))
+    assert type(cfg.n) is int and type(cfg.p) is float
+    assert (cfg.p, cfg.max_dt, cfg.eps_stop, cfg.dt_initial) == (2.0, 1.0, 0.0, 0.5)
+    assert all(type(v) is float for v in (cfg.max_dt, cfg.eps_stop, cfg.dt_initial))
+    assert FlowConfig(n=1, k=0, p=0.0, dt_initial=None, enforce_even=None).dt_initial is None
 
 
 def test_even_enforcement_rejects_odd_data():

@@ -40,7 +40,7 @@ def test_data_f_must_be_finite(bad):
     f2 = np.ones(S2.size)
     f2[5] = bad
     with pytest.raises(ValueError, match="finite"):
-        check_assumption_h(f2, S2, 2, 1, 1.0)
+        check_assumption_h(f2, S2, 1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +290,13 @@ def test_assumption_h_regimes():
     z = S2.nodes
     p2 = 0.5 * (3.0 * z[:, 2] ** 2 - 1.0)
     # Regime markers for n=2, k=1 sweeping p through the breakpoints.
-    assert check_assumption_h(np.ones(S2.size), S2, 2, 1, -2.0).regime == 1
-    assert check_assumption_h(1.0 + 0.02 * p2, S2, 2, 1, -1.6).regime == 2
-    assert check_assumption_h(1.0 + 0.1 * p2, S2, 2, 1, -1.2).regime == 3
-    assert check_assumption_h(1.0 + 0.1 * p2, S2, 2, 1, -0.5).regime == 4
-    assert check_assumption_h(1.0 + 0.1 * p2, S2, 2, 1, 1.0).regime == 5
+    assert check_assumption_h(np.ones(S2.size), S2, 1, -2.0).regime == 1
+    assert check_assumption_h(1.0 + 0.02 * p2, S2, 1, -1.6).regime == 2
+    assert check_assumption_h(1.0 + 0.1 * p2, S2, 1, -1.2).regime == 3
+    assert check_assumption_h(1.0 + 0.1 * p2, S2, 1, -0.5).regime == 4
+    assert check_assumption_h(1.0 + 0.1 * p2, S2, 1, 1.0).regime == 5
     for p, amp in ((-2.0, 0.0), (-1.6, 0.02), (-1.2, 0.1), (-0.5, 0.1), (1.0, 0.1)):
-        rep = check_assumption_h(1.0 + amp * p2, S2, 2, 1, p)
+        rep = check_assumption_h(1.0 + amp * p2, S2, 1, p)
         assert rep.passes, f"p={p}: worst {rep.worst_eigenvalue}"
 
 
@@ -304,23 +304,23 @@ def test_assumption_h_failures():
     z = S2.nodes
     p2 = 0.5 * (3.0 * z[:, 2] ** 2 - 1.0)
     # Constant-only at p = -n.
-    rep = check_assumption_h(1.0 + 0.1 * p2, S2, 2, 1, -2.0)
+    rep = check_assumption_h(1.0 + 0.1 * p2, S2, 1, -2.0)
     assert not rep.passes
     # Steep data breaks the convexity-type tensor condition.
     steep = 1.0 + 0.9 * z[:, 0]
-    rep5 = check_assumption_h(steep, S2, 2, 1, 1.0)
+    rep5 = check_assumption_h(steep, S2, 1, 1.0)
     assert not rep5.passes
     assert rep5.worst_eigenvalue < -1.0
 
 
 def test_assumption_h_validation():
     with pytest.raises(ValueError):
-        check_assumption_h(np.ones(S1.size), S1, 1, 0, 1.0)  # n = 1
+        check_assumption_h(np.ones(S1.size), S1, 0, 1.0)  # n = 1
     with pytest.raises(ValueError):
-        check_assumption_h(np.ones(S2.size), S2, 2, 2, 1.0)  # k = n
+        check_assumption_h(np.ones(S2.size), S2, 2, 1.0)  # k = n
     with pytest.raises(ValueError):
-        check_assumption_h(np.ones(S2.size), S1, 2, 1, 1.0)  # grid mismatch
+        check_assumption_h(np.ones(S1.size), S2, 1, 1.0)  # f does not fit the grid
     with pytest.raises(ValueError):
-        check_assumption_h(np.ones(S2.size), S2, 2, 1, -2.5)  # p < -n
+        check_assumption_h(np.ones(S2.size), S2, 1, -2.5)  # p < -n
     with pytest.raises(ValueError):
-        check_assumption_h(-np.ones(S2.size), S2, 2, 1, 1.0)
+        check_assumption_h(-np.ones(S2.size), S2, 1, 1.0)

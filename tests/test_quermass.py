@@ -327,13 +327,14 @@ def test_cached_scalars_equal_those_of_a_fresh_field(grid):
 
 
 def test_wk_value_with_explicit_derivatives_bypasses_the_cache(monkeypatch):
-    # The flow's Newton solve passes a trial state's g and H with the
-    # field's phi; that value is neither taken from the field's cache nor
-    # stored in it.
+    # The flow's Newton solve builds each trial state from the field's phi
+    # and derivatives it already has (`with_derivatives`); its W_k comes
+    # from those derivatives, and neither reads nor fills the cache of
+    # the field that has that phi.
     K = smooth_body(S2)
     other = SupportField(S2, 1.2 * K.phi)
     g, H = other.gradient, other.hessian
-    trial = wk_value(K, 1, g, H)
+    trial = wk_value(SupportField.with_derivatives(S2, K.phi, g, H), 1)
     real = quermass.wk_value
     calls = []
 
@@ -347,7 +348,7 @@ def test_wk_value_with_explicit_derivatives_bypasses_the_cache(monkeypatch):
     assert modified_quermass(K, 1).value == W
     assert len(calls) == 1
     assert W != trial
-    assert real(K, 1, g, H) == trial
+    assert real(SupportField.with_derivatives(S2, K.phi, g, H), 1) == trial
 
 
 def test_a_call_that_raises_is_not_cached():
