@@ -91,7 +91,8 @@ def commute_check(
 ) -> float:
     """Sup defect between pi(a K +_p b L) and the Firey sum of the
     projections; zero in exact arithmetic since both sides share the
-    same pointwise algebra."""
+    same pointwise algebra.  Public: it is the paper's bridge statement,
+    that the projection carries p-sums to Firey sums."""
     if p < 1.0:
         raise ValueError(f"commutation holds on the common range p in [1, 2], got {p}")
     hyperbolic = project(p_sum(a, K, p, b, L))

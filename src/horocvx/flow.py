@@ -67,7 +67,6 @@ __all__ = [
     "FlowResult",
     "FlowStepError",
     "make_state",
-    "phi_global",
     "step",
     "run",
     "TRACE_COLUMNS",
@@ -254,11 +253,6 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
         even = config.enforce_even
     fpow = f ** (-1.0 / (n - config.k))
     return FlowState(grid, phi0.phi.copy(), n, config.k, config.p, f, fpow, even)
-
-
-def phi_global(state: FlowState) -> float:
-    """Volume-preserving global term Phi at the current phi."""
-    return _evaluate(state, SupportField(state.grid, state.phi))["Phi"]
 
 
 def step(state: FlowState, dt: float, diag: dict | None = None,

@@ -330,6 +330,8 @@ def apply_isometry_field(K: SupportField, F) -> SupportField:
     The new field at direction z~ is chi * phi(z), where (z, 1) is the
     normalized pullback of (z~, 1) under F^{-1} and chi is the pullback's
     height.  Resampling is band-limited synthesis on the source field.
+    Public: it is the paper's isometry action, under which the
+    quermassintegrals and h-convexity are invariant; `resample` serves it.
     """
     lorentz.validate_isometry(np.asarray(F, dtype=float))
     Finv = lorentz.inverse_isometry(F)

@@ -14,8 +14,6 @@ import numpy as np
 __all__ = [
     "inner",
     "minkowski_norm",
-    "is_future_timelike",
-    "normalize_to_hyperboloid",
     "geodesic_distance",
     "apply_isometry",
     "inverse_isometry",
@@ -44,11 +42,6 @@ def inner(X, Y) -> np.ndarray | float:
     return spatial - X[..., -1] * Y[..., -1]
 
 
-def is_future_timelike(X) -> bool:
-    X = np.asarray(X, dtype=float)
-    return bool(np.all(inner(X, X) < 0.0) and np.all(X[..., -1] > 0.0))
-
-
 def minkowski_norm(X) -> np.ndarray | float:
     """sqrt(-<X, X>) for future timelike X."""
     X = np.asarray(X, dtype=float)
@@ -56,12 +49,6 @@ def minkowski_norm(X) -> np.ndarray | float:
     if np.any(q >= 0.0) or np.any(X[..., -1] <= 0.0):
         raise ValueError("minkowski_norm requires a future timelike vector")
     return np.sqrt(-q)
-
-
-def normalize_to_hyperboloid(X) -> np.ndarray:
-    """Project a future timelike vector onto the hyperboloid."""
-    X = np.asarray(X, dtype=float)
-    return X / minkowski_norm(X)[..., None] if X.ndim > 1 else X / minkowski_norm(X)
 
 
 def geodesic_distance(X, Y) -> np.ndarray | float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .hconvex import SupportField, a_eigenvalues, measure_density, plus_identity
 from .quermass import bracketed_newton
-from .sphere_grid import Grid, derivatives, frame_vectors, gradient, integrate
+from .sphere_grid import Grid, derivatives, frame_vectors, integrate
 
 __all__ = [
     "KWReport",
@@ -115,7 +115,7 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     n = grid.n
     density = measure_density(K, 0.0, k)
     f = validate_f(f, grid)
-    g_f, *g_x = gradient(grid, np.vstack([f, grid.nodes.T]))
+    g_f, *g_x = derivatives(grid, np.vstack([f, grid.nodes.T]), second=False)[0]
     weight = K.phi ** (-float(n))
     coords = [integrate(grid, weight * np.sum(g_f * g_i, axis=1)) for g_i in g_x]
     frames = frame_vectors(grid)

@@ -161,7 +161,8 @@ def compatibility_check(
     Boundary points recovered from the summed support field are tested
     against the union (p > 1), single ball (p = 1), or intersection
     (p < 1, open t-interval) of the ball family; returns the sup of the
-    refined |defect| in geodesic distance.
+    refined |defect| in geodesic distance.  Public: it checks the paper's
+    two-point figure, the p-sum of two points against its ball family.
     """
     if samples < 3:
         raise ValueError("samples must be at least 3")

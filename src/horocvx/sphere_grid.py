@@ -2,25 +2,27 @@
 
 A Grid carries quadrature nodes and weights together with the antipodal
 involution and the maximal exactly-representable degree (band_limit).
-Scalar fields are plain value arrays in node order, and the spectral
-operators also take a stack of fields, shape (..., size), returning
-outputs with the same leading axes.  Differentiation is spectral: FFT on
-S^1, one rfft per analysis of the whole stack and one irfft per
-derivative order; on S^2 an azimuthal FFT (one rfft per analysis and one
-irfft for every polar profile of every field of a pass) and associated
-Legendre transforms held as one padded tensor P[m, node, l], zero for
-l < m, so that analysis and synthesis over all orders m are each one
-batched real matmul per field.  Gradients and Hessians are expressed in
-the orthonormal frame {d_theta, (1/sin theta) d_phi}; `derivatives`
-returns both from one analysis, and `gradient` / `hessian` are views of
-it.  `resolvent` applies (1 - mu Laplacian)^{-1}, diagonal in the same
-bases, and returns the result with its derivatives from one analysis.
-A field whose last axis does not hold one value per node is a ValueError
-where it enters.
+Scalar fields are plain value arrays in node order; the spectral
+operators also take a stack of fields, shape (..., size), and return
+outputs with the same leading axes.  A field whose last axis does not
+hold one value per node is a ValueError where it enters.
 
-Grids are built once per (n, resolution) and shared: `make_grid` returns
-the same read-only Grid for equal arguments, so its node tables,
-Legendre tensor and frame are computed once per process.
+Each kind of grid is one private subclass of Grid that holds all of its
+spectral code; `make_grid` picks the kind from n, `grid_from_json_dict`
+from the JSON type, and no other function branches on it.
+`_UniformS1`, on S^1, makes one rfft per analysis of a stack and one
+irfft per derivative order.  `_GLProductS2`, on S^2, makes one azimuthal
+rfft per analysis and one irfft per pass, and holds the associated
+Legendre functions as one padded tensor P[m, node, l], zero for l < m,
+so that its Legendre analysis and synthesis are each one batched real
+matmul per field.
+
+`derivatives` gives the gradient and Hessian in the orthonormal frame
+{d_theta, (1/sin theta) d_phi} from one analysis; `resolvent` gives
+(1 - mu Laplacian)^{-1} v and its derivatives from one analysis, and at
+mu = 0 it is the projection onto the band.  `make_grid` returns the same
+read-only Grid for equal arguments, so its tables are built once per
+process.
 """
 
 from __future__ import annotations
@@ -43,14 +45,10 @@ __all__ = [
     "integrate",
     "derivatives",
     "resolvent",
-    "gradient",
-    "hessian",
-    "laplacian",
     "frame_vectors",
     "antipodal",
     "even_error",
     "even_project",
-    "band_project",
     "resample",
     "refine",
     "grid_to_json_dict",
@@ -61,6 +59,20 @@ __all__ = [
     "load_field",
 ]
 
+# How far from 1 the norm of a `resample` target may be.
+UNIT_TOL = 1e-12
+
+
+def _node_table(name: str, doc: str) -> property:
+    """The read-only node table `name` of a grid's cache, as a property."""
+
+    def get(grid: Grid) -> np.ndarray:
+        if name not in grid._cache:
+            raise AttributeError(f"{name} is a node table of S^2 grids only")
+        return grid._cache[name]
+
+    return property(get, doc=doc)
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -69,7 +81,9 @@ class Grid:
     n=1: resolution (N,), nodes theta_j = 2 pi j / N, weights 2 pi / N.
     n=2: resolution (L, M) with M = 2 L; Gauss-Legendre in cos(polar)
     times uniform azimuth, node order row-major polar-major.
-    Build grids with `make_grid`; their arrays are read-only.
+    Build grids with `make_grid`; their arrays are read-only.  Each kind
+    provides `_analyze`, `_resolve`, `_fields`, `_evaluate`, `_frames`
+    and `_json_dict`.
     """
 
     n: int
@@ -84,35 +98,11 @@ class Grid:
     def size(self) -> int:
         return self.nodes.shape[0]
 
-    def _table(self, name: str) -> np.ndarray:
-        if name not in self._cache:
-            raise AttributeError(f"{name} is a node table of S^2 grids only")
-        return self._cache[name]
-
-    @property
-    def theta(self) -> np.ndarray:
-        """Node angles on S^1; the L polar angles, ascending, on S^2."""
-        return self._table("theta")
-
-    @property
-    def phi(self) -> np.ndarray:
-        """The M azimuth angles of an S^2 grid."""
-        return self._table("phi")
-
-    @property
-    def x(self) -> np.ndarray:
-        """cos of the polar angles of an S^2 grid (Gauss-Legendre nodes)."""
-        return self._table("x")
-
-    @property
-    def wx(self) -> np.ndarray:
-        """Gauss-Legendre weights of the polar nodes of an S^2 grid."""
-        return self._table("wx")
-
-    @property
-    def s(self) -> np.ndarray:
-        """sin of the polar angles of an S^2 grid."""
-        return self._table("s")
+    theta = _node_table("theta", "Node angles on S^1; the L polar angles, ascending, on S^2.")
+    phi = _node_table("phi", "The M azimuth angles of an S^2 grid.")
+    x = _node_table("x", "cos of the polar angles of an S^2 grid (Gauss-Legendre nodes).")
+    wx = _node_table("wx", "Gauss-Legendre weights of the polar nodes of an S^2 grid.")
+    s = _node_table("s", "sin of the polar angles of an S^2 grid.")
 
     def __eq__(self, other) -> bool:
         return (
@@ -123,15 +113,6 @@ class Grid:
 
     def __hash__(self) -> int:
         return hash((self.n, self.resolution))
-
-
-def sphere_area(n: int) -> float:
-    """Surface area of the unit n-sphere, n in {1, 2}."""
-    if n == 1:
-        return 2.0 * math.pi
-    if n == 2:
-        return 4.0 * math.pi
-    raise ValueError(f"n must be 1 or 2, got {n}")
 
 
 def as_integer(value, what: str) -> int:
@@ -155,15 +136,109 @@ def as_real(value, what: str) -> float:
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
+def _frozen(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+# ---------------------------------------------------------------------------
+# S^1: the uniform FFT grid
+
+
+class _UniformS1(Grid):
+    """The uniform grid on S^1.  Its modes are the Fourier modes
+    k = 0..N/2 with Laplace eigenvalues k^2; the Nyquist mode k = N/2
+    carries no derivative information."""
+
+    dim, area, json_type = 1, 2.0 * math.pi, "uniform_s1"
+
+    @classmethod
+    def make(cls, resolution) -> Grid:
+        N = as_integer(resolution, "n=1 node count")
+        if N % 2 != 0 or N < 4:
+            raise ValueError(f"n=1 grid needs an even node count >= 4, got {resolution}")
+        return cls._build(N)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _build(N: int) -> Grid:
+        theta = 2.0 * math.pi * np.arange(N) / N
+        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        weights = np.full(N, 2.0 * math.pi / N)
+        anti = (np.arange(N) + N // 2) % N
+        _frozen(theta, nodes, weights, anti)
+        g = _UniformS1(1, (N,), nodes, weights, anti, N // 2 - 1)
+        g._cache["theta"] = theta
+        return g
+
+    @functools.cached_property
+    def _multipliers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i k) and (i k)^2 for k = 0..N/2, zero at the Nyquist mode."""
+        k = np.arange(self.resolution[0] // 2 + 1, dtype=float)
+        k[-1] = 0.0
+        mults = (1j * k, (1j * k) ** 2)
+        _frozen(*mults)
+        return mults
+
+    def _analyze(self, values: np.ndarray) -> np.ndarray:
+        """Fourier coefficients of each field of a stack (..., N), one rfft."""
+        return np.fft.rfft(values) / self.resolution[0]
+
+    def _synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Node values of each coefficient row of a stack, one irfft."""
+        N = self.resolution[0]
+        return np.fft.irfft(coeffs * N, n=N)
+
+    def _resolve(self, c: np.ndarray, mu: float) -> np.ndarray:
+        """c / (1 + mu k^2), with the Nyquist mode dropped."""
+        k = np.arange(self.resolution[0] // 2 + 1, dtype=float)
+        c = c / (1.0 + mu * k * k)
+        c[..., -1] = 0.0
+        return c
+
+    def _fields(self, c: np.ndarray, value: bool, first: bool, second: bool):
+        """(values, gradient, Hessian) of c, one irfft each, or None."""
+        v = g = H = None
+        if value:
+            v = self._synthesize(c)
+        if first:
+            g = self._synthesize(c * self._multipliers[0])[..., None]
+        if second:
+            H = self._synthesize(c * self._multipliers[1])[..., None, None]
+        return v, g, H
+
+    def _evaluate(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        c = self._analyze(values)
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        K = self.resolution[0] // 2
+        # (T, K) phases k theta; modes 1..K-1 count twice, Nyquist once.
+        kt = theta[:, None] * np.arange(1, K + 1)
+        ck = 2.0 * c[1:]
+        ck[-1] = c[K].real
+        return c[0].real + np.cos(kt) @ ck.real - np.sin(kt) @ ck.imag
+
+    @functools.cached_property
+    def _frames(self) -> np.ndarray:
+        theta = self._cache["theta"]
+        frames = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
+        _frozen(frames)
+        return frames
+
+    def _json_dict(self) -> dict:
+        return {"type": self.json_type, "nodes": self.resolution[0]}
+
+    @classmethod
+    def _from_json_dict(cls, d: dict) -> Grid:
+        return cls.make(d["nodes"])
+
+
+# ---------------------------------------------------------------------------
+# S^2: the Gauss-Legendre x FFT grid
+
 # Newton on the Legendre recurrence converges in 3-4 steps from these
 # guesses; a step below GL_NEWTON_TOL leaves the nodes at rounding level.
 GL_NEWTON_TOL = 1e-14
 GL_NEWTON_MAX_ITER = 20
-
-
-def _frozen(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
 
 
 def gauss_legendre(L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +268,211 @@ def gauss_legendre(L: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 1.0 / (2.0 * math.pi * np.sum(q * q, axis=1))
 
 
+def _legendre_columns(m: int, lmax: int, x: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+    """Orthonormal associated Legendre P_l^m(x) for l = m..lmax, with
+    s = sqrt(1 - x^2) (read for m >= 1 only).
+
+    Normalized so that 2 pi * int_{-1}^{1} P_l^m P_l'^m dx = delta_{l l'}.
+    Returns shape (len(x), lmax - m + 1).
+    """
+    npts = x.shape[0]
+    out = np.empty((npts, lmax - m + 1))
+    pmm = np.full(npts, 1.0 / math.sqrt(4.0 * math.pi))
+    for mm in range(1, m + 1):
+        pmm = -math.sqrt((2 * mm + 1) / (2 * mm)) * s * pmm
+    out[:, 0] = pmm
+    if lmax > m:
+        out[:, 1] = math.sqrt(2 * m + 3) * x * pmm
+    for l in range(m + 2, lmax + 1):
+        a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+        b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+        out[:, l - m] = a * (x * out[:, l - m - 1] - b * out[:, l - m - 2])
+    return out
+
+
+def _real_matmul(table: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """table @ z for real table (B+1, I, J) and complex z (..., B+1, J):
+    one real batched matmul per field on the (re, im) view of z, with no
+    complex copy of the table.  One matmul over the whole stack could
+    block differently and change the rounding."""
+    z = np.ascontiguousarray(z)
+    if z.ndim > 2:
+        return np.stack([_real_matmul(table, zf) for zf in z])
+    return (table @ z.view(float).reshape(z.shape + (2,))).view(complex)[..., 0]
+
+
+class _GLProductS2(Grid):
+    """The Gauss-Legendre x uniform product grid on S^2, band limit
+    B = L - 1.  Its modes are the orthonormal spherical harmonics of
+    degree l <= B, coefficients a[..., m, l] (zero for l < m), with
+    Laplace eigenvalues l (l + 1)."""
+
+    dim, area, json_type = 2, 4.0 * math.pi, "gl_product"
+
+    @classmethod
+    def make(cls, resolution) -> Grid:
+        L = as_integer(resolution, "n=2 polar count")
+        if L < 2:
+            raise ValueError(f"n=2 grid needs a polar count >= 2, got {resolution}")
+        return cls._build(L)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _build(L: int) -> Grid:
+        M = 2 * L
+        x, wx = gauss_legendre(L)
+        # Symmetrize so the antipodal map is exact in floating point.
+        x = 0.5 * (x - x[::-1])
+        wx = 0.5 * (wx + wx[::-1])
+        order = np.argsort(-x)  # theta ascending from the north pole
+        x, wx = x[order], wx[order]
+        theta = np.arccos(np.clip(x, -1.0, 1.0))
+        phi = 2.0 * math.pi * np.arange(M) / M
+        s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+        st, ct = s[:, None], x[:, None]
+        cp, sp = np.cos(phi)[None, :], np.sin(phi)[None, :]
+        nodes = np.stack(
+            [(st * cp).ravel(), (st * sp).ravel(), np.broadcast_to(ct, (L, M)).ravel()], axis=1
+        )
+        weights = (wx[:, None] * (2.0 * math.pi / M)).repeat(M).reshape(L, M).ravel()
+        ii, jj = np.meshgrid(np.arange(L), np.arange(M), indexing="ij")
+        anti = ((L - 1 - ii) * M + (jj + M // 2) % M).ravel()
+        _frozen(theta, phi, x, wx, s, nodes, weights, anti)
+        g = _GLProductS2(2, (L, M), nodes, weights, anti, L - 1)
+        g._cache.update(theta=theta, phi=phi, x=x, wx=wx, s=s)
+        return g
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(P, dP, ll1): P[m, j, l] is P_l^m at polar node j and dP[m, j, l]
+        its theta derivative, both (B+1, L, B+1) and exactly zero for l < m;
+        ll1[l] = l (l + 1) for l = 0..B."""
+        x, s, B = self.x, self.s, self.band_limit
+        P = np.zeros((B + 1, x.shape[0], B + 1))
+        for m in range(B + 1):
+            P[m, :, m:] = _legendre_columns(m, B, x, s)
+        # d/dtheta by the degree-lowering recurrence; c(l, m) = 0 for l <= m.
+        l = np.arange(B + 1, dtype=float)
+        m = l[:, None]
+        c = np.sqrt(np.abs((2 * l + 1) * (l * l - m * m) / (2 * l - 1))) * (l > m)
+        P_lower = np.concatenate([np.zeros_like(P[:, :, :1]), P[:, :, :-1]], axis=2)
+        dP = (l * x[:, None] * P - c[:, None, :] * P_lower) / s[:, None]
+        _frozen(P, dP)
+        return P, dP, l * (l + 1.0)
+
+    def _analyze(self, values: np.ndarray) -> np.ndarray:
+        """Band-limited coefficients a[..., m, l], shape (..., B+1, B+1), of
+        each field of a stack (..., size): one rfft."""
+        L, M = self.resolution
+        P = self._tables[0]
+        G = np.fft.rfft(values.reshape(values.shape[:-1] + (L, M)), axis=-1) / M
+        w = np.swapaxes(self.wx[:, None] * G[..., : self.band_limit + 1], -1, -2)
+        return 2.0 * math.pi * _real_matmul(P.transpose(0, 2, 1), w)
+
+    def _synthesize(self, profiles: np.ndarray) -> np.ndarray:
+        """Node values (..., size) of a stack of (B+1, L) polar profiles
+        table[m] @ a[m], shape (..., B+1, L): one irfft for the whole stack."""
+        L, M = self.resolution
+        lead = profiles.shape[:-2]
+        G = np.zeros(lead + (L, M // 2 + 1), dtype=complex)
+        G[..., : self.band_limit + 1] = np.swapaxes(profiles, -1, -2)
+        return np.fft.irfft(G * M, n=M, axis=-1).reshape(lead + (self.size,))
+
+    def _resolve(self, a: np.ndarray, mu: float) -> np.ndarray:
+        """a / (1 + mu l (l + 1))."""
+        return a / (1.0 + mu * self._tables[2])
+
+    def _fields(self, a: np.ndarray, value: bool, first: bool, second: bool):
+        """(values, gradient, Hessian) of a, or None, from one irfft of all
+        their polar profiles; the Hessian's profiles hold the gradient's."""
+        P, dP, ll1 = self._tables
+        M = self.resolution[1]
+        # Polar profiles per order m; azimuthal derivatives are 1j m and -m m.
+        m = np.arange(self.band_limit + 1)[:, None]
+        v_m = _real_matmul(P, a)
+        vt_m = _real_matmul(dP, a)
+        profiles = [vt_m, (1j * m) * v_m]
+        if second:
+            profiles += [_real_matmul(P, ll1 * a), (1j * m) * vt_m, -(m * m) * v_m]
+        if value:
+            profiles.append(v_m)
+        fields = self._synthesize(np.stack(profiles, axis=-3))
+        vt, fp, *rest = np.moveaxis(fields, -2, 0)
+        v = rest.pop() if value else None
+        g = None
+        if first:
+            g = np.stack([vt, fp * np.repeat(1.0 / self.s, M)], axis=-1)
+        if not second:
+            return v, g, None
+        lap, ftp, fpp = rest
+        s = np.repeat(self.s, M)
+        x = np.repeat(self.x, M)
+        # theta-theta from the associated Legendre ODE; mixed and azimuthal
+        # entries carry the Christoffel corrections of the orthonormal frame.
+        H = np.empty(vt.shape + (2, 2))
+        H[..., 0, 0] = -(x / s) * vt - lap - fpp / (s * s)
+        H[..., 0, 1] = ftp / s - (x / (s * s)) * fp
+        H[..., 1, 0] = H[..., 0, 1]
+        H[..., 1, 1] = fpp / (s * s) + (x / s) * vt
+        return v, g, H
+
+    def _evaluate(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Order by order, so that memory holds one order's columns."""
+        a = self._analyze(values)
+        x = np.clip(pts[:, 2], -1.0, 1.0)
+        s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+        phi = np.arctan2(pts[:, 1], pts[:, 0])
+        B = self.band_limit
+        out = np.zeros(pts.shape[0])
+        for m in range(B + 1):
+            contrib = _real_matmul(_legendre_columns(m, B, x, s), a[m, m:])
+            if m == 0:
+                out += contrib.real
+            else:
+                e = np.exp(1j * m * phi)
+                out += 2.0 * (contrib * e).real
+        return out
+
+    @functools.cached_property
+    def _frames(self) -> np.ndarray:
+        L, M = self.resolution
+        theta = np.repeat(self.theta, M)
+        phi = np.tile(self.phi, L)
+        ct, st = np.cos(theta), np.sin(theta)
+        cp, sp = np.cos(phi), np.sin(phi)
+        e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
+        e_phi = np.stack([-sp, cp, np.zeros_like(cp)], axis=1)
+        frames = np.stack([e_theta, e_phi], axis=1)
+        _frozen(frames)
+        return frames
+
+    def _json_dict(self) -> dict:
+        L, M = self.resolution
+        return {"type": self.json_type, "polar": L, "azimuth": M}
+
+    @classmethod
+    def _from_json_dict(cls, d: dict) -> Grid:
+        polar = as_integer(d["polar"], "polar count")
+        if as_integer(d.get("azimuth", 2 * polar), "azimuth count") != 2 * polar:
+            raise ValueError("gl_product grids require azimuth = 2 * polar")
+        return cls.make(polar)
+
+
+_KINDS = (_UniformS1, _GLProductS2)
+
+
+def _kind(n: int) -> type[Grid]:
+    for kind in _KINDS:
+        if n == kind.dim:
+            return kind
+    raise ValueError(f"n must be 1 or 2, got {n}")
+
+
+def sphere_area(n: int) -> float:
+    """Surface area of the unit n-sphere, n in {1, 2}."""
+    return _kind(n).area
+
+
 def make_grid(n: int, resolution) -> Grid:
     """The standard grid on S^n, shared by all callers.
 
@@ -203,68 +483,12 @@ def make_grid(n: int, resolution) -> Grid:
     that is not an integer is a ValueError.  Equal arguments return the
     same Grid object, built once.
     """
-    if n == 1:
-        N = as_integer(resolution, "n=1 node count")
-        if N <= 0 or N % 2 != 0 or N < 4:
-            raise ValueError(f"n=1 grid needs an even node count >= 4, got {resolution}")
-        return _uniform_s1(N)
-    if n == 2:
-        L = as_integer(resolution, "n=2 polar count")
-        if L < 2:
-            raise ValueError(f"n=2 grid needs a polar count >= 2, got {resolution}")
-        return _gl_product_s2(L)
-    raise ValueError(f"n must be 1 or 2, got {n}")
-
-
-@functools.lru_cache(maxsize=None)
-def _uniform_s1(N: int) -> Grid:
-    theta = 2.0 * math.pi * np.arange(N) / N
-    nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    weights = np.full(N, 2.0 * math.pi / N)
-    anti = (np.arange(N) + N // 2) % N
-    _frozen(theta, nodes, weights, anti)
-    g = Grid(1, (N,), nodes, weights, anti, N // 2 - 1)
-    g._cache["theta"] = theta
-    return g
-
-
-@functools.lru_cache(maxsize=None)
-def _gl_product_s2(L: int) -> Grid:
-    M = 2 * L
-    x, wx = gauss_legendre(L)
-    # Symmetrize so the antipodal map is exact in floating point.
-    x = 0.5 * (x - x[::-1])
-    wx = 0.5 * (wx + wx[::-1])
-    order = np.argsort(-x)  # theta ascending from the north pole
-    x = x[order]
-    wx = wx[order]
-    theta = np.arccos(np.clip(x, -1.0, 1.0))
-    phi = 2.0 * math.pi * np.arange(M) / M
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    st, ct = s[:, None], x[:, None]
-    cp, sp = np.cos(phi)[None, :], np.sin(phi)[None, :]
-    nodes = np.stack(
-        [
-            (st * cp).ravel(),
-            (st * sp).ravel(),
-            np.broadcast_to(ct, (L, M)).ravel(),
-        ],
-        axis=1,
-    )
-    weights = (wx[:, None] * (2.0 * math.pi / M)).repeat(M).reshape(L, M).ravel()
-    ii, jj = np.meshgrid(np.arange(L), np.arange(M), indexing="ij")
-    anti = ((L - 1 - ii) * M + (jj + M // 2) % M).ravel()
-    _frozen(theta, phi, x, wx, s, nodes, weights, anti)
-    g = Grid(2, (L, M), nodes, weights, anti, L - 1)
-    g._cache.update(theta=theta, phi=phi, x=x, wx=wx, s=s)
-    return g
+    return _kind(n).make(resolution)
 
 
 def refine(grid: Grid) -> Grid:
     """Grid of the same family at doubled resolution."""
-    if grid.n == 1:
-        return make_grid(1, 2 * grid.resolution[0])
-    return make_grid(2, 2 * grid.resolution[0])
+    return make_grid(grid.n, 2 * grid.resolution[0])
 
 
 def _node_values(grid: Grid, values, stack: bool = True) -> np.ndarray:
@@ -303,134 +527,6 @@ def even_project(grid: Grid, values: np.ndarray) -> np.ndarray:
     return 0.5 * (v + v[grid.antipodal_index])
 
 
-def band_project(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Projection onto the grid's derivative-resolved band.
-
-    Node values can carry components the spectral derivatives do not see
-    (the Nyquist bin on S^1, everything above the Legendre band on S^2).
-    Evolution driven by pointwise terms can pump those components, so
-    time steppers project each accepted state back onto the band.
-    """
-    v = _node_values(grid, values)
-    if grid.n == 1:
-        c = np.fft.rfft(v)
-        c[..., grid.resolution[0] // 2] = 0.0
-        return np.fft.irfft(c, n=grid.size)
-    P = _s2_tables(grid)[0]
-    return _s2_synth_many(grid, _real_matmul(P, _s2_analyze(grid, v)))
-
-
-# ---------------------------------------------------------------------------
-# S^1 spectral calculus
-
-
-def _s1_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of each field of a stack (..., N), one rfft."""
-    return np.fft.rfft(values) / grid.resolution[0]
-
-
-def _s1_synth(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Node values of each coefficient row of a stack, one irfft."""
-    N = grid.resolution[0]
-    return np.fft.irfft(coeffs * N, n=N)
-
-
-def _s1_derivative_multipliers(grid: Grid, order: int) -> np.ndarray:
-    """(i k)^order for k = 0..N/2, cached read-only per grid."""
-    key = ("s1_mult", order)
-    mult = grid._cache.get(key)
-    if mult is None:
-        N = grid.resolution[0]
-        k = np.arange(N // 2 + 1, dtype=float)
-        mult = (1j * k) ** order
-        mult[-1] = 0.0  # Nyquist mode carries no derivative information
-        mult.flags.writeable = False
-        grid._cache[key] = mult
-    return mult
-
-
-# ---------------------------------------------------------------------------
-# S^2 spectral calculus
-
-
-def _legendre_columns(m: int, lmax: int, x: np.ndarray, s: np.ndarray | None) -> np.ndarray:
-    """Orthonormal associated Legendre P_l^m(x) for l = m..lmax, with
-    s = sqrt(1 - x^2) (read for m >= 1 only).
-
-    Normalized so that 2 pi * int_{-1}^{1} P_l^m P_l'^m dx = delta_{l l'}.
-    Returns shape (len(x), lmax - m + 1).
-    """
-    npts = x.shape[0]
-    out = np.empty((npts, lmax - m + 1))
-    pmm = np.full(npts, 1.0 / math.sqrt(4.0 * math.pi))
-    for mm in range(1, m + 1):
-        pmm = -math.sqrt((2 * mm + 1) / (2 * mm)) * s * pmm
-    out[:, 0] = pmm
-    if lmax > m:
-        out[:, 1] = math.sqrt(2 * m + 3) * x * pmm
-    for l in range(m + 2, lmax + 1):
-        a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-        b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-        out[:, l - m] = a * (x * out[:, l - m - 1] - b * out[:, l - m - 2])
-    return out
-
-
-def _s2_tables(grid: Grid):
-    """Legendre tables (P, dP, ll1) at the grid's polar nodes, cached.
-
-    P[m, j, l] is P_l^m at polar node j and dP[m, j, l] its theta
-    derivative, both of shape (B+1, L, B+1) and exactly zero for l < m;
-    ll1[l] = l (l + 1) for l = 0..B.
-    """
-    tab = grid._cache.get("s2_tables")
-    if tab is None:
-        x, s, B = grid._cache["x"], grid._cache["s"], grid.band_limit
-        P = np.zeros((B + 1, x.shape[0], B + 1))
-        for m in range(B + 1):
-            P[m, :, m:] = _legendre_columns(m, B, x, s)
-        # d/dtheta by the degree-lowering recurrence; c(l, m) = 0 for l <= m.
-        l = np.arange(B + 1, dtype=float)
-        m = l[:, None]
-        c = np.sqrt(np.abs((2 * l + 1) * (l * l - m * m) / (2 * l - 1))) * (l > m)
-        P_lower = np.concatenate([np.zeros_like(P[:, :, :1]), P[:, :, :-1]], axis=2)
-        dP = (l * x[:, None] * P - c[:, None, :] * P_lower) / s[:, None]
-        P.flags.writeable = dP.flags.writeable = False
-        tab = grid._cache["s2_tables"] = (P, dP, l * (l + 1.0))
-    return tab
-
-
-def _real_matmul(table: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """table @ z for real table (B+1, I, J) and complex z (..., B+1, J):
-    one real batched matmul over the orders m per field of the stack, on
-    the (re, im) view of z, with no complex copy of the table.  Fields
-    are not batched into one matmul: its blocking could change the
-    rounding."""
-    z = np.ascontiguousarray(z)
-    if z.ndim > 2:
-        return np.stack([_real_matmul(table, zf) for zf in z])
-    return (table @ z.view(float).reshape(z.shape + (2,))).view(complex)[..., 0]
-
-
-def _s2_analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Band-limited coefficients a[..., m, l], shape (..., B+1, B+1), zero
-    for l < m, of each field of a stack (..., size): one rfft."""
-    L, M = grid.resolution
-    P = _s2_tables(grid)[0]
-    G = np.fft.rfft(values.reshape(values.shape[:-1] + (L, M)), axis=-1) / M
-    w = np.swapaxes(grid._cache["wx"][:, None] * G[..., : grid.band_limit + 1], -1, -2)
-    return 2.0 * math.pi * _real_matmul(P.transpose(0, 2, 1), w)
-
-
-def _s2_synth_many(grid: Grid, profiles: np.ndarray) -> np.ndarray:
-    """Node values (..., size) of a stack of (B+1, L) polar profiles
-    table[m] @ a[m], shape (..., B+1, L): one irfft for the whole stack."""
-    L, M = grid.resolution
-    lead = profiles.shape[:-2]
-    G = np.zeros(lead + (L, M // 2 + 1), dtype=complex)
-    G[..., : grid.band_limit + 1] = np.swapaxes(profiles, -1, -2)
-    return np.fft.irfft(G * M, n=M, axis=-1).reshape(lead + (grid.size,))
-
-
 # ---------------------------------------------------------------------------
 # public spectral operators
 
@@ -457,8 +553,9 @@ def resolvent(
 
     R multiplies each mode by 1 / (1 + mu lambda), lambda = k^2 on S^1
     and l (l + 1) on S^2, and drops what lies above the band (the Nyquist
-    bin on S^1), so R v is band-limited.  A stack of fields (..., size)
-    is resolved in one pass, each output with the same leading axes.
+    bin on S^1), so R v is band-limited and R at mu = 0 is the band
+    projection.  A stack of fields (..., size) is resolved in one pass,
+    each output with the same leading axes.
     """
     return _spectral_pass(grid, values, mu, True, True)
 
@@ -467,142 +564,39 @@ def _spectral_pass(grid: Grid, values: np.ndarray, mu, first: bool, second: bool
     """(R v or None, gradient, Hessian) of v, or of R v when mu is given,
     for one field or a stack (..., size): one analysis of the stack, and
     on S^2 one synthesis of all its profiles."""
-    values = _node_values(grid, values)
-    v = None
-    if grid.n == 1:
-        c = _s1_coeffs(grid, values)
-        g = H = None
-        if mu is not None:
-            N = grid.resolution[0]
-            k = np.arange(N // 2 + 1, dtype=float)
-            c = c / (1.0 + mu * k * k)
-            c[..., -1] = 0.0
-            v = _s1_synth(grid, c)
-        if first:
-            g = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 1))[..., None]
-        if second:
-            H = _s1_synth(grid, c * _s1_derivative_multipliers(grid, 2))[..., None, None]
-        return v, g, H
-    P, dP, ll1 = _s2_tables(grid)
-    a = _s2_analyze(grid, values)
-    M = grid.resolution[1]
+    coeffs = grid._analyze(_node_values(grid, values))
     if mu is not None:
-        a = a / (1.0 + mu * ll1)
-    # Polar profiles per order m; azimuthal derivatives are 1j m and -m m.
-    m = np.arange(grid.band_limit + 1)[:, None]
-    v_m = _real_matmul(P, a)
-    vt_m = _real_matmul(dP, a)
-    profiles = [vt_m, (1j * m) * v_m]
-    if second:
-        profiles += [_real_matmul(P, ll1 * a), (1j * m) * vt_m, -(m * m) * v_m]
-    if mu is not None:
-        profiles.append(v_m)
-    fields = _s2_synth_many(grid, np.stack(profiles, axis=-3))
-    vt, fp, *rest = np.moveaxis(fields, -2, 0)
-    if mu is not None:
-        v = rest.pop()
-    g = None
-    if first:
-        g = np.stack([vt, fp * np.repeat(1.0 / grid._cache["s"], M)], axis=-1)
-    if not second:
-        return v, g, None
-    lap, ftp, fpp = rest
-    s = np.repeat(grid._cache["s"], M)
-    x = np.repeat(grid._cache["x"], M)
-    # theta-theta from the associated Legendre ODE; mixed and azimuthal
-    # entries carry the Christoffel corrections of the orthonormal frame.
-    H = np.empty(vt.shape + (2, 2))
-    H[..., 0, 0] = -(x / s) * vt - lap - fpp / (s * s)
-    H[..., 0, 1] = ftp / s - (x / (s * s)) * fp
-    H[..., 1, 0] = H[..., 0, 1]
-    H[..., 1, 1] = fpp / (s * s) + (x / s) * vt
-    return v, g, H
-
-
-def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Gradient in the orthonormal frame, shape (size, n)."""
-    return derivatives(grid, values, second=False)[0]
-
-
-def hessian(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Covariant Hessian in the orthonormal frame, shape (size, n, n)."""
-    return derivatives(grid, values, first=False)[1]
-
-
-def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami operator applied spectrally."""
-    values = _node_values(grid, values)
-    if grid.n == 1:
-        c = _s1_coeffs(grid, values)
-        return _s1_synth(grid, c * _s1_derivative_multipliers(grid, 2))
-    P, _, ll1 = _s2_tables(grid)
-    a = _s2_analyze(grid, values)
-    return _s2_synth_many(grid, _real_matmul(P, -ll1 * a))
+        coeffs = grid._resolve(coeffs, mu)
+    return grid._fields(coeffs, mu is not None, first, second)
 
 
 def frame_vectors(grid: Grid) -> np.ndarray:
     """Ambient coordinates of the orthonormal frame, shape (size, n, n+1),
     cached read-only per grid."""
-    frames = grid._cache.get("frames")
-    if frames is not None:
-        return frames
-    if grid.n == 1:
-        theta = grid._cache["theta"]
-        frames = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
-    else:
-        L, M = grid.resolution
-        theta = np.repeat(grid._cache["theta"], M)
-        phi = np.tile(grid._cache["phi"], L)
-        ct, st = np.cos(theta), np.sin(theta)
-        cp, sp = np.cos(phi), np.sin(phi)
-        e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
-        e_phi = np.stack([-sp, cp, np.zeros_like(cp)], axis=1)
-        frames = np.stack([e_theta, e_phi], axis=1)
-    _frozen(frames)
-    grid._cache["frames"] = frames
-    return frames
+    return grid._frames
 
 
 def resample(grid: Grid, values: np.ndarray, targets) -> np.ndarray:
     """Band-limited synthesis of a grid field at arbitrary directions.
 
     targets may be a Grid (its nodes are used) or an array of unit
-    directions with shape (T, n+1).
+    directions with shape (T, n+1).  Targets of another shape, or a row
+    that is not finite or whose norm is more than UNIT_TOL from 1, are a
+    ValueError; rows are not normalized.
     """
     values = _node_values(grid, values, stack=False)
     if isinstance(targets, Grid):
         if targets.n != grid.n:
             raise ValueError("target grid lives on a different sphere")
-        pts = targets.nodes
-    else:
-        pts = np.asarray(targets, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-    if pts.shape[1] != grid.n + 1:
-        raise ValueError(f"targets must have {grid.n + 1} components")
-    if grid.n == 1:
-        c = _s1_coeffs(grid, values)
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        K = grid.resolution[0] // 2
-        # (T, K) phases k theta; modes 1..K-1 count twice, Nyquist once.
-        kt = theta[:, None] * np.arange(1, K + 1)
-        ck = 2.0 * c[1:]
-        ck[-1] = c[K].real
-        return c[0].real + np.cos(kt) @ ck.real - np.sin(kt) @ ck.imag
-    a = _s2_analyze(grid, values)
-    x = np.clip(pts[:, 2], -1.0, 1.0)
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    B = grid.band_limit
-    out = np.zeros(pts.shape[0])
-    for m in range(B + 1):
-        contrib = _real_matmul(_legendre_columns(m, B, x, s), a[m, m:])
-        if m == 0:
-            out += contrib.real
-        else:
-            e = np.exp(1j * m * phi)
-            out += 2.0 * (contrib * e).real
-    return out
+        targets = targets.nodes
+    pts = np.asarray(targets, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != grid.n + 1:
+        raise ValueError(f"targets must have shape (T, {grid.n + 1}), got {pts.shape}")
+    off_unit = ~(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= UNIT_TOL)
+    if off_unit.any():
+        row = int(np.argmax(off_unit))
+        raise ValueError(f"target row {row} is not a unit direction: {pts[row]}")
+    return grid._evaluate(values, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -610,23 +604,15 @@ def resample(grid: Grid, values: np.ndarray, targets) -> np.ndarray:
 
 
 def grid_to_json_dict(grid: Grid) -> dict:
-    if grid.n == 1:
-        return {"type": "uniform_s1", "nodes": grid.resolution[0]}
-    return {"type": "gl_product", "polar": grid.resolution[0], "azimuth": grid.resolution[1]}
+    return grid._json_dict()
 
 
 def grid_from_json_dict(n: int, d: dict) -> Grid:
-    if d["type"] == "uniform_s1":
-        if n != 1:
-            raise ValueError("uniform_s1 grids live on S^1")
-        return make_grid(1, d["nodes"])
-    if d["type"] == "gl_product":
-        if n != 2:
-            raise ValueError("gl_product grids live on S^2")
-        polar = as_integer(d["polar"], "polar count")
-        if as_integer(d.get("azimuth", 2 * polar), "azimuth count") != 2 * polar:
-            raise ValueError("gl_product grids require azimuth = 2 * polar")
-        return make_grid(2, polar)
+    for kind in _KINDS:
+        if d["type"] == kind.json_type:
+            if n != kind.dim:
+                raise ValueError(f"{kind.json_type} grids live on S^{kind.dim}")
+            return kind._from_json_dict(d)
     raise ValueError(f"unknown grid type {d.get('type')!r}")
 
 

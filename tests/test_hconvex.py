@@ -88,7 +88,7 @@ def test_field_with_given_derivatives_makes_no_pass(grid, monkeypatch):
 
 def test_bodies_on_one_resolution_share_the_grid_tables(monkeypatch):
     # A fresh grid cache, so that the count sees the one table build.
-    sphere_grid._gl_product_s2.cache_clear()
+    sphere_grid._GLProductS2._build.cache_clear()
     grid = make_grid(2, 10)
     calls = []
     columns = sphere_grid._legendre_columns

@@ -14,9 +14,7 @@ from horocvx.lorentz import (
     hpoint,
     inner,
     inverse_isometry,
-    is_future_timelike,
     minkowski_norm,
-    normalize_to_hyperboloid,
     origin,
     validate_hpoint,
     validate_isometry,
@@ -49,11 +47,13 @@ def test_origin_and_hpoint():
 def test_minkowski_norm_and_normalization():
     X = 3.0 * origin(1)
     assert minkowski_norm(X) == 3.0
-    validate_hpoint(normalize_to_hyperboloid(X))
+    validate_hpoint(X / minkowski_norm(X))
     with pytest.raises(ValueError):
         minkowski_norm(np.array([1.0, 0.0, 0.0]))  # spacelike
-    assert is_future_timelike(X)
-    assert not is_future_timelike(np.array([2.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        minkowski_norm(np.array([2.0, 0.0, 1.0]))  # spacelike, positive height
+    with pytest.raises(ValueError):
+        minkowski_norm(-X)  # past timelike
 
 
 def test_geodesic_distance_oracle():

@@ -42,9 +42,8 @@ from horocvx import quermass
 from horocvx.hconvex import p_tensor
 from horocvx.quermass import _t_moments
 from horocvx.sphere_grid import (
+    derivatives,
     gauss_legendre,
-    gradient,
-    hessian,
     integrate,
     make_grid,
     sphere_area,
@@ -217,8 +216,7 @@ def _homotopy_reference(K, k, order):
     """The homotopy integral one t-node at a time, with a full A_t tensor."""
     grid, phi = K.grid, K.phi
     n = grid.n
-    g = gradient(grid, phi)
-    H = hessian(grid, phi)
+    g, H = derivatives(grid, phi)
     grad_sq = np.sum(g * g, axis=1)
     x, wts = gauss_legendre(order)
     ts = 0.5 * (x + 1.0)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from horocvx import sphere_grid
 from horocvx.sphere_grid import (
     antipodal,
-    band_project,
     derivatives,
     even_error,
     even_project,
@@ -22,12 +21,9 @@ from horocvx.sphere_grid import (
     field_to_json_dict,
     frame_vectors,
     gauss_legendre,
-    gradient,
     grid_from_json_dict,
     grid_to_json_dict,
-    hessian,
     integrate,
-    laplacian,
     load_field,
     make_grid,
     refine,
@@ -43,6 +39,28 @@ S2 = make_grid(2, 16)
 
 def s1_theta(grid):
     return grid.theta
+
+
+# The operators the package builds from its one spectral pass: the
+# gradient and the Hessian are parts of `derivatives`, the Laplacian is
+# the trace of the Hessian, and the band projection is the resolvent at
+# mu = 0.
+
+
+def gradient(grid, values):
+    return derivatives(grid, values, second=False)[0]
+
+
+def hessian(grid, values):
+    return derivatives(grid, values, first=False)[1]
+
+
+def laplacian(grid, values):
+    return np.trace(hessian(grid, values), axis1=-2, axis2=-1)
+
+
+def band_project(grid, values):
+    return resolvent(grid, values, 0.0)[0]
 
 
 def s2_angles(grid):
@@ -240,15 +258,14 @@ def test_s1_derivative_oracles():
 def _two_pass_gradient(grid, values):
     """Gradient from its own analysis, as before the fused pass."""
     if grid.n == 1:
-        c = sphere_grid._s1_coeffs(grid, values)
-        mult = sphere_grid._s1_derivative_multipliers(grid, 1)
-        return sphere_grid._s1_synth(grid, c * mult)[:, None]
-    P, dP, _ = sphere_grid._s2_tables(grid)
-    a = sphere_grid._s2_analyze(grid, values)
+        c = grid._analyze(values)
+        return grid._synthesize(c * grid._multipliers[0])[:, None]
+    P, dP, _ = grid._tables
+    a = grid._analyze(values)
     m = np.arange(grid.band_limit + 1)[:, None]
     ft_m = sphere_grid._real_matmul(dP, a)
     fp_m = (1j * m) * sphere_grid._real_matmul(P, a)
-    ft, fp = sphere_grid._s2_synth_many(grid, np.stack([ft_m, fp_m]))
+    ft, fp = grid._synthesize(np.stack([ft_m, fp_m]))
     inv_s = np.repeat(1.0 / grid.s, grid.resolution[1])
     return np.stack([ft, fp * inv_s], axis=1)
 
@@ -256,18 +273,17 @@ def _two_pass_gradient(grid, values):
 def _two_pass_hessian(grid, values):
     """Hessian from its own analysis, as before the fused pass."""
     if grid.n == 1:
-        c = sphere_grid._s1_coeffs(grid, values)
-        mult = sphere_grid._s1_derivative_multipliers(grid, 2)
-        return sphere_grid._s1_synth(grid, c * mult)[:, None, None]
-    P, dP, ll1 = sphere_grid._s2_tables(grid)
-    a = sphere_grid._s2_analyze(grid, values)
+        c = grid._analyze(values)
+        return grid._synthesize(c * grid._multipliers[1])[:, None, None]
+    P, dP, ll1 = grid._tables
+    a = grid._analyze(values)
     m = np.arange(grid.band_limit + 1)[:, None]
     M = grid.resolution[1]
     v_m = sphere_grid._real_matmul(P, a)
     vt_m = sphere_grid._real_matmul(dP, a)
     lap_m = sphere_grid._real_matmul(P, ll1 * a)
-    vt, lap, fp, ftp, fpp = sphere_grid._s2_synth_many(
-        grid, np.stack([vt_m, lap_m, (1j * m) * v_m, (1j * m) * vt_m, -(m * m) * v_m])
+    vt, lap, fp, ftp, fpp = grid._synthesize(
+        np.stack([vt_m, lap_m, (1j * m) * v_m, (1j * m) * vt_m, -(m * m) * v_m])
     )
     s = np.repeat(grid.s, M)
     x = np.repeat(grid.x, M)
@@ -315,7 +331,7 @@ def _per_order_tables(grid):
 @pytest.mark.parametrize("L", [2, 3, 8, 16, 64])
 def test_padded_legendre_tables_match_the_per_order_recurrence(L):
     grid = make_grid(2, L)
-    P, dP, ll1 = sphere_grid._s2_tables(grid)
+    P, dP, ll1 = grid._tables
     B = grid.band_limit
     assert P.shape == dP.shape == (B + 1, L, B + 1)
     assert not P.flags.writeable and not dP.flags.writeable
@@ -393,10 +409,10 @@ def test_one_synthesis_of_many_profiles_is_bitwise_one_per_profile():
     rng = np.random.default_rng(3)
     shape = (2, 6, S2.band_limit + 1, S2.resolution[0])
     profiles = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    fields = sphere_grid._s2_synth_many(S2, profiles)
+    fields = S2._synthesize(profiles)
     assert fields.shape == (2, 6, S2.size)
     for idx in np.ndindex(2, 6):
-        assert np.array_equal(fields[idx], sphere_grid._s2_synth_many(S2, profiles[idx]))
+        assert np.array_equal(fields[idx], S2._synthesize(profiles[idx]))
 
 
 @pytest.mark.parametrize("grid", [make_grid(1, 96), S2], ids=["s1", "s2"])
@@ -483,13 +499,16 @@ def test_s2_spherical_harmonic_laplacian():
 
 
 def test_hessian_trace_is_laplacian():
+    # cos theta has degree 1 and sin^2 theta cos 2 phi = z_1^2 - z_2^2
+    # degree 2, so the Laplacian scales them by -2 and -6.
     theta, phi = s2_angles(S2)
     f = 1.0 + 0.2 * np.cos(theta) + 0.1 * np.sin(theta) ** 2 * np.cos(2 * phi)
+    lap = -0.4 * np.cos(theta) - 0.6 * np.sin(theta) ** 2 * np.cos(2 * phi)
     H = hessian(S2, f)
-    assert np.allclose(H[:, 0, 0] + H[:, 1, 1], laplacian(S2, f), atol=1e-10)
+    assert np.allclose(H[:, 0, 0] + H[:, 1, 1], lap, atol=1e-10)
     t1 = s1_theta(S1)
     f1 = 2.0 + 0.3 * np.cos(4 * t1)
-    assert np.allclose(hessian(S1, f1)[:, 0, 0], laplacian(S1, f1), atol=1e-12)
+    assert np.allclose(hessian(S1, f1)[:, 0, 0], -4.8 * np.cos(4 * t1), atol=1e-12)
 
 
 def test_integration_by_parts():
@@ -604,6 +623,24 @@ def test_resample_rejects_mismatched_targets():
         resample(S1, np.ones(S1.size), S2)
     with pytest.raises(ValueError):
         resample(S2, np.ones(S2.size), np.ones((3, 2)))
+    # Targets are a (T, n+1) array of unit rows, taken as given: a row
+    # that is not a unit direction is refused, not normalized.
+    f = 2.0 + 0.1 * S2.nodes[:, 2]
+    north = [0.0, 0.0, 1.0]
+    for bad in (
+        [[1.0, 1.0, 1.0]],
+        [north, [0.0, 0.0, 0.0]],
+        [[0.0, math.nan, 1.0]],
+        [[math.inf, 0.0, 0.0]],
+        [[0.0, 0.0, 1.0 + 1e-11]],
+        north,
+        np.ones((2, 2, 3)) / math.sqrt(3.0),
+    ):
+        with pytest.raises(ValueError, match="targets must have shape|unit direction"):
+            resample(S2, f, bad)
+    with pytest.raises(ValueError, match="unit direction"):
+        resample(S1, np.ones(S1.size), [[0.0, 0.0]])
+    assert resample(S2, f, [[0.0, 0.0, 1.0 + 1e-13]]) == pytest.approx([2.1], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
