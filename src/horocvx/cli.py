@@ -36,7 +36,9 @@ and an `--out` and a `--terminal` that name one file.
 A flow config's keys are `flow.FlowConfig`'s fields plus `initial`,
 `grid`, `initial_radius` and `seed`.  FlowConfig checks its values when
 it is built; its ValueError is a usage error (`bad flow config <path>:
-...`), while a ValueError from the run itself is a failed flow (exit 1).
+...`).  What `flow.make_state` refuses (f failing assumption H under
+"strict", odd f under enforced evenness, an initial field that is not
+uniformly h-convex) fails the flow: exit 1, an `error:` line, no trace.
 """
 
 from __future__ import annotations
@@ -246,16 +248,16 @@ def _cmd_mkfield(args) -> int:
         if args.center == "origin":
             center = origin(grid.n)
         else:
-            coords = np.array([float(x) for x in args.center.split(",")])
-            if coords.size == grid.n + 1:
-                center = hpoint(coords)
-            elif coords.size == grid.n + 2:
-                validate_hpoint(coords)
-                center = coords
-            else:
-                raise UsageError(
-                    f"--center needs {grid.n + 1} spatial or {grid.n + 2} ambient coordinates"
-                )
+            try:
+                coords = np.array([float(x) for x in args.center.split(",")])
+                if coords.size not in (grid.n + 1, grid.n + 2):
+                    raise ValueError(
+                        f"needs {grid.n + 1} spatial or {grid.n + 2} ambient coordinates"
+                    )
+                center = hpoint(coords) if coords.size == grid.n + 1 else coords
+                validate_hpoint(center)
+            except ValueError as exc:
+                raise UsageError(f"bad --center {args.center!r}: {exc}") from None
         if args.radius is None:
             raise UsageError("--ball requires --radius")
         K = support_of_ball(grid, center, args.radius)

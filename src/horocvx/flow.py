@@ -30,8 +30,13 @@ while W_k is conserved at every step.  A step costs one batched
 resolvent pass of G and h, plus one projection-and-derivative pass of
 the new state: after its even projection (when enforced), resolvent with
 mu = 0 gives its band projection with the gradient and Hessian, all
-from one analysis.  That pass is the cone check, and its diagnostics
-start the next step and fill its trace row.
+from one analysis.  That pass is the cone check.
+
+A point of the flow is one frozen `FlowState`: the projected field, the
+run's data and the speed's parts there.  `make_state(config, phi0)`
+checks every input of a run that needs the grid and returns the
+evaluated start, `step(state, dt)` returns the next state, and `run`
+adds the step-size rule, the stop test and the trace.
 
 By default evenness is enforced for k >= 1, and for k = 0 when f and
 the initial phi are both even: large steps let roundoff in the odd
@@ -46,7 +51,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hconvex import SupportField, p_tensor
+from .hconvex import SupportField, measure_density, p_tensor
 from .problems import J_p, check_assumption_h, validate_f
 from .quermass import wk_value
 from .sphere_grid import (
@@ -102,8 +107,7 @@ class FlowConfig:
     """The settings of one flow run, checked where they enter: building a
     config with a value of the wrong type or out of range raises
     ValueError ("flow config <key> must be ..."), and the values are
-    stored as int or float.  Only what needs the grid, n against it and
-    f, waits for `make_state`.
+    stored as int or float.  What needs the grid waits for `make_state`.
     """
 
     n: int
@@ -143,16 +147,34 @@ class FlowConfig:
                 raise ValueError(f"flow config {key} must be {rule}, got {getattr(self, key)!r}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FlowState:
-    grid: Grid
-    phi: np.ndarray
-    n: int
+    """One point of a flow run: the band-projected field K; the run's data,
+    which `step` passes on unchanged (fpow = f^{-1/(n-k)}, even: project
+    each new state onto even fields, target: the W_k every step holds);
+    and the speed Phi G - h with its parts at K, evaluated (`_evaluate`)
+    when the state is built.  So `replace(state, K=L)` is the state at L;
+    it raises FlowStepError if L is off the uniformly h-convex cone.
+    """
+
+    K: SupportField
     k: int
     p: float
     f: np.ndarray
-    fpow: np.ndarray  # f^{-1/(n-k)}
-    even: bool = False  # project each step onto even fields
+    fpow: np.ndarray
+    even: bool
+    target: float
+    warnings: tuple[str, ...]
+    pA: np.ndarray = field(init=False)
+    Phi: float = field(init=False)
+    G: np.ndarray = field(init=False)
+    h: np.ndarray = field(init=False)
+    c: float = field(init=False)
+    speed: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name, value in zip(("pA", "Phi", "G", "h", "c", "speed"), _evaluate(self)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -193,36 +215,34 @@ def _in_cone(phi: np.ndarray) -> None:
         raise FlowStepError("phi left the positive cone")
 
 
-def _project(state: FlowState, phi: np.ndarray) -> SupportField:
-    """The field of phi projected onto even fields (when state.even) and
-    onto the grid's band, with its gradient and Hessian from the same
-    analysis; raises FlowStepError if phi or its projection is off the
-    positive cone.
+def _project(K: SupportField, even: bool) -> SupportField:
+    """K projected onto even fields (when even) and onto the grid's band,
+    with its gradient and Hessian from the same analysis; raises
+    FlowStepError if the projection is off the positive cone.
 
     resolvent with mu = 0 is the band projection: it keeps every mode
     below the band and drops the rest (the Nyquist bin on S^1).
     """
-    _in_cone(phi)
-    if state.even:
-        phi = even_project(state.grid, phi)
-    v, g, H = resolvent(state.grid, phi, 0.0)
+    grid, phi = K.grid, K.phi
+    if even:
+        phi = even_project(grid, phi)
+    v, g, H = resolvent(grid, phi, 0.0)
     _in_cone(v)
-    return SupportField.with_derivatives(state.grid, v, g, H)
+    return SupportField.with_derivatives(grid, v, g, H)
 
 
-def _evaluate(state: FlowState, K: SupportField) -> dict:
-    """Speed field and diagnostics at a candidate field; raises on cone exit."""
-    n, k, phi = state.n, state.k, K.phi
-    eigs = K.eigenvalues
+def _evaluate(state: FlowState) -> tuple:
+    """pA, Phi, G, h, c and the speed Phi G - h at state.K; raises
+    FlowStepError unless A[K] > 0."""
+    K, k = state.K, state.k
+    grid, phi, eigs = K.grid, K.phi, K.eigenvalues
     eig_min = float(np.min(eigs[:, 0]))
-    if eig_min <= 0.0:
-        raise FlowStepError(f"minimum eigenvalue of A reached {eig_min}")
-    nk = n - k
+    if not eig_min > 0.0:
+        raise FlowStepError(f"minimum eigenvalue of A is {eig_min}")
+    n, nk = grid.n, grid.n - k
     pA = p_tensor(K.A, nk)
-    num = integrate(state.grid, phi ** (-(k + 1.0)) * pA ** (1.0 - 1.0 / nk))
-    den = integrate(
-        state.grid, state.fpow * phi ** (-(k + (n + state.p) / nk)) * pA
-    )
+    num = integrate(grid, phi ** (-(k + 1.0)) * pA ** (1.0 - 1.0 / nk))
+    den = integrate(grid, state.fpow * phi ** (-(k + (n + state.p) / nk)) * pA)
     Phi = num / den
     G = phi ** (1.0 - (n + state.p) / nk) * state.fpow
     h = pA ** (-1.0 / nk)
@@ -231,7 +251,7 @@ def _evaluate(state: FlowState, K: SupportField) -> dict:
         c = float(np.max(pA ** (-2.0))) / n
     else:
         c = float(np.max(pA ** (-0.5) / (2.0 * eigs[:, 0])))
-    return dict(K=K, eig_min=eig_min, pA=pA, Phi=Phi, G=G, h=h, c=c, speed=Phi * G - h)
+    return pA, Phi, G, h, c, Phi * G - h
 
 
 def _is_even(grid: Grid, values: np.ndarray) -> bool:
@@ -240,76 +260,23 @@ def _is_even(grid: Grid, values: np.ndarray) -> bool:
 
 
 def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
-    """The flow's state at phi0; checks what the config could not check
-    without the grid: its n, and its data f."""
+    """The evaluated start of a run from phi0, with the target W_k fixed.
+
+    Checks in order what the config could not check without the grid: n,
+    f, for k >= 1 assumption H on f ("strict" raises, "warn" puts the
+    warning on the state), and even f when evenness is enforced.  Each
+    refusal is a ValueError, as is a phi0 whose projection is not
+    uniformly h-convex.
+    """
     grid = phi0.grid
-    n = grid.n
+    n, k = grid.n, config.k
     if config.n != n:
         raise ValueError(f"config has n = {config.n}, grid lives on S^{n}")
-    f = validate_f(np.ones(grid.size) if config.f is None else config.f, grid)
-    if config.enforce_even is None:
-        even = config.k >= 1 or (_is_even(grid, f) and _is_even(grid, phi0.phi))
-    else:
-        even = config.enforce_even
-    fpow = f ** (-1.0 / (n - config.k))
-    return FlowState(grid, phi0.phi.copy(), n, config.k, config.p, f, fpow, even)
-
-
-def step(state: FlowState, dt: float, diag: dict | None = None,
-         target: float | None = None) -> tuple[FlowState, dict]:
-    """One linearly implicit step holding W_k at target (default: its
-    value at state); returns the projected new state and its diagnostics.
-
-    diag is `_evaluate` at state; the Newton iterates are affine in Phi
-    on the derivatives cached in its field K.  Raises FlowStepError if
-    the new state leaves the uniformly h-convex cone or the constraint
-    does not converge; the caller is expected to halve dt and retry.
-    """
-    grid, phi, k = state.grid, state.phi, state.k
-    if diag is None:
-        diag = _evaluate(state, SupportField(grid, phi))
-    if target is None:
-        target = wk_value(diag["K"], k)
-    mu = dt * diag["c"]
-    (rG, rh), (gG, gh), (HG, Hh) = resolvent(grid, np.stack([diag["G"], diag["h"]]), mu)
-    w = phi ** (-(k + 1.0)) * diag["pA"]
-    Phi = integrate(grid, w * rh) / integrate(grid, w * rG)
-    for _ in range(NEWTON_MAX_ITER):
-        phi_new = phi + dt * (Phi * rG - rh)
-        _in_cone(phi_new)
-        K = SupportField.with_derivatives(
-            grid,
-            phi_new,
-            diag["K"].gradient + dt * (Phi * gG - gh),
-            diag["K"].hessian + dt * (Phi * HG - Hh),
-        )
-        residual = wk_value(K, k) - target
-        if abs(residual) <= NEWTON_RTOL * abs(target):
-            break
-        pA = p_tensor(K.A, state.n - k)
-        slope = dt * integrate(grid, phi_new ** (-(k + 1.0)) * pA * rG)
-        if not slope > 0.0:
-            raise FlowStepError(f"W_k constraint has slope {slope}")
-        Phi -= residual / slope
-    else:
-        raise FlowStepError(f"W_k constraint missed by {residual:.3e}")
-    K = _project(state, phi_new)
-    new_state = replace(state, phi=K.phi)
-    return new_state, _evaluate(new_state, K)
-
-
-def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
-    """Run the flow until the speed and gamma variation stop criteria.
-
-    Success requires sup |d phi/dt| < eps_stop and relative variation of
-    f^{-1} phi^{-p-n} p_{n-k}(lambda~) at most 10 eps_stop.
-    """
-    warnings: list[str] = []
-    state = make_state(config, phi0)
-    grid = state.grid
-    n, k = state.n, state.k
+    # A copy: the state's f must not change with the caller's array.
+    f = validate_f(np.ones(grid.size) if config.f is None else config.f, grid).copy()
+    warnings = []
     if k >= 1 and config.assumption_mode != "skip":
-        rep = check_assumption_h(state.f, grid, k, config.p)
+        rep = check_assumption_h(f, grid, k, config.p)
         if not rep.passes:
             msg = (
                 f"data fails the structural condition (regime {rep.regime}, "
@@ -318,45 +285,82 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
             if config.assumption_mode == "strict":
                 raise ValueError(msg)
             warnings.append(msg)
-    if state.even and not _is_even(grid, state.f):
-        raise ValueError(
-            f"evenness enforcement needs even data, deviation {even_error(grid, state.f)}"
-        )
-    K = _project(state, state.phi)
-    state.phi = K.phi
-    diag = _evaluate(state, K)
-    target = wk_value(K, k)
+    even = config.enforce_even
+    if even is None:
+        even = k >= 1 or (_is_even(grid, f) and _is_even(grid, phi0.phi))
+    if even and not _is_even(grid, f):
+        raise ValueError(f"evenness enforcement needs even data, deviation {even_error(grid, f)}")
+    try:
+        K = _project(phi0, even)
+        fpow = f ** (-1.0 / (n - k))
+        return FlowState(K, k, config.p, f, fpow, even, wk_value(K, k), tuple(warnings))
+    except FlowStepError as exc:
+        raise ValueError(f"initial field is not uniformly h-convex: {exc}") from None
 
-    omega = sphere_area(n)
+
+def step(state: FlowState, dt: float) -> FlowState:
+    """The next state: one linearly implicit step of size dt that holds
+    W_k at state.target.
+
+    The Newton iterates are affine in Phi on the derivatives cached in
+    state.K.  Raises FlowStepError if the new state leaves the uniformly
+    h-convex cone or the constraint does not converge; the caller is
+    expected to halve dt and retry.
+    """
+    K, k, target = state.K, state.k, state.target
+    grid, phi = K.grid, K.phi
+    (rG, rh), (gG, gh), (HG, Hh) = resolvent(grid, np.stack([state.G, state.h]), dt * state.c)
+    w = measure_density(K, 1.0, k)
+    Phi = integrate(grid, w * rh) / integrate(grid, w * rG)
+    for _ in range(NEWTON_MAX_ITER):
+        phi_new = phi + dt * (Phi * rG - rh)
+        _in_cone(phi_new)
+        trial = SupportField.with_derivatives(
+            grid, phi_new, K.gradient + dt * (Phi * gG - gh), K.hessian + dt * (Phi * HG - Hh)
+        )
+        residual = wk_value(trial, k) - target
+        if abs(residual) <= NEWTON_RTOL * abs(target):
+            break
+        slope = dt * integrate(grid, measure_density(trial, 1.0, k) * rG)
+        if not slope > 0.0:
+            raise FlowStepError(f"W_k constraint has slope {slope}")
+        Phi -= residual / slope
+    else:
+        raise FlowStepError(f"W_k constraint missed by {residual:.3e}")
+    return replace(state, K=_project(trial, state.even))
+
+
+def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
+    """Run the flow from `make_state(config, phi0)` until the speed and
+    gamma variation stop criteria.
+
+    Success requires sup |d phi/dt| < eps_stop and relative variation of
+    f^{-1} phi^{-p-k} p_{n-k}(A) at most 10 eps_stop.
+    """
+    state = make_state(config, phi0)
+    grid, k, f = state.K.grid, state.k, state.f
+    omega = sphere_area(grid.n)
     trace = FlowTrace()
-    t = 0.0
-    steps = 0
-    rejections = 0
-    status = "max-steps"
-    dt = config.max_dt
-    if config.dt_initial is not None:
-        dt = min(dt, config.dt_initial)
+    t, steps, rejections = 0.0, 0, 0
+    dt = min(config.max_dt, config.dt_initial or config.max_dt)
     speed_prev = math.nan
     while True:
-        speed = diag["speed"]
-        gamma_field = state.phi ** (-(state.p + k)) * diag["pA"] / state.f
+        K = state.K
+        gamma_field = measure_density(K, state.p, k) / f
         gamma = integrate(grid, gamma_field) / omega
         gamma_var = float((np.max(gamma_field) - np.min(gamma_field)) / gamma)
-        speed_sup = float(np.max(np.abs(speed)))
+        speed_sup = float(np.max(np.abs(state.speed)))
         stop = speed_sup < config.eps_stop and gamma_var <= 10.0 * config.eps_stop
         terminal_row = stop or steps >= config.max_steps
         row = None
         if terminal_row or steps % config.trace_every == 0:
-            grad_ratio = float(
-                np.max(np.sqrt(np.sum(diag["K"].gradient ** 2, axis=1)) / state.phi)
-            )
             row = dict(
                 t=t,
-                Wk=target if steps == 0 else wk_value(diag["K"], k),
-                Jp=J_p(diag["K"], state.f, state.p),
-                minEigA=diag["eig_min"],
-                maxGradRatio=grad_ratio,
-                evenErr=even_error(grid, state.phi),
+                Wk=wk_value(K, k),
+                Jp=J_p(K, f, state.p),
+                minEigA=float(np.min(K.eigenvalues[:, 0])),
+                maxGradRatio=float(np.max(np.sqrt(np.sum(K.gradient ** 2, axis=1)) / K.phi)),
+                evenErr=even_error(grid, K.phi),
                 gammaVar=gamma_var,
                 speedSup=speed_sup,
             )
@@ -372,7 +376,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         rejected = 0
         while True:
             try:
-                new_state, diag = step(state, dt, diag, target)
+                new_state = step(state, dt)
                 break
             except FlowStepError:
                 dt *= 0.5
@@ -391,12 +395,12 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         steps += 1
     return FlowResult(
         status=status,
-        terminal=diag["K"],
+        terminal=state.K,
         gamma=gamma,
         gamma_variation=gamma_var,
         trace=trace,
         steps=steps,
         t_final=t,
-        warnings=warnings,
+        warnings=list(state.warnings),
         rejections=rejections,
     )

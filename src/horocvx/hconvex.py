@@ -31,7 +31,6 @@ __all__ = [
     "a_eigenvalues",
     "p_tensor",
     "measure_density",
-    "shifted_form",
     "plus_identity",
     "convexity",
     "boundary_data",
@@ -138,9 +137,10 @@ class SupportField:
 
     @cached_property
     def _shifted(self) -> tuple:
-        """q = |Dphi|^2 / (2 phi) and A[phi], read-only."""
-        q, A = shifted_form(self.phi, *self._derivatives)
-        return _read_only(q), A
+        """Read-only q = |Dphi|^2 / (2 phi) and A[phi] = D^2 phi + ((phi - 1/phi) / 2 - q) I."""
+        phi, (g, H) = self.phi, self._derivatives
+        q = 0.5 * np.sum(g * g, axis=1) / phi
+        return _read_only(q), plus_identity(H, -q + 0.5 * (phi - 1.0 / phi))
 
     @classmethod
     def with_derivatives(cls, grid: Grid, phi, gradient, hessian) -> SupportField:
@@ -239,12 +239,6 @@ def support_of_ball(grid: Grid, X, r: float) -> SupportField:
     return SupportField(grid, math.exp(r) * point.phi)
 
 
-def shifted_form(phi: np.ndarray, g: np.ndarray, H: np.ndarray):
-    """q = |Dphi|^2 / (2 phi) and A[phi] = D^2 phi + ((phi - 1/phi) / 2 - q) I."""
-    q = 0.5 * np.sum(g * g, axis=1) / phi
-    return q, plus_identity(H, -q + 0.5 * (phi - 1.0 / phi))
-
-
 def plus_identity(M: np.ndarray, s: np.ndarray) -> np.ndarray:
     """M + s I, read-only, for pointwise forms M of shape (size, n, n) and
     a node field s."""
@@ -289,7 +283,9 @@ def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
     return K.phi ** (-(p + k)) * p_tensor(K.A, n - k)
 
 
-def _classify(K: SupportField) -> ConvexityReport:
+def convexity(K: SupportField) -> ConvexityReport:
+    """Classify by the minimum eigenvalue of A[phi] over the grid, against
+    the tolerance UNIFORM_TOL_SCALE (1 + max phi)."""
     eigs = K.eigenvalues
     tol = UNIFORM_TOL_SCALE * (1.0 + float(np.max(K.phi)))
     node = int(np.argmin(eigs[:, 0]))
@@ -303,19 +299,13 @@ def _classify(K: SupportField) -> ConvexityReport:
     return ConvexityReport(cls, min_eig, node, tol)
 
 
-def convexity(K: SupportField) -> ConvexityReport:
-    """Classify by the minimum eigenvalue of A[phi] over the grid, against
-    the tolerance UNIFORM_TOL_SCALE (1 + max phi)."""
-    return _classify(K)
-
-
 def boundary_data(K: SupportField) -> BoundaryData:
     """Boundary points, normals and curvature data of K, computed once
     per field.
 
     Requires at least h-convexity; raises ValueError otherwise.
     """
-    report = _classify(K)
+    report = convexity(K)
     if report.classification == "not-h-convex":
         raise ValueError(
             f"field is not h-convex: min eig A = {report.min_eigenvalue} "

@@ -81,12 +81,15 @@ def hpoint(spatial) -> np.ndarray:
     return np.concatenate([x, [math.sqrt(1.0 + float(x @ x))]])
 
 
-def validate_hpoint(X, tol: float = HPOINT_TOL) -> None:
+def validate_hpoint(X) -> None:
+    """ValueError unless X is a finite hyperboloid point; NaN fails each bound."""
     X = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"point {X} is not finite")
     q = inner(X, X)
-    if abs(q + 1.0) > tol:
-        raise ValueError(f"<X, X> = {q}, expected -1 within {tol}")
-    if X[-1] < 1.0 - tol:
+    if not abs(q + 1.0) <= HPOINT_TOL:
+        raise ValueError(f"<X, X> = {q}, expected -1 within {HPOINT_TOL}")
+    if not X[-1] >= 1.0 - HPOINT_TOL:
         raise ValueError(f"height {X[-1]} below 1")
 
 
@@ -96,15 +99,18 @@ def _eta(dim: int) -> np.ndarray:
     return e
 
 
-def validate_isometry(F, tol: float = ISOMETRY_TOL) -> None:
+def validate_isometry(F) -> None:
+    """ValueError unless F is a finite, future-preserving Lorentz matrix."""
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ValueError("isometry must be a square matrix")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("isometry must be finite")
     eta = _eta(F.shape[0])
     defect = np.max(np.abs(F.T @ eta @ F - eta))
-    if defect > tol:
-        raise ValueError(f"F^T eta F - eta deviates by {defect}, tolerance {tol}")
-    if F[-1, -1] < 1.0:
+    if not defect <= ISOMETRY_TOL:
+        raise ValueError(f"F^T eta F - eta deviates by {defect}, tolerance {ISOMETRY_TOL}")
+    if not F[-1, -1] >= 1.0:
         raise ValueError("isometry does not preserve the future cone")
 
 

@@ -31,11 +31,9 @@ __all__ = [
     "ball_solutions",
     "check_assumption_h",
     "validate_f",
-    "ROOT_RESIDUAL_TOL",
     "ASSUMPTION_TIE_TOL",
 ]
 
-ROOT_RESIDUAL_TOL = 1e-12
 ASSUMPTION_TIE_TOL = 1e-10
 GAMMA0_MATCH_TOL = 1e-13
 

@@ -61,7 +61,6 @@ __all__ = [
     "run_all",
     "write_records_csv",
     "all_passed",
-    "random_h_convex_fields",
     "DEFAULT_TOL",
     "DEFAULT_EQ_TOL",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 from horocvx import lorentz
 from horocvx.euclid_bridge import V_functional, V_p_functional, commute_check
 from horocvx.flow import FlowConfig, run
-from horocvx.hconvex import SupportField, boundary_data, support_of_ball
+from horocvx.hconvex import SupportField, boundary_data, random_h_convex_fields, support_of_ball
 from horocvx.problems import ball_solutions, kw_residual, measure_density, pde_residual
 from horocvx.psum import p_sum, two_point_ball
 from horocvx.quermass import (
@@ -26,7 +26,7 @@ from horocvx.quermass import (
     wk_value,
 )
 from horocvx.sphere_grid import integrate, make_grid, refine
-from horocvx.verify import all_passed, Corpus, random_h_convex_fields, run_suite
+from horocvx.verify import all_passed, Corpus, run_suite
 
 
 def report(name: str, ok: bool, detail: str) -> None:

@@ -89,7 +89,7 @@ def test_mkfield_random_is_seeded(tmp_path):
     assert read_json(a)["values"] != read_json(c)["values"]
 
 
-def test_mkfield_usage_errors(tmp_path):
+def test_mkfield_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.json")
     assert main(["mkfield", "--grid", "s1:64", "--out", out]) == 2  # no mode
     assert main(["mkfield", "--grid", "s1:63", "--ball", "--radius", "1", "--out", out]) == 2
@@ -99,6 +99,12 @@ def test_mkfield_usage_errors(tmp_path):
     assert (
         main(["mkfield", "--grid", "s1:64", "--constant", "-1.0", "--out", out]) == 2
     )
+    # A center that does not parse, is not finite, or is off the hyperboloid.
+    for center in ("1,abc", "nan,0", "0.5,0,2"):
+        argv = ["mkfield", "--grid", "s1:64", "--ball", "--radius", "1", "--center", center]
+        capsys.readouterr()
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad --center {center!r}:")
 
 
 def test_cli_arg_parsing_exit_codes(tmp_path):
@@ -883,6 +889,21 @@ def test_nonconvex_input_is_a_runtime_error(tmp_path):
     save_field(bad, grid, 2.2 * (1.0 + 0.05 * np.cos(3 * theta)), kind="support")
     rc = main(["steiner", "--K", str(bad), "--rho", "0.3", "--out", str(tmp_path / "o.json")])
     assert rc == 1
+    # A flow from a field off the cone fails where the run starts: an
+    # error line, no trace and no traceback.
+    grid = make_grid(1, 32)
+    save_field(tmp_path / "kinked.json", grid, 2.0 * (1.0 + 0.3 * np.cos(6 * grid.theta)))
+    (tmp_path / "flow.json").write_text(json.dumps({"n": 1, "k": 0, "p": 0.0, "initial": "kinked.json"}))
+    src = str(Path(horocvx.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "horocvx.cli", "flow", "--config", "flow.json", "--out", "t.csv"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: initial field is not uniformly h-convex:")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "t.csv").exists()
 
 
 # One valid command line per subcommand, without --out, on the fields

@@ -46,8 +46,7 @@ def test_phi_global_oracle():
     state = make_state(
         FlowConfig(n=1, k=0, p=0.0), SupportField(S1, np.full(S1.size, 2.0))
     )
-    Phi = flow._evaluate(state, SupportField(state.grid, state.phi))["Phi"]
-    assert Phi == pytest.approx(4.0 / 3.0, abs=1e-14)
+    assert state.Phi == pytest.approx(4.0 / 3.0, abs=1e-14)
 
 
 def test_ball_is_stationary():
@@ -121,28 +120,27 @@ def rk4_reference(cfg, body):
     replaced: Phi refreshed at every stage, dt the smallest of max_dt, the
     0.05 lambda^2 h^2 limiter and twice the inverse of c times the
     spectral radius of the Laplacian on the band."""
-    state = make_state(cfg, body)
-    grid, n = state.grid, state.n
+    state = make_state(cfg, body)  # its field is the projected body
+    grid, phi = state.K.grid, state.K.phi
+    n = grid.n
     nk = n - state.k
-    phi = even_project(grid, state.phi) if state.even else state.phi
-    phi = resolvent(grid, phi, 0.0)[0]
     h = (2.0 if n == 1 else 1.0) * math.pi / grid.resolution[0]
     B = grid.band_limit
     omega = 2.0 * math.pi if n == 1 else 4.0 * math.pi
     while True:
-        d = flow._evaluate(state, SupportField(grid, phi))
-        gamma_field = phi ** (-(state.p + state.k)) * d["pA"] / state.f
+        d = replace(state, K=SupportField(grid, phi))
+        gamma_field = phi ** (-(state.p + state.k)) * d.pA / state.f
         gamma = integrate(grid, gamma_field) / omega
         gamma_var = (np.max(gamma_field) - np.min(gamma_field)) / gamma
-        if np.max(np.abs(d["speed"])) < cfg.eps_stop and gamma_var <= 10 * cfg.eps_stop:
+        if np.max(np.abs(d.speed)) < cfg.eps_stop and gamma_var <= 10 * cfg.eps_stop:
             return phi, gamma
-        lam = np.min(phi * d["pA"] ** (1.0 / nk))
-        dt = min(0.05 * lam**2 * h * h, 2.0 / (d["c"] * B * (B + n - 1)), cfg.max_dt)
+        lam = np.min(phi * d.pA ** (1.0 / nk))
+        dt = min(0.05 * lam**2 * h * h, 2.0 / (d.c * B * (B + n - 1)), cfg.max_dt)
 
         def speed(x):
-            return flow._evaluate(state, SupportField(grid, x))["speed"]
+            return replace(state, K=SupportField(grid, x)).speed
 
-        k1 = d["speed"]
+        k1 = d.speed
         k2 = speed(phi + 0.5 * dt * k1)
         k3 = speed(phi + 0.5 * dt * k2)
         k4 = speed(phi + dt * k3)
@@ -297,22 +295,22 @@ def test_step_rejects_cone_exit():
 def test_step_holds_wk_to_roundoff():
     state = make_state(FlowConfig(n=2, k=1, p=1.0), perturbed_sphere())
     w0 = wk_value(perturbed_sphere(), 1)
-    new_state, _ = step(state, 0.05)
-    w1 = wk_value(SupportField(S2, new_state.phi), 1)
+    new_state = step(state, 0.05)
+    w1 = wk_value(SupportField(S2, new_state.K.phi), 1)
     assert abs(w1 - w0) <= 1e-12 * w0
-    assert np.max(np.abs(new_state.phi - state.phi)) > 1e-4
+    assert np.max(np.abs(new_state.K.phi - state.K.phi)) > 1e-4
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_evaluate_raises_flow_step_error_off_the_cone(bad):
-    # Each candidate state reaches _evaluate through the projection, whose
-    # cone check makes any phi off it, NaN and inf included, a
+    # Each stepped phi passes the cone check before it becomes a trial
+    # field, so any phi off the cone, NaN and inf included, is a
     # FlowStepError rather than SupportField's ValueError.
     state = make_state(FlowConfig(n=1, k=0, p=0.0), perturbed_circle())
-    phi = state.phi.copy()
+    phi = state.K.phi.copy()
     phi[5] = bad
     with pytest.raises(FlowStepError):
-        flow._project(state, phi)
+        flow._in_cone(phi)
 
 
 def test_rejected_projected_state_halves_dt_and_continues(monkeypatch):
@@ -322,11 +320,11 @@ def test_rejected_projected_state_halves_dt_and_continues(monkeypatch):
     real = flow._project
     calls = []
 
-    def faulty(state, phi):
+    def faulty(K, even):
         # Call 1 projects the initial field; call 2 is the first stepped
         # state, which gets a kink no uniformly h-convex body has.
         calls.append(1)
-        K = real(state, phi)
+        K = real(K, even)
         if len(calls) == 2:
             K = SupportField(K.grid, K.phi * (1.0 + 0.3 * np.cos(12 * K.grid.theta)))
         return K
@@ -370,21 +368,21 @@ def test_trace_wk_matches_a_fresh_homotopy(cfg, body):
 )
 def test_accepted_states_cache_their_own_derivatives(cfg, body, monkeypatch):
     # Each accepted state keeps the derivatives of the projection pass that
-    # made it; they must be those of its stored phi, or the Wk and Jp
-    # columns would measure another field.  eps_stop is below the roundoff
-    # floor of speedSup, so both runs take all their steps.
+    # made it; they must be those of its phi, or the Wk and Jp columns
+    # would measure another field.  eps_stop is below the roundoff floor
+    # of speedSup, so both runs take all their steps.
     real, accepted = flow.step, []
 
     def recording(*args, **kwargs):
-        new_state, diag = real(*args, **kwargs)
-        accepted.append((new_state, diag["K"]))
-        return new_state, diag
+        new_state = real(*args, **kwargs)
+        accepted.append(new_state)
+        return new_state
 
     monkeypatch.setattr(flow, "step", recording)
     res = run(cfg, body())
     assert res.steps == len(accepted) == cfg.max_steps
-    for state, K in accepted:
-        assert K.phi is state.phi
+    for state in accepted:
+        K = state.K
         g, H = derivatives(K.grid, K.phi)
         assert np.max(np.abs(K.gradient - g)) <= 1e-12
         assert np.max(np.abs(K.hessian - H)) <= 1e-12
@@ -576,11 +574,19 @@ def test_flow_config_stores_ints_and_floats():
 
 
 def test_even_enforcement_rejects_odd_data():
+    # make_state refuses what run refuses: the default evenness at k = 1,
+    # and evenness forced on at k = 0.
     z = S2.nodes
     f = 1.0 + 0.5 * z[:, 0]  # odd part breaks the symmetry requirement
-    cfg = FlowConfig(n=2, k=1, p=1.0, f=f, max_steps=5)
-    with pytest.raises(ValueError, match="even"):
-        run(cfg, perturbed_sphere())
+    odd_s1 = 1.0 + 0.2 * np.cos(S1.theta)
+    cases = [
+        (FlowConfig(n=2, k=1, p=1.0, f=f, max_steps=5), perturbed_sphere()),
+        (FlowConfig(n=1, k=0, p=0.0, f=odd_s1, enforce_even=True), perturbed_circle()),
+    ]
+    for cfg, body in cases:
+        for call in (make_state, run):
+            with pytest.raises(ValueError, match="evenness enforcement needs even data"):
+                call(cfg, body)
 
 
 def test_assumption_mode_strict_and_warn():
@@ -588,14 +594,17 @@ def test_assumption_mode_strict_and_warn():
     # Even but steep data fails the structural condition at p = 1.
     f = 1.0 + 0.25 * (3.0 * z[:, 2] ** 2 - 1.0)
     strict = FlowConfig(n=2, k=1, p=1.0, f=f, max_steps=1)
-    with pytest.raises(ValueError, match="structural condition"):
-        run(strict, perturbed_sphere())
+    for call in (make_state, run):
+        with pytest.raises(ValueError, match="structural condition"):
+            call(strict, perturbed_sphere())
     warn = FlowConfig(
         n=2, k=1, p=1.0, f=f, max_steps=1, assumption_mode="warn"
     )
     res = run(warn, perturbed_sphere())
     assert len(res.warnings) == 1
     assert "structural condition" in res.warnings[0]
+    # The warning is on the start and on every state after it.
+    assert make_state(warn, perturbed_sphere()).warnings == tuple(res.warnings)
     skip = FlowConfig(
         n=2, k=1, p=1.0, f=f, max_steps=1, assumption_mode="skip"
     )
@@ -607,3 +616,35 @@ def test_enforce_even_override():
     cfg = FlowConfig(n=1, k=0, p=0.0, enforce_even=True, max_steps=50)
     res = run(cfg, perturbed_circle())
     assert np.max(res.trace.column("evenErr")) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the evaluated start, and the state as a function of its field
+
+
+def test_start_off_the_cone_is_a_value_error_naming_the_eigenvalue():
+    grid = make_grid(1, 32)
+    K = SupportField(grid, 2.0 * (1.0 + 0.3 * np.cos(6.0 * grid.theta)))
+    cfg = FlowConfig(n=1, k=0, p=0.0)
+    for call in (make_state, run):
+        with pytest.raises(ValueError, match="not uniformly h-convex: minimum eigenvalue of A is -"):
+            call(cfg, K)
+
+
+def test_a_state_is_evaluated_at_its_field():
+    state = make_state(FlowConfig(n=2, k=1, p=1.0), perturbed_sphere())
+    assert state.target == wk_value(state.K, 1)
+    new_state = step(state, 0.05)
+    assert new_state.target == state.target and new_state.f is state.f
+    again = replace(state, K=new_state.K)
+    for name in ("pA", "G", "h", "speed"):
+        assert np.array_equal(getattr(again, name), getattr(new_state, name))
+    assert (again.Phi, again.c) == (new_state.Phi, new_state.c)
+    kinked = SupportField(S2, 2.0 * (1.0 + 0.3 * S2.nodes[:, 2] ** 6))
+    with pytest.raises(FlowStepError, match="eigenvalue"):
+        replace(state, K=kinked)
+    # The state's data do not change with the caller's array.
+    f = np.ones(S2.size)
+    state = make_state(FlowConfig(n=2, k=1, p=1.0, f=f), perturbed_sphere())
+    f[0] = 5.0
+    assert state.f[0] == 1.0

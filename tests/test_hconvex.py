@@ -208,7 +208,7 @@ def test_ball_boundary_values():
         assert np.allclose(bd.X[:, :-1], -0.75 * grid.nodes, atol=1e-12)
         assert np.allclose(bd.X[:, -1], 1.25, atol=1e-12)
         for row in bd.X:
-            validate_hpoint(row, tol=1e-10)
+            validate_hpoint(row)
 
 
 def test_point_boundary_collapses_to_the_point():

@@ -42,6 +42,10 @@ def test_origin_and_hpoint():
         validate_hpoint(np.array([1.0, 0.0, 1.0]))  # null vector
     with pytest.raises(ValueError):
         validate_hpoint(np.array([0.0, 0.0, -1.0]))  # past sheet
+    # Every comparison with NaN is false, so NaN and inf must fail by name.
+    for bad in ([math.nan, 0.0, 1.0], [0.0, 0.0, math.nan], [math.inf, 0.0, math.inf]):
+        with pytest.raises(ValueError, match="not finite"):
+            validate_hpoint(np.array(bad))
 
 
 def test_minkowski_norm_and_normalization():
@@ -123,6 +127,13 @@ def test_apply_isometry_rejects_non_isometries():
     T = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         validate_isometry(T)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            apply_isometry(np.full((3, 3), bad), origin(1))
+        F = np.eye(3)
+        F[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            validate_isometry(F)
 
 
 def test_apply_isometry_batches():

@@ -15,6 +15,7 @@ from horocvx.hconvex import (
     boundary_data,
     convexity,
     measure_density,
+    random_h_convex_fields,
     support_of_ball,
     support_of_point,
 )
@@ -48,7 +49,6 @@ from horocvx.sphere_grid import (
     make_grid,
     sphere_area,
 )
-from horocvx.verify import random_h_convex_fields
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)

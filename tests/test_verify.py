@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from horocvx import quermass
-from horocvx.hconvex import convexity
+from horocvx.hconvex import convexity, random_h_convex_fields
 from horocvx.sphere_grid import make_grid
 from horocvx.verify import (
     EXPLORATORY_SUITES,
@@ -16,7 +16,6 @@ from horocvx.verify import (
     CheckRecord,
     Corpus,
     all_passed,
-    random_h_convex_fields,
     run_all,
     run_suite,
     write_records_csv,
