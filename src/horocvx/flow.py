@@ -293,7 +293,7 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     try:
         K = _project(phi0, even)
         fpow = f ** (-1.0 / (n - k))
-        return FlowState(K, k, config.p, f, fpow, even, wk_value(K, k), tuple(warnings))
+        return FlowState(K, k, config.p, f, fpow, even, K.memo(wk_value, k), tuple(warnings))
     except FlowStepError as exc:
         raise ValueError(f"initial field is not uniformly h-convex: {exc}") from None
 
@@ -356,7 +356,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         if terminal_row or steps % config.trace_every == 0:
             row = dict(
                 t=t,
-                Wk=wk_value(K, k),
+                Wk=K.memo(wk_value, k),
                 Jp=J_p(K, f, state.p),
                 minEigA=float(np.min(K.eigenvalues[:, 0])),
                 maxGradRatio=float(np.max(np.sqrt(np.sum(K.gradient ** 2, axis=1)) / K.phi)),

@@ -243,8 +243,8 @@ def plus_identity(M: np.ndarray, s: np.ndarray) -> np.ndarray:
     """M + s I, read-only, for pointwise forms M of shape (size, n, n) and
     a node field s."""
     out = M.copy()
-    idx = np.arange(M.shape[1])
-    out[:, idx, idx] += s[:, None]
+    for i in range(M.shape[1]):
+        out[:, i, i] += s
     return _read_only(out)
 
 

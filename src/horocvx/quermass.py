@@ -293,17 +293,21 @@ def classical_curvature_density(K: SupportField, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _moment_tables(n: int, js: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only exponents a, matrix C(j, i) (-1)^{j-i} and series
-    coefficients of `_t_moments`."""
+def _moment_tables(n: int, js: range) -> tuple:
+    """Read-only tables of `_t_moments`: exponents a, divisors where(a == 0,
+    1, a) as a column, the row of a = 0 (None if none), matrix
+    C(j, i) (-1)^{j-i}, powers j + 1 as a column and series coefficients."""
     a = np.arange(-n, js[-1] - n + 1)
+    div = np.where(a == 0, 1, a)[:, None]
+    zero = n if a.size > n else None
     B = np.array([[(-1) ** (j - i) * math.comb(j, i) for i in range(a.size)] for j in js], float)
+    powers = np.array(js)[:, None] + 1.0
     series = np.array(
         [[math.comb(n + i, i) / (i + j + 1) for j in js] for i in range(MOMENT_SERIES_TERMS)]
     )
-    for table in (a, B, series):
+    for table in (a, div, B, powers, series):
         table.flags.writeable = False
-    return a, B, series
+    return a, div, zero, B, powers, series
 
 
 def _t_moments(n: int, d: np.ndarray, js: range) -> np.ndarray:
@@ -315,19 +319,28 @@ def _t_moments(n: int, d: np.ndarray, js: range) -> np.ndarray:
     F_a = ((1 + d)^a - 1) / a = expm1(a log1p(d)) / a and F_0 = log1p(d).
     Below the switch those terms cancel, and the binomial series
     I_j = sum_i C(n+i, i) (-d)^i / (j+i+1) is one Vandermonde matmul.
+    A d on one side of the switch, as every flow field is, skips the masks.
     """
-    a, B, series = _moment_tables(n, js)
-    out = np.empty((d.size, len(js)))
+    a, div, zero, B, powers, series = _moment_tables(n, js)
+
+    def closed_form(x):
+        log1p_x = np.log1p(x)
+        F = np.expm1(np.outer(a, log1p_x)) / div
+        if zero is not None:
+            F[zero] = log1p_x
+        return ((B @ F) / x ** powers).T
+
+    def binomial_series(x):
+        return np.vander(-x, MOMENT_SERIES_TERMS, increasing=True) @ series
+
     far = np.abs(d) >= MOMENT_SERIES_SWITCH
-    if np.any(far):
-        df = d[far]
-        log1p_d = np.log1p(df)
-        F = np.expm1(np.outer(a, log1p_d)) / np.where(a == 0, 1, a)[:, None]
-        F[a == 0] = log1p_d
-        out[far] = ((B @ F) / df ** (np.array(js)[:, None] + 1.0)).T
-    near = ~far
-    if np.any(near):
-        out[near] = np.vander(-d[near], MOMENT_SERIES_TERMS, increasing=True) @ series
+    if far.all():
+        return closed_form(d)
+    if not far.any():
+        return binomial_series(d)
+    out = np.empty((d.size, len(js)))
+    out[far] = closed_form(d[far])
+    out[~far] = binomial_series(d[~far])
     return out
 
 
@@ -358,7 +371,10 @@ def wk_value(K: SupportField, k: int) -> float:
     if m >= 1:
         P.append(p_tensor(C1, m))
     moments = _t_moments(n, d, range(m, 2 * m + 1))
-    return integrate(grid, d * sum(Pj * moments[:, i] for i, Pj in enumerate(P)))
+    acc = P[0] * moments[:, 0]
+    for i in range(1, len(P)):
+        acc += P[i] * moments[:, i]
+    return integrate(grid, d * acc)
 
 
 @per_field

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from horocvx import flow, quermass
+
 
 @pytest.fixture
 def fft_counts(monkeypatch):
@@ -17,3 +19,19 @@ def fft_counts(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return counts
+
+
+@pytest.fixture
+def wk_calls(monkeypatch):
+    """(K, k) of every `wk_value` call made while the test runs, through
+    quermass or through flow's own binding."""
+    calls = []
+    real = quermass.wk_value
+
+    def recorded(K, k):
+        calls.append((K, k))
+        return real(K, k)
+
+    for module in (quermass, flow):
+        monkeypatch.setattr(module, "wk_value", recorded)
+    return calls

@@ -417,6 +417,35 @@ def test_fft_calls_per_accepted_step(cfg, body, budget, fft_counts):
     assert (totals[1] - totals[0]) / 8 <= budget
 
 
+@pytest.mark.parametrize(
+    "cfg, body",
+    [
+        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14), perturbed_circle),
+        (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-14), perturbed_sphere),
+    ],
+    ids=["s1", "s2"],
+)
+def test_wk_calls_per_accepted_step(cfg, body, wk_calls):
+    # Per step: at most two Newton evaluations on trial fields, plus the
+    # trace row's Wk column on the accepted state.
+    totals = []
+    for max_steps in (4, 12):
+        wk_calls.clear()
+        res = run(replace(cfg, max_steps=max_steps), body())
+        assert res.steps == max_steps
+        assert res.rejections == 0
+        totals.append(len(wk_calls))
+    assert (totals[1] - totals[0]) / 8 <= 3
+
+
+def test_a_run_evaluates_w_k_of_its_start_once(wk_calls):
+    # make_state's target and the first trace row read one cached value.
+    res = run(FlowConfig(n=2, k=1, p=1.0, max_steps=0), perturbed_sphere())
+    assert res.steps == 0 and len(res.trace.rows) == 1
+    assert len(wk_calls) == 1
+    assert res.trace.column("Wk")[0] == wk_value(res.terminal, 1)
+
+
 def test_max_steps_outcome():
     cfg = FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-12, max_steps=4, dt_initial=0.05)
     res = run(cfg, perturbed_circle())

@@ -16,6 +16,7 @@ from horocvx.hconvex import (
     apply_isometry_field,
     boundary_data,
     convexity,
+    plus_identity,
     support_of_ball,
     support_of_point,
 )
@@ -189,6 +190,18 @@ def test_a_eigenvalues_ascending():
     eigs = a_eigenvalues(SupportField(S2, f).A)
     assert eigs.shape == (S2.size, 2)
     assert np.all(eigs[:, 0] <= eigs[:, 1] + 1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_plus_identity_adds_s_to_the_diagonal(n):
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((7, n, n))
+    s = rng.standard_normal(7)
+    before = M.copy()
+    out = plus_identity(M, s)
+    assert np.array_equal(out, M + s[:, None, None] * np.eye(n))
+    assert not out.flags.writeable
+    assert np.array_equal(M, before)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,22 @@ def test_t_moments_match_mpmath(n):
                 assert abs(mpmath.mpf(value) / want - 1) <= 2e-13, (n, di, j, value)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_t_moments_rows_do_not_depend_on_the_other_nodes(n):
+    # A d on one side of the switch takes the unmasked path; a d that
+    # straddles it is split.  Each row must be the same bits either way.
+    d = np.array(MOMENT_SAMPLES)
+    far = np.abs(d) >= MOMENT_SERIES_SWITCH
+    assert far.any() and not far.all()
+    # wk_value's ranges m..2m for every m = n - k, and the mpmath test's.
+    for js in [range(m, 2 * m + 1) for m in range(n + 1)] + [range(5)]:
+        mixed = _t_moments(n, d, js)
+        for part in (far, ~far):
+            alone = _t_moments(n, d[part], js)
+            assert alone.shape == (part.sum(), len(js))
+            assert np.array_equal(alone, mixed[part]), (n, js)
+
+
 def _bodies_for_reference():
     bodies = random_h_convex_fields(3, [S1, S2], 4)
     # A boosted ball reaches phi = e^{-0.5} < 1 on one side and phi = e^{1.1}

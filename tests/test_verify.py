@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from horocvx import quermass
 from horocvx.hconvex import convexity, random_h_convex_fields
 from horocvx.sphere_grid import make_grid
 from horocvx.verify import (
@@ -46,23 +45,15 @@ def test_run_all_builds_each_body_once(fft_counts):
     assert fft_counts["rfft"] <= 149
 
 
-def test_run_all_evaluates_each_w_k_once_per_field(monkeypatch, fft_counts):
+def test_run_all_evaluates_each_w_k_once_per_field(wk_calls, fft_counts):
     # The suites ask for W_k 164 times over 82 distinct (field, k) pairs;
     # each field caches its own, and a new run's fields compute it again.
-    real = quermass.wk_value
-    seen = []
-
-    def counted(K, k, *rest):
-        seen.append((K, k))
-        return real(K, k, *rest)
-
-    monkeypatch.setattr(quermass, "wk_value", counted)
     for _ in range(2):
-        seen.clear()
+        wk_calls.clear()
         fft_counts.update(rfft=0, irfft=0)
         run_all(Corpus(), exploratory=True)
-        # seen holds each field, so no two live fields share an id.
-        assert len({(id(K), k) for K, k in seen}) == len(seen) == 82
+        # wk_calls holds each field, so no two live fields share an id.
+        assert len({(id(K), k) for K, k in wk_calls}) == len(wk_calls) == 82
         assert fft_counts["rfft"] + fft_counts["irfft"] == 380
 
 
