@@ -361,15 +361,21 @@ def wk_value(K: SupportField, k: int) -> float:
     g, H = K.gradient, K.hessian
     m = n - k
     d = phi - 1.0
-    C0 = plus_identity(H, d)
-    C1 = plus_identity(d[:, None, None] * H, 0.5 * (d * d - np.sum(g * g, axis=1)))
-    P = [p_tensor(C0, m)]
+    # |g|^2 by columns: np.sum(g * g, axis=1) adds the same squares.
+    gg = g[:, 0] * g[:, 0] if n == 1 else g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
+    e = 0.5 * (d * d - gg)
     if m == 2:
-        P.append(
-            C0[:, 0, 0] * C1[:, 1, 1] + C1[:, 0, 0] * C0[:, 1, 1] - 2.0 * C0[:, 0, 1] * C1[:, 0, 1]
-        )
-    if m >= 1:
-        P.append(p_tensor(C1, m))
+        C0, C1 = plus_identity(H, d), plus_identity(d[:, None, None] * H, e)
+        a, b = C0[:, 0, 0] * C1[:, 1, 1], C1[:, 0, 0] * C0[:, 1, 1]
+        P = [p_tensor(C0, 2), a + b - 2.0 * C0[:, 0, 1] * C1[:, 0, 1], p_tensor(C1, 2)]
+    elif m == 1:
+        # p_1 reads only the diagonals of C0 and C1: the entries that
+        # plus_identity forms, averaged as p_tensor does.
+        diag = [H[:, i, i] for i in range(n)]
+        P = [[h + d for h in diag], [d * h + e for h in diag]]
+        P = [c[0] if n == 1 else 0.5 * (c[0] + c[1]) for c in P]
+    else:
+        P = [np.ones(grid.size)]
     moments = _t_moments(n, d, range(m, 2 * m + 1))
     acc = P[0] * moments[:, 0]
     for i in range(1, len(P)):

@@ -13,9 +13,9 @@ from the JSON type, and no other function branches on it.
 `_UniformS1`, on S^1, makes one rfft per analysis of a stack and one
 irfft per derivative order.  `_GLProductS2`, on S^2, makes one azimuthal
 rfft per analysis and one irfft per pass, and holds the associated
-Legendre functions as one padded tensor P[m, node, l], zero for l < m,
-so that its Legendre analysis and synthesis are each one batched real
-matmul per field.
+Legendre functions and their theta derivatives as one padded tensor
+PdP[., m, node, l], zero for l < m, so that its Legendre analysis and
+synthesis are each one real matmul that broadcasts over the stack.
 
 `derivatives` gives the gradient and Hessian in the orthonormal frame
 {d_theta, (1/sin theta) d_phi} from one analysis; `resolvent` gives
@@ -291,13 +291,11 @@ def _legendre_columns(m: int, lmax: int, x: np.ndarray, s: np.ndarray | None) ->
 
 
 def _real_matmul(table: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """table @ z for real table (B+1, I, J) and complex z (..., B+1, J):
-    one real batched matmul per field on the (re, im) view of z, with no
-    complex copy of the table.  One matmul over the whole stack could
-    block differently and change the rounding."""
+    """table @ z for a real table (..., I, J) and complex z (..., J): one
+    real matmul on the (re, im) view of z that broadcasts over the leading
+    axes, with no complex copy of the table.  Each (I, J) @ (J, 2) product
+    is the gemm of a one-field call, so a stack rounds as its fields do."""
     z = np.ascontiguousarray(z)
-    if z.ndim > 2:
-        return np.stack([_real_matmul(table, zf) for zf in z])
     return (table @ z.view(float).reshape(z.shape + (2,))).view(complex)[..., 0]
 
 
@@ -343,77 +341,95 @@ class _GLProductS2(Grid):
         return g
 
     @functools.cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(P, dP, ll1): P[m, j, l] is P_l^m at polar node j and dP[m, j, l]
-        its theta derivative, both (B+1, L, B+1) and exactly zero for l < m;
-        ll1[l] = l (l + 1) for l = 0..B."""
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(PdP, ll1): PdP[0, m, j, l] = P[m, j, l] is P_l^m at polar node j
+        and PdP[1] = dP its theta derivative, one (2, B+1, L, B+1) array,
+        exactly zero for l < m; ll1[l] = l (l + 1) for l = 0..B."""
         x, s, B = self.x, self.s, self.band_limit
-        P = np.zeros((B + 1, x.shape[0], B + 1))
+        PdP = np.zeros((2, B + 1, x.shape[0], B + 1))
+        P, dP = PdP
         for m in range(B + 1):
             P[m, :, m:] = _legendre_columns(m, B, x, s)
         # d/dtheta by the degree-lowering recurrence; c(l, m) = 0 for l <= m.
         l = np.arange(B + 1, dtype=float)
         m = l[:, None]
         c = np.sqrt(np.abs((2 * l + 1) * (l * l - m * m) / (2 * l - 1))) * (l > m)
-        P_lower = np.concatenate([np.zeros_like(P[:, :, :1]), P[:, :, :-1]], axis=2)
-        dP = (l * x[:, None] * P - c[:, None, :] * P_lower) / s[:, None]
-        _frozen(P, dP)
-        return P, dP, l * (l + 1.0)
+        np.multiply(l * x[:, None], P, out=dP)
+        dP[..., 1:] -= c[:, None, 1:] * P[..., :-1]
+        dP /= s[:, None]
+        _frozen(PdP)
+        return PdP, l * (l + 1.0)
+
+    @functools.cached_property
+    def _node_factors(self) -> tuple[np.ndarray, ...]:
+        """s, 1/s, x/s, s s and x/(s s) at each node, read-only."""
+        M = self.resolution[1]
+        s, x = np.repeat(self.s, M), np.repeat(self.x, M)
+        factors = (s, np.repeat(1.0 / self.s, M), x / s, s * s, x / (s * s))
+        _frozen(*factors)
+        return factors
 
     def _analyze(self, values: np.ndarray) -> np.ndarray:
         """Band-limited coefficients a[..., m, l], shape (..., B+1, B+1), of
         each field of a stack (..., size): one rfft."""
         L, M = self.resolution
-        P = self._tables[0]
         G = np.fft.rfft(values.reshape(values.shape[:-1] + (L, M)), axis=-1) / M
         w = np.swapaxes(self.wx[:, None] * G[..., : self.band_limit + 1], -1, -2)
-        return 2.0 * math.pi * _real_matmul(P.transpose(0, 2, 1), w)
+        return 2.0 * math.pi * _real_matmul(self._tables[0][0].transpose(0, 2, 1), w)
 
-    def _synthesize(self, profiles: np.ndarray) -> np.ndarray:
-        """Node values (..., size) of a stack of (B+1, L) polar profiles
-        table[m] @ a[m], shape (..., B+1, L): one irfft for the whole stack."""
+    def _spectrum(self, lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """A zero azimuthal spectrum G (..., L, M/2 + 1) for `_synthesize`,
+        and the view (..., B+1, L) of it that holds the polar profiles."""
         L, M = self.resolution
-        lead = profiles.shape[:-2]
         G = np.zeros(lead + (L, M // 2 + 1), dtype=complex)
-        G[..., : self.band_limit + 1] = np.swapaxes(profiles, -1, -2)
-        return np.fft.irfft(G * M, n=M, axis=-1).reshape(lead + (self.size,))
+        return G, np.swapaxes(G[..., : self.band_limit + 1], -1, -2)
+
+    def _synthesize(self, G: np.ndarray) -> np.ndarray:
+        """Node values (..., size) of a stack of spectra from `_spectrum`:
+        one irfft for the whole stack."""
+        M = self.resolution[1]
+        return np.fft.irfft(G * M, n=M, axis=-1).reshape(G.shape[:-2] + (self.size,))
 
     def _resolve(self, a: np.ndarray, mu: float) -> np.ndarray:
         """a / (1 + mu l (l + 1))."""
-        return a / (1.0 + mu * self._tables[2])
+        return a / (1.0 + mu * self._tables[1])
 
     def _fields(self, a: np.ndarray, value: bool, first: bool, second: bool):
         """(values, gradient, Hessian) of a, or None, from one irfft of all
         their polar profiles; the Hessian's profiles hold the gradient's."""
-        P, dP, ll1 = self._tables
-        M = self.resolution[1]
+        PdP, ll1 = self._tables
         # Polar profiles per order m; azimuthal derivatives are 1j m and -m m.
         m = np.arange(self.band_limit + 1)[:, None]
-        v_m = _real_matmul(P, a)
-        vt_m = _real_matmul(dP, a)
-        profiles = [vt_m, (1j * m) * v_m]
+        vs = _real_matmul(PdP, a[..., None, :, :])
+        v_m, vt_m = vs[..., 0, :, :], vs[..., 1, :, :]
+        G, profiles = self._spectrum(a.shape[:-2] + (2 + 3 * second + value,))
+        profiles[..., 0, :, :] = vt_m
+        np.multiply(1j * m, v_m, out=profiles[..., 1, :, :])
         if second:
-            profiles += [_real_matmul(P, ll1 * a), (1j * m) * vt_m, -(m * m) * v_m]
+            profiles[..., 2, :, :] = _real_matmul(PdP[0], ll1 * a)
+            np.multiply(1j * m, vt_m, out=profiles[..., 3, :, :])
+            np.multiply(-(m * m), v_m, out=profiles[..., 4, :, :])
         if value:
-            profiles.append(v_m)
-        fields = self._synthesize(np.stack(profiles, axis=-3))
-        vt, fp, *rest = np.moveaxis(fields, -2, 0)
-        v = rest.pop() if value else None
-        g = None
+            profiles[..., -1, :, :] = v_m
+        fields = self._synthesize(G)
+        vt, fp = fields[..., 0, :], fields[..., 1, :]
+        v = fields[..., -1, :] if value else None
+        s, inv_s, x_s, ss, x_ss = self._node_factors
+        g = np.empty(vt.shape + (2,)) if first else None
         if first:
-            g = np.stack([vt, fp * np.repeat(1.0 / self.s, M)], axis=-1)
+            g[..., 0] = vt
+            np.multiply(fp, inv_s, out=g[..., 1])
         if not second:
             return v, g, None
-        lap, ftp, fpp = rest
-        s = np.repeat(self.s, M)
-        x = np.repeat(self.x, M)
+        lap, ftp, fpp = fields[..., 2, :], fields[..., 3, :], fields[..., 4, :]
         # theta-theta from the associated Legendre ODE; mixed and azimuthal
         # entries carry the Christoffel corrections of the orthonormal frame.
+        xvt, fss = x_s * vt, fpp / ss
         H = np.empty(vt.shape + (2, 2))
-        H[..., 0, 0] = -(x / s) * vt - lap - fpp / (s * s)
-        H[..., 0, 1] = ftp / s - (x / (s * s)) * fp
+        H[..., 0, 0] = -xvt - lap - fss
+        H[..., 0, 1] = ftp / s - x_ss * fp
         H[..., 1, 0] = H[..., 0, 1]
-        H[..., 1, 1] = fpp / (s * s) + (x / s) * vt
+        H[..., 1, 1] = fss + xvt
         return v, g, H
 
     def _evaluate(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -505,9 +521,10 @@ def _node_values(grid: Grid, values, stack: bool = True) -> np.ndarray:
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float:
-    """Quadrature of a node field, deterministic compensated summation."""
+    """Quadrature of a node field: the correctly rounded sum of weight *
+    value over the nodes (math.fsum), read through a memoryview, not a list."""
     v = _node_values(grid, values, stack=False)
-    return math.fsum((grid.weights * v).tolist())
+    return math.fsum(memoryview(grid.weights * v))
 
 
 def antipodal(grid: Grid, values: np.ndarray) -> np.ndarray:

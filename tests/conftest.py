@@ -1,9 +1,10 @@
 """Shared fixtures."""
 
+# horocvx before numpy, so that HOROCVX_THREADS sets the BLAS thread count.
+from horocvx import flow, quermass  # isort: skip
+
 import numpy as np
 import pytest
-
-from horocvx import flow, quermass
 
 
 @pytest.fixture

@@ -40,7 +40,7 @@ from horocvx.quermass import (
     wk_value,
 )
 from horocvx import quermass
-from horocvx.hconvex import p_tensor
+from horocvx.hconvex import p_tensor, plus_identity
 from horocvx.quermass import _t_moments
 from horocvx.sphere_grid import (
     derivatives,
@@ -286,6 +286,37 @@ def test_wk_value_matches_an_order_256_homotopy(index):
     for k in range(K.grid.n + 1):
         want = _homotopy_reference(K, k, 256)
         assert abs(wk_value(K, k) - want) <= 1e-13 * max(1.0, abs(want)), (k, want)
+
+
+def _wk_value_by_matrices(K, k):
+    """wk_value with C0 and C1 built whole by plus_identity and reduced by
+    p_tensor at every m = n - k."""
+    grid, phi = K.grid, K.phi
+    n, m = grid.n, grid.n - k
+    g, H = K.gradient, K.hessian
+    d = phi - 1.0
+    C0 = plus_identity(H, d)
+    C1 = plus_identity(d[:, None, None] * H, 0.5 * (d * d - np.sum(g * g, axis=1)))
+    P = [p_tensor(C0, m)]
+    if m == 2:
+        P.append(
+            C0[:, 0, 0] * C1[:, 1, 1] + C1[:, 0, 0] * C0[:, 1, 1] - 2.0 * C0[:, 0, 1] * C1[:, 0, 1]
+        )
+    if m >= 1:
+        P.append(p_tensor(C1, m))
+    moments = _t_moments(n, d, range(m, 2 * m + 1))
+    acc = P[0] * moments[:, 0]
+    for i in range(1, len(P)):
+        acc += P[i] * moments[:, i]
+    return integrate(grid, d * acc)
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (2, 0), (1, 1), (2, 2)])
+def test_wk_value_is_bitwise_the_matrix_form(n, k):
+    grids = [make_grid(1, 96)] if n == 1 else [make_grid(2, 16), make_grid(2, 20)]
+    bodies = random_h_convex_fields(5, grids, 4) + [offcenter_ball(grids[0], 0.8, 0.3)]
+    for K in bodies + [K for K in _bodies_for_reference() if K.grid.n == n]:
+        assert wk_value(K, k).hex() == _wk_value_by_matrices(K, k).hex()
 
 
 @pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])

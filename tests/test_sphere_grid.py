@@ -204,6 +204,20 @@ def test_quadrature_s2_polynomial_exactness():
         assert abs(integrate(S2, z[:, i])) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "grid", [make_grid(1, 96), S2, make_grid(2, 20)], ids=["s1:96", "s2:16", "s2:20"]
+)
+def test_integrate_is_the_correctly_rounded_sum_of_the_weighted_values(grid):
+    rng = np.random.default_rng(grid.size)
+    smooth = 2.0 + 0.1 * rng.standard_normal(grid.size)
+    # Terms of size up to 1e15 whose sum is of order 10, as x is odd;
+    # np.sum is off by up to 12% here.
+    cancelling = 1e16 * grid.nodes[:, 0] + 1.0
+    for v in (smooth, cancelling):
+        want = math.fsum((grid.weights * v).tolist())
+        assert integrate(grid, v).hex() == want.hex()
+
+
 def test_refine_doubles_resolution():
     assert refine(S1).resolution == (128,)
     assert refine(S2).resolution == (32, 64)
@@ -255,17 +269,25 @@ def test_s1_derivative_oracles():
         assert np.allclose(laplacian(S1, f), h, atol=1e-12)
 
 
+def _synthesize_profiles(grid, profiles):
+    """Node values of S^2 polar profiles (..., B+1, L), written into the
+    spectrum that `_synthesize` reads."""
+    G, view = grid._spectrum(profiles.shape[:-2])
+    view[...] = profiles
+    return grid._synthesize(G)
+
+
 def _two_pass_gradient(grid, values):
     """Gradient from its own analysis, as before the fused pass."""
     if grid.n == 1:
         c = grid._analyze(values)
         return grid._synthesize(c * grid._multipliers[0])[:, None]
-    P, dP, _ = grid._tables
+    (P, dP), _ = grid._tables
     a = grid._analyze(values)
     m = np.arange(grid.band_limit + 1)[:, None]
     ft_m = sphere_grid._real_matmul(dP, a)
     fp_m = (1j * m) * sphere_grid._real_matmul(P, a)
-    ft, fp = grid._synthesize(np.stack([ft_m, fp_m]))
+    ft, fp = _synthesize_profiles(grid, np.stack([ft_m, fp_m]))
     inv_s = np.repeat(1.0 / grid.s, grid.resolution[1])
     return np.stack([ft, fp * inv_s], axis=1)
 
@@ -275,15 +297,15 @@ def _two_pass_hessian(grid, values):
     if grid.n == 1:
         c = grid._analyze(values)
         return grid._synthesize(c * grid._multipliers[1])[:, None, None]
-    P, dP, ll1 = grid._tables
+    (P, dP), ll1 = grid._tables
     a = grid._analyze(values)
     m = np.arange(grid.band_limit + 1)[:, None]
     M = grid.resolution[1]
     v_m = sphere_grid._real_matmul(P, a)
     vt_m = sphere_grid._real_matmul(dP, a)
     lap_m = sphere_grid._real_matmul(P, ll1 * a)
-    vt, lap, fp, ftp, fpp = grid._synthesize(
-        np.stack([vt_m, lap_m, (1j * m) * v_m, (1j * m) * vt_m, -(m * m) * v_m])
+    vt, lap, fp, ftp, fpp = _synthesize_profiles(
+        grid, np.stack([vt_m, lap_m, (1j * m) * v_m, (1j * m) * vt_m, -(m * m) * v_m])
     )
     s = np.repeat(grid.s, M)
     x = np.repeat(grid.x, M)
@@ -331,10 +353,13 @@ def _per_order_tables(grid):
 @pytest.mark.parametrize("L", [2, 3, 8, 16, 64])
 def test_padded_legendre_tables_match_the_per_order_recurrence(L):
     grid = make_grid(2, L)
-    P, dP, ll1 = grid._tables
+    PdP, ll1 = grid._tables
+    P, dP = PdP
     B = grid.band_limit
-    assert P.shape == dP.shape == (B + 1, L, B + 1)
+    assert PdP.shape == (2, B + 1, L, B + 1)
+    # One read-only buffer: P and dP are views of it, not copies.
     assert not P.flags.writeable and not dP.flags.writeable
+    assert np.shares_memory(P, PdP) and np.shares_memory(dP, PdP)
     l = np.arange(B + 1)
     assert np.array_equal(ll1, l * (l + 1.0))
     P_ref, dP_ref = _per_order_tables(grid)
@@ -348,6 +373,19 @@ def test_padded_legendre_tables_match_the_per_order_recurrence(L):
     for m in range(B + 1):
         want[m, m:, m:] = np.eye(B + 1 - m)
     assert np.max(np.abs(gram - want)) < 1e-13
+
+
+@pytest.mark.parametrize("L", [2, 3, 16, 20])
+def test_node_factors_are_the_repeated_polar_tables(L):
+    grid = make_grid(2, L)
+    M = grid.resolution[1]
+    s, x = np.repeat(grid.s, M), np.repeat(grid.x, M)
+    want = (s, np.repeat(1.0 / grid.s, M), x / s, s * s, x / (s * s))
+    factors = grid._node_factors
+    assert factors is grid._node_factors and len(factors) == len(want)
+    for got, ref in zip(factors, want):
+        assert np.array_equal(got, ref)
+        assert not got.flags.writeable
 
 
 def test_fused_derivatives_do_one_analysis(fft_counts):
@@ -384,7 +422,9 @@ def test_resolvent_inverts_one_minus_mu_laplacian(grid, fft_counts):
 
 
 @pytest.mark.parametrize("F", [1, 2, 3])
-@pytest.mark.parametrize("grid", [make_grid(1, 96), S2], ids=["s1", "s2"])
+@pytest.mark.parametrize(
+    "grid", [make_grid(1, 96), S2, make_grid(2, 20)], ids=["s1", "s2", "s2:20"]
+)
 def test_stacked_pass_is_bitwise_the_per_field_passes(grid, F):
     rng = np.random.default_rng(F)
     stack = 2.0 + 0.1 * rng.standard_normal((F, grid.size))
@@ -403,16 +443,21 @@ def test_stacked_pass_is_bitwise_the_per_field_passes(grid, F):
     # Any leading axes, not only one.
     deep = np.stack([stack, stack[::-1]])
     assert np.array_equal(derivatives(grid, deep)[1][1], H[::-1])
+    for mu in (0.0, 0.3):
+        out = resolvent(grid, deep, mu)
+        for idx in np.ndindex(deep.shape[:-1]):
+            for stacked, single in zip(out, resolvent(grid, deep[idx], mu)):
+                assert np.array_equal(stacked[idx], single)
 
 
 def test_one_synthesis_of_many_profiles_is_bitwise_one_per_profile():
     rng = np.random.default_rng(3)
     shape = (2, 6, S2.band_limit + 1, S2.resolution[0])
     profiles = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    fields = S2._synthesize(profiles)
+    fields = _synthesize_profiles(S2, profiles)
     assert fields.shape == (2, 6, S2.size)
     for idx in np.ndindex(2, 6):
-        assert np.array_equal(fields[idx], S2._synthesize(profiles[idx]))
+        assert np.array_equal(fields[idx], _synthesize_profiles(S2, profiles[idx]))
 
 
 @pytest.mark.parametrize("grid", [make_grid(1, 96), S2], ids=["s1", "s2"])
