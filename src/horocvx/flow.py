@@ -30,7 +30,10 @@ while W_k is conserved at every step.  A step costs one batched
 resolvent pass of G and h, plus one projection-and-derivative pass of
 the new state: after its even projection (when enforced), resolvent with
 mu = 0 gives its band projection with the gradient and Hessian, all
-from one analysis.  That pass is the cone check.
+from one analysis.  That pass is the cone check.  Each pass is one rfft
+and one irfft, so an accepted step makes four FFT calls on either grid,
+and the state it returns already holds the w that the next step's
+Newton solve reads.
 
 A point of the flow is one frozen `FlowState`: the projected field, the
 run's data and the speed's parts there.  `make_state(config, phi0)`
@@ -47,11 +50,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hconvex import SupportField, measure_density, p_tensor
+from .hconvex import SupportField, measure_density, p_tensor, squared_norm
 from .problems import J_p, check_assumption_h, validate_f
 from .quermass import wk_value
 from .sphere_grid import (
@@ -152,9 +155,11 @@ class FlowState:
     """One point of a flow run: the band-projected field K; the run's data,
     which `step` passes on unchanged (fpow = f^{-1/(n-k)}, even: project
     each new state onto even fields, target: the W_k every step holds);
-    and the speed Phi G - h with its parts at K, evaluated (`_evaluate`)
-    when the state is built.  So `replace(state, K=L)` is the state at L;
-    it raises FlowStepError if L is off the uniformly h-convex cone.
+    and what `_evaluate` computes at K when the state is built: pA =
+    p_{n-k}(A), w = phi^{-(k+1)} pA, the first variation of W_k that the
+    next step's Newton solve starts from, and the speed Phi G - h with
+    its parts.  So `replace(state, K=L)` is the state at L; it raises
+    FlowStepError if L is off the uniformly h-convex cone.
     """
 
     K: SupportField
@@ -166,6 +171,7 @@ class FlowState:
     target: float
     warnings: tuple[str, ...]
     pA: np.ndarray = field(init=False)
+    w: np.ndarray = field(init=False)
     Phi: float = field(init=False)
     G: np.ndarray = field(init=False)
     h: np.ndarray = field(init=False)
@@ -173,7 +179,7 @@ class FlowState:
     speed: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, value in zip(("pA", "Phi", "G", "h", "c", "speed"), _evaluate(self)):
+        for name, value in zip(("pA", "w", "Phi", "G", "h", "c", "speed"), _evaluate(self)):
             object.__setattr__(self, name, value)
 
 
@@ -211,7 +217,7 @@ class FlowResult:
 
 def _in_cone(phi: np.ndarray) -> None:
     """FlowStepError unless phi is finite and positive; NaN fails too."""
-    if not (0.0 < np.min(phi) and np.max(phi) < math.inf):
+    if not (0.0 < phi.min() and phi.max() < math.inf):
         raise FlowStepError("phi left the positive cone")
 
 
@@ -232,26 +238,30 @@ def _project(K: SupportField, even: bool) -> SupportField:
 
 
 def _evaluate(state: FlowState) -> tuple:
-    """pA, Phi, G, h, c and the speed Phi G - h at state.K; raises
+    """pA, w, Phi, G, h, c and the speed Phi G - h at state.K; raises
     FlowStepError unless A[K] > 0."""
     K, k = state.K, state.k
     grid, phi, eigs = K.grid, K.phi, K.eigenvalues
-    eig_min = float(np.min(eigs[:, 0]))
+    eig_min = float(eigs[:, 0].min())
     if not eig_min > 0.0:
         raise FlowStepError(f"minimum eigenvalue of A is {eig_min}")
     n, nk = grid.n, grid.n - k
     pA = p_tensor(K.A, nk)
-    num = integrate(grid, phi ** (-(k + 1.0)) * pA ** (1.0 - 1.0 / nk))
+    # phi^{-(k+1)}, the factor of w = measure_density(K, 1.0, k) and of
+    # Phi's numerator, whose pA^{1 - 1/nk} is 1 at nk = 1.
+    phi_pow = phi ** (-(k + 1.0))
+    w = phi_pow * pA
+    num = integrate(grid, phi_pow if nk == 1 else phi_pow * pA ** (1.0 - 1.0 / nk))
     den = integrate(grid, state.fpow * phi ** (-(k + (n + state.p) / nk)) * pA)
     Phi = num / den
     G = phi ** (1.0 - (n + state.p) / nk) * state.fpow
     h = pA ** (-1.0 / nk)
     # Largest diffusivity of h in D^2 phi: the implicit part of a step.
     if nk == 1:
-        c = float(np.max(pA ** (-2.0))) / n
+        c = float((pA ** (-2.0)).max()) / n
     else:
-        c = float(np.max(pA ** (-0.5) / (2.0 * eigs[:, 0])))
-    return pA, Phi, G, h, c, Phi * G - h
+        c = float((pA ** (-0.5) / (2.0 * eigs[:, 0])).max())
+    return pA, w, Phi, G, h, c, Phi * G - h
 
 
 def _is_even(grid: Grid, values: np.ndarray) -> bool:
@@ -308,9 +318,11 @@ def step(state: FlowState, dt: float) -> FlowState:
     expected to halve dt and retry.
     """
     K, k, target = state.K, state.k, state.target
-    grid, phi = K.grid, K.phi
-    (rG, rh), (gG, gh), (HG, Hh) = resolvent(grid, np.stack([state.G, state.h]), dt * state.c)
-    w = measure_density(K, 1.0, k)
+    grid, phi, w = K.grid, K.phi, state.w
+    mu = dt * state.c
+    if not mu < math.inf:
+        raise FlowStepError(f"resolvent step dt c = {mu} is not finite")
+    (rG, rh), (gG, gh), (HG, Hh) = resolvent(grid, np.stack([state.G, state.h]), mu)
     Phi = integrate(grid, w * rh) / integrate(grid, w * rG)
     for _ in range(NEWTON_MAX_ITER):
         phi_new = phi + dt * (Phi * rG - rh)
@@ -327,7 +339,11 @@ def step(state: FlowState, dt: float) -> FlowState:
         Phi -= residual / slope
     else:
         raise FlowStepError(f"W_k constraint missed by {residual:.3e}")
-    return replace(state, K=_project(trial, state.even))
+    # Built directly: replace(state, K=...) gives the same state, slower.
+    return FlowState(
+        _project(trial, state.even), k, state.p, state.f, state.fpow, state.even, target,
+        state.warnings,
+    )
 
 
 def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
@@ -348,8 +364,8 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         K = state.K
         gamma_field = measure_density(K, state.p, k) / f
         gamma = integrate(grid, gamma_field) / omega
-        gamma_var = float((np.max(gamma_field) - np.min(gamma_field)) / gamma)
-        speed_sup = float(np.max(np.abs(state.speed)))
+        gamma_var = float((gamma_field.max() - gamma_field.min()) / gamma)
+        speed_sup = float(np.abs(state.speed).max())
         stop = speed_sup < config.eps_stop and gamma_var <= 10.0 * config.eps_stop
         terminal_row = stop or steps >= config.max_steps
         row = None
@@ -358,8 +374,8 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
                 t=t,
                 Wk=K.memo(wk_value, k),
                 Jp=J_p(K, f, state.p),
-                minEigA=float(np.min(K.eigenvalues[:, 0])),
-                maxGradRatio=float(np.max(np.sqrt(np.sum(K.gradient ** 2, axis=1)) / K.phi)),
+                minEigA=float(K.eigenvalues[:, 0].min()),
+                maxGradRatio=float((np.sqrt(squared_norm(K.gradient)) / K.phi).max()),
                 evenErr=even_error(grid, K.phi),
                 gammaVar=gamma_var,
                 speedSup=speed_sup,

@@ -8,7 +8,8 @@ first two frame derivatives.  A SupportField is immutable and computes
 its geometry once, on first use, from one spectral pass; a functional
 decorated with `per_field` is cached on the field too.  `measure_density`,
 phi^{-p-k} p_{n-k}(A[phi]), is the package's one curvature-measure
-kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.
+kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.  `squared_norm` is its
+one |D phi|^2.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "support_of_ball",
     "a_eigenvalues",
     "p_tensor",
+    "squared_norm",
     "measure_density",
     "plus_identity",
     "convexity",
@@ -139,7 +141,7 @@ class SupportField:
     def _shifted(self) -> tuple:
         """Read-only q = |Dphi|^2 / (2 phi) and A[phi] = D^2 phi + ((phi - 1/phi) / 2 - q) I."""
         phi, (g, H) = self.phi, self._derivatives
-        q = 0.5 * np.sum(g * g, axis=1) / phi
+        q = 0.5 * squared_norm(g) / phi
         return _read_only(q), plus_identity(H, -q + 0.5 * (phi - 1.0 / phi))
 
     @classmethod
@@ -272,6 +274,16 @@ def p_tensor(A: np.ndarray, m: int) -> np.ndarray:
         if m == 2:
             return A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
     raise ValueError(f"p_{m} undefined for {n}x{n} forms")
+
+
+def squared_norm(g: np.ndarray) -> np.ndarray:
+    """|g|^2 per node of frame vectors g, shape (size, n): the squared
+    columns added in order, the bits of np.sum(g * g, axis=1) without a
+    reduction over the short axis."""
+    out = g[:, 0] * g[:, 0]
+    for i in range(1, g.shape[1]):
+        out += g[:, i] * g[:, i]
+    return out
 
 
 def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, a_eigenvalues, measure_density, plus_identity
+from .hconvex import SupportField, a_eigenvalues, measure_density, plus_identity, squared_norm
 from .quermass import bracketed_newton
 from .sphere_grid import Grid, derivatives, frame_vectors, integrate
 
@@ -268,7 +268,7 @@ def check_assumption_h(f, grid: Grid, k: int, p: float) -> AssumptionHReport:
         c_zero = 0.5 if regime == 4 else (n - k) / (n + p)
         grad_term_power = 2
     g, H = derivatives(grid, base)
-    grad_sq = np.sum(g * g, axis=1)
+    grad_sq = squared_norm(g)
     if grad_term_power == 1:
         grad_term = c_grad * np.sqrt(grad_sq)
     else:

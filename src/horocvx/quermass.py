@@ -47,6 +47,7 @@ from .hconvex import (
     p_tensor,
     per_field,
     plus_identity,
+    squared_norm,
 )
 from .sphere_grid import Grid, as_integer, integrate, sphere_area
 
@@ -319,13 +320,14 @@ def _t_moments(n: int, d: np.ndarray, js: range) -> np.ndarray:
     F_a = ((1 + d)^a - 1) / a = expm1(a log1p(d)) / a and F_0 = log1p(d).
     Below the switch those terms cancel, and the binomial series
     I_j = sum_i C(n+i, i) (-d)^i / (j+i+1) is one Vandermonde matmul.
-    A d on one side of the switch, as every flow field is, skips the masks.
+    A d on one side of the switch, as every flow field is, is told by the
+    least and greatest |d| and builds no mask.
     """
     a, div, zero, B, powers, series = _moment_tables(n, js)
 
     def closed_form(x):
         log1p_x = np.log1p(x)
-        F = np.expm1(np.outer(a, log1p_x)) / div
+        F = np.expm1(a[:, None] * log1p_x) / div
         if zero is not None:
             F[zero] = log1p_x
         return ((B @ F) / x ** powers).T
@@ -333,11 +335,12 @@ def _t_moments(n: int, d: np.ndarray, js: range) -> np.ndarray:
     def binomial_series(x):
         return np.vander(-x, MOMENT_SERIES_TERMS, increasing=True) @ series
 
-    far = np.abs(d) >= MOMENT_SERIES_SWITCH
-    if far.all():
+    abs_d = np.abs(d)
+    if abs_d.min() >= MOMENT_SERIES_SWITCH:
         return closed_form(d)
-    if not far.any():
+    if abs_d.max() < MOMENT_SERIES_SWITCH:
         return binomial_series(d)
+    far = abs_d >= MOMENT_SERIES_SWITCH
     out = np.empty((d.size, len(js)))
     out[far] = closed_form(d[far])
     out[~far] = binomial_series(d[~far])
@@ -361,9 +364,7 @@ def wk_value(K: SupportField, k: int) -> float:
     g, H = K.gradient, K.hessian
     m = n - k
     d = phi - 1.0
-    # |g|^2 by columns: np.sum(g * g, axis=1) adds the same squares.
-    gg = g[:, 0] * g[:, 0] if n == 1 else g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
-    e = 0.5 * (d * d - gg)
+    e = 0.5 * (d * d - squared_norm(g))
     if m == 2:
         C0, C1 = plus_identity(H, d), plus_identity(d[:, None, None] * H, e)
         a, b = C0[:, 0, 0] * C1[:, 1, 1], C1[:, 0, 0] * C0[:, 1, 1]

@@ -10,12 +10,13 @@ hold one value per node is a ValueError where it enters.
 Each kind of grid is one private subclass of Grid that holds all of its
 spectral code; `make_grid` picks the kind from n, `grid_from_json_dict`
 from the JSON type, and no other function branches on it.
-`_UniformS1`, on S^1, makes one rfft per analysis of a stack and one
-irfft per derivative order.  `_GLProductS2`, on S^2, makes one azimuthal
-rfft per analysis and one irfft per pass, and holds the associated
-Legendre functions and their theta derivatives as one padded tensor
-PdP[., m, node, l], zero for l < m, so that its Legendre analysis and
-synthesis are each one real matmul that broadcasts over the stack.
+Both kinds make one rfft per analysis of a stack and one irfft per
+pass, whatever outputs the pass asks for.  `_UniformS1`, on S^1, fills
+one spectrum buffer with every derivative order it synthesizes.
+`_GLProductS2`, on S^2, holds the associated Legendre functions and
+their theta derivatives as one padded tensor PdP[., m, node, l], zero
+for l < m, so that its Legendre analysis and synthesis are each one
+real matmul that broadcasts over the stack.
 
 `derivatives` gives the gradient and Hessian in the orthonormal frame
 {d_theta, (1/sin theta) d_phi} from one analysis; `resolvent` gives
@@ -172,9 +173,16 @@ class _UniformS1(Grid):
         return g
 
     @functools.cached_property
+    def _wavenumbers(self) -> np.ndarray:
+        """k = 0..N/2 as floats, read-only."""
+        k = np.arange(self.resolution[0] // 2 + 1, dtype=float)
+        _frozen(k)
+        return k
+
+    @functools.cached_property
     def _multipliers(self) -> tuple[np.ndarray, np.ndarray]:
         """(i k) and (i k)^2 for k = 0..N/2, zero at the Nyquist mode."""
-        k = np.arange(self.resolution[0] // 2 + 1, dtype=float)
+        k = self._wavenumbers.copy()
         k[-1] = 0.0
         mults = (1j * k, (1j * k) ** 2)
         _frozen(*mults)
@@ -184,27 +192,32 @@ class _UniformS1(Grid):
         """Fourier coefficients of each field of a stack (..., N), one rfft."""
         return np.fft.rfft(values) / self.resolution[0]
 
-    def _synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Node values of each coefficient row of a stack, one irfft."""
-        N = self.resolution[0]
-        return np.fft.irfft(coeffs * N, n=N)
-
     def _resolve(self, c: np.ndarray, mu: float) -> np.ndarray:
         """c / (1 + mu k^2), with the Nyquist mode dropped."""
-        k = np.arange(self.resolution[0] // 2 + 1, dtype=float)
+        k = self._wavenumbers
         c = c / (1.0 + mu * k * k)
         c[..., -1] = 0.0
         return c
 
     def _fields(self, c: np.ndarray, value: bool, first: bool, second: bool):
-        """(values, gradient, Hessian) of c, one irfft each, or None."""
-        v = g = H = None
-        if value:
-            v = self._synthesize(c)
-        if first:
-            g = self._synthesize(c * self._multipliers[0])[..., None]
-        if second:
-            H = self._synthesize(c * self._multipliers[1])[..., None, None]
+        """(values, gradient, Hessian) of c, or None, from one irfft.
+
+        The spectra c N, (c i k) N and (c (i k)^2) N of the outputs asked
+        for fill one buffer, order-major, so that each block is laid out
+        as the product of its own would be and rounds the same."""
+        N = self.resolution[0]
+        wanted = [m for m, want in zip((None, *self._multipliers), (value, first, second)) if want]
+        spectra = np.empty((len(wanted),) + c.shape, dtype=complex)
+        for block, m in zip(spectra, wanted):
+            if m is None:
+                np.multiply(c, N, out=block)
+            else:
+                np.multiply(c, m, out=block)
+                np.multiply(block, N, out=block)
+        fields = iter(np.fft.irfft(spectra, n=N))
+        v = next(fields) if value else None
+        g = next(fields)[..., None] if first else None
+        H = next(fields)[..., None, None] if second else None
         return v, g, H
 
     def _evaluate(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -535,7 +548,7 @@ def antipodal(grid: Grid, values: np.ndarray) -> np.ndarray:
 def even_error(grid: Grid, values: np.ndarray) -> float:
     """Sup-norm deviation from antipodal evenness."""
     v = np.asarray(values, dtype=float)
-    return float(np.max(np.abs(v - v[grid.antipodal_index])))
+    return float(np.abs(v - v[grid.antipodal_index]).max())
 
 
 def even_project(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -572,8 +585,12 @@ def resolvent(
     and l (l + 1) on S^2, and drops what lies above the band (the Nyquist
     bin on S^1), so R v is band-limited and R at mu = 0 is the band
     projection.  A stack of fields (..., size) is resolved in one pass,
-    each output with the same leading axes.
+    each output with the same leading axes.  A mu that is negative or not
+    a finite number is a ValueError.
     """
+    mu = as_real(mu, "resolvent mu")
+    if mu < 0.0:
+        raise ValueError(f"resolvent mu must be nonnegative, got {mu!r}")
     return _spectral_pass(grid, values, mu, True, True)
 
 

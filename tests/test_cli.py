@@ -425,7 +425,7 @@ def test_project_reuses_its_projection(tmp_path, fft_counts):
     K = mkball(tmp_path, "K.json", math.log(2.0))
     fft_counts.update(rfft=0, irfft=0)
     assert main(["project", "--K", str(K), "--out", str(tmp_path / "hat.json")]) == 0
-    assert fft_counts["rfft"] + fft_counts["irfft"] == 3
+    assert fft_counts["rfft"] + fft_counts["irfft"] == 2
 
 
 # ---------------------------------------------------------------------------

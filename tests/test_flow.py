@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -397,10 +397,9 @@ def test_accepted_states_cache_their_own_derivatives(cfg, body, monkeypatch):
         # eps_stop below the roundoff floor of speedSup: both runs step
         # to max_steps instead of converging.
         # Per step: the stacked resolvent of G and h, and the projection
-        # of the new state with its derivatives, each one analysis with one
-        # synthesis per output (value, gradient, Hessian) on S^1 and one
-        # per pass on S^2.
-        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14), perturbed_circle, 8),
+        # of the new state with its derivatives, each one analysis and one
+        # synthesis on either grid.
+        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14), perturbed_circle, 4),
         (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-14), perturbed_sphere, 4),
     ],
     ids=["s1", "s2"],
@@ -415,6 +414,17 @@ def test_fft_calls_per_accepted_step(cfg, body, budget, fft_counts):
         totals.append(fft_counts["rfft"] + fft_counts["irfft"])
     # The difference cancels the set-up and the terminal row.
     assert (totals[1] - totals[0]) / 8 <= budget
+
+
+def test_acceptance_flow_makes_two_fft_calls_at_the_start_and_four_per_step(fft_counts):
+    # The start's projection pass, then per accepted step the resolvent
+    # pass of G and h and the projection pass of the new state: one rfft
+    # and one irfft each.  The trace rows make none.
+    grid = make_grid(1, 96)
+    body = SupportField(grid, 2.0 + 0.2 * np.cos(2.0 * grid.theta))
+    res = run(FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-6), body)
+    assert res.status == "converged" and res.rejections == 0 and res.steps > 0
+    assert fft_counts == {"rfft": 1 + 2 * res.steps, "irfft": 1 + 2 * res.steps}
 
 
 @pytest.mark.parametrize(
@@ -658,6 +668,44 @@ def test_start_off_the_cone_is_a_value_error_naming_the_eigenvalue():
     for call in (make_state, run):
         with pytest.raises(ValueError, match="not uniformly h-convex: minimum eigenvalue of A is -"):
             call(cfg, K)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cfg, body",
+    [
+        (FlowConfig(n=1, k=0, p=2.0), perturbed_circle),
+        (FlowConfig(n=2, k=1, p=1.0), perturbed_sphere),
+    ],
+    ids=["s1", "s2"],
+)
+def test_stepped_state_is_bitwise_the_replaced_state(cfg, body):
+    # step builds its state directly; replace(state, K=...) is the public
+    # seam and must give the same state, and w is the first variation
+    # that measure_density gives.
+    state = make_state(cfg, body())
+    for dt in (0.05, cfg.max_dt):
+        new_state = step(state, dt)
+        again = replace(state, K=new_state.K)
+        assert again.K is new_state.K
+        for f in fields(flow.FlowState)[1:]:
+            assert _same_bits(getattr(again, f.name), getattr(new_state, f.name)), f.name
+        for s in (state, new_state):
+            assert _same_bits(s.w, measure_density(s.K, 1.0, cfg.k))
+        state = new_state
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 1e308])
+def test_step_refuses_a_non_finite_resolvent_mu_as_a_step_error(dt):
+    # dt c is the resolvent's mu; one that is not finite is a rejected
+    # step, which run halves, not the ValueError that resolvent raises.
+    state = make_state(FlowConfig(n=1, k=0, p=0.0), perturbed_circle())
+    with pytest.raises(FlowStepError, match="not finite"):
+        step(state, dt)
 
 
 def test_a_state_is_evaluated_at_its_field():

@@ -17,6 +17,7 @@ from horocvx.hconvex import (
     boundary_data,
     convexity,
     plus_identity,
+    squared_norm,
     support_of_ball,
     support_of_point,
 )
@@ -202,6 +203,18 @@ def test_plus_identity_adds_s_to_the_diagonal(n):
     assert np.array_equal(out, M + s[:, None, None] * np.eye(n))
     assert not out.flags.writeable
     assert np.array_equal(M, before)
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_squared_norm_is_bitwise_the_axis_sum(grid):
+    # The column form gives the bits of the reductions it replaces, on
+    # read-only cached gradients as on fresh arrays.
+    rng = np.random.default_rng(grid.n)
+    for g in (rng.standard_normal((grid.size, grid.n)),
+              SupportField(grid, 2.0 + 0.1 * rng.standard_normal(grid.size)).gradient):
+        got = squared_norm(g)
+        for want in (np.sum(g * g, axis=1), np.sum(g ** 2, axis=1)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Grid construction, quadrature, spectral calculus, serialization."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -280,8 +281,8 @@ def _synthesize_profiles(grid, profiles):
 def _two_pass_gradient(grid, values):
     """Gradient from its own analysis, as before the fused pass."""
     if grid.n == 1:
-        c = grid._analyze(values)
-        return grid._synthesize(c * grid._multipliers[0])[:, None]
+        c, N = grid._analyze(values), grid.resolution[0]
+        return np.fft.irfft((c * grid._multipliers[0]) * N, n=N)[:, None]
     (P, dP), _ = grid._tables
     a = grid._analyze(values)
     m = np.arange(grid.band_limit + 1)[:, None]
@@ -295,8 +296,8 @@ def _two_pass_gradient(grid, values):
 def _two_pass_hessian(grid, values):
     """Hessian from its own analysis, as before the fused pass."""
     if grid.n == 1:
-        c = grid._analyze(values)
-        return grid._synthesize(c * grid._multipliers[1])[:, None, None]
+        c, N = grid._analyze(values), grid.resolution[0]
+        return np.fft.irfft((c * grid._multipliers[1]) * N, n=N)[:, None, None]
     (P, dP), ll1 = grid._tables
     a = grid._analyze(values)
     m = np.arange(grid.band_limit + 1)[:, None]
@@ -389,9 +390,9 @@ def test_node_factors_are_the_repeated_polar_tables(L):
 
 
 def test_fused_derivatives_do_one_analysis(fft_counts):
-    # S^1: one analysis, one synthesis per derivative order.
+    # S^1: one analysis, and one synthesis of both derivative orders.
     derivatives(S1, np.cos(s1_theta(S1)))
-    assert fft_counts == {"rfft": 1, "irfft": 2}
+    assert fft_counts == {"rfft": 1, "irfft": 1}
     # S^2: one analysis, and one synthesis of the five profiles of the
     # Hessian, which also carry the gradient.
     fft_counts.update(rfft=0, irfft=0)
@@ -407,11 +408,11 @@ def test_resolvent_inverts_one_minus_mu_laplacian(grid, fft_counts):
     v = band_project(grid, 2.0 + 0.1 * rng.standard_normal(grid.size))
     fft_counts.update(rfft=0, irfft=0)
     Rv, g, H = resolvent(grid, v, 0.3)
-    assert fft_counts == {"rfft": 1, "irfft": 3 if grid.n == 1 else 1}
+    assert fft_counts == {"rfft": 1, "irfft": 1}
     # A stack of two fields is resolved in the same number of calls.
     fft_counts.update(rfft=0, irfft=0)
     resolvent(grid, np.stack([v, 2.0 * v]), 0.3)
-    assert fft_counts == {"rfft": 1, "irfft": 3 if grid.n == 1 else 1}
+    assert fft_counts == {"rfft": 1, "irfft": 1}
     assert np.allclose(Rv - 0.3 * laplacian(grid, Rv), v, atol=1e-12)
     g_ref, H_ref = derivatives(grid, Rv)
     assert np.allclose(g, g_ref, atol=1e-12)
@@ -448,6 +449,45 @@ def test_stacked_pass_is_bitwise_the_per_field_passes(grid, F):
         for idx in np.ndindex(deep.shape[:-1]):
             for stacked, single in zip(out, resolvent(grid, deep[idx], mu)):
                 assert np.array_equal(stacked[idx], single)
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["one", "stack2", "stack2x3"])
+@pytest.mark.parametrize("N", [4, 96, 128, 1024])
+def test_s1_one_synthesis_is_bitwise_one_irfft_per_order(N, lead):
+    # The one irfft of the S^1 pass gives the bits of one irfft per order,
+    # irfft(c N), irfft((c i k) N) and irfft((c (i k)^2) N), for every
+    # choice of outputs.
+    grid = make_grid(1, N)
+    rng = np.random.default_rng(N)
+    shape = lead + (N // 2 + 1,)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ik, ik2 = grid._multipliers
+    want = (
+        np.fft.irfft(c * N, n=N),
+        np.fft.irfft((c * ik) * N, n=N)[..., None],
+        np.fft.irfft((c * ik2) * N, n=N)[..., None, None],
+    )
+    for choice in itertools.product((False, True), repeat=3):
+        for asked, got, ref in zip(choice, grid._fields(c, *choice), want):
+            if asked:
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            else:
+                assert got is None
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+@pytest.mark.parametrize("mu", [-1.0, -0.5, math.nan, math.inf, -math.inf, True, "0.3"])
+def test_resolvent_refuses_a_negative_or_non_finite_mu(grid, mu):
+    v = 2.0 + 0.1 * grid.nodes[:, 0]
+    with pytest.raises(ValueError, match="resolvent mu"):
+        resolvent(grid, v, mu)
+
+
+def test_resolvent_takes_any_finite_nonnegative_mu():
+    v = 2.0 + 0.1 * S1.nodes[:, 0]
+    for mu, same in ((np.float64(0.3), 0.3), (0, 0.0), (-0.0, 0.0)):
+        for a, b in zip(resolvent(S1, v, mu), resolvent(S1, v, same)):
+            assert np.array_equal(a, b)
 
 
 def test_one_synthesis_of_many_profiles_is_bitwise_one_per_profile():

@@ -54,7 +54,7 @@ def test_run_all_evaluates_each_w_k_once_per_field(wk_calls, fft_counts):
         run_all(Corpus(), exploratory=True)
         # wk_calls holds each field, so no two live fields share an id.
         assert len({(id(K), k) for K, k in wk_calls}) == len(wk_calls) == 82
-        assert fft_counts["rfft"] + fft_counts["irfft"] == 380
+        assert fft_counts["rfft"] + fft_counts["irfft"] == 298
 
 
 def test_unknown_suite_rejected():
