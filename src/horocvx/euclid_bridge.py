@@ -8,6 +8,9 @@ the Firey p-sum, and the weighted functionals V, V_p pull back
 Euclidean volume and p-mixed volume.  Both functionals are
 evaluated two ways: through the projection and directly as hyperbolic
 boundary integrals, with the cross-residual reported as a certificate.
+`V_functional` is computed once per field and then read from the
+field's cache (`hconvex.per_field`), so its `BridgeReport` is frozen:
+every caller shares the cached one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, a_eigenvalues, boundary_data, convexity, p_tensor, plus_identity
+from .hconvex import (
+    SupportField,
+    a_eigenvalues,
+    boundary_data,
+    convexity,
+    p_tensor,
+    per_field,
+    plus_identity,
+)
 from .psum import p_sum
 from .sphere_grid import integrate
 
@@ -36,7 +47,7 @@ __all__ = [
 ADMISSIBILITY_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class BridgeReport:
     value: float
     cross_residual: float  # relative gap between the two evaluation routes
@@ -130,8 +141,9 @@ def _hyperbolic_v_integrand(K: SupportField, p: float) -> np.ndarray:
     return pn / gap ** (K.grid.n + 1.0 - p) * bd.area_density
 
 
+@per_field
 def V_functional(K: SupportField) -> BridgeReport:
-    """Euclidean volume of the projection, computed both ways."""
+    """Euclidean volume of the projection, computed both ways, cached on K."""
     n = K.grid.n
     bridge = euclid_volume(project(K))
     direct = integrate(K.grid, _hyperbolic_v_integrand(K, 0.0)) / (n + 1)

@@ -95,6 +95,13 @@ TRACE_COLUMNS = (
 
 MIN_DT = 1e-15
 MAX_REJECTIONS = 40
+DEFAULT_MAX_DT = 5.0
+# The largest max_dt that one step's MAX_REJECTIONS halvings bring down to
+# the default cap.  Far above that cap a step misses the W_k constraint by
+# the roundoff of its mode-0 term dt (Phi G - h), which grows with dt
+# (on s1:64 at dt = 1e4 by 1e-12), so a run from max_dt >= 1e16 ended
+# `stalled` at its first step.
+MAX_DT = DEFAULT_MAX_DT * 2.0**MAX_REJECTIONS
 # Newton on the W_k constraint stops at roundoff: a looser residual
 # shows up as a rise of J_p along the flow.
 NEWTON_RTOL = 1e-13
@@ -118,7 +125,7 @@ class FlowConfig:
     p: float
     f: np.ndarray | None = None  # positive data at grid nodes, default 1
     dt_initial: float | None = None  # the first step, None: max_dt; later ones follow SER
-    max_dt: float = 5.0  # cap on the SER step
+    max_dt: float = DEFAULT_MAX_DT  # cap on the SER step, at most MAX_DT
     eps_stop: float = 1e-6
     max_steps: int = 200_000
     enforce_even: bool | None = None  # default: k >= 1, or f and phi0 even
@@ -138,7 +145,9 @@ class FlowConfig:
              "strict, warn or skip"),
             ("k", 0 <= k <= n - 1, f"in 0..n-1 for n = {n}"),
             ("p", k == 0 or self.p >= -n, f"at least -n = {-n} for k >= 1"),
-            ("max_dt", self.max_dt > 0.0, "positive"),
+            ("max_dt", 0.0 < self.max_dt <= MAX_DT,
+             f"positive and at most {MAX_DT:.6g}, which {MAX_REJECTIONS} halvings of a "
+             f"rejected step bring down to the default {DEFAULT_MAX_DT:g}"),
             ("dt_initial", self.dt_initial is None or self.dt_initial > 0.0, "positive"),
             # Below 0 the stop test speed_sup < eps_stop can never hold; 0
             # stays valid, to run a flow at rest for max_steps.

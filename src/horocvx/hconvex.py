@@ -88,10 +88,11 @@ class SupportField:
     Hessian, A[phi], its eigenvalues and the boundary data are computed
     once, on first use, from one spectral pass (or from the gradient and
     Hessian given to `with_derivatives`); their arrays are read-only
-    too.  `memo` caches any value computed from the field
-    alone: quermass caches W_k, the k-mean radius and the weighted
-    volume there.  Since nothing about a field can change, a cached value
-    stays valid for the field's whole life, and it dies with the field.
+    too.  `memo` caches any value computed from the field alone:
+    quermass caches W_k, the k-mean radius, the curvature integrals and
+    the weighted volume there, and euclid_bridge the Euclidean volume V.
+    Since nothing about a field can change, a cached value stays valid
+    for the field's whole life, and it dies with the field.
     """
 
     grid: Grid

@@ -21,14 +21,14 @@ coefficients.  I_k's inverse is elementary for k = n and for n = 1,
 k = 0, and otherwise a bracketed Newton root (`bracketed_newton`), so
 nothing here loads scipy.
 
-`modified_quermass`, `k_mean_radius` and `weighted_volume` are computed
-once per field and k and then read from the field's cache
-(`hconvex.per_field`): a SupportField cannot change, so its W_k cannot
-either, and the cached values go with the field.  `QuermassReport` is
-frozen because every caller shares the cached one.  `wk_value` is the
-uncached kernel under `modified_quermass`: the flow's Newton solve calls
-it once on each trial field, which it builds from the derivatives it
-already has (`SupportField.with_derivatives`).
+`modified_quermass`, `k_mean_radius`, `curvature_integral` and
+`weighted_volume` are computed once per field and k and then read from
+the field's cache (`hconvex.per_field`): a SupportField cannot change,
+so its W_k cannot either, and the cached values go with the field.
+`QuermassReport` is frozen because every caller shares the cached one.
+`wk_value` is the uncached kernel under `modified_quermass`: the flow's
+Newton solve calls it once on each trial field, which it builds from
+the derivatives it already has (`SupportField.with_derivatives`).
 """
 
 from __future__ import annotations
@@ -282,8 +282,10 @@ def I_k_inverse(n: int, k: int, w: float) -> float:
 # curvature integrals and the closed form of W_k along the homotopy path
 
 
+@per_field
 def curvature_integral(K: SupportField, m: int) -> float:
-    """int p_m(shifted curvature) dmu = int phi^{-m} p_{n-m}(A[phi]) dsigma."""
+    """int p_m(shifted curvature) dmu = int phi^{-m} p_{n-m}(A[phi]) dsigma,
+    cached on K."""
     return integrate(K.grid, measure_density(K, 0, m))
 
 

@@ -15,7 +15,10 @@ True for a record whose gap is expected to be negative; `run_suite`
 adds the suite name and the tolerances.  A `Bodies` set builds each
 grid body on its first request and lives for one `run_all` call (or
 one lone `run_suite` call), so every suite of a run that asks for the
-same body shares it and what its field has computed.
+same body shares it and what its field has computed: its W_k, k-mean
+radii, curvature integrals, weighted volume and V, each cached on the
+field (`hconvex.per_field`).  A suite that reads a derived body, such as
+a p-sum, at several k builds it once and reads its cached radii.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .hconvex import (
 from .psum import p_dilate, p_sum
 from .quermass import (
     I_k,
-    I_k_inverse,
     S_functional,
     ball_curvature_integral,
     classical_curvature_density,
@@ -183,6 +185,9 @@ class Bodies:
         return self._body(_offset_ball, n, s, r)
 
     def perturbed(self, n: int, r0: float, even: bool, flavor: int = 0) -> SupportField:
+        # The odd S^2 body takes no flavor: every flavor is one body.
+        if n == 2 and not even:
+            flavor = 0
         return self._body(_perturbed, n, r0, even, flavor)
 
 
@@ -190,12 +195,18 @@ def _term_S(S: float) -> float:
     return S + math.sqrt(S * S + 1.0)
 
 
-def _bm_sides(a: float, K: SupportField, p: float, b: float, L: SupportField, k: int):
-    """Both sides of the k-th p-Brunn-Minkowski inequality for a K +_p b L:
-    exp(p r_k) of the sum against the same combination of the summands."""
-    lhs = math.exp(p * k_mean_radius(p_sum(a, K, p, b, L), k))
-    rhs = a * math.exp(p * k_mean_radius(K, k)) + b * math.exp(p * k_mean_radius(L, k))
-    return lhs, rhs
+def _bm_sides(a: float, K: SupportField, p: float, b: float, L: SupportField, ks):
+    """(lhs, rhs) of the k-th p-Brunn-Minkowski inequality for a K +_p b L
+    for each k in ks: exp(p r_k) of the sum against the same combination
+    of the summands.  The sum is built once for every k."""
+    S = p_sum(a, K, p, b, L)
+    return [
+        (
+            math.exp(p * k_mean_radius(S, k)),
+            a * math.exp(p * k_mean_radius(K, k)) + b * math.exp(p * k_mean_radius(L, k)),
+        )
+        for k in ks
+    ]
 
 
 def _weighted_bodies(bodies: Bodies):
@@ -239,7 +250,8 @@ def _suite_bm_balls(bodies):
                 else:
                     K = bodies.offset_ball(n, 0.5 * sep, r1)
                     L = bodies.offset_ball(n, -0.5 * sep, r2)
-                yield f"n{n}/p{p}/k{k}/sep{sep}", *_bm_sides(a, K, p, b, L, k), sep == 0.0
+                ((lhs, rhs),) = _bm_sides(a, K, p, b, L, (k,))
+                yield f"n{n}/p{p}/k{k}/sep{sep}", lhs, rhs, sep == 0.0
 
 
 @_suite
@@ -250,7 +262,8 @@ def _suite_bm_k_n(bodies):
             L_dil = p_dilate(1.7, p, K)
             L_gen = bodies.perturbed(n, 0.7, even=False, flavor=1)
             for tag, L, eq in (("dilates", L_dil, True), ("general", L_gen, False)):
-                yield f"n{n}/p{p}/{tag}", *_bm_sides(0.8, K, p, 0.6, L, n), eq
+                ((lhs, rhs),) = _bm_sides(0.8, K, p, 0.6, L, (n,))
+                yield f"n{n}/p{p}/{tag}", lhs, rhs, eq
 
 
 @_suite
@@ -262,12 +275,12 @@ def _suite_af_chain(bodies):
             ("offset-ball", bodies.offset_ball(n, 0.6, 0.7), True),
             ("origin-ball", bodies.origin_ball(n, 0.9), True),
         ):
-            W = {k: modified_quermass(K, k).value for k in range(n + 1)}
             for k in range(1, n + 1):
+                W = modified_quermass(K, k).value
                 for l in range(k):
-                    yield f"n{n}/{tag}/W{k}-vs-W{l}", W[k], I_k(n, k, I_k_inverse(n, l, W[l])), eq
+                    yield f"n{n}/{tag}/W{k}-vs-W{l}", W, I_k(n, k, k_mean_radius(K, l)), eq
             for k in range(n):
-                rhs = ball_curvature_integral(n, k, I_k_inverse(n, k, W[k]))
+                rhs = ball_curvature_integral(n, k, k_mean_radius(K, k))
                 yield f"n{n}/{tag}/curvature-k{k}", curvature_integral(K, k), rhs, eq
 
 
@@ -481,8 +494,8 @@ def _suite_xp_bm_general(bodies):
         K = bodies.perturbed(n, 0.5, even=True)
         L = bodies.perturbed(n, 0.7, even=True, flavor=3)
         for p in (0.5, 1.0, 2.0):
-            for k in range(n + 1):
-                yield f"n{n}/p{p}/k{k}", *_bm_sides(0.7, K, p, 0.6, L, k), False
+            for k, (lhs, rhs) in enumerate(_bm_sides(0.7, K, p, 0.6, L, range(n + 1))):
+                yield f"n{n}/p{p}/k{k}", lhs, rhs, False
 
 
 def _xp_min(bodies, variant: str):

@@ -15,6 +15,8 @@ import horocvx
 from horocvx import flow
 from horocvx.cli import _build_parser, main
 from horocvx.flow import FlowConfig
+from horocvx.hconvex import support_of_ball
+from horocvx.lorentz import origin
 from horocvx.sphere_grid import field_to_json_dict, load_field, make_grid, save_field
 
 MANIFEST_KEYS = {"command", "parameters", "inputs", "outputs", "seed", "version", "grid"}
@@ -462,6 +464,34 @@ def test_flow_converged_run(tmp_path):
     manifest = read_json(str(trace) + ".manifest.json")
     assert sorted(manifest["outputs"]) == sorted([str(trace), str(terminal)])
     assert str(phi0) in manifest["inputs"]
+
+
+def test_flow_config_with_only_f_starts_from_a_ball_on_fs_grid(tmp_path, monkeypatch):
+    # With neither initial nor grid, the grid is f's and the start is the
+    # default ball on it.
+    seen = []
+    real = flow.run
+
+    def spy(config, phi0):
+        seen.append((config, phi0))
+        return real(config, phi0)
+
+    monkeypatch.setattr(flow, "run", spy)
+    f = tmp_path / "f.json"
+    assert main(["mkfield", "--grid", "s1:32", "--random", "--seed", "3", "--out", str(f)]) == 0
+    cfg_path = tmp_path / "flow.json"
+    cfg_path.write_text(json.dumps({"n": 1, "k": 0, "p": 2.0, "f": str(f)}))
+    trace = tmp_path / "trace.csv"
+    assert main(["flow", "--config", str(cfg_path), "--out", str(trace)]) == 0
+    (config, phi0), = seen
+    f_grid, f_values, _ = load_field(f)
+    assert phi0.grid == f_grid == make_grid(1, 32)
+    ball = support_of_ball(f_grid, origin(1), math.log(2.0))
+    assert phi0.phi.tobytes() == ball.phi.tobytes()
+    assert config.f.tobytes() == f_values.tobytes()
+    manifest = read_json(str(trace) + ".manifest.json")
+    assert set(manifest["inputs"]) == {str(cfg_path), str(f)}
+    assert manifest["grid"] == {"type": "uniform_s1", "nodes": 32}
 
 
 def test_flow_unconverged_exit_code(tmp_path):

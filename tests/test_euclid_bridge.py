@@ -1,5 +1,6 @@
 """Projection to Euclidean bodies and the pulled-back volume functionals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,23 @@ def test_euclid_volume_of_ball_projection():
     rep2 = V_functional(K2)
     assert rep2.value == pytest.approx(32.0 * math.pi / 3.0, abs=1e-10)
     assert rep2.cross_residual < 1e-10
+
+
+@pytest.mark.parametrize("body", [wavy_circle, wavy_sphere], ids=["s1", "s2"])
+def test_v_functional_is_cached_on_the_field_and_frozen(body):
+    K = body()
+    rep = V_functional(K)
+    assert V_functional(K) is rep
+    assert V_functional(SupportField(K.grid, K.phi)) == rep
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.value = 0.0
+
+
+def test_v_functional_that_raises_is_not_cached():
+    kinked = SupportField(S1, 2.2 * (1.0 + 0.05 * np.cos(3 * S1.theta)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="h-convex"):
+            V_functional(kinked)
 
 
 def test_euclid_volume_direct_disc():

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -697,6 +698,74 @@ def test_stepped_state_is_bitwise_the_replaced_state(cfg, body):
         for s in (state, new_state):
             assert _same_bits(s.w, measure_density(s.K, 1.0, cfg.k))
         state = new_state
+
+
+def _first_attempt_is_rejected_and_halved(monkeypatch, name, value):
+    # run with flow.<name> set to value for its first step attempt only:
+    # that attempt is rejected, and the run is then the run that starts
+    # at the halved dt, but for the rejection it counts.
+    cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=3)
+    reference = run(replace(cfg, dt_initial=0.5 * cfg.max_dt), perturbed_circle())
+    real_step, original = flow.step, getattr(flow, name)
+    attempts = []
+
+    def first_patched(state, dt):
+        attempts.append(dt)
+        monkeypatch.setattr(flow, name, value if len(attempts) == 1 else original)
+        return real_step(state, dt)
+
+    monkeypatch.setattr(flow, "step", first_patched)
+    res = run(cfg, perturbed_circle())
+    assert attempts[:2] == [cfg.max_dt, 0.5 * cfg.max_dt]
+    assert res.rejections == 1 and reference.rejections == 0
+    assert list(res.trace.column("rejected")) == [1, 0, 0, 0]
+    assert [row[:-1] for row in res.trace.rows] == [row[:-1] for row in reference.trace.rows]
+    assert res.terminal.phi.tobytes() == reference.terminal.phi.tobytes()
+
+
+def test_newton_slope_failure_is_a_rejected_step(monkeypatch):
+    # A W_k slope that is not positive stops the constraint solve.
+    state = make_state(FlowConfig(n=1, k=0, p=0.0), perturbed_circle())
+    real = flow.measure_density
+
+    def negated(K, p, k):
+        return -real(K, p, k)
+
+    monkeypatch.setattr(flow, "measure_density", negated)
+    with pytest.raises(FlowStepError, match="W_k constraint has slope -"):
+        step(state, 5.0)
+    monkeypatch.undo()
+    _first_attempt_is_rejected_and_halved(monkeypatch, "measure_density", negated)
+
+
+def test_newton_out_of_iterations_is_a_rejected_step(monkeypatch):
+    # One iteration cannot meet the constraint when the first residual,
+    # from the linearized Phi, is above tolerance, as it is at dt = 5.
+    state = make_state(FlowConfig(n=1, k=0, p=0.0), perturbed_circle())
+    monkeypatch.setattr(flow, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(FlowStepError, match="W_k constraint missed by"):
+        step(state, 5.0)
+    monkeypatch.undo()
+    _first_attempt_is_rejected_and_halved(monkeypatch, "NEWTON_MAX_ITER", 1)
+
+
+@pytest.mark.parametrize("max_dt", [1e13, 1e30, sys.float_info.max])
+def test_flow_config_refuses_a_max_dt_its_rejections_cannot_bring_down(max_dt):
+    # Every max_dt from 1e16 up ended the run of the next test `stalled`
+    # at step 0 after 41 rejections: 40 halvings left each attempt far
+    # above the dt at which a step can hold W_k.
+    with pytest.raises(ValueError, match="flow config max_dt must be .* at most 5.49756e"):
+        FlowConfig(n=1, k=0, p=0.0, max_dt=max_dt)
+
+
+def test_largest_max_dt_converges_after_halving_down_to_the_default():
+    assert flow.MAX_DT == flow.DEFAULT_MAX_DT * 2**flow.MAX_REJECTIONS
+    assert FlowConfig(n=1, k=0, p=0.0).max_dt == flow.DEFAULT_MAX_DT
+    for max_dt in (1e12, flow.MAX_DT):
+        res = run(FlowConfig(n=1, k=0, p=0.0, max_dt=max_dt), perturbed_circle())
+        assert res.status == "converged"
+        assert res.rejections >= 40
+        assert res.trace.column("dt")[0] < max_dt
 
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan, 1e308])

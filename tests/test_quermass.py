@@ -353,7 +353,8 @@ def test_steiner_check_analyses_each_of_its_two_fields_once(grid, fft_counts):
 
 
 # ---------------------------------------------------------------------------
-# per-field cache of W_k, the k-mean radius and the weighted volume
+# per-field cache of W_k, the k-mean radius, the curvature integrals and
+# the weighted volume
 
 
 @pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
@@ -361,12 +362,15 @@ def test_cached_scalars_equal_those_of_a_fresh_field(grid):
     K = smooth_body(grid)
     reports = [modified_quermass(K, k) for k in range(grid.n + 1)]
     radii = [k_mean_radius(K, k) for k in range(grid.n + 1)]
+    masses = [curvature_integral(K, k) for k in range(grid.n + 1)]
     vw = weighted_volume(K)
     fresh = SupportField(grid, K.phi)
     for k in range(grid.n + 1):
         assert modified_quermass(K, k) is reports[k]
         assert reports[k].value == modified_quermass(fresh, k).value
         assert k_mean_radius(K, k) == radii[k] == k_mean_radius(fresh, k)
+        assert curvature_integral(K, k) is masses[k]
+        assert masses[k] == curvature_integral(fresh, k)
     assert weighted_volume(K) == vw == weighted_volume(fresh)
     assert S_functional(K) == S_functional(fresh)
 
@@ -406,6 +410,8 @@ def test_a_call_that_raises_is_not_cached():
             k_mean_radius(below_one, 0)
         with pytest.raises(ValueError, match="not h-convex"):
             weighted_volume(nonconvex)
+        with pytest.raises(ValueError, match="k must lie"):
+            curvature_integral(below_one, 2)
 
 
 def test_quermass_report_is_frozen():

@@ -2,11 +2,13 @@
 
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from horocvx.hconvex import convexity, random_h_convex_fields
+from horocvx import verify
+from horocvx.hconvex import SupportField, convexity, random_h_convex_fields
 from horocvx.sphere_grid import make_grid
 from horocvx.verify import (
     EXPLORATORY_SUITES,
@@ -40,9 +42,10 @@ def test_euclid_suite_analyses_each_body_once(fft_counts):
 
 def test_run_all_builds_each_body_once(fft_counts):
     # One body set for the whole run: a body that several suites use is
-    # analysed once (250 rfft calls when every suite built its own).
+    # analysed once (250 rfft calls when every suite built its own), and
+    # so is each p-sum that a suite reads at several k.
     run_all(Corpus(), exploratory=True)
-    assert fft_counts["rfft"] <= 149
+    assert fft_counts["rfft"] <= 139
 
 
 def test_run_all_evaluates_each_w_k_once_per_field(wk_calls, fft_counts):
@@ -54,7 +57,50 @@ def test_run_all_evaluates_each_w_k_once_per_field(wk_calls, fft_counts):
         run_all(Corpus(), exploratory=True)
         # wk_calls holds each field, so no two live fields share an id.
         assert len({(id(K), k) for K, k in wk_calls}) == len(wk_calls) == 82
-        assert fft_counts["rfft"] + fft_counts["irfft"] == 298
+        assert fft_counts["rfft"] + fft_counts["irfft"] == 278
+
+
+def test_run_all_computes_each_cached_functional_once_per_field(monkeypatch):
+    # The suites ask for V 32 times over 20 distinct fields and for a
+    # curvature integral 28 times over 13 distinct (field, m) pairs; each
+    # field computes its own once.
+    asked, computed, fields = Counter(), Counter(), []
+    real = SupportField.memo
+
+    def memo(K, fn, *args):
+        asked[fn.__name__] += 1
+        computed[fn.__name__] += (fn, *args) not in K._memo
+        fields.append(K)  # so that no two fields of the run share an id
+        return real(K, fn, *args)
+
+    monkeypatch.setattr(SupportField, "memo", memo)
+    run_all(Corpus(), exploratory=True)
+    assert asked["V_functional"] == 32 and computed["V_functional"] == 20
+    assert asked["curvature_integral"] == 28 and computed["curvature_integral"] == 13
+
+
+def test_bm_general_builds_each_p_sum_once(monkeypatch):
+    # Each of its 6 sums serves every k of its (n, p): 15 records.
+    sums = []
+    real = verify.p_sum
+    monkeypatch.setattr(verify, "p_sum", lambda *args: sums.append(args) or real(*args))
+    records = run_suite("xp_bm_general", CORPUS)
+    assert len(records) == 15
+    assert len(sums) == 6
+
+
+def test_odd_s2_perturbed_body_is_one_body_for_every_flavor():
+    # The odd S^2 body takes no flavor, so its flavors share one entry;
+    # on S^1, and for even bodies, the flavor changes the body.
+    bodies = Bodies(CORPUS)
+    K = bodies.perturbed(2, 0.7, even=False, flavor=1)
+    assert bodies.perturbed(2, 0.7, even=False, flavor=2) is K
+    for flavor in (0, 1, 2):
+        fresh = verify._perturbed(bodies.grid(2), 0.7, False, flavor)
+        assert fresh.phi.tobytes() == K.phi.tobytes()
+    for n, even in ((1, False), (1, True), (2, True)):
+        one, two = (bodies.perturbed(n, 0.7, even, flavor) for flavor in (1, 2))
+        assert one is not two and not np.array_equal(one.phi, two.phi)
 
 
 def test_unknown_suite_rejected():
