@@ -2,14 +2,14 @@
 
 Every invocation that writes an output file also writes a run manifest
 (`<output>.manifest.json`) recording the command, parameters, input
-file hashes, all output paths, seed, package version, and grid, so a
-run can be reproduced exactly; identical manifests imply bit-identical
-outputs.  One function builds it from the parsed arguments: the
-parameters are every option but the output paths and `--seed`, plus
-`n`, `k` and `p` for `flow` and the resolved tolerances for `verify`;
-the inputs are the files that `--K`, `--L`, `--f` and `--config` name,
-plus the field files a flow config names.  Exit codes: 0 success, 1
-verification failure, 2 usage error.
+file hashes, all output paths, package version, and grid, so a run can
+be reproduced exactly; identical manifests imply bit-identical outputs.
+One function builds it from the parsed arguments: the parameters are
+every option but the output paths, plus `n`, `k` and `p` for `flow`
+and the resolved tolerances for `verify`; the inputs are the files that
+`--K`, `--L`, `--f` and `--config` name, plus the field files a flow
+config names.  The JSON commands write report and manifest through
+`_emit`.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Start-up is part of every command's cost, so this module imports at top
 level only what every numeric command uses (`sphere_grid` and `hconvex`,
@@ -28,14 +28,15 @@ or validated (values finite and positive, one per grid node) is a
 usage error naming its source.  Two field inputs of one command (`--K`
 and `--L`, `--K` and `--f`, a flow config's `initial` and `f`) must lie
 on one grid, a flow config's fields on S^n for its `n`, and a flow
-config gives `initial` or `grid`, not both: otherwise it is a usage
-error naming both sources.  So is an `--out` or `--terminal` that names
-an input file, which it would replace before the manifest hashes it,
-and an `--out` and a `--terminal` that name one file.
+config gives `initial` or `grid`, and `initial` or `initial_radius`:
+otherwise it is a usage error naming both sources.  So is an `--out` or
+`--terminal` that names an input file, which it would replace before
+the manifest hashes it, and an `--out` and a `--terminal` that name one
+file.
 
 A flow config's keys are `flow.FlowConfig`'s fields plus `initial`,
-`grid`, `initial_radius` and `seed`.  FlowConfig checks its values when
-it is built; its ValueError is a usage error (`bad flow config <path>:
+`grid` and `initial_radius`.  FlowConfig checks its values when it is
+built; its ValueError is a usage error (`bad flow config <path>:
 ...`).  What `flow.make_state` refuses (f failing assumption H under
 "strict", odd f under enforced evenness, an initial field that is not
 uniformly h-convex) fails the flow: exit 1, an `error:` line, no trace.
@@ -57,7 +58,6 @@ from .hconvex import SupportField, convexity, random_h_convex_fields, support_of
 from .lorentz import hpoint, origin, validate_hpoint
 from .sphere_grid import (
     Grid,
-    as_integer,
     as_real,
     field_from_json_dict,
     field_to_json_dict,
@@ -99,7 +99,7 @@ def _positive(text: str) -> float:
 
 
 def _seed(text: str) -> int:
-    """argparse type of --seed: an integer >= 0, as the RNG requires."""
+    """argparse type of mkfield --seed: an integer >= 0, as the RNG requires."""
     try:
         value = int(text)
     except ValueError:
@@ -183,8 +183,8 @@ def _dump_json(path: str, obj) -> None:
 
 
 # Parsed options the manifest does not list as parameters: the handler,
-# the command, the output paths and the seed, which it records apart.
-_NOT_PARAMETERS = frozenset({"func", "command", "out", "terminal", "seed"})
+# the command and the output paths.
+_NOT_PARAMETERS = frozenset({"func", "command", "out", "terminal"})
 # Options that name input files.
 _INPUT_OPTIONS = ("K", "L", "f", "config")
 
@@ -216,7 +216,7 @@ def _refuse_overwrite(args, more_inputs: dict[str, str] | None = None) -> None:
 def _write_manifest(args, grid: Grid | None, *more_inputs: str) -> None:
     """Write the run manifest of the parsed args beside each output.
 
-    Parameters, input files, outputs and seed all come from args, so a
+    Parameters, input files and outputs all come from args, so a
     command that records more stores it on args first; more_inputs are
     input files that no option names.
     """
@@ -230,7 +230,6 @@ def _write_manifest(args, grid: Grid | None, *more_inputs: str) -> None:
         },
         "inputs": {path: _sha256(path) for path in inputs},
         "outputs": outputs,
-        "seed": options.get("seed"),
         "version": __version__,
         "grid": grid_to_json_dict(grid) if grid is not None else None,
     }
@@ -238,11 +237,24 @@ def _write_manifest(args, grid: Grid | None, *more_inputs: str) -> None:
         _dump_json(out + ".manifest.json", manifest)
 
 
+def _emit(args, grid: Grid | None, report) -> int:
+    """Dump report to --out and write the manifest; exit code 0.  Both
+    writers are looked up by name at call time, so wrappers see each call."""
+    _dump_json(args.out, report)
+    _write_manifest(args, grid)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_mkfield(args) -> int:
+    for option, mode in (("radius", "ball"), ("center", "ball"), ("seed", "random")):
+        if getattr(args, option) is not None and not getattr(args, mode):
+            raise UsageError(f"--{option} needs --{mode}")
+    # The default center, on args so that the manifest records it.
+    args.center = "origin" if args.center is None else args.center
     grid = _parse_grid(args.grid)
     if args.ball:
         if args.center == "origin":
@@ -260,20 +272,14 @@ def _cmd_mkfield(args) -> int:
                 raise UsageError(f"bad --center {args.center!r}: {exc}") from None
         if args.radius is None:
             raise UsageError("--ball requires --radius")
-        K = support_of_ball(grid, center, args.radius)
-        values = K.phi
-    elif args.constant is not None:
+        values = support_of_ball(grid, center, args.radius).phi
+    elif args.random:
+        values = random_h_convex_fields(args.seed or 0, [grid], 1)[0].phi
+    else:
         if args.constant <= 0.0:
             raise UsageError("--constant must be positive")
         values = np.full(grid.size, args.constant)
-    elif args.random:
-        fields = random_h_convex_fields(args.seed or 0, [grid], 1)
-        values = fields[0].phi
-    else:
-        raise UsageError("mkfield needs one of --ball, --constant, --random")
-    _dump_json(args.out, field_to_json_dict(grid, values, kind="support"))
-    _write_manifest(args, grid)
-    return 0
+    return _emit(args, grid, field_to_json_dict(grid, values, kind="support"))
 
 
 def _cmd_psum(args) -> int:
@@ -283,9 +289,7 @@ def _cmd_psum(args) -> int:
     L = _load_scalar(args.L)
     _same_grid(K, f"--K {args.K}", L, f"--L {args.L}")
     result = p_sum(args.a, K, args.p, args.b, L)
-    _dump_json(args.out, field_to_json_dict(result.grid, result.phi, kind="support"))
-    _write_manifest(args, K.grid)
-    return 0
+    return _emit(args, K.grid, field_to_json_dict(result.grid, result.phi, kind="support"))
 
 
 def _cmd_dilate(args) -> int:
@@ -293,9 +297,7 @@ def _cmd_dilate(args) -> int:
 
     K = _load_scalar(args.K)
     result = p_dilate(args.a, args.p, K)
-    _dump_json(args.out, field_to_json_dict(result.grid, result.phi, kind="support"))
-    _write_manifest(args, K.grid)
-    return 0
+    return _emit(args, K.grid, field_to_json_dict(result.grid, result.phi, kind="support"))
 
 
 def _cmd_quermass(args) -> int:
@@ -312,9 +314,7 @@ def _cmd_quermass(args) -> int:
             "method": rep.method,
             "mean_radius": I_k_inverse(n, k, rep.value),
         }
-    _dump_json(args.out, {"n": n, "quermass": values})
-    _write_manifest(args, K.grid)
-    return 0
+    return _emit(args, K.grid, {"n": n, "quermass": values})
 
 
 def _cmd_steiner(args) -> int:
@@ -334,9 +334,7 @@ def _cmd_steiner(args) -> int:
             "classical_residual": rep.classical_residual,
             "scale": rep.scale,
         }
-    _dump_json(args.out, report)
-    _write_manifest(args, K.grid)
-    return 0
+    return _emit(args, K.grid, report)
 
 
 def _cmd_weighted(args) -> int:
@@ -344,15 +342,12 @@ def _cmd_weighted(args) -> int:
 
     K = _load_scalar(args.K)
     mink = minkowski_formula_residuals(K)
-    report = {
+    return _emit(args, K.grid, {
         "weighted_volume": weighted_volume(K),
         "S": S_functional(K),
         "minkowski_classical_residuals": mink.classical,
         "minkowski_shifted_residuals": mink.shifted,
-    }
-    _dump_json(args.out, report)
-    _write_manifest(args, K.grid)
-    return 0
+    })
 
 
 def _cmd_measure(args) -> int:
@@ -360,10 +355,9 @@ def _cmd_measure(args) -> int:
 
     K = _load_scalar(args.K)
     density = measure_density(K, args.p, _check_k(args.k, K.grid.n))
-    obj = field_to_json_dict(K.grid, density, kind="measure-density")
-    _dump_json(args.out, {**obj, "total": integrate(K.grid, density), "p": args.p, "k": args.k})
-    _write_manifest(args, K.grid)
-    return 0
+    report = field_to_json_dict(K.grid, density, kind="measure-density")
+    report.update(total=integrate(K.grid, density), p=args.p, k=args.k)
+    return _emit(args, K.grid, report)
 
 
 def _cmd_kw(args) -> int:
@@ -375,14 +369,11 @@ def _cmd_kw(args) -> int:
     f = _load_scalar(args.f)
     _same_grid(K, f"--K {args.K}", f, f"--f {args.f}")
     rep = kw_residual(K, f.phi, _check_k(args.k, K.grid.n))
-    report = {
+    return _emit(args, K.grid, {
         **asdict(rep),
         "k": args.k,
         "max_abs_coordinate_integral": max(abs(v) for v in rep.coordinate_integrals),
-    }
-    _dump_json(args.out, report)
-    _write_manifest(args, K.grid)
-    return 0
+    })
 
 
 def _cmd_ballsolve(args) -> int:
@@ -399,9 +390,7 @@ def _cmd_ballsolve(args) -> int:
     # p < -n lies outside the k >= 1 range; at k = 0 it has one ball.
     if args.p < -n and args.k > 0:
         raise UsageError(f"--p must be at least -n = {-n} for --k >= 1, got {args.p}")
-    _dump_json(args.out, asdict(ball_solutions(n, args.k, args.p, args.gamma)))
-    _write_manifest(args, None)
-    return 0
+    return _emit(args, None, asdict(ball_solutions(n, args.k, args.p, args.gamma)))
 
 
 def _cmd_assumption_h(args) -> int:
@@ -411,9 +400,7 @@ def _cmd_assumption_h(args) -> int:
 
     f = _load_scalar(args.f)
     rep = check_assumption_h(f.phi, f.grid, _check_k(args.k, f.grid.n), args.p)
-    _dump_json(args.out, {**asdict(rep), "k": args.k, "p": args.p})
-    _write_manifest(args, f.grid)
-    return 0
+    return _emit(args, f.grid, {**asdict(rep), "k": args.k, "p": args.p})
 
 
 def _cmd_flow(args) -> int:
@@ -431,10 +418,10 @@ def _cmd_flow(args) -> int:
     if not isinstance(cfg, dict):
         raise UsageError(f"flow config {args.config} must be a JSON object")
     # FlowConfig's fields, which it checks itself; f, one of them, is a
-    # field input, loaded below with initial.  grid, initial_radius and
-    # seed are read only here.
+    # field input, loaded below with initial.  grid and initial_radius are
+    # read only here.
     settings = {fld.name: fld for fld in fields(FlowConfig) if fld.name != "f"}
-    unknown = sorted(set(cfg) - set(settings) - {"f", "initial", "grid", "initial_radius", "seed"})
+    unknown = sorted(set(cfg) - set(settings) - {"f", "initial", "grid", "initial_radius"})
     if unknown:
         raise UsageError(f"unknown flow config key(s): {', '.join(unknown)}")
     for key, fld in settings.items():
@@ -443,10 +430,8 @@ def _cmd_flow(args) -> int:
     try:
         config = FlowConfig(**{key: cfg[key] for key in settings if key in cfg})
         r0 = as_real(cfg.get("initial_radius", math.log(2.0)), "flow config initial_radius")
-        # Read by nothing but the manifest; the rule of --seed.
-        seed = cfg.get("seed")
-        if seed is not None and as_integer(seed, "flow config seed") < 0:
-            raise ValueError(f"flow config seed must be nonnegative, got {seed}")
+        if r0 < 0.0:
+            raise ValueError(f"flow config initial_radius must be nonnegative, got {r0}")
     except ValueError as exc:
         raise UsageError(f"bad flow config {args.config}: {exc}") from None
     loaded, sources, inputs = {}, {}, {}
@@ -464,9 +449,11 @@ def _cmd_flow(args) -> int:
     _refuse_overwrite(args, inputs)
     f_field = loaded.get("f")
     if "initial" in loaded:
-        # The initial field fixes the grid; a second grid would be ignored.
-        if "grid" in cfg:
-            raise UsageError("flow config gives both 'initial' and 'grid'; give one")
+        # The initial field fixes the grid and the start; a grid or a
+        # radius would be ignored.
+        for key in ("grid", "initial_radius"):
+            if key in cfg:
+                raise UsageError(f"flow config gives both 'initial' and {key!r}; give one")
         phi0 = loaded["initial"]
     else:
         if isinstance(cfg.get("grid"), str):
@@ -504,7 +491,7 @@ def _cmd_flow(args) -> int:
             "warnings": result.warnings,
         }
         _dump_json(args.terminal, terminal)
-    args.n, args.k, args.p, args.seed = config.n, config.k, config.p, seed
+    args.n, args.k, args.p = config.n, config.k, config.p
     _write_manifest(args, phi0.grid, *inputs.values())
     print(
         f"flow {result.status}: steps={result.steps} t={result.t_final:.6g} "
@@ -521,9 +508,7 @@ def _cmd_project(args) -> int:
     obj = field_to_json_dict(hat.grid, hat.phi, kind="euclidean-support")
     if convexity(K).classification == "uniformly-h-convex":
         obj["euclidean_volume"] = euclid_volume(hat)
-    _dump_json(args.out, obj)
-    _write_manifest(args, K.grid)
-    return 0
+    return _emit(args, K.grid, obj)
 
 
 def _cmd_verify(args) -> int:
@@ -535,7 +520,7 @@ def _cmd_verify(args) -> int:
     # Resolved on args, so that the manifest records the values used.
     args.tol = verify_mod.DEFAULT_TOL if args.tol is None else args.tol
     args.eq_tol = verify_mod.DEFAULT_EQ_TOL if args.eq_tol is None else args.eq_tol
-    corpus = verify_mod.Corpus(seed=args.seed or 0)
+    corpus = verify_mod.Corpus()
     if args.suite == "all":
         records = verify_mod.run_all(
             corpus, tol=args.tol, eq_tol=args.eq_tol, exploratory=args.exploratory
@@ -574,12 +559,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mkfield", help="write a support field JSON")
     p.add_argument("--grid", required=True, help="s1:N or s2:LxM")
-    p.add_argument("--ball", action="store_true", help="geodesic ball support field")
-    p.add_argument("--center", default="origin", help="'origin' or comma separated coordinates")
-    p.add_argument("--radius", type=_nonnegative, default=None)
-    p.add_argument("--constant", type=_finite, default=None, help="constant field value")
-    p.add_argument("--random", action="store_true", help="seeded random uniformly h-convex field")
-    p.add_argument("--seed", type=_seed, default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--ball", action="store_true", help="geodesic ball support field")
+    mode.add_argument("--constant", type=_finite, default=None, help="constant field value")
+    mode.add_argument("--random", action="store_true", help="random uniformly h-convex field")
+    p.add_argument("--center", default=None, help="with --ball: 'origin' (default) or coordinates")
+    p.add_argument("--radius", type=_nonnegative, default=None, help="with --ball")
+    p.add_argument("--seed", type=_seed, default=None, help="with --random")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mkfield)
 
@@ -663,7 +649,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_finite, default=None, help="default: verify.DEFAULT_TOL")
     p.add_argument("--eq-tol", type=_finite, default=None, help="default: verify.DEFAULT_EQ_TOL")
     p.add_argument("--exploratory", action="store_true")
-    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

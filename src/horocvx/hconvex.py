@@ -29,6 +29,7 @@ __all__ = [
     "BoundaryData",
     "support_of_point",
     "support_of_ball",
+    "outer_parallel",
     "a_eigenvalues",
     "p_tensor",
     "squared_norm",
@@ -238,8 +239,15 @@ def support_of_ball(grid: Grid, X, r: float) -> SupportField:
     """Support field of the geodesic ball B(X, r), r >= 0."""
     if r < 0.0:
         raise ValueError(f"ball radius must be nonnegative, got {r}")
-    point = support_of_point(grid, X)
-    return SupportField(grid, math.exp(r) * point.phi)
+    return outer_parallel(support_of_point(grid, X), r)
+
+
+def outer_parallel(K: SupportField, rho: float) -> SupportField:
+    """The outer parallel body of K at distance rho: phi -> e^rho phi."""
+    try:
+        return SupportField(K.grid, math.exp(rho) * K.phi)
+    except OverflowError:
+        raise ValueError(f"distance {rho} is too large: e^{rho} overflows") from None
 
 
 def plus_identity(M: np.ndarray, s: np.ndarray) -> np.ndarray:

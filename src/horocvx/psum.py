@@ -88,7 +88,10 @@ def p_dilate(a: float, p: float, K: SupportField) -> SupportField:
         raise ValueError(f"p-dilation needs a >= 1, got {a}")
     if p <= 0.0:
         raise ValueError(f"p-dilation needs p > 0, got {p}")
-    return SupportField(K.grid, a ** (1.0 / p) * K.phi)
+    try:
+        return SupportField(K.grid, a ** (1.0 / p) * K.phi)
+    except OverflowError:
+        raise ValueError(f"p-dilation by a = {a}, p = {p}: a^(1/p) overflows") from None
 
 
 def _pow(t: float, e: float) -> float:

@@ -44,6 +44,7 @@ from .hconvex import (
     SupportField,
     boundary_data,
     measure_density,
+    outer_parallel,
     p_tensor,
     per_field,
     plus_identity,
@@ -441,7 +442,7 @@ def steiner_check(K: SupportField, rho: float) -> SteinerReport:
     grid = K.grid
     n = grid.n
     boundary_data(K).require_curvature()
-    K_rho = SupportField(grid, math.exp(rho) * K.phi)
+    K_rho = outer_parallel(K, rho)
     W = [modified_quermass(K, k).value for k in range(n + 1)]
     W_rho = [modified_quermass(K_rho, k).value for k in range(n + 1)]
     CI = [curvature_integral(K, i) for i in range(n + 1)]
@@ -477,7 +478,7 @@ def weighted_steiner_check(K: SupportField, rho: float) -> WeightedSteinerReport
     n = grid.n
     bd = boundary_data(K).require_curvature()
     vw = weighted_volume(K)
-    direct = weighted_volume(SupportField(grid, math.exp(rho) * K.phi))
+    direct = weighted_volume(outer_parallel(K, rho))
     form1 = vw
     form2 = vw * math.exp((n + 1) * rho)
     for k in range(n + 1):

@@ -84,6 +84,8 @@ class CheckRecord:
 
 @dataclass
 class Corpus:
+    """Grid sizes of the fixed verify bodies.  Nothing reads `seed`; it goes
+    with the benchmark's `Corpus(seed=...)` call (ROADMAP item 5)."""
     seed: int = 0
     n1_resolution: int = 128
     n2_resolution: int = 20

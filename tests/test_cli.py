@@ -19,7 +19,7 @@ from horocvx.hconvex import support_of_ball
 from horocvx.lorentz import origin
 from horocvx.sphere_grid import field_to_json_dict, load_field, make_grid, save_field
 
-MANIFEST_KEYS = {"command", "parameters", "inputs", "outputs", "seed", "version", "grid"}
+MANIFEST_KEYS = {"command", "parameters", "inputs", "outputs", "version", "grid"}
 
 
 def read_json(path):
@@ -89,6 +89,35 @@ def test_mkfield_random_is_seeded(tmp_path):
         assert rc == 0
     assert read_json(a)["values"] == read_json(b)["values"]
     assert read_json(a)["values"] != read_json(c)["values"]
+
+
+def test_mkfield_manifest_records_the_seed_as_a_parameter(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["mkfield", "--grid", "s1:64", "--random", "--seed", "5", "--out", str(out)]) == 0
+    manifest = read_json(str(out) + ".manifest.json")
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["parameters"]["seed"] == 5
+
+
+# Options of another mode, or two modes: each would be ignored.
+MKFIELD_CONFLICTS = [
+    pytest.param(["--ball", "--radius", "0.5", "--random", "--seed", "3", "--constant", "2"],
+                 id="three-modes"),
+    pytest.param(["--ball", "--radius", "0.4", "--random"], id="ball-and-random"),
+    pytest.param(["--constant", "2", "--radius", "3", "--seed", "9"], id="constant-radius-seed"),
+    pytest.param(["--constant", "2", "--radius", "3"], id="radius-without-ball"),
+    pytest.param(["--random", "--center", "origin"], id="center-without-ball"),
+    pytest.param(["--ball", "--radius", "0.5", "--seed", "1"], id="seed-without-random"),
+]
+
+
+@pytest.mark.parametrize("options", MKFIELD_CONFLICTS)
+def test_mkfield_options_of_another_mode_are_a_usage_error(tmp_path, capsys, options):
+    out = tmp_path / "x.json"
+    assert main(["mkfield", "--grid", "s1:32", *options, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_mkfield_usage_errors(tmp_path, capsys):
@@ -169,7 +198,6 @@ OUT_OF_RANGE = [
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--gamma", "0"], id="ballsolve-gamma0"),
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--gamma=-1"], id="ballsolve-gamma-1"),
     pytest.param(["steiner", "--K", "K.json", "--rho=-5"], id="steiner-rho-5"),
-    pytest.param(["verify", "bm_balls", "--seed=-1"], id="verify-seed"),
 ]
 
 
@@ -182,6 +210,33 @@ def test_out_of_range_option_is_a_usage_error(tmp_path, monkeypatch, capsys, arg
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+# Values in range whose result overflows a float: an error line naming
+# the value, exit 1.
+OVERFLOWS = [
+    pytest.param(["mkfield", "--grid", "s1:32", "--ball", "--radius", "800"], "800", id="ball"),
+    pytest.param(["dilate", "--a", "1e300", "--p", "0.001", "--K", "K.json"], "1e+300",
+                 id="dilate"),
+    pytest.param(["steiner", "--K", "K.json", "--rho", "800"], "800", id="steiner"),
+]
+
+
+@pytest.mark.parametrize("argv, value", OVERFLOWS)
+def test_overflowing_value_is_an_error_line(tmp_path, monkeypatch, capsys, argv, value):
+    monkeypatch.chdir(tmp_path)
+    mkball(tmp_path, "K.json", 0.5)
+    capsys.readouterr()
+    assert main(argv + ["--out", "out.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and value in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_verify_has_no_seed(capsys):
+    # The corpus is fixed; a seed that changed nothing is not an option.
+    assert main(["verify", "bm_balls", "--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 SCIPY_FREE_SESSION = """
@@ -641,9 +696,7 @@ def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
         ("assumption_mode", "lenient"),
         ("eps_stop", -1),
         ("k", 1),  # k = n has no flow
-        ("seed", -1),  # the rule of --seed: null or an integer >= 0
-        ("seed", "not a seed"),
-        ("seed", 1.5),
+        ("initial_radius", -1),
     ],
 )
 def test_flow_config_out_of_range_value_is_a_usage_error(tmp_path, capsys, key, value):
@@ -653,6 +706,25 @@ def test_flow_config_out_of_range_value_is_a_usage_error(tmp_path, capsys, key, 
     err = _flow_usage_error(tmp_path, capsys, cfg)
     assert err.startswith(f"error: bad flow config {tmp_path / 'flow.json'}:")
     assert key in err
+
+
+def test_flow_config_seed_is_an_unknown_key(tmp_path, capsys):
+    # No flow reads a seed, so the manifest would record a value that
+    # changes nothing.
+    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "seed": 0}
+    err = _flow_usage_error(tmp_path, capsys, cfg)
+    assert "unknown flow config key(s): seed" in err
+
+
+def test_flow_config_overflowing_initial_radius_is_an_error_line(tmp_path, capsys):
+    (tmp_path / "flow.json").write_text(
+        json.dumps({"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "initial_radius": 800})
+    )
+    trace = tmp_path / "t.csv"
+    assert main(["flow", "--config", str(tmp_path / "flow.json"), "--out", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "800" in err
+    assert not trace.exists()
 
 
 def _flow_outputs_by_thread_count(tmp_path, cfg):
@@ -851,6 +923,15 @@ def test_flow_config_with_initial_and_grid_is_a_usage_error(tmp_path, capsys):
         assert "both 'initial' and 'grid'" in err
 
 
+def test_flow_config_with_initial_and_initial_radius_is_a_usage_error(tmp_path, capsys):
+    # The initial field is the start, so the radius would be ignored.
+    A = mkball(tmp_path, "A.json", 0.5, grid="s1:32")
+    err = _flow_usage_error(
+        tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0, "initial": str(A), "initial_radius": 0.5}
+    )
+    assert "both 'initial' and 'initial_radius'" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -972,11 +1053,42 @@ def test_manifest_parameters_are_every_parsed_option(tmp_path, monkeypatch):
         out = f"{command}.out"
         assert main([command, *argv, "--out", out]) == 0, command
         options = {action.dest for action in commands[command]._actions}
-        expected = options - {"help", "out", "terminal", "seed"}
+        expected = options - {"help", "out", "terminal"}
         if command == "flow":
             expected |= {"n", "k", "p"}
         manifest = read_json(out + ".manifest.json")
         assert set(manifest["parameters"]) == expected, command
+
+
+def test_json_commands_write_through_emit(tmp_path, monkeypatch):
+    # Every command but flow and verify writes its report, then its
+    # manifest, through _emit, which looks up the module-level _dump_json
+    # when it runs, so that a wrapper bound to that name sees each write.
+    from horocvx import cli
+
+    monkeypatch.chdir(tmp_path)
+    mkball(tmp_path, "K.json", 0.5, grid="s1:32")
+    assert main(["mkfield", "--grid", "s2:8", "--constant", "1", "--out", "F2.json"]) == 0
+    written = []
+    real_emit, real_dump = cli._emit, cli._dump_json
+
+    def emit(args, grid, report):
+        written.append("emit")
+        return real_emit(args, grid, report)
+
+    def dump(path, obj):
+        written.append(path)
+        real_dump(path, obj)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    monkeypatch.setattr(cli, "_dump_json", dump)
+    for command, argv in MANIFEST_SESSION.items():
+        if command in ("flow", "verify"):
+            continue
+        written.clear()
+        out = f"{command}.out"
+        assert main([command, *argv, "--out", out]) == 0, command
+        assert written == ["emit", out, out + ".manifest.json"], command
 
 
 def test_reruns_are_bit_identical(tmp_path):
