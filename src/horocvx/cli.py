@@ -9,7 +9,11 @@ every option but the output paths, plus `n`, `k` and `p` for `flow`
 and the resolved tolerances for `verify`; the inputs are the files that
 `--K`, `--L`, `--f` and `--config` name, plus the field files a flow
 config names.  The JSON commands write report and manifest through
-`_emit`.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+`_emit`; a report holding NaN or infinity is an error, not written.
+
+Exit codes: 0 success, 1 verification failure or a failed check on a
+computed result (an overflow), 2 usage error: argparse's or an
+`ArgumentError`, this module's or a kernel's, whose rules live there only.
 
 Start-up is part of every command's cost, so this module imports at top
 level only what every numeric command uses (`sphere_grid` and `hconvex`,
@@ -36,7 +40,7 @@ file.
 
 A flow config's keys are `flow.FlowConfig`'s fields plus `initial`,
 `grid` and `initial_radius`.  FlowConfig checks its values when it is
-built; its ValueError is a usage error (`bad flow config <path>:
+built; its ArgumentError is a usage error (`bad flow config <path>:
 ...`).  What `flow.make_state` refuses (f failing assumption H under
 "strict", odd f under enforced evenness, an initial field that is not
 uniformly h-convex) fails the flow: exit 1, an `error:` line, no trace.
@@ -57,6 +61,7 @@ from . import __version__
 from .hconvex import SupportField, convexity, random_h_convex_fields, support_of_ball
 from .lorentz import hpoint, origin, validate_hpoint
 from .sphere_grid import (
+    ArgumentError,
     Grid,
     as_real,
     field_from_json_dict,
@@ -69,10 +74,6 @@ from .sphere_grid import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 def _finite(text: str) -> float:
     """argparse type of the float options: a finite number, so that NaN
     and infinity stop at the flag that gave them (exit 2)."""
@@ -80,22 +81,6 @@ def _finite(text: str) -> float:
         return as_real(float(text), "value")
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
-
-
-def _nonnegative(text: str) -> float:
-    """argparse type of --radius: a finite number >= 0."""
-    value = _finite(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    """argparse type of --gamma and --rho: a finite number > 0."""
-    value = _finite(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
 
 
 def _seed(text: str) -> int:
@@ -107,13 +92,6 @@ def _seed(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value
-
-
-def _check_k(k: int, n: int) -> int:
-    """k as an index 0..n of the quermassintegrals on S^n."""
-    if not 0 <= k <= n:
-        raise UsageError(f"--k must lie in 0..{n} for n = {n}, got {k}")
-    return k
 
 
 def _parse_grid(spec: str) -> Grid:
@@ -130,8 +108,8 @@ def _parse_grid(spec: str) -> Grid:
                 )
             return grid
     except ValueError as exc:
-        raise UsageError(f"bad grid spec {spec!r}: {exc}") from None
-    raise UsageError(f"bad grid spec {spec!r}; expected s1:N or s2:LxM")
+        raise ArgumentError(f"bad grid spec {spec!r}: {exc}") from None
+    raise ArgumentError(f"bad grid spec {spec!r}; expected s1:N or s2:LxM")
 
 
 def _sha256(path: str) -> str:
@@ -146,7 +124,7 @@ def _load_scalar(source) -> SupportField:
     """The one loader of field inputs (support fields and data f): a path
     to a field JSON file, or a field dict given inline in a flow config.
     Values must be finite and positive; any read, parse or validation
-    error is a UsageError naming the source."""
+    error is an ArgumentError naming the source."""
     what = f"field file {source}" if isinstance(source, str) else "inline field"
     try:
         if isinstance(source, str):
@@ -155,11 +133,11 @@ def _load_scalar(source) -> SupportField:
             grid, values, _ = field_from_json_dict(source)
         return SupportField(grid, values)
     except FileNotFoundError:
-        raise UsageError(f"no such field file: {source}") from None
+        raise ArgumentError(f"no such field file: {source}") from None
     except KeyError as exc:
-        raise UsageError(f"bad {what}: missing key {exc}") from None
+        raise ArgumentError(f"bad {what}: missing key {exc}") from None
     except (OSError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad {what}: {exc}") from None
+        raise ArgumentError(f"bad {what}: {exc}") from None
 
 
 def _grid_spec(grid: Grid) -> str:
@@ -168,18 +146,19 @@ def _grid_spec(grid: Grid) -> str:
 
 
 def _same_grid(first: SupportField, first_source, second: SupportField, second_source) -> None:
-    """UsageError, naming both sources, unless two fields share one grid."""
+    """ArgumentError, naming both sources, unless two fields share one grid."""
     if first.grid != second.grid:
-        raise UsageError(
+        raise ArgumentError(
             f"{first_source} is on {_grid_spec(first.grid)} but "
             f"{second_source} is on {_grid_spec(second.grid)}"
         )
 
 
 def _dump_json(path: str, obj) -> None:
+    """obj as JSON; ValueError, before the file is opened, if it holds NaN or inf."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # Parsed options the manifest does not list as parameters: the handler,
@@ -190,7 +169,7 @@ _INPUT_OPTIONS = ("K", "L", "f", "config")
 
 
 def _refuse_overwrite(args, more_inputs: dict[str, str] | None = None) -> None:
-    """UsageError, naming both, if --out or --terminal names an input
+    """ArgumentError, naming both, if --out or --terminal names an input
     file, which it would replace before the manifest hashes it, or if
     the two name one file, existing or not.  more_inputs maps a source's
     description to its path."""
@@ -200,7 +179,7 @@ def _refuse_overwrite(args, more_inputs: dict[str, str] | None = None) -> None:
         os.path.realpath(out) == os.path.realpath(terminal)
         or os.path.exists(out) and os.path.exists(terminal) and os.path.samefile(out, terminal)
     ):
-        raise UsageError(f"--out {out} and --terminal {terminal} name the same file")
+        raise ArgumentError(f"--out {out} and --terminal {terminal} name the same file")
     inputs = {f"--{key} {options[key]}": options[key] for key in _INPUT_OPTIONS
               if options.get(key)}
     inputs.update(more_inputs or {})
@@ -210,7 +189,7 @@ def _refuse_overwrite(args, more_inputs: dict[str, str] | None = None) -> None:
             continue
         for source, path in inputs.items():
             if os.path.exists(path) and os.path.samefile(out, path):
-                raise UsageError(f"--{key} {out} would overwrite the input {source}")
+                raise ArgumentError(f"--{key} {out} would overwrite the input {source}")
 
 
 def _write_manifest(args, grid: Grid | None, *more_inputs: str) -> None:
@@ -252,7 +231,7 @@ def _emit(args, grid: Grid | None, report) -> int:
 def _cmd_mkfield(args) -> int:
     for option, mode in (("radius", "ball"), ("center", "ball"), ("seed", "random")):
         if getattr(args, option) is not None and not getattr(args, mode):
-            raise UsageError(f"--{option} needs --{mode}")
+            raise ArgumentError(f"--{option} needs --{mode}")
     # The default center, on args so that the manifest records it.
     args.center = "origin" if args.center is None else args.center
     grid = _parse_grid(args.grid)
@@ -269,15 +248,15 @@ def _cmd_mkfield(args) -> int:
                 center = hpoint(coords) if coords.size == grid.n + 1 else coords
                 validate_hpoint(center)
             except ValueError as exc:
-                raise UsageError(f"bad --center {args.center!r}: {exc}") from None
+                raise ArgumentError(f"bad --center {args.center!r}: {exc}") from None
         if args.radius is None:
-            raise UsageError("--ball requires --radius")
+            raise ArgumentError("--ball requires --radius")
         values = support_of_ball(grid, center, args.radius).phi
     elif args.random:
         values = random_h_convex_fields(args.seed or 0, [grid], 1)[0].phi
     else:
         if args.constant <= 0.0:
-            raise UsageError("--constant must be positive")
+            raise ArgumentError("--constant must be positive")
         values = np.full(grid.size, args.constant)
     return _emit(args, grid, field_to_json_dict(grid, values, kind="support"))
 
@@ -305,7 +284,7 @@ def _cmd_quermass(args) -> int:
 
     K = _load_scalar(args.K)
     n = K.grid.n
-    ks = [_check_k(args.k, n)] if args.k is not None else list(range(n + 1))
+    ks = [args.k] if args.k is not None else list(range(n + 1))
     values = {}
     for k in ks:
         rep = modified_quermass(K, k)
@@ -324,17 +303,11 @@ def _cmd_steiner(args) -> int:
 
     K = _load_scalar(args.K)
     if args.kind == "weighted":
-        report = {**asdict(weighted_steiner_check(K, args.rho)), "kind": "weighted"}
+        report = asdict(weighted_steiner_check(K, args.rho))
     else:
-        rep = steiner_check(K, args.rho)
-        report = {
-            "rho": args.rho,
-            "kind": args.kind,
-            "shifted_residuals": rep.residuals,
-            "classical_residual": rep.classical_residual,
-            "scale": rep.scale,
-        }
-    return _emit(args, K.grid, report)
+        report = asdict(steiner_check(K, args.rho))
+        report["shifted_residuals"] = report.pop("residuals")
+    return _emit(args, K.grid, {**report, "kind": args.kind})
 
 
 def _cmd_weighted(args) -> int:
@@ -354,7 +327,7 @@ def _cmd_measure(args) -> int:
     from .problems import measure_density
 
     K = _load_scalar(args.K)
-    density = measure_density(K, args.p, _check_k(args.k, K.grid.n))
+    density = measure_density(K, args.p, args.k)
     report = field_to_json_dict(K.grid, density, kind="measure-density")
     report.update(total=integrate(K.grid, density), p=args.p, k=args.k)
     return _emit(args, K.grid, report)
@@ -368,7 +341,7 @@ def _cmd_kw(args) -> int:
     K = _load_scalar(args.K)
     f = _load_scalar(args.f)
     _same_grid(K, f"--K {args.K}", f, f"--f {args.f}")
-    rep = kw_residual(K, f.phi, _check_k(args.k, K.grid.n))
+    rep = kw_residual(K, f.phi, args.k)
     return _emit(args, K.grid, {
         **asdict(rep),
         "k": args.k,
@@ -381,16 +354,7 @@ def _cmd_ballsolve(args) -> int:
 
     from .problems import ball_solutions
 
-    n = args.n
-    if n not in (1, 2):
-        raise UsageError(f"--n must be 1 or 2, got {n}")
-    # k = n leaves no curvature factor, so no ball equation.
-    if not 0 <= args.k < n:
-        raise UsageError(f"--k must lie in 0..{n - 1} for n = {n}, got {args.k}")
-    # p < -n lies outside the k >= 1 range; at k = 0 it has one ball.
-    if args.p < -n and args.k > 0:
-        raise UsageError(f"--p must be at least -n = {-n} for --k >= 1, got {args.p}")
-    return _emit(args, None, asdict(ball_solutions(n, args.k, args.p, args.gamma)))
+    return _emit(args, None, asdict(ball_solutions(args.n, args.k, args.p, args.gamma)))
 
 
 def _cmd_assumption_h(args) -> int:
@@ -399,7 +363,7 @@ def _cmd_assumption_h(args) -> int:
     from .problems import check_assumption_h
 
     f = _load_scalar(args.f)
-    rep = check_assumption_h(f.phi, f.grid, _check_k(args.k, f.grid.n), args.p)
+    rep = check_assumption_h(f.phi, f.grid, args.k, args.p)
     return _emit(args, f.grid, {**asdict(rep), "k": args.k, "p": args.p})
 
 
@@ -412,28 +376,28 @@ def _cmd_flow(args) -> int:
         with open(args.config) as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
-        raise UsageError(f"no such config file: {args.config}") from None
+        raise ArgumentError(f"no such config file: {args.config}") from None
     except json.JSONDecodeError as exc:
-        raise UsageError(f"bad config file {args.config}: {exc}") from None
+        raise ArgumentError(f"bad config file {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
-        raise UsageError(f"flow config {args.config} must be a JSON object")
+        raise ArgumentError(f"flow config {args.config} must be a JSON object")
     # FlowConfig's fields, which it checks itself; f, one of them, is a
     # field input, loaded below with initial.  grid and initial_radius are
     # read only here.
     settings = {fld.name: fld for fld in fields(FlowConfig) if fld.name != "f"}
     unknown = sorted(set(cfg) - set(settings) - {"f", "initial", "grid", "initial_radius"})
     if unknown:
-        raise UsageError(f"unknown flow config key(s): {', '.join(unknown)}")
+        raise ArgumentError(f"unknown flow config key(s): {', '.join(unknown)}")
     for key, fld in settings.items():
         if fld.default is MISSING and key not in cfg:
-            raise UsageError(f"flow config missing key {key!r}")
+            raise ArgumentError(f"flow config missing key {key!r}")
     try:
         config = FlowConfig(**{key: cfg[key] for key in settings if key in cfg})
         r0 = as_real(cfg.get("initial_radius", math.log(2.0)), "flow config initial_radius")
         if r0 < 0.0:
-            raise ValueError(f"flow config initial_radius must be nonnegative, got {r0}")
-    except ValueError as exc:
-        raise UsageError(f"bad flow config {args.config}: {exc}") from None
+            raise ArgumentError(f"flow config initial_radius must be nonnegative, got {r0}")
+    except ArgumentError as exc:
+        raise ArgumentError(f"bad flow config {args.config}: {exc}") from None
     loaded, sources, inputs = {}, {}, {}
     for key in ("f", "initial"):
         entry = cfg.get(key)
@@ -444,8 +408,8 @@ def _cmd_flow(args) -> int:
             inputs[sources[key]] = entry
         try:
             loaded[key] = _load_scalar(entry)
-        except UsageError as exc:
-            raise UsageError(f"flow config {key}: {exc}") from None
+        except ArgumentError as exc:
+            raise ArgumentError(f"flow config {key}: {exc}") from None
     _refuse_overwrite(args, inputs)
     f_field = loaded.get("f")
     if "initial" in loaded:
@@ -453,7 +417,7 @@ def _cmd_flow(args) -> int:
         # radius would be ignored.
         for key in ("grid", "initial_radius"):
             if key in cfg:
-                raise UsageError(f"flow config gives both 'initial' and {key!r}; give one")
+                raise ArgumentError(f"flow config gives both 'initial' and {key!r}; give one")
         phi0 = loaded["initial"]
     else:
         if isinstance(cfg.get("grid"), str):
@@ -462,17 +426,17 @@ def _cmd_flow(args) -> int:
             try:
                 grid = grid_from_json_dict(config.n, cfg["grid"])
             except (KeyError, ValueError) as exc:
-                raise UsageError(f"bad grid in {args.config}: {exc}") from None
+                raise ArgumentError(f"bad grid in {args.config}: {exc}") from None
         elif f_field is not None:
             grid = f_field.grid
         else:
-            raise UsageError("flow config needs 'initial', 'grid', or 'f'")
+            raise ArgumentError("flow config needs 'initial', 'grid', or 'f'")
         phi0 = support_of_ball(grid, origin(grid.n), r0)
         sources["initial"] = (
             f"flow config grid {_grid_spec(grid)}" if "grid" in cfg else sources["f"]
         )
     if phi0.grid.n != config.n:
-        raise UsageError(
+        raise ArgumentError(
             f"flow config has n = {config.n} but {sources['initial']} lives on S^{phi0.grid.n}"
         )
     if f_field is not None:
@@ -516,7 +480,7 @@ def _cmd_verify(args) -> int:
 
     known = ("all",) + verify_mod.SUITES + verify_mod.EXPLORATORY_SUITES
     if args.suite not in known:
-        raise UsageError(f"unknown suite {args.suite!r}; known: {', '.join(known)}")
+        raise ArgumentError(f"unknown suite {args.suite!r}; known: {', '.join(known)}")
     # Resolved on args, so that the manifest records the values used.
     args.tol = verify_mod.DEFAULT_TOL if args.tol is None else args.tol
     args.eq_tol = verify_mod.DEFAULT_EQ_TOL if args.eq_tol is None else args.eq_tol
@@ -564,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--constant", type=_finite, default=None, help="constant field value")
     mode.add_argument("--random", action="store_true", help="random uniformly h-convex field")
     p.add_argument("--center", default=None, help="with --ball: 'origin' (default) or coordinates")
-    p.add_argument("--radius", type=_nonnegative, default=None, help="with --ball")
+    p.add_argument("--radius", type=_finite, default=None, help="with --ball")
     p.add_argument("--seed", type=_seed, default=None, help="with --random")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mkfield)
@@ -593,8 +557,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steiner", help="Steiner expansion residuals for outer parallels")
     p.add_argument("--K", required=True)
-    p.add_argument("--rho", type=_positive, required=True)
-    p.add_argument("--kind", choices=["shifted", "classical", "weighted"], default="shifted")
+    p.add_argument("--rho", type=_finite, required=True)
+    p.add_argument("--kind", choices=["shifted", "weighted"], default="shifted")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_steiner)
 
@@ -621,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=_finite, required=True)
-    p.add_argument("--gamma", type=_positive, required=True)
+    p.add_argument("--gamma", type=_finite, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ballsolve)
 
@@ -663,12 +627,9 @@ def main(argv=None) -> int:
     try:
         _refuse_overwrite(args)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ArgumentError) else 1
 
 
 if __name__ == "__main__":

@@ -55,9 +55,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hconvex import SupportField, measure_density, p_tensor, squared_norm
-from .problems import J_p, check_assumption_h, validate_f
+from .problems import J_p, check_assumption_h, check_nkp, validate_f
 from .quermass import wk_value
 from .sphere_grid import (
+    ArgumentError,
     Grid,
     as_integer,
     as_real,
@@ -116,7 +117,7 @@ class FlowStepError(RuntimeError):
 class FlowConfig:
     """The settings of one flow run, checked where they enter: building a
     config with a value of the wrong type or out of range raises
-    ValueError ("flow config <key> must be ..."), and the values are
+    ArgumentError ("flow config <key> must be ..."), and the values are
     stored as int or float.  What needs the grid waits for `make_state`.
     """
 
@@ -138,13 +139,11 @@ class FlowConfig:
         for key in ("p", "max_dt", "eps_stop", "dt_initial"):
             if key != "dt_initial" or self.dt_initial is not None:
                 setattr(self, key, as_real(getattr(self, key), f"flow config {key}"))
-        n, k = self.n, self.k
+        check_nkp(self.n, self.k, self.p, "flow config ")
         for key, ok, rule in (
             ("enforce_even", isinstance(self.enforce_even, (bool, type(None))), "a bool or None"),
             ("assumption_mode", self.assumption_mode in ("strict", "warn", "skip"),
              "strict, warn or skip"),
-            ("k", 0 <= k <= n - 1, f"in 0..n-1 for n = {n}"),
-            ("p", k == 0 or self.p >= -n, f"at least -n = {-n} for k >= 1"),
             ("max_dt", 0.0 < self.max_dt <= MAX_DT,
              f"positive and at most {MAX_DT:.6g}, which {MAX_REJECTIONS} halvings of a "
              f"rejected step bring down to the default {DEFAULT_MAX_DT:g}"),
@@ -156,7 +155,9 @@ class FlowConfig:
             ("max_steps", self.max_steps >= 0, "nonnegative"),
         ):
             if not ok:
-                raise ValueError(f"flow config {key} must be {rule}, got {getattr(self, key)!r}")
+                raise ArgumentError(
+                    f"flow config {key} must be {rule}, got {getattr(self, key)!r}"
+                )
 
 
 @dataclass(frozen=True, eq=False)

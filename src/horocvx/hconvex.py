@@ -21,7 +21,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from . import lorentz
-from .sphere_grid import Grid, derivatives, frame_vectors, resample
+from .sphere_grid import ArgumentError, Grid, derivatives, frame_vectors, resample
 
 __all__ = [
     "SupportField",
@@ -238,7 +238,7 @@ def support_of_point(grid: Grid, X) -> SupportField:
 def support_of_ball(grid: Grid, X, r: float) -> SupportField:
     """Support field of the geodesic ball B(X, r), r >= 0."""
     if r < 0.0:
-        raise ValueError(f"ball radius must be nonnegative, got {r}")
+        raise ArgumentError(f"ball radius must be nonnegative, got {r}")
     return outer_parallel(support_of_point(grid, X), r)
 
 
@@ -300,7 +300,7 @@ def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
     p = 0, of p_k(kappa~) dmu, as kappa~ = 1 / (phi eig A), dmu = p_n(A) dsigma."""
     n = K.grid.n
     if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
+        raise ArgumentError(f"k must lie in 0..{n}, got {k}")
     return K.phi ** (-(p + k)) * p_tensor(K.A, n - k)
 
 

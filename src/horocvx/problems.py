@@ -17,7 +17,7 @@ import numpy as np
 
 from .hconvex import SupportField, a_eigenvalues, measure_density, plus_identity, squared_norm
 from .quermass import bracketed_newton
-from .sphere_grid import Grid, derivatives, frame_vectors, integrate
+from .sphere_grid import ArgumentError, Grid, derivatives, frame_vectors, integrate
 
 __all__ = [
     "KWReport",
@@ -30,6 +30,7 @@ __all__ = [
     "kw_residual",
     "ball_solutions",
     "check_assumption_h",
+    "check_nkp",
     "validate_f",
     "ASSUMPTION_TIE_TOL",
 ]
@@ -64,6 +65,18 @@ class AssumptionHReport:
     regime: int
     worst_node: int
     worst_eigenvalue: float
+
+
+def check_nkp(n: int, k: int, p: float, what: str = "") -> None:
+    """ArgumentError unless (n, k, p) is in the paper's range: n 1 or 2, k in
+    0..n-1 (k = n has no ball equation), p >= -n if k >= 1; what prefixes names."""
+    for key, value, ok, rule in (
+        ("n", n, n in (1, 2), "1 or 2"),
+        ("k", k, 0 <= k <= n - 1, f"in 0..n-1 for n = {n}"),
+        ("p", p, k == 0 or p >= -n, f"at least -n = {-n} for k >= 1"),
+    ):
+        if not ok:
+            raise ArgumentError(f"{what}{key} must be {rule}, got {value!r}")
 
 
 def validate_f(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -158,16 +171,11 @@ def ball_solutions(n: int, k: int, p: float, gamma: float) -> BallSolutionReport
     determined by gamma alone.  For k = 0 and p < -n,
     zeta = c^{-p} ((c - 1/c)/2)^n still increases onto (0, inf), so there
     is exactly one root; for k >= 1, p < -n lies outside the problem's
-    range and is rejected.
+    range (`check_nkp`).  A power that overflows a float is a ValueError.
     """
-    if n not in (1, 2) or not 0 <= k <= n:
-        raise ValueError(f"invalid (n, k) = ({n}, {k})")
-    if p < -n and k > 0:
-        raise ValueError(f"p must be at least -n = {-n} for k >= 1, got {p}")
+    check_nkp(n, k, p)
     if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if k == n:
-        raise ValueError("k = n leaves no curvature factor; no ball equation")
+        raise ArgumentError(f"gamma must be positive, got {gamma}")
 
     def report(case, cs, gamma0=None, t0=None):
         cs = [float(c) for c in cs]
@@ -184,44 +192,47 @@ def ball_solutions(n: int, k: int, p: float, gamma: float) -> BallSolutionReport
             residuals=[abs(_zeta(c, n, k, p) - gamma) for c in cs],
         )
 
-    if p == -n:
-        c = math.sqrt(1.0 + 2.0 * gamma ** (1.0 / (n - k)))
-        return report("any-center", [c])
-    if p > n - 2 * k:
-        t0 = math.sqrt((n + p) / (2 * k + p - n))
-        gamma0 = (
-            (2 * k + p - n) ** ((2 * k + p - n) / 2.0)
-            * (n - k) ** (n - k)
-            / (n + p) ** ((n + p) / 2.0)
-        )
-        if abs(gamma - gamma0) <= GAMMA0_MATCH_TOL * max(1.0, gamma0):
-            return report("unique-critical", [t0], gamma0, t0)
-        if gamma > gamma0:
-            return report("none", [], gamma0, t0)
-        lo = t0
-        while _zeta(lo, n, k, p) > gamma:
-            lo = 1.0 + 0.5 * (lo - 1.0)
-        hi = t0
-        while _zeta(hi, n, k, p) > gamma:
-            hi = 1.0 + 2.0 * (hi - 1.0)
-        c1 = _bracketed_root(lo, t0, n, k, p, gamma)
-        c2 = _bracketed_root(t0, hi, n, k, p, gamma)
-        return report("two-roots", [c1, c2], gamma0, t0)
-    if p == n - 2 * k:
-        # zeta increases to the limit 2^{k-n} as c -> infinity.
-        limit = 2.0 ** (k - n)
-        if gamma >= limit:
-            return report("none-limit", [])
+    try:
+        if p == -n:
+            c = math.sqrt(1.0 + 2.0 * gamma ** (1.0 / (n - k)))
+            return report("any-center", [c])
+        if p > n - 2 * k:
+            t0 = math.sqrt((n + p) / (2 * k + p - n))
+            gamma0 = (
+                (2 * k + p - n) ** ((2 * k + p - n) / 2.0)
+                * (n - k) ** (n - k)
+                / (n + p) ** ((n + p) / 2.0)
+            )
+            if abs(gamma - gamma0) <= GAMMA0_MATCH_TOL * max(1.0, gamma0):
+                return report("unique-critical", [t0], gamma0, t0)
+            if gamma > gamma0:
+                return report("none", [], gamma0, t0)
+            lo = t0
+            while _zeta(lo, n, k, p) > gamma:
+                lo = 1.0 + 0.5 * (lo - 1.0)
+            hi = t0
+            while _zeta(hi, n, k, p) > gamma:
+                hi = 1.0 + 2.0 * (hi - 1.0)
+            c1 = _bracketed_root(lo, t0, n, k, p, gamma)
+            c2 = _bracketed_root(t0, hi, n, k, p, gamma)
+            return report("two-roots", [c1, c2], gamma0, t0)
+        if p == n - 2 * k:
+            # zeta increases to the limit 2^{k-n} as c -> infinity.
+            limit = 2.0 ** (k - n)
+            if gamma >= limit:
+                return report("none-limit", [])
+            hi = 2.0
+            while _zeta(hi, n, k, p) < gamma:
+                hi *= 2.0
+            return report("unique", [_bracketed_root(1.0 + 1e-14, hi, n, k, p, gamma)])
+        # -n < p < n - 2k, or k = 0 and p < -n: zeta is increasing and onto
+        # (0, inf).
         hi = 2.0
         while _zeta(hi, n, k, p) < gamma:
             hi *= 2.0
         return report("unique", [_bracketed_root(1.0 + 1e-14, hi, n, k, p, gamma)])
-    # -n < p < n - 2k, or k = 0 and p < -n: zeta is increasing and onto
-    # (0, inf).
-    hi = 2.0
-    while _zeta(hi, n, k, p) < gamma:
-        hi *= 2.0
-    return report("unique", [_bracketed_root(1.0 + 1e-14, hi, n, k, p, gamma)])
+    except OverflowError:
+        raise ValueError(f"the ball equation at p = {p} overflows a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +248,9 @@ def check_assumption_h(f, grid: Grid, k: int, p: float) -> AssumptionHReport:
     condition is that h is constant.
     """
     n = grid.n
-    if n < 2 or not 1 <= k <= n - 1:
-        raise ValueError(f"assumption applies for n >= 2, 1 <= k <= n-1, got ({n}, {k})")
-    if p < -n:
-        raise ValueError(f"p must be at least -n = {-n}, got {p}")
+    check_nkp(n, k, p)
+    if k == 0:
+        raise ArgumentError("assumption H applies for k >= 1, got k = 0")
     f = validate_f(f, grid)
     h = f ** (-1.0 / (n - k))
     if p == -n:

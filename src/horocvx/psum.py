@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lorentz
 from .hconvex import SupportField, boundary_data, convexity, support_of_point
-from .sphere_grid import Grid
+from .sphere_grid import ArgumentError, Grid
 
 __all__ = [
     "TwoPointBall",
@@ -55,14 +55,14 @@ class DilatesReport:
 
 def _check_p(p: float) -> None:
     if not (0.5 <= p <= 2.0):
-        raise ValueError(f"p must lie in [1/2, 2], got {p}")
+        raise ArgumentError(f"p must lie in [1/2, 2], got {p}")
 
 
 def _check_coeffs(a: float, b: float) -> None:
     if a < 0.0 or b < 0.0:
-        raise ValueError(f"coefficients must be nonnegative, got a={a}, b={b}")
+        raise ArgumentError(f"coefficients must be nonnegative, got a={a}, b={b}")
     if a + b < 1.0 - COEFF_SLACK:
-        raise ValueError(f"coefficient sum a+b must be at least 1, got {a + b}")
+        raise ArgumentError(f"coefficient sum a+b must be at least 1, got {a + b}")
 
 
 def p_sum(a: float, K: SupportField, p: float, b: float, L: SupportField) -> SupportField:
@@ -85,9 +85,9 @@ def p_dilate(a: float, p: float, K: SupportField) -> SupportField:
     """p-dilation a . K: phi -> a^{1/p} phi, an outer parallel set at
     distance log(a)/p.  Requires a >= 1 and p > 0."""
     if a < 1.0:
-        raise ValueError(f"p-dilation needs a >= 1, got {a}")
+        raise ArgumentError(f"p-dilation needs a >= 1, got {a}")
     if p <= 0.0:
-        raise ValueError(f"p-dilation needs p > 0, got {p}")
+        raise ArgumentError(f"p-dilation needs p > 0, got {p}")
     try:
         return SupportField(K.grid, a ** (1.0 / p) * K.phi)
     except OverflowError:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .hconvex import (
     plus_identity,
     squared_norm,
 )
-from .sphere_grid import Grid, as_integer, integrate, sphere_area
+from .sphere_grid import ArgumentError, Grid, as_integer, integrate, sphere_area
 
 __all__ = [
     "QuermassReport",
@@ -238,7 +238,7 @@ def I_k(n: int, k: int, r: float) -> float:
     """Modified k-quermass of the centered geodesic ball of radius r,
     omega_n int_0^r sinh(t)^{n-k} e^{-kt} dt."""
     if n not in (1, 2) or not 0 <= k <= n:
-        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+        raise ArgumentError(f"invalid (n, k) = ({n}, {k})")
     if r < 0.0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     return sphere_area(n) * exp_sinh_integral(-k, n - k, r)
@@ -363,7 +363,7 @@ def wk_value(K: SupportField, k: int) -> float:
     grid, phi = K.grid, K.phi
     n = grid.n
     if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
+        raise ArgumentError(f"k must lie in 0..{n}, got {k}")
     g, H = K.gradient, K.hessian
     m = n - k
     d = phi - 1.0
@@ -431,14 +431,33 @@ def S_functional(K: SupportField) -> float:
 # Steiner formulas
 
 
+def _rho_rules(check):
+    """A Steiner check at rho > 0 (else ArgumentError) that gives a finite
+    report (numpy's overflow raises here), else a ValueError naming rho."""
+
+    @functools.wraps(check)
+    def checked(K: SupportField, rho: float):
+        if rho <= 0.0:
+            raise ArgumentError(f"rho must be positive, got {rho}")
+        try:
+            with np.errstate(over="raise"):
+                report = check(K, rho)
+            if np.isfinite(np.hstack(astuple(report))).all():
+                return report
+        except (OverflowError, FloatingPointError):
+            pass
+        raise ValueError(f"rho = {rho} is too large: the Steiner expansion overflows a float")
+
+    return checked
+
+
+@_rho_rules
 def steiner_check(K: SupportField, rho: float) -> SteinerReport:
     """Residuals of the Steiner expansions of W_k under rho-enlargement.
 
     Shifted form for every k, plus the classical volume expansion in the
     true principal curvatures for k = 0.
     """
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
     grid = K.grid
     n = grid.n
     boundary_data(K).require_curvature()
@@ -470,10 +489,9 @@ def steiner_check(K: SupportField, rho: float) -> SteinerReport:
     return SteinerReport(rho, residuals, classical_residual, scale)
 
 
+@_rho_rules
 def weighted_steiner_check(K: SupportField, rho: float) -> WeightedSteinerReport:
     """Residuals of both weighted Steiner forms under rho-enlargement."""
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
     grid = K.grid
     n = grid.n
     bd = boundary_data(K).require_curvature()

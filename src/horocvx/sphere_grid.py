@@ -40,6 +40,7 @@ __all__ = [
     "Grid",
     "make_grid",
     "gauss_legendre",
+    "ArgumentError",
     "as_integer",
     "as_real",
     "sphere_area",
@@ -116,15 +117,20 @@ class Grid:
         return hash((self.n, self.resolution))
 
 
+class ArgumentError(ValueError):
+    """A value a caller passes breaks the rule of the kernel it feeds (a
+    plain ValueError checks a computed result); the CLI's exit 2."""
+
+
 def as_integer(value, what: str) -> int:
-    """value as an int; ValueError unless it is an integer (numpy's too)."""
+    """value as an int; ArgumentError unless it is an integer (numpy's too)."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    raise ArgumentError(f"{what} must be an integer, got {value!r}")
 
 
 def as_real(value, what: str) -> float:
-    """value as a float; ValueError unless it is a finite number (numpy's
+    """value as a float; ArgumentError unless it is a finite number (numpy's
     too; not a bool, not a string)."""
     if isinstance(value, np.generic):
         value = value.item()
@@ -134,7 +140,7 @@ def as_real(value, what: str) -> float:
         and abs(value) <= sys.float_info.max
     ):
         return float(value)
-    raise ValueError(f"{what} must be a finite number, got {value!r}")
+    raise ArgumentError(f"{what} must be a finite number, got {value!r}")
 
 
 def _frozen(*arrays: np.ndarray) -> None:

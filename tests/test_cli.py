@@ -180,8 +180,10 @@ def test_non_finite_float_option_is_a_usage_error(tmp_path, capsys, argv, flag, 
 
 
 # Values of the right type that a command cannot use, on an s1:64 ball
-# K.json; each is rejected where it enters, before any kernel runs.
+# K.json or an s2:8 ball S2.json; the rule that owns each value, the
+# kernel's (ArgumentError) or the CLI's, refuses it before any output.
 BALLSOLVE = ["ballsolve", "--p", "4", "--gamma", "1"]
+PSUM = ["psum", "--K", "K.json", "--L", "K.json"]
 OUT_OF_RANGE = [
     pytest.param(["mkfield", "--grid", "s1:64", "--ball", "--radius=-1"], id="radius"),
     pytest.param(["mkfield", "--grid", "s1:64", "--random", "--seed=-3"], id="seed"),
@@ -198,6 +200,15 @@ OUT_OF_RANGE = [
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--gamma", "0"], id="ballsolve-gamma0"),
     pytest.param(BALLSOLVE + ["--n", "2", "--k", "0", "--gamma=-1"], id="ballsolve-gamma-1"),
     pytest.param(["steiner", "--K", "K.json", "--rho=-5"], id="steiner-rho-5"),
+    pytest.param(PSUM + ["--a", "1", "--b", "1", "--p", "0.4"], id="psum-p0.4"),
+    pytest.param(PSUM + ["--a=-1", "--b", "1", "--p", "1"], id="psum-a-1"),
+    pytest.param(PSUM + ["--a", "0.2", "--b", "0.2", "--p", "1"], id="psum-a+b0.4"),
+    pytest.param(["dilate", "--K", "K.json", "--a", "0.5", "--p", "1"], id="dilate-a0.5"),
+    pytest.param(["dilate", "--K", "K.json", "--a", "2", "--p=-1"], id="dilate-p-1"),
+    pytest.param(["assumption-h", "--f", "S2.json", "--k", "0", "--p", "1"],
+                 id="assumption-h-k0"),
+    pytest.param(["assumption-h", "--f", "S2.json", "--k", "1", "--p=-5"],
+                 id="assumption-h-p-5"),
 ]
 
 
@@ -205,6 +216,7 @@ OUT_OF_RANGE = [
 def test_out_of_range_option_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     mkball(tmp_path, "K.json", 0.5)
+    mkball(tmp_path, "S2.json", 0.5, grid="s2:8")
     capsys.readouterr()
     assert main(argv + ["--out", "out.json"]) == 2
     err = capsys.readouterr().err
@@ -213,12 +225,20 @@ def test_out_of_range_option_is_a_usage_error(tmp_path, monkeypatch, capsys, arg
 
 
 # Values in range whose result overflows a float: an error line naming
-# the value, exit 1.
+# the value, exit 1 (a RuntimeWarning fails the test, as pyproject.toml
+# sets).  K.json is an s1:64 ball, R.json a random s1:64 field.
 OVERFLOWS = [
     pytest.param(["mkfield", "--grid", "s1:32", "--ball", "--radius", "800"], "800", id="ball"),
     pytest.param(["dilate", "--a", "1e300", "--p", "0.001", "--K", "K.json"], "1e+300",
                  id="dilate"),
     pytest.param(["steiner", "--K", "K.json", "--rho", "800"], "800", id="steiner"),
+    pytest.param(["steiner", "--K", "K.json", "--rho", "400", "--kind", "weighted"], "400",
+                 id="steiner-weighted"),
+    pytest.param(["steiner", "--K", "R.json", "--rho", "400"], "400", id="steiner-random"),
+    pytest.param(["ballsolve", "--n", "2", "--k", "1", "--p", "300", "--gamma", "0.001"],
+                 "300", id="ballsolve-n2"),
+    pytest.param(["ballsolve", "--n", "1", "--k", "0", "--p", "300", "--gamma", "1"],
+                 "300", id="ballsolve-n1"),
 ]
 
 
@@ -226,6 +246,7 @@ OVERFLOWS = [
 def test_overflowing_value_is_an_error_line(tmp_path, monkeypatch, capsys, argv, value):
     monkeypatch.chdir(tmp_path)
     mkball(tmp_path, "K.json", 0.5)
+    assert main(["mkfield", "--grid", "s1:64", "--random", "--seed", "3", "--out", "R.json"]) == 0
     capsys.readouterr()
     assert main(argv + ["--out", "out.json"]) == 1
     err = capsys.readouterr().err
@@ -253,7 +274,7 @@ assert main(["mkfield", "--grid", "s1:64", "--random", "--seed", "3", "--out", "
 assert main(["mkfield", "--grid", "s2:16", "--random", "--seed", "3", "--out", "R2.json"]) == 0
 for name in ("sum", "R", "R2"):
     assert main(["quermass", "--K", name + ".json", "--out", "w" + name + ".json"]) == 0
-for kind in ("shifted", "weighted", "classical"):
+for kind in ("shifted", "weighted"):
     assert main(["steiner", "--K", "R.json", "--rho", "0.3", "--kind", kind,
                  "--out", kind + ".json"]) == 0
 assert main(["ballsolve", "--n", "2", "--k", "0", "--p", "4", "--gamma", "0.02",
@@ -377,7 +398,7 @@ def test_quermass_report(tmp_path):
 
 def test_steiner_kinds(tmp_path):
     K = mkball(tmp_path, "K.json", 0.6, grid="s2:8x16")
-    for kind in ("shifted", "classical", "weighted"):
+    for kind in ("shifted", "weighted"):
         out = tmp_path / f"steiner-{kind}.json"
         assert main(
             ["steiner", "--K", str(K), "--rho", "0.3", "--kind", kind, "--out", str(out)]
@@ -390,6 +411,17 @@ def test_steiner_kinds(tmp_path):
         else:
             assert all(abs(v) < 1e-8 for v in rep["shifted_residuals"])
             assert abs(rep["classical_residual"]) < 1e-8
+
+
+def test_steiner_classical_kind_is_a_usage_error(tmp_path, capsys):
+    # It wrote the shifted report under another label; that report carries
+    # classical_residual.
+    K = mkball(tmp_path, "K.json", 0.6)
+    out = tmp_path / "steiner.json"
+    argv = ["steiner", "--K", str(K), "--rho", "0.3", "--kind", "classical", "--out", str(out)]
+    assert main(argv) == 2
+    assert "invalid choice: 'classical'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_weighted_report(tmp_path):
@@ -1058,6 +1090,18 @@ def test_manifest_parameters_are_every_parsed_option(tmp_path, monkeypatch):
             expected |= {"n", "k", "p"}
         manifest = read_json(out + ".manifest.json")
         assert set(manifest["parameters"]) == expected, command
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_report_holding_nan_or_infinity_is_not_written(tmp_path, bad):
+    # NaN and Infinity are no JSON; the report is refused before its file
+    # is opened, so no half-written file is left.
+    from horocvx.cli import _dump_json
+
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        _dump_json(str(out), {"ok": 1.0, "values": [1.0, bad]})
+    assert not out.exists()
 
 
 def test_json_commands_write_through_emit(tmp_path, monkeypatch):

@@ -8,19 +8,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocvx import hconvex
+from horocvx.flow import FlowConfig
 from horocvx.hconvex import SupportField, random_h_convex_fields, support_of_ball
 from horocvx.lorentz import origin
 from horocvx.problems import (
     J_p,
     ball_solutions,
     check_assumption_h,
+    check_nkp,
     kw_residual,
     measure_density,
     mixed_quermass,
     pde_residual,
 )
-from horocvx.quermass import curvature_integral, modified_quermass
-from horocvx.sphere_grid import derivatives, integrate, make_grid
+from horocvx.psum import p_dilate, p_sum
+from horocvx.quermass import (
+    I_k,
+    curvature_integral,
+    modified_quermass,
+    steiner_check,
+    weighted_steiner_check,
+    wk_value,
+)
+from horocvx.sphere_grid import (
+    ArgumentError,
+    as_integer,
+    as_real,
+    derivatives,
+    integrate,
+    make_grid,
+)
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -253,6 +270,70 @@ def test_ball_solutions_validation():
         ball_solutions(2, 0, 1.0, 0.0)
     with pytest.raises(ValueError):
         ball_solutions(3, 0, 1.0, 0.5)
+
+
+# Every rule on a value that a caller passes to a kernel, one case each.
+K1 = support_of_ball(S1, origin(1), 0.5)
+ARGUMENT_RULES = {
+    "as_integer": lambda: as_integer(1.5, "x"),
+    "as_real": lambda: as_real(math.nan, "x"),
+    "measure_density-k": lambda: measure_density(K1, 1.0, 2),
+    "wk_value-k": lambda: wk_value(K1, -1),
+    "I_k-n": lambda: I_k(3, 0, 0.5),
+    "I_k-k": lambda: I_k(1, 2, 0.5),
+    "ball_solutions-n": lambda: ball_solutions(3, 0, 1.0, 0.5),
+    "ball_solutions-k=n": lambda: ball_solutions(1, 1, 1.0, 0.5),
+    "ball_solutions-p": lambda: ball_solutions(2, 1, -3.0, 0.5),
+    "ball_solutions-gamma": lambda: ball_solutions(2, 0, 1.0, 0.0),
+    "assumption_h-k0": lambda: check_assumption_h(np.ones(S2.size), S2, 0, 1.0),
+    "assumption_h-p": lambda: check_assumption_h(np.ones(S2.size), S2, 1, -5.0),
+    "assumption_h-n1": lambda: check_assumption_h(np.ones(S1.size), S1, 1, 1.0),
+    "p_sum-p": lambda: p_sum(1.0, K1, 0.4, 1.0, K1),
+    "p_sum-a": lambda: p_sum(-1.0, K1, 1.0, 1.0, K1),
+    "p_sum-a+b": lambda: p_sum(0.2, K1, 1.0, 0.2, K1),
+    "p_dilate-a": lambda: p_dilate(0.5, 1.0, K1),
+    "p_dilate-p": lambda: p_dilate(2.0, -1.0, K1),
+    "steiner-rho": lambda: steiner_check(K1, 0.0),
+    "weighted_steiner-rho": lambda: weighted_steiner_check(K1, -1.0),
+    "support_of_ball-r": lambda: support_of_ball(S1, origin(1), -1.0),
+    "FlowConfig-n": lambda: FlowConfig(n=3, k=0, p=0.0),
+    "FlowConfig-k": lambda: FlowConfig(n=1, k=1, p=0.0),
+    "FlowConfig-p": lambda: FlowConfig(n=2, k=1, p=-5.0),
+    "FlowConfig-max_dt": lambda: FlowConfig(n=1, k=0, p=0.0, max_dt=-1.0),
+}
+
+
+@pytest.mark.parametrize("rule", list(ARGUMENT_RULES))
+def test_argument_rules_raise_argument_error(rule):
+    with pytest.raises(ArgumentError) as info:
+        ARGUMENT_RULES[rule]()
+    assert isinstance(info.value, ValueError)
+
+
+# Checks on a computed result: a plain ValueError, not the caller's fault.
+RESULT_CHECKS = {
+    "p_sum-not-h-convex": lambda: p_sum(
+        0.0, K1, 1.0, 1.0, SupportField(S1, 2.2 * (1.0 + 0.05 * np.cos(3 * S1.theta)))
+    ),
+    "p_dilate-overflow": lambda: p_dilate(1e300, 0.001, K1),
+    "steiner-overflow": lambda: steiner_check(K1, 800.0),
+    "weighted_steiner-overflow": lambda: weighted_steiner_check(K1, 400.0),
+    "ball_solutions-overflow": lambda: ball_solutions(2, 1, 300.0, 0.001),
+}
+
+
+@pytest.mark.parametrize("check", list(RESULT_CHECKS))
+def test_result_checks_raise_a_plain_value_error(check):
+    with pytest.raises(ValueError) as info:
+        RESULT_CHECKS[check]()
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("n, k, p", [(1, 0, -50.0), (2, 0, -50.0), (2, 1, -2.0), (2, 1, 40.0)])
+def test_flow_config_and_ball_solutions_share_one_range(n, k, p):
+    check_nkp(n, k, p)
+    FlowConfig(n=n, k=k, p=p)
+    ball_solutions(n, k, p, 0.01)
 
 
 @pytest.mark.parametrize("n", [1, 2])
