@@ -26,17 +26,19 @@ and dt grows back to the cap as the speed falls.  The step count does
 not grow with resolution, because R damps every mode the explicit step
 would limit.  At large steps the trajectory, and the time t in the
 trace, are a pseudo-time path: only its steady state is the solution,
-while W_k is conserved at every step.  A step costs one batched
-resolvent pass of G and h, plus one projection-and-derivative pass of
-the new state: after its even projection (when enforced), resolvent with
-mu = 0 gives its band projection with the gradient and Hessian, all
-from one analysis.  That pass is the cone check.  Each pass is one rfft
-and one irfft, so an accepted step makes four FFT calls on either grid,
-and the state it returns already holds the w that the next step's
-Newton solve reads.
+while W_k is conserved at every step.  An accepted step costs one
+spectral pass, the batched resolvent of G and h: one rfft and one
+irfft, two FFT calls on either grid.  When evenness is enforced, G and
+h are projected onto even fields first, a node-wise antipodal average.
+R is diagonal in the spectral basis and commutes with the antipodal
+map, so phi_new is band-limited and even whenever phi is, and Newton's
+last trial, whose derivatives are affine in Phi, is the next state as
+it stands: projecting it again would change it only by roundoff.  The
+state it returns already holds the w that the next step's Newton solve
+reads, and the W_k that the trace reads.
 
-A point of the flow is one frozen `FlowState`: the projected field, the
-run's data and the speed's parts there.  `make_state(config, phi0)`
+A point of the flow is one frozen `FlowState`: the band-limited field,
+the run's data and the speed's parts there.  `make_state(config, phi0)`
 checks every input of a run that needs the grid and returns the
 evaluated start, `step(state, dt)` returns the next state, and `run`
 adds the step-size rule, the stop test and the trace.
@@ -162,9 +164,9 @@ class FlowConfig:
 
 @dataclass(frozen=True, eq=False)
 class FlowState:
-    """One point of a flow run: the band-projected field K; the run's data,
-    which `step` passes on unchanged (fpow = f^{-1/(n-k)}, even: project
-    each new state onto even fields, target: the W_k every step holds);
+    """One point of a flow run: the band-limited field K; the run's data,
+    which `step` passes on unchanged (fpow = f^{-1/(n-k)}, even: keep
+    each new state even, target: the W_k every step holds);
     and what `_evaluate` computes at K when the state is built: pA =
     p_{n-k}(A), w = phi^{-(k+1)} pA, the first variation of W_k that the
     next step's Newton solve starts from, and the speed Phi G - h with
@@ -231,22 +233,6 @@ def _in_cone(phi: np.ndarray) -> None:
         raise FlowStepError("phi left the positive cone")
 
 
-def _project(K: SupportField, even: bool) -> SupportField:
-    """K projected onto even fields (when even) and onto the grid's band,
-    with its gradient and Hessian from the same analysis; raises
-    FlowStepError if the projection is off the positive cone.
-
-    resolvent with mu = 0 is the band projection: it keeps every mode
-    below the band and drops the rest (the Nyquist bin on S^1).
-    """
-    grid, phi = K.grid, K.phi
-    if even:
-        phi = even_project(grid, phi)
-    v, g, H = resolvent(grid, phi, 0.0)
-    _in_cone(v)
-    return SupportField.with_derivatives(grid, v, g, H)
-
-
 def _evaluate(state: FlowState) -> tuple:
     """pA, w, Phi, G, h, c and the speed Phi G - h at state.K; raises
     FlowStepError unless A[K] > 0."""
@@ -287,6 +273,11 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     warning on the state), and even f when evenness is enforced.  Each
     refusal is a ValueError, as is a phi0 whose projection is not
     uniformly h-convex.
+
+    The start is phi0 projected onto even fields (when even) and onto the
+    grid's band: resolvent with mu = 0 keeps every mode below the band
+    and drops the rest (the Nyquist bin on S^1), and gives the gradient
+    and Hessian from the same analysis.  It is the run's only projection.
     """
     grid = phi0.grid
     n, k = grid.n, config.k
@@ -311,7 +302,9 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     if even and not _is_even(grid, f):
         raise ValueError(f"evenness enforcement needs even data, deviation {even_error(grid, f)}")
     try:
-        K = _project(phi0, even)
+        v, g, H = resolvent(grid, even_project(grid, phi0.phi) if even else phi0.phi, 0.0)
+        _in_cone(v)
+        K = SupportField.with_derivatives(grid, v, g, H)
         fpow = f ** (-1.0 / (n - k))
         return FlowState(K, k, config.p, f, fpow, even, K.memo(wk_value, k), tuple(warnings))
     except FlowStepError as exc:
@@ -323,16 +316,20 @@ def step(state: FlowState, dt: float) -> FlowState:
     W_k at state.target.
 
     The Newton iterates are affine in Phi on the derivatives cached in
-    state.K.  Raises FlowStepError if the new state leaves the uniformly
-    h-convex cone or the constraint does not converge; the caller is
-    expected to halve dt and retry.
+    state.K, and the last one is the new state's field, with the W_k it
+    was accepted on cached.  Raises FlowStepError if the new state leaves
+    the uniformly h-convex cone or the constraint does not converge; the
+    caller is expected to halve dt and retry.
     """
     K, k, target = state.K, state.k, state.target
     grid, phi, w = K.grid, K.phi, state.w
     mu = dt * state.c
     if not mu < math.inf:
         raise FlowStepError(f"resolvent step dt c = {mu} is not finite")
-    (rG, rh), (gG, gh), (HG, Hh) = resolvent(grid, np.stack([state.G, state.h]), mu)
+    Gh = np.stack([state.G, state.h])
+    if state.even:
+        Gh = even_project(grid, Gh)
+    (rG, rh), (gG, gh), (HG, Hh) = resolvent(grid, Gh, mu)
     Phi = integrate(grid, w * rh) / integrate(grid, w * rG)
     for _ in range(NEWTON_MAX_ITER):
         phi_new = phi + dt * (Phi * rG - rh)
@@ -340,7 +337,7 @@ def step(state: FlowState, dt: float) -> FlowState:
         trial = SupportField.with_derivatives(
             grid, phi_new, K.gradient + dt * (Phi * gG - gh), K.hessian + dt * (Phi * HG - Hh)
         )
-        residual = wk_value(trial, k) - target
+        residual = trial.memo(wk_value, k) - target
         if abs(residual) <= NEWTON_RTOL * abs(target):
             break
         slope = dt * integrate(grid, measure_density(trial, 1.0, k) * rG)
@@ -350,10 +347,7 @@ def step(state: FlowState, dt: float) -> FlowState:
     else:
         raise FlowStepError(f"W_k constraint missed by {residual:.3e}")
     # Built directly: replace(state, K=...) gives the same state, slower.
-    return FlowState(
-        _project(trial, state.even), k, state.p, state.f, state.fpow, state.even, target,
-        state.warnings,
-    )
+    return FlowState(trial, k, state.p, state.f, state.fpow, state.even, target, state.warnings)
 
 
 def run(config: FlowConfig, phi0: SupportField) -> FlowResult:

@@ -154,7 +154,10 @@ class SupportField:
 
         The caller vouches that they are phi's spectral derivatives, as
         `sphere_grid.resolvent(grid, phi, 0.0)` returns them with the
-        band-limited phi from one analysis.
+        band-limited phi from one analysis.  Differentiation is linear, so
+        an affine combination of such outputs qualifies too: a band-limited
+        field plus multiples of resolvent outputs, with the same combination
+        of their derivatives (a flow step's new state is built so).
         """
         K = cls(grid, phi)
         g, H = (np.array(a, dtype=float) for a in (gradient, hessian))

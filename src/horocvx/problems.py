@@ -159,6 +159,15 @@ def _bracketed_root(lo: float, hi: float, n: int, k: int, p: float, gamma: float
     )
 
 
+def _in_float_range(c: float, gamma: float) -> float:
+    """c, the next end of a bracket for the root of zeta(c) = gamma; a
+    ValueError naming gamma once it doubles past the float range, where
+    zeta moves toward gamma too slowly for any float center to solve it."""
+    if c == math.inf:
+        raise ValueError(f"the ball equation at gamma = {gamma} has a root c past the float range")
+    return c
+
+
 def ball_solutions(n: int, k: int, p: float, gamma: float) -> BallSolutionReport:
     """Centered balls phi = c solving phi^{-p-k} p_{n-k}(A) = gamma.
 
@@ -171,7 +180,8 @@ def ball_solutions(n: int, k: int, p: float, gamma: float) -> BallSolutionReport
     determined by gamma alone.  For k = 0 and p < -n,
     zeta = c^{-p} ((c - 1/c)/2)^n still increases onto (0, inf), so there
     is exactly one root; for k >= 1, p < -n lies outside the problem's
-    range (`check_nkp`).  A power that overflows a float is a ValueError.
+    range (`check_nkp`).  A power that overflows a float is a ValueError,
+    and so is a gamma whose root c lies beyond the float range.
     """
     check_nkp(n, k, p)
     if gamma <= 0.0:
@@ -212,24 +222,17 @@ def ball_solutions(n: int, k: int, p: float, gamma: float) -> BallSolutionReport
                 lo = 1.0 + 0.5 * (lo - 1.0)
             hi = t0
             while _zeta(hi, n, k, p) > gamma:
-                hi = 1.0 + 2.0 * (hi - 1.0)
+                hi = _in_float_range(1.0 + 2.0 * (hi - 1.0), gamma)
             c1 = _bracketed_root(lo, t0, n, k, p, gamma)
             c2 = _bracketed_root(t0, hi, n, k, p, gamma)
             return report("two-roots", [c1, c2], gamma0, t0)
-        if p == n - 2 * k:
-            # zeta increases to the limit 2^{k-n} as c -> infinity.
-            limit = 2.0 ** (k - n)
-            if gamma >= limit:
-                return report("none-limit", [])
-            hi = 2.0
-            while _zeta(hi, n, k, p) < gamma:
-                hi *= 2.0
-            return report("unique", [_bracketed_root(1.0 + 1e-14, hi, n, k, p, gamma)])
-        # -n < p < n - 2k, or k = 0 and p < -n: zeta is increasing and onto
-        # (0, inf).
+        # zeta is increasing: onto (0, 2^{k-n}) at p = n - 2k; onto
+        # (0, inf) for -n < p < n - 2k, or k = 0 and p < -n.
+        if p == n - 2 * k and gamma >= 2.0 ** (k - n):
+            return report("none-limit", [])
         hi = 2.0
         while _zeta(hi, n, k, p) < gamma:
-            hi *= 2.0
+            hi = _in_float_range(2.0 * hi, gamma)
         return report("unique", [_bracketed_root(1.0 + 1e-14, hi, n, k, p, gamma)])
     except OverflowError:
         raise ValueError(f"the ball equation at p = {p} overflows a float") from None

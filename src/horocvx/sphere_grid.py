@@ -547,20 +547,23 @@ def integrate(grid: Grid, values: np.ndarray) -> float:
 
 
 def antipodal(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Pull a field back through the antipodal map z -> -z."""
-    return np.asarray(values)[grid.antipodal_index]
+    """Pull a field back through the antipodal map z -> -z; a stack
+    (..., size) field by field."""
+    return np.asarray(values)[..., grid.antipodal_index]
 
 
 def even_error(grid: Grid, values: np.ndarray) -> float:
-    """Sup-norm deviation from antipodal evenness."""
+    """Sup-norm deviation from antipodal evenness, over a whole stack
+    (..., size) when given one."""
     v = np.asarray(values, dtype=float)
-    return float(np.abs(v - v[grid.antipodal_index]).max())
+    return float(np.abs(v - v[..., grid.antipodal_index]).max())
 
 
 def even_project(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Even part (f + f o antipodal) / 2."""
+    """Even part (f + f o antipodal) / 2; a stack (..., size) field by
+    field.  A node-wise average: no spectral pass."""
     v = np.asarray(values, dtype=float)
-    return 0.5 * (v + v[grid.antipodal_index])
+    return 0.5 * (v + v[..., grid.antipodal_index])
 
 
 # ---------------------------------------------------------------------------

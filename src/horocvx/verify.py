@@ -51,7 +51,7 @@ from .quermass import (
     modified_quermass,
     weighted_volume,
 )
-from .sphere_grid import Grid, integrate, make_grid, sphere_area
+from .sphere_grid import ArgumentError, Grid, integrate, make_grid, sphere_area
 
 __all__ = [
     "CheckRecord",
@@ -593,10 +593,12 @@ def run_suite(
 
     ``bodies`` is a body set shared with other calls (`run_all` passes
     one set to every suite); by default the call builds its own from
-    ``corpus``.
+    ``corpus``.  An unknown name is an ArgumentError whose list of known
+    names starts with `all`, the name under which callers offer `run_all`.
     """
     if name not in _REGISTRY:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(_REGISTRY)}")
+        known = ", ".join(("all",) + SUITES + EXPLORATORY_SUITES)
+        raise ArgumentError(f"unknown suite {name!r}; known: {known}")
     if bodies is None:
         bodies = Bodies(corpus)
     elif corpus is not None and corpus != bodies.corpus:

@@ -239,6 +239,9 @@ OVERFLOWS = [
                  "300", id="ballsolve-n2"),
     pytest.param(["ballsolve", "--n", "1", "--k", "0", "--p", "300", "--gamma", "1"],
                  "300", id="ballsolve-n1"),
+    # A root c beyond the float range: zeta = c^0.001 / 2 rises too slowly.
+    pytest.param(["ballsolve", "--n", "2", "--k", "1", "--p=-0.001", "--gamma", "1000"],
+                 "gamma = 1000", id="ballsolve-gamma"),
 ]
 
 

@@ -314,23 +314,22 @@ def test_evaluate_raises_flow_step_error_off_the_cone(bad):
         flow._in_cone(phi)
 
 
-def test_rejected_projected_state_halves_dt_and_continues(monkeypatch):
+def test_rejected_accepted_state_halves_dt_and_continues(monkeypatch):
     cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=3)
     reference = run(cfg, perturbed_circle())
     assert reference.rejections == 0
-    real = flow._project
+    real = flow.FlowState
     calls = []
 
-    def faulty(K, even):
-        # Call 1 projects the initial field; call 2 is the first stepped
-        # state, which gets a kink no uniformly h-convex body has.
+    def faulty(K, *data):
+        # Call 1 builds the start; call 2 is the first stepped state,
+        # whose field gets a kink no uniformly h-convex body has.
         calls.append(1)
-        K = real(K, even)
         if len(calls) == 2:
             K = SupportField(K.grid, K.phi * (1.0 + 0.3 * np.cos(12 * K.grid.theta)))
-        return K
+        return real(K, *data)
 
-    monkeypatch.setattr(flow, "_project", faulty)
+    monkeypatch.setattr(flow, "FlowState", faulty)
     res = run(cfg, perturbed_circle())
     assert res.status == "max-steps"
     assert res.steps == 3
@@ -368,10 +367,11 @@ def test_trace_wk_matches_a_fresh_homotopy(cfg, body):
     ids=["s1", "s2"],
 )
 def test_accepted_states_cache_their_own_derivatives(cfg, body, monkeypatch):
-    # Each accepted state keeps the derivatives of the projection pass that
-    # made it; they must be those of its phi, or the Wk and Jp columns
-    # would measure another field.  eps_stop is below the roundoff floor
-    # of speedSup, so both runs take all their steps.
+    # Each accepted state is Newton's last trial, whose derivatives are
+    # affine combinations of the state's own and the resolvent pass's; they
+    # must be those of its phi, or the Wk and Jp columns would measure
+    # another field.  eps_stop is below the roundoff floor of speedSup, so
+    # both runs take all their steps.
     real, accepted = flow.step, []
 
     def recording(*args, **kwargs):
@@ -397,11 +397,11 @@ def test_accepted_states_cache_their_own_derivatives(cfg, body, monkeypatch):
     [
         # eps_stop below the roundoff floor of speedSup: both runs step
         # to max_steps instead of converging.
-        # Per step: the stacked resolvent of G and h, and the projection
-        # of the new state with its derivatives, each one analysis and one
-        # synthesis on either grid.
-        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14), perturbed_circle, 4),
-        (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-14), perturbed_sphere, 4),
+        # Per step: the stacked resolvent of G and h, one analysis and one
+        # synthesis on either grid; the new state is Newton's last trial
+        # and makes no pass of its own.
+        (FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14), perturbed_circle, 2),
+        (FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-14), perturbed_sphere, 2),
     ],
     ids=["s1", "s2"],
 )
@@ -417,15 +417,36 @@ def test_fft_calls_per_accepted_step(cfg, body, budget, fft_counts):
     assert (totals[1] - totals[0]) / 8 <= budget
 
 
-def test_acceptance_flow_makes_two_fft_calls_at_the_start_and_four_per_step(fft_counts):
+def test_acceptance_flow_makes_two_fft_calls_at_the_start_and_two_per_step(fft_counts):
     # The start's projection pass, then per accepted step the resolvent
-    # pass of G and h and the projection pass of the new state: one rfft
-    # and one irfft each.  The trace rows make none.
+    # pass of G and h: one rfft and one irfft each.  The accepted state and
+    # the trace rows make none.
     grid = make_grid(1, 96)
     body = SupportField(grid, 2.0 + 0.2 * np.cos(2.0 * grid.theta))
     res = run(FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-6), body)
     assert res.status == "converged" and res.rejections == 0 and res.steps > 0
-    assert fft_counts == {"rfft": 1 + 2 * res.steps, "irfft": 1 + 2 * res.steps}
+    assert fft_counts == {"rfft": 1 + res.steps, "irfft": 1 + res.steps}
+
+
+def test_unprojected_states_stay_even_and_band_limited_over_a_long_run(monkeypatch):
+    # No accepted state is projected again: with G and h projected before
+    # the resolvent, the odd and out-of-band roundoff of the states only
+    # random-walks, and stays at roundoff over this run's 2,048 steps.
+    grid = make_grid(1, 96)
+    f = 1.0 + 0.2 * np.cos(2.0 * grid.theta)
+    cfg = FlowConfig(n=1, k=0, p=-8.0, f=f, eps_stop=1e-9, max_steps=4000)
+    real, nyquist = flow.step, []
+
+    def recording(*args, **kwargs):
+        new_state = real(*args, **kwargs)
+        nyquist.append(abs(np.fft.rfft(new_state.K.phi)[48]) / 96)
+        return new_state
+
+    monkeypatch.setattr(flow, "step", recording)
+    res = run(cfg, SupportField(grid, np.full(96, 2.0)))
+    assert res.status == "converged" and res.steps == len(nyquist)
+    assert np.max(res.trace.column("evenErr")) <= 1e-12
+    assert max(nyquist) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Surface-area measures, prescription problems, ball classification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from horocvx.sphere_grid import (
     integrate,
     make_grid,
 )
+from horocvx.verify import run_suite
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -300,6 +302,7 @@ ARGUMENT_RULES = {
     "FlowConfig-k": lambda: FlowConfig(n=1, k=1, p=0.0),
     "FlowConfig-p": lambda: FlowConfig(n=2, k=1, p=-5.0),
     "FlowConfig-max_dt": lambda: FlowConfig(n=1, k=0, p=0.0, max_dt=-1.0),
+    "run_suite-name": lambda: run_suite("nonsense"),
 }
 
 
@@ -334,6 +337,21 @@ def test_flow_config_and_ball_solutions_share_one_range(n, k, p):
     check_nkp(n, k, p)
     FlowConfig(n=n, k=k, p=p)
     ball_solutions(n, k, p, 0.01)
+
+
+@pytest.mark.parametrize(
+    "n, k, p, gamma",
+    [
+        (2, 1, -0.001, 1000.0),  # zeta = c^0.001 / 2 rises too slowly
+        (1, 0, 0.5, 1e300),  # zeta ~ c^0.5 / 2: the root is near 4e600
+        (2, 1, 0.001, 1e-10),  # zeta ~ c^-0.001 / 2 falls too slowly past t0
+    ],
+)
+def test_ball_solutions_refuse_a_root_beyond_the_float_range(n, k, p, gamma):
+    # Doubling the bracket's end reached inf: it used to return c = inf.
+    with pytest.raises(ValueError, match=re.escape(f"gamma = {gamma}")) as info:
+        ball_solutions(n, k, p, gamma)
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -247,6 +247,17 @@ def test_even_projection():
     assert even_error(S1, np.sin(3 * theta)) > 0.3
 
 
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_antipodal_maps_act_on_each_field_of_a_stack(grid):
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((2, grid.size))
+    for fn in (antipodal, even_project):
+        out = fn(grid, stack)
+        for i in range(2):
+            assert np.array_equal(out[i], fn(grid, stack[i]))
+    assert even_error(grid, stack) == max(even_error(grid, row) for row in stack)
+
+
 def test_even_projection_s2():
     z = S2.nodes
     f = 2.0 + 0.5 * z[:, 0] + 0.25 * (3.0 * z[:, 2] ** 2 - 1.0)
