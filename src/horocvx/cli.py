@@ -21,9 +21,9 @@ which brings `lorentz`); each `_cmd_*` imports its own kernels when it
 runs.  `mkfield` loads no further module, `psum` and `dilate` load
 `psum`, `quermass`, `steiner` and `weighted` load `quermass`, the
 curvature-data commands (`measure`, `kw`, `ballsolve`, `assumption-h`)
-load `problems` and `quermass`, `flow` loads `flow` with those two,
-`project` loads `euclid_bridge` and `psum` but not `quermass`, and
-`verify` loads `verify` with everything but `flow` and `problems`.
+load `problems`, `psum` and `quermass`, `flow` loads `flow` with those
+three, `project` loads `euclid_bridge` and `psum` but not `quermass`,
+and `verify` loads `verify` with everything but `flow` and `problems`.
 
 Every field input, a `--K`, `--L` or `--f` file or a flow config's
 `initial` or `f` (a path or an inline field object), goes through one

@@ -23,13 +23,14 @@ from .hconvex import (
     SupportField,
     a_eigenvalues,
     boundary_data,
-    convexity,
+    common_grid,
     p_tensor,
     per_field,
     plus_identity,
+    require_h_convex,
 )
-from .psum import p_sum
-from .sphere_grid import integrate
+from .psum import p_sum, power_sum
+from .sphere_grid import ArgumentError, as_real, integrate
 
 __all__ = [
     "BridgeReport",
@@ -76,10 +77,7 @@ def project(K: SupportField) -> SupportField:
     Admissibility is automatic for h-convex fields since
     D^2 phi + phi I = A[phi] + cosh(r) I, so only h-convexity is checked.
     """
-    report = convexity(K)
-    if report.classification == "not-h-convex":
-        raise ValueError("projection requires an h-convex field")
-    return K
+    return require_h_convex(K, "field to project")
 
 
 def firey_sum(
@@ -87,12 +85,11 @@ def firey_sum(
 ) -> SupportField:
     """Firey combination (a u_K^p + b u_L^p)^{1/p}, p >= 1."""
     if p < 1.0:
-        raise ValueError(f"Firey sum needs p >= 1, got {p}")
+        raise ArgumentError(f"Firey sum needs p >= 1, got {p}")
+    a, b = as_real(a, "Firey coefficient a"), as_real(b, "Firey coefficient b")
     if a < 0.0 or b < 0.0:
-        raise ValueError("Firey coefficients must be nonnegative")
-    if Khat.grid != Lhat.grid:
-        raise ValueError("firey_sum requires a common grid")
-    out = SupportField(Khat.grid, (a * Khat.phi**p + b * Lhat.phi**p) ** (1.0 / p))
+        raise ArgumentError(f"Firey coefficients must be nonnegative, got a={a}, b={b}")
+    out = power_sum(a, Khat, p, b, Lhat)
     _admissible_form(out)
     return out
 
@@ -105,7 +102,7 @@ def commute_check(
     same pointwise algebra.  Public: it is the paper's bridge statement,
     that the projection carries p-sums to Firey sums."""
     if p < 1.0:
-        raise ValueError(f"commutation holds on the common range p in [1, 2], got {p}")
+        raise ArgumentError(f"commutation holds on the common range p in [1, 2], got {p}")
     hyperbolic = project(p_sum(a, K, p, b, L))
     euclidean = firey_sum(a, project(K), p, b, project(L))
     return float(np.max(np.abs(hyperbolic.phi - euclidean.phi)))
@@ -121,11 +118,9 @@ def euclid_volume(Khat: SupportField) -> float:
 def euclid_mixed_volume_p(Khat: SupportField, Lhat: SupportField, p: float) -> float:
     """p-mixed volume (1/(n+1)) int u_L^p u_K^{1-p} p_n(D^2 u_K + u_K I)."""
     if p < 1.0:
-        raise ValueError(f"p-mixed volume needs p >= 1, got {p}")
-    if Khat.grid != Lhat.grid:
-        raise ValueError("mixed volume requires a common grid")
+        raise ArgumentError(f"p-mixed volume needs p >= 1, got {p}")
+    n = common_grid(Khat, Lhat).n
     form = _admissible_form(Khat)
-    n = Khat.grid.n
     field = Lhat.phi**p * Khat.phi ** (1.0 - p) * p_tensor(form, n)
     return integrate(Khat.grid, field) / (n + 1)
 
@@ -153,9 +148,7 @@ def V_functional(K: SupportField) -> BridgeReport:
 
 def V_p_functional(K: SupportField, L: SupportField, p: float) -> BridgeReport:
     """p-mixed volume of the projections, computed both ways."""
-    if K.grid != L.grid:
-        raise ValueError("V_p requires a common grid")
-    n = K.grid.n
+    n = common_grid(K, L).n
     bridge = euclid_mixed_volume_p(project(K), project(L), p)
     field = L.phi**p * _hyperbolic_v_integrand(K, p)
     direct = integrate(K.grid, field) / (n + 1)

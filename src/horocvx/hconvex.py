@@ -9,7 +9,9 @@ its geometry once, on first use, from one spectral pass; a functional
 decorated with `per_field` is cached on the field too.  `measure_density`,
 phi^{-p-k} p_{n-k}(A[phi]), is the package's one curvature-measure
 kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.  `squared_norm` is its
-one |D phi|^2.
+one |D phi|^2, `common_grid` its one grid match, `require_h_convex` its
+one not-h-convex refusal, and `shrink_into_cone` its one shrinking of a
+perturbation into the uniformly h-convex cone.
 """
 
 from __future__ import annotations
@@ -36,8 +38,11 @@ __all__ = [
     "measure_density",
     "plus_identity",
     "convexity",
+    "common_grid",
+    "require_h_convex",
     "boundary_data",
     "apply_isometry_field",
+    "shrink_into_cone",
     "random_h_convex_fields",
     "per_field",
     "UNIFORM_TOL_SCALE",
@@ -323,19 +328,29 @@ def convexity(K: SupportField) -> ConvexityReport:
     return ConvexityReport(cls, min_eig, node, tol)
 
 
+def common_grid(K: SupportField, L: SupportField) -> Grid:
+    """The grid of K and L; ArgumentError unless they share one."""
+    if K.grid != L.grid:
+        raise ArgumentError(
+            f"fields must share one grid, got {K.grid.resolution} and {L.grid.resolution}"
+        )
+    return K.grid
+
+
+def require_h_convex(K: SupportField, what: str) -> SupportField:
+    """K; a ValueError naming what unless K is at least h-convex."""
+    rep = convexity(K)
+    if rep.classification == "not-h-convex":
+        raise ValueError(
+            f"{what} is not h-convex: min eig A = {rep.min_eigenvalue} at node {rep.argmin_node}"
+        )
+    return K
+
+
 def boundary_data(K: SupportField) -> BoundaryData:
     """Boundary points, normals and curvature data of K, computed once
-    per field.
-
-    Requires at least h-convexity; raises ValueError otherwise.
-    """
-    report = convexity(K)
-    if report.classification == "not-h-convex":
-        raise ValueError(
-            f"field is not h-convex: min eig A = {report.min_eigenvalue} "
-            f"at node {report.argmin_node}"
-        )
-    return K._boundary
+    per field; ValueError unless K is at least h-convex."""
+    return require_h_convex(K, "field")._boundary
 
 
 def apply_isometry_field(K: SupportField, F) -> SupportField:
@@ -357,6 +372,19 @@ def apply_isometry_field(K: SupportField, F) -> SupportField:
     src = src / np.linalg.norm(src, axis=1, keepdims=True)
     phi_new = chi * resample(grid, K.phi, src)
     return SupportField(grid, phi_new)
+
+
+def shrink_into_cone(grid: Grid, c: float, pert: np.ndarray, margin: float = 0.0):
+    """The first field c (1 + amp pert), amp = 1, 0.6, 0.36, ... above
+    1e-3, that is uniformly h-convex with min eig A > margin; None if none is."""
+    amp = 1.0
+    while amp > 1e-3:
+        K = SupportField(grid, c * (1.0 + amp * pert))
+        rep = convexity(K)
+        if rep.classification == "uniformly-h-convex" and rep.min_eigenvalue > margin:
+            return K
+        amp *= 0.6
+    return None
 
 
 def random_h_convex_fields(seed: int, grids: list[Grid], count: int) -> list[SupportField]:
@@ -388,14 +416,7 @@ def random_h_convex_fields(seed: int, grids: list[Grid], count: int) -> list[Sup
             pert = np.zeros(grid.size)
             for b in basis:
                 pert += rng.uniform(-0.04, 0.04) * b
-        amp = 1.0
-        while amp > 1e-3:
-            K = SupportField(grid, c * (1.0 + amp * pert))
-            rep = convexity(K)
-            if rep.classification == "uniformly-h-convex" and rep.min_eigenvalue > 0.02:
-                fields.append(K)
-                break
-            amp *= 0.6
-        else:
-            continue
+        K = shrink_into_cone(grid, c, pert, margin=0.02)
+        if K is not None:
+            fields.append(K)
     return fields

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hconvex import SupportField, a_eigenvalues, measure_density, plus_identity, squared_norm
+from .hconvex import (
+    SupportField,
+    a_eigenvalues,
+    common_grid,
+    measure_density,
+    plus_identity,
+    squared_norm,
+)
+from .psum import check_p
 from .quermass import bracketed_newton
 from .sphere_grid import ArgumentError, Grid, derivatives, frame_vectors, integrate
 
@@ -91,12 +99,9 @@ def validate_f(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def mixed_quermass(K: SupportField, L: SupportField, p: float, k: int) -> float:
-    """W_{p,k}(K, L) = (1/p) int phi_L^p dS_{p,k}(K, .)."""
-    if not (0.5 <= p <= 2.0):
-        raise ValueError(f"mixed quermass is defined for p in [1/2, 2], got {p}")
-    if K.grid != L.grid:
-        raise ValueError("mixed_quermass requires a common grid")
-    return integrate(K.grid, L.phi**p * measure_density(K, p, k)) / p
+    """W_{p,k}(K, L) = (1/p) int phi_L^p dS_{p,k}(K, .), p in [1/2, 2]."""
+    check_p(p)
+    return integrate(common_grid(K, L), L.phi**p * measure_density(K, p, k)) / p
 
 
 def J_p(K: SupportField, f, p: float) -> float:
@@ -126,7 +131,7 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     n = grid.n
     density = measure_density(K, 0.0, k)
     f = validate_f(f, grid)
-    g_f, *g_x = derivatives(grid, np.vstack([f, grid.nodes.T]), second=False)[0]
+    g_f, *g_x = derivatives(grid, np.vstack([f, grid.nodes.T]))[0]
     weight = K.phi ** (-float(n))
     coords = [integrate(grid, weight * np.sum(g_f * g_i, axis=1)) for g_i in g_x]
     frames = frame_vectors(grid)

@@ -3,7 +3,9 @@
 On support functions the sum is phi_out^p = a phi_K^p + b phi_L^p with
 a + b >= 1.  The pointwise picture combines two-point balls B(p, t):
 their union over t in [0, 1] for p > 1, a single ball for p = 1, and
-their intersection over the open interval for p < 1.
+their intersection over the open interval for p < 1.  `power_sum` is
+the one unchecked (a phi_K^p + b phi_L^p)^{1/p}, which `p_sum` checks
+and `euclid_bridge.firey_sum` reuses; `check_p` is the one p rule.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lorentz
-from .hconvex import SupportField, boundary_data, convexity, support_of_point
-from .sphere_grid import ArgumentError, Grid
+from .hconvex import SupportField, boundary_data, common_grid, require_h_convex, support_of_point
+from .sphere_grid import ArgumentError, Grid, as_real
 
 __all__ = [
     "TwoPointBall",
     "DilatesReport",
+    "check_p",
+    "power_sum",
     "p_sum",
     "p_dilate",
     "two_point_ball",
@@ -53,37 +57,37 @@ class DilatesReport:
     ratio_variation: float
 
 
-def _check_p(p: float) -> None:
+def check_p(p: float) -> None:
+    """ArgumentError unless p lies in [1/2, 2], the p-sum's range."""
     if not (0.5 <= p <= 2.0):
         raise ArgumentError(f"p must lie in [1/2, 2], got {p}")
 
 
-def _check_coeffs(a: float, b: float) -> None:
+def _check_coeffs(a: float, b: float) -> tuple[float, float]:
+    a, b = as_real(a, "coefficient a"), as_real(b, "coefficient b")
     if a < 0.0 or b < 0.0:
         raise ArgumentError(f"coefficients must be nonnegative, got a={a}, b={b}")
     if a + b < 1.0 - COEFF_SLACK:
         raise ArgumentError(f"coefficient sum a+b must be at least 1, got {a + b}")
+    return a, b
+
+
+def power_sum(a: float, K: SupportField, p: float, b: float, L: SupportField) -> SupportField:
+    """(a phi_K^p + b phi_L^p)^{1/p} on the common grid; nothing else is checked."""
+    return SupportField(common_grid(K, L), (a * K.phi**p + b * L.phi**p) ** (1.0 / p))
 
 
 def p_sum(a: float, K: SupportField, p: float, b: float, L: SupportField) -> SupportField:
     """Support field of a*K +_p b*L on the common grid."""
-    _check_p(p)
-    _check_coeffs(a, b)
-    if K.grid != L.grid:
-        raise ValueError("p_sum requires both fields on the same grid")
-    phi = (a * K.phi**p + b * L.phi**p) ** (1.0 / p)
-    out = SupportField(K.grid, phi)
-    report = convexity(out)
-    if report.classification == "not-h-convex":
-        raise ValueError(
-            f"p-sum output failed the convexity check: min eig A = {report.min_eigenvalue}"
-        )
-    return out
+    check_p(p)
+    a, b = _check_coeffs(a, b)
+    return require_h_convex(power_sum(a, K, p, b, L), "p-sum output")
 
 
 def p_dilate(a: float, p: float, K: SupportField) -> SupportField:
     """p-dilation a . K: phi -> a^{1/p} phi, an outer parallel set at
     distance log(a)/p.  Requires a >= 1 and p > 0."""
+    a = as_real(a, "p-dilation a")
     if a < 1.0:
         raise ArgumentError(f"p-dilation needs a >= 1, got {a}")
     if p <= 0.0:
@@ -107,10 +111,10 @@ def two_point_ball(p: float, t: float, a: float, X, b: float, Y) -> TwoPointBall
     T = (1-t)^{1/q} a^{1/p} X + t^{1/q} b^{1/p} Y with 1/p + 1/q = 1;
     the ball has center T/N(T) and radius log N(T), empty when N(T) < 1.
     """
-    _check_p(p)
-    _check_coeffs(a, b)
+    check_p(p)
+    a, b = _check_coeffs(a, b)
     if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t}")
+        raise ArgumentError(f"t must lie in [0, 1], got {t}")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     lorentz.validate_hpoint(X)
@@ -136,12 +140,7 @@ def two_point_ball(p: float, t: float, a: float, X, b: float, Y) -> TwoPointBall
 
 def two_point_sum(grid: Grid, p: float, a: float, X, b: float, Y) -> SupportField:
     """Support field of the p-sum of two points a*{X} +_p b*{Y}."""
-    _check_p(p)
-    _check_coeffs(a, b)
-    fX = support_of_point(grid, X)
-    fY = support_of_point(grid, Y)
-    phi = (a * fX.phi**p + b * fY.phi**p) ** (1.0 / p)
-    return SupportField(grid, phi)
+    return p_sum(a, support_of_point(grid, X), p, b, support_of_point(grid, Y))
 
 
 def _refine_extremum(vals: np.ndarray, j: int, minimize: bool) -> float:
@@ -168,7 +167,7 @@ def compatibility_check(
     two-point figure, the p-sum of two points against its ball family.
     """
     if samples < 3:
-        raise ValueError("samples must be at least 3")
+        raise ArgumentError(f"samples must be at least 3, got {samples}")
     field = two_point_sum(grid, p, a, X, b, Y)
     bd = boundary_data(field)
     pts = bd.X
@@ -207,8 +206,7 @@ def _inner_many(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def dilates_check(K: SupportField, L: SupportField) -> DilatesReport:
     """Whether L is a p-dilation of K: phi_L / phi_K constant."""
-    if K.grid != L.grid:
-        raise ValueError("dilates_check requires a common grid")
+    common_grid(K, L)
     ratio = L.phi / K.phi
     mean = float(np.mean(ratio))
     variation = float(np.max(np.abs(ratio - mean)) / abs(mean))

@@ -11,8 +11,8 @@ Each kind of grid is one private subclass of Grid that holds all of its
 spectral code; `make_grid` picks the kind from n, `grid_from_json_dict`
 from the JSON type, and no other function branches on it.
 Both kinds make one rfft per analysis of a stack and one irfft per
-pass, whatever outputs the pass asks for.  `_UniformS1`, on S^1, fills
-one spectrum buffer with every derivative order it synthesizes.
+pass.  `_UniformS1`, on S^1, fills one spectrum buffer with all the
+orders of a pass.
 `_GLProductS2`, on S^2, holds the associated Legendre functions and
 their theta derivatives as one padded tensor PdP[., m, node, l], zero
 for l < m, so that its Legendre analysis and synthesis are each one
@@ -205,26 +205,21 @@ class _UniformS1(Grid):
         c[..., -1] = 0.0
         return c
 
-    def _fields(self, c: np.ndarray, value: bool, first: bool, second: bool):
-        """(values, gradient, Hessian) of c, or None, from one irfft.
+    def _fields(self, c: np.ndarray, value: bool):
+        """(values or None, gradient, Hessian) of c from one irfft.
 
-        The spectra c N, (c i k) N and (c (i k)^2) N of the outputs asked
-        for fill one buffer, order-major, so that each block is laid out
-        as the product of its own would be and rounds the same."""
+        The spectra (c N when value), (c i k) N and (c (i k)^2) N fill one
+        buffer, order-major, so that each block is laid out as the product
+        of its own would be and rounds the same."""
         N = self.resolution[0]
-        wanted = [m for m, want in zip((None, *self._multipliers), (value, first, second)) if want]
-        spectra = np.empty((len(wanted),) + c.shape, dtype=complex)
-        for block, m in zip(spectra, wanted):
-            if m is None:
-                np.multiply(c, N, out=block)
-            else:
-                np.multiply(c, m, out=block)
-                np.multiply(block, N, out=block)
-        fields = iter(np.fft.irfft(spectra, n=N))
-        v = next(fields) if value else None
-        g = next(fields)[..., None] if first else None
-        H = next(fields)[..., None, None] if second else None
-        return v, g, H
+        spectra = np.empty((2 + value,) + c.shape, dtype=complex)
+        if value:
+            np.multiply(c, N, out=spectra[0])
+        for block, m in zip(spectra[value:], self._multipliers):
+            np.multiply(c, m, out=block)
+            np.multiply(block, N, out=block)
+        fields = np.fft.irfft(spectra, n=N)
+        return (fields[0] if value else None), fields[-2][..., None], fields[-1][..., None, None]
 
     def _evaluate(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
         c = self._analyze(values)
@@ -413,34 +408,29 @@ class _GLProductS2(Grid):
         """a / (1 + mu l (l + 1))."""
         return a / (1.0 + mu * self._tables[1])
 
-    def _fields(self, a: np.ndarray, value: bool, first: bool, second: bool):
-        """(values, gradient, Hessian) of a, or None, from one irfft of all
+    def _fields(self, a: np.ndarray, value: bool):
+        """(values or None, gradient, Hessian) of a from one irfft of all
         their polar profiles; the Hessian's profiles hold the gradient's."""
         PdP, ll1 = self._tables
         # Polar profiles per order m; azimuthal derivatives are 1j m and -m m.
         m = np.arange(self.band_limit + 1)[:, None]
         vs = _real_matmul(PdP, a[..., None, :, :])
         v_m, vt_m = vs[..., 0, :, :], vs[..., 1, :, :]
-        G, profiles = self._spectrum(a.shape[:-2] + (2 + 3 * second + value,))
+        G, profiles = self._spectrum(a.shape[:-2] + (5 + value,))
         profiles[..., 0, :, :] = vt_m
         np.multiply(1j * m, v_m, out=profiles[..., 1, :, :])
-        if second:
-            profiles[..., 2, :, :] = _real_matmul(PdP[0], ll1 * a)
-            np.multiply(1j * m, vt_m, out=profiles[..., 3, :, :])
-            np.multiply(-(m * m), v_m, out=profiles[..., 4, :, :])
+        profiles[..., 2, :, :] = _real_matmul(PdP[0], ll1 * a)
+        np.multiply(1j * m, vt_m, out=profiles[..., 3, :, :])
+        np.multiply(-(m * m), v_m, out=profiles[..., 4, :, :])
         if value:
-            profiles[..., -1, :, :] = v_m
+            profiles[..., 5, :, :] = v_m
         fields = self._synthesize(G)
-        vt, fp = fields[..., 0, :], fields[..., 1, :]
-        v = fields[..., -1, :] if value else None
+        vt, fp, lap, ftp, fpp = (fields[..., i, :] for i in range(5))
+        v = fields[..., 5, :] if value else None
         s, inv_s, x_s, ss, x_ss = self._node_factors
-        g = np.empty(vt.shape + (2,)) if first else None
-        if first:
-            g[..., 0] = vt
-            np.multiply(fp, inv_s, out=g[..., 1])
-        if not second:
-            return v, g, None
-        lap, ftp, fpp = fields[..., 2, :], fields[..., 3, :], fields[..., 4, :]
+        g = np.empty(vt.shape + (2,))
+        g[..., 0] = vt
+        np.multiply(fp, inv_s, out=g[..., 1])
         # theta-theta from the associated Legendre ODE; mixed and azimuthal
         # entries carry the Christoffel corrections of the orthonormal frame.
         xvt, fss = x_s * vt, fpp / ss
@@ -570,18 +560,11 @@ def even_project(grid: Grid, values: np.ndarray) -> np.ndarray:
 # public spectral operators
 
 
-def derivatives(
-    grid: Grid, values: np.ndarray, first: bool = True, second: bool = True
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+def derivatives(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient (size, n) and covariant Hessian (size, n, n) in the
-    orthonormal frame, both from one spectral analysis; a stack of fields
-    (..., size) gives (..., size, n) and (..., size, n, n).
-
-    first / second select the outputs; one not asked for is returned as
-    None and costs no synthesis.  On S^2 the gradient comes free with the
-    Hessian, whose synthesis already holds both of its profiles.
-    """
-    return _spectral_pass(grid, values, None, first, second)[1:]
+    orthonormal frame, both from one analysis and one synthesis; a stack
+    of fields (..., size) gives (..., size, n) and (..., size, n, n)."""
+    return _spectral_pass(grid, values, None)[1:]
 
 
 def resolvent(
@@ -595,22 +578,22 @@ def resolvent(
     bin on S^1), so R v is band-limited and R at mu = 0 is the band
     projection.  A stack of fields (..., size) is resolved in one pass,
     each output with the same leading axes.  A mu that is negative or not
-    a finite number is a ValueError.
+    a finite number is an ArgumentError.
     """
     mu = as_real(mu, "resolvent mu")
     if mu < 0.0:
-        raise ValueError(f"resolvent mu must be nonnegative, got {mu!r}")
-    return _spectral_pass(grid, values, mu, True, True)
+        raise ArgumentError(f"resolvent mu must be nonnegative, got {mu!r}")
+    return _spectral_pass(grid, values, mu)
 
 
-def _spectral_pass(grid: Grid, values: np.ndarray, mu, first: bool, second: bool):
+def _spectral_pass(grid: Grid, values: np.ndarray, mu):
     """(R v or None, gradient, Hessian) of v, or of R v when mu is given,
-    for one field or a stack (..., size): one analysis of the stack, and
-    on S^2 one synthesis of all its profiles."""
+    for one field or a stack (..., size): one analysis and one synthesis
+    of the stack."""
     coeffs = grid._analyze(_node_values(grid, values))
     if mu is not None:
         coeffs = grid._resolve(coeffs, mu)
-    return grid._fields(coeffs, mu is not None, first, second)
+    return grid._fields(coeffs, mu is not None)
 
 
 def frame_vectors(grid: Grid) -> np.ndarray:

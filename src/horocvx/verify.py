@@ -34,10 +34,10 @@ from .euclid_bridge import V_functional, V_p_functional, euclid_form, project
 from .hconvex import (
     SupportField,
     boundary_data,
-    convexity,
     measure_density,
     p_tensor,
     random_h_convex_fields,
+    shrink_into_cone,
     support_of_ball,
 )
 from .psum import p_dilate, p_sum
@@ -148,13 +148,10 @@ def _perturbed(grid: Grid, r0: float, even: bool, flavor: int = 0) -> SupportFie
             pert = 0.09 * y20 + 0.06 * y22 * math.cos(0.5 * flavor)
         else:
             pert = 0.06 * y20 + 0.05 * y22 + 0.06 * z[:, 0] + 0.04 * z[:, 1] * z[:, 2]
-    amp = 1.0
-    while amp > 1e-3:
-        K = SupportField(grid, c * (1.0 + amp * pert))
-        if convexity(K).classification == "uniformly-h-convex":
-            return K
-        amp *= 0.6
-    raise RuntimeError("could not build a uniformly h-convex perturbed body")
+    K = shrink_into_cone(grid, c, pert)
+    if K is None:
+        raise RuntimeError("could not build a uniformly h-convex perturbed body")
+    return K
 
 
 class Bodies:
@@ -593,8 +590,8 @@ def run_suite(
 
     ``bodies`` is a body set shared with other calls (`run_all` passes
     one set to every suite); by default the call builds its own from
-    ``corpus``.  An unknown name is an ArgumentError whose list of known
-    names starts with `all`, the name under which callers offer `run_all`.
+    ``corpus`` (an ArgumentError if ``bodies`` has another).  An unknown name
+    is an ArgumentError listing the known names, `all` (`run_all`) first.
     """
     if name not in _REGISTRY:
         known = ", ".join(("all",) + SUITES + EXPLORATORY_SUITES)
@@ -602,7 +599,7 @@ def run_suite(
     if bodies is None:
         bodies = Bodies(corpus)
     elif corpus is not None and corpus != bodies.corpus:
-        raise ValueError("corpus differs from the corpus of the body set")
+        raise ArgumentError("corpus differs from the corpus of the body set")
     return [
         _record(name, case, lhs, rhs, eq, tol, eq_tol, *negative)
         for case, lhs, rhs, eq, *negative in _REGISTRY[name](bodies)

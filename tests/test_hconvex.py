@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocvx import sphere_grid
+from horocvx.euclid_bridge import V_p_functional, commute_check, euclid_mixed_volume_p, firey_sum
 from horocvx.hconvex import (
     BoundaryData,
     SupportField,
@@ -17,12 +18,16 @@ from horocvx.hconvex import (
     boundary_data,
     convexity,
     plus_identity,
+    require_h_convex,
+    shrink_into_cone,
     squared_norm,
     support_of_ball,
     support_of_point,
 )
 from horocvx.lorentz import boost, geodesic_distance, origin, validate_hpoint
-from horocvx.sphere_grid import integrate, make_grid
+from horocvx.problems import mixed_quermass
+from horocvx.psum import dilates_check, p_sum
+from horocvx.sphere_grid import ArgumentError, integrate, make_grid
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -182,6 +187,46 @@ def test_convexity_classes():
     assert report.min_eigenvalue < 0.0
     with pytest.raises(ValueError):
         boundary_data(bad)
+
+
+def test_require_h_convex_names_what_it_refuses():
+    good = SupportField(S1, 2.0 * (1.0 + 0.05 * np.cos(2 * S1.theta)))
+    assert require_h_convex(good, "body") is good
+    bad = SupportField(S1, 2.2 * (1.0 + 0.05 * np.cos(3 * S1.theta)))
+    with pytest.raises(ValueError, match="^body is not h-convex: min eig A = -") as info:
+        require_h_convex(bad, "body")
+    assert type(info.value) is ValueError
+
+
+def test_shrink_into_cone_scales_the_perturbation_down_by_0_6():
+    pert = 0.05 * np.cos(3 * S1.theta)
+    # 2.2 (1 + pert) is not h-convex; 2.2 (1 + 0.6 pert) is uniformly so.
+    K = shrink_into_cone(S1, 2.2, pert)
+    assert np.array_equal(K.phi, 2.2 * (1.0 + 0.6 * pert))
+    assert convexity(K).classification == "uniformly-h-convex"
+    assert shrink_into_cone(S1, 2.2, pert, margin=1e3) is None
+
+
+# The seven kernels that take two fields, each called with a pair on
+# s1:64 and s1:32.
+K64 = support_of_ball(S1, origin(1), 0.5)
+K32 = support_of_ball(make_grid(1, 32), origin(1), 0.5)
+TWO_FIELD_KERNELS = {
+    "p_sum": lambda K, L: p_sum(1.0, K, 1.0, 1.0, L),
+    "dilates_check": dilates_check,
+    "mixed_quermass": lambda K, L: mixed_quermass(K, L, 1.0, 0),
+    "firey_sum": lambda K, L: firey_sum(1.0, K, 1.0, 1.0, L),
+    "commute_check": lambda K, L: commute_check(1.0, K, 1.0, 1.0, L),
+    "euclid_mixed_volume_p": lambda K, L: euclid_mixed_volume_p(K, L, 1.0),
+    "V_p_functional": lambda K, L: V_p_functional(K, L, 1.0),
+}
+
+
+@pytest.mark.parametrize("kernel", list(TWO_FIELD_KERNELS))
+def test_two_field_kernels_refuse_fields_on_two_grids(kernel):
+    for K, L in ((K64, K32), (K32, K64)):
+        with pytest.raises(ArgumentError, match="fields must share one grid"):
+            TWO_FIELD_KERNELS[kernel](K, L)
 
 
 def test_a_eigenvalues_ascending():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocvx import hconvex
+from horocvx.euclid_bridge import commute_check, euclid_mixed_volume_p, firey_sum
 from horocvx.flow import FlowConfig
 from horocvx.hconvex import SupportField, random_h_convex_fields, support_of_ball
 from horocvx.lorentz import origin
@@ -22,7 +23,7 @@ from horocvx.problems import (
     mixed_quermass,
     pde_residual,
 )
-from horocvx.psum import p_dilate, p_sum
+from horocvx.psum import compatibility_check, p_dilate, p_sum, two_point_ball
 from horocvx.quermass import (
     I_k,
     curvature_integral,
@@ -38,8 +39,9 @@ from horocvx.sphere_grid import (
     derivatives,
     integrate,
     make_grid,
+    resolvent,
 )
-from horocvx.verify import run_suite
+from horocvx.verify import Bodies, Corpus, run_suite
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -196,10 +198,10 @@ def test_kw_coordinate_integrals_from_one_stacked_gradient(grid, fft_counts):
     fft_counts.update(rfft=0, irfft=0)
     rep = kw_residual(K, f, 0)
     assert fft_counts["rfft"] == 1
-    g_f = derivatives(grid, f, second=False)[0]
+    g_f = derivatives(grid, f)[0]
     weight = K.phi ** (-float(grid.n))
     for i, value in enumerate(rep.coordinate_integrals):
-        g_x = derivatives(grid, grid.nodes[:, i], second=False)[0]
+        g_x = derivatives(grid, grid.nodes[:, i])[0]
         assert value == integrate(grid, weight * np.sum(g_f * g_x, axis=1))
 
 
@@ -303,6 +305,19 @@ ARGUMENT_RULES = {
     "FlowConfig-p": lambda: FlowConfig(n=2, k=1, p=-5.0),
     "FlowConfig-max_dt": lambda: FlowConfig(n=1, k=0, p=0.0, max_dt=-1.0),
     "run_suite-name": lambda: run_suite("nonsense"),
+    "run_suite-corpus": lambda: run_suite(
+        "bm_balls", Corpus(), bodies=Bodies(Corpus(n1_resolution=64))
+    ),
+    "mixed_quermass-p": lambda: mixed_quermass(K1, K1, 0.4, 0),
+    "firey_sum-p": lambda: firey_sum(1.0, K1, 0.5, 1.0, K1),
+    "firey_sum-a": lambda: firey_sum(-1.0, K1, 1.0, 1.0, K1),
+    "commute_check-p": lambda: commute_check(1.0, K1, 0.5, 1.0, K1),
+    "euclid_mixed_volume_p-p": lambda: euclid_mixed_volume_p(K1, K1, 0.5),
+    "two_point_ball-t": lambda: two_point_ball(1.0, 1.5, 1.0, origin(1), 1.0, origin(1)),
+    "compatibility_check-samples": lambda: compatibility_check(
+        S1, 1.0, 1.0, origin(1), 1.0, origin(1), samples=2
+    ),
+    "resolvent-mu": lambda: resolvent(S1, K1.phi, -1.0),
 }
 
 

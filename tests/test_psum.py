@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocvx.hconvex import SupportField, support_of_ball
+from horocvx.hconvex import SupportField, support_of_ball, support_of_point
 from horocvx.lorentz import boost, origin
 from horocvx.psum import (
     compatibility_check,
@@ -17,7 +17,7 @@ from horocvx.psum import (
     two_point_ball,
     two_point_sum,
 )
-from horocvx.sphere_grid import make_grid
+from horocvx.sphere_grid import ArgumentError, make_grid
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -46,6 +46,12 @@ def test_p_sum_domain_checks():
     K2 = support_of_ball(make_grid(1, 32), origin(1), 0.5)
     with pytest.raises(ValueError):
         p_sum(0.5, K2, 1.0, 0.5, L)  # grid mismatch
+    for bad in (math.nan, math.inf):
+        # Refused where they enter, not by the non-finite field they make.
+        with pytest.raises(ArgumentError, match="coefficient a must be a finite number"):
+            p_sum(bad, K, 1.0, 1.0, L)
+        with pytest.raises(ArgumentError, match="coefficient b must be a finite number"):
+            p_sum(1.0, K, 1.0, bad, L)
 
 
 def test_p_dilate_domain_checks():
@@ -54,6 +60,9 @@ def test_p_dilate_domain_checks():
         p_dilate(0.9, 1.0, K)
     with pytest.raises(ValueError):
         p_dilate(2.0, 0.0, K)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="p-dilation a must be a finite number"):
+            p_dilate(bad, 1.0, K)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +184,17 @@ def test_two_point_sum_matches_ball_family():
     for p in (0.75, 1.0, 1.5, 2.0):
         defect = compatibility_check(S1, p, 1.0, X, 0.8, Y, samples=400)
         assert defect < 1e-6, f"p={p}: defect {defect}"
+
+
+@pytest.mark.parametrize("p", [0.75, 1.0, 1.5, 2.0])
+def test_two_point_sum_is_the_p_sum_of_the_point_fields_bitwise(p):
+    X = origin(1)
+    Y = np.array([0.6, 0.1, math.sqrt(1.37)])
+    field = two_point_sum(S1, p, 1.0, X, 0.8, Y)
+    fX, fY = support_of_point(S1, X), support_of_point(S1, Y)
+    want = p_sum(1.0, fX, p, 0.8, fY)
+    assert field.phi.tobytes() == want.phi.tobytes()
+    assert np.array_equal(field.phi, (1.0 * fX.phi**p + 0.8 * fY.phi**p) ** (1.0 / p))
 
 
 def test_two_point_sum_field_positive_and_convex():
