@@ -84,6 +84,7 @@ def firey_sum(
     a: float, Khat: SupportField, p: float, b: float, Lhat: SupportField
 ) -> SupportField:
     """Firey combination (a u_K^p + b u_L^p)^{1/p}, p >= 1."""
+    p = as_real(p, "Firey p")
     if p < 1.0:
         raise ArgumentError(f"Firey sum needs p >= 1, got {p}")
     a, b = as_real(a, "Firey coefficient a"), as_real(b, "Firey coefficient b")
@@ -101,6 +102,7 @@ def commute_check(
     projections; zero in exact arithmetic since both sides share the
     same pointwise algebra.  Public: it is the paper's bridge statement,
     that the projection carries p-sums to Firey sums."""
+    p = as_real(p, "commutation p")
     if p < 1.0:
         raise ArgumentError(f"commutation holds on the common range p in [1, 2], got {p}")
     hyperbolic = project(p_sum(a, K, p, b, L))
@@ -117,6 +119,7 @@ def euclid_volume(Khat: SupportField) -> float:
 
 def euclid_mixed_volume_p(Khat: SupportField, Lhat: SupportField, p: float) -> float:
     """p-mixed volume (1/(n+1)) int u_L^p u_K^{1-p} p_n(D^2 u_K + u_K I)."""
+    p = as_real(p, "p-mixed volume p")
     if p < 1.0:
         raise ArgumentError(f"p-mixed volume needs p >= 1, got {p}")
     n = common_grid(Khat, Lhat).n

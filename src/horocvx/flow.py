@@ -2,9 +2,12 @@
 
 d/dt phi = Phi G - h,  G = phi^{1-(n+p)/(n-k)} f^{-1/(n-k)},  h = p_{n-k}(A[phi])^{-1/(n-k)},
 
-with the global term Phi keeping W_k fixed; J_p decreases and the flow
-converges to a solution of phi^{-p-k} p_{n-k}(A[phi]) = gamma f.  A step
-is linearly implicit, phi_new = phi + dt R[Phi G - h] with G and h
+with the global term Phi keeping W_k fixed; its steady states solve
+phi^{-p-k} p_{n-k}(A[phi]) = gamma f.  The continuous flow decreases
+J_p, but a discrete step does not check that: it checks only that the
+new state stays in the uniformly h-convex cone and meets the W_k
+constraint, and at large p (p = 20 on s1:96) J_p can rise from one step
+to the next.  A step is linearly implicit, phi_new = phi + dt R[Phi G - h] with G and h
 frozen at phi and R = (1 - dt c Laplacian)^{-1} for c the largest
 diffusivity of h at phi; R is diagonal in the Fourier and Legendre
 bases, 1 / (1 + dt c lambda) with lambda = k^2 on S^1 and l (l + 1) on

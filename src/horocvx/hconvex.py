@@ -6,12 +6,16 @@ fundamental form A[phi] decides convexity: A > 0 is uniform h-convexity.
 Boundary position and normal are recovered pointwise from phi and its
 first two frame derivatives.  A SupportField is immutable and computes
 its geometry once, on first use, from one spectral pass; a functional
-decorated with `per_field` is cached on the field too.  `measure_density`,
-phi^{-p-k} p_{n-k}(A[phi]), is the package's one curvature-measure
-kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.  `squared_norm` is its
-one |D phi|^2, `common_grid` its one grid match, `require_h_convex` its
-one not-h-convex refusal, and `shrink_into_cone` its one shrinking of a
-perturbation into the uniformly h-convex cone.
+decorated with `per_field` is cached on the field too.  Spectral
+differentiation is linear and sends constants to zero, so a field built
+from differentiated ones by constants takes their derivatives by the
+same constants and makes no pass: `SupportField.scaled` (c K, and so
+`outer_parallel`) and every `shrink_into_cone` candidate do.
+`measure_density`, phi^{-p-k} p_{n-k}(A[phi]), is the package's one
+curvature-measure kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.
+`squared_norm` is its one |D phi|^2, `common_grid` its one grid match,
+`require_h_convex` its one not-h-convex refusal, and `shrink_into_cone`
+its one shrinking of a perturbation into the uniformly h-convex cone.
 """
 
 from __future__ import annotations
@@ -157,12 +161,13 @@ class SupportField:
         covariant Hessian (size, n, n) as its cached derivatives, so that
         no spectral pass of its own is made.
 
-        The caller vouches that they are phi's spectral derivatives, as
-        `sphere_grid.resolvent(grid, phi, 0.0)` returns them with the
-        band-limited phi from one analysis.  Differentiation is linear, so
-        an affine combination of such outputs qualifies too: a band-limited
-        field plus multiples of resolvent outputs, with the same combination
-        of their derivatives (a flow step's new state is built so).
+        The caller vouches that they are phi's spectral derivatives up to
+        roundoff.  Spectral differentiation is linear and sends constants
+        to zero, so if phi = c + sum_i a_i v_i for constants c and a_i,
+        the derivatives of phi are sum_i a_i (D v_i, D^2 v_i): a flow
+        step's new state is built so from resolvent outputs, a dilate
+        c phi (`scaled`) from its source, and a cone-shrink candidate
+        c (1 + amp pert) from one pass over pert.
         """
         K = cls(grid, phi)
         g, H = (np.array(a, dtype=float) for a in (gradient, hessian))
@@ -175,6 +180,16 @@ class SupportField:
         # Filled as cached_property would fill it: the field stays frozen.
         K.__dict__["_derivatives"] = (_read_only(g), _read_only(H))
         return K
+
+    def scaled(self, c: float) -> SupportField:
+        """The field c phi, c > 0.  If this field has made its spectral
+        pass, the new one takes c times its gradient and Hessian and makes
+        none; otherwise it makes its own, on first use, as any field does."""
+        phi = c * self.phi
+        if "_derivatives" not in self.__dict__:
+            return SupportField(self.grid, phi)
+        g, H = self._derivatives
+        return SupportField.with_derivatives(self.grid, phi, c * g, c * H)
 
     @property
     def gradient(self) -> np.ndarray:
@@ -251,9 +266,10 @@ def support_of_ball(grid: Grid, X, r: float) -> SupportField:
 
 
 def outer_parallel(K: SupportField, rho: float) -> SupportField:
-    """The outer parallel body of K at distance rho: phi -> e^rho phi."""
+    """The outer parallel body of K at distance rho: phi -> e^rho phi,
+    with K's derivatives scaled if K has them (`SupportField.scaled`)."""
     try:
-        return SupportField(K.grid, math.exp(rho) * K.phi)
+        return K.scaled(math.exp(rho))
     except OverflowError:
         raise ValueError(f"distance {rho} is too large: e^{rho} overflows") from None
 
@@ -376,13 +392,22 @@ def apply_isometry_field(K: SupportField, F) -> SupportField:
 
 def shrink_into_cone(grid: Grid, c: float, pert: np.ndarray, margin: float = 0.0):
     """The first field c (1 + amp pert), amp = 1, 0.6, 0.36, ... above
-    1e-3, that is uniformly h-convex with min eig A > margin; None if none is."""
+    1e-3, that is uniformly h-convex with min eig A > margin; None if none is.
+
+    A candidate with some 1 + amp pert <= 0 lies outside the cone.  One
+    spectral pass over pert serves every candidate: each takes c amp times
+    its gradient and Hessian."""
+    g, H = derivatives(grid, pert)
     amp = 1.0
     while amp > 1e-3:
-        K = SupportField(grid, c * (1.0 + amp * pert))
-        rep = convexity(K)
-        if rep.classification == "uniformly-h-convex" and rep.min_eigenvalue > margin:
-            return K
+        factor = 1.0 + amp * pert
+        # Not "> 0.0": a NaN goes on to SupportField, which refuses it.
+        if not factor.min() <= 0.0:
+            scale = c * amp
+            K = SupportField.with_derivatives(grid, c * factor, scale * g, scale * H)
+            rep = convexity(K)
+            if rep.classification == "uniformly-h-convex" and rep.min_eigenvalue > margin:
+                return K
         amp *= 0.6
     return None
 

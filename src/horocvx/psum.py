@@ -86,14 +86,15 @@ def p_sum(a: float, K: SupportField, p: float, b: float, L: SupportField) -> Sup
 
 def p_dilate(a: float, p: float, K: SupportField) -> SupportField:
     """p-dilation a . K: phi -> a^{1/p} phi, an outer parallel set at
-    distance log(a)/p.  Requires a >= 1 and p > 0."""
-    a = as_real(a, "p-dilation a")
+    distance log(a)/p, with K's derivatives scaled if K has them
+    (`SupportField.scaled`).  Requires a >= 1 and a finite p > 0."""
+    a, p = as_real(a, "p-dilation a"), as_real(p, "p-dilation p")
     if a < 1.0:
         raise ArgumentError(f"p-dilation needs a >= 1, got {a}")
     if p <= 0.0:
         raise ArgumentError(f"p-dilation needs p > 0, got {p}")
     try:
-        return SupportField(K.grid, a ** (1.0 / p) * K.phi)
+        return K.scaled(a ** (1.0 / p))
     except OverflowError:
         raise ValueError(f"p-dilation by a = {a}, p = {p}: a^(1/p) overflows") from None
 

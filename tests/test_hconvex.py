@@ -17,6 +17,7 @@ from horocvx.hconvex import (
     apply_isometry_field,
     boundary_data,
     convexity,
+    outer_parallel,
     plus_identity,
     require_h_convex,
     shrink_into_cone,
@@ -26,8 +27,8 @@ from horocvx.hconvex import (
 )
 from horocvx.lorentz import boost, geodesic_distance, origin, validate_hpoint
 from horocvx.problems import mixed_quermass
-from horocvx.psum import dilates_check, p_sum
-from horocvx.sphere_grid import ArgumentError, integrate, make_grid
+from horocvx.psum import dilates_check, p_dilate, p_sum
+from horocvx.sphere_grid import ArgumentError, derivatives, integrate, make_grid
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -205,6 +206,66 @@ def test_shrink_into_cone_scales_the_perturbation_down_by_0_6():
     assert np.array_equal(K.phi, 2.2 * (1.0 + 0.6 * pert))
     assert convexity(K).classification == "uniformly-h-convex"
     assert shrink_into_cone(S1, 2.2, pert, margin=1e3) is None
+
+
+def test_shrink_into_cone_counts_a_nonpositive_candidate_as_outside():
+    # 1 - 1.5 cos(theta) <= 0 near theta = 0: that candidate is skipped,
+    # not refused as a field.
+    grid = make_grid(1, 32)
+    K = shrink_into_cone(grid, 2.0, -1.5 * np.cos(grid.theta))
+    assert K is None or convexity(K).classification == "uniformly-h-convex"
+
+
+# ---------------------------------------------------------------------------
+# derivatives that follow the linear maps building a field
+
+
+def _wavy(grid):
+    """A smooth perturbation that 2.2 (1 + pert) takes out of the uniformly
+    h-convex cone and 2.2 (1 + 0.6 pert) does not."""
+    if grid.n == 1:
+        theta = grid.theta
+        return 0.05 * np.cos(3 * theta) + 0.02 * np.sin(theta)
+    z = grid.nodes
+    return 0.1 * (2.5 * z[:, 2] ** 3 - 1.5 * z[:, 2] + z[:, 0] * z[:, 1])
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [make_grid(1, 96), make_grid(1, 128), make_grid(2, 16), make_grid(2, 20)],
+    ids=["s1:96", "s1:128", "s2:16", "s2:20"],
+)
+def test_inherited_derivatives_match_a_fresh_pass(grid, fft_counts):
+    pert = _wavy(grid)
+    K = SupportField(grid, 2.0 * (1.0 + 0.5 * pert))
+    K.hessian
+    fft_counts.update(rfft=0, irfft=0)
+    dilates = [outer_parallel(K, 0.4), p_dilate(1.7, 0.5, K)]
+    for L in dilates:
+        L.hessian
+    # c K takes c times K's derivatives: no pass of its own.
+    assert fft_counts == {"rfft": 0, "irfft": 0}
+    shrunk = shrink_into_cone(grid, 2.2, pert)
+    assert np.array_equal(shrunk.phi, 2.2 * (1.0 + 0.6 * pert))
+    # One pass over pert serves both candidates.
+    assert fft_counts == {"rfft": 1, "irfft": 1}
+    for L in dilates + [shrunk]:
+        g, H = derivatives(grid, L.phi)
+        bound = 1e-11 * np.max(np.abs(L.phi))
+        assert np.max(np.abs(L.gradient - g)) <= bound
+        assert np.max(np.abs(L.hessian - H)) <= bound
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_dilate_of_a_field_without_a_pass_makes_one(grid, fft_counts):
+    K = SupportField(grid, 2.0 + 0.1 * grid.nodes[:, -1] ** 2)
+    for dilate in (lambda: outer_parallel(K, 0.4), lambda: p_dilate(1.7, 0.5, K)):
+        fft_counts.update(rfft=0, irfft=0)
+        dilate().hessian
+        assert fft_counts == {"rfft": 1, "irfft": 1}
+    # Neither dilate made K's pass for it.
+    K.hessian
+    assert fft_counts == {"rfft": 2, "irfft": 2}
 
 
 # The seven kernels that take two fields, each called with a pair on

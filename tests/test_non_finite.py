@@ -1,4 +1,5 @@
-"""Every field constructor rejects a NaN or an infinity wherever it sits."""
+"""Every field constructor rejects a NaN or an infinity wherever it sits,
+and every p rule a non-finite p."""
 
 import math
 
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocvx.hconvex import SupportField
+from horocvx.euclid_bridge import commute_check, euclid_mixed_volume_p, firey_sum
+from horocvx.hconvex import SupportField, support_of_ball
+from horocvx.lorentz import origin
 from horocvx.problems import validate_f
-from horocvx.sphere_grid import make_grid
+from horocvx.psum import p_dilate
+from horocvx.sphere_grid import ArgumentError, make_grid
 
 CONSTRUCTORS = {
     "SupportField": SupportField,
@@ -41,3 +45,20 @@ def test_non_finite_entry_is_rejected(name, values):
     construct(grid, np.where(np.isfinite(values), values, 1.0))
     with pytest.raises(ValueError, match="finite"):
         construct(grid, values)
+
+
+K = support_of_ball(make_grid(1, 32), origin(1), 0.5)
+P_RULES = {
+    "p_dilate": lambda p: p_dilate(1.5, p, K),
+    "firey_sum": lambda p: firey_sum(1.0, K, p, 1.0, K),
+    "commute_check": lambda p: commute_check(1.0, K, p, 1.0, K),
+    "euclid_mixed_volume_p": lambda p: euclid_mixed_volume_p(K, K, p),
+}
+
+
+@pytest.mark.parametrize("name", list(P_RULES))
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_non_finite_p_is_an_argument_error(name, p):
+    P_RULES[name](1.5)
+    with pytest.raises(ArgumentError, match="finite number, got"):
+        P_RULES[name](p)

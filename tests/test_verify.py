@@ -35,17 +35,19 @@ def test_every_asserted_suite_passes():
 
 def test_euclid_suite_analyses_each_body_once(fft_counts):
     # One derivative pass per SupportField; each projection reuses its
-    # field's Hessian instead of analysing u^ = phi again.
+    # field's Hessian instead of analysing u^ = phi again, and each
+    # p-dilate scales its source's derivatives.
     run_suite("euclid")
-    assert fft_counts["rfft"] == 25
+    assert fft_counts["rfft"] == 18
 
 
 def test_run_all_builds_each_body_once(fft_counts):
     # One body set for the whole run: a body that several suites use is
     # analysed once (250 rfft calls when every suite built its own), and
-    # so is each p-sum that a suite reads at several k.
+    # so is each p-sum that a suite reads at several k; dilates and
+    # cone-shrink candidates take derivatives from a pass already made.
     run_all(Corpus(), exploratory=True)
-    assert fft_counts["rfft"] <= 139
+    assert fft_counts["rfft"] <= 92
 
 
 def test_run_all_evaluates_each_w_k_once_per_field(wk_calls, fft_counts):
@@ -57,7 +59,7 @@ def test_run_all_evaluates_each_w_k_once_per_field(wk_calls, fft_counts):
         run_all(Corpus(), exploratory=True)
         # wk_calls holds each field, so no two live fields share an id.
         assert len({(id(K), k) for K, k in wk_calls}) == len(wk_calls) == 82
-        assert fft_counts["rfft"] + fft_counts["irfft"] == 278
+        assert fft_counts["rfft"] + fft_counts["irfft"] == 184
 
 
 def test_run_all_computes_each_cached_functional_once_per_field(monkeypatch):
