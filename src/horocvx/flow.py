@@ -280,7 +280,8 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     The start is phi0 projected onto even fields (when even) and onto the
     grid's band: resolvent with mu = 0 keeps every mode below the band
     and drops the rest (the Nyquist bin on S^1), and gives the gradient
-    and Hessian from the same analysis.  It is the run's only projection.
+    and Hessian from the same analysis.  It is the run's only projection,
+    and is free for a constant start, such as the ball at the origin.
     """
     grid = phi0.grid
     n, k = grid.n, config.k

@@ -10,7 +10,9 @@ decorated with `per_field` is cached on the field too.  Spectral
 differentiation is linear and sends constants to zero, so a field built
 from differentiated ones by constants takes their derivatives by the
 same constants and makes no pass: `SupportField.scaled` (c K, and so
-`outer_parallel`) and every `shrink_into_cone` candidate do.
+`outer_parallel`) and every `shrink_into_cone` candidate do.  A constant
+field, such as an origin ball, has exactly zero derivatives and makes no
+pass either.
 `measure_density`, phi^{-p-k} p_{n-k}(A[phi]), is the package's one
 curvature-measure kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.
 `squared_norm` is its one |D phi|^2, `common_grid` its one grid match,

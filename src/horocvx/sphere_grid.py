@@ -21,9 +21,10 @@ real matmul that broadcasts over the stack.
 `derivatives` gives the gradient and Hessian in the orthonormal frame
 {d_theta, (1/sin theta) d_phi} from one analysis; `resolvent` gives
 (1 - mu Laplacian)^{-1} v and its derivatives from one analysis, and at
-mu = 0 it is the projection onto the band.  `make_grid` returns the same
-read-only Grid for equal arguments, so its tables are built once per
-process.
+mu = 0 it is the projection onto the band.  A stack of finite, exactly
+constant fields makes no FFT call: zero derivatives, and R c = c.
+`make_grid` returns the same read-only Grid for equal arguments, so its
+tables are built once per process.
 """
 
 from __future__ import annotations
@@ -563,7 +564,8 @@ def even_project(grid: Grid, values: np.ndarray) -> np.ndarray:
 def derivatives(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient (size, n) and covariant Hessian (size, n, n) in the
     orthonormal frame, both from one analysis and one synthesis; a stack
-    of fields (..., size) gives (..., size, n) and (..., size, n, n)."""
+    of fields (..., size) gives (..., size, n) and (..., size, n, n).
+    Finite, exactly constant fields give exact zeros with no pass."""
     return _spectral_pass(grid, values, None)[1:]
 
 
@@ -577,8 +579,9 @@ def resolvent(
     and l (l + 1) on S^2, and drops what lies above the band (the Nyquist
     bin on S^1), so R v is band-limited and R at mu = 0 is the band
     projection.  A stack of fields (..., size) is resolved in one pass,
-    each output with the same leading axes.  A mu that is negative or not
-    a finite number is an ArgumentError.
+    each output with the same leading axes; a stack of finite, exactly
+    constant fields returns a copy, R c = c, with zero derivatives and no
+    pass.  A mu that is negative or not a finite number is an ArgumentError.
     """
     mu = as_real(mu, "resolvent mu")
     if mu < 0.0:
@@ -589,8 +592,15 @@ def resolvent(
 def _spectral_pass(grid: Grid, values: np.ndarray, mu):
     """(R v or None, gradient, Hessian) of v, or of R v when mu is given,
     for one field or a stack (..., size): one analysis and one synthesis
-    of the stack."""
-    coeffs = grid._analyze(_node_values(grid, values))
+    of the stack, or none when every field is finite and exactly constant
+    (R c = c, zero derivatives)."""
+    v = _node_values(grid, values)
+    # Most fields differ at their first two nodes; two scalar reads reject them.
+    constant = v.size and v.item(0) == v.item(1) and (v == v[..., :1]).all()
+    if constant and np.isfinite(v[..., 0]).all():
+        shape = v.shape + (grid.n,)
+        return (v.copy() if mu is not None else None), np.zeros(shape), np.zeros(shape + (grid.n,))
+    coeffs = grid._analyze(v)
     if mu is not None:
         coeffs = grid._resolve(coeffs, mu)
     return grid._fields(coeffs, mu is not None)

@@ -513,11 +513,15 @@ def test_project_report(tmp_path):
 
 def test_project_reuses_its_projection(tmp_path, fft_counts):
     # One derivative pass for K; the volume reads the form that project()
-    # built from K's Hessian instead of analysing u^ = phi again.
-    K = mkball(tmp_path, "K.json", math.log(2.0))
-    fft_counts.update(rfft=0, irfft=0)
-    assert main(["project", "--K", str(K), "--out", str(tmp_path / "hat.json")]) == 0
-    assert fft_counts["rfft"] + fft_counts["irfft"] == 2
+    # built from K's Hessian instead of analysing u^ = phi again.  An
+    # origin ball is constant and makes no pass at all.
+    R = tmp_path / "R.json"
+    assert main(["mkfield", "--grid", "s1:64", "--random", "--seed", "3", "--out", str(R)]) == 0
+    ball = mkball(tmp_path, "K.json", math.log(2.0))
+    for K, calls in ((R, 2), (ball, 0)):
+        fft_counts.update(rfft=0, irfft=0)
+        assert main(["project", "--K", str(K), "--out", str(tmp_path / "hat.json")]) == 0
+        assert fft_counts["rfft"] + fft_counts["irfft"] == calls
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,25 @@ def test_acceptance_flow_makes_two_fft_calls_at_the_start_and_two_per_step(fft_c
     assert fft_counts == {"rfft": 1 + res.steps, "irfft": 1 + res.steps}
 
 
+def test_constant_start_makes_no_projection_pass(fft_counts):
+    # phi0 = 2 is its own projection with zero derivatives, so only the
+    # steps' resolvent passes of G and h (not constant, since f is not) count.
+    res = run(*bench_like_s1(96))
+    assert res.status == "converged" and res.rejections == 0 and res.steps > 0
+    assert fft_counts == {"rfft": res.steps, "irfft": res.steps}
+
+
+def test_origin_ball_with_default_data_makes_no_fft_call(fft_counts):
+    # Assumption H on f = 1, the start's projection and the ball's speed
+    # all act on constants: no pass, and the run ends where it started.
+    grid = make_grid(2, 16)
+    phi0 = np.full(grid.size, math.exp(0.6931))
+    res = run(FlowConfig(n=2, k=1, p=1.0), SupportField(grid, phi0))
+    assert res.status == "converged" and res.steps == 0
+    assert fft_counts == {"rfft": 0, "irfft": 0}
+    assert res.terminal.phi.tobytes() == phi0.tobytes()
+
+
 def test_unprojected_states_stay_even_and_band_limited_over_a_long_run(monkeypatch):
     # No accepted state is projected again: with G and h projected before
     # the resolvent, the odd and out-of-band roundoff of the states only

@@ -459,6 +459,69 @@ def test_stacked_pass_is_bitwise_the_per_field_passes(grid, F):
                 assert np.array_equal(stacked[idx], single)
 
 
+CONSTANT_GRIDS = [make_grid(1, 96), S2]
+
+
+@pytest.mark.parametrize("grid", CONSTANT_GRIDS, ids=["s1", "s2"])
+def test_constant_stack_makes_no_pass(grid, fft_counts):
+    # A constant's derivatives are exactly zero and R c = c at every mu.
+    c = np.full(grid.size, math.exp(0.6931))
+    for v in (c, np.stack([c, np.full(grid.size, 2.0)])):
+        g, H = derivatives(grid, v)
+        assert g.shape == v.shape + (grid.n,) and H.shape == v.shape + (grid.n, grid.n)
+        assert g.dtype == H.dtype == float and not g.any() and not H.any()
+        for mu in (0.0, 0.5):
+            Rv, g, H = resolvent(grid, v, mu)
+            assert Rv.dtype == float and Rv.tobytes() == v.tobytes()
+            assert not np.shares_memory(Rv, v)
+            assert g.shape == v.shape + (grid.n,) and not g.any()
+            assert H.shape == v.shape + (grid.n, grid.n) and not H.any()
+    assert fft_counts == {"rfft": 0, "irfft": 0}
+
+
+def _analysis_and_synthesis(grid, values, mu):
+    """The one analysis and synthesis of a pass, called directly."""
+    coeffs = grid._analyze(values)
+    if mu is not None:
+        coeffs = grid._resolve(coeffs, mu)
+    return grid._fields(coeffs, mu is not None)
+
+
+@pytest.mark.parametrize("grid", CONSTANT_GRIDS, ids=["s1", "s2"])
+def test_mixed_constant_stack_takes_the_full_pass_bitwise(grid, fft_counts):
+    # Constancy is exact: a field one ulp off a constant at one node, or
+    # one that repeats its first value at the second node, takes the pass.
+    c = np.full(grid.size, 2.0)
+    ulp = c.copy()
+    ulp[-1] = np.nextafter(2.0, 3.0)
+    repeats = 2.0 + 0.1 * np.cos(np.arange(grid.size) * 2.0 * math.pi / grid.size)
+    repeats[1] = repeats[0]
+    for v in (np.stack([c, repeats]), np.stack([ulp, c]), ulp):
+        for mu in (None, 0.0, 0.5):
+            fft_counts.update(rfft=0, irfft=0)
+            out = derivatives(grid, v) if mu is None else resolvent(grid, v, mu)
+            assert fft_counts == {"rfft": 1, "irfft": 1}
+            want = _analysis_and_synthesis(grid, v, mu)[mu is None :]
+            for got, ref in zip(out, want):
+                assert got.tobytes() == ref.tobytes()
+    assert derivatives(grid, ulp)[0].any()
+
+
+@pytest.mark.parametrize("grid", CONSTANT_GRIDS, ids=["s1", "s2"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_constant_stack_keeps_its_pass(grid, bad, fft_counts):
+    # An infinite constant does not turn into finite zero derivatives.
+    v = np.full(grid.size, bad)
+    for v in (v, np.stack([np.full(grid.size, 2.0), v])):
+        for mu in (None, 0.0, 0.5):
+            fft_counts.update(rfft=0, irfft=0)
+            with np.errstate(invalid="ignore"):
+                out = derivatives(grid, v) if mu is None else resolvent(grid, v, mu)
+            assert fft_counts == {"rfft": 1, "irfft": 1}
+            for o in out:
+                assert not np.isfinite(o if v.ndim == 1 else o[1]).any()
+
+
 @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["one", "stack2", "stack2x3"])
 @pytest.mark.parametrize("N", [4, 96, 128, 1024])
 def test_s1_one_synthesis_is_bitwise_one_irfft_per_order(N, lead):

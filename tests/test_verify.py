@@ -36,18 +36,20 @@ def test_every_asserted_suite_passes():
 def test_euclid_suite_analyses_each_body_once(fft_counts):
     # One derivative pass per SupportField; each projection reuses its
     # field's Hessian instead of analysing u^ = phi again, and each
-    # p-dilate scales its source's derivatives.
+    # p-dilate scales its source's derivatives; an origin ball, constant,
+    # makes no pass.
     run_suite("euclid")
-    assert fft_counts["rfft"] == 18
+    assert fft_counts["rfft"] == 14
 
 
 def test_run_all_builds_each_body_once(fft_counts):
     # One body set for the whole run: a body that several suites use is
     # analysed once (250 rfft calls when every suite built its own), and
     # so is each p-sum that a suite reads at several k; dilates and
-    # cone-shrink candidates take derivatives from a pass already made.
+    # cone-shrink candidates take derivatives from a pass already made;
+    # origin balls and their p-sums, constant, make none.
     run_all(Corpus(), exploratory=True)
-    assert fft_counts["rfft"] <= 92
+    assert fft_counts["rfft"] <= 78
 
 
 def test_run_all_evaluates_each_w_k_once_per_field(wk_calls, fft_counts):
@@ -59,7 +61,7 @@ def test_run_all_evaluates_each_w_k_once_per_field(wk_calls, fft_counts):
         run_all(Corpus(), exploratory=True)
         # wk_calls holds each field, so no two live fields share an id.
         assert len({(id(K), k) for K, k in wk_calls}) == len(wk_calls) == 82
-        assert fft_counts["rfft"] + fft_counts["irfft"] == 184
+        assert fft_counts["rfft"] + fft_counts["irfft"] == 156
 
 
 def test_run_all_computes_each_cached_functional_once_per_field(monkeypatch):
