@@ -11,9 +11,10 @@ and the resolved tolerances for `verify`; the inputs are the files that
 config names.  The JSON commands write report and manifest through
 `_emit`; a report holding NaN or infinity is an error, not written.
 
-Exit codes: 0 success, 1 verification failure or a failed check on a
-computed result (an overflow), 2 usage error: argparse's or an
-`ArgumentError`, this module's or a kernel's, whose rules live there only.
+Exit codes: 0 success, 1 verification failure, a failed check on a
+computed result (an overflow) or an output that cannot be written, 2
+usage error: argparse's or an `ArgumentError`, this module's or a
+kernel's, whose rules live there only.
 
 Start-up is part of every command's cost, so this module imports at top
 level only what every numeric command uses (`sphere_grid` and `hconvex`,
@@ -28,22 +29,24 @@ and `verify` loads `verify` with everything but `flow` and `problems`.
 Every field input, a `--K`, `--L` or `--f` file or a flow config's
 `initial` or `f` (a path or an inline field object), goes through one
 loader and becomes a SupportField: a field that cannot be read, parsed
-or validated (values finite and positive, one per grid node) is a
-usage error naming its source.  Two field inputs of one command (`--K`
-and `--L`, `--K` and `--f`, a flow config's `initial` and `f`) must lie
-on one grid, a flow config's fields on S^n for its `n`, and a flow
-config gives `initial` or `grid`, and `initial` or `initial_radius`:
-otherwise it is a usage error naming both sources.  So is an `--out` or
-`--terminal` that names an input file, which it would replace before
-the manifest hashes it, and an `--out` and a `--terminal` that name one
-file.
+or validated (values JSON numbers, finite and positive, one per grid
+node) is a usage error naming its source.  Two field inputs of one
+command (`--K` and `--L`, `--K` and `--f`, a flow config's `initial` and
+`f`) must lie on one grid, a flow config's fields on S^n for its `n`,
+and a flow config gives `initial` or `grid`, and `initial` or
+`initial_radius`: otherwise it is a usage error naming both sources.
+So is an `--out` or `--terminal` that names an input file, which it
+would replace before the manifest hashes it, and an `--out` and a
+`--terminal` that name one file.
 
 A flow config's keys are `flow.FlowConfig`'s fields plus `initial`,
-`grid` and `initial_radius`.  FlowConfig checks its values when it is
-built; its ArgumentError is a usage error (`bad flow config <path>:
-...`).  What `flow.make_state` refuses (f failing assumption H under
-"strict", odd f under enforced evenness, an initial field that is not
-uniformly h-convex) fails the flow: exit 1, an `error:` line, no trace.
+`grid` (a spec string, as `--grid` takes) and `initial_radius`.
+FlowConfig checks its values when it is built; its ArgumentError is a
+usage error (`bad flow config <path>: ...`), as is a config file that
+cannot be read or parsed.  What `flow.make_state` refuses (f failing
+assumption H under "strict", odd f under enforced evenness, an initial
+field that is not uniformly h-convex) fails the flow: exit 1, an
+`error:` line, no trace.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from .sphere_grid import (
     grid_to_json_dict,
     integrate,
     load_field,
-    make_grid,
 )
 
 
@@ -95,18 +97,16 @@ def _seed(text: str) -> int:
 
 
 def _parse_grid(spec: str) -> Grid:
+    """The grid of s1:N or s2:L[xM], built from its JSON form, whose reader
+    holds each kind's rules (M = 2 L)."""
+    kind, _, rest = spec.partition(":")
+    polar, _, azimuth = rest.partition("x")
     try:
-        kind, _, rest = spec.partition(":")
         if kind == "s1":
-            return make_grid(1, int(rest))
+            return grid_from_json_dict(1, {"type": "uniform_s1", "nodes": int(rest)})
         if kind == "s2":
-            polar, _, azimuth = rest.partition("x")
-            grid = make_grid(2, int(polar))
-            if azimuth and int(azimuth) != grid.resolution[1]:
-                raise ValueError(
-                    f"azimuth count must be twice the polar count, got {azimuth}"
-                )
-            return grid
+            extra = {"azimuth": int(azimuth)} if azimuth else {}
+            return grid_from_json_dict(2, {"type": "gl_product", "polar": int(polar), **extra})
     except ValueError as exc:
         raise ArgumentError(f"bad grid spec {spec!r}: {exc}") from None
     raise ArgumentError(f"bad grid spec {spec!r}; expected s1:N or s2:LxM")
@@ -127,10 +127,7 @@ def _load_scalar(source) -> SupportField:
     error is an ArgumentError naming the source."""
     what = f"field file {source}" if isinstance(source, str) else "inline field"
     try:
-        if isinstance(source, str):
-            grid, values, _ = load_field(source)
-        else:
-            grid, values, _ = field_from_json_dict(source)
+        grid, values, _ = (load_field if isinstance(source, str) else field_from_json_dict)(source)
         return SupportField(grid, values)
     except FileNotFoundError:
         raise ArgumentError(f"no such field file: {source}") from None
@@ -377,7 +374,7 @@ def _cmd_flow(args) -> int:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ArgumentError(f"no such config file: {args.config}") from None
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:
         raise ArgumentError(f"bad config file {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ArgumentError(f"flow config {args.config} must be a JSON object")
@@ -396,6 +393,8 @@ def _cmd_flow(args) -> int:
         r0 = as_real(cfg.get("initial_radius", math.log(2.0)), "flow config initial_radius")
         if r0 < 0.0:
             raise ArgumentError(f"flow config initial_radius must be nonnegative, got {r0}")
+        if not isinstance(cfg.get("grid", ""), str):
+            raise ArgumentError(f"flow config grid must be a spec like s1:64, got {cfg['grid']!r}")
     except ArgumentError as exc:
         raise ArgumentError(f"bad flow config {args.config}: {exc}") from None
     loaded, sources, inputs = {}, {}, {}
@@ -420,13 +419,8 @@ def _cmd_flow(args) -> int:
                 raise ArgumentError(f"flow config gives both 'initial' and {key!r}; give one")
         phi0 = loaded["initial"]
     else:
-        if isinstance(cfg.get("grid"), str):
+        if "grid" in cfg:
             grid = _parse_grid(cfg["grid"])
-        elif "grid" in cfg:
-            try:
-                grid = grid_from_json_dict(config.n, cfg["grid"])
-            except (KeyError, ValueError) as exc:
-                raise ArgumentError(f"bad grid in {args.config}: {exc}") from None
         elif f_field is not None:
             grid = f_field.grid
         else:
@@ -625,7 +619,7 @@ def main(argv=None) -> int:
     try:
         _refuse_overwrite(args)
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ArgumentError) else 1
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hconvex import SupportField, measure_density, p_tensor, squared_norm
-from .problems import J_p, check_assumption_h, check_nkp, validate_f
+from .problems import J_p, check_assumption_h, check_nkp
 from .quermass import wk_value
 from .sphere_grid import (
     ArgumentError,
@@ -70,6 +70,7 @@ from .sphere_grid import (
     even_error,
     even_project,
     integrate,
+    positive_field,
     resolvent,
     sphere_area,
 )
@@ -271,11 +272,11 @@ def _is_even(grid: Grid, values: np.ndarray) -> bool:
 def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     """The evaluated start of a run from phi0, with the target W_k fixed.
 
-    Checks in order what the config could not check without the grid: n,
-    f, for k >= 1 assumption H on f ("strict" raises, "warn" puts the
-    warning on the state), and even f when evenness is enforced.  Each
-    refusal is a ValueError, as is a phi0 whose projection is not
-    uniformly h-convex.
+    Checks in order what the config could not check without the grid: n
+    (an ArgumentError unless phi0 lives on S^n), f, for k >= 1
+    assumption H on f ("strict" raises, "warn" puts the warning on the
+    state), and even f when evenness is enforced.  Each later refusal is
+    a ValueError, as is a phi0 whose projection is not uniformly h-convex.
 
     The start is phi0 projected onto even fields (when even) and onto the
     grid's band: resolvent with mu = 0 keeps every mode below the band
@@ -286,9 +287,9 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     grid = phi0.grid
     n, k = grid.n, config.k
     if config.n != n:
-        raise ValueError(f"config has n = {config.n}, grid lives on S^{n}")
+        raise ArgumentError(f"config has n = {config.n}, grid lives on S^{n}")
     # A copy: the state's f must not change with the caller's array.
-    f = validate_f(np.ones(grid.size) if config.f is None else config.f, grid).copy()
+    f = positive_field(grid, np.ones(grid.size) if config.f is None else config.f, "f").copy()
     warnings = []
     if k >= 1 and config.assumption_mode != "skip":
         rep = check_assumption_h(f, grid, k, config.p)

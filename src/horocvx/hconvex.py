@@ -4,20 +4,22 @@ A domain is the intersection of the horo-balls {B_z(u(z))} over all unit
 directions z; we store phi = e^u at grid nodes.  The shifted second
 fundamental form A[phi] decides convexity: A > 0 is uniform h-convexity.
 Boundary position and normal are recovered pointwise from phi and its
-first two frame derivatives.  A SupportField is immutable and computes
-its geometry once, on first use, from one spectral pass; a functional
-decorated with `per_field` is cached on the field too.  Spectral
-differentiation is linear and sends constants to zero, so a field built
-from differentiated ones by constants takes their derivatives by the
-same constants and makes no pass: `SupportField.scaled` (c K, and so
-`outer_parallel`) and every `shrink_into_cone` candidate do.  A constant
-field, such as an origin ball, has exactly zero derivatives and makes no
-pass either.
+first two frame derivatives.  A SupportField is finite and positive at
+every node (`sphere_grid.positive_field`, the rule flow data f share)
+and immutable, and computes its geometry once, on first use, from one
+spectral pass; a functional decorated with `per_field` is cached on the
+field too.  Spectral differentiation is linear and sends constants to
+zero, so a field built from differentiated ones by constants takes
+their derivatives by the same constants and makes no pass:
+`SupportField.scaled` (c K, and so `outer_parallel`) and every
+`shrink_into_cone` candidate do.  A constant field, such as an origin
+ball, has exactly zero derivatives and makes no pass either.
 `measure_density`, phi^{-p-k} p_{n-k}(A[phi]), is the package's one
 curvature-measure kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.
 `squared_norm` is its one |D phi|^2, `common_grid` its one grid match,
-`require_h_convex` its one not-h-convex refusal, and `shrink_into_cone`
-its one shrinking of a perturbation into the uniformly h-convex cone.
+`require_h_convex` its one not-h-convex refusal (a constant field below
+1 too, in `quermass.modified_quermass`), and `shrink_into_cone` its one
+shrinking of a perturbation into the uniformly h-convex cone.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from . import lorentz
-from .sphere_grid import ArgumentError, Grid, derivatives, frame_vectors, resample
+from .sphere_grid import ArgumentError, Grid, derivatives, frame_vectors, positive_field, resample
 
 __all__ = [
     "SupportField",
@@ -111,16 +113,7 @@ class SupportField:
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=float)
-        if phi.shape != (self.grid.size,):
-            raise ValueError(
-                f"support field has {phi.shape} values, grid has {self.grid.size} nodes"
-            )
-        # One pass each for min and max; NaN propagates into both.
-        if not (0.0 < phi.min() and phi.max() < math.inf):
-            if not np.all(np.isfinite(phi)):
-                raise ValueError("support field phi must be finite")
-            raise ValueError("support field phi must be positive")
+        phi = positive_field(self.grid, self.phi, "support field phi").copy()
         object.__setattr__(self, "phi", _read_only(phi))
 
     def memo(self, fn, *args):

@@ -25,7 +25,7 @@ from .hconvex import (
 )
 from .psum import check_p
 from .quermass import bracketed_newton
-from .sphere_grid import ArgumentError, Grid, derivatives, frame_vectors, integrate
+from .sphere_grid import ArgumentError, Grid, derivatives, frame_vectors, integrate, positive_field
 
 __all__ = [
     "KWReport",
@@ -39,7 +39,6 @@ __all__ = [
     "ball_solutions",
     "check_assumption_h",
     "check_nkp",
-    "validate_f",
     "ASSUMPTION_TIE_TOL",
 ]
 
@@ -87,17 +86,6 @@ def check_nkp(n: int, k: int, p: float, what: str = "") -> None:
             raise ArgumentError(f"{what}{key} must be {rule}, got {value!r}")
 
 
-def validate_f(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """f as a node array of the grid; ValueError unless finite and positive."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.size,):
-        raise ValueError(f"f has shape {f.shape}, grid has {grid.size} nodes")
-    # One pass each for min and max; NaN propagates into both.
-    if not (0.0 < f.min() and f.max() < math.inf):
-        raise ValueError("f must be finite and positive everywhere")
-    return f
-
-
 def mixed_quermass(K: SupportField, L: SupportField, p: float, k: int) -> float:
     """W_{p,k}(K, L) = (1/p) int phi_L^p dS_{p,k}(K, .), p in [1/2, 2]."""
     check_p(p)
@@ -106,7 +94,7 @@ def mixed_quermass(K: SupportField, L: SupportField, p: float, k: int) -> float:
 
 def J_p(K: SupportField, f, p: float) -> float:
     """Flow functional (1/p) int f phi^p dsigma, or int f log(phi) at p = 0."""
-    f = validate_f(f, K.grid)
+    f = positive_field(K.grid, f, "f")
     if p == 0.0:
         return integrate(K.grid, f * np.log(K.phi))
     return integrate(K.grid, f * K.phi**p) / p
@@ -114,7 +102,7 @@ def J_p(K: SupportField, f, p: float) -> float:
 
 def pde_residual(K: SupportField, f, p: float, k: int) -> tuple[np.ndarray, float]:
     """Residual field phi^{-p-k} p_{n-k}(A[phi]) - f and its sup norm."""
-    f = validate_f(f, K.grid)
+    f = positive_field(K.grid, f, "f")
     field = measure_density(K, p, k) - f
     return field, float(np.max(np.abs(field)))
 
@@ -130,7 +118,7 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     grid = K.grid
     n = grid.n
     density = measure_density(K, 0.0, k)
-    f = validate_f(f, grid)
+    f = positive_field(grid, f, "f")
     g_f, *g_x = derivatives(grid, np.vstack([f, grid.nodes.T]))[0]
     weight = K.phi ** (-float(n))
     coords = [integrate(grid, weight * np.sum(g_f * g_i, axis=1)) for g_i in g_x]
@@ -259,7 +247,7 @@ def check_assumption_h(f, grid: Grid, k: int, p: float) -> AssumptionHReport:
     check_nkp(n, k, p)
     if k == 0:
         raise ArgumentError("assumption H applies for k >= 1, got k = 0")
-    f = validate_f(f, grid)
+    f = positive_field(grid, f, "f")
     h = f ** (-1.0 / (n - k))
     if p == -n:
         mean = float(np.mean(h))

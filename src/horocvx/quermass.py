@@ -28,7 +28,8 @@ so its W_k cannot either, and the cached values go with the field.
 `QuermassReport` is frozen because every caller shares the cached one.
 `wk_value` is the uncached kernel under `modified_quermass`: the flow's
 Newton solve calls it once on each trial field, which it builds from
-the derivatives it already has (`SupportField.with_derivatives`).
+the derivatives it already has (`SupportField.with_derivatives`).  An
+exactly constant field is a centered ball, whose W_k is I_k.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from .hconvex import (
     p_tensor,
     per_field,
     plus_identity,
+    require_h_convex,
     squared_norm,
 )
-from .sphere_grid import ArgumentError, Grid, as_integer, integrate, sphere_area
+from .sphere_grid import ArgumentError, Grid, as_integer, exactly_constant, integrate, sphere_area
 
 __all__ = [
     "QuermassReport",
@@ -78,7 +80,6 @@ __all__ = [
 # series below |phi - 1| = 0.5, where 74 terms reach roundoff.
 MOMENT_SERIES_SWITCH = 0.5
 MOMENT_SERIES_TERMS = 74
-CONSTANT_FIELD_TOL = 1e-13
 # Below rho = 1 the binomial sum of exp_sinh_integral cancels (its terms
 # are O(rho), the integral O(rho^{b+1})) and a positive series takes over.
 EXP_SINH_SERIES_SWITCH = 1.0
@@ -390,13 +391,11 @@ def wk_value(K: SupportField, k: int) -> float:
 @per_field
 def modified_quermass(K: SupportField, k: int) -> QuermassReport:
     """Modified quermassintegral W_k of an h-convex support field, cached
-    on K."""
-    phi = K.phi
-    c = float(phi[0])
-    if np.max(np.abs(phi - c)) <= CONSTANT_FIELD_TOL * max(1.0, c):
-        if c < 1.0 - 1e-12:
-            raise ValueError(f"constant field phi = {c} < 1 is not h-convex")
-        r = max(math.log(c), 0.0)
+    on K.  An exactly constant field (`sphere_grid.exactly_constant`) is
+    the centered ball of radius max(log phi, 0); `require_h_convex`
+    refuses one below 1 beyond `convexity`'s tolerance."""
+    if exactly_constant(K.phi):
+        r = max(math.log(require_h_convex(K, "constant field").phi.item(0)), 0.0)
         return QuermassReport(k, I_k(K.grid.n, k, r), "ball-closed-form")
     return QuermassReport(k, wk_value(K, k), "closed-form")
 

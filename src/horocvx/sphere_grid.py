@@ -4,8 +4,10 @@ A Grid carries quadrature nodes and weights together with the antipodal
 involution and the maximal exactly-representable degree (band_limit).
 Scalar fields are plain value arrays in node order; the spectral
 operators also take a stack of fields, shape (..., size), and return
-outputs with the same leading axes.  A field whose last axis does not
-hold one value per node is a ValueError where it enters.
+outputs with the same leading axes.  Node values enter through one
+rule: an entry that is not a number is an ArgumentError, and a field
+without one value per node a ValueError.  `positive_field` is the one
+finite-and-positive test, `exactly_constant` the one constant-stack test.
 
 Each kind of grid is one private subclass of Grid that holds all of its
 spectral code; `make_grid` picks the kind from n, `grid_from_json_dict`
@@ -44,6 +46,8 @@ __all__ = [
     "ArgumentError",
     "as_integer",
     "as_real",
+    "positive_field",
+    "exactly_constant",
     "sphere_area",
     "integrate",
     "derivatives",
@@ -517,17 +521,41 @@ def refine(grid: Grid) -> Grid:
     return make_grid(grid.n, 2 * grid.resolution[0])
 
 
-def _node_values(grid: Grid, values, stack: bool = True) -> np.ndarray:
+def _node_values(grid: Grid, values, stack: bool = True, what: str = "a field") -> np.ndarray:
     """values as floats, one per node along the last axis; a stack of
-    fields only where stack is true.  Anything else is a ValueError."""
-    v = np.asarray(values, dtype=float)
+    fields only where stack is true.  Else a ValueError naming what, an
+    ArgumentError for an entry that is not a number."""
+    v = np.asarray(values)
+    # A string or None makes a non-number dtype; a bool among numbers does not.
+    if v.dtype.kind not in "iuf" or not isinstance(values, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat
+    ):
+        raise ArgumentError(f"{what} must hold numbers, not strings, bools or nulls")
     if v.shape[-1:] != (grid.size,) or (v.ndim > 1 and not stack):
         want = f"(..., {grid.size})" if stack else f"({grid.size},)"
         raise ValueError(
-            f"a field of shape {v.shape} does not fit a grid of {grid.size} nodes; "
+            f"{what} of shape {v.shape} does not fit a grid of {grid.size} nodes; "
             f"expected shape {want}"
         )
+    return v.astype(float, copy=False)
+
+
+def positive_field(grid: Grid, values, what: str) -> np.ndarray:
+    """values as one field of the grid (`_node_values`); a ValueError
+    naming what unless it is finite and positive at every node."""
+    v = _node_values(grid, values, stack=False, what=what)
+    # One pass each for min and max; NaN propagates into both.
+    if not (0.0 < v.min() and v.max() < math.inf):
+        raise ValueError(f"{what} must be finite and positive at every node")
     return v
+
+
+def exactly_constant(v: np.ndarray) -> bool:
+    """Whether every field of a stack of node values (..., size), size >=
+    2, is finite and exactly constant: all its nodes equal, no tolerance."""
+    # Most fields differ at their first two nodes; two scalar reads reject them.
+    return bool(v.size and v.item(0) == v.item(1) and (v == v[..., :1]).all()
+                and np.isfinite(v[..., 0]).all())
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float:
@@ -540,20 +568,20 @@ def integrate(grid: Grid, values: np.ndarray) -> float:
 def antipodal(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Pull a field back through the antipodal map z -> -z; a stack
     (..., size) field by field."""
-    return np.asarray(values)[..., grid.antipodal_index]
+    return _node_values(grid, values)[..., grid.antipodal_index]
 
 
 def even_error(grid: Grid, values: np.ndarray) -> float:
     """Sup-norm deviation from antipodal evenness, over a whole stack
     (..., size) when given one."""
-    v = np.asarray(values, dtype=float)
+    v = _node_values(grid, values)
     return float(np.abs(v - v[..., grid.antipodal_index]).max())
 
 
 def even_project(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Even part (f + f o antipodal) / 2; a stack (..., size) field by
     field.  A node-wise average: no spectral pass."""
-    v = np.asarray(values, dtype=float)
+    v = _node_values(grid, values)
     return 0.5 * (v + v[..., grid.antipodal_index])
 
 
@@ -595,9 +623,7 @@ def _spectral_pass(grid: Grid, values: np.ndarray, mu):
     of the stack, or none when every field is finite and exactly constant
     (R c = c, zero derivatives)."""
     v = _node_values(grid, values)
-    # Most fields differ at their first two nodes; two scalar reads reject them.
-    constant = v.size and v.item(0) == v.item(1) and (v == v[..., :1]).all()
-    if constant and np.isfinite(v[..., 0]).all():
+    if exactly_constant(v):
         shape = v.shape + (grid.n,)
         return (v.copy() if mu is not None else None), np.zeros(shape), np.zeros(shape + (grid.n,))
     coeffs = grid._analyze(v)
@@ -656,7 +682,7 @@ def field_to_json_dict(grid: Grid, values: np.ndarray, kind: str | None = None) 
     d = {
         "n": grid.n,
         "grid": grid_to_json_dict(grid),
-        "values": [float(v) for v in np.asarray(values, dtype=float)],
+        "values": [float(v) for v in _node_values(grid, values, stack=False)],
     }
     if kind is not None:
         d["kind"] = kind
@@ -665,10 +691,7 @@ def field_to_json_dict(grid: Grid, values: np.ndarray, kind: str | None = None) 
 
 def field_from_json_dict(d: dict) -> tuple[Grid, np.ndarray, str | None]:
     grid = grid_from_json_dict(as_integer(d["n"], "n"), d["grid"])
-    values = np.asarray(d["values"], dtype=float)
-    if values.shape != (grid.size,):
-        raise ValueError(f"field values have shape {values.shape}, grid has {grid.size} nodes")
-    return grid, values, d.get("kind")
+    return grid, _node_values(grid, d["values"], stack=False, what="field values"), d.get("kind")
 
 
 def save_field(path, grid: Grid, values: np.ndarray, kind: str | None = None) -> None:

@@ -654,7 +654,7 @@ def test_non_integral_grid_sizes_in_files_exit_2(tmp_path):
         path.write_text(json.dumps(doc))
         assert main(["quermass", "--K", str(path), "--out", out]) == 2
     bad_cfgs = [
-        {"n": 1, "k": 0, "p": 0.0, "grid": {"type": "uniform_s1", "nodes": 32.5}},
+        {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32.5"},
         # int() would run these as n=1, k=0.
         {"n": 1.9, "k": 0.7, "p": 2.0, "grid": "s1:32", "max_steps": 3},
         {"n": 1, "k": 0.7, "p": 2.0, "grid": "s1:32", "max_steps": 3},
@@ -666,6 +666,55 @@ def test_non_integral_grid_sizes_in_files_exit_2(tmp_path):
         path.write_text(json.dumps(cfg))
         assert main(["flow", "--config", str(path), "--out", str(trace)]) == 2
         assert not trace.exists()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [{"type": "uniform_s1", "nodes": 32}, 32, None, ["s1:32"]],
+    ids=["object", "int", "null", "list"],
+)
+def test_flow_config_grid_must_be_a_spec_string(tmp_path, capsys, grid):
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"n": 1, "k": 0, "p": 0.0, "grid": grid}))
+    trace = tmp_path / "t.csv"
+    assert main(["flow", "--config", str(path), "--out", str(trace)]) == 2
+    assert f"bad flow config {path}: flow config grid must be a spec" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("bad", ["2", True, None], ids=["string", "bool", "null"])
+def test_field_file_values_must_be_json_numbers(tmp_path, capsys, bad):
+    # numpy alone would read "2" as 2.0 and true as 1.0, and quermass exit 0.
+    grid = make_grid(1, 16)
+    doc = field_to_json_dict(grid, np.full(grid.size, 2.0), kind="support")
+    path = tmp_path / "K.json"
+    path.write_text(json.dumps(dict(doc, values=[bad] * grid.size)))
+    out = tmp_path / "w.json"
+    assert main(["quermass", "--K", str(path), "--out", str(out)]) == 2
+    assert f"bad field file {path}: field values must hold numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unreadable_config_is_a_usage_error(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for config in (tmp_path, binary):
+        assert main(["flow", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 2
+        assert f"error: bad config file {config}: " in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_an_unwritable_output_is_an_error_line(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    for argv in (
+        ["mkfield", "--grid", "s1:16", "--ball", "--radius", "0.4", "--out", str(target)],
+        ["verify", "bm_balls", "--out", str(target)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"Is a directory: '{target}'" in err
+    assert os.listdir(target) == []
 
 
 @pytest.mark.parametrize(

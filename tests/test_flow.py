@@ -20,7 +20,14 @@ from horocvx.flow import (
 from horocvx.hconvex import SupportField
 from horocvx.problems import measure_density, pde_residual
 from horocvx.quermass import wk_value
-from horocvx.sphere_grid import derivatives, even_project, integrate, make_grid, resolvent
+from horocvx.sphere_grid import (
+    ArgumentError,
+    derivatives,
+    even_project,
+    integrate,
+    make_grid,
+    resolvent,
+)
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 10)
@@ -578,7 +585,7 @@ def test_trace_csv_roundtrip(tmp_path):
 
 def test_make_state_validation():
     K = perturbed_circle()
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError, match=r"^config has n = 2, grid lives on S\^1$"):
         make_state(FlowConfig(n=2, k=0, p=0.0), K)  # n mismatch
     with pytest.raises(ValueError):
         make_state(FlowConfig(n=1, k=1, p=0.0), K)  # k = n has no flow
@@ -716,6 +723,7 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "cfg, body",
     [

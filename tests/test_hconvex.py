@@ -230,6 +230,7 @@ def _wavy(grid):
     return 0.1 * (2.5 * z[:, 2] ** 3 - 1.5 * z[:, 2] + z[:, 0] * z[:, 1])
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "grid",
     [make_grid(1, 96), make_grid(1, 128), make_grid(2, 16), make_grid(2, 20)],
@@ -311,6 +312,7 @@ def test_plus_identity_adds_s_to_the_diagonal(n):
     assert np.array_equal(M, before)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
 def test_squared_norm_is_bitwise_the_axis_sum(grid):
     # The column form gives the bits of the reductions it replaces, on

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from horocvx.euclid_bridge import commute_check, euclid_mixed_volume_p, firey_sum
 from horocvx.hconvex import SupportField, support_of_ball
 from horocvx.lorentz import origin
-from horocvx.problems import validate_f
 from horocvx.psum import p_dilate
-from horocvx.sphere_grid import ArgumentError, make_grid
+from horocvx.sphere_grid import ArgumentError, make_grid, positive_field
 
 CONSTRUCTORS = {
     "SupportField": SupportField,
-    "validate_f": lambda grid, values: validate_f(values, grid),
+    "positive_field": lambda grid, values: positive_field(grid, values, "f"),
 }
 
 

@@ -204,12 +204,39 @@ def test_k_mean_radius_of_ball():
         assert abs(k_mean_radius(K, k) - 0.85) < 1e-10
 
 
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_an_exactly_constant_field_takes_the_ball_path_with_no_fft_call(grid, fft_counts):
+    K = SupportField(grid, np.full(grid.size, 2.0))
+    for k in range(grid.n + 1):
+        rep = modified_quermass(K, k)
+        assert rep.method == "ball-closed-form"
+        assert rep.value == I_k(grid.n, k, math.log(2.0))
+    assert fft_counts == {"rfft": 0, "irfft": 0}
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_a_field_one_ulp_off_a_constant_takes_the_spectral_pass(grid, fft_counts):
+    # Constancy is exact: no tolerance sends a nearly constant field to I_k.
+    phi = np.full(grid.size, 2.0)
+    phi[5] = np.nextafter(2.0, 3.0)
+    K = SupportField(grid, phi)
+    for k in range(grid.n + 1):
+        rep = modified_quermass(K, k)
+        want = I_k(grid.n, k, math.log(2.0))
+        assert rep.method == "closed-form"
+        assert abs(rep.value - want) <= 1e-13 * want
+    assert fft_counts["rfft"] == 1
+
+
 def test_modified_quermass_validation():
     K = support_of_ball(S1, origin(1), 0.5)
     with pytest.raises(ValueError):
         modified_quermass(K, 2)
-    with pytest.raises(ValueError):
-        modified_quermass(SupportField(S1, np.full(S1.size, 0.5)), 0)
+    # A = (phi - 1/phi) / 2 = -0.75 at phi = 0.5: the one not-h-convex refusal.
+    below_one = r"^constant field is not h-convex: min eig A = -0\.75 "
+    for grid in (S1, S2):
+        with pytest.raises(ValueError, match=below_one):
+            modified_quermass(SupportField(grid, np.full(grid.size, 0.5)), 0)
 
 
 def _homotopy_reference(K, k, order):
@@ -255,6 +282,7 @@ def test_t_moments_match_mpmath(n):
                 assert abs(mpmath.mpf(value) / want - 1) <= 2e-13, (n, di, j, value)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n", [1, 2])
 def test_t_moments_rows_do_not_depend_on_the_other_nodes(n):
     # A d on one side of the switch takes the unmasked path; a d that
@@ -311,6 +339,7 @@ def _wk_value_by_matrices(K, k):
     return integrate(grid, d * acc)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (2, 0), (1, 1), (2, 2)])
 def test_wk_value_is_bitwise_the_matrix_form(n, k):
     grids = [make_grid(1, 96)] if n == 1 else [make_grid(2, 16), make_grid(2, 20)]

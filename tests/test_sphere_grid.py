@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from horocvx import sphere_grid
 from horocvx.sphere_grid import (
+    ArgumentError,
     antipodal,
     derivatives,
     even_error,
@@ -204,6 +205,7 @@ def test_quadrature_s2_polynomial_exactness():
         assert abs(integrate(S2, z[:, i])) < 1e-12
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "grid", [make_grid(1, 96), S2, make_grid(2, 20)], ids=["s1:96", "s2:16", "s2:20"]
 )
@@ -328,6 +330,7 @@ def _two_pass_hessian(grid, values):
     return H
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n, resolution", [(1, 96), (2, 16), (2, 20)])
 def test_fused_derivatives_match_two_passes_bitwise(n, resolution):
     grid = make_grid(n, resolution)
@@ -384,6 +387,7 @@ def test_padded_legendre_tables_match_the_per_order_recurrence(L):
     assert np.max(np.abs(gram - want)) < 1e-13
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("L", [2, 3, 16, 20])
 def test_node_factors_are_the_repeated_polar_tables(L):
     grid = make_grid(2, L)
@@ -430,6 +434,7 @@ def test_resolvent_inverts_one_minus_mu_laplacian(grid, fft_counts):
     assert np.allclose(band_project(grid, Rv), Rv, atol=1e-13)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("F", [1, 2, 3])
 @pytest.mark.parametrize(
     "grid", [make_grid(1, 96), S2, make_grid(2, 20)], ids=["s1", "s2", "s2:20"]
@@ -462,6 +467,7 @@ def test_stacked_pass_is_bitwise_the_per_field_passes(grid, F):
 CONSTANT_GRIDS = [make_grid(1, 96), S2]
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("grid", CONSTANT_GRIDS, ids=["s1", "s2"])
 def test_constant_stack_makes_no_pass(grid, fft_counts):
     # A constant's derivatives are exactly zero and R c = c at every mu.
@@ -487,6 +493,7 @@ def _analysis_and_synthesis(grid, values, mu):
     return grid._fields(coeffs, mu is not None)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("grid", CONSTANT_GRIDS, ids=["s1", "s2"])
 def test_mixed_constant_stack_takes_the_full_pass_bitwise(grid, fft_counts):
     # Constancy is exact: a field one ulp off a constant at one node, or
@@ -507,6 +514,7 @@ def test_mixed_constant_stack_takes_the_full_pass_bitwise(grid, fft_counts):
     assert derivatives(grid, ulp)[0].any()
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("grid", CONSTANT_GRIDS, ids=["s1", "s2"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_constant_stack_keeps_its_pass(grid, bad, fft_counts):
@@ -522,6 +530,7 @@ def test_non_finite_constant_stack_keeps_its_pass(grid, bad, fft_counts):
                 assert not np.isfinite(o if v.ndim == 1 else o[1]).any()
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["one", "stack2", "stack2x3"])
 @pytest.mark.parametrize("N", [4, 96, 128, 1024])
 def test_s1_one_synthesis_is_bitwise_one_irfft_per_order(N, lead):
@@ -561,6 +570,7 @@ def test_resolvent_takes_any_finite_nonnegative_mu():
             assert np.array_equal(a, b)
 
 
+@pytest.mark.bitwise
 def test_one_synthesis_of_many_profiles_is_bitwise_one_per_profile():
     rng = np.random.default_rng(3)
     shape = (2, 6, S2.band_limit + 1, S2.resolution[0])
@@ -592,6 +602,9 @@ FIELD_OPERATORS = {
     "laplacian": laplacian,
     "resample": lambda grid, v: resample(grid, v, grid),
     "integrate": integrate,
+    "antipodal": antipodal,
+    "even_error": even_error,
+    "even_project": even_project,
 }
 
 
@@ -842,6 +855,17 @@ def test_field_json_value_count_mismatch():
     d["values"] = d["values"][:-1]
     with pytest.raises(ValueError):
         field_from_json_dict(d)
+
+
+@pytest.mark.parametrize("bad", ["2", True, None], ids=["string", "bool", "null"])
+def test_field_json_values_must_be_numbers(bad):
+    # numpy alone would read "2" as 2.0, true as 1.0 and null as NaN.
+    d = field_to_json_dict(S1, np.full(S1.size, 2.0))
+    for values in ([bad] * S1.size, [bad] + d["values"][1:], d["values"][:-1] + [bad]):
+        with pytest.raises(ArgumentError, match="^field values must hold numbers"):
+            field_from_json_dict(dict(d, values=values))
+    _, values, _ = field_from_json_dict(dict(d, values=[2] * S1.size))
+    assert values.dtype == float and np.array_equal(values, d["values"])
 
 
 # ---------------------------------------------------------------------------
