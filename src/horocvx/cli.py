@@ -12,9 +12,10 @@ config names.  The JSON commands write report and manifest through
 `_emit`; a report holding NaN or infinity is an error, not written.
 
 Exit codes: 0 success, 1 verification failure, a failed check on a
-computed result (an overflow) or an output that cannot be written, 2
-usage error: argparse's or an `ArgumentError`, this module's or a
-kernel's, whose rules live there only.
+computed result (an overflow) or an output that cannot be written (a
+directory, or in none: found before the run), 2 usage error: argparse's
+or an `ArgumentError`, this module's or a kernel's, whose rules live
+there only.
 
 Start-up is part of every command's cost, so this module imports at top
 level only what every numeric command uses (`sphere_grid` and `hconvex`,
@@ -52,6 +53,7 @@ field that is not uniformly h-convex) fails the flow: exit 1, an
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -61,7 +63,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .hconvex import SupportField, convexity, random_h_convex_fields, support_of_ball
+from .hconvex import SupportField, common_grid, convexity, random_h_convex_fields, support_of_ball
 from .lorentz import hpoint, origin, validate_hpoint
 from .sphere_grid import (
     ArgumentError,
@@ -143,12 +145,14 @@ def _grid_spec(grid: Grid) -> str:
 
 
 def _same_grid(first: SupportField, first_source, second: SupportField, second_source) -> None:
-    """ArgumentError, naming both sources, unless two fields share one grid."""
-    if first.grid != second.grid:
+    """`common_grid`'s ArgumentError, reworded to name both sources."""
+    try:
+        common_grid(first, second)
+    except ArgumentError:
         raise ArgumentError(
             f"{first_source} is on {_grid_spec(first.grid)} but "
             f"{second_source} is on {_grid_spec(second.grid)}"
-        )
+        ) from None
 
 
 def _dump_json(path: str, obj) -> None:
@@ -166,10 +170,12 @@ _INPUT_OPTIONS = ("K", "L", "f", "config")
 
 
 def _refuse_overwrite(args, more_inputs: dict[str, str] | None = None) -> None:
-    """ArgumentError, naming both, if --out or --terminal names an input
-    file, which it would replace before the manifest hashes it, or if
-    the two name one file, existing or not.  more_inputs maps a source's
-    description to its path."""
+    """Vet --out and --terminal before anything runs; nothing is created.
+    ArgumentError, naming both, if one names an input file, which it
+    would replace before the manifest hashes it, or if the two name one
+    file, existing or not; the OSError that open would raise if one is a
+    directory or its directory does not exist.  more_inputs maps a
+    source's description to its path."""
     options = vars(args)
     out, terminal = options.get("out"), options.get("terminal")
     if out and terminal and (
@@ -180,13 +186,15 @@ def _refuse_overwrite(args, more_inputs: dict[str, str] | None = None) -> None:
     inputs = {f"--{key} {options[key]}": options[key] for key in _INPUT_OPTIONS
               if options.get(key)}
     inputs.update(more_inputs or {})
-    for key in ("out", "terminal"):
-        out = options.get(key)
-        if not out or not os.path.exists(out):
+    for key, out in (("out", out), ("terminal", terminal)):
+        if not out:
             continue
         for source, path in inputs.items():
-            if os.path.exists(path) and os.path.samefile(out, path):
+            if os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
                 raise ArgumentError(f"--{key} {out} would overwrite the input {source}")
+        if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+            code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
+            raise OSError(code, os.strerror(code), out)
 
 
 def _write_manifest(args, grid: Grid | None, *more_inputs: str) -> None:
@@ -277,7 +285,7 @@ def _cmd_dilate(args) -> int:
 
 
 def _cmd_quermass(args) -> int:
-    from .quermass import I_k_inverse, modified_quermass
+    from .quermass import k_mean_radius, modified_quermass
 
     K = _load_scalar(args.K)
     n = K.grid.n
@@ -288,7 +296,7 @@ def _cmd_quermass(args) -> int:
         values[f"W{k}"] = {
             "value": rep.value,
             "method": rep.method,
-            "mean_radius": I_k_inverse(n, k, rep.value),
+            "mean_radius": k_mean_radius(K, k),
         }
     return _emit(args, K.grid, {"n": n, "quermass": values})
 
@@ -439,15 +447,10 @@ def _cmd_flow(args) -> int:
     result = run_flow(config, phi0)
     result.trace.to_csv(args.out)
     if args.terminal:
-        terminal = {
-            **field_to_json_dict(result.terminal.grid, result.terminal.phi, kind="support"),
-            "status": result.status,
-            "gamma": result.gamma,
-            "gamma_variation": result.gamma_variation,
-            "steps": result.steps,
-            "t_final": result.t_final,
-            "warnings": result.warnings,
-        }
+        # The terminal field and every other result field but the trace.
+        terminal = field_to_json_dict(result.terminal.grid, result.terminal.phi, kind="support")
+        terminal.update((fld.name, getattr(result, fld.name)) for fld in fields(result)
+                        if fld.name not in ("terminal", "trace"))
         _dump_json(args.terminal, terminal)
     args.n, args.k, args.p = config.n, config.k, config.p
     _write_manifest(args, phi0.grid, *inputs.values())

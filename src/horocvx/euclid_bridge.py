@@ -5,9 +5,11 @@ whose support function u^ equals phi, so on node arrays it is the
 identity: a Euclidean body is a SupportField too, and `euclid_form`
 gives its form D^2 u^ + u^ I.  pi intertwines the hyperbolic p-sum with
 the Firey p-sum, and the weighted functionals V, V_p pull back
-Euclidean volume and p-mixed volume.  Both functionals are
-evaluated two ways: through the projection and directly as hyperbolic
-boundary integrals, with the cross-residual reported as a certificate.
+Euclidean volume and p-mixed volume.  The Firey side takes a finite
+p >= 1 only, one rule (`_firey_p`) for the Firey sum, the commutation
+check and the p-mixed volume.  Both functionals are evaluated two
+ways: through the projection and directly as hyperbolic boundary
+integrals, with the cross-residual reported as a certificate.
 `V_functional` is computed once per field and then read from the
 field's cache (`hconvex.per_field`), so its `BridgeReport` is frozen:
 every caller shares the cached one.
@@ -71,6 +73,14 @@ def _admissible_form(Khat: SupportField) -> np.ndarray:
     return form
 
 
+def _firey_p(p, what: str) -> float:
+    """p as a float; ArgumentError naming what unless p is finite and >= 1."""
+    p = as_real(p, what)
+    if p < 1.0:
+        raise ArgumentError(f"{what} must be at least 1, got {p}")
+    return p
+
+
 def project(K: SupportField) -> SupportField:
     """The Euclidean body with support function phi, which is K itself.
 
@@ -84,9 +94,7 @@ def firey_sum(
     a: float, Khat: SupportField, p: float, b: float, Lhat: SupportField
 ) -> SupportField:
     """Firey combination (a u_K^p + b u_L^p)^{1/p}, p >= 1."""
-    p = as_real(p, "Firey p")
-    if p < 1.0:
-        raise ArgumentError(f"Firey sum needs p >= 1, got {p}")
+    p = _firey_p(p, "Firey sum p")
     a, b = as_real(a, "Firey coefficient a"), as_real(b, "Firey coefficient b")
     if a < 0.0 or b < 0.0:
         raise ArgumentError(f"Firey coefficients must be nonnegative, got a={a}, b={b}")
@@ -102,9 +110,7 @@ def commute_check(
     projections; zero in exact arithmetic since both sides share the
     same pointwise algebra.  Public: it is the paper's bridge statement,
     that the projection carries p-sums to Firey sums."""
-    p = as_real(p, "commutation p")
-    if p < 1.0:
-        raise ArgumentError(f"commutation holds on the common range p in [1, 2], got {p}")
+    p = _firey_p(p, "commutation p")
     hyperbolic = project(p_sum(a, K, p, b, L))
     euclidean = firey_sum(a, project(K), p, b, project(L))
     return float(np.max(np.abs(hyperbolic.phi - euclidean.phi)))
@@ -119,9 +125,7 @@ def euclid_volume(Khat: SupportField) -> float:
 
 def euclid_mixed_volume_p(Khat: SupportField, Lhat: SupportField, p: float) -> float:
     """p-mixed volume (1/(n+1)) int u_L^p u_K^{1-p} p_n(D^2 u_K + u_K I)."""
-    p = as_real(p, "p-mixed volume p")
-    if p < 1.0:
-        raise ArgumentError(f"p-mixed volume needs p >= 1, got {p}")
+    p = _firey_p(p, "p-mixed volume p")
     n = common_grid(Khat, Lhat).n
     form = _admissible_form(Khat)
     field = Lhat.phi**p * Khat.phi ** (1.0 - p) * p_tensor(form, n)

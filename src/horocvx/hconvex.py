@@ -31,7 +31,9 @@ from functools import cached_property, wraps
 import numpy as np
 
 from . import lorentz
-from .sphere_grid import ArgumentError, Grid, derivatives, frame_vectors, positive_field, resample
+from .sphere_grid import (
+    ArgumentError, Grid, as_real, derivatives, frame_vectors, positive_field, resample
+)
 
 __all__ = [
     "SupportField",
@@ -254,7 +256,8 @@ def support_of_point(grid: Grid, X) -> SupportField:
 
 
 def support_of_ball(grid: Grid, X, r: float) -> SupportField:
-    """Support field of the geodesic ball B(X, r), r >= 0."""
+    """Support field of the geodesic ball B(X, r), r finite and >= 0."""
+    r = as_real(r, "ball radius")
     if r < 0.0:
         raise ArgumentError(f"ball radius must be nonnegative, got {r}")
     return outer_parallel(support_of_point(grid, X), r)
@@ -262,7 +265,9 @@ def support_of_ball(grid: Grid, X, r: float) -> SupportField:
 
 def outer_parallel(K: SupportField, rho: float) -> SupportField:
     """The outer parallel body of K at distance rho: phi -> e^rho phi,
-    with K's derivatives scaled if K has them (`SupportField.scaled`)."""
+    with K's derivatives scaled if K has them (`SupportField.scaled`);
+    rho must be a finite number."""
+    rho = as_real(rho, "parallel distance")
     try:
         return K.scaled(math.exp(rho))
     except OverflowError:

@@ -2,10 +2,11 @@
 
 On support functions the sum is phi_out^p = a phi_K^p + b phi_L^p with
 a + b >= 1.  The pointwise picture combines two-point balls B(p, t):
-their union over t in [0, 1] for p > 1, a single ball for p = 1, and
-their intersection over the open interval for p < 1.  `power_sum` is
-the one unchecked (a phi_K^p + b phi_L^p)^{1/p}, which `p_sum` checks
-and `euclid_bridge.firey_sum` reuses; `check_p` is the one p rule.
+their union over t in [0, 1] for p >= 1 (at p = 1 every t gives the
+same ball) and their intersection over the open interval for p < 1.
+`power_sum` is the one unchecked (a phi_K^p + b phi_L^p)^{1/p}, which
+`p_sum` checks and `euclid_bridge.firey_sum` reuses; `check_p` is the
+one p rule.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ def two_point_ball(p: float, t: float, a: float, X, b: float, Y) -> TwoPointBall
 
     T = (1-t)^{1/q} a^{1/p} X + t^{1/q} b^{1/p} Y with 1/p + 1/q = 1;
     the ball has center T/N(T) and radius log N(T), empty when N(T) < 1.
+    At p = 1, 1/q = 0, so every t gives the one ball of T = a X + b Y.
     """
     check_p(p)
     a, b = _check_coeffs(a, b)
@@ -120,12 +122,9 @@ def two_point_ball(p: float, t: float, a: float, X, b: float, Y) -> TwoPointBall
     Y = np.asarray(Y, dtype=float)
     lorentz.validate_hpoint(X)
     lorentz.validate_hpoint(Y)
-    if p == 1.0:
-        ca, cb = a, b
-    else:
-        inv_q = (p - 1.0) / p
-        ca = 0.0 if a == 0.0 else _pow(1.0 - t, inv_q) * a ** (1.0 / p)
-        cb = 0.0 if b == 0.0 else _pow(t, inv_q) * b ** (1.0 / p)
+    inv_q = (p - 1.0) / p
+    ca = 0.0 if a == 0.0 else _pow(1.0 - t, inv_q) * a ** (1.0 / p)
+    cb = 0.0 if b == 0.0 else _pow(t, inv_q) * b ** (1.0 / p)
     if math.isinf(ca) or math.isinf(cb):
         # Degenerate endpoint of the p < 1 family: the whole space.
         center = X if math.isinf(ca) else Y
@@ -162,21 +161,17 @@ def compatibility_check(
     points and the two-point ball family.
 
     Boundary points recovered from the summed support field are tested
-    against the union (p > 1), single ball (p = 1), or intersection
-    (p < 1, open t-interval) of the ball family; returns the sup of the
-    refined |defect| in geodesic distance.  Public: it checks the paper's
-    two-point figure, the p-sum of two points against its ball family.
+    against the union (p >= 1; at p = 1 every ball is the same) or the
+    intersection (p < 1, open t-interval) of the ball family; returns
+    the sup of the refined |defect| in geodesic distance.  Public: it
+    checks the paper's two-point figure, the p-sum of two points against
+    its ball family.
     """
     if samples < 3:
         raise ArgumentError(f"samples must be at least 3, got {samples}")
-    field = two_point_sum(grid, p, a, X, b, Y)
-    bd = boundary_data(field)
-    pts = bd.X
-    if p == 1.0:
-        ball = two_point_ball(p, 0.5, a, X, b, Y)
-        d = np.arccosh(np.maximum(-_inner_many(pts, ball.center[None, :]), 1.0))
-        return float(np.max(np.abs(d[:, 0] - ball.radius)))
-    if p > 1.0:
+    pts = boundary_data(two_point_sum(grid, p, a, X, b, Y)).X
+    minimize = p >= 1.0  # the union's defect is a min over t, the intersection's a max
+    if minimize:
         ts = np.linspace(0.0, 1.0, samples)
     else:
         ts = np.linspace(0.0, 1.0, samples + 2)[1:-1]
@@ -187,22 +182,14 @@ def compatibility_check(
             continue
         centers.append(ball.center)
         radii.append(ball.radius)
-    centers = np.asarray(centers)
-    radii = np.asarray(radii)
-    d = np.arccosh(np.maximum(-_inner_many(pts, centers), 1.0))
-    defect = d - radii[None, :]
+    d = np.arccosh(np.maximum(-lorentz.inner(pts[:, None, :], np.asarray(centers)), 1.0))
+    defect = d - np.asarray(radii)[None, :]
     worst = 0.0
-    minimize = p > 1.0
     best_j = np.argmin(defect, axis=1) if minimize else np.argmax(defect, axis=1)
     for i in range(pts.shape[0]):
         v = _refine_extremum(defect[i], int(best_j[i]), minimize)
         worst = max(worst, abs(v))
     return worst
-
-
-def _inner_many(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise Lorentz inner products, shape (len(A), len(B))."""
-    return A[:, :-1] @ B[:, :-1].T - np.outer(A[:, -1], B[:, -1])
 
 
 def dilates_check(K: SupportField, L: SupportField) -> DilatesReport:

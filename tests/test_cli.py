@@ -1,6 +1,8 @@
 """End-to-end CLI: exit codes, file formats, manifests, reproducibility."""
 
 import argparse
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -588,6 +590,28 @@ def test_flow_config_with_only_f_starts_from_a_ball_on_fs_grid(tmp_path, monkeyp
     assert manifest["grid"] == {"type": "uniform_s1", "nodes": 32}
 
 
+def test_flow_terminal_file_holds_every_result_field(tmp_path):
+    # At max_dt 1e4 this flow rejects steps at the cap; the terminal file
+    # carries every FlowResult field but the field itself and the trace,
+    # so its rejections are the sum of the trace's rejected column.
+    grid = make_grid(1, 64)
+    phi0 = tmp_path / "phi0.json"
+    save_field(phi0, grid, 2.0 * (1.0 + 0.05 * np.cos(2 * grid.theta)), kind="support")
+    cfg = {"n": 1, "k": 0, "p": 0.0, "initial": str(phi0), "max_dt": 1e4, "max_steps": 10}
+    cfg_path = tmp_path / "flow.json"
+    cfg_path.write_text(json.dumps(cfg))
+    trace, terminal = tmp_path / "trace.csv", tmp_path / "terminal.json"
+    argv = ["flow", "--config", str(cfg_path), "--out", str(trace), "--terminal", str(terminal)]
+    assert main(argv) in (0, 1)
+    rep = read_json(terminal)
+    result_keys = {fld.name for fld in dataclasses.fields(flow.FlowResult)} - {"terminal", "trace"}
+    assert set(rep) == result_keys | {"n", "grid", "values", "kind"}
+    with open(trace) as fh:
+        rejected = sum(int(row["rejected"]) for row in csv.DictReader(fh))
+    assert rejected > 0
+    assert rep["rejections"] == rejected
+
+
 def test_flow_unconverged_exit_code(tmp_path):
     grid = make_grid(1, 32)
     theta = grid.theta
@@ -715,6 +739,34 @@ def test_an_unwritable_output_is_an_error_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"Is a directory: '{target}'" in err
     assert os.listdir(target) == []
+
+
+@pytest.mark.parametrize("where", ["a-directory", "in-no-directory"])
+def test_an_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkeypatch, where):
+    # verify and flow vet --out and --terminal before they compute
+    # anything: no suite line, no flow step, no file.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before its outputs were vetted")
+
+    monkeypatch.setattr("horocvx.verify.run_suite", refuse)
+    monkeypatch.setattr(flow, "run", refuse)
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"n": 1, "k": 0, "p": 0.0, "grid": "s1:16"}))
+    if where == "a-directory":
+        bad, message = tmp_path / "out", "Is a directory"
+        bad.mkdir()
+    else:
+        bad, message = tmp_path / "missing" / "out.csv", "No such file or directory"
+    for argv in (
+        ["verify", "bm_balls", "--out", str(bad)],
+        ["flow", "--config", str(cfg), "--out", str(bad)],
+        ["flow", "--config", str(cfg), "--out", str(tmp_path / "t.csv"), "--terminal", str(bad)],
+    ):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and f"{message}: '{bad}'" in err
+    assert sorted(os.listdir(tmp_path)) == sorted(["flow.json", *(["out"] if bad.is_dir() else [])])
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Every field constructor rejects a NaN or an infinity wherever it sits,
-and every p rule a non-finite p."""
+every p rule a non-finite p, and every ball radius or parallel distance
+anything but a finite number."""
 
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocvx.euclid_bridge import commute_check, euclid_mixed_volume_p, firey_sum
-from horocvx.hconvex import SupportField, support_of_ball
+from horocvx.hconvex import SupportField, outer_parallel, support_of_ball
 from horocvx.lorentz import origin
 from horocvx.psum import p_dilate
 from horocvx.sphere_grid import ArgumentError, make_grid, positive_field
@@ -61,3 +62,17 @@ def test_non_finite_p_is_an_argument_error(name, p):
     P_RULES[name](1.5)
     with pytest.raises(ArgumentError, match="finite number, got"):
         P_RULES[name](p)
+
+
+DISTANCE_RULES = {
+    "support_of_ball": lambda r: support_of_ball(K.grid, origin(1), r),
+    "outer_parallel": lambda rho: outer_parallel(K, rho),
+}
+
+
+@pytest.mark.parametrize("name", list(DISTANCE_RULES))
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, "0.5", True, None])
+def test_a_distance_that_is_not_a_finite_number_is_an_argument_error(name, r):
+    DISTANCE_RULES[name](0.5)
+    with pytest.raises(ArgumentError, match="finite number, got"):
+        DISTANCE_RULES[name](r)

@@ -300,6 +300,10 @@ ARGUMENT_RULES = {
     "steiner-rho": lambda: steiner_check(K1, 0.0),
     "weighted_steiner-rho": lambda: weighted_steiner_check(K1, -1.0),
     "support_of_ball-r": lambda: support_of_ball(S1, origin(1), -1.0),
+    "support_of_ball-r-nan": lambda: support_of_ball(S1, origin(1), math.nan),
+    "support_of_ball-r-str": lambda: support_of_ball(S1, origin(1), "0.5"),
+    "support_of_ball-r-bool": lambda: support_of_ball(S1, origin(1), True),
+    "outer_parallel-rho-nan": lambda: hconvex.outer_parallel(K1, math.nan),
     "FlowConfig-n": lambda: FlowConfig(n=3, k=0, p=0.0),
     "FlowConfig-k": lambda: FlowConfig(n=1, k=1, p=0.0),
     "FlowConfig-p": lambda: FlowConfig(n=2, k=1, p=-5.0),
