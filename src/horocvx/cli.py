@@ -5,11 +5,11 @@ Every invocation that writes an output file also writes a run manifest
 file hashes, all output paths, package version, and grid, so a run can
 be reproduced exactly; identical manifests imply bit-identical outputs.
 One function builds it from the parsed arguments: the parameters are
-every option but the output paths, plus `n`, `k` and `p` for `flow`
-and the resolved tolerances for `verify`; the inputs are the files that
-`--K`, `--L`, `--f` and `--config` name, plus the field files a flow
-config names.  The JSON commands write report and manifest through
-`_emit`; a report holding NaN or infinity is an error, not written.
+every option but the output paths, plus `n`, `k` and `p` for `flow`;
+the inputs are the files that `--K`, `--L`, `--f` and `--config` name,
+plus the field files a flow config names.  The JSON commands write
+report and manifest through `_emit`; a report holding NaN or infinity
+is an error, not written.
 
 Exit codes: 0 success, 1 verification failure, a failed check on a
 computed result (an overflow) or an output that cannot be written (a
@@ -475,17 +475,11 @@ def _cmd_project(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify as verify_mod
 
-    # Resolved on args, so that the manifest records the values used.
-    args.tol = verify_mod.DEFAULT_TOL if args.tol is None else args.tol
-    args.eq_tol = verify_mod.DEFAULT_EQ_TOL if args.eq_tol is None else args.eq_tol
-    corpus = verify_mod.Corpus()
     if args.suite == "all":
-        records = verify_mod.run_all(
-            corpus, tol=args.tol, eq_tol=args.eq_tol, exploratory=args.exploratory
-        )
+        records = verify_mod.run_all(exploratory=args.exploratory)
     else:
         # Refuses an unknown suite name with an ArgumentError (exit 2).
-        records = verify_mod.run_suite(args.suite, corpus, tol=args.tol, eq_tol=args.eq_tol)
+        records = verify_mod.run_suite(args.suite)
     by_suite: dict[str, list] = {}
     for r in records:
         by_suite.setdefault(r.suite, []).append(r)
@@ -495,9 +489,7 @@ def _cmd_verify(args) -> int:
         status = "recorded" if exploratory else ("ok" if not failed else "FAIL")
         print(f"{suite}: {len(rs)} records, {status}")
         for r in failed if not exploratory else []:
-            print(
-                f"  FAIL {r.case}: lhs={r.lhs:.12g} rhs={r.rhs:.12g} gap={r.gap:.3g}"
-            )
+            print(f"  FAIL {r.case}: lhs={r.lhs:.12g} rhs={r.rhs:.12g} gap={r.gap:.3g}")
     if args.out:
         verify_mod.write_records_csv(args.out, records)
         _write_manifest(args, None)
@@ -605,8 +597,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run inequality and identity suites")
     p.add_argument("suite", help="a suite name, or 'all'")
     p.add_argument("--out", default=None, help="records CSV path")
-    p.add_argument("--tol", type=_finite, default=None, help="default: verify.DEFAULT_TOL")
-    p.add_argument("--eq-tol", type=_finite, default=None, help="default: verify.DEFAULT_EQ_TOL")
     p.add_argument("--exploratory", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

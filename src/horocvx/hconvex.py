@@ -16,10 +16,11 @@ their derivatives by the same constants and makes no pass:
 ball, has exactly zero derivatives and makes no pass either.
 `measure_density`, phi^{-p-k} p_{n-k}(A[phi]), is the package's one
 curvature-measure kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.
-`squared_norm` is its one |D phi|^2, `common_grid` its one grid match,
-`require_h_convex` its one not-h-convex refusal (a constant field below
-1 too, in `quermass.modified_quermass`), and `shrink_into_cone` its one
-shrinking of a perturbation into the uniformly h-convex cone.
+`check_k` is its one rule for the index k, `squared_norm` its one
+|D phi|^2, `common_grid` its one grid match, `require_h_convex` its one
+not-h-convex refusal (a constant field below 1 too, in
+`quermass.modified_quermass`), and `shrink_into_cone` its one shrinking
+of a perturbation into the uniformly h-convex cone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import lorentz
 from .sphere_grid import (
-    ArgumentError, Grid, as_real, derivatives, frame_vectors, positive_field, resample
+    ArgumentError, Grid, ambient_gradient, as_integer, as_real, derivatives, positive_field,
+    resample,
 )
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "p_tensor",
     "squared_norm",
     "measure_density",
+    "check_k",
     "plus_identity",
     "convexity",
     "common_grid",
@@ -212,8 +215,7 @@ class SupportField:
     def _boundary(self) -> BoundaryData:
         grid, phi = self.grid, self.phi
         g, (q, A) = self.gradient, self._shifted
-        frames = frame_vectors(grid)
-        grad_ambient = np.einsum("ia,iac->ic", g, frames)
+        grad_ambient = ambient_gradient(grid, g)
         z = grid.nodes
         half_minus = 0.5 * (phi - 1.0 / phi)
         half_plus = 0.5 * (phi + 1.0 / phi)
@@ -319,12 +321,20 @@ def squared_norm(g: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_k(n: int, k) -> int:
+    """k as an int; ArgumentError unless n is 1 or 2 and k an integer in
+    0..n: the one rule of the index k of p_{n-k}, W_k and I_k."""
+    k = as_integer(k, "k")
+    if n not in (1, 2) or not 0 <= k <= n:
+        raise ArgumentError(f"k must lie in 0..n for n = 1 or 2, got n = {n!r}, k = {k}")
+    return k
+
+
 def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
     """Density of dS_{p,k}(K, .) against dsigma: phi^{-p-k} p_{n-k}(A); at
     p = 0, of p_k(kappa~) dmu, as kappa~ = 1 / (phi eig A), dmu = p_n(A) dsigma."""
     n = K.grid.n
-    if not 0 <= k <= n:
-        raise ArgumentError(f"k must lie in 0..{n}, got {k}")
+    k = check_k(n, k)
     return K.phi ** (-(p + k)) * p_tensor(K.A, n - k)
 
 

@@ -25,7 +25,9 @@ from .hconvex import (
 )
 from .psum import check_p
 from .quermass import bracketed_newton
-from .sphere_grid import ArgumentError, Grid, derivatives, frame_vectors, integrate, positive_field
+from .sphere_grid import (
+    ArgumentError, Grid, ambient_gradient, derivatives, integrate, positive_field
+)
 
 __all__ = [
     "KWReport",
@@ -113,18 +115,18 @@ def kw_residual(K: SupportField, f, k: int) -> KWReport:
     Coordinate integrals int phi^{-n} <Df, Dx_i> dsigma for the n+1
     ambient coordinates (all vanish for solutions at p = -n), and the
     norm of int (Dphi/phi + z) phi^{-k} p_{n-k}(A[phi]) dsigma, which
-    vanishes for every h-convex field and every k.
+    vanishes for every h-convex field and every k.  <Df, Dx_i> is the
+    i-th `ambient_gradient` component of Df: one spectral pass, over f
+    alone, and none for a constant f, whose integrals are exactly 0.
     """
     grid = K.grid
     n = grid.n
     density = measure_density(K, 0.0, k)
     f = positive_field(grid, f, "f")
-    g_f, *g_x = derivatives(grid, np.vstack([f, grid.nodes.T]))[0]
+    df = ambient_gradient(grid, derivatives(grid, f)[0])
     weight = K.phi ** (-float(n))
-    coords = [integrate(grid, weight * np.sum(g_f * g_i, axis=1)) for g_i in g_x]
-    frames = frame_vectors(grid)
-    grad_ambient = np.einsum("ia,iac->ic", K.gradient, frames)
-    vec_field = grad_ambient / K.phi[:, None] + grid.nodes
+    coords = [integrate(grid, weight * df[:, i]) for i in range(n + 1)]
+    vec_field = ambient_gradient(grid, K.gradient) / K.phi[:, None] + grid.nodes
     residual_vec = np.array(
         [integrate(grid, vec_field[:, i] * density) for i in range(n + 1)]
     )

@@ -165,7 +165,7 @@ def compatibility_check(
     intersection (p < 1, open t-interval) of the ball family; returns
     the sup of the refined |defect| in geodesic distance.  Public: it
     checks the paper's two-point figure, the p-sum of two points against
-    its ball family.
+    its ball family.  A ValueError if every sampled ball is empty.
     """
     if samples < 3:
         raise ArgumentError(f"samples must be at least 3, got {samples}")
@@ -182,6 +182,8 @@ def compatibility_check(
             continue
         centers.append(ball.center)
         radii.append(ball.radius)
+    if not centers:
+        raise ValueError(f"every sampled ball of the two-point family is empty at p = {p}")
     d = np.arccosh(np.maximum(-lorentz.inner(pts[:, None, :], np.asarray(centers)), 1.0))
     defect = d - np.asarray(radii)[None, :]
     worst = 0.0

@@ -44,6 +44,7 @@ import numpy as np
 from .hconvex import (
     SupportField,
     boundary_data,
+    check_k,
     measure_density,
     outer_parallel,
     p_tensor,
@@ -238,8 +239,7 @@ def bracketed_newton(f, fprime, lo: float, hi: float, x: float | None = None) ->
 def I_k(n: int, k: int, r: float) -> float:
     """Modified k-quermass of the centered geodesic ball of radius r,
     omega_n int_0^r sinh(t)^{n-k} e^{-kt} dt."""
-    if n not in (1, 2) or not 0 <= k <= n:
-        raise ArgumentError(f"invalid (n, k) = ({n}, {k})")
+    k = check_k(n, k)
     if r < 0.0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     return sphere_area(n) * exp_sinh_integral(-k, n - k, r)
@@ -248,11 +248,13 @@ def I_k(n: int, k: int, r: float) -> float:
 def ball_curvature_integral(n: int, k: int, r: float) -> float:
     """int p_k(kappa~) dmu over the sphere of radius r, the r-derivative
     of I_k: omega_n sinh(r)^{n-k} e^{-kr}."""
+    k = check_k(n, k)
     return sphere_area(n) * math.sinh(r) ** (n - k) * math.exp(-k * r)
 
 
 def I_k_inverse(n: int, k: int, w: float) -> float:
     """Radius r with I_k(n, k, r) = w, to a few ulp."""
+    k = check_k(n, k)
     if w < 0.0:
         raise ValueError(f"quermass value must be nonnegative, got {w}")
     if w == 0.0:
@@ -363,8 +365,7 @@ def wk_value(K: SupportField, k: int) -> float:
     """
     grid, phi = K.grid, K.phi
     n = grid.n
-    if not 0 <= k <= n:
-        raise ArgumentError(f"k must lie in 0..{n}, got {k}")
+    k = check_k(n, k)
     g, H = K.gradient, K.hessian
     m = n - k
     d = phi - 1.0

@@ -53,6 +53,7 @@ __all__ = [
     "derivatives",
     "resolvent",
     "frame_vectors",
+    "ambient_gradient",
     "antipodal",
     "even_error",
     "even_project",
@@ -636,6 +637,12 @@ def frame_vectors(grid: Grid) -> np.ndarray:
     """Ambient coordinates of the orthonormal frame, shape (size, n, n+1),
     cached read-only per grid."""
     return grid._frames
+
+
+def ambient_gradient(grid: Grid, gradient: np.ndarray) -> np.ndarray:
+    """A frame gradient (size, n) of v in ambient coordinates, (size, n+1):
+    column i is <D v, D x_i>, as the frame vectors are the D x_i."""
+    return np.einsum("ia,iac->ic", gradient, grid._frames)
 
 
 def resample(grid: Grid, values: np.ndarray, targets) -> np.ndarray:

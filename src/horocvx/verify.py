@@ -1,18 +1,18 @@
 """Inequality and identity suites over deterministic body corpora.
 
 Each record holds lhs, rhs and gap = lhs - rhs; it passes when
-gap >= -tol * scale, and an equality-expected record also needs
-|gap| <= eq_tol * scale.  Reversed inequalities are stored with sides
-swapped so a nonnegative gap always means "holds".  Conjecture suites
-carry the xp_ prefix, run only on request, and are recorded without
-contributing to the overall verdict.
+gap >= -DEFAULT_TOL * scale, and an equality-expected record also needs
+|gap| <= DEFAULT_EQ_TOL * scale: the suites' fixed tolerances.  Reversed
+inequalities are stored with sides swapped so a nonnegative gap always
+means "holds".  Conjecture suites carry the xp_ prefix, run only on
+request, and are recorded without contributing to the overall verdict.
 
 A suite is a generator registered with the `_suite` decorator under
 its function name minus the ``_suite_`` prefix; registration order is
 the run order and so the CSV order.  It takes the run's `Bodies` and
 yields ``(case, lhs, rhs, equality_expected)``, or with a fifth item
 True for a record whose gap is expected to be negative; `run_suite`
-adds the suite name and the tolerances.  A `Bodies` set builds each
+adds the suite name and the verdict.  A `Bodies` set builds each
 grid body on its first request and lives for one `run_all` call (or
 one lone `run_suite` call), so every suite of a run that asks for the
 same body shares it and what its field has computed: its W_k, k-mean
@@ -92,13 +92,7 @@ class Corpus:
 
 
 def _record(
-    suite: str,
-    case: str,
-    lhs: float,
-    rhs: float,
-    equality_expected: bool,
-    tol: float,
-    eq_tol: float,
+    suite: str, case: str, lhs: float, rhs: float, equality_expected: bool,
     expect_negative: bool = False,
 ) -> CheckRecord:
     gap = lhs - rhs
@@ -106,9 +100,9 @@ def _record(
     if expect_negative:
         passed = gap < 0.0
     else:
-        passed = gap >= -tol * scale
+        passed = gap >= -DEFAULT_TOL * scale
         if equality_expected:
-            passed = passed and abs(gap) <= eq_tol * scale
+            passed = passed and abs(gap) <= DEFAULT_EQ_TOL * scale
     return CheckRecord(suite, case, lhs, rhs, gap, equality_expected, passed)
 
 
@@ -579,12 +573,7 @@ EXPLORATORY_SUITES = tuple(name for name in _REGISTRY if name.startswith("xp_"))
 
 
 def run_suite(
-    name: str,
-    corpus: Corpus | None = None,
-    tol: float = DEFAULT_TOL,
-    eq_tol: float = DEFAULT_EQ_TOL,
-    *,
-    bodies: Bodies | None = None,
+    name: str, corpus: Corpus | None = None, *, bodies: Bodies | None = None
 ) -> list[CheckRecord]:
     """Run one named suite and return its records.
 
@@ -601,23 +590,18 @@ def run_suite(
     elif corpus is not None and corpus != bodies.corpus:
         raise ArgumentError("corpus differs from the corpus of the body set")
     return [
-        _record(name, case, lhs, rhs, eq, tol, eq_tol, *negative)
+        _record(name, case, lhs, rhs, eq, *negative)
         for case, lhs, rhs, eq, *negative in _REGISTRY[name](bodies)
     ]
 
 
-def run_all(
-    corpus: Corpus | None = None,
-    tol: float = DEFAULT_TOL,
-    eq_tol: float = DEFAULT_EQ_TOL,
-    exploratory: bool = False,
-) -> list[CheckRecord]:
+def run_all(corpus: Corpus | None = None, exploratory: bool = False) -> list[CheckRecord]:
     """Every asserted suite, then the exploratory ones on request, over
     one body set."""
     bodies = Bodies(corpus)
     records = []
     for name in SUITES + (EXPLORATORY_SUITES if exploratory else ()):
-        records.extend(run_suite(name, tol=tol, eq_tol=eq_tol, bodies=bodies))
+        records.extend(run_suite(name, bodies=bodies))
     return records
 
 

@@ -26,7 +26,7 @@ from horocvx.quermass import (
     wk_value,
 )
 from horocvx.sphere_grid import integrate, make_grid, refine
-from horocvx.verify import all_passed, Corpus, run_suite
+from horocvx.verify import DEFAULT_EQ_TOL, DEFAULT_TOL, all_passed, Corpus, run_suite
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -343,6 +343,7 @@ def test_criterion_09_euclidean_bridge():
 
 
 def test_criterion_10_inequality_suites():
+    assert (DEFAULT_TOL, DEFAULT_EQ_TOL) == (1e-8, 1e-6)
     corpus = Corpus()
     names = (
         "af_chain",
@@ -360,7 +361,7 @@ def test_criterion_10_inequality_suites():
     worst_equality = 0.0
     count = 0
     for name in names:
-        records = run_suite(name, corpus, tol=1e-8, eq_tol=1e-6)
+        records = run_suite(name, corpus)
         count += len(records)
         all_ok = all_ok and all_passed(records)
         for record in records:
@@ -380,7 +381,8 @@ def test_criterion_10_inequality_suites():
 
 
 def test_criterion_11_asymmetric_gap():
-    records = run_suite("counterexample", Corpus(), tol=1e-8, eq_tol=1e-6)
+    assert (DEFAULT_TOL, DEFAULT_EQ_TOL) == (1e-8, 1e-6)
+    records = run_suite("counterexample", Corpus())
     large = [r for r in records if "scale100" in r.case]
     small = [r for r in records if "scale2" in r.case and "cross-check" not in r.case]
     ok = (

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import horocvx
-from horocvx import flow
+from horocvx import flow, verify
 from horocvx.cli import _build_parser, main
 from horocvx.flow import FlowConfig
 from horocvx.hconvex import support_of_ball
@@ -132,8 +132,9 @@ def test_mkfield_usage_errors(tmp_path, capsys):
     assert (
         main(["mkfield", "--grid", "s1:64", "--constant", "-1.0", "--out", out]) == 2
     )
-    # A center that does not parse, is not finite, or is off the hyperboloid.
-    for center in ("1,abc", "nan,0", "0.5,0,2"):
+    # A center that does not parse, is not finite, is off the hyperboloid,
+    # or has a coordinate count that fits neither S^1's spatial nor ambient.
+    for center in ("1,abc", "nan,0", "0.5,0,2", "0.1"):
         argv = ["mkfield", "--grid", "s1:64", "--ball", "--radius", "1", "--center", center]
         capsys.readouterr()
         assert main(argv + ["--out", out]) == 2
@@ -160,8 +161,6 @@ FLOAT_OPTIONS = [
     (["ballsolve", "--n", "2", "--k", "0", "--p", "4", "--gamma", "0.02"], "--p"),
     (["ballsolve", "--n", "2", "--k", "0", "--p", "4", "--gamma", "0.02"], "--gamma"),
     (["assumption-h", "--f", "f.json", "--k", "1", "--p", "1"], "--p"),
-    (["verify", "bm_balls", "--tol", "1e-8"], "--tol"),
-    (["verify", "bm_balls", "--eq-tol", "1e-6"], "--eq-tol"),
 ]
 
 
@@ -928,10 +927,15 @@ def test_verify_suite_exit_and_csv(tmp_path):
     assert manifest["command"] == "verify"
 
 
-def test_verify_failure_exit_code(tmp_path):
-    # An impossible tolerance forces failures and exit code 1.
-    rc = main(["verify", "bm_balls", "--tol", "-1.0"])
-    assert rc == 1
+def test_verify_failure_exit_code(monkeypatch, capsys):
+    # A suite with one failing record makes exit code 1 and a FAIL line.
+    def failing(bodies):
+        yield "forced", 0.0, 1.0, False
+
+    monkeypatch.setitem(verify._REGISTRY, "bm_balls", failing)
+    assert main(["verify", "bm_balls"]) == 1
+    out = capsys.readouterr().out
+    assert "bm_balls: 1 records, FAIL" in out and "FAIL forced:" in out
 
 
 def test_verify_rejects_unknown_suite():
@@ -1051,6 +1055,12 @@ def test_flow_initial_off_the_configs_sphere_is_a_usage_error(tmp_path, capsys):
     A = mkball(tmp_path, "A.json", 0.5, grid="s1:64")
     err = _flow_usage_error(tmp_path, capsys, {"n": 2, "k": 1, "p": 1.0, "initial": str(A)})
     assert f"flow config has n = 2 but flow config initial {A} lives on S^1" in err
+
+
+def test_flow_config_without_initial_grid_or_f_is_a_usage_error(tmp_path, capsys):
+    # Nothing fixes the grid of the start.
+    err = _flow_usage_error(tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0})
+    assert "flow config needs 'initial', 'grid', or 'f'" in err
 
 
 def test_flow_config_with_initial_and_grid_is_a_usage_error(tmp_path, capsys):

@@ -132,6 +132,14 @@ def test_euclid_volume_direct_disc():
     assert euclid_volume(Khat) == pytest.approx(9.0 * math.pi, abs=1e-10)
 
 
+def test_euclid_volume_refuses_a_support_function_that_is_not_convex():
+    # phi = 1 + 0.9 cos 3 theta is positive, but D^2 phi + phi =
+    # 1 - 7.2 cos 3 theta is negative where cos 3 theta > 1/7.2.
+    Khat = SupportField(S1, 1.0 + 0.9 * np.cos(3 * S1.theta))
+    with pytest.raises(ValueError, match="support function is not convex"):
+        euclid_volume(Khat)
+
+
 def test_v_p_self_pairing_reduces_to_volume():
     K = wavy_circle()
     for p in (1.0, 1.5, 2.0):

@@ -26,6 +26,8 @@ from horocvx.problems import (
 from horocvx.psum import compatibility_check, p_dilate, p_sum, two_point_ball
 from horocvx.quermass import (
     I_k,
+    I_k_inverse,
+    ball_curvature_integral,
     curvature_integral,
     modified_quermass,
     steiner_check,
@@ -37,6 +39,7 @@ from horocvx.sphere_grid import (
     as_integer,
     as_real,
     derivatives,
+    frame_vectors,
     integrate,
     make_grid,
     resolvent,
@@ -187,22 +190,30 @@ def test_kw_general_identity_on_perturbed_bodies():
         kw_residual(K1, f1, 2)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("grid", [make_grid(1, 96), make_grid(2, 16)], ids=["s1", "s2"])
-def test_kw_coordinate_integrals_from_one_stacked_gradient(grid, fft_counts):
-    # One gradient pass over f and the n + 1 coordinate functions gives
-    # bit for bit the integrals of one pass per function.
-    rng = np.random.default_rng(2)
-    K = SupportField(grid, 2.0 + 0.02 * rng.standard_normal(grid.size))
-    f = 1.0 + 0.1 * rng.random(grid.size)
+def test_kw_coordinate_integrals_from_the_frame(grid, fft_counts):
+    # The frame vectors are the gradients of the coordinates x_i, so
+    # <Df, Dx_i> is the i-th ambient component of Df: one pass, over f.
+    K, F = random_h_convex_fields(3, [grid], 2)
+    f = F.phi
     K.hessian  # the field's own pass, made before counting
     fft_counts.update(rfft=0, irfft=0)
     rep = kw_residual(K, f, 0)
     assert fft_counts["rfft"] == 1
     g_f = derivatives(grid, f)[0]
     weight = K.phi ** (-float(grid.n))
+    frame_form = np.sum(g_f[:, :, None] * frame_vectors(grid), axis=1)
     for i, value in enumerate(rep.coordinate_integrals):
+        assert value == integrate(grid, weight * frame_form[:, i])
+        # Against the spectral gradient of x_i, which carries roundoff.
         g_x = derivatives(grid, grid.nodes[:, i])[0]
-        assert value == integrate(grid, weight * np.sum(g_f * g_x, axis=1))
+        assert abs(value - integrate(grid, weight * np.sum(g_f * g_x, axis=1))) <= 1e-15
+    # A constant f makes no pass, and its integrals are exactly zero.
+    fft_counts.update(rfft=0, irfft=0)
+    rep = kw_residual(K, np.full(grid.size, 3.0), 0)
+    assert fft_counts["rfft"] == 0
+    assert rep.coordinate_integrals == (0.0,) * (grid.n + 1)
 
 
 def test_kw_constant_f_clears_obstruction():
@@ -278,11 +289,21 @@ def test_ball_solutions_validation():
 
 # Every rule on a value that a caller passes to a kernel, one case each.
 K1 = support_of_ball(S1, origin(1), 0.5)
+# A field that is not constant on s2:8, so that W_k goes to wk_value.
+K8 = random_h_convex_fields(3, [make_grid(2, 8)], 1)[0]
 ARGUMENT_RULES = {
     "as_integer": lambda: as_integer(1.5, "x"),
     "as_real": lambda: as_real(math.nan, "x"),
     "measure_density-k": lambda: measure_density(K1, 1.0, 2),
     "wk_value-k": lambda: wk_value(K1, -1),
+    # k is an integer in 0..n, by one rule, everywhere it indexes p_{n-k}.
+    "measure_density-k-bool": lambda: measure_density(K8, 0, True),
+    "measure_density-k-float": lambda: measure_density(K8, 0, 1.5),
+    "measure_density-k-str": lambda: measure_density(K8, 0, "1"),
+    "wk_value-k-float": lambda: wk_value(K8, 1.5),
+    "modified_quermass-k-float": lambda: modified_quermass(K8, 1.0),
+    "ball_curvature_integral-k": lambda: ball_curvature_integral(2, 5, 0.5),
+    "I_k_inverse-n": lambda: I_k_inverse(3, 3, 0.1),
     "I_k-n": lambda: I_k(3, 0, 0.5),
     "I_k-k": lambda: I_k(1, 2, 0.5),
     "ball_solutions-n": lambda: ball_solutions(3, 0, 1.0, 0.5),

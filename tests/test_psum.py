@@ -186,6 +186,29 @@ def test_two_point_sum_matches_ball_family():
         assert defect < 1e-6, f"p={p}: defect {defect}"
 
 
+@pytest.mark.parametrize(
+    "a, b, p",
+    [(0.5, 0.5, 1.5), (0.5, 0.5, 2.0), (0.3, 0.7, 1.5), (0.3, 0.7, 2.0),
+     (0.5, 0.5 - 1e-13, 1.0), (0.5, 0.5 - 1e-13, 1.5), (0.5, 0.5 - 1e-13, 2.0)],
+)
+def test_self_sum_of_a_point_with_no_sampled_ball_is_a_value_error(a, b, p):
+    # X = Y.  At a + b = 1 and p > 1 the ball of t has R < 1 except at
+    # t = b / (a + b), which no sample hits; at a + b within COEFF_SLACK
+    # below 1, R < 1 at every t.  Either way every sampled ball is empty.
+    X = origin(1)
+    with pytest.raises(ValueError, match="every sampled ball of the two-point family is empty"):
+        compatibility_check(S1, p, a, X, b, X)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.3, 0.7)])
+def test_self_sum_of_a_point_at_p_at_most_1_is_the_point(a, b):
+    # a + b = 1: at p = 1 every ball is the point X itself (R = 1); at
+    # p < 1 the intersection of the open family shrinks onto it.
+    X = origin(1)
+    assert compatibility_check(S1, 1.0, a, X, b, X) == 0.0
+    assert compatibility_check(S1, 0.75, a, X, b, X) < 1e-6
+
+
 @pytest.mark.parametrize("p", [0.75, 1.0, 1.5, 2.0])
 def test_two_point_sum_is_the_p_sum_of_the_point_fields_bitwise(p):
     X = origin(1)
