@@ -20,12 +20,13 @@ there only.
 Start-up is part of every command's cost, so this module imports at top
 level only what every numeric command uses (`sphere_grid` and `hconvex`,
 which brings `lorentz`); each `_cmd_*` imports its own kernels when it
-runs.  `mkfield` loads no further module, `psum` and `dilate` load
-`psum`, `quermass`, `steiner` and `weighted` load `quermass`, the
-curvature-data commands (`measure`, `kw`, `ballsolve`, `assumption-h`)
-load `problems`, `psum` and `quermass`, `flow` loads `flow` with those
-three, `project` loads `euclid_bridge` and `psum` but not `quermass`,
-and `verify` loads `verify` with everything but `flow` and `problems`.
+runs.  `mkfield` and `measure` load no further module, `psum` and
+`dilate` load `psum`, `quermass`, `steiner` and `weighted` load
+`quermass`, the other curvature-data commands (`kw`, `ballsolve`,
+`assumption-h`) load `problems`, `psum` and `quermass`, `flow` loads
+`flow` with those three, `project` loads `euclid_bridge` and `psum` but
+not `quermass`, and `verify` loads `verify` with everything but `flow`
+and `problems`.
 
 Every field input, a `--K`, `--L` or `--f` file or a flow config's
 `initial` or `f` (a path or an inline field object), goes through one
@@ -63,7 +64,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .hconvex import SupportField, common_grid, convexity, random_h_convex_fields, support_of_ball
+from .hconvex import (
+    SupportField, common_grid, convexity, measure_density, random_h_convex_fields, support_of_ball
+)
 from .lorentz import hpoint, origin, validate_hpoint
 from .sphere_grid import (
     ArgumentError,
@@ -245,12 +248,10 @@ def _cmd_mkfield(args) -> int:
             center = origin(grid.n)
         else:
             try:
-                coords = np.array([float(x) for x in args.center.split(",")])
-                if coords.size not in (grid.n + 1, grid.n + 2):
-                    raise ValueError(
-                        f"needs {grid.n + 1} spatial or {grid.n + 2} ambient coordinates"
-                    )
-                center = hpoint(coords) if coords.size == grid.n + 1 else coords
+                coords = [float(x) for x in args.center.split(",")]
+                if len(coords) != grid.n + 1:
+                    raise ValueError(f"needs {grid.n + 1} spatial coordinates")
+                center = hpoint(coords)
                 validate_hpoint(center)
             except ValueError as exc:
                 raise ArgumentError(f"bad --center {args.center!r}: {exc}") from None
@@ -329,8 +330,6 @@ def _cmd_weighted(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    from .problems import measure_density
-
     K = _load_scalar(args.K)
     density = measure_density(K, args.p, args.k)
     report = field_to_json_dict(K.grid, density, kind="measure-density")
@@ -514,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--ball", action="store_true", help="geodesic ball support field")
     mode.add_argument("--constant", type=_finite, default=None, help="constant field value")
     mode.add_argument("--random", action="store_true", help="random uniformly h-convex field")
-    p.add_argument("--center", default=None, help="with --ball: 'origin' (default) or coordinates")
+    p.add_argument("--center", default=None, help="with --ball: 'origin' or x_1,...,x_{n+1}")
     p.add_argument("--radius", type=_finite, default=None, help="with --ball")
     p.add_argument("--seed", type=_seed, default=None, help="with --random")
     p.add_argument("--out", required=True)

@@ -136,7 +136,7 @@ class FlowConfig:
     eps_stop: float = 1e-6
     max_steps: int = 200_000
     enforce_even: bool | None = None  # default: k >= 1, or f and phi0 even
-    assumption_mode: str = "strict"  # strict | warn | skip
+    assumption_mode: str = "strict"  # strict | warn: assumption H on f, for k >= 1
     trace_every: int = 1
 
     def __post_init__(self) -> None:
@@ -148,8 +148,7 @@ class FlowConfig:
         check_nkp(self.n, self.k, self.p, "flow config ")
         for key, ok, rule in (
             ("enforce_even", isinstance(self.enforce_even, (bool, type(None))), "a bool or None"),
-            ("assumption_mode", self.assumption_mode in ("strict", "warn", "skip"),
-             "strict, warn or skip"),
+            ("assumption_mode", self.assumption_mode in ("strict", "warn"), "strict or warn"),
             ("max_dt", 0.0 < self.max_dt <= MAX_DT,
              f"positive and at most {MAX_DT:.6g}, which {MAX_REJECTIONS} halvings of a "
              f"rejected step bring down to the default {DEFAULT_MAX_DT:g}"),
@@ -291,7 +290,7 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     # A copy: the state's f must not change with the caller's array.
     f = positive_field(grid, np.ones(grid.size) if config.f is None else config.f, "f").copy()
     warnings = []
-    if k >= 1 and config.assumption_mode != "skip":
+    if k >= 1:
         rep = check_assumption_h(f, grid, k, config.p)
         if not rep.passes:
             msg = (

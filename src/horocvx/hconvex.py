@@ -25,6 +25,7 @@ of a perturbation into the uniformly h-convex cone.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -138,10 +139,6 @@ class SupportField:
     def _memo(self) -> dict:
         return {}
 
-    @property
-    def u(self) -> np.ndarray:
-        return np.log(self.phi)
-
     @cached_property
     def _derivatives(self) -> tuple:
         """Gradient and unshifted Hessian D^2 phi, read-only, from one
@@ -232,10 +229,14 @@ class SupportField:
 
 def per_field(fn):
     """Decorate fn(K, *args) so that each field K computes it once per
-    args (`SupportField.memo`)."""
+    args (`SupportField.memo`).  Keyword arguments are bound to fn's
+    signature first, so fn(K, k=0) and fn(K, 0) share one entry."""
+    signature = inspect.signature(fn)
 
     @wraps(fn)
-    def cached(K: SupportField, *args):
+    def cached(K: SupportField, *args, **kwargs):
+        if kwargs:
+            args = signature.bind(K, *args, **kwargs).args[1:]
         return K.memo(fn, *args)
 
     return cached

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "inner",
-    "minkowski_norm",
     "geodesic_distance",
     "apply_isometry",
     "inverse_isometry",
@@ -42,15 +41,6 @@ def inner(X, Y) -> np.ndarray | float:
     return spatial - X[..., -1] * Y[..., -1]
 
 
-def minkowski_norm(X) -> np.ndarray | float:
-    """sqrt(-<X, X>) for future timelike X."""
-    X = np.asarray(X, dtype=float)
-    q = inner(X, X)
-    if np.any(q >= 0.0) or np.any(X[..., -1] <= 0.0):
-        raise ValueError("minkowski_norm requires a future timelike vector")
-    return np.sqrt(-q)
-
-
 def geodesic_distance(X, Y) -> np.ndarray | float:
     """Distance d between hyperboloid points, cosh d = -<X, Y>.
 
@@ -76,9 +66,13 @@ def origin(n: int) -> np.ndarray:
 
 
 def hpoint(spatial) -> np.ndarray:
-    """Hyperboloid point above the given spatial coordinates."""
+    """Hyperboloid point above the given spatial coordinates.  A height
+    past the float range is inf, with no warning: `validate_hpoint`
+    refuses the point."""
     x = np.asarray(spatial, dtype=float)
-    return np.concatenate([x, [math.sqrt(1.0 + float(x @ x))]])
+    with np.errstate(over="ignore"):
+        height = math.sqrt(1.0 + float(x @ x))
+    return np.concatenate([x, [height]])
 
 
 def validate_hpoint(X) -> None:

@@ -1,11 +1,11 @@
 """Surface-area measures, Minkowski-type problems, and their obstructions.
 
 The (p, k) surface-area measure has density phi^{-p-k} p_{n-k}(A[phi])
-against the sphere measure (`hconvex.measure_density`, re-exported
-here); the prescription problem asks for phi with that density equal
-to a given positive f.  Ball solutions for constant f reduce to a
-scalar equation classified below; the Kazdan-Warner type identities
-give necessary conditions at the critical exponent p = -n.
+against the sphere measure (`hconvex.measure_density`); the prescription
+problem asks for phi with that density equal to a given positive f.
+Ball solutions for constant f reduce to a scalar equation classified
+below; the Kazdan-Warner type identities give necessary conditions at
+the critical exponent p = -n.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from .hconvex import (
 from .psum import check_p
 from .quermass import bracketed_newton
 from .sphere_grid import (
-    ArgumentError, Grid, ambient_gradient, derivatives, integrate, positive_field
+    ArgumentError, Grid, ambient_gradient, as_integer, derivatives, integrate, positive_field
 )
 
 __all__ = [
     "KWReport",
     "BallSolutionReport",
     "AssumptionHReport",
-    "measure_density",
     "mixed_quermass",
     "J_p",
     "pde_residual",
@@ -77,8 +76,10 @@ class AssumptionHReport:
 
 
 def check_nkp(n: int, k: int, p: float, what: str = "") -> None:
-    """ArgumentError unless (n, k, p) is in the paper's range: n 1 or 2, k in
-    0..n-1 (k = n has no ball equation), p >= -n if k >= 1; what prefixes names."""
+    """ArgumentError unless (n, k, p) is in the paper's range: n 1 or 2 and k
+    in 0..n-1 (k = n has no ball equation), both integers (`as_integer`),
+    and p >= -n if k >= 1; what prefixes names."""
+    n, k = as_integer(n, f"{what}n"), as_integer(k, f"{what}k")
     for key, value, ok, rule in (
         ("n", n, n in (1, 2), "1 or 2"),
         ("k", k, 0 <= k <= n - 1, f"in 0..n-1 for n = {n}"),

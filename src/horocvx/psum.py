@@ -28,7 +28,6 @@ __all__ = [
     "p_sum",
     "p_dilate",
     "two_point_ball",
-    "two_point_sum",
     "compatibility_check",
     "dilates_check",
     "COEFF_SLACK",
@@ -138,11 +137,6 @@ def two_point_ball(p: float, t: float, a: float, X, b: float, Y) -> TwoPointBall
     return TwoPointBall(T / R, math.log(R), R < 1.0)
 
 
-def two_point_sum(grid: Grid, p: float, a: float, X, b: float, Y) -> SupportField:
-    """Support field of the p-sum of two points a*{X} +_p b*{Y}."""
-    return p_sum(a, support_of_point(grid, X), p, b, support_of_point(grid, Y))
-
-
 def _refine_extremum(vals: np.ndarray, j: int, minimize: bool) -> float:
     """Parabolic vertex through three samples around index j."""
     if j == 0 or j == vals.shape[0] - 1:
@@ -169,7 +163,8 @@ def compatibility_check(
     """
     if samples < 3:
         raise ArgumentError(f"samples must be at least 3, got {samples}")
-    pts = boundary_data(two_point_sum(grid, p, a, X, b, Y)).X
+    summed = p_sum(a, support_of_point(grid, X), p, b, support_of_point(grid, Y))
+    pts = boundary_data(summed).X
     minimize = p >= 1.0  # the union's defect is a min over t, the intersection's a max
     if minimize:
         ts = np.linspace(0.0, 1.0, samples)

@@ -245,11 +245,12 @@ def I_k(n: int, k: int, r: float) -> float:
     return sphere_area(n) * exp_sinh_integral(-k, n - k, r)
 
 
-def ball_curvature_integral(n: int, k: int, r: float) -> float:
-    """int p_k(kappa~) dmu over the sphere of radius r, the r-derivative
-    of I_k: omega_n sinh(r)^{n-k} e^{-kr}."""
+def ball_curvature_integral(n: int, k: int, r: float, p: float = 0.0) -> float:
+    """The mass of dS_{p,k} of the centered ball of radius r:
+    omega_n sinh(r)^{n-k} e^{-(k+p) r}.  At p = 0 it is int p_k(kappa~) dmu
+    over the sphere of radius r, the r-derivative of I_k."""
     k = check_k(n, k)
-    return sphere_area(n) * math.sinh(r) ** (n - k) * math.exp(-k * r)
+    return sphere_area(n) * math.sinh(r) ** (n - k) * math.exp(-(k + p) * r)
 
 
 def I_k_inverse(n: int, k: int, w: float) -> float:

@@ -63,7 +63,6 @@ __all__ = [
     "grid_from_json_dict",
     "field_to_json_dict",
     "field_from_json_dict",
-    "save_field",
     "load_field",
 ]
 
@@ -496,7 +495,7 @@ def _kind(n: int) -> type[Grid]:
     for kind in _KINDS:
         if n == kind.dim:
             return kind
-    raise ValueError(f"n must be 1 or 2, got {n}")
+    raise ArgumentError(f"n must be 1 or 2, got {n!r}")
 
 
 def sphere_area(n: int) -> float:
@@ -699,12 +698,6 @@ def field_to_json_dict(grid: Grid, values: np.ndarray, kind: str | None = None) 
 def field_from_json_dict(d: dict) -> tuple[Grid, np.ndarray, str | None]:
     grid = grid_from_json_dict(as_integer(d["n"], "n"), d["grid"])
     return grid, _node_values(grid, d["values"], stack=False, what="field values"), d.get("kind")
-
-
-def save_field(path, grid: Grid, values: np.ndarray, kind: str | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(field_to_json_dict(grid, values, kind), fh, indent=1)
-        fh.write("\n")
 
 
 def load_field(path) -> tuple[Grid, np.ndarray, str | None]:

@@ -309,7 +309,6 @@ def _suite_min_I_p1_Lball(bodies):
     # n = 2, k = 1, p = 1 only.
     n, k = 2, 1
     grid = bodies.grid(n)
-    omega = sphere_area(n)
     for tag, K, eq in _even_and_ball(bodies, n):
         term1 = integrate(grid, measure_density(K, 1.0, k))
         term2 = curvature_integral(K, k)
@@ -319,7 +318,7 @@ def _suite_min_I_p1_Lball(bodies):
             lhs = math.exp(rL) * term1 - term2
             yield f"{tag}/rL{rL}", lhs, base * (math.exp(rL - rk) - 1.0), eq
         # L-point chain: the rL -> 0 limit splits into two comparisons.
-        lhs_a = term1 - omega * math.sinh(rk) ** (n - k) * math.exp(-(k + 1) * rk)
+        lhs_a = term1 - ball_curvature_integral(n, k, rk, 1.0)
         rhs_a = term2 - base
         yield f"{tag}/chain-upper", lhs_a, rhs_a, eq
         yield f"{tag}/chain-lower", rhs_a, 0.0, eq
@@ -334,14 +333,14 @@ def _suite_min_II(bodies):
         mass = curvature_integral(K, k)
         for p in (1.0, 2.0, 3.0):
             lhs = integrate(grid, measure_density(K, p, k))
-            rhs = sphere_area(n) * math.sinh(rk) ** (n - k) * math.exp(-(k + p) * rk)
+            rhs = ball_curvature_integral(n, k, rk, p)
             yield f"n2/k1/{tag}/p{p}", lhs, rhs, eq
             yield f"n2/k1/{tag}/p{p}/intermediate", lhs, mass * math.exp(-p * rk), eq
     for n in (1, 2):
         for tag, K, eq in _even_and_ball(bodies, n):
             r0 = k_mean_radius(K, 0)
             lhs = integrate(K.grid, measure_density(K, 1.0, 0))
-            rhs = sphere_area(n) * math.sinh(r0) ** n * math.exp(-r0)
+            rhs = ball_curvature_integral(n, 0, r0, 1.0)
             yield f"n{n}/k0/{tag}/p1", lhs, rhs, eq
 
 
@@ -572,23 +571,20 @@ SUITES = tuple(name for name in _REGISTRY if not name.startswith("xp_"))
 EXPLORATORY_SUITES = tuple(name for name in _REGISTRY if name.startswith("xp_"))
 
 
-def run_suite(
-    name: str, corpus: Corpus | None = None, *, bodies: Bodies | None = None
-) -> list[CheckRecord]:
+def run_suite(name: str, bodies: Bodies | None = None) -> list[CheckRecord]:
     """Run one named suite and return its records.
 
     ``bodies`` is a body set shared with other calls (`run_all` passes
-    one set to every suite); by default the call builds its own from
-    ``corpus`` (an ArgumentError if ``bodies`` has another).  An unknown name
-    is an ArgumentError listing the known names, `all` (`run_all`) first.
+    one set to every suite; a caller with its own corpus passes
+    ``Bodies(corpus)``); by default the call builds one on the default
+    corpus.  An unknown name is an ArgumentError listing the known names,
+    `all` (`run_all`) first.
     """
     if name not in _REGISTRY:
         known = ", ".join(("all",) + SUITES + EXPLORATORY_SUITES)
         raise ArgumentError(f"unknown suite {name!r}; known: {known}")
     if bodies is None:
-        bodies = Bodies(corpus)
-    elif corpus is not None and corpus != bodies.corpus:
-        raise ArgumentError("corpus differs from the corpus of the body set")
+        bodies = Bodies()
     return [
         _record(name, case, lhs, rhs, eq, *negative)
         for case, lhs, rhs, eq, *negative in _REGISTRY[name](bodies)
@@ -601,7 +597,7 @@ def run_all(corpus: Corpus | None = None, exploratory: bool = False) -> list[Che
     bodies = Bodies(corpus)
     records = []
     for name in SUITES + (EXPLORATORY_SUITES if exploratory else ()):
-        records.extend(run_suite(name, bodies=bodies))
+        records.extend(run_suite(name, bodies))
     return records
 
 

@@ -14,8 +14,10 @@ import numpy as np
 from horocvx import lorentz
 from horocvx.euclid_bridge import V_functional, V_p_functional, commute_check
 from horocvx.flow import FlowConfig, run
-from horocvx.hconvex import SupportField, boundary_data, random_h_convex_fields, support_of_ball
-from horocvx.problems import ball_solutions, kw_residual, measure_density, pde_residual
+from horocvx.hconvex import (
+    SupportField, boundary_data, measure_density, random_h_convex_fields, support_of_ball
+)
+from horocvx.problems import ball_solutions, kw_residual, pde_residual
 from horocvx.psum import p_sum, two_point_ball
 from horocvx.quermass import (
     I_k,
@@ -26,7 +28,7 @@ from horocvx.quermass import (
     wk_value,
 )
 from horocvx.sphere_grid import integrate, make_grid, refine
-from horocvx.verify import DEFAULT_EQ_TOL, DEFAULT_TOL, all_passed, Corpus, run_suite
+from horocvx.verify import DEFAULT_EQ_TOL, DEFAULT_TOL, all_passed, run_suite
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -344,7 +346,6 @@ def test_criterion_09_euclidean_bridge():
 
 def test_criterion_10_inequality_suites():
     assert (DEFAULT_TOL, DEFAULT_EQ_TOL) == (1e-8, 1e-6)
-    corpus = Corpus()
     names = (
         "af_chain",
         "min_I_Kball",
@@ -361,7 +362,7 @@ def test_criterion_10_inequality_suites():
     worst_equality = 0.0
     count = 0
     for name in names:
-        records = run_suite(name, corpus)
+        records = run_suite(name)
         count += len(records)
         all_ok = all_ok and all_passed(records)
         for record in records:
@@ -382,7 +383,7 @@ def test_criterion_10_inequality_suites():
 
 def test_criterion_11_asymmetric_gap():
     assert (DEFAULT_TOL, DEFAULT_EQ_TOL) == (1e-8, 1e-6)
-    records = run_suite("counterexample", Corpus())
+    records = run_suite("counterexample")
     large = [r for r in records if "scale100" in r.case]
     small = [r for r in records if "scale2" in r.case and "cross-check" not in r.case]
     ok = (

@@ -19,7 +19,7 @@ from horocvx.cli import _build_parser, main
 from horocvx.flow import FlowConfig
 from horocvx.hconvex import support_of_ball
 from horocvx.lorentz import origin
-from horocvx.sphere_grid import field_to_json_dict, load_field, make_grid, save_field
+from horocvx.sphere_grid import field_to_json_dict, load_field, make_grid
 
 MANIFEST_KEYS = {"command", "parameters", "inputs", "outputs", "version", "grid"}
 
@@ -27,6 +27,12 @@ MANIFEST_KEYS = {"command", "parameters", "inputs", "outputs", "version", "grid"
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def write_field(path, grid, values, kind=None):
+    """A field file, as the CLI reads it."""
+    with open(path, "w") as fh:
+        json.dump(field_to_json_dict(grid, values, kind), fh)
 
 
 def mkball(tmp_path, name, radius, grid="s1:64"):
@@ -132,13 +138,21 @@ def test_mkfield_usage_errors(tmp_path, capsys):
     assert (
         main(["mkfield", "--grid", "s1:64", "--constant", "-1.0", "--out", out]) == 2
     )
-    # A center that does not parse, is not finite, is off the hyperboloid,
-    # or has a coordinate count that fits neither S^1's spatial nor ambient.
-    for center in ("1,abc", "nan,0", "0.5,0,2", "0.1"):
+    # A center that does not parse, is not finite, whose height overflows
+    # (refused with no RuntimeWarning, which filterwarnings = error would
+    # raise), or that does not give S^1's 2 spatial coordinates.
+    for center, why in (
+        ("1,abc", "could not convert"),
+        ("nan,0", "not finite"),
+        ("1e300,1e300", "not finite"),
+        ("0.5,0,2", "needs 2 spatial coordinates"),
+        ("0.1", "needs 2 spatial coordinates"),
+    ):
         argv = ["mkfield", "--grid", "s1:64", "--ball", "--radius", "1", "--center", center]
         capsys.readouterr()
         assert main(argv + ["--out", out]) == 2
-        assert capsys.readouterr().err.startswith(f"error: bad --center {center!r}:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad --center {center!r}:") and why in err
 
 
 def test_cli_arg_parsing_exit_codes(tmp_path):
@@ -342,6 +356,7 @@ def test_import_loads_no_submodule_and_commands_load_only_their_own(tmp_path):
         ["flow", "--config", "flow.json", "--out", "t.csv"],
     ]
     session.append(["project", "--K", "M.json", "--out", "hat.json"])
+    session.append(["measure", "--K", "M.json", "--p", "1", "--k", "0", "--out", "m.json"])
     for argv in session:
         loaded = _loaded_modules(
             tmp_path, f"import json\nfrom horocvx.cli import main\nassert main({argv!r}) == 0"
@@ -353,6 +368,10 @@ def test_import_loads_no_submodule_and_commands_load_only_their_own(tmp_path):
             assert "horocvx.euclid_bridge" not in loaded, argv
         if argv[0] == "mkfield":
             assert "horocvx.flow" not in loaded, argv
+        if argv[0] == "measure":
+            # The density kernel lives in hconvex, which every command loads.
+            for module in ("problems", "psum", "quermass"):
+                assert f"horocvx.{module}" not in loaded, argv
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +477,7 @@ def test_kw_report(tmp_path):
     grid = make_grid(1, 64)
     theta = grid.theta
     fpath = tmp_path / "f.json"
-    save_field(fpath, grid, 1.0 + 0.5 * np.cos(theta), kind="data")
+    write_field(fpath, grid, 1.0 + 0.5 * np.cos(theta), kind="data")
     out = tmp_path / "kw.json"
     assert main(["kw", "--K", str(K), "--f", str(fpath), "--k", "0", "--out", str(out)]) == 0
     rep = read_json(out)
@@ -495,7 +514,7 @@ def test_assumption_h_report(tmp_path):
     grid = make_grid(2, 8)
     z = grid.nodes
     fpath = tmp_path / "f.json"
-    save_field(fpath, grid, 1.0 + 0.05 * (3.0 * z[:, 2] ** 2 - 1.0), kind="data")
+    write_field(fpath, grid, 1.0 + 0.05 * (3.0 * z[:, 2] ** 2 - 1.0), kind="data")
     out = tmp_path / "assumption.json"
     assert main(["assumption-h", "--f", str(fpath), "--k", "1", "--p", "1.0", "--out", str(out)]) == 0
     rep = read_json(out)
@@ -533,7 +552,7 @@ def test_flow_converged_run(tmp_path):
     grid = make_grid(1, 32)
     theta = grid.theta
     phi0 = tmp_path / "phi0.json"
-    save_field(phi0, grid, 2.0 * (1.0 + 0.04 * np.cos(2 * theta)), kind="support")
+    write_field(phi0, grid, 2.0 * (1.0 + 0.04 * np.cos(2 * theta)), kind="support")
     cfg = {
         "n": 1,
         "k": 0,
@@ -595,7 +614,7 @@ def test_flow_terminal_file_holds_every_result_field(tmp_path):
     # so its rejections are the sum of the trace's rejected column.
     grid = make_grid(1, 64)
     phi0 = tmp_path / "phi0.json"
-    save_field(phi0, grid, 2.0 * (1.0 + 0.05 * np.cos(2 * grid.theta)), kind="support")
+    write_field(phi0, grid, 2.0 * (1.0 + 0.05 * np.cos(2 * grid.theta)), kind="support")
     cfg = {"n": 1, "k": 0, "p": 0.0, "initial": str(phi0), "max_dt": 1e4, "max_steps": 10}
     cfg_path = tmp_path / "flow.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -615,7 +634,7 @@ def test_flow_unconverged_exit_code(tmp_path):
     grid = make_grid(1, 32)
     theta = grid.theta
     phi0 = tmp_path / "phi0.json"
-    save_field(phi0, grid, 2.0 * (1.0 + 0.04 * np.cos(2 * theta)), kind="support")
+    write_field(phi0, grid, 2.0 * (1.0 + 0.04 * np.cos(2 * theta)), kind="support")
     cfg = {"n": 1, "k": 0, "p": 0.0, "initial": str(phi0), "max_steps": 3}
     cfg_path = tmp_path / "flow.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -890,7 +909,7 @@ def test_flow_outputs_are_identical_across_thread_counts(tmp_path):
     # Steep data, so the run takes steps rather than stopping at the ball.
     grid = make_grid(1, 64)
     f_path = tmp_path / "f.json"
-    save_field(f_path, grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
+    write_field(f_path, grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
     cfg = {"n": 1, "k": 0, "p": 2.0, "f": str(f_path), "initial_radius": math.log(2.0)}
     outputs = _flow_outputs_by_thread_count(tmp_path, cfg)
     assert outputs[0] == outputs[1]
@@ -902,7 +921,7 @@ def test_s2_flow_outputs_are_identical_across_thread_counts(tmp_path):
     # flow must not depend on how many threads BLAS may use.
     grid = make_grid(2, 16)
     f_path = tmp_path / "f.json"
-    save_field(f_path, grid, 1.0 + 0.2 * grid.nodes[:, 2] ** 2)
+    write_field(f_path, grid, 1.0 + 0.2 * grid.nodes[:, 2] ** 2)
     cfg = {
         "n": 2, "k": 1, "p": 1.0, "f": str(f_path), "initial_radius": math.log(2.0),
         "dt_initial": 0.05,
@@ -975,7 +994,7 @@ def test_bad_field_value_is_a_usage_error(tmp_path, capsys, bad, flag):
     values = np.full(grid.size, 2.0)
     values[5] = bad
     path = tmp_path / "bad.json"
-    save_field(path, grid, values, kind="support")
+    write_field(path, grid, values, kind="support")
     argv = ["quermass", "--K", str(path)]
     if flag == "--f":
         argv = ["kw", "--K", str(K), "--f", str(path)]
@@ -1147,13 +1166,13 @@ def test_nonconvex_input_is_a_runtime_error(tmp_path):
     grid = make_grid(1, 64)
     theta = grid.theta
     bad = tmp_path / "bad.json"
-    save_field(bad, grid, 2.2 * (1.0 + 0.05 * np.cos(3 * theta)), kind="support")
+    write_field(bad, grid, 2.2 * (1.0 + 0.05 * np.cos(3 * theta)), kind="support")
     rc = main(["steiner", "--K", str(bad), "--rho", "0.3", "--out", str(tmp_path / "o.json")])
     assert rc == 1
     # A flow from a field off the cone fails where the run starts: an
     # error line, no trace and no traceback.
     grid = make_grid(1, 32)
-    save_field(tmp_path / "kinked.json", grid, 2.0 * (1.0 + 0.3 * np.cos(6 * grid.theta)))
+    write_field(tmp_path / "kinked.json", grid, 2.0 * (1.0 + 0.3 * np.cos(6 * grid.theta)))
     (tmp_path / "flow.json").write_text(json.dumps({"n": 1, "k": 0, "p": 0.0, "initial": "kinked.json"}))
     src = str(Path(horocvx.__file__).resolve().parents[1])
     proc = subprocess.run(

@@ -17,8 +17,8 @@ from horocvx.flow import (
     run,
     step,
 )
-from horocvx.hconvex import SupportField
-from horocvx.problems import measure_density, pde_residual
+from horocvx.hconvex import SupportField, measure_density
+from horocvx.problems import pde_residual
 from horocvx.quermass import wk_value
 from horocvx.sphere_grid import (
     ArgumentError,
@@ -620,6 +620,8 @@ def test_make_state_rejects_non_finite_f(bad):
         ("trace_every", -1),
         ("max_steps", -1),
         ("assumption_mode", "lenient"),
+        # There is no mode that leaves assumption H unchecked.
+        ("assumption_mode", "skip"),
         ("eps_stop", -1.0),
         ("eps_stop", math.nan),
     ],
@@ -692,10 +694,6 @@ def test_assumption_mode_strict_and_warn():
     assert "structural condition" in res.warnings[0]
     # The warning is on the start and on every state after it.
     assert make_state(warn, perturbed_sphere()).warnings == tuple(res.warnings)
-    skip = FlowConfig(
-        n=2, k=1, p=1.0, f=f, max_steps=1, assumption_mode="skip"
-    )
-    assert run(skip, perturbed_sphere()).warnings == []
 
 
 def test_enforce_even_override():

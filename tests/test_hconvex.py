@@ -47,8 +47,6 @@ def test_support_field_validation():
         SupportField(S1, np.ones(S1.size - 1))
     with pytest.raises(ValueError):
         SupportField(S1, np.zeros(S1.size))
-    K = SupportField(S1, np.full(S1.size, 2.0))
-    assert np.allclose(K.u, math.log(2.0), atol=1e-15)
 
 
 def test_support_field_is_an_immutable_copy():

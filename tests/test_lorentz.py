@@ -14,7 +14,6 @@ from horocvx.lorentz import (
     hpoint,
     inner,
     inverse_isometry,
-    minkowski_norm,
     origin,
     validate_hpoint,
     validate_isometry,
@@ -46,18 +45,6 @@ def test_origin_and_hpoint():
     for bad in ([math.nan, 0.0, 1.0], [0.0, 0.0, math.nan], [math.inf, 0.0, math.inf]):
         with pytest.raises(ValueError, match="not finite"):
             validate_hpoint(np.array(bad))
-
-
-def test_minkowski_norm_and_normalization():
-    X = 3.0 * origin(1)
-    assert minkowski_norm(X) == 3.0
-    validate_hpoint(X / minkowski_norm(X))
-    with pytest.raises(ValueError):
-        minkowski_norm(np.array([1.0, 0.0, 0.0]))  # spacelike
-    with pytest.raises(ValueError):
-        minkowski_norm(np.array([2.0, 0.0, 1.0]))  # spacelike, positive height
-    with pytest.raises(ValueError):
-        minkowski_norm(-X)  # past timelike
 
 
 def test_geodesic_distance_oracle():

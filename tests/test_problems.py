@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocvx import hconvex
+from horocvx import hconvex, problems
 from horocvx.euclid_bridge import commute_check, euclid_mixed_volume_p, firey_sum
 from horocvx.flow import FlowConfig
-from horocvx.hconvex import SupportField, random_h_convex_fields, support_of_ball
+from horocvx.hconvex import SupportField, measure_density, random_h_convex_fields, support_of_ball
 from horocvx.lorentz import origin
 from horocvx.problems import (
     J_p,
@@ -19,7 +19,6 @@ from horocvx.problems import (
     check_assumption_h,
     check_nkp,
     kw_residual,
-    measure_density,
     mixed_quermass,
     pde_residual,
 )
@@ -43,8 +42,9 @@ from horocvx.sphere_grid import (
     integrate,
     make_grid,
     resolvent,
+    sphere_area,
 )
-from horocvx.verify import Bodies, Corpus, run_suite
+from horocvx.verify import run_suite
 
 S1 = make_grid(1, 64)
 S2 = make_grid(2, 12)
@@ -83,8 +83,9 @@ def test_ball_measure_density_closed_form():
                 assert np.allclose(got, zeta(c, n, k, p), atol=1e-12)
     with pytest.raises(ValueError):
         measure_density(K, 1.0, 3)
-    # One kernel: problems re-exports the curvature-measure density of hconvex.
-    assert measure_density is hconvex.measure_density
+    # One kernel with one import path: problems uses hconvex's, but does
+    # not export it.
+    assert "measure_density" not in problems.__all__
 
 
 def test_mixed_quermass_self_pairing():
@@ -310,6 +311,11 @@ ARGUMENT_RULES = {
     "ball_solutions-k=n": lambda: ball_solutions(1, 1, 1.0, 0.5),
     "ball_solutions-p": lambda: ball_solutions(2, 1, -3.0, 0.5),
     "ball_solutions-gamma": lambda: ball_solutions(2, 0, 1.0, 0.0),
+    # n and k of the ball equation are integers, by the rule of check_k.
+    "ball_solutions-k-float": lambda: ball_solutions(2, 0.5, 1.0, 0.5),
+    "ball_solutions-k-bool": lambda: ball_solutions(2, True, 1.0, 0.5),
+    "ball_solutions-n-bool": lambda: ball_solutions(True, 0, 1.0, 0.5),
+    "ball_solutions-n-float": lambda: ball_solutions(2.0, 0, 1.0, 0.5),
     "assumption_h-k0": lambda: check_assumption_h(np.ones(S2.size), S2, 0, 1.0),
     "assumption_h-p": lambda: check_assumption_h(np.ones(S2.size), S2, 1, -5.0),
     "assumption_h-n1": lambda: check_assumption_h(np.ones(S1.size), S1, 1, 1.0),
@@ -330,9 +336,6 @@ ARGUMENT_RULES = {
     "FlowConfig-p": lambda: FlowConfig(n=2, k=1, p=-5.0),
     "FlowConfig-max_dt": lambda: FlowConfig(n=1, k=0, p=0.0, max_dt=-1.0),
     "run_suite-name": lambda: run_suite("nonsense"),
-    "run_suite-corpus": lambda: run_suite(
-        "bm_balls", Corpus(), bodies=Bodies(Corpus(n1_resolution=64))
-    ),
     "mixed_quermass-p": lambda: mixed_quermass(K1, K1, 0.4, 0),
     "firey_sum-p": lambda: firey_sum(1.0, K1, 0.5, 1.0, K1),
     "firey_sum-a": lambda: firey_sum(-1.0, K1, 1.0, 1.0, K1),
@@ -343,6 +346,8 @@ ARGUMENT_RULES = {
         S1, 1.0, 1.0, origin(1), 1.0, origin(1), samples=2
     ),
     "resolvent-mu": lambda: resolvent(S1, K1.phi, -1.0),
+    "make_grid-n": lambda: make_grid(3, 8),
+    "sphere_area-n": lambda: sphere_area(3),
 }
 
 
@@ -377,6 +382,11 @@ def test_flow_config_and_ball_solutions_share_one_range(n, k, p):
     check_nkp(n, k, p)
     FlowConfig(n=n, k=k, p=p)
     ball_solutions(n, k, p, 0.01)
+
+
+def test_check_nkp_names_a_non_integer_with_the_callers_prefix():
+    with pytest.raises(ArgumentError, match="^flow config k must be an integer, got 0.5$"):
+        check_nkp(2, 0.5, 1.0, "flow config ")
 
 
 @pytest.mark.parametrize(

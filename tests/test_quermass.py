@@ -404,6 +404,17 @@ def test_cached_scalars_equal_those_of_a_fresh_field(grid):
     assert S_functional(K) == S_functional(fresh)
 
 
+def test_a_keyword_argument_shares_the_memo_entry_of_its_positional_form():
+    # per_field binds keywords to the signature, so k=0 and 0 are one key.
+    K = smooth_body(S1)
+    w = modified_quermass(K, k=0)
+    assert modified_quermass(K, 0) is w
+    assert k_mean_radius(K, k=0) is k_mean_radius(K, 0)
+    assert [key for key in K._memo if key[0] is modified_quermass.__wrapped__] == [
+        (modified_quermass.__wrapped__, 0)
+    ]
+
+
 def test_wk_value_with_explicit_derivatives_bypasses_the_cache(monkeypatch):
     # The flow's Newton solve builds each trial state from the field's phi
     # and derivatives it already has (`with_derivatives`); its W_k comes

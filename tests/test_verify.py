@@ -27,7 +27,7 @@ CORPUS = Corpus(seed=0, n1_resolution=96, n2_resolution=16)
 
 def test_every_asserted_suite_passes():
     for name in SUITES:
-        records = run_suite(name, CORPUS)
+        records = run_suite(name, Bodies(CORPUS))
         assert records, f"suite {name} produced no records"
         bad = [r for r in records if not r.passed]
         assert not bad, f"suite {name} failed: {bad[:3]}"
@@ -88,7 +88,7 @@ def test_bm_general_builds_each_p_sum_once(monkeypatch):
     sums = []
     real = verify.p_sum
     monkeypatch.setattr(verify, "p_sum", lambda *args: sums.append(args) or real(*args))
-    records = run_suite("xp_bm_general", CORPUS)
+    records = run_suite("xp_bm_general", Bodies(CORPUS))
     assert len(records) == 15
     assert len(sums) == 6
 
@@ -109,29 +109,27 @@ def test_odd_s2_perturbed_body_is_one_body_for_every_flavor():
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
-        run_suite("no_such_suite", CORPUS)
+        run_suite("no_such_suite", Bodies(CORPUS))
 
 
 def test_shared_body_set_gives_the_records_of_a_fresh_one():
     bodies = Bodies(CORPUS)
     for name in ("af_chain", "weighted_af", "af_chain"):
-        assert run_suite(name, bodies=bodies) == run_suite(name, CORPUS)
-    with pytest.raises(ValueError):
-        run_suite("af_chain", Corpus(), bodies=bodies)
+        assert run_suite(name, bodies) == run_suite(name, Bodies(CORPUS))
 
 
 def test_equality_witnesses_are_tight():
     # Ball witnesses marked equality_expected must sit on the equality
     # case within the equality tolerance.
     for name in SUITES:
-        for r in run_suite(name, CORPUS):
+        for r in run_suite(name, Bodies(CORPUS)):
             if r.equality_expected:
                 scale = max(1.0, abs(r.lhs), abs(r.rhs))
                 assert abs(r.gap) <= 1e-6 * scale, (name, r.case, r.gap)
 
 
 def test_counterexample_records():
-    records = run_suite("counterexample", CORPUS)
+    records = run_suite("counterexample", Bodies(CORPUS))
     negative = [r for r in records if r.gap < 0.0]
     # Only the small-scale cases go negative; a negative gap is exactly
     # what those records certify, so they pass.
@@ -148,7 +146,7 @@ def test_counterexample_records():
 
 
 def test_exploratory_suites_record_without_judging():
-    recs = run_suite("xp_bm_general", CORPUS)
+    recs = run_suite("xp_bm_general", Bodies(CORPUS))
     assert all(r.suite.startswith("xp_") for r in recs)
     # Exploratory records never flip the aggregate verdict.
     flipped = [
@@ -170,7 +168,7 @@ def test_run_all_includes_exploratory_on_request():
 
 
 def test_csv_schema(tmp_path):
-    records = run_suite("bm_balls", CORPUS)
+    records = run_suite("bm_balls", Bodies(CORPUS))
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
     with open(path, newline="") as fh:
