@@ -14,8 +14,11 @@ is an error, not written.
 Exit codes: 0 success, 1 verification failure, a failed check on a
 computed result (an overflow) or an output that cannot be written (a
 directory, or in none: found before the run), 2 usage error: argparse's
-or an `ArgumentError`, this module's or a kernel's, whose rules live
-there only.
+or an `ArgumentError`.  This module parses text into values and owns
+only the rules of its own options and config keys; a value's rule lives
+in the kernel that takes it: `--k` in `hconvex.check_k`, `--radius` and
+a flow config's `initial_radius` in `support_of_ball`, a `--center`
+point in `support_of_point`, `--seed` in `random_h_convex_fields`.
 
 Start-up is part of every command's cost, so this module imports at top
 level only what every numeric command uses (`sphere_grid` and `hconvex`,
@@ -28,18 +31,19 @@ runs.  `mkfield` and `measure` load no further module, `psum` and
 not `quermass`, and `verify` loads `verify` with everything but `flow`
 and `problems`.
 
-Every field input, a `--K`, `--L` or `--f` file or a flow config's
-`initial` or `f` (a path or an inline field object), goes through one
-loader and becomes a SupportField: a field that cannot be read, parsed
-or validated (values JSON numbers, finite and positive, one per grid
-node) is a usage error naming its source.  Two field inputs of one
-command (`--K` and `--L`, `--K` and `--f`, a flow config's `initial` and
-`f`) must lie on one grid, a flow config's fields on S^n for its `n`,
-and a flow config gives `initial` or `grid`, and `initial` or
-`initial_radius`: otherwise it is a usage error naming both sources.
-So is an `--out` or `--terminal` that names an input file, which it
-would replace before the manifest hashes it, and an `--out` and a
-`--terminal` that name one file.
+Every field input goes through `_load_fields`, once: `main` passes the
+`--K`, `--L` and `--f` files to the handler as SupportFields, and `flow`
+sends its config's `initial` and `f` (a path or an inline field object)
+through it too.  A field that cannot be read, parsed or validated
+(values JSON numbers, finite and positive, one per grid node) is a
+usage error naming its source, and so are two field inputs of one
+command on different grids (`--K` and `--L` or `--f`, a flow config's
+`initial`, or the ball on its `grid`, and `f`), naming both.  A flow
+config's fields must lie on S^n for its `n`, and it gives `initial` or
+`grid`, and `initial` or `initial_radius`: otherwise it is a usage
+error naming both.  So is an `--out` or `--terminal` that names an
+input file, which it would replace before the manifest hashes it, and
+an `--out` and a `--terminal` that name one file.
 
 A flow config's keys are `flow.FlowConfig`'s fields plus `initial`,
 `grid` (a spec string, as `--grid` takes) and `initial_radius`.
@@ -67,7 +71,7 @@ from . import __version__
 from .hconvex import (
     SupportField, common_grid, convexity, measure_density, random_h_convex_fields, support_of_ball
 )
-from .lorentz import hpoint, origin, validate_hpoint
+from .lorentz import hpoint, origin
 from .sphere_grid import (
     ArgumentError,
     Grid,
@@ -88,17 +92,6 @@ def _finite(text: str) -> float:
         return as_real(float(text), "value")
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
-
-
-def _seed(text: str) -> int:
-    """argparse type of mkfield --seed: an integer >= 0, as the RNG requires."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return value
 
 
 def _parse_grid(spec: str) -> Grid:
@@ -147,15 +140,29 @@ def _grid_spec(grid: Grid) -> str:
     return f"s{grid.n}:" + "x".join(str(r) for r in grid.resolution)
 
 
-def _same_grid(first: SupportField, first_source, second: SupportField, second_source) -> None:
-    """`common_grid`'s ArgumentError, reworded to name both sources."""
-    try:
-        common_grid(first, second)
-    except ArgumentError:
-        raise ArgumentError(
-            f"{first_source} is on {_grid_spec(first.grid)} but "
-            f"{second_source} is on {_grid_spec(second.grid)}"
-        ) from None
+def _load_fields(entries: dict, prefix: str = "") -> dict[str, SupportField]:
+    """The field inputs of one command: entries maps a name to its source
+    and its path or inline field (`_load_scalar`), or a field built from a
+    flow config.  A load error gains prefix and the name if prefix is set;
+    `common_grid`'s ArgumentError is reworded to name both sources."""
+    fields = {}
+    for name, (_, entry) in entries.items():
+        try:
+            fields[name] = entry if isinstance(entry, SupportField) else _load_scalar(entry)
+        except ArgumentError as exc:
+            if not prefix:
+                raise
+            raise ArgumentError(f"{prefix}{name}: {exc}") from None
+    named = [(source, fields[name]) for name, (source, _) in entries.items()]
+    for source, L in named[1:]:
+        first, K = named[0]
+        try:
+            common_grid(K, L)
+        except ArgumentError:
+            raise ArgumentError(
+                f"{first} is on {_grid_spec(K.grid)} but {source} is on {_grid_spec(L.grid)}"
+            ) from None
+    return fields
 
 
 def _dump_json(path: str, obj) -> None:
@@ -168,17 +175,19 @@ def _dump_json(path: str, obj) -> None:
 # Parsed options the manifest does not list as parameters: the handler,
 # the command and the output paths.
 _NOT_PARAMETERS = frozenset({"func", "command", "out", "terminal"})
-# Options that name input files.
-_INPUT_OPTIONS = ("K", "L", "f", "config")
+# Options that name input files; main vets the outputs against them and
+# passes the field files, the first three, to the handler by name.
+_FIELD_OPTIONS = ("K", "L", "f")
+_INPUT_OPTIONS = (*_FIELD_OPTIONS, "config")
 
 
-def _refuse_overwrite(args, more_inputs: dict[str, str] | None = None) -> None:
+def _refuse_overwrite(args, inputs: dict[str, str]) -> None:
     """Vet --out and --terminal before anything runs; nothing is created.
     ArgumentError, naming both, if one names an input file, which it
     would replace before the manifest hashes it, or if the two name one
     file, existing or not; the OSError that open would raise if one is a
-    directory or its directory does not exist.  more_inputs maps a
-    source's description to its path."""
+    directory or its directory does not exist.  inputs maps a source's
+    description to its path."""
     options = vars(args)
     out, terminal = options.get("out"), options.get("terminal")
     if out and terminal and (
@@ -186,9 +195,6 @@ def _refuse_overwrite(args, more_inputs: dict[str, str] | None = None) -> None:
         or os.path.exists(out) and os.path.exists(terminal) and os.path.samefile(out, terminal)
     ):
         raise ArgumentError(f"--out {out} and --terminal {terminal} name the same file")
-    inputs = {f"--{key} {options[key]}": options[key] for key in _INPUT_OPTIONS
-              if options.get(key)}
-    inputs.update(more_inputs or {})
     for key, out in (("out", out), ("terminal", terminal)):
         if not out:
             continue
@@ -244,19 +250,15 @@ def _cmd_mkfield(args) -> int:
     args.center = "origin" if args.center is None else args.center
     grid = _parse_grid(args.grid)
     if args.ball:
-        if args.center == "origin":
-            center = origin(grid.n)
-        else:
-            try:
-                coords = [float(x) for x in args.center.split(",")]
-                if len(coords) != grid.n + 1:
-                    raise ValueError(f"needs {grid.n + 1} spatial coordinates")
-                center = hpoint(coords)
-                validate_hpoint(center)
-            except ValueError as exc:
-                raise ArgumentError(f"bad --center {args.center!r}: {exc}") from None
+        try:
+            # The point's coordinate count and hyperboloid rule are
+            # support_of_point's.
+            coords = None if args.center == "origin" else [float(x) for x in args.center.split(",")]
+        except ValueError as exc:
+            raise ArgumentError(f"bad --center {args.center!r}: {exc}") from None
         if args.radius is None:
             raise ArgumentError("--ball requires --radius")
+        center = origin(grid.n) if coords is None else hpoint(coords)
         values = support_of_ball(grid, center, args.radius).phi
     elif args.random:
         values = random_h_convex_fields(args.seed or 0, [grid], 1)[0].phi
@@ -267,28 +269,23 @@ def _cmd_mkfield(args) -> int:
     return _emit(args, grid, field_to_json_dict(grid, values, kind="support"))
 
 
-def _cmd_psum(args) -> int:
+def _cmd_psum(args, K: SupportField, L: SupportField) -> int:
     from .psum import p_sum
 
-    K = _load_scalar(args.K)
-    L = _load_scalar(args.L)
-    _same_grid(K, f"--K {args.K}", L, f"--L {args.L}")
     result = p_sum(args.a, K, args.p, args.b, L)
     return _emit(args, K.grid, field_to_json_dict(result.grid, result.phi, kind="support"))
 
 
-def _cmd_dilate(args) -> int:
+def _cmd_dilate(args, K: SupportField) -> int:
     from .psum import p_dilate
 
-    K = _load_scalar(args.K)
     result = p_dilate(args.a, args.p, K)
     return _emit(args, K.grid, field_to_json_dict(result.grid, result.phi, kind="support"))
 
 
-def _cmd_quermass(args) -> int:
+def _cmd_quermass(args, K: SupportField) -> int:
     from .quermass import k_mean_radius, modified_quermass
 
-    K = _load_scalar(args.K)
     n = K.grid.n
     ks = [args.k] if args.k is not None else list(range(n + 1))
     values = {}
@@ -302,12 +299,11 @@ def _cmd_quermass(args) -> int:
     return _emit(args, K.grid, {"n": n, "quermass": values})
 
 
-def _cmd_steiner(args) -> int:
+def _cmd_steiner(args, K: SupportField) -> int:
     from dataclasses import asdict
 
     from .quermass import steiner_check, weighted_steiner_check
 
-    K = _load_scalar(args.K)
     if args.kind == "weighted":
         report = asdict(weighted_steiner_check(K, args.rho))
     else:
@@ -316,10 +312,9 @@ def _cmd_steiner(args) -> int:
     return _emit(args, K.grid, {**report, "kind": args.kind})
 
 
-def _cmd_weighted(args) -> int:
+def _cmd_weighted(args, K: SupportField) -> int:
     from .quermass import S_functional, minkowski_formula_residuals, weighted_volume
 
-    K = _load_scalar(args.K)
     mink = minkowski_formula_residuals(K)
     return _emit(args, K.grid, {
         "weighted_volume": weighted_volume(K),
@@ -329,22 +324,18 @@ def _cmd_weighted(args) -> int:
     })
 
 
-def _cmd_measure(args) -> int:
-    K = _load_scalar(args.K)
+def _cmd_measure(args, K: SupportField) -> int:
     density = measure_density(K, args.p, args.k)
     report = field_to_json_dict(K.grid, density, kind="measure-density")
     report.update(total=integrate(K.grid, density), p=args.p, k=args.k)
     return _emit(args, K.grid, report)
 
 
-def _cmd_kw(args) -> int:
+def _cmd_kw(args, K: SupportField, f: SupportField) -> int:
     from dataclasses import asdict
 
     from .problems import kw_residual
 
-    K = _load_scalar(args.K)
-    f = _load_scalar(args.f)
-    _same_grid(K, f"--K {args.K}", f, f"--f {args.f}")
     rep = kw_residual(K, f.phi, args.k)
     return _emit(args, K.grid, {
         **asdict(rep),
@@ -361,12 +352,11 @@ def _cmd_ballsolve(args) -> int:
     return _emit(args, None, asdict(ball_solutions(args.n, args.k, args.p, args.gamma)))
 
 
-def _cmd_assumption_h(args) -> int:
+def _cmd_assumption_h(args, f: SupportField) -> int:
     from dataclasses import asdict
 
     from .problems import check_assumption_h
 
-    f = _load_scalar(args.f)
     rep = check_assumption_h(f.phi, f.grid, args.k, args.p)
     return _emit(args, f.grid, {**asdict(rep), "k": args.k, "p": args.p})
 
@@ -387,7 +377,7 @@ def _cmd_flow(args) -> int:
         raise ArgumentError(f"flow config {args.config} must be a JSON object")
     # FlowConfig's fields, which it checks itself; f, one of them, is a
     # field input, loaded below with initial.  grid and initial_radius are
-    # read only here.
+    # read only here, and support_of_ball checks the radius.
     settings = {fld.name: fld for fld in fields(FlowConfig) if fld.name != "f"}
     unknown = sorted(set(cfg) - set(settings) - {"f", "initial", "grid", "initial_radius"})
     if unknown:
@@ -397,52 +387,48 @@ def _cmd_flow(args) -> int:
             raise ArgumentError(f"flow config missing key {key!r}")
     try:
         config = FlowConfig(**{key: cfg[key] for key in settings if key in cfg})
-        r0 = as_real(cfg.get("initial_radius", math.log(2.0)), "flow config initial_radius")
-        if r0 < 0.0:
-            raise ArgumentError(f"flow config initial_radius must be nonnegative, got {r0}")
         if not isinstance(cfg.get("grid", ""), str):
             raise ArgumentError(f"flow config grid must be a spec like s1:64, got {cfg['grid']!r}")
     except ArgumentError as exc:
         raise ArgumentError(f"bad flow config {args.config}: {exc}") from None
-    loaded, sources, inputs = {}, {}, {}
-    for key in ("f", "initial"):
-        entry = cfg.get(key)
-        if entry is None:
-            continue
-        sources[key] = f"flow config {key} " + (entry if isinstance(entry, str) else "(inline)")
-        if isinstance(entry, str):
-            inputs[sources[key]] = entry
+
+    def ball(grid: Grid) -> SupportField:
+        """The start without an initial field: the centered ball of initial_radius."""
         try:
-            loaded[key] = _load_scalar(entry)
+            return support_of_ball(grid, origin(grid.n), cfg.get("initial_radius", math.log(2.0)))
         except ArgumentError as exc:
-            raise ArgumentError(f"flow config {key}: {exc}") from None
+            raise ArgumentError(f"bad flow config {args.config}: initial_radius: {exc}") from None
+
+    entries = {
+        key: (f"flow config {key} " + (cfg[key] if isinstance(cfg[key], str) else "(inline)"),
+              cfg[key])
+        for key in ("initial", "f") if cfg.get(key) is not None
+    }
+    inputs = {source: entry for source, entry in entries.values() if isinstance(entry, str)}
+    has_initial = "initial" in entries
+    if not has_initial and "grid" in cfg:
+        grid = _parse_grid(cfg["grid"])
+        entries = {"initial": (f"flow config grid {_grid_spec(grid)}", ball(grid)), **entries}
     _refuse_overwrite(args, inputs)
-    f_field = loaded.get("f")
-    if "initial" in loaded:
+    loaded = _load_fields(entries, "flow config ")
+    if has_initial:
         # The initial field fixes the grid and the start; a grid or a
         # radius would be ignored.
         for key in ("grid", "initial_radius"):
             if key in cfg:
                 raise ArgumentError(f"flow config gives both 'initial' and {key!r}; give one")
-        phi0 = loaded["initial"]
-    else:
-        if "grid" in cfg:
-            grid = _parse_grid(cfg["grid"])
-        elif f_field is not None:
-            grid = f_field.grid
-        else:
+    elif "initial" not in loaded:
+        if "f" not in loaded:
             raise ArgumentError("flow config needs 'initial', 'grid', or 'f'")
-        phi0 = support_of_ball(grid, origin(grid.n), r0)
-        sources["initial"] = (
-            f"flow config grid {_grid_spec(grid)}" if "grid" in cfg else sources["f"]
-        )
+        # Neither initial nor grid: the ball on f's grid.
+        entries["initial"], loaded["initial"] = entries["f"], ball(loaded["f"].grid)
+    phi0 = loaded["initial"]
     if phi0.grid.n != config.n:
         raise ArgumentError(
-            f"flow config has n = {config.n} but {sources['initial']} lives on S^{phi0.grid.n}"
+            f"flow config has n = {config.n} but {entries['initial'][0]} lives on S^{phi0.grid.n}"
         )
-    if f_field is not None:
-        _same_grid(phi0, sources["initial"], f_field, sources["f"])
-        config = replace(config, f=f_field.phi)
+    if "f" in loaded:
+        config = replace(config, f=loaded["f"].phi)
     result = run_flow(config, phi0)
     result.trace.to_csv(args.out)
     if args.terminal:
@@ -460,10 +446,9 @@ def _cmd_flow(args) -> int:
     return 0 if result.status == "converged" else 1
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args, K: SupportField) -> int:
     from .euclid_bridge import euclid_volume, project
 
-    K = _load_scalar(args.K)
     hat = project(K)
     obj = field_to_json_dict(hat.grid, hat.phi, kind="euclidean-support")
     if convexity(K).classification == "uniformly-h-convex":
@@ -506,8 +491,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"horocvx {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options that many subcommands share, declared once: the JSON
+    # report and the support field K.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--K", required=True)
 
-    p = sub.add_parser("mkfield", help="write a support field JSON")
+    def add(name: str, handler, about: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about, parents=parents)
+        p.set_defaults(func=handler)
+        return p
+
+    p = add("mkfield", _cmd_mkfield, "write a support field JSON", out)
     p.add_argument("--grid", required=True, help="s1:N or s2:LxM")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--ball", action="store_true", help="geodesic ball support field")
@@ -515,89 +511,60 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--random", action="store_true", help="random uniformly h-convex field")
     p.add_argument("--center", default=None, help="with --ball: 'origin' or x_1,...,x_{n+1}")
     p.add_argument("--radius", type=_finite, default=None, help="with --ball")
-    p.add_argument("--seed", type=_seed, default=None, help="with --random")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_mkfield)
+    p.add_argument("--seed", type=int, default=None, help="with --random")
 
-    p = sub.add_parser("psum", help="hyperbolic p-sum of two support fields")
+    p = add("psum", _cmd_psum, "hyperbolic p-sum of two support fields", field, out)
     p.add_argument("--a", type=_finite, required=True)
-    p.add_argument("--K", required=True)
     p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--L", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_psum)
 
-    p = sub.add_parser("dilate", help="p-dilation of a support field")
+    p = add("dilate", _cmd_dilate, "p-dilation of a support field", field, out)
     p.add_argument("--a", type=_finite, required=True)
     p.add_argument("--p", type=_finite, required=True)
-    p.add_argument("--K", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_dilate)
 
-    p = sub.add_parser("quermass", help="modified quermassintegrals and mean radii")
-    p.add_argument("--K", required=True)
+    p = add("quermass", _cmd_quermass, "modified quermassintegrals and mean radii", field, out)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_quermass)
 
-    p = sub.add_parser("steiner", help="Steiner expansion residuals for outer parallels")
-    p.add_argument("--K", required=True)
+    p = add("steiner", _cmd_steiner, "Steiner expansion residuals for outer parallels",
+            field, out)
     p.add_argument("--rho", type=_finite, required=True)
     p.add_argument("--kind", choices=["shifted", "weighted"], default="shifted")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_steiner)
 
-    p = sub.add_parser("weighted", help="weighted volume, S functional, Minkowski residuals")
-    p.add_argument("--K", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_weighted)
+    add("weighted", _cmd_weighted, "weighted volume, S functional, Minkowski residuals",
+        field, out)
 
-    p = sub.add_parser("measure", help="surface area measure density and total mass")
-    p.add_argument("--K", required=True)
+    p = add("measure", _cmd_measure, "surface area measure density and total mass", field, out)
     p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("kw", help="solvability obstruction integrals for curvature data")
-    p.add_argument("--K", required=True)
+    p = add("kw", _cmd_kw, "solvability obstruction integrals for curvature data", field, out)
     p.add_argument("--f", required=True)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_kw)
 
-    p = sub.add_parser("ballsolve", help="classify constant-data ball solutions")
+    p = add("ballsolve", _cmd_ballsolve, "classify constant-data ball solutions", out)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--gamma", type=_finite, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ballsolve)
 
-    p = sub.add_parser("assumption-h", help="check the structural convexity condition on data f")
+    p = add("assumption-h", _cmd_assumption_h,
+            "check the structural convexity condition on data f", out)
     p.add_argument("--f", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=_finite, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_assumption_h)
 
-    p = sub.add_parser("flow", help="run the normalized curvature flow from a config")
+    p = add("flow", _cmd_flow, "run the normalized curvature flow from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="trace CSV path")
     p.add_argument("--terminal", default=None, help="terminal support field JSON path")
-    p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("project", help="Euclidean support function of the projected body")
-    p.add_argument("--K", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_project)
+    add("project", _cmd_project, "Euclidean support function of the projected body", field, out)
 
-    p = sub.add_parser("verify", help="run inequality and identity suites")
+    p = add("verify", _cmd_verify, "run inequality and identity suites")
     p.add_argument("suite", help="a suite name, or 'all'")
     p.add_argument("--out", default=None, help="records CSV path")
     p.add_argument("--exploratory", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -608,9 +575,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    options = vars(args)
+    sources = {key: (f"--{key} {options[key]}", options[key]) for key in _INPUT_OPTIONS
+               if key in options}
     try:
-        _refuse_overwrite(args)
-        return args.func(args)
+        _refuse_overwrite(args, dict(sources.values()))
+        fields = _load_fields({key: sources[key] for key in _FIELD_OPTIONS if key in sources})
+        return args.func(args, **fields)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ArgumentError) else 1

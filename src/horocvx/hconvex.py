@@ -228,16 +228,17 @@ class SupportField:
 
 
 def per_field(fn):
-    """Decorate fn(K, *args) so that each field K computes it once per
-    args (`SupportField.memo`).  Keyword arguments are bound to fn's
-    signature first, so fn(K, k=0) and fn(K, 0) share one entry."""
+    """Decorate fn(K, *ks), each k an index in 0..n, so that each field K
+    computes it once per ks (`SupportField.memo`), keyed on the ints that
+    `check_k` returns: fn(K, 1.0) raises even when fn(K, 1) is cached.
+    fn(K, k=0) and fn(K, 0) share one entry."""
     signature = inspect.signature(fn)
 
     @wraps(fn)
     def cached(K: SupportField, *args, **kwargs):
         if kwargs:
             args = signature.bind(K, *args, **kwargs).args[1:]
-        return K.memo(fn, *args)
+        return K.memo(fn, *(check_k(K.grid.n, k) for k in args))
 
     return cached
 
@@ -251,19 +252,26 @@ class ConvexityReport:
 
 
 def support_of_point(grid: Grid, X) -> SupportField:
-    """Support field of a single point: phi(z) = x_{n+1} - <x, z>."""
+    """Support field of a point X = (x, x_{n+1}): phi(z) = x_{n+1} - <x, z>.
+    ArgumentError unless X has the n + 1 spatial coordinates of the grid's
+    S^n and a height, and is a hyperboloid point (`lorentz.validate_hpoint`)."""
     X = np.asarray(X, dtype=float)
+    if X.shape != (grid.n + 2,):
+        raise ArgumentError(f"a point for a grid on S^{grid.n} needs {grid.n + 1} spatial "
+                            f"coordinates and a height, got shape {X.shape}")
     lorentz.validate_hpoint(X)
     phi = X[-1] - grid.nodes @ X[:-1]
     return SupportField(grid, phi)
 
 
 def support_of_ball(grid: Grid, X, r: float) -> SupportField:
-    """Support field of the geodesic ball B(X, r), r finite and >= 0."""
+    """Support field of the geodesic ball B(X, r): X a point as
+    `support_of_point` takes it, r finite and >= 0."""
+    K = support_of_point(grid, X)
     r = as_real(r, "ball radius")
     if r < 0.0:
         raise ArgumentError(f"ball radius must be nonnegative, got {r}")
-    return outer_parallel(support_of_point(grid, X), r)
+    return outer_parallel(K, r)
 
 
 def outer_parallel(K: SupportField, rho: float) -> SupportField:
@@ -424,7 +432,11 @@ def shrink_into_cone(grid: Grid, c: float, pert: np.ndarray, margin: float = 0.0
 
 
 def random_h_convex_fields(seed: int, grids: list[Grid], count: int) -> list[SupportField]:
-    """Seeded corpus of uniformly h-convex fields on the given grids."""
+    """Seeded corpus of uniformly h-convex fields on the given grids.  The
+    seed is an integer >= 0 (not a bool): otherwise an ArgumentError."""
+    seed = as_integer(seed, "seed")
+    if seed < 0:
+        raise ArgumentError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     fields = []
     while len(fields) < count:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .sphere_grid import ArgumentError
+
 __all__ = [
     "inner",
     "geodesic_distance",
@@ -76,15 +78,17 @@ def hpoint(spatial) -> np.ndarray:
 
 
 def validate_hpoint(X) -> None:
-    """ValueError unless X is a finite hyperboloid point; NaN fails each bound."""
+    """ArgumentError (a ValueError) unless X is a finite hyperboloid point:
+    the rule of every point a caller passes, so the CLI's exit 2.  NaN
+    fails each bound."""
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
-        raise ValueError(f"point {X} is not finite")
+        raise ArgumentError(f"point {X} is not finite")
     q = inner(X, X)
     if not abs(q + 1.0) <= HPOINT_TOL:
-        raise ValueError(f"<X, X> = {q}, expected -1 within {HPOINT_TOL}")
+        raise ArgumentError(f"<X, X> = {q}, expected -1 within {HPOINT_TOL}")
     if not X[-1] >= 1.0 - HPOINT_TOL:
-        raise ValueError(f"height {X[-1]} below 1")
+        raise ArgumentError(f"height {X[-1]} below 1")
 
 
 def _eta(dim: int) -> np.ndarray:

@@ -53,7 +53,9 @@ from .hconvex import (
     require_h_convex,
     squared_norm,
 )
-from .sphere_grid import ArgumentError, Grid, as_integer, exactly_constant, integrate, sphere_area
+from .sphere_grid import (
+    ArgumentError, Grid, as_integer, as_real, exactly_constant, integrate, sphere_area,
+)
 
 __all__ = [
     "QuermassReport",
@@ -237,9 +239,10 @@ def bracketed_newton(f, fprime, lo: float, hi: float, x: float | None = None) ->
 
 
 def I_k(n: int, k: int, r: float) -> float:
-    """Modified k-quermass of the centered geodesic ball of radius r,
-    omega_n int_0^r sinh(t)^{n-k} e^{-kt} dt."""
+    """Modified k-quermass of the centered geodesic ball of radius r >= 0,
+    a finite number (`as_real`): omega_n int_0^r sinh(t)^{n-k} e^{-kt} dt."""
     k = check_k(n, k)
+    r = as_real(r, "radius")
     if r < 0.0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     return sphere_area(n) * exp_sinh_integral(-k, n - k, r)
@@ -254,8 +257,9 @@ def ball_curvature_integral(n: int, k: int, r: float, p: float = 0.0) -> float:
 
 
 def I_k_inverse(n: int, k: int, w: float) -> float:
-    """Radius r with I_k(n, k, r) = w, to a few ulp."""
+    """Radius r with I_k(n, k, r) = w, to a few ulp; w >= 0 is a finite number (`as_real`)."""
     k = check_k(n, k)
+    w = as_real(w, "quermass value")
     if w < 0.0:
         raise ValueError(f"quermass value must be nonnegative, got {w}")
     if w == 0.0:
@@ -404,8 +408,12 @@ def modified_quermass(K: SupportField, k: int) -> QuermassReport:
 
 @per_field
 def k_mean_radius(K: SupportField, k: int) -> float:
-    """Radius of the centered ball with the same W_k, cached on K."""
-    return I_k_inverse(K.grid.n, k, modified_quermass(K, k).value)
+    """Radius of the centered ball with the same W_k, cached on K; a
+    ValueError, a failed check on a computed result, if W_k overflowed."""
+    w = modified_quermass(K, k).value
+    if not math.isfinite(w):
+        raise ValueError(f"W_{k} = {w} overflows: no ball has it")
+    return I_k_inverse(K.grid.n, k, w)
 
 
 # ---------------------------------------------------------------------------

@@ -138,21 +138,23 @@ def test_mkfield_usage_errors(tmp_path, capsys):
     assert (
         main(["mkfield", "--grid", "s1:64", "--constant", "-1.0", "--out", out]) == 2
     )
-    # A center that does not parse, is not finite, whose height overflows
+    # A center that does not parse, which the CLI refuses naming the
+    # option; one whose point is not finite, whose height overflows
     # (refused with no RuntimeWarning, which filterwarnings = error would
-    # raise), or that does not give S^1's 2 spatial coordinates.
+    # raise), or that does not give S^1's 2 spatial coordinates, which
+    # support_of_point refuses by its own rules.
     for center, why in (
-        ("1,abc", "could not convert"),
-        ("nan,0", "not finite"),
-        ("1e300,1e300", "not finite"),
-        ("0.5,0,2", "needs 2 spatial coordinates"),
-        ("0.1", "needs 2 spatial coordinates"),
+        ("1,abc", "error: bad --center '1,abc': could not convert"),
+        ("nan,0", "is not finite"),
+        ("1e300,1e300", "is not finite"),
+        ("0.5,0,2", "error: a point for a grid on S^1 needs 2 spatial coordinates"),
+        ("0.1", "error: a point for a grid on S^1 needs 2 spatial coordinates"),
     ):
         argv = ["mkfield", "--grid", "s1:64", "--ball", "--radius", "1", "--center", center]
         capsys.readouterr()
         assert main(argv + ["--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bad --center {center!r}:") and why in err
+        assert err.startswith("error: ") and why in err
 
 
 def test_cli_arg_parsing_exit_codes(tmp_path):
@@ -802,8 +804,6 @@ def test_an_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkey
         ("max_dt", float("inf")),
         ("eps_stop", True),
         ("eps_stop", float("nan")),
-        ("initial_radius", "0.6"),
-        ("initial_radius", None),
         ("enforce_even", 1),
         ("enforce_even", "yes"),
     ],
@@ -817,6 +817,17 @@ def test_flow_config_rejects_mistyped_values(tmp_path, capsys, key, value):
     assert main(["flow", "--config", str(path), "--out", str(trace)]) == 2
     assert f"flow config {key} must be" in capsys.readouterr().err
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("radius", ["0.6", None, True, -1])
+def test_flow_config_initial_radius_is_checked_by_support_of_ball(tmp_path, capsys, radius):
+    # The CLI reads the key but keeps no copy of the ball radius rule.
+    cfg = {"n": 1, "k": 0, "p": 2.0, "grid": "s1:32", "initial_radius": radius}
+    err = _flow_usage_error(tmp_path, capsys, cfg)
+    rule = "must be nonnegative" if radius == -1 else "must be a finite number"
+    assert err.startswith(
+        f"error: bad flow config {tmp_path / 'flow.json'}: initial_radius: ball radius {rule}"
+    )
 
 
 def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
@@ -1203,6 +1214,44 @@ MANIFEST_SESSION = {
     "project": ["--K", "K.json"],
     "verify": ["bm_balls"],
 }
+
+
+# Each subcommand's options, dest: required, as the parser declares them;
+# mkfield's modes form one required group of which exactly one is given.
+PARSER_TABLE = {
+    "mkfield": {"grid": True, "ball": False, "constant": False, "random": False,
+                "center": False, "radius": False, "seed": False, "out": True},
+    "psum": {"a": True, "K": True, "p": True, "b": True, "L": True, "out": True},
+    "dilate": {"a": True, "p": True, "K": True, "out": True},
+    "quermass": {"K": True, "k": False, "out": True},
+    "steiner": {"K": True, "rho": True, "kind": False, "out": True},
+    "weighted": {"K": True, "out": True},
+    "measure": {"K": True, "p": True, "k": True, "out": True},
+    "kw": {"K": True, "f": True, "k": False, "out": True},
+    "ballsolve": {"n": True, "k": True, "p": True, "gamma": True, "out": True},
+    "assumption-h": {"f": True, "k": True, "p": True, "out": True},
+    "flow": {"config": True, "out": True, "terminal": False},
+    "project": {"K": True, "out": True},
+    "verify": {"suite": True, "out": False, "exploratory": False},
+}
+
+
+def test_each_subcommand_declares_its_options():
+    # Options shared by many subcommands are declared once; every
+    # subcommand must still take each of its options, required as before.
+    commands = next(
+        action.choices for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    declared = {
+        name: {action.dest: action.required for action in parser._actions
+               if action.dest != "help"}
+        for name, parser in commands.items()
+    }
+    assert declared == PARSER_TABLE
+    (mode,) = commands["mkfield"]._mutually_exclusive_groups
+    assert mode.required
+    assert [action.dest for action in mode._group_actions] == ["ball", "constant", "random"]
 
 
 def test_manifest_parameters_are_every_parsed_option(tmp_path, monkeypatch):

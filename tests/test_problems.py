@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from horocvx import hconvex, problems
 from horocvx.euclid_bridge import commute_check, euclid_mixed_volume_p, firey_sum
 from horocvx.flow import FlowConfig
-from horocvx.hconvex import SupportField, measure_density, random_h_convex_fields, support_of_ball
+from horocvx.hconvex import (
+    SupportField, measure_density, random_h_convex_fields, support_of_ball, support_of_point
+)
 from horocvx.lorentz import origin
 from horocvx.problems import (
     J_p,
@@ -28,6 +30,7 @@ from horocvx.quermass import (
     I_k_inverse,
     ball_curvature_integral,
     curvature_integral,
+    k_mean_radius,
     modified_quermass,
     steiner_check,
     weighted_steiner_check,
@@ -292,6 +295,15 @@ def test_ball_solutions_validation():
 K1 = support_of_ball(S1, origin(1), 0.5)
 # A field that is not constant on s2:8, so that W_k goes to wk_value.
 K8 = random_h_convex_fields(3, [make_grid(2, 8)], 1)[0]
+
+
+def warm(fn, k):
+    """fn(K8, k) once fn(K8, 1) is in K8's cache: a cached functional
+    checks k before its lookup, so 1.0 and True do not find the entry of 1."""
+    fn(K8, 1)
+    return fn(K8, k)
+
+
 ARGUMENT_RULES = {
     "as_integer": lambda: as_integer(1.5, "x"),
     "as_real": lambda: as_real(math.nan, "x"),
@@ -303,10 +315,29 @@ ARGUMENT_RULES = {
     "measure_density-k-str": lambda: measure_density(K8, 0, "1"),
     "wk_value-k-float": lambda: wk_value(K8, 1.5),
     "modified_quermass-k-float": lambda: modified_quermass(K8, 1.0),
+    "modified_quermass-k-float-warm": lambda: warm(modified_quermass, 1.0),
+    "modified_quermass-k-bool-warm": lambda: warm(modified_quermass, True),
+    "k_mean_radius-k-float-warm": lambda: warm(k_mean_radius, 1.0),
+    "curvature_integral-k-bool-warm": lambda: warm(curvature_integral, True),
+    # An unhashable k is refused by its rule, not by the cache's dict.
+    "modified_quermass-k-list": lambda: modified_quermass(K8, [0]),
+    "k_mean_radius-k-array": lambda: k_mean_radius(K8, np.array([0])),
+    "curvature_integral-k-list": lambda: curvature_integral(K8, [0]),
     "ball_curvature_integral-k": lambda: ball_curvature_integral(2, 5, 0.5),
     "I_k_inverse-n": lambda: I_k_inverse(3, 3, 0.1),
     "I_k-n": lambda: I_k(3, 0, 0.5),
     "I_k-k": lambda: I_k(1, 2, 0.5),
+    # A radius or quermass value that is not a finite number, at every
+    # (n, k) branch of the inverse.
+    "I_k-r-nan": lambda: I_k(2, 1, math.nan),
+    "I_k-r-inf": lambda: I_k(1, 0, math.inf),
+    "I_k_inverse-w-nan-n1k0": lambda: I_k_inverse(1, 0, math.nan),
+    "I_k_inverse-w-inf-n1k0": lambda: I_k_inverse(1, 0, math.inf),
+    "I_k_inverse-w-nan-n1k1": lambda: I_k_inverse(1, 1, math.nan),
+    "I_k_inverse-w-nan-n2k0": lambda: I_k_inverse(2, 0, math.nan),
+    "I_k_inverse-w-inf-n2k0": lambda: I_k_inverse(2, 0, math.inf),
+    "I_k_inverse-w-nan-n2k1": lambda: I_k_inverse(2, 1, math.nan),
+    "I_k_inverse-w-nan-n2k2": lambda: I_k_inverse(2, 2, math.nan),
     "ball_solutions-n": lambda: ball_solutions(3, 0, 1.0, 0.5),
     "ball_solutions-k=n": lambda: ball_solutions(1, 1, 1.0, 0.5),
     "ball_solutions-p": lambda: ball_solutions(2, 1, -3.0, 0.5),
@@ -331,6 +362,13 @@ ARGUMENT_RULES = {
     "support_of_ball-r-str": lambda: support_of_ball(S1, origin(1), "0.5"),
     "support_of_ball-r-bool": lambda: support_of_ball(S1, origin(1), True),
     "outer_parallel-rho-nan": lambda: hconvex.outer_parallel(K1, math.nan),
+    # A point of H^3 for a grid on S^1, and of H^2 for one on S^2.
+    "support_of_point-dimension-high": lambda: support_of_point(S1, origin(2)),
+    "support_of_point-dimension-low": lambda: support_of_point(S2, origin(1)),
+    "support_of_point-not-on-hyperboloid": lambda: support_of_point(S1, [0.3, -0.1, 1.0]),
+    "random_h_convex_fields-seed-negative": lambda: random_h_convex_fields(-1, [S1], 1),
+    "random_h_convex_fields-seed-float": lambda: random_h_convex_fields(1.5, [S1], 1),
+    "random_h_convex_fields-seed-bool": lambda: random_h_convex_fields(True, [S1], 1),
     "FlowConfig-n": lambda: FlowConfig(n=3, k=0, p=0.0),
     "FlowConfig-k": lambda: FlowConfig(n=1, k=1, p=0.0),
     "FlowConfig-p": lambda: FlowConfig(n=2, k=1, p=-5.0),
