@@ -49,10 +49,10 @@ A flow config's keys are `flow.FlowConfig`'s fields plus `initial`,
 `grid` (a spec string, as `--grid` takes) and `initial_radius`.
 FlowConfig checks its values when it is built; its ArgumentError is a
 usage error (`bad flow config <path>: ...`), as is a config file that
-cannot be read or parsed.  What `flow.make_state` refuses (f failing
-assumption H under "strict", odd f under enforced evenness, an initial
-field that is not uniformly h-convex) fails the flow: exit 1, an
-`error:` line, no trace.
+cannot be read or parsed.  What `flow.make_state` refuses (odd f under
+enforced evenness, an initial field that is not uniformly h-convex)
+fails the flow: exit 1, an `error:` line, no trace.  Each of the run's
+warnings (f failing assumption H) is a `warning:` line on stderr.
 """
 
 from __future__ import annotations
@@ -430,6 +430,8 @@ def _cmd_flow(args) -> int:
     if "f" in loaded:
         config = replace(config, f=loaded["f"].phi)
     result = run_flow(config, phi0)
+    for warning in result.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     result.trace.to_csv(args.out)
     if args.terminal:
         # The terminal field and every other result field but the trace.

@@ -21,24 +21,23 @@ The pseudo-time step follows switched evolution relaxation (Mulder and
 van Leer 1985; Kelley and Keyes 1998): after each accepted step
 dt <- min(max_dt, dt S_prev / S_new) with S the sup of |speed|.  Only
 the steady state is the answer and R keeps large steps stable, so the
-first step is tried at the cap, max_dt, unless dt_initial sets a smaller
-one.  SER then matters after a rejection or a rise in speed: a step that
-leaves the uniformly h-convex cone, or misses its constraint, is retried
-at half the step size, that halved dt is the base of the next update,
-and dt grows back to the cap as the speed falls.  The step count does
-not grow with resolution, because R damps every mode the explicit step
-would limit.  At large steps the trajectory, and the time t in the
-trace, are a pseudo-time path: only its steady state is the solution,
-while W_k is conserved at every step.  An accepted step costs one
-spectral pass, the batched resolvent of G and h: one rfft and one
-irfft, two FFT calls on either grid.  When evenness is enforced, G and
-h are projected onto even fields first, a node-wise antipodal average.
-R is diagonal in the spectral basis and commutes with the antipodal
-map, so phi_new is band-limited and even whenever phi is, and Newton's
-last trial, whose derivatives are affine in Phi, is the next state as
-it stands: projecting it again would change it only by roundoff.  The
-state it returns already holds the w that the next step's Newton solve
-reads, and the W_k that the trace reads.
+first step is tried at the cap, max_dt.  SER then matters after a
+rejection or a rise in speed: a step that leaves the uniformly h-convex
+cone, or misses its constraint, is retried at half the step size, that
+halved dt is the base of the next update, and dt grows back to the cap
+as the speed falls.  The step count does not grow with resolution,
+because R damps every mode the explicit step would limit.  At large
+steps the trajectory, and the time t in the trace, are a pseudo-time
+path: only its steady state is the solution, while W_k is conserved at
+every step.  An accepted step costs one spectral pass, the batched
+resolvent of G and h: one rfft and one irfft, two FFT calls on either
+grid.  When evenness is enforced, G and h are projected onto even fields
+first, a node-wise antipodal average.  R is diagonal in the spectral
+basis and commutes with the antipodal map, so phi_new is band-limited
+and even whenever phi is, and Newton's last trial, whose derivatives are
+affine in Phi, is the next state as it stands: projecting it again would
+change it only by roundoff.  The state it returns already holds the w
+that the next step's Newton solve reads, and the W_k the trace reads.
 
 A point of the flow is one frozen `FlowState`: the band-limited field,
 the run's data and the speed's parts there.  `make_state(config, phi0)`
@@ -131,28 +130,23 @@ class FlowConfig:
     k: int
     p: float
     f: np.ndarray | None = None  # positive data at grid nodes, default 1
-    dt_initial: float | None = None  # the first step, None: max_dt; later ones follow SER
-    max_dt: float = DEFAULT_MAX_DT  # cap on the SER step, at most MAX_DT
+    max_dt: float = DEFAULT_MAX_DT  # the first step, and the cap on SER's, at most MAX_DT
     eps_stop: float = 1e-6
     max_steps: int = 200_000
     enforce_even: bool | None = None  # default: k >= 1, or f and phi0 even
-    assumption_mode: str = "strict"  # strict | warn: assumption H on f, for k >= 1
     trace_every: int = 1
 
     def __post_init__(self) -> None:
         for key in ("n", "k", "max_steps", "trace_every"):
             setattr(self, key, as_integer(getattr(self, key), f"flow config {key}"))
-        for key in ("p", "max_dt", "eps_stop", "dt_initial"):
-            if key != "dt_initial" or self.dt_initial is not None:
-                setattr(self, key, as_real(getattr(self, key), f"flow config {key}"))
+        for key in ("p", "max_dt", "eps_stop"):
+            setattr(self, key, as_real(getattr(self, key), f"flow config {key}"))
         check_nkp(self.n, self.k, self.p, "flow config ")
         for key, ok, rule in (
             ("enforce_even", isinstance(self.enforce_even, (bool, type(None))), "a bool or None"),
-            ("assumption_mode", self.assumption_mode in ("strict", "warn"), "strict or warn"),
             ("max_dt", 0.0 < self.max_dt <= MAX_DT,
              f"positive and at most {MAX_DT:.6g}, which {MAX_REJECTIONS} halvings of a "
              f"rejected step bring down to the default {DEFAULT_MAX_DT:g}"),
-            ("dt_initial", self.dt_initial is None or self.dt_initial > 0.0, "positive"),
             # Below 0 the stop test speed_sup < eps_stop can never hold; 0
             # stays valid, to run a flow at rest for max_steps.
             ("eps_stop", self.eps_stop >= 0.0, "nonnegative"),
@@ -272,10 +266,12 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     """The evaluated start of a run from phi0, with the target W_k fixed.
 
     Checks in order what the config could not check without the grid: n
-    (an ArgumentError unless phi0 lives on S^n), f, for k >= 1
-    assumption H on f ("strict" raises, "warn" puts the warning on the
-    state), and even f when evenness is enforced.  Each later refusal is
-    a ValueError, as is a phi0 whose projection is not uniformly h-convex.
+    (an ArgumentError unless phi0 lives on S^n), f, and even f when
+    evenness is enforced.  Each later refusal is a ValueError, as is a
+    phi0 whose projection is not uniformly h-convex.  For k >= 1 a failed
+    assumption H on f is a warning on the state, not a refusal: the
+    paper's a priori estimates use H, but H does not decide whether the
+    flow finds a solution.
 
     The start is phi0 projected onto even fields (when even) and onto the
     grid's band: resolvent with mu = 0 keeps every mode below the band
@@ -289,17 +285,11 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
         raise ArgumentError(f"config has n = {config.n}, grid lives on S^{n}")
     # A copy: the state's f must not change with the caller's array.
     f = positive_field(grid, np.ones(grid.size) if config.f is None else config.f, "f").copy()
-    warnings = []
-    if k >= 1:
-        rep = check_assumption_h(f, grid, k, config.p)
-        if not rep.passes:
-            msg = (
-                f"data fails the structural condition (regime {rep.regime}, "
-                f"worst eigenvalue {rep.worst_eigenvalue} at node {rep.worst_node})"
-            )
-            if config.assumption_mode == "strict":
-                raise ValueError(msg)
-            warnings.append(msg)
+    rep = check_assumption_h(f, grid, k, config.p) if k >= 1 else None
+    warnings = () if rep is None or rep.passes else (
+        f"data fails the structural condition (regime {rep.regime}, "
+        f"worst eigenvalue {rep.worst_eigenvalue} at node {rep.worst_node})",
+    )
     even = config.enforce_even
     if even is None:
         even = k >= 1 or (_is_even(grid, f) and _is_even(grid, phi0.phi))
@@ -310,7 +300,7 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
         _in_cone(v)
         K = SupportField.with_derivatives(grid, v, g, H)
         fpow = f ** (-1.0 / (n - k))
-        return FlowState(K, k, config.p, f, fpow, even, K.memo(wk_value, k), tuple(warnings))
+        return FlowState(K, k, config.p, f, fpow, even, K.memo(wk_value, k), warnings)
     except FlowStepError as exc:
         raise ValueError(f"initial field is not uniformly h-convex: {exc}") from None
 
@@ -366,7 +356,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     omega = sphere_area(grid.n)
     trace = FlowTrace()
     t, steps, rejections = 0.0, 0, 0
-    dt = min(config.max_dt, config.dt_initial or config.max_dt)
+    dt = config.max_dt
     speed_prev = math.nan
     while True:
         K = state.K

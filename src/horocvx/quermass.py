@@ -409,11 +409,19 @@ def modified_quermass(K: SupportField, k: int) -> QuermassReport:
 @per_field
 def k_mean_radius(K: SupportField, k: int) -> float:
     """Radius of the centered ball with the same W_k, cached on K; a
-    ValueError, a failed check on a computed result, if W_k overflowed."""
+    ValueError, a failed check on a computed result, if W_k overflowed.
+    At k = n, e^{-nr} = 1 - n W_n / omega is the mean of phi^{-n}, taken
+    without W_n (whose 1 - phi^{-n} rounds to 1 on a large body) and
+    scaled by m = min phi against underflow; a point's roundoff reads 0."""
+    n, phi = K.grid.n, K.phi
+    if check_k(n, k) == n:
+        m = phi.min()
+        mean = integrate(K.grid, np.expm1(-n * np.log(phi / m))) / sphere_area(n)
+        return max(math.log(m) - math.log1p(mean) / n, 0.0)
     w = modified_quermass(K, k).value
     if not math.isfinite(w):
         raise ValueError(f"W_{k} = {w} overflows: no ball has it")
-    return I_k_inverse(K.grid.n, k, w)
+    return I_k_inverse(n, k, w)
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,14 @@ def test_quermass_report(tmp_path):
     assert rep["quermass"]["W1"]["method"] == "ball-closed-form"
 
 
+def test_quermass_of_a_large_constant_field_reports_its_radius(tmp_path):
+    # Its W_2 rounds to the bound omega / 2, which no ball radius inverts.
+    K, out = tmp_path / "K.json", tmp_path / "quermass.json"
+    assert main(["mkfield", "--grid", "s2:8", "--constant", "1e16", "--out", str(K)]) == 0
+    assert main(["quermass", "--K", str(K), "--out", str(out)]) == 0
+    assert read_json(out)["quermass"]["W2"]["mean_radius"] == 36.841361487904734
+
+
 def test_steiner_kinds(tmp_path):
     K = mkball(tmp_path, "K.json", 0.6, grid="s2:8x16")
     for kind in ("shifted", "weighted"):
@@ -632,6 +640,28 @@ def test_flow_terminal_file_holds_every_result_field(tmp_path):
     assert rep["rejections"] == rejected
 
 
+def test_flow_data_failing_assumption_h_converges_with_a_warning(tmp_path, capsys):
+    # Steep even data outside assumption H at k = 1, p = 1: the flow
+    # solves it, says so on stderr and keeps the warning in the terminal.
+    grid = make_grid(2, 16)
+    z = grid.nodes[:, 2]
+    f = tmp_path / "f.json"
+    write_field(f, grid, 1.0 + 0.25 * (3.0 * z**2 - 1.0))
+    cfg_path = tmp_path / "flow.json"
+    cfg_path.write_text(json.dumps({"n": 2, "k": 1, "p": 1.0, "f": str(f)}))
+    trace, terminal = tmp_path / "trace.csv", tmp_path / "terminal.json"
+    argv = ["flow", "--config", str(cfg_path), "--out", str(trace), "--terminal", str(terminal)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("flow converged: steps=")
+    rep = read_json(terminal)
+    assert rep["status"] == "converged" and rep["steps"] <= 29
+    (warning,) = rep["warnings"]
+    assert warning.startswith("data fails the structural condition (regime ")
+    assert err == f"warning: {warning}\n"
+
+
 def test_flow_unconverged_exit_code(tmp_path):
     grid = make_grid(1, 32)
     theta = grid.theta
@@ -661,8 +691,8 @@ def test_flow_config_without_optional_keys_uses_flowconfig_defaults(tmp_path, mo
     assert seen == [FlowConfig(n=1, k=0, p=2.0)]
     # Given keys still reach the config; null means the default.
     cfg_path.write_text(json.dumps({
-        "n": 1, "k": 0, "p": 2.0, "grid": "s1:32", "max_dt": 0.5, "dt_initial": None,
-        "enforce_even": None, "max_steps": 7,
+        "n": 1, "k": 0, "p": 2.0, "grid": "s1:32", "max_dt": 0.5, "enforce_even": None,
+        "max_steps": 7,
     }))
     assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
     assert seen[1] == FlowConfig(n=1, k=0, p=2.0, max_dt=0.5, max_steps=7)
@@ -798,8 +828,6 @@ def test_an_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkey
         ("trace_every", True),
         ("p", True),
         ("p", "2.0"),
-        ("dt_initial", "0.01"),
-        ("dt_initial", False),
         ("max_dt", "0.05"),
         ("max_dt", float("inf")),
         ("eps_stop", True),
@@ -831,13 +859,19 @@ def test_flow_config_initial_radius_is_checked_by_support_of_ball(tmp_path, caps
 
 
 def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
-    # safety was the explicit scheme's dt limiter; eps_stp is a typo.
-    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "safety": 0.05, "eps_stp": 1e-6}
+    # safety was the explicit scheme's dt limiter, dt_initial a first
+    # step below max_dt and assumption_mode a refusal of data failing
+    # assumption H; eps_stp is a typo.
+    cfg = {
+        "n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "safety": 0.05, "eps_stp": 1e-6,
+        "dt_initial": 0.05, "assumption_mode": "warn",
+    }
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "t.csv"
     assert main(["flow", "--config", str(path), "--out", str(out)]) == 2
-    assert "eps_stp, safety" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown flow config key(s): assumption_mode, dt_initial, eps_stp, safety" in err
     assert not out.exists()
 
 
@@ -862,7 +896,6 @@ def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
         ("max_dt", -1),
         ("trace_every", 0),
         ("max_steps", -1),
-        ("assumption_mode", "lenient"),
         ("eps_stop", -1),
         ("k", 1),  # k = n has no flow
         ("initial_radius", -1),
@@ -935,7 +968,7 @@ def test_s2_flow_outputs_are_identical_across_thread_counts(tmp_path):
     write_field(f_path, grid, 1.0 + 0.2 * grid.nodes[:, 2] ** 2)
     cfg = {
         "n": 2, "k": 1, "p": 1.0, "f": str(f_path), "initial_radius": math.log(2.0),
-        "dt_initial": 0.05,
+        "max_dt": 0.05,
     }
     outputs = _flow_outputs_by_thread_count(tmp_path, cfg)
     assert outputs[0] == outputs[1]

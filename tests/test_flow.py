@@ -17,9 +17,12 @@ from horocvx.flow import (
     run,
     step,
 )
-from horocvx.hconvex import SupportField, measure_density
-from horocvx.problems import pde_residual
-from horocvx.quermass import wk_value
+from horocvx.hconvex import (
+    SupportField, measure_density, random_h_convex_fields, support_of_ball
+)
+from horocvx.lorentz import origin
+from horocvx.problems import check_assumption_h, pde_residual
+from horocvx.quermass import k_mean_radius, wk_value
 from horocvx.sphere_grid import (
     ArgumentError,
     derivatives,
@@ -71,7 +74,7 @@ def test_ball_is_stationary():
 def test_zero_speed_keeps_dt():
     # With eps_stop = 0 the ball never stops, and its speed is exactly 0.
     res = run(
-        FlowConfig(n=1, k=0, p=0.0, eps_stop=0.0, max_steps=3, dt_initial=0.05),
+        FlowConfig(n=1, k=0, p=0.0, eps_stop=0.0, max_steps=3, max_dt=0.05),
         SupportField(S1, np.full(S1.size, 2.0)),
     )
     assert res.status == "max-steps"
@@ -217,7 +220,7 @@ def test_first_step_is_tried_at_the_cap():
     res = run(cfg, perturbed_circle())
     assert res.rejections == 0
     assert res.trace.column("dt")[0] == cfg.max_dt
-    capped = run(replace(cfg, max_dt=0.5, dt_initial=2.0), perturbed_circle())
+    capped = run(replace(cfg, max_dt=0.5), perturbed_circle())
     assert capped.trace.column("dt")[0] == 0.5
 
 
@@ -258,6 +261,34 @@ def test_p_table_converges_within_its_step_bound(n, k, p, budget):
     assert res.steps <= STEP_BOUND[n, k, p]
     _, residual = pde_residual(res.terminal, res.gamma * f, float(p), k)
     assert residual < 1e-4
+
+
+# Manufactured k = 1 data (ROADMAP items 10 and 14): f is the measure
+# density of a seeded random body K, so K solves the problem with gamma
+# = 1, and the start is the centered ball with K's W_1.  Seeds 0 and 2
+# fail assumption H at every p, seed 1 meets it; each converges to K.
+# (seed, p): about 1.25 times the steps measured.
+MMS_K1_STEP_BOUND = {
+    (0, 0.0): 68, (0, 1.0): 58, (0, 2.0): 55,
+    (1, 0.0): 44, (1, 1.0): 30, (1, 2.0): 29,
+    (2, 0.0): 60, (2, 1.0): 46, (2, 2.0): 43,
+}
+
+
+@pytest.mark.parametrize("seed, p", list(MMS_K1_STEP_BOUND))
+def test_k1_flow_solves_manufactured_data_with_or_without_assumption_h(seed, p):
+    grid = make_grid(2, 12)
+    K = random_h_convex_fields(seed, [grid], 1)[0]
+    f = measure_density(K, p, 1)
+    ball = support_of_ball(grid, origin(2), k_mean_radius(K, 1))
+    cfg = FlowConfig(n=2, k=1, p=p, f=f, enforce_even=False, eps_stop=1e-10, max_steps=3000)
+    res = run(cfg, ball)
+    assert res.status == "converged"
+    assert res.steps <= MMS_K1_STEP_BOUND[seed, p]
+    assert np.abs(res.terminal.phi - K.phi).max() <= 1e-9 * K.phi.max()
+    passes = check_assumption_h(f, grid, 1, p).passes
+    assert passes == (seed == 1)
+    assert len(res.warnings) == (0 if passes else 1)
 
 
 def test_even_data_at_p_minus_5_converges_under_the_default_config():
@@ -505,13 +536,17 @@ def test_a_run_evaluates_w_k_of_its_start_once(wk_calls):
 
 
 def test_max_steps_outcome():
-    cfg = FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-12, max_steps=4, dt_initial=0.05)
-    res = run(cfg, perturbed_circle())
+    # The first step from the ball is cut 10 times (see
+    # test_rejected_column_sums_to_the_rejections); SER then grows dt
+    # from there, capped at max_dt.
+    f = 1.0 + 0.9 * np.cos(2 * S1.theta)
+    cfg = FlowConfig(n=1, k=0, p=0.0, f=f, eps_stop=1e-12, max_steps=4)
+    res = run(cfg, SupportField(S1, np.full(S1.size, 2.0)))
     assert res.status == "max-steps"
     assert res.steps == 4
-    # Switched evolution relaxation from dt_initial, capped at max_dt.
+    assert list(res.trace.column("rejected")) == [10, 0, 0, 0, 0]
     speed = res.trace.column("speedSup")
-    expected = [cfg.dt_initial]
+    expected = [cfg.max_dt * 0.5**10]
     for i in range(1, 4):
         expected.append(min(cfg.max_dt, expected[-1] * speed[i - 1] / speed[i]))
     assert list(res.trace.column("dt")) == expected + [0.0]
@@ -530,33 +565,27 @@ def test_stalled_outcome(monkeypatch):
         raise FlowStepError("rejected")
 
     monkeypatch.setattr(flow, "step", rejecting)
-    cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=10, dt_initial=0.05)
+    cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=10)
     body = perturbed_circle()
     res = run(cfg, body)
     assert res.status == "stalled"
     assert res.steps == 0
     assert res.rejections == len(attempts) == flow.MAX_REJECTIONS + 1
-    assert attempts == [cfg.dt_initial * 0.5**i for i in range(len(attempts))]
+    assert attempts == [cfg.max_dt * 0.5**i for i in range(len(attempts))]
     assert np.allclose(res.terminal.phi, body.phi, atol=1e-14)
     assert len(res.trace.rows) == 1
     assert list(res.trace.column("rejected")) == [res.rejections]
 
 
 def test_rejected_column_sums_to_the_rejections():
-    # The first step from the ball leaves the cone at dt_initial and
-    # twice more after halving (see test_step_rejects_cone_exit).
+    # The first step from the ball leaves the cone at max_dt and nine
+    # more times after halving (see test_step_rejects_cone_exit).
     f = 1.0 + 0.9 * np.cos(2 * S1.theta)
-    cfg = FlowConfig(n=1, k=0, p=0.0, f=f, max_steps=20, dt_initial=0.05)
+    cfg = FlowConfig(n=1, k=0, p=0.0, f=f, max_steps=20)
     res = run(cfg, SupportField(S1, np.full(S1.size, 2.0)))
     rejected = res.trace.column("rejected")
-    assert res.rejections == rejected.sum() == rejected[0] == 3
-    assert res.trace.column("dt")[0] == cfg.dt_initial / 8
-
-
-def test_dt_initial_is_respected():
-    cfg = FlowConfig(n=1, k=0, p=0.0, dt_initial=1e-6, max_steps=3)
-    res = run(cfg, perturbed_circle())
-    assert res.trace.rows[0][TRACE_COLUMNS.index("dt")] == pytest.approx(1e-6)
+    assert res.rejections == rejected.sum() == rejected[0] == 10
+    assert res.trace.column("dt")[0] == cfg.max_dt / 2**10
 
 
 def test_trace_every_thins_rows():
@@ -612,23 +641,16 @@ def test_make_state_rejects_non_finite_f(bad):
         ("max_dt", -0.05),
         ("max_dt", math.nan),
         ("max_dt", math.inf),
-        ("dt_initial", 0.0),
-        ("dt_initial", -1e-3),
-        ("dt_initial", math.nan),
-        ("dt_initial", math.inf),
         ("trace_every", 0),
         ("trace_every", -1),
         ("max_steps", -1),
-        ("assumption_mode", "lenient"),
-        # There is no mode that leaves assumption H unchecked.
-        ("assumption_mode", "skip"),
         ("eps_stop", -1.0),
         ("eps_stop", math.nan),
     ],
 )
 def test_make_state_rejects_bad_config_values(field, value):
     # Unchecked, these divide by zero, take every step at dt = 0, stall,
-    # act as another mode, or run to max_steps, since no speed is below
+    # or run to max_steps, since no speed is below
     # a negative or NaN eps_stop.  FlowConfig refuses them when the
     # config is built, so none reaches make_state.
     with pytest.raises(ValueError, match=field):
@@ -655,11 +677,19 @@ def test_flow_config_rejects_values_of_the_wrong_type(field, value):
 
 
 def test_flow_config_stores_ints_and_floats():
-    cfg = FlowConfig(n=np.int64(2), k=1, p=2, max_dt=1, eps_stop=0, dt_initial=np.float32(0.5))
+    cfg = FlowConfig(n=np.int64(2), k=1, p=2, max_dt=np.float32(0.5), eps_stop=0)
     assert type(cfg.n) is int and type(cfg.p) is float
-    assert (cfg.p, cfg.max_dt, cfg.eps_stop, cfg.dt_initial) == (2.0, 1.0, 0.0, 0.5)
-    assert all(type(v) is float for v in (cfg.max_dt, cfg.eps_stop, cfg.dt_initial))
-    assert FlowConfig(n=1, k=0, p=0.0, dt_initial=None, enforce_even=None).dt_initial is None
+    assert (cfg.p, cfg.max_dt, cfg.eps_stop) == (2.0, 0.5, 0.0)
+    assert all(type(v) is float for v in (cfg.max_dt, cfg.eps_stop))
+    assert FlowConfig(n=1, k=0, p=0.0, enforce_even=None).enforce_even is None
+
+
+@pytest.mark.parametrize("key, value", [("dt_initial", 0.05), ("assumption_mode", "warn")])
+def test_flow_config_has_no_first_step_or_assumption_mode_setting(key, value):
+    # The first step is always max_dt, and assumption H is always checked
+    # and recorded, never a refusal.
+    with pytest.raises(TypeError, match=key):
+        FlowConfig(n=1, k=0, p=0.0, **{key: value})
 
 
 def test_even_enforcement_rejects_odd_data():
@@ -678,22 +708,18 @@ def test_even_enforcement_rejects_odd_data():
                 call(cfg, body)
 
 
-def test_assumption_mode_strict_and_warn():
+def test_data_failing_assumption_h_runs_with_a_warning():
     z = S2.nodes
-    # Even but steep data fails the structural condition at p = 1.
+    # Even but steep data fails the structural condition at p = 1; the
+    # paper's estimates need it, the flow does not.
     f = 1.0 + 0.25 * (3.0 * z[:, 2] ** 2 - 1.0)
-    strict = FlowConfig(n=2, k=1, p=1.0, f=f, max_steps=1)
-    for call in (make_state, run):
-        with pytest.raises(ValueError, match="structural condition"):
-            call(strict, perturbed_sphere())
-    warn = FlowConfig(
-        n=2, k=1, p=1.0, f=f, max_steps=1, assumption_mode="warn"
-    )
-    res = run(warn, perturbed_sphere())
+    cfg = FlowConfig(n=2, k=1, p=1.0, f=f)
+    res = run(cfg, perturbed_sphere())
+    assert res.status == "converged"
     assert len(res.warnings) == 1
-    assert "structural condition" in res.warnings[0]
+    assert res.warnings[0].startswith("data fails the structural condition (regime ")
     # The warning is on the start and on every state after it.
-    assert make_state(warn, perturbed_sphere()).warnings == tuple(res.warnings)
+    assert make_state(cfg, perturbed_sphere()).warnings == tuple(res.warnings)
 
 
 def test_enforce_even_override():
@@ -748,24 +774,33 @@ def test_stepped_state_is_bitwise_the_replaced_state(cfg, body):
 
 def _first_attempt_is_rejected_and_halved(monkeypatch, name, value):
     # run with flow.<name> set to value for its first step attempt only:
-    # that attempt is rejected, and the run is then the run that starts
-    # at the halved dt, but for the rejection it counts.
+    # that attempt is rejected, and the run is then the reference run,
+    # whose first step call raises FlowStepError.
     cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=3)
-    reference = run(replace(cfg, dt_initial=0.5 * cfg.max_dt), perturbed_circle())
     real_step, original = flow.step, getattr(flow, name)
     attempts = []
+
+    def refused_once(state, dt):
+        attempts.append(dt)
+        if len(attempts) == 1:
+            raise FlowStepError("refused")
+        return real_step(state, dt)
 
     def first_patched(state, dt):
         attempts.append(dt)
         monkeypatch.setattr(flow, name, value if len(attempts) == 1 else original)
         return real_step(state, dt)
 
-    monkeypatch.setattr(flow, "step", first_patched)
-    res = run(cfg, perturbed_circle())
-    assert attempts[:2] == [cfg.max_dt, 0.5 * cfg.max_dt]
-    assert res.rejections == 1 and reference.rejections == 0
+    runs = []
+    for patched in (refused_once, first_patched):
+        attempts.clear()
+        monkeypatch.setattr(flow, "step", patched)
+        runs.append(run(cfg, perturbed_circle()))
+        assert attempts[:2] == [cfg.max_dt, 0.5 * cfg.max_dt]
+    reference, res = runs
+    assert res.rejections == reference.rejections == 1
     assert list(res.trace.column("rejected")) == [1, 0, 0, 0]
-    assert [row[:-1] for row in res.trace.rows] == [row[:-1] for row in reference.trace.rows]
+    assert res.trace.rows == reference.trace.rows
     assert res.terminal.phi.tobytes() == reference.terminal.phi.tobytes()
 
 

@@ -19,7 +19,7 @@ from horocvx.hconvex import (
     support_of_ball,
     support_of_point,
 )
-from horocvx.lorentz import boost, origin
+from horocvx.lorentz import boost, hpoint, origin
 from horocvx.quermass import (
     EXP_SINH_SERIES_SWITCH,
     MOMENT_SERIES_SWITCH,
@@ -202,6 +202,28 @@ def test_k_mean_radius_of_ball():
     K = support_of_ball(S2, origin(2), 0.85)
     for k in range(3):
         assert abs(k_mean_radius(K, k) - 0.85) < 1e-10
+
+
+@pytest.mark.parametrize("c", [2.0, 1e8, 1e16, 1e200])
+@pytest.mark.parametrize("spec", [(1, 16), (2, 8)], ids=["s1:16", "s2:8"])
+def test_k_n_mean_radius_of_a_large_ball_keeps_its_digits(spec, c):
+    # W_n = (omega/n)(1 - c^{-n}) rounds to omega/n from c = 1e8 up, and
+    # its inverse lost every digit there; the radius is log c.
+    grid = make_grid(*spec)
+    r = k_mean_radius(SupportField(grid, np.full(grid.size, c)), grid.n)
+    assert abs(r - math.log(c)) <= 4 * math.ulp(math.log(c))
+
+
+@pytest.mark.parametrize(
+    "spec, x",
+    [((1, 16), (0.3, 0.0)), ((1, 16), (0.1, -0.2)), ((2, 8), (0.3, 0.0, 0.0)),
+     ((2, 8), (0.1, -0.2, 0.05))],
+)
+def test_k_n_mean_radius_of_a_point_is_zero(spec, x):
+    # A point's W_n is 0 up to roundoff, and these points' roundoff is
+    # negative, which was refused as a negative quermass value.
+    grid = make_grid(*spec)
+    assert k_mean_radius(support_of_point(grid, hpoint(np.array(x))), grid.n) == 0.0
 
 
 @pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])

@@ -53,15 +53,18 @@ def test_run_all_builds_each_body_once(fft_counts):
 
 
 def test_run_all_evaluates_each_w_k_once_per_field(wk_calls, fft_counts):
-    # The suites ask for W_k 164 times over 82 distinct (field, k) pairs;
-    # each field caches its own, and a new run's fields compute it again.
+    # The suites ask for W_k 66 times, and each of the 47 distinct (field,
+    # k) pairs with no closed form computes it once; each field caches its
+    # own, and a new run's fields compute it again.  A k = n mean radius
+    # reads no W_n (it is the mean of phi^{-n}): that took 35 pairs, and
+    # the derivative passes of 12 FFT calls, off the count.
     for _ in range(2):
         wk_calls.clear()
         fft_counts.update(rfft=0, irfft=0)
         run_all(Corpus(), exploratory=True)
         # wk_calls holds each field, so no two live fields share an id.
-        assert len({(id(K), k) for K, k in wk_calls}) == len(wk_calls) == 82
-        assert fft_counts["rfft"] + fft_counts["irfft"] == 156
+        assert len({(id(K), k) for K, k in wk_calls}) == len(wk_calls) == 47
+        assert fft_counts["rfft"] + fft_counts["irfft"] == 144
 
 
 def test_run_all_computes_each_cached_functional_once_per_field(monkeypatch):
