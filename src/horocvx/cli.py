@@ -6,10 +6,9 @@ file hashes, all output paths, package version, and grid, so a run can
 be reproduced exactly; identical manifests imply bit-identical outputs.
 One function builds it from the parsed arguments: the parameters are
 every option but the output paths, plus `n`, `k` and `p` for `flow`;
-the inputs are the files that `--K`, `--L`, `--f` and `--config` name,
-plus the field files a flow config names.  The JSON commands write
-report and manifest through `_emit`; a report holding NaN or infinity
-is an error, not written.
+the inputs are the files that `--K`, `--L`, `--f` and `--config` name.
+The JSON commands write report and manifest through `_emit`; a report
+holding NaN or infinity is an error, not written.
 
 Exit codes: 0 success, 1 verification failure, a failed check on a
 computed result (an overflow) or an output that cannot be written (a
@@ -31,28 +30,29 @@ runs.  `mkfield` and `measure` load no further module, `psum` and
 not `quermass`, and `verify` loads `verify` with everything but `flow`
 and `problems`.
 
-Every field input goes through `_load_fields`, once: `main` passes the
-`--K`, `--L` and `--f` files to the handler as SupportFields, and `flow`
-sends its config's `initial` and `f` (a path or an inline field object)
-through it too.  A field that cannot be read, parsed or validated
-(values JSON numbers, finite and positive, one per grid node) is a
-usage error naming its source, and so are two field inputs of one
-command on different grids (`--K` and `--L` or `--f`, a flow config's
-`initial`, or the ball on its `grid`, and `f`), naming both.  A flow
-config's fields must lie on S^n for its `n`, and it gives `initial` or
-`grid`, and `initial` or `initial_radius`: otherwise it is a usage
-error naming both.  So is an `--out` or `--terminal` that names an
-input file, which it would replace before the manifest hashes it, and
-an `--out` and a `--terminal` that name one file.
+Every field input is an option, and `main` loads each once through
+`_load_fields`, passing the `--K`, `--L` and `--f` files to the handler
+as SupportFields (`flow`'s `--K` and `--f` are optional).  A field that
+cannot be read, parsed or validated (values JSON numbers, finite and
+positive, one per grid node) is a usage error naming its file, and so
+are two field inputs of one command on different grids (`--K` and `--L`
+or `--f`, or `--f` and the ball on a flow config's `grid`), naming both.
+So is an `--out` or `--terminal` that names an input file, which it
+would replace before the manifest hashes it, and an `--out` and a
+`--terminal` that name one file.
 
-A flow config's keys are `flow.FlowConfig`'s fields plus `initial`,
-`grid` (a spec string, as `--grid` takes) and `initial_radius`.
-FlowConfig checks its values when it is built; its ArgumentError is a
-usage error (`bad flow config <path>: ...`), as is a config file that
-cannot be read or parsed.  What `flow.make_state` refuses (odd f under
-enforced evenness, an initial field that is not uniformly h-convex)
-fails the flow: exit 1, an `error:` line, no trace.  Each of the run's
-warnings (f failing assumption H) is a `warning:` line on stderr.
+A flow config holds settings only: `flow.FlowConfig`'s fields but `f`,
+plus `grid` (a spec string, as `--grid` takes) and `initial_radius`.
+The start is `--K`; without it, the centered ball of `initial_radius`
+(default log 2) on `grid`, or else on `--f`'s grid.  `--K` with `grid`
+or `initial_radius`, no start at all, or a start off S^n for the
+config's `n` is a usage error.  FlowConfig checks its values when it is
+built; its ArgumentError is a usage error (`bad flow config <path>:
+...`), as is a config file that cannot be read or parsed.  What
+`flow.make_state` refuses (odd f under enforced evenness, a start that
+is not uniformly h-convex) fails the flow: exit 1, an `error:` line, no
+trace.  Each of the run's warnings (f failing assumption H) is a
+`warning:` line on stderr.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from .sphere_grid import (
     ArgumentError,
     Grid,
     as_real,
-    field_from_json_dict,
     field_to_json_dict,
     grid_from_json_dict,
     grid_to_json_dict,
@@ -118,21 +117,19 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _load_scalar(source) -> SupportField:
-    """The one loader of field inputs (support fields and data f): a path
-    to a field JSON file, or a field dict given inline in a flow config.
-    Values must be finite and positive; any read, parse or validation
-    error is an ArgumentError naming the source."""
-    what = f"field file {source}" if isinstance(source, str) else "inline field"
+def _load_scalar(path: str) -> SupportField:
+    """The one loader of field inputs (support fields and data f): a field
+    JSON file.  Values must be finite and positive; any read, parse or
+    validation error is an ArgumentError naming the file."""
     try:
-        grid, values, _ = (load_field if isinstance(source, str) else field_from_json_dict)(source)
+        grid, values, _ = load_field(path)
         return SupportField(grid, values)
     except FileNotFoundError:
-        raise ArgumentError(f"no such field file: {source}") from None
+        raise ArgumentError(f"no such field file: {path}") from None
     except KeyError as exc:
-        raise ArgumentError(f"bad {what}: missing key {exc}") from None
+        raise ArgumentError(f"bad field file {path}: missing key {exc}") from None
     except (OSError, TypeError, ValueError) as exc:
-        raise ArgumentError(f"bad {what}: {exc}") from None
+        raise ArgumentError(f"bad field file {path}: {exc}") from None
 
 
 def _grid_spec(grid: Grid) -> str:
@@ -140,20 +137,9 @@ def _grid_spec(grid: Grid) -> str:
     return f"s{grid.n}:" + "x".join(str(r) for r in grid.resolution)
 
 
-def _load_fields(entries: dict, prefix: str = "") -> dict[str, SupportField]:
-    """The field inputs of one command: entries maps a name to its source
-    and its path or inline field (`_load_scalar`), or a field built from a
-    flow config.  A load error gains prefix and the name if prefix is set;
-    `common_grid`'s ArgumentError is reworded to name both sources."""
-    fields = {}
-    for name, (_, entry) in entries.items():
-        try:
-            fields[name] = entry if isinstance(entry, SupportField) else _load_scalar(entry)
-        except ArgumentError as exc:
-            if not prefix:
-                raise
-            raise ArgumentError(f"{prefix}{name}: {exc}") from None
-    named = [(source, fields[name]) for name, (source, _) in entries.items()]
+def _same_grid(*named: tuple[str, SupportField]) -> None:
+    """`common_grid` of (source, field) pairs, its ArgumentError reworded
+    to name the first source and the one on another grid."""
     for source, L in named[1:]:
         first, K = named[0]
         try:
@@ -162,6 +148,13 @@ def _load_fields(entries: dict, prefix: str = "") -> dict[str, SupportField]:
             raise ArgumentError(
                 f"{first} is on {_grid_spec(K.grid)} but {source} is on {_grid_spec(L.grid)}"
             ) from None
+
+
+def _load_fields(entries: dict[str, tuple[str, str]]) -> dict[str, SupportField]:
+    """The field inputs of one command: entries maps a name to its source
+    and its path (`_load_scalar`); the fields must share one grid."""
+    fields = {name: _load_scalar(path) for name, (_, path) in entries.items()}
+    _same_grid(*((source, fields[name]) for name, (source, _) in entries.items()))
     return fields
 
 
@@ -206,21 +199,16 @@ def _refuse_overwrite(args, inputs: dict[str, str]) -> None:
             raise OSError(code, os.strerror(code), out)
 
 
-def _write_manifest(args, grid: Grid | None, *more_inputs: str) -> None:
+def _write_manifest(args, grid: Grid | None) -> None:
     """Write the run manifest of the parsed args beside each output.
-
-    Parameters, input files and outputs all come from args, so a
-    command that records more stores it on args first; more_inputs are
-    input files that no option names.
-    """
+    Parameters, input files and outputs all come from args, so a command
+    that records more stores it on args first."""
     options = vars(args)
-    inputs = [options[key] for key in _INPUT_OPTIONS if key in options] + list(more_inputs)
+    inputs = [options[key] for key in _INPUT_OPTIONS if options.get(key) is not None]
     outputs = sorted(path for path in (options.get("out"), options.get("terminal")) if path)
     manifest = {
         "command": args.command,
-        "parameters": {
-            key: value for key, value in options.items() if key not in _NOT_PARAMETERS
-        },
+        "parameters": {k: v for k, v in options.items() if k not in _NOT_PARAMETERS},
         "inputs": {path: _sha256(path) for path in inputs},
         "outputs": outputs,
         "version": __version__,
@@ -263,9 +251,10 @@ def _cmd_mkfield(args) -> int:
     elif args.random:
         values = random_h_convex_fields(args.seed or 0, [grid], 1)[0].phi
     else:
-        if args.constant <= 0.0:
-            raise ArgumentError("--constant must be positive")
-        values = np.full(grid.size, args.constant)
+        try:
+            values = SupportField(grid, np.full(grid.size, args.constant)).phi
+        except ValueError as exc:
+            raise ArgumentError(f"bad --constant {args.constant}: {exc}") from None
     return _emit(args, grid, field_to_json_dict(grid, values, kind="support"))
 
 
@@ -361,8 +350,8 @@ def _cmd_assumption_h(args, f: SupportField) -> int:
     return _emit(args, f.grid, {**asdict(rep), "k": args.k, "p": args.p})
 
 
-def _cmd_flow(args) -> int:
-    from dataclasses import MISSING, fields, replace
+def _cmd_flow(args, K: SupportField | None = None, f: SupportField | None = None) -> int:
+    from dataclasses import MISSING, fields
 
     from .flow import FlowConfig, run as run_flow
 
@@ -375,60 +364,45 @@ def _cmd_flow(args) -> int:
         raise ArgumentError(f"bad config file {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ArgumentError(f"flow config {args.config} must be a JSON object")
-    # FlowConfig's fields, which it checks itself; f, one of them, is a
-    # field input, loaded below with initial.  grid and initial_radius are
-    # read only here, and support_of_ball checks the radius.
+    # FlowConfig's fields but f (--f), which it checks itself; grid and
+    # initial_radius are read only here, and support_of_ball checks the radius.
     settings = {fld.name: fld for fld in fields(FlowConfig) if fld.name != "f"}
-    unknown = sorted(set(cfg) - set(settings) - {"f", "initial", "grid", "initial_radius"})
+    unknown = sorted(set(cfg) - set(settings) - {"grid", "initial_radius"})
     if unknown:
         raise ArgumentError(f"unknown flow config key(s): {', '.join(unknown)}")
     for key, fld in settings.items():
         if fld.default is MISSING and key not in cfg:
             raise ArgumentError(f"flow config missing key {key!r}")
     try:
-        config = FlowConfig(**{key: cfg[key] for key in settings if key in cfg})
+        config = FlowConfig(**{key: cfg[key] for key in settings if key in cfg},
+                            f=None if f is None else f.phi)
         if not isinstance(cfg.get("grid", ""), str):
             raise ArgumentError(f"flow config grid must be a spec like s1:64, got {cfg['grid']!r}")
     except ArgumentError as exc:
         raise ArgumentError(f"bad flow config {args.config}: {exc}") from None
-
-    def ball(grid: Grid) -> SupportField:
-        """The start without an initial field: the centered ball of initial_radius."""
+    # The start: --K; else the centered ball of initial_radius on the
+    # config's grid, which --f must share; else that ball on --f's grid.
+    if K is not None:
+        if {"grid", "initial_radius"} & set(cfg):  # either would be ignored
+            raise ArgumentError(f"--K {args.K} is the start, so flow config {args.config} "
+                                "may give neither 'grid' nor 'initial_radius'")
+        source, phi0 = f"--K {args.K}", K
+    else:
+        if "grid" in cfg:
+            grid = _parse_grid(cfg["grid"])
+            source = "flow config grid"
+        elif f is not None:
+            grid, source = f.grid, f"--f {args.f}"
+        else:
+            raise ArgumentError("flow needs --K, a flow config grid, or --f")
         try:
-            return support_of_ball(grid, origin(grid.n), cfg.get("initial_radius", math.log(2.0)))
+            phi0 = support_of_ball(grid, origin(grid.n), cfg.get("initial_radius", math.log(2.0)))
         except ArgumentError as exc:
             raise ArgumentError(f"bad flow config {args.config}: initial_radius: {exc}") from None
-
-    entries = {
-        key: (f"flow config {key} " + (cfg[key] if isinstance(cfg[key], str) else "(inline)"),
-              cfg[key])
-        for key in ("initial", "f") if cfg.get(key) is not None
-    }
-    inputs = {source: entry for source, entry in entries.values() if isinstance(entry, str)}
-    has_initial = "initial" in entries
-    if not has_initial and "grid" in cfg:
-        grid = _parse_grid(cfg["grid"])
-        entries = {"initial": (f"flow config grid {_grid_spec(grid)}", ball(grid)), **entries}
-    _refuse_overwrite(args, inputs)
-    loaded = _load_fields(entries, "flow config ")
-    if has_initial:
-        # The initial field fixes the grid and the start; a grid or a
-        # radius would be ignored.
-        for key in ("grid", "initial_radius"):
-            if key in cfg:
-                raise ArgumentError(f"flow config gives both 'initial' and {key!r}; give one")
-    elif "initial" not in loaded:
-        if "f" not in loaded:
-            raise ArgumentError("flow config needs 'initial', 'grid', or 'f'")
-        # Neither initial nor grid: the ball on f's grid.
-        entries["initial"], loaded["initial"] = entries["f"], ball(loaded["f"].grid)
-    phi0 = loaded["initial"]
+        if f is not None:
+            _same_grid((source, phi0), (f"--f {args.f}", f))
     if phi0.grid.n != config.n:
-        raise ArgumentError(
-            f"flow config has n = {config.n} but {entries['initial'][0]} lives on S^{phi0.grid.n}"
-        )
-    if "f" in loaded:
-        config = replace(config, f=loaded["f"].phi)
+        raise ArgumentError(f"flow config has n = {config.n} but {source} lives on S^{phi0.grid.n}")
     result = run_flow(config, phi0)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -440,7 +414,7 @@ def _cmd_flow(args) -> int:
                         if fld.name not in ("terminal", "trace"))
         _dump_json(args.terminal, terminal)
     args.n, args.k, args.p = config.n, config.k, config.p
-    _write_manifest(args, phi0.grid, *inputs.values())
+    _write_manifest(args, phi0.grid)
     print(
         f"flow {result.status}: steps={result.steps} t={result.t_final:.6g} "
         f"gamma={result.gamma:.9g} gamma_variation={result.gamma_variation:.3g}"
@@ -556,8 +530,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=_finite, required=True)
 
-    p = add("flow", _cmd_flow, "run the normalized curvature flow from a config")
-    p.add_argument("--config", required=True)
+    p = add("flow", _cmd_flow, "run the normalized curvature flow from a start field and data")
+    p.add_argument("--config", required=True, help="flow settings JSON")
+    p.add_argument("--K", default=None,
+                   help="start field; default: the config's initial_radius ball")
+    p.add_argument("--f", default=None, help="data field; default: f = 1")
     p.add_argument("--out", required=True, help="trace CSV path")
     p.add_argument("--terminal", default=None, help="terminal support field JSON path")
 
@@ -579,7 +556,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     options = vars(args)
     sources = {key: (f"--{key} {options[key]}", options[key]) for key in _INPUT_OPTIONS
-               if key in options}
+               if options.get(key) is not None}
     try:
         _refuse_overwrite(args, dict(sources.values()))
         fields = _load_fields({key: sources[key] for key in _FIELD_OPTIONS if key in sources})

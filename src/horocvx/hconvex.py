@@ -341,9 +341,10 @@ def check_k(n: int, k) -> int:
 
 def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
     """Density of dS_{p,k}(K, .) against dsigma: phi^{-p-k} p_{n-k}(A); at
-    p = 0, of p_k(kappa~) dmu, as kappa~ = 1 / (phi eig A), dmu = p_n(A) dsigma."""
+    p = 0, of p_k(kappa~) dmu, as kappa~ = 1 / (phi eig A), dmu = p_n(A) dsigma;
+    p is a finite number (`as_real`)."""
     n = K.grid.n
-    k = check_k(n, k)
+    k, p = check_k(n, k), as_real(p, "p")
     return K.phi ** (-(p + k)) * p_tensor(K.A, n - k)
 
 

@@ -26,7 +26,8 @@ from .hconvex import (
 from .psum import check_p
 from .quermass import bracketed_newton
 from .sphere_grid import (
-    ArgumentError, Grid, ambient_gradient, as_integer, derivatives, integrate, positive_field
+    ArgumentError, Grid, ambient_gradient, as_integer, as_real, derivatives, integrate,
+    positive_field,
 )
 
 __all__ = [
@@ -75,11 +76,12 @@ class AssumptionHReport:
     worst_eigenvalue: float
 
 
-def check_nkp(n: int, k: int, p: float, what: str = "") -> None:
-    """ArgumentError unless (n, k, p) is in the paper's range: n 1 or 2 and k
-    in 0..n-1 (k = n has no ball equation), both integers (`as_integer`),
-    and p >= -n if k >= 1; what prefixes names."""
-    n, k = as_integer(n, f"{what}n"), as_integer(k, f"{what}k")
+def check_nkp(n: int, k: int, p: float, what: str = "") -> tuple[int, int, float]:
+    """(n, k, p) as int, int, float; ArgumentError unless they are in the
+    paper's range: n 1 or 2 and k in 0..n-1 (k = n has no ball equation),
+    both integers (`as_integer`), and p a finite number (`as_real`), at
+    least -n if k >= 1; what prefixes names."""
+    n, k, p = as_integer(n, f"{what}n"), as_integer(k, f"{what}k"), as_real(p, f"{what}p")
     for key, value, ok, rule in (
         ("n", n, n in (1, 2), "1 or 2"),
         ("k", k, 0 <= k <= n - 1, f"in 0..n-1 for n = {n}"),
@@ -87,16 +89,19 @@ def check_nkp(n: int, k: int, p: float, what: str = "") -> None:
     ):
         if not ok:
             raise ArgumentError(f"{what}{key} must be {rule}, got {value!r}")
+    return n, k, p
 
 
 def mixed_quermass(K: SupportField, L: SupportField, p: float, k: int) -> float:
     """W_{p,k}(K, L) = (1/p) int phi_L^p dS_{p,k}(K, .), p in [1/2, 2]."""
-    check_p(p)
+    p = check_p(p)
     return integrate(common_grid(K, L), L.phi**p * measure_density(K, p, k)) / p
 
 
 def J_p(K: SupportField, f, p: float) -> float:
-    """Flow functional (1/p) int f phi^p dsigma, or int f log(phi) at p = 0."""
+    """Flow functional (1/p) int f phi^p dsigma, or int f log(phi) at p = 0;
+    p is a finite number (`as_real`)."""
+    p = as_real(p, "p")
     f = positive_field(K.grid, f, "f")
     if p == 0.0:
         return integrate(K.grid, f * np.log(K.phi))
@@ -176,10 +181,12 @@ def ball_solutions(n: int, k: int, p: float, gamma: float) -> BallSolutionReport
     determined by gamma alone.  For k = 0 and p < -n,
     zeta = c^{-p} ((c - 1/c)/2)^n still increases onto (0, inf), so there
     is exactly one root; for k >= 1, p < -n lies outside the problem's
-    range (`check_nkp`).  A power that overflows a float is a ValueError,
-    and so is a gamma whose root c lies beyond the float range.
+    range (`check_nkp`), and gamma > 0 is a finite number (`as_real`).  A
+    power that overflows a float is a ValueError, and so is a gamma whose
+    root c lies beyond the float range.
     """
-    check_nkp(n, k, p)
+    n, k, p = check_nkp(n, k, p)
+    gamma = as_real(gamma, "gamma")
     if gamma <= 0.0:
         raise ArgumentError(f"gamma must be positive, got {gamma}")
 
@@ -246,8 +253,7 @@ def check_assumption_h(f, grid: Grid, k: int, p: float) -> AssumptionHReport:
     regime's tensor is >= -1e-10 (ties at zero pass).  At p = -n the
     condition is that h is constant.
     """
-    n = grid.n
-    check_nkp(n, k, p)
+    n, k, p = check_nkp(grid.n, k, p)
     if k == 0:
         raise ArgumentError("assumption H applies for k >= 1, got k = 0")
     f = positive_field(grid, f, "f")

@@ -57,10 +57,13 @@ class DilatesReport:
     ratio_variation: float
 
 
-def check_p(p: float) -> None:
-    """ArgumentError unless p lies in [1/2, 2], the p-sum's range."""
+def check_p(p: float) -> float:
+    """p as a float; ArgumentError unless it is a number (`as_real`) in
+    [1/2, 2], the p-sum's range."""
+    p = as_real(p, "p")
     if not (0.5 <= p <= 2.0):
         raise ArgumentError(f"p must lie in [1/2, 2], got {p}")
+    return p
 
 
 def _check_coeffs(a: float, b: float) -> tuple[float, float]:
@@ -79,7 +82,7 @@ def power_sum(a: float, K: SupportField, p: float, b: float, L: SupportField) ->
 
 def p_sum(a: float, K: SupportField, p: float, b: float, L: SupportField) -> SupportField:
     """Support field of a*K +_p b*L on the common grid."""
-    check_p(p)
+    p = check_p(p)
     a, b = _check_coeffs(a, b)
     return require_h_convex(power_sum(a, K, p, b, L), "p-sum output")
 
@@ -113,7 +116,7 @@ def two_point_ball(p: float, t: float, a: float, X, b: float, Y) -> TwoPointBall
     the ball has center T/N(T) and radius log N(T), empty when N(T) < 1.
     At p = 1, 1/q = 0, so every t gives the one ball of T = a X + b Y.
     """
-    check_p(p)
+    p = check_p(p)
     a, b = _check_coeffs(a, b)
     if not (0.0 <= t <= 1.0):
         raise ArgumentError(f"t must lie in [0, 1], got {t}")

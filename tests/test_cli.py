@@ -135,9 +135,14 @@ def test_mkfield_usage_errors(tmp_path, capsys):
     assert main(["mkfield", "--grid", "s2:8x20", "--ball", "--radius", "1", "--out", out]) == 2
     assert main(["mkfield", "--grid", "huh", "--ball", "--radius", "1", "--out", out]) == 2
     assert main(["mkfield", "--grid", "s1:64", "--ball", "--out", out]) == 2  # no radius
-    assert (
-        main(["mkfield", "--grid", "s1:64", "--constant", "-1.0", "--out", out]) == 2
-    )
+    # A constant field is a support field, refused by its rule.
+    for value in ("0", "-1.0"):
+        capsys.readouterr()
+        assert main(["mkfield", "--grid", "s1:64", f"--constant={value}", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --constant {float(value)}: "
+            "support field phi must be finite and positive at every node\n"
+        )
     # A center that does not parse, which the CLI refuses naming the
     # option; one whose point is not finite, whose height overflows
     # (refused with no RuntimeWarning, which filterwarnings = error would
@@ -300,11 +305,11 @@ for kind in ("shifted", "weighted"):
 assert main(["ballsolve", "--n", "2", "--k", "0", "--p", "4", "--gamma", "0.02",
              "--out", "balls.json"]) == 0  # two bracketed roots
 with open("flow.json", "w") as fh:
-    json.dump({"n": 1, "k": 0, "p": 2.0, "initial": "R.json", "max_steps": 5}, fh)
-assert main(["flow", "--config", "flow.json", "--out", "trace.csv"]) == 1  # max-steps
+    json.dump({"n": 1, "k": 0, "p": 2.0, "max_steps": 5}, fh)
+assert main(["flow", "--config", "flow.json", "--K", "R.json", "--out", "trace.csv"]) == 1
 with open("flow2.json", "w") as fh:
-    json.dump({"n": 2, "k": 1, "p": 1.0, "initial": "R2.json", "max_steps": 3}, fh)
-assert main(["flow", "--config", "flow2.json", "--out", "trace2.csv"]) == 1
+    json.dump({"n": 2, "k": 1, "p": 1.0, "max_steps": 3}, fh)
+assert main(["flow", "--config", "flow2.json", "--K", "R2.json", "--out", "trace2.csv"]) == 1
 assert main(["verify", "min_I_p1_Lball", "--out", "records.csv"]) == 0  # S^2 bodies
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
@@ -567,7 +572,6 @@ def test_flow_converged_run(tmp_path):
         "n": 1,
         "k": 0,
         "p": 0.0,
-        "initial": str(phi0),
         "eps_stop": 1e-4,
         "max_steps": 50000,
     }
@@ -575,9 +579,8 @@ def test_flow_converged_run(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     trace = tmp_path / "trace.csv"
     terminal = tmp_path / "terminal.json"
-    rc = main(
-        ["flow", "--config", str(cfg_path), "--out", str(trace), "--terminal", str(terminal)]
-    )
+    rc = main(["flow", "--config", str(cfg_path), "--K", str(phi0), "--out", str(trace),
+               "--terminal", str(terminal)])
     assert rc == 0
     rep = read_json(terminal)
     assert rep["status"] == "converged"
@@ -591,8 +594,8 @@ def test_flow_converged_run(tmp_path):
 
 
 def test_flow_config_with_only_f_starts_from_a_ball_on_fs_grid(tmp_path, monkeypatch):
-    # With neither initial nor grid, the grid is f's and the start is the
-    # default ball on it.
+    # With neither --K nor a config grid, the grid is --f's and the start
+    # is the default ball on it.
     seen = []
     real = flow.run
 
@@ -604,9 +607,9 @@ def test_flow_config_with_only_f_starts_from_a_ball_on_fs_grid(tmp_path, monkeyp
     f = tmp_path / "f.json"
     assert main(["mkfield", "--grid", "s1:32", "--random", "--seed", "3", "--out", str(f)]) == 0
     cfg_path = tmp_path / "flow.json"
-    cfg_path.write_text(json.dumps({"n": 1, "k": 0, "p": 2.0, "f": str(f)}))
+    cfg_path.write_text(json.dumps({"n": 1, "k": 0, "p": 2.0}))
     trace = tmp_path / "trace.csv"
-    assert main(["flow", "--config", str(cfg_path), "--out", str(trace)]) == 0
+    assert main(["flow", "--config", str(cfg_path), "--f", str(f), "--out", str(trace)]) == 0
     (config, phi0), = seen
     f_grid, f_values, _ = load_field(f)
     assert phi0.grid == f_grid == make_grid(1, 32)
@@ -625,11 +628,12 @@ def test_flow_terminal_file_holds_every_result_field(tmp_path):
     grid = make_grid(1, 64)
     phi0 = tmp_path / "phi0.json"
     write_field(phi0, grid, 2.0 * (1.0 + 0.05 * np.cos(2 * grid.theta)), kind="support")
-    cfg = {"n": 1, "k": 0, "p": 0.0, "initial": str(phi0), "max_dt": 1e4, "max_steps": 10}
+    cfg = {"n": 1, "k": 0, "p": 0.0, "max_dt": 1e4, "max_steps": 10}
     cfg_path = tmp_path / "flow.json"
     cfg_path.write_text(json.dumps(cfg))
     trace, terminal = tmp_path / "trace.csv", tmp_path / "terminal.json"
-    argv = ["flow", "--config", str(cfg_path), "--out", str(trace), "--terminal", str(terminal)]
+    argv = ["flow", "--config", str(cfg_path), "--K", str(phi0), "--out", str(trace),
+            "--terminal", str(terminal)]
     assert main(argv) in (0, 1)
     rep = read_json(terminal)
     result_keys = {fld.name for fld in dataclasses.fields(flow.FlowResult)} - {"terminal", "trace"}
@@ -648,9 +652,10 @@ def test_flow_data_failing_assumption_h_converges_with_a_warning(tmp_path, capsy
     f = tmp_path / "f.json"
     write_field(f, grid, 1.0 + 0.25 * (3.0 * z**2 - 1.0))
     cfg_path = tmp_path / "flow.json"
-    cfg_path.write_text(json.dumps({"n": 2, "k": 1, "p": 1.0, "f": str(f)}))
+    cfg_path.write_text(json.dumps({"n": 2, "k": 1, "p": 1.0}))
     trace, terminal = tmp_path / "trace.csv", tmp_path / "terminal.json"
-    argv = ["flow", "--config", str(cfg_path), "--out", str(trace), "--terminal", str(terminal)]
+    argv = ["flow", "--config", str(cfg_path), "--f", str(f), "--out", str(trace),
+            "--terminal", str(terminal)]
     capsys.readouterr()
     assert main(argv) == 0
     out, err = capsys.readouterr()
@@ -667,11 +672,11 @@ def test_flow_unconverged_exit_code(tmp_path):
     theta = grid.theta
     phi0 = tmp_path / "phi0.json"
     write_field(phi0, grid, 2.0 * (1.0 + 0.04 * np.cos(2 * theta)), kind="support")
-    cfg = {"n": 1, "k": 0, "p": 0.0, "initial": str(phi0), "max_steps": 3}
+    cfg = {"n": 1, "k": 0, "p": 0.0, "max_steps": 3}
     cfg_path = tmp_path / "flow.json"
     cfg_path.write_text(json.dumps(cfg))
-    rc = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")])
-    assert rc == 1
+    argv = ["flow", "--config", str(cfg_path), "--K", str(phi0), "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 1
 
 
 def test_flow_config_without_optional_keys_uses_flowconfig_defaults(tmp_path, monkeypatch):
@@ -791,15 +796,16 @@ def test_an_unwritable_output_is_an_error_line(tmp_path, capsys):
     assert os.listdir(target) == []
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("the run started before its outputs were vetted")
+
+
 @pytest.mark.parametrize("where", ["a-directory", "in-no-directory"])
 def test_an_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkeypatch, where):
     # verify and flow vet --out and --terminal before they compute
     # anything: no suite line, no flow step, no file.
-    def refuse(*args, **kwargs):
-        raise AssertionError("the run started before its outputs were vetted")
-
-    monkeypatch.setattr("horocvx.verify.run_suite", refuse)
-    monkeypatch.setattr(flow, "run", refuse)
+    monkeypatch.setattr("horocvx.verify.run_suite", _no_run)
+    monkeypatch.setattr(flow, "run", _no_run)
     cfg = tmp_path / "flow.json"
     cfg.write_text(json.dumps({"n": 1, "k": 0, "p": 0.0, "grid": "s1:16"}))
     if where == "a-directory":
@@ -861,17 +867,21 @@ def test_flow_config_initial_radius_is_checked_by_support_of_ball(tmp_path, caps
 def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
     # safety was the explicit scheme's dt limiter, dt_initial a first
     # step below max_dt and assumption_mode a refusal of data failing
-    # assumption H; eps_stp is a typo.
+    # assumption H; initial and f named fields, which are now the options
+    # --K and --f; eps_stp is a typo.
+    mkball(tmp_path, "A.json", 0.5, grid="s1:32")
     cfg = {
         "n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "safety": 0.05, "eps_stp": 1e-6,
-        "dt_initial": 0.05, "assumption_mode": "warn",
+        "dt_initial": 0.05, "assumption_mode": "warn", "initial": str(tmp_path / "A.json"),
+        "f": str(tmp_path / "A.json"),
     }
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "t.csv"
     assert main(["flow", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "unknown flow config key(s): assumption_mode, dt_initial, eps_stp, safety" in err
+    assert ("unknown flow config key(s): assumption_mode, dt_initial, eps_stp, f, initial, "
+            "safety") in err
     assert not out.exists()
 
 
@@ -894,6 +904,7 @@ def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
     "key, value",
     [
         ("max_dt", -1),
+        ("max_dt", 1e30),  # beyond what a step's halvings bring down to 5
         ("trace_every", 0),
         ("max_steps", -1),
         ("eps_stop", -1),
@@ -929,33 +940,43 @@ def test_flow_config_overflowing_initial_radius_is_an_error_line(tmp_path, capsy
     assert not trace.exists()
 
 
-def _flow_outputs_by_thread_count(tmp_path, cfg):
-    """Trace and terminal bytes of one CLI flow under HOROCVX_THREADS=1, 2."""
-    (tmp_path / "flow.json").write_text(json.dumps(cfg))
+def _outputs_by_thread_count(tmp_path, argv, outputs):
+    """The output bytes of one CLI command under HOROCVX_THREADS=1, 2: argv
+    runs in tmp_path with each option of outputs naming its file there,
+    prefixed by the thread count; one tuple of bytes per run."""
     src = str(Path(horocvx.__file__).resolve().parents[1])
-    outputs = []
+    runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, HOROCVX_THREADS=threads, PYTHONPATH=src)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env.pop(var, None)
-        trace, terminal = f"trace{threads}.csv", f"terminal{threads}.json"
+        named = {option: f"t{threads}-{name}" for option, name in outputs.items()}
         proc = subprocess.run(
-            [sys.executable, "-m", "horocvx.cli", "flow", "--config", "flow.json",
-             "--out", trace, "--terminal", terminal],
-            cwd=tmp_path, env=env, capture_output=True, timeout=120,
+            [sys.executable, "-m", "horocvx.cli", *argv,
+             *(item for pair in named.items() for item in pair)],
+            cwd=tmp_path, env=env, capture_output=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append(((tmp_path / trace).read_bytes(), (tmp_path / terminal).read_bytes()))
-    return outputs
+        runs.append(tuple((tmp_path / name).read_bytes() for name in named.values()))
+    return runs
+
+
+def _flow_outputs_by_thread_count(tmp_path, cfg, *fields):
+    """Trace and terminal bytes of one CLI flow, on cfg and the field
+    options in fields, under HOROCVX_THREADS=1, 2."""
+    (tmp_path / "flow.json").write_text(json.dumps(cfg))
+    return _outputs_by_thread_count(
+        tmp_path, ["flow", "--config", "flow.json", *fields],
+        {"--out": "trace.csv", "--terminal": "terminal.json"},
+    )
 
 
 def test_flow_outputs_are_identical_across_thread_counts(tmp_path):
     # Steep data, so the run takes steps rather than stopping at the ball.
     grid = make_grid(1, 64)
-    f_path = tmp_path / "f.json"
-    write_field(f_path, grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
-    cfg = {"n": 1, "k": 0, "p": 2.0, "f": str(f_path), "initial_radius": math.log(2.0)}
-    outputs = _flow_outputs_by_thread_count(tmp_path, cfg)
+    write_field(tmp_path / "f.json", grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
+    cfg = {"n": 1, "k": 0, "p": 2.0, "initial_radius": math.log(2.0)}
+    outputs = _flow_outputs_by_thread_count(tmp_path, cfg, "--f", "f.json")
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0].splitlines()) > 10
 
@@ -964,15 +985,37 @@ def test_s2_flow_outputs_are_identical_across_thread_counts(tmp_path):
     # The S^2 Legendre transforms are BLAS matrix products; an n=2 k=1
     # flow must not depend on how many threads BLAS may use.
     grid = make_grid(2, 16)
-    f_path = tmp_path / "f.json"
-    write_field(f_path, grid, 1.0 + 0.2 * grid.nodes[:, 2] ** 2)
-    cfg = {
-        "n": 2, "k": 1, "p": 1.0, "f": str(f_path), "initial_radius": math.log(2.0),
-        "max_dt": 0.05,
-    }
-    outputs = _flow_outputs_by_thread_count(tmp_path, cfg)
+    write_field(tmp_path / "f.json", grid, 1.0 + 0.2 * grid.nodes[:, 2] ** 2)
+    cfg = {"n": 2, "k": 1, "p": 1.0, "initial_radius": math.log(2.0), "max_dt": 0.05}
+    outputs = _flow_outputs_by_thread_count(tmp_path, cfg, "--f", "f.json")
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0].splitlines()) > 10
+
+
+def test_s2_ball_flow_outputs_are_identical_across_thread_counts(tmp_path):
+    # A ball start with the default f = 1 converges at its start.
+    outputs = _flow_outputs_by_thread_count(tmp_path, {"n": 2, "k": 1, "p": 1.0, "grid": "s2:16"})
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["status"] == "converged"
+
+
+def test_s2_kw_report_is_identical_across_thread_counts(tmp_path):
+    # Its one pass over f synthesizes the Hessian profiles too.
+    R2 = tmp_path / "R2.json"
+    assert main(["mkfield", "--grid", "s2:16", "--random", "--seed", "3", "--out", str(R2)]) == 0
+    outputs = _outputs_by_thread_count(
+        tmp_path, ["kw", "--K", "R2.json", "--f", "R2.json", "--k", "0"], {"--out": "kw.json"}
+    )
+    assert outputs[0] == outputs[1]
+    assert max(map(abs, json.loads(outputs[0][0])["coordinate_integrals"])) > 0.0
+
+
+def test_verify_records_are_identical_across_thread_counts(tmp_path):
+    outputs = _outputs_by_thread_count(
+        tmp_path, ["verify", "all", "--exploratory"], {"--out": "records.csv"}
+    )
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +1093,8 @@ def test_bad_field_value_is_a_usage_error(tmp_path, capsys, bad, flag):
     assert not out.exists()
 
 
-INLINE_FIELD_DEFECTS = {
+# Field defects that the loader refuses, whichever command reads the file.
+FIELD_DEFECTS = {
     "missing-values": lambda d: {key: v for key, v in d.items() if key != "values"},
     "short": lambda d: dict(d, values=d["values"][:-1]),
     "scalar": lambda d: dict(d, values=2.0),
@@ -1061,27 +1105,31 @@ INLINE_FIELD_DEFECTS = {
 
 
 @pytest.mark.parametrize("key", ["f", "initial"])
-@pytest.mark.parametrize("defect", list(INLINE_FIELD_DEFECTS))
+@pytest.mark.parametrize("defect", list(FIELD_DEFECTS))
 def test_bad_inline_flow_field_is_a_usage_error(tmp_path, capsys, key, defect):
+    # A flow config holds no field, inline or named: the key is unknown.
+    # The same field as a file, the start (--K) or the data (--f), is
+    # refused by the loader, naming the file.
     grid = make_grid(1, 32)
-    field = INLINE_FIELD_DEFECTS[defect](field_to_json_dict(grid, np.full(grid.size, 2.0)))
-    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", key: field}
-    path = tmp_path / "flow.json"
-    path.write_text(json.dumps(cfg))
-    trace = tmp_path / "t.csv"
-    assert main(["flow", "--config", str(path), "--out", str(trace)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: flow config {key}: bad inline field")
-    assert not trace.exists()
+    field = FIELD_DEFECTS[defect](field_to_json_dict(grid, np.full(grid.size, 2.0)))
+    cfg = {"n": 1, "k": 0, "p": 0.0}
+    err = _flow_usage_error(tmp_path, capsys, {**cfg, key: field})
+    assert err == f"error: unknown flow config key(s): {key}\n"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(field))
+    flag = {"f": "--f", "initial": "--K"}[key]
+    err = _flow_usage_error(tmp_path, capsys, cfg, flag, str(path))
+    assert err.startswith(f"error: bad field file {path}") and "Traceback" not in err
 
 
-def _flow_usage_error(tmp_path, capsys, cfg):
-    """Run a flow config that must be a usage error; return its message."""
+def _flow_usage_error(tmp_path, capsys, cfg, *fields):
+    """Run a flow, on cfg and the field options in fields, that must be a
+    usage error; return its message."""
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(cfg))
     trace = tmp_path / "t.csv"
     capsys.readouterr()
-    assert main(["flow", "--config", str(path), "--out", str(trace)]) == 2
+    assert main(["flow", "--config", str(path), *fields, "--out", str(trace)]) == 2
     assert not trace.exists()
     return capsys.readouterr().err
 
@@ -1108,41 +1156,51 @@ def test_flow_f_and_initial_on_different_grids_are_a_usage_error(tmp_path, capsy
     A = mkball(tmp_path, "A.json", 0.5, grid="s1:64")
     B = mkball(tmp_path, "B.json", 0.5, grid="s1:32")
     err = _flow_usage_error(
-        tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0, "initial": str(A), "f": str(B)}
+        tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0}, "--K", str(A), "--f", str(B)
     )
-    assert f"flow config initial {A} is on s1:64" in err
-    assert f"flow config f {B} is on s1:32" in err
+    assert f"--K {A} is on s1:64 but --f {B} is on s1:32" in err
+
+
+def test_flow_ball_on_the_config_grid_and_f_on_another_are_a_usage_error(tmp_path, capsys):
+    B = mkball(tmp_path, "B.json", 0.5, grid="s1:32")
+    err = _flow_usage_error(
+        tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0, "grid": "s1:64"}, "--f", str(B)
+    )
+    assert f"flow config grid is on s1:64 but --f {B} is on s1:32" in err
 
 
 def test_flow_initial_off_the_configs_sphere_is_a_usage_error(tmp_path, capsys):
     A = mkball(tmp_path, "A.json", 0.5, grid="s1:64")
-    err = _flow_usage_error(tmp_path, capsys, {"n": 2, "k": 1, "p": 1.0, "initial": str(A)})
-    assert f"flow config has n = 2 but flow config initial {A} lives on S^1" in err
+    err = _flow_usage_error(tmp_path, capsys, {"n": 2, "k": 1, "p": 1.0}, "--K", str(A))
+    assert f"flow config has n = 2 but --K {A} lives on S^1" in err
+    err = _flow_usage_error(tmp_path, capsys, {"n": 2, "k": 1, "p": 1.0}, "--f", str(A))
+    assert f"flow config has n = 2 but --f {A} lives on S^1" in err
 
 
 def test_flow_config_without_initial_grid_or_f_is_a_usage_error(tmp_path, capsys):
     # Nothing fixes the grid of the start.
     err = _flow_usage_error(tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0})
-    assert "flow config needs 'initial', 'grid', or 'f'" in err
+    assert err == "error: flow needs --K, a flow config grid, or --f\n"
 
 
 def test_flow_config_with_initial_and_grid_is_a_usage_error(tmp_path, capsys):
-    # The initial field fixes the grid, so the config's grid would be ignored.
+    # --K fixes the grid, so the config's grid would be ignored.
     A = mkball(tmp_path, "A.json", 0.5, grid="s1:64")
     for grid in ("s1:32", "s1:64"):
         err = _flow_usage_error(
-            tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0, "initial": str(A), "grid": grid}
+            tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0, "grid": grid}, "--K", str(A)
         )
-        assert "both 'initial' and 'grid'" in err
+        assert f"--K {A} is the start, so flow config" in err
+        assert "may give neither 'grid' nor 'initial_radius'" in err
 
 
 def test_flow_config_with_initial_and_initial_radius_is_a_usage_error(tmp_path, capsys):
-    # The initial field is the start, so the radius would be ignored.
+    # --K is the start, so the radius would be ignored.
     A = mkball(tmp_path, "A.json", 0.5, grid="s1:32")
     err = _flow_usage_error(
-        tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0, "initial": str(A), "initial_radius": 0.5}
+        tmp_path, capsys, {"n": 1, "k": 0, "p": 0.0, "initial_radius": 0.5}, "--K", str(A)
     )
-    assert "both 'initial' and 'initial_radius'" in err
+    assert "may give neither 'grid' nor 'initial_radius'" in err
 
 
 @pytest.mark.parametrize(
@@ -1152,8 +1210,11 @@ def test_flow_config_with_initial_and_initial_radius_is_a_usage_error(tmp_path, 
          "--out K.json would overwrite the input --K K.json"),
         (["dilate", "--a", "2", "--p", "1", "--K", "./K.json", "--out", "K.json"],
          "--out K.json would overwrite the input --K ./K.json"),
-        (["flow", "--config", "flow.json", "--out", "t.csv", "--terminal", "K.json"],
-         "--terminal K.json would overwrite the input flow config initial K.json"),
+        (["flow", "--config", "flow.json", "--K", "K.json", "--out", "t.csv",
+          "--terminal", "K.json"],
+         "--terminal K.json would overwrite the input --K K.json"),
+        (["flow", "--config", "flow.json", "--f", "./K.json", "--out", "K.json"],
+         "--out K.json would overwrite the input --f ./K.json"),
         (["flow", "--config", "flow.json", "--out", "flow.json"],
          "--out flow.json would overwrite the input --config flow.json"),
         (["flow", "--config", "flow.json", "--out", "t.csv", "--terminal", "t.csv"],
@@ -1161,17 +1222,16 @@ def test_flow_config_with_initial_and_initial_radius_is_a_usage_error(tmp_path, 
         (["flow", "--config", "flow.json", "--out", "t.csv", "--terminal", "./t.csv"],
          "--out t.csv and --terminal ./t.csv name the same file"),
     ],
-    ids=["dilate", "dilate-other-spelling", "flow-terminal", "flow-config",
+    ids=["dilate", "dilate-other-spelling", "flow-terminal", "flow-out-is-f", "flow-config",
          "flow-out-is-terminal", "flow-out-is-terminal-other-spelling"],
 )
 def test_output_naming_an_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, message):
     # Written first, the output would replace the input, and the manifest
     # would record the output's hash as the input's.
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(flow, "run", _no_run)
     mkball(tmp_path, "K.json", 0.5)
-    (tmp_path / "flow.json").write_text(
-        json.dumps({"n": 1, "k": 0, "p": 0.0, "initial": "K.json"})
-    )
+    (tmp_path / "flow.json").write_text(json.dumps({"n": 1, "k": 0, "p": 0.0}))
     before = {name: (tmp_path / name).read_bytes() for name in ("K.json", "flow.json")}
     capsys.readouterr()
     assert main(argv) == 2
@@ -1189,16 +1249,15 @@ def test_out_and_terminal_naming_one_existing_file_is_a_usage_error(
     # The terminal field would be written over the trace CSV.
     monkeypatch.chdir(tmp_path)
     mkball(tmp_path, "K.json", 0.5)
-    (tmp_path / "flow.json").write_text(
-        json.dumps({"n": 1, "k": 0, "p": 0.0, "initial": "K.json"})
-    )
+    (tmp_path / "flow.json").write_text(json.dumps({"n": 1, "k": 0, "p": 0.0}))
     (tmp_path / "t.csv").write_text("old\n")
     terminal = "t.csv"
     if link:
         (tmp_path / "link.csv").symlink_to(tmp_path / "t.csv")
         terminal = "link.csv"
     capsys.readouterr()
-    argv = ["flow", "--config", "flow.json", "--out", "t.csv", "--terminal", terminal]
+    argv = ["flow", "--config", "flow.json", "--K", "K.json", "--out", "t.csv",
+            "--terminal", terminal]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"--out t.csv and --terminal {terminal} name the same file" in err
@@ -1217,10 +1276,11 @@ def test_nonconvex_input_is_a_runtime_error(tmp_path):
     # error line, no trace and no traceback.
     grid = make_grid(1, 32)
     write_field(tmp_path / "kinked.json", grid, 2.0 * (1.0 + 0.3 * np.cos(6 * grid.theta)))
-    (tmp_path / "flow.json").write_text(json.dumps({"n": 1, "k": 0, "p": 0.0, "initial": "kinked.json"}))
+    (tmp_path / "flow.json").write_text(json.dumps({"n": 1, "k": 0, "p": 0.0}))
     src = str(Path(horocvx.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "horocvx.cli", "flow", "--config", "flow.json", "--out", "t.csv"],
+        [sys.executable, "-m", "horocvx.cli", "flow", "--config", "flow.json",
+         "--K", "kinked.json", "--out", "t.csv"],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, timeout=120,
     )
@@ -1263,7 +1323,7 @@ PARSER_TABLE = {
     "kw": {"K": True, "f": True, "k": False, "out": True},
     "ballsolve": {"n": True, "k": True, "p": True, "gamma": True, "out": True},
     "assumption-h": {"f": True, "k": True, "p": True, "out": True},
-    "flow": {"config": True, "out": True, "terminal": False},
+    "flow": {"config": True, "K": False, "f": False, "out": True, "terminal": False},
     "project": {"K": True, "out": True},
     "verify": {"suite": True, "out": False, "exploratory": False},
 }

@@ -384,6 +384,18 @@ ARGUMENT_RULES = {
         S1, 1.0, 1.0, origin(1), 1.0, origin(1), samples=2
     ),
     "resolvent-mu": lambda: resolvent(S1, K1.phi, -1.0),
+    # The exponent p, and gamma, are finite numbers where they enter: a
+    # bool ran as p = 1, a string raised a bare TypeError, NaN gave NaN or
+    # a bracketing failure.
+    "p_sum-p-bool": lambda: p_sum(1.0, K1, True, 1.0, K1),
+    "p_sum-p-str": lambda: p_sum(1.0, K1, "1", 1.0, K1),
+    "two_point_ball-p-bool": lambda: two_point_ball(True, 0.5, 1.0, origin(1), 1.0, origin(1)),
+    "mixed_quermass-p-bool": lambda: mixed_quermass(K1, K1, True, 0),
+    "ball_solutions-p-bool": lambda: ball_solutions(1, 0, True, 1.0),
+    "ball_solutions-p-nan": lambda: ball_solutions(1, 0, math.nan, 1.0),
+    "ball_solutions-gamma-nan": lambda: ball_solutions(1, 0, 1.0, math.nan),
+    "measure_density-p-nan": lambda: measure_density(K1, math.nan, 0),
+    "J_p-p-nan": lambda: J_p(K1, np.ones(S1.size), math.nan),
     "make_grid-n": lambda: make_grid(3, 8),
     "sphere_area-n": lambda: sphere_area(3),
 }
