@@ -293,12 +293,8 @@ def _cmd_steiner(args, K: SupportField) -> int:
 
     from .quermass import steiner_check, weighted_steiner_check
 
-    if args.kind == "weighted":
-        report = asdict(weighted_steiner_check(K, args.rho))
-    else:
-        report = asdict(steiner_check(K, args.rho))
-        report["shifted_residuals"] = report.pop("residuals")
-    return _emit(args, K.grid, {**report, "kind": args.kind})
+    check = weighted_steiner_check if args.kind == "weighted" else steiner_check
+    return _emit(args, K.grid, {**asdict(check(K, args.rho)), "kind": args.kind})
 
 
 def _cmd_weighted(args, K: SupportField) -> int:

@@ -182,8 +182,7 @@ def compatibility_check(
         radii.append(ball.radius)
     if not centers:
         raise ValueError(f"every sampled ball of the two-point family is empty at p = {p}")
-    d = np.arccosh(np.maximum(-lorentz.inner(pts[:, None, :], np.asarray(centers)), 1.0))
-    defect = d - np.asarray(radii)[None, :]
+    defect = lorentz.geodesic_distance(pts[:, None, :], centers) - np.asarray(radii)[None, :]
     worst = 0.0
     best_j = np.argmin(defect, axis=1) if minimize else np.argmax(defect, axis=1)
     for i in range(pts.shape[0]):

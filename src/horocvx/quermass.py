@@ -101,7 +101,7 @@ class QuermassReport:
 @dataclass
 class SteinerReport:
     rho: float
-    residuals: list[float]  # index k = 0..n, shifted expansion
+    shifted_residuals: list[float]  # index k = 0..n, shifted expansion
     classical_residual: float  # k = 0 expansion in the true curvatures
     scale: float
 

@@ -11,20 +11,20 @@ finite-and-positive test, `exactly_constant` the one constant-stack test.
 
 Each kind of grid is one private subclass of Grid that holds all of its
 spectral code; `make_grid` picks the kind from n, `grid_from_json_dict`
-from the JSON type, and no other function branches on it.
-Both kinds make one rfft per analysis of a stack and one irfft per
-pass.  `_UniformS1`, on S^1, fills one spectrum buffer with all the
-orders of a pass.
+from the JSON type, and no other function branches on it.  Its two pass
+hooks are `_analyze`, one rfft of a stack, and `_fields(c, mu)`, one
+irfft of the values, gradient and Hessian of c / (1 + mu lambda) on the
+band.  `_UniformS1`, on S^1, fills one spectrum buffer with all three.
 `_GLProductS2`, on S^2, holds the associated Legendre functions and
 their theta derivatives as one padded tensor PdP[., m, node, l], zero
 for l < m, so that its Legendre analysis and synthesis are each one
 real matmul that broadcasts over the stack.
 
-`derivatives` gives the gradient and Hessian in the orthonormal frame
-{d_theta, (1/sin theta) d_phi} from one analysis; `resolvent` gives
-(1 - mu Laplacian)^{-1} v and its derivatives from one analysis, and at
-mu = 0 it is the projection onto the band.  A stack of finite, exactly
-constant fields makes no FFT call: zero derivatives, and R c = c.
+`resolvent` is the one spectral pass: (1 - mu Laplacian)^{-1} v with its
+gradient and Hessian in the orthonormal frame {d_theta, (1/sin theta)
+d_phi}.  At mu = 0 it is the band projection, and a derivative pass:
+`derivatives` returns its gradient and Hessian.  A stack of finite,
+exactly constant fields makes no FFT call: zero derivatives, R c = c.
 `make_grid` returns the same read-only Grid for equal arguments, so its
 tables are built once per process.
 """
@@ -89,8 +89,8 @@ class Grid:
     n=2: resolution (L, M) with M = 2 L; Gauss-Legendre in cos(polar)
     times uniform azimuth, node order row-major polar-major.
     Build grids with `make_grid`; their arrays are read-only.  Each kind
-    provides `_analyze`, `_resolve`, `_fields`, `_evaluate`, `_frames`
-    and `_json_dict`.
+    provides the pass hooks `_analyze` and `_fields(c, mu)`, and
+    `_evaluate`, `_frames` and `_json_dict`.
     """
 
     n: int
@@ -168,7 +168,7 @@ class _UniformS1(Grid):
     def make(cls, resolution) -> Grid:
         N = as_integer(resolution, "n=1 node count")
         if N % 2 != 0 or N < 4:
-            raise ValueError(f"n=1 grid needs an even node count >= 4, got {resolution}")
+            raise ArgumentError(f"n=1 grid needs an even node count >= 4, got {resolution}")
         return cls._build(N)
 
     @staticmethod
@@ -192,10 +192,9 @@ class _UniformS1(Grid):
 
     @functools.cached_property
     def _multipliers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(i k) and (i k)^2 for k = 0..N/2, zero at the Nyquist mode."""
-        k = self._wavenumbers.copy()
-        k[-1] = 0.0
-        mults = (1j * k, (1j * k) ** 2)
+        """(i k) and (i k)^2 for k = 0..N/2."""
+        ik = 1j * self._wavenumbers
+        mults = (ik, ik ** 2)
         _frozen(*mults)
         return mults
 
@@ -203,28 +202,23 @@ class _UniformS1(Grid):
         """Fourier coefficients of each field of a stack (..., N), one rfft."""
         return np.fft.rfft(values) / self.resolution[0]
 
-    def _resolve(self, c: np.ndarray, mu: float) -> np.ndarray:
-        """c / (1 + mu k^2), with the Nyquist mode dropped."""
-        k = self._wavenumbers
+    def _fields(self, c: np.ndarray, mu: float):
+        """(values, gradient, Hessian) of c / (1 + mu k^2), with the Nyquist
+        mode dropped, from one irfft.
+
+        The spectra (c N), (c i k) N and (c (i k)^2) N fill one buffer,
+        order-major, so that each block is laid out as the product of its
+        own would be and rounds the same."""
+        N, k = self.resolution[0], self._wavenumbers
         c = c / (1.0 + mu * k * k)
         c[..., -1] = 0.0
-        return c
-
-    def _fields(self, c: np.ndarray, value: bool):
-        """(values or None, gradient, Hessian) of c from one irfft.
-
-        The spectra (c N when value), (c i k) N and (c (i k)^2) N fill one
-        buffer, order-major, so that each block is laid out as the product
-        of its own would be and rounds the same."""
-        N = self.resolution[0]
-        spectra = np.empty((2 + value,) + c.shape, dtype=complex)
-        if value:
-            np.multiply(c, N, out=spectra[0])
-        for block, m in zip(spectra[value:], self._multipliers):
+        spectra = np.empty((3,) + c.shape, dtype=complex)
+        np.multiply(c, N, out=spectra[0])
+        for block, m in zip(spectra[1:], self._multipliers):
             np.multiply(c, m, out=block)
             np.multiply(block, N, out=block)
-        fields = np.fft.irfft(spectra, n=N)
-        return (fields[0] if value else None), fields[-2][..., None], fields[-1][..., None, None]
+        v, g, H = np.fft.irfft(spectra, n=N)
+        return v, g[..., None], H[..., None, None]
 
     def _evaluate(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
         c = self._analyze(values)
@@ -270,7 +264,7 @@ def gauss_legendre(L: int) -> tuple[np.ndarray, np.ndarray]:
     """
     L = as_integer(L, "Gauss-Legendre order")
     if L < 1:
-        raise ValueError(f"Gauss-Legendre needs at least one node, got {L}")
+        raise ArgumentError(f"Gauss-Legendre needs at least one node, got {L}")
     # q_l = sqrt((2l + 1) / (4 pi)) P_l, so p_l^2 = 2 pi q_l^2 and
     # (x^2 - 1) q_L' = L (x q_L - c q_{L-1}).  s is unused at m = 0.
     c = math.sqrt((2 * L + 1) / (2 * L - 1))
@@ -330,7 +324,7 @@ class _GLProductS2(Grid):
     def make(cls, resolution) -> Grid:
         L = as_integer(resolution, "n=2 polar count")
         if L < 2:
-            raise ValueError(f"n=2 grid needs a polar count >= 2, got {resolution}")
+            raise ArgumentError(f"n=2 grid needs a polar count >= 2, got {resolution}")
         return cls._build(L)
 
     @staticmethod
@@ -396,42 +390,29 @@ class _GLProductS2(Grid):
         w = np.swapaxes(self.wx[:, None] * G[..., : self.band_limit + 1], -1, -2)
         return 2.0 * math.pi * _real_matmul(self._tables[0][0].transpose(0, 2, 1), w)
 
-    def _spectrum(self, lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """A zero azimuthal spectrum G (..., L, M/2 + 1) for `_synthesize`,
-        and the view (..., B+1, L) of it that holds the polar profiles."""
-        L, M = self.resolution
-        G = np.zeros(lead + (L, M // 2 + 1), dtype=complex)
-        return G, np.swapaxes(G[..., : self.band_limit + 1], -1, -2)
-
-    def _synthesize(self, G: np.ndarray) -> np.ndarray:
-        """Node values (..., size) of a stack of spectra from `_spectrum`:
-        one irfft for the whole stack."""
-        M = self.resolution[1]
-        return np.fft.irfft(G * M, n=M, axis=-1).reshape(G.shape[:-2] + (self.size,))
-
-    def _resolve(self, a: np.ndarray, mu: float) -> np.ndarray:
-        """a / (1 + mu l (l + 1))."""
-        return a / (1.0 + mu * self._tables[1])
-
-    def _fields(self, a: np.ndarray, value: bool):
-        """(values or None, gradient, Hessian) of a from one irfft of all
-        their polar profiles; the Hessian's profiles hold the gradient's."""
+    def _fields(self, a: np.ndarray, mu: float):
+        """(values, gradient, Hessian) of a / (1 + mu l (l + 1)) from one
+        irfft of all their polar profiles; the Hessian's profiles hold the
+        gradient's."""
         PdP, ll1 = self._tables
+        a = a / (1.0 + mu * ll1)
         # Polar profiles per order m; azimuthal derivatives are 1j m and -m m.
         m = np.arange(self.band_limit + 1)[:, None]
         vs = _real_matmul(PdP, a[..., None, :, :])
         v_m, vt_m = vs[..., 0, :, :], vs[..., 1, :, :]
-        G, profiles = self._spectrum(a.shape[:-2] + (5 + value,))
+        # A zero azimuthal spectrum (..., 6, L, M/2 + 1) and its view
+        # (..., 6, B+1, L) that holds the profiles.
+        L, M = self.resolution
+        G = np.zeros(a.shape[:-2] + (6, L, M // 2 + 1), dtype=complex)
+        profiles = np.swapaxes(G[..., : self.band_limit + 1], -1, -2)
         profiles[..., 0, :, :] = vt_m
         np.multiply(1j * m, v_m, out=profiles[..., 1, :, :])
         profiles[..., 2, :, :] = _real_matmul(PdP[0], ll1 * a)
         np.multiply(1j * m, vt_m, out=profiles[..., 3, :, :])
         np.multiply(-(m * m), v_m, out=profiles[..., 4, :, :])
-        if value:
-            profiles[..., 5, :, :] = v_m
-        fields = self._synthesize(G)
-        vt, fp, lap, ftp, fpp = (fields[..., i, :] for i in range(5))
-        v = fields[..., 5, :] if value else None
+        profiles[..., 5, :, :] = v_m
+        fields = np.fft.irfft(G * M, n=M, axis=-1).reshape(G.shape[:-2] + (self.size,))
+        vt, fp, lap, ftp, fpp, v = (fields[..., i, :] for i in range(6))
         s, inv_s, x_s, ss, x_ss = self._node_factors
         g = np.empty(vt.shape + (2,))
         g[..., 0] = vt
@@ -484,7 +465,7 @@ class _GLProductS2(Grid):
     def _from_json_dict(cls, d: dict) -> Grid:
         polar = as_integer(d["polar"], "polar count")
         if as_integer(d.get("azimuth", 2 * polar), "azimuth count") != 2 * polar:
-            raise ValueError("gl_product grids require azimuth = 2 * polar")
+            raise ArgumentError("gl_product grids require azimuth = 2 * polar")
         return cls.make(polar)
 
 
@@ -510,8 +491,8 @@ def make_grid(n: int, resolution) -> Grid:
     polar count L >= 2; the polar nodes are the Gauss-Legendre rule of
     `gauss_legendre` (Newton on the Legendre recurrence), the azimuth
     count is fixed at M = 2 L and the band limit at L - 1.  A resolution
-    that is not an integer is a ValueError.  Equal arguments return the
-    same Grid object, built once.
+    that is not an integer or breaks its kind's rule is an ArgumentError.
+    Equal arguments return the same Grid object, built once.
     """
     return _kind(n).make(resolution)
 
@@ -591,17 +572,17 @@ def even_project(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def derivatives(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient (size, n) and covariant Hessian (size, n, n) in the
-    orthonormal frame, both from one analysis and one synthesis; a stack
-    of fields (..., size) gives (..., size, n) and (..., size, n, n).
-    Finite, exactly constant fields give exact zeros with no pass."""
-    return _spectral_pass(grid, values, None)[1:]
+    orthonormal frame: `resolvent` at mu = 0, whose S^1 Nyquist drop leaves
+    them as they are.  A stack (..., size) gives (..., size, n) and (...,
+    size, n, n); finite, exactly constant fields give zeros with no pass."""
+    return resolvent(grid, values, 0.0)[1:]
 
 
 def resolvent(
     grid: Grid, values: np.ndarray, mu: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R v = (1 - mu Laplacian)^{-1} v on the band, with its gradient and
-    Hessian, all from one spectral analysis.
+    Hessian, all from one analysis and one synthesis: the one spectral pass.
 
     R multiplies each mode by 1 / (1 + mu lambda), lambda = k^2 on S^1
     and l (l + 1) on S^2, and drops what lies above the band (the Nyquist
@@ -614,22 +595,11 @@ def resolvent(
     mu = as_real(mu, "resolvent mu")
     if mu < 0.0:
         raise ArgumentError(f"resolvent mu must be nonnegative, got {mu!r}")
-    return _spectral_pass(grid, values, mu)
-
-
-def _spectral_pass(grid: Grid, values: np.ndarray, mu):
-    """(R v or None, gradient, Hessian) of v, or of R v when mu is given,
-    for one field or a stack (..., size): one analysis and one synthesis
-    of the stack, or none when every field is finite and exactly constant
-    (R c = c, zero derivatives)."""
     v = _node_values(grid, values)
     if exactly_constant(v):
         shape = v.shape + (grid.n,)
-        return (v.copy() if mu is not None else None), np.zeros(shape), np.zeros(shape + (grid.n,))
-    coeffs = grid._analyze(v)
-    if mu is not None:
-        coeffs = grid._resolve(coeffs, mu)
-    return grid._fields(coeffs, mu is not None)
+        return v.copy(), np.zeros(shape), np.zeros(shape + (grid.n,))
+    return grid._fields(grid._analyze(v), mu)
 
 
 def frame_vectors(grid: Grid) -> np.ndarray:
@@ -679,9 +649,9 @@ def grid_from_json_dict(n: int, d: dict) -> Grid:
     for kind in _KINDS:
         if d["type"] == kind.json_type:
             if n != kind.dim:
-                raise ValueError(f"{kind.json_type} grids live on S^{kind.dim}")
+                raise ArgumentError(f"{kind.json_type} grids live on S^{kind.dim}")
             return kind._from_json_dict(d)
-    raise ValueError(f"unknown grid type {d.get('type')!r}")
+    raise ArgumentError(f"unknown grid type {d.get('type')!r}")
 
 
 def field_to_json_dict(grid: Grid, values: np.ndarray, kind: str | None = None) -> dict:

@@ -119,7 +119,7 @@ def test_criterion_03_ball_quermass_homotopy():
 def _steiner_residuals(K: SupportField) -> tuple[float, float]:
     s = steiner_check(K, 0.3)
     w = weighted_steiner_check(K, 0.3)
-    plain = max(max(abs(v) for v in s.residuals), abs(s.classical_residual))
+    plain = max(max(abs(v) for v in s.shifted_residuals), abs(s.classical_residual))
     weighted = max(abs(w.residual_integral_form), abs(w.residual_closed_form))
     return plain, weighted
 

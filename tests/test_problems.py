@@ -42,6 +42,8 @@ from horocvx.sphere_grid import (
     as_real,
     derivatives,
     frame_vectors,
+    gauss_legendre,
+    grid_from_json_dict,
     integrate,
     make_grid,
     resolvent,
@@ -397,6 +399,19 @@ ARGUMENT_RULES = {
     "measure_density-p-nan": lambda: measure_density(K1, math.nan, 0),
     "J_p-p-nan": lambda: J_p(K1, np.ones(S1.size), math.nan),
     "make_grid-n": lambda: make_grid(3, 8),
+    # Each grid kind's rule on its resolution, and the JSON reader's on a
+    # grid object's type, sphere and azimuth.
+    "make_grid-s1-odd": lambda: make_grid(1, 5),
+    "make_grid-s1-small": lambda: make_grid(1, 2),
+    "make_grid-s2-small": lambda: make_grid(2, 1),
+    "gauss_legendre-L": lambda: gauss_legendre(0),
+    "grid_from_json_dict-azimuth": lambda: grid_from_json_dict(
+        2, {"type": "gl_product", "polar": 4, "azimuth": 7}
+    ),
+    "grid_from_json_dict-type": lambda: grid_from_json_dict(1, {"type": "healpix"}),
+    "grid_from_json_dict-sphere": lambda: grid_from_json_dict(
+        1, {"type": "gl_product", "polar": 4}
+    ),
     "sphere_area-n": lambda: sphere_area(3),
 }
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from horocvx.hconvex import SupportField, support_of_ball, support_of_point
 from horocvx.lorentz import boost, origin
 from horocvx.psum import (
+    TwoPointBall,
     compatibility_check,
     dilates_check,
     p_dilate,
@@ -161,6 +162,17 @@ def test_two_point_ball_can_be_empty():
     # ca = 0, cb = sqrt(t) = sqrt(1/2) < 1.
     assert ball.empty
     assert ball.radius < 0.0
+
+
+def test_two_point_ball_of_a_zero_coefficient_at_its_own_endpoint_is_empty():
+    # At p > 1, a = 0 and t = 0 give ca = 0 and cb = t^{1/q} b^{1/p} = 0:
+    # T = 0, no center and no radius.  So do b = 0 and t = 1.
+    X = origin(1)
+    Y = np.array([0.2, 0.0, math.sqrt(1.04)])
+    for p in (1.5, 2.0):
+        for ball in (two_point_ball(p, 0.0, 0.0, X, 1.0, Y),
+                     two_point_ball(p, 1.0, 1.0, X, 0.0, Y)):
+            assert ball == TwoPointBall(None, -math.inf, True)
 
 
 def test_two_point_ball_figure_configuration():

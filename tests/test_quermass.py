@@ -553,8 +553,8 @@ def test_steiner_residuals_smooth_body():
     for grid in (S1, S2):
         K = smooth_body(grid)
         rep = steiner_check(K, 0.3)
-        assert len(rep.residuals) == grid.n + 1
-        for resid in rep.residuals:
+        assert len(rep.shifted_residuals) == grid.n + 1
+        for resid in rep.shifted_residuals:
             assert abs(resid) < 1e-10 * rep.scale
         assert abs(rep.classical_residual) < 1e-10 * rep.scale
 
@@ -562,7 +562,7 @@ def test_steiner_residuals_smooth_body():
 def test_steiner_residuals_ball():
     K = support_of_ball(S2, origin(2), 0.5)
     rep = steiner_check(K, 0.45)
-    for resid in rep.residuals:
+    for resid in rep.shifted_residuals:
         assert abs(resid) < 1e-12
     assert abs(rep.classical_residual) < 1e-12
     with pytest.raises(ValueError):

@@ -282,17 +282,26 @@ def test_s1_derivative_oracles():
 
 
 def _synthesize_profiles(grid, profiles):
-    """Node values of S^2 polar profiles (..., B+1, L), written into the
-    spectrum that `_synthesize` reads."""
-    G, view = grid._spectrum(profiles.shape[:-2])
-    view[...] = profiles
-    return grid._synthesize(G)
+    """Node values of S^2 polar profiles (..., B+1, L): one azimuthal irfft
+    of the zero spectrum that holds them, as the pass writes it."""
+    L, M = grid.resolution
+    G = np.zeros(profiles.shape[:-2] + (L, M // 2 + 1), dtype=complex)
+    np.swapaxes(G[..., : grid.band_limit + 1], -1, -2)[...] = profiles
+    return np.fft.irfft(G * M, n=M, axis=-1).reshape(G.shape[:-2] + (grid.size,))
+
+
+def _band_coefficients(grid, values):
+    """S^1 Fourier coefficients with the Nyquist one dropped, as the band
+    projection drops it."""
+    c = grid._analyze(values)
+    c[..., -1] = 0.0
+    return c
 
 
 def _two_pass_gradient(grid, values):
     """Gradient from its own analysis, as before the fused pass."""
     if grid.n == 1:
-        c, N = grid._analyze(values), grid.resolution[0]
+        c, N = _band_coefficients(grid, values), grid.resolution[0]
         return np.fft.irfft((c * grid._multipliers[0]) * N, n=N)[:, None]
     (P, dP), _ = grid._tables
     a = grid._analyze(values)
@@ -307,7 +316,7 @@ def _two_pass_gradient(grid, values):
 def _two_pass_hessian(grid, values):
     """Hessian from its own analysis, as before the fused pass."""
     if grid.n == 1:
-        c, N = grid._analyze(values), grid.resolution[0]
+        c, N = _band_coefficients(grid, values), grid.resolution[0]
         return np.fft.irfft((c * grid._multipliers[1]) * N, n=N)[:, None, None]
     (P, dP), ll1 = grid._tables
     a = grid._analyze(values)
@@ -401,11 +410,12 @@ def test_node_factors_are_the_repeated_polar_tables(L):
 
 
 def test_fused_derivatives_do_one_analysis(fft_counts):
-    # S^1: one analysis, and one synthesis of both derivative orders.
+    # S^1: one analysis, and one synthesis of the values and both
+    # derivative orders.
     derivatives(S1, np.cos(s1_theta(S1)))
     assert fft_counts == {"rfft": 1, "irfft": 1}
-    # S^2: one analysis, and one synthesis of the five profiles of the
-    # Hessian, which also carry the gradient.
+    # S^2: one analysis, and one synthesis of the values' profile and the
+    # Hessian's five, which also carry the gradient.
     fft_counts.update(rfft=0, irfft=0)
     derivatives(S2, 1.0 + S2.nodes[:, 2] ** 2)
     assert fft_counts == {"rfft": 1, "irfft": 1}
@@ -484,14 +494,6 @@ def test_constant_stack_makes_no_pass(grid, fft_counts):
     assert fft_counts == {"rfft": 0, "irfft": 0}
 
 
-def _analysis_and_synthesis(grid, values, mu):
-    """The one analysis and synthesis of a pass, called directly."""
-    coeffs = grid._analyze(values)
-    if mu is not None:
-        coeffs = grid._resolve(coeffs, mu)
-    return grid._fields(coeffs, mu is not None)
-
-
 @pytest.mark.bitwise
 @pytest.mark.parametrize("grid", CONSTANT_GRIDS, ids=["s1", "s2"])
 def test_mixed_constant_stack_takes_the_full_pass_bitwise(grid, fft_counts):
@@ -507,7 +509,8 @@ def test_mixed_constant_stack_takes_the_full_pass_bitwise(grid, fft_counts):
             fft_counts.update(rfft=0, irfft=0)
             out = derivatives(grid, v) if mu is None else resolvent(grid, v, mu)
             assert fft_counts == {"rfft": 1, "irfft": 1}
-            want = _analysis_and_synthesis(grid, v, mu)[mu is None :]
+            # The pass hooks called directly; a derivative pass is mu = 0.
+            want = grid._fields(grid._analyze(v), mu or 0.0)[mu is None :]
             for got, ref in zip(out, want):
                 assert got.tobytes() == ref.tobytes()
     assert derivatives(grid, ulp)[0].any()
@@ -534,24 +537,24 @@ def test_non_finite_constant_stack_keeps_its_pass(grid, bad, fft_counts):
 @pytest.mark.parametrize("N", [4, 96, 128, 1024])
 def test_s1_one_synthesis_is_bitwise_one_irfft_per_order(N, lead):
     # The one irfft of the S^1 pass gives the bits of one irfft per order,
-    # irfft(c N), irfft((c i k) N) and irfft((c (i k)^2) N), with the
-    # values or without them.
+    # irfft(r N), irfft((r i k) N) and irfft((r (i k)^2) N), of the resolved
+    # coefficients r = c / (1 + mu k^2) with the Nyquist mode dropped.
     grid = make_grid(1, N)
     rng = np.random.default_rng(N)
     shape = lead + (N // 2 + 1,)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ik, ik2 = grid._multipliers
-    want = (
-        np.fft.irfft(c * N, n=N),
-        np.fft.irfft((c * ik) * N, n=N)[..., None],
-        np.fft.irfft((c * ik2) * N, n=N)[..., None, None],
-    )
-    for value in (False, True):
-        for asked, got, ref in zip((value, True, True), grid._fields(c, value), want):
-            if asked:
-                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-            else:
-                assert got is None
+    k = np.arange(N // 2 + 1, dtype=float)
+    for mu in (0.0, 0.3):
+        r = c / (1.0 + mu * k * k)
+        r[..., -1] = 0.0
+        want = (
+            np.fft.irfft(r * N, n=N),
+            np.fft.irfft((r * ik) * N, n=N)[..., None],
+            np.fft.irfft((r * ik2) * N, n=N)[..., None, None],
+        )
+        for got, ref in zip(grid._fields(c, mu), want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
@@ -571,13 +574,21 @@ def test_resolvent_takes_any_finite_nonnegative_mu():
 
 @pytest.mark.bitwise
 def test_one_synthesis_of_many_profiles_is_bitwise_one_per_profile():
+    # The S^2 pass synthesizes all six profiles of every field of a stack
+    # in one irfft: each field's values keep the bits of their own
+    # profile's irfft, and each field of a (2, 6) stack those of its pass.
     rng = np.random.default_rng(3)
-    shape = (2, 6, S2.band_limit + 1, S2.resolution[0])
-    profiles = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    fields = _synthesize_profiles(S2, profiles)
-    assert fields.shape == (2, 6, S2.size)
-    for idx in np.ndindex(2, 6):
-        assert np.array_equal(fields[idx], _synthesize_profiles(S2, profiles[idx]))
+    shape = (2, 6, S2.band_limit + 1, S2.band_limit + 1)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    (P, _), ll1 = S2._tables
+    for mu in (0.0, 0.3):
+        out = S2._fields(a, mu)
+        assert out[0].shape == (2, 6, S2.size)
+        for idx in np.ndindex(2, 6):
+            v_m = sphere_grid._real_matmul(P, a[idx] / (1.0 + mu * ll1))
+            assert np.array_equal(out[0][idx], _synthesize_profiles(S2, v_m))
+            for stacked, single in zip(out, S2._fields(a[idx], mu)):
+                assert np.array_equal(stacked[idx], single)
 
 
 @pytest.mark.parametrize("grid", [make_grid(1, 96), S2], ids=["s1", "s2"])
