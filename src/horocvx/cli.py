@@ -48,11 +48,10 @@ The start is `--K`; without it, the centered ball of `initial_radius`
 or `initial_radius`, no start at all, or a start off S^n for the
 config's `n` is a usage error.  FlowConfig checks its values when it is
 built; its ArgumentError is a usage error (`bad flow config <path>:
-...`), as is a config file that cannot be read or parsed.  What
-`flow.make_state` refuses (odd f under enforced evenness, a start that
-is not uniformly h-convex) fails the flow: exit 1, an `error:` line, no
-trace.  Each of the run's warnings (f failing assumption H) is a
-`warning:` line on stderr.
+...`), as is a config file that cannot be read or parsed.  A start
+that `flow.make_state` refuses (one that is not uniformly h-convex)
+fails the flow: exit 1, an `error:` line, no trace.  Each of the run's
+warnings (f failing assumption H) is a `warning:` line on stderr.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ steps the trajectory, and the time t in the trace, are a pseudo-time
 path: only its steady state is the solution, while W_k is conserved at
 every step.  An accepted step costs one spectral pass, the batched
 resolvent of G and h: one rfft and one irfft, two FFT calls on either
-grid.  When evenness is enforced, G and h are projected onto even fields
+grid.  When the run keeps evenness, G and h are projected onto even fields
 first, a node-wise antipodal average.  R is diagonal in the spectral
 basis and commutes with the antipodal map, so phi_new is band-limited
 and even whenever phi is, and Newton's last trial, whose derivatives are
@@ -40,14 +40,14 @@ change it only by roundoff.  The state it returns already holds the w
 that the next step's Newton solve reads, and the W_k the trace reads.
 
 A point of the flow is one frozen `FlowState`: the band-limited field,
-the run's data and the speed's parts there.  `make_state(config, phi0)`
+the run's data and what is evaluated there.  `make_state(config, phi0)`
 checks every input of a run that needs the grid and returns the
 evaluated start, `step(state, dt)` returns the next state, and `run`
 adds the step-size rule, the stop test and the trace.
 
-By default evenness is enforced for k >= 1, and for k = 0 when f and
-the initial phi are both even: large steps let roundoff in the odd
-modes grow at strongly negative p.
+A run keeps evenness, at every k, exactly when f and the initial phi are
+both even (the paper's existence theorem is for even data): large steps
+let roundoff in the odd modes grow at strongly negative p.
 """
 
 from __future__ import annotations
@@ -133,7 +133,6 @@ class FlowConfig:
     max_dt: float = DEFAULT_MAX_DT  # the first step, and the cap on SER's, at most MAX_DT
     eps_stop: float = 1e-6
     max_steps: int = 200_000
-    enforce_even: bool | None = None  # default: k >= 1, or f and phi0 even
     trace_every: int = 1
 
     def __post_init__(self) -> None:
@@ -143,7 +142,6 @@ class FlowConfig:
             setattr(self, key, as_real(getattr(self, key), f"flow config {key}"))
         check_nkp(self.n, self.k, self.p, "flow config ")
         for key, ok, rule in (
-            ("enforce_even", isinstance(self.enforce_even, (bool, type(None))), "a bool or None"),
             ("max_dt", 0.0 < self.max_dt <= MAX_DT,
              f"positive and at most {MAX_DT:.6g}, which {MAX_REJECTIONS} halvings of a "
              f"rejected step bring down to the default {DEFAULT_MAX_DT:g}"),
@@ -166,9 +164,9 @@ class FlowState:
     each new state even, target: the W_k every step holds);
     and what `_evaluate` computes at K when the state is built: pA =
     p_{n-k}(A), w = phi^{-(k+1)} pA, the first variation of W_k that the
-    next step's Newton solve starts from, and the speed Phi G - h with
-    its parts.  So `replace(state, K=L)` is the state at L; it raises
-    FlowStepError if L is off the uniformly h-convex cone.
+    next step's Newton solve starts from, the speed Phi G - h with its
+    parts and what the stop test reads.  So `replace(state, K=L)` is the
+    state at L; it raises FlowStepError if L is off the uniformly h-convex cone.
     """
 
     K: SupportField
@@ -186,10 +184,12 @@ class FlowState:
     h: np.ndarray = field(init=False)
     c: float = field(init=False)
     speed: np.ndarray = field(init=False)
+    gamma: float = field(init=False)
+    gamma_variation: float = field(init=False)
+    speed_sup: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, value in zip(("pA", "w", "Phi", "G", "h", "c", "speed"), _evaluate(self)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(_evaluate(self))  # frozen: set once, here
 
 
 @dataclass
@@ -230,9 +230,14 @@ def _in_cone(phi: np.ndarray) -> None:
         raise FlowStepError("phi left the positive cone")
 
 
-def _evaluate(state: FlowState) -> tuple:
-    """pA, w, Phi, G, h, c and the speed Phi G - h at state.K; raises
-    FlowStepError unless A[K] > 0."""
+def _multiplier(grid: Grid, w: np.ndarray, G: np.ndarray, h: np.ndarray) -> float:
+    """Phi = int w h / int w G: Phi G - h holds W_k, of first variation w."""
+    return integrate(grid, w * h) / integrate(grid, w * G)
+
+
+def _evaluate(state: FlowState) -> dict:
+    """FlowState's evaluated fields at state.K; raises FlowStepError unless
+    A[K] > 0."""
     K, k = state.K, state.k
     grid, phi, eigs = K.grid, K.phi, K.eigenvalues
     eig_min = float(eigs[:, 0].min())
@@ -240,21 +245,21 @@ def _evaluate(state: FlowState) -> tuple:
         raise FlowStepError(f"minimum eigenvalue of A is {eig_min}")
     n, nk = grid.n, grid.n - k
     pA = p_tensor(K.A, nk)
-    # phi^{-(k+1)}, the factor of w = measure_density(K, 1.0, k) and of
-    # Phi's numerator, whose pA^{1 - 1/nk} is 1 at nk = 1.
-    phi_pow = phi ** (-(k + 1.0))
-    w = phi_pow * pA
-    num = integrate(grid, phi_pow if nk == 1 else phi_pow * pA ** (1.0 - 1.0 / nk))
-    den = integrate(grid, state.fpow * phi ** (-(k + (n + state.p) / nk)) * pA)
-    Phi = num / den
+    w = phi ** (-(k + 1.0)) * pA  # measure_density(K, 1.0, k)
     G = phi ** (1.0 - (n + state.p) / nk) * state.fpow
     h = pA ** (-1.0 / nk)
+    Phi = _multiplier(grid, w, G, h)
+    speed = Phi * G - h
     # Largest diffusivity of h in D^2 phi: the implicit part of a step.
     if nk == 1:
         c = float((pA ** (-2.0)).max()) / n
     else:
         c = float((pA ** (-0.5) / (2.0 * eigs[:, 0])).max())
-    return pA, w, Phi, G, h, c, Phi * G - h
+    gamma_field = phi ** (-(state.p + k)) * pA / state.f  # measure_density(K, p, k) / f
+    gamma = integrate(grid, gamma_field) / sphere_area(n)
+    gamma_variation = float((gamma_field.max() - gamma_field.min()) / gamma)
+    return dict(pA=pA, w=w, Phi=Phi, G=G, h=h, c=c, speed=speed, gamma=gamma,
+                gamma_variation=gamma_variation, speed_sup=float(np.abs(speed).max()))
 
 
 def _is_even(grid: Grid, values: np.ndarray) -> bool:
@@ -266,18 +271,17 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
     """The evaluated start of a run from phi0, with the target W_k fixed.
 
     Checks in order what the config could not check without the grid: n
-    (an ArgumentError unless phi0 lives on S^n), f, and even f when
-    evenness is enforced.  Each later refusal is a ValueError, as is a
-    phi0 whose projection is not uniformly h-convex.  For k >= 1 a failed
-    assumption H on f is a warning on the state, not a refusal: the
-    paper's a priori estimates use H, but H does not decide whether the
-    flow finds a solution.
+    (an ArgumentError unless phi0 lives on S^n), then f (a ValueError, as
+    is a phi0 whose projection is not uniformly h-convex).  For k >= 1 a
+    failed assumption H on f is a warning on the state, not a refusal:
+    the paper's a priori estimates use H, but H does not decide whether
+    the flow finds a solution.
 
-    The start is phi0 projected onto even fields (when even) and onto the
-    grid's band: resolvent with mu = 0 keeps every mode below the band
-    and drops the rest (the Nyquist bin on S^1), and gives the gradient
-    and Hessian from the same analysis.  It is the run's only projection,
-    and is free for a constant start, such as the ball at the origin.
+    The start is phi0 projected onto even fields when f and phi0 are both even,
+    and onto the grid's band: resolvent with mu = 0 keeps every mode below the
+    band and drops the rest (the Nyquist bin on S^1), and gives the gradient and
+    Hessian from the same analysis.  It is the run's only projection, and is
+    free for a constant start, such as the ball at the origin.
     """
     grid = phi0.grid
     n, k = grid.n, config.k
@@ -290,11 +294,7 @@ def make_state(config: FlowConfig, phi0: SupportField) -> FlowState:
         f"data fails the structural condition (regime {rep.regime}, "
         f"worst eigenvalue {rep.worst_eigenvalue} at node {rep.worst_node})",
     )
-    even = config.enforce_even
-    if even is None:
-        even = k >= 1 or (_is_even(grid, f) and _is_even(grid, phi0.phi))
-    if even and not _is_even(grid, f):
-        raise ValueError(f"evenness enforcement needs even data, deviation {even_error(grid, f)}")
+    even = _is_even(grid, f) and _is_even(grid, phi0.phi)
     try:
         v, g, H = resolvent(grid, even_project(grid, phi0.phi) if even else phi0.phi, 0.0)
         _in_cone(v)
@@ -324,7 +324,7 @@ def step(state: FlowState, dt: float) -> FlowState:
     if state.even:
         Gh = even_project(grid, Gh)
     (rG, rh), (gG, gh), (HG, Hh) = resolvent(grid, Gh, mu)
-    Phi = integrate(grid, w * rh) / integrate(grid, w * rG)
+    Phi = _multiplier(grid, w, rG, rh)
     for _ in range(NEWTON_MAX_ITER):
         phi_new = phi + dt * (Phi * rG - rh)
         _in_cone(phi_new)
@@ -352,30 +352,24 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     f^{-1} phi^{-p-k} p_{n-k}(A) at most 10 eps_stop.
     """
     state = make_state(config, phi0)
-    grid, k, f = state.K.grid, state.k, state.f
-    omega = sphere_area(grid.n)
     trace = FlowTrace()
     t, steps, rejections = 0.0, 0, 0
     dt = config.max_dt
     speed_prev = math.nan
     while True:
-        K = state.K
-        gamma_field = measure_density(K, state.p, k) / f
-        gamma = integrate(grid, gamma_field) / omega
-        gamma_var = float((gamma_field.max() - gamma_field.min()) / gamma)
-        speed_sup = float(np.abs(state.speed).max())
-        stop = speed_sup < config.eps_stop and gamma_var <= 10.0 * config.eps_stop
+        K, speed_sup = state.K, state.speed_sup
+        stop = speed_sup < config.eps_stop and state.gamma_variation <= 10.0 * config.eps_stop
         terminal_row = stop or steps >= config.max_steps
         row = None
         if terminal_row or steps % config.trace_every == 0:
             row = dict(
                 t=t,
-                Wk=K.memo(wk_value, k),
-                Jp=J_p(K, f, state.p),
+                Wk=K.memo(wk_value, state.k),
+                Jp=J_p(K, state.f, state.p),
                 minEigA=float(K.eigenvalues[:, 0].min()),
                 maxGradRatio=float((np.sqrt(squared_norm(K.gradient)) / K.phi).max()),
-                evenErr=even_error(grid, K.phi),
-                gammaVar=gamma_var,
+                evenErr=even_error(K.grid, K.phi),
+                gammaVar=state.gamma_variation,
                 speedSup=speed_sup,
             )
         if terminal_row:
@@ -410,8 +404,8 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     return FlowResult(
         status=status,
         terminal=state.K,
-        gamma=gamma,
-        gamma_variation=gamma_var,
+        gamma=state.gamma,
+        gamma_variation=state.gamma_variation,
         trace=trace,
         steps=steps,
         t_final=t,

@@ -397,10 +397,13 @@ def apply_isometry_field(K: SupportField, F) -> SupportField:
     height.  Resampling is band-limited synthesis on the source field.
     Public: it is the paper's isometry action, under which the
     quermassintegrals and h-convexity are invariant; `resample` serves it.
+    ArgumentError unless F is an isometry of H^{n+1} for the grid's S^n.
     """
-    lorentz.validate_isometry(np.asarray(F, dtype=float))
+    grid, F = K.grid, np.asarray(F, dtype=float)
+    lorentz.validate_isometry(F)
+    if len(F) != grid.n + 2:
+        raise ArgumentError(f"a field on S^{grid.n} needs a {grid.n + 2}x{grid.n + 2} isometry")
     Finv = lorentz.inverse_isometry(F)
-    grid = K.grid
     null = np.concatenate([grid.nodes, np.ones((grid.size, 1))], axis=1)
     W = null @ Finv.T
     chi = W[:, -1]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .sphere_grid import ArgumentError
+from .sphere_grid import ArgumentError, as_real
 
 __all__ = [
     "inner",
@@ -98,26 +98,24 @@ def _eta(dim: int) -> np.ndarray:
 
 
 def validate_isometry(F) -> None:
-    """ValueError unless F is a finite, future-preserving Lorentz matrix."""
+    """ArgumentError unless F is a finite, future-preserving Lorentz matrix."""
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise ValueError("isometry must be a square matrix")
+        raise ArgumentError("isometry must be a square matrix")
     if not np.all(np.isfinite(F)):
-        raise ValueError("isometry must be finite")
+        raise ArgumentError("isometry must be finite")
     eta = _eta(F.shape[0])
     defect = np.max(np.abs(F.T @ eta @ F - eta))
     if not defect <= ISOMETRY_TOL:
-        raise ValueError(f"F^T eta F - eta deviates by {defect}, tolerance {ISOMETRY_TOL}")
+        raise ArgumentError(f"F^T eta F - eta deviates by {defect}, tolerance {ISOMETRY_TOL}")
     if not F[-1, -1] >= 1.0:
-        raise ValueError("isometry does not preserve the future cone")
+        raise ArgumentError("isometry does not preserve the future cone")
 
 
 def apply_isometry(F, X) -> np.ndarray:
     """Apply a validated Lorentz isometry to one or many vectors."""
-    F = np.asarray(F, dtype=float)
     validate_isometry(F)
-    X = np.asarray(X, dtype=float)
-    return X @ F.T
+    return np.asarray(X, dtype=float) @ np.asarray(F, dtype=float).T
 
 
 def inverse_isometry(F) -> np.ndarray:
@@ -130,18 +128,23 @@ def inverse_isometry(F) -> np.ndarray:
 def boost(n: int, direction, s: float) -> np.ndarray:
     """Lorentz boost of rapidity s along a unit spatial direction.
 
-    Moves the base point N to (sinh(s) * direction, cosh(s)).
+    Moves the base point N to (sinh(s) * direction, cosh(s)); a cosh(s)
+    past the float range (|s| above about 710) is a ValueError naming s.
     """
+    s = as_real(s, "boost rapidity s")
     d = np.asarray(direction, dtype=float)
     if d.shape != (n + 1,):
-        raise ValueError(f"direction must have {n + 1} components")
+        raise ArgumentError(f"direction must have {n + 1} components")
     norm = math.sqrt(float(d @ d))
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
+    if not 0.0 < norm < math.inf:  # NaN fails too
+        raise ArgumentError(f"direction must be finite and nonzero, got {d}")
+    try:
+        cosh, sinh = math.cosh(s), math.sinh(s)
+    except OverflowError:
+        raise ValueError(f"boost rapidity s = {s!r} overflows cosh(s)") from None
     d = d / norm
     F = np.eye(n + 2)
-    F[:-1, :-1] += (math.cosh(s) - 1.0) * np.outer(d, d)
-    F[:-1, -1] = math.sinh(s) * d
-    F[-1, :-1] = math.sinh(s) * d
-    F[-1, -1] = math.cosh(s)
+    F[:-1, :-1] += (cosh - 1.0) * np.outer(d, d)
+    F[:-1, -1] = F[-1, :-1] = sinh * d
+    F[-1, -1] = cosh
     return F

@@ -694,10 +694,9 @@ def test_flow_config_without_optional_keys_uses_flowconfig_defaults(tmp_path, mo
     cfg_path.write_text(json.dumps({"n": 1, "k": 0, "p": 2.0, "grid": "s1:32"}))
     assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
     assert seen == [FlowConfig(n=1, k=0, p=2.0)]
-    # Given keys still reach the config; null means the default.
+    # Given keys still reach the config.
     cfg_path.write_text(json.dumps({
-        "n": 1, "k": 0, "p": 2.0, "grid": "s1:32", "max_dt": 0.5, "enforce_even": None,
-        "max_steps": 7,
+        "n": 1, "k": 0, "p": 2.0, "grid": "s1:32", "max_dt": 0.5, "max_steps": 7,
     }))
     assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
     assert seen[1] == FlowConfig(n=1, k=0, p=2.0, max_dt=0.5, max_steps=7)
@@ -838,8 +837,6 @@ def test_an_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkey
         ("max_dt", float("inf")),
         ("eps_stop", True),
         ("eps_stop", float("nan")),
-        ("enforce_even", 1),
-        ("enforce_even", "yes"),
     ],
 )
 def test_flow_config_rejects_mistyped_values(tmp_path, capsys, key, value):
@@ -868,20 +865,21 @@ def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
     # safety was the explicit scheme's dt limiter, dt_initial a first
     # step below max_dt and assumption_mode a refusal of data failing
     # assumption H; initial and f named fields, which are now the options
-    # --K and --f; eps_stp is a typo.
+    # --K and --f; enforce_even set evenness, which now follows f and the
+    # start; eps_stp is a typo.
     mkball(tmp_path, "A.json", 0.5, grid="s1:32")
     cfg = {
         "n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "safety": 0.05, "eps_stp": 1e-6,
         "dt_initial": 0.05, "assumption_mode": "warn", "initial": str(tmp_path / "A.json"),
-        "f": str(tmp_path / "A.json"),
+        "f": str(tmp_path / "A.json"), "enforce_even": True,
     }
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "t.csv"
     assert main(["flow", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert ("unknown flow config key(s): assumption_mode, dt_initial, eps_stp, f, initial, "
-            "safety") in err
+    assert ("unknown flow config key(s): assumption_mode, dt_initial, enforce_even, eps_stp, "
+            "f, initial, safety") in err
     assert not out.exists()
 
 

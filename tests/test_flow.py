@@ -30,6 +30,7 @@ from horocvx.sphere_grid import (
     integrate,
     make_grid,
     resolvent,
+    sphere_area,
 )
 
 S1 = make_grid(1, 64)
@@ -109,7 +110,7 @@ def test_flow_n2_k1_conserves_and_descends():
     assert np.max(np.abs(wk - wk[0])) < 1e-7
     jp = res.trace.column("Jp")
     assert np.max(np.diff(jp)) < 1e-10
-    # Evenness is enforced for k >= 1 and must hold along the way.
+    # The data and the start are even, so the run keeps evenness.
     assert np.max(res.trace.column("evenErr")) < 1e-12
     assert res.gamma_variation <= 10.0 * cfg.eps_stop
 
@@ -281,7 +282,7 @@ def test_k1_flow_solves_manufactured_data_with_or_without_assumption_h(seed, p):
     K = random_h_convex_fields(seed, [grid], 1)[0]
     f = measure_density(K, p, 1)
     ball = support_of_ball(grid, origin(2), k_mean_radius(K, 1))
-    cfg = FlowConfig(n=2, k=1, p=p, f=f, enforce_even=False, eps_stop=1e-10, max_steps=3000)
+    cfg = FlowConfig(n=2, k=1, p=p, f=f, eps_stop=1e-10, max_steps=3000)
     res = run(cfg, ball)
     assert res.status == "converged"
     assert res.steps <= MMS_K1_STEP_BOUND[seed, p]
@@ -311,8 +312,30 @@ def test_k0_evenness_default_follows_the_data():
     assert make_state(FlowConfig(n=1, k=0, p=0.0), ball).even
     assert not make_state(FlowConfig(n=1, k=0, p=0.0, f=odd_f), ball).even
     assert not make_state(FlowConfig(n=1, k=0, p=0.0, f=even_f), shifted).even
-    cfg = FlowConfig(n=1, k=0, p=0.0, f=even_f, enforce_even=False)
-    assert not make_state(cfg, ball).even
+
+
+S2_16 = make_grid(2, 16)
+# A seed-3 body on s2:16: neither it nor its support function is even.
+ODD_BODY = random_h_convex_fields(3, [S2_16], 1)[0]
+
+
+def test_odd_data_at_k1_run_without_evenness_and_converge():
+    # The body's own phi as f, started from the body: evenness follows
+    # the data at k = 1 as at k = 0, so odd data are not refused.
+    cfg = FlowConfig(n=2, k=1, p=1.0, f=ODD_BODY.phi)
+    assert not make_state(cfg, ODD_BODY).even
+    res = run(cfg, ODD_BODY)
+    assert res.status == "converged"
+    assert res.steps <= 12  # 9 measured
+    assert np.max(res.trace.column("evenErr")) > 1e-3
+
+
+def test_an_odd_start_at_k1_keeps_its_odd_part():
+    # Even f, odd start: the start is projected onto the band only, not
+    # onto even fields.
+    state = make_state(FlowConfig(n=2, k=1, p=1.0), ODD_BODY)
+    assert not state.even
+    assert np.array_equal(state.K.phi, resolvent(S2_16, ODD_BODY.phi, 0.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +550,30 @@ def test_wk_calls_per_accepted_step(cfg, body, wk_calls):
     assert (totals[1] - totals[0]) / 8 <= 3
 
 
+def test_run_reads_gamma_and_the_speed_off_the_state(monkeypatch):
+    # p_{n-k}(A) is computed once per state, by _evaluate: measure_density
+    # runs only inside step, for the slope of a Newton iterate.
+    real_step, real_density = flow.step, flow.measure_density
+    inside = []
+
+    def spied_step(state, dt):
+        inside.append(True)
+        try:
+            return real_step(state, dt)
+        finally:
+            inside.pop()
+
+    def spied_density(K, p, k):
+        assert inside, "measure_density called outside step"
+        return real_density(K, p, k)
+
+    monkeypatch.setattr(flow, "step", spied_step)
+    monkeypatch.setattr(flow, "measure_density", spied_density)
+    res = run(FlowConfig(n=1, k=0, p=0.0, max_steps=3), perturbed_circle())
+    assert res.steps == 3
+    assert res.trace.column("speedSup")[-1] > 0.0
+
+
 def test_a_run_evaluates_w_k_of_its_start_once(wk_calls):
     # make_state's target and the first trace row read one cached value.
     res = run(FlowConfig(n=2, k=1, p=1.0, max_steps=0), perturbed_sphere())
@@ -681,7 +728,6 @@ def test_flow_config_stores_ints_and_floats():
     assert type(cfg.n) is int and type(cfg.p) is float
     assert (cfg.p, cfg.max_dt, cfg.eps_stop) == (2.0, 0.5, 0.0)
     assert all(type(v) is float for v in (cfg.max_dt, cfg.eps_stop))
-    assert FlowConfig(n=1, k=0, p=0.0, enforce_even=None).enforce_even is None
 
 
 @pytest.mark.parametrize("key, value", [("dt_initial", 0.05), ("assumption_mode", "warn")])
@@ -690,22 +736,6 @@ def test_flow_config_has_no_first_step_or_assumption_mode_setting(key, value):
     # and recorded, never a refusal.
     with pytest.raises(TypeError, match=key):
         FlowConfig(n=1, k=0, p=0.0, **{key: value})
-
-
-def test_even_enforcement_rejects_odd_data():
-    # make_state refuses what run refuses: the default evenness at k = 1,
-    # and evenness forced on at k = 0.
-    z = S2.nodes
-    f = 1.0 + 0.5 * z[:, 0]  # odd part breaks the symmetry requirement
-    odd_s1 = 1.0 + 0.2 * np.cos(S1.theta)
-    cases = [
-        (FlowConfig(n=2, k=1, p=1.0, f=f, max_steps=5), perturbed_sphere()),
-        (FlowConfig(n=1, k=0, p=0.0, f=odd_s1, enforce_even=True), perturbed_circle()),
-    ]
-    for cfg, body in cases:
-        for call in (make_state, run):
-            with pytest.raises(ValueError, match="evenness enforcement needs even data"):
-                call(cfg, body)
 
 
 def test_data_failing_assumption_h_runs_with_a_warning():
@@ -723,8 +753,9 @@ def test_data_failing_assumption_h_runs_with_a_warning():
 
 
 def test_enforce_even_override():
-    # Forcing evenness on with an even start keeps evenErr at zero.
-    cfg = FlowConfig(n=1, k=0, p=0.0, enforce_even=True, max_steps=50)
+    # Even data (f = 1) and an even start keep evenErr at zero: no config
+    # turns evenness off.
+    cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=50)
     res = run(cfg, perturbed_circle())
     assert np.max(res.trace.column("evenErr")) < 1e-13
 
@@ -769,6 +800,8 @@ def test_stepped_state_is_bitwise_the_replaced_state(cfg, body):
             assert _same_bits(getattr(again, f.name), getattr(new_state, f.name)), f.name
         for s in (state, new_state):
             assert _same_bits(s.w, measure_density(s.K, 1.0, cfg.k))
+            gamma_field = measure_density(s.K, cfg.p, cfg.k) / s.f
+            assert s.gamma == integrate(s.K.grid, gamma_field) / sphere_area(s.K.grid.n)
         state = new_state
 
 

@@ -97,6 +97,12 @@ def test_boost_normalizes_direction():
         boost(2, [1.0, 0.0], 0.5)  # wrong component count
 
 
+def test_boost_overflow_names_the_rapidity():
+    for s in (1000.0, -711.0):
+        with pytest.raises(ValueError, match=f"rapidity s = {s!r} overflows"):
+            boost(1, [1.0, 0.0], s)
+
+
 def test_inverse_isometry():
     F = boost(2, [0.6, -0.8, 0.0], 1.1)
     G = inverse_isometry(F)

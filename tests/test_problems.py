@@ -14,7 +14,7 @@ from horocvx.flow import FlowConfig
 from horocvx.hconvex import (
     SupportField, measure_density, random_h_convex_fields, support_of_ball, support_of_point
 )
-from horocvx.lorentz import origin
+from horocvx.lorentz import boost, origin, validate_isometry
 from horocvx.problems import (
     J_p,
     ball_solutions,
@@ -413,6 +413,21 @@ ARGUMENT_RULES = {
         1, {"type": "gl_product", "polar": 4}
     ),
     "sphere_area-n": lambda: sphere_area(3),
+    # An isometry and its boost parameters, where they enter: a NaN
+    # rapidity or direction gave a NaN matrix, and an isometry of H^2 for
+    # a field on S^2 a bare matmul error.
+    "boost-s-nan": lambda: boost(1, [1.0, 0.0], math.nan),
+    "boost-s-bool": lambda: boost(1, [1.0, 0.0], True),
+    "boost-direction-components": lambda: boost(2, [1.0, 0.0], 0.5),
+    "boost-direction-zero": lambda: boost(1, [0.0, 0.0], 0.5),
+    "boost-direction-nan": lambda: boost(1, [math.nan, 1.0], 0.5),
+    "validate_isometry-square": lambda: validate_isometry(np.eye(3)[:2]),
+    "validate_isometry-finite": lambda: validate_isometry(np.full((3, 3), math.inf)),
+    "validate_isometry-lorentz": lambda: validate_isometry(2.0 * np.eye(3)),
+    "validate_isometry-future": lambda: validate_isometry(np.diag([1.0, 1.0, -1.0])),
+    "apply_isometry_field-size": lambda: hconvex.apply_isometry_field(
+        K8, boost(1, [1.0, 0.0], 0.3)
+    ),
 }
 
 
@@ -432,6 +447,8 @@ RESULT_CHECKS = {
     "steiner-overflow": lambda: steiner_check(K1, 800.0),
     "weighted_steiner-overflow": lambda: weighted_steiner_check(K1, 400.0),
     "ball_solutions-overflow": lambda: ball_solutions(2, 1, 300.0, 0.001),
+    # cosh(1000) overflowed as a bare OverflowError.
+    "boost-overflow": lambda: boost(1, [1.0, 0.0], 1000.0),
 }
 
 
