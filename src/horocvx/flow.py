@@ -6,14 +6,22 @@ with the global term Phi keeping W_k fixed; its steady states solve
 phi^{-p-k} p_{n-k}(A[phi]) = gamma f.  The continuous flow decreases
 J_p, but a discrete step does not check that: it checks only that the
 new state stays in the uniformly h-convex cone and meets the W_k
-constraint, and at large p (p = 20 on s1:96) J_p can rise from one step
-to the next.  A step is linearly implicit, phi_new = phi + dt R[Phi G - h] with G and h
-frozen at phi and R = (1 - dt c Laplacian)^{-1} for c the largest
-diffusivity of h at phi; R is diagonal in the Fourier and Legendre
-bases, 1 / (1 + dt c lambda) with lambda = k^2 on S^1 and l (l + 1) on
-S^2.  Phi is the Lagrange multiplier of the constraint W_k(phi_new) =
+constraint.  A step is linearly implicit, phi_new = phi + dt R[Phi G - h]
+with G and h frozen at phi and R = (1 + dt s - dt c Laplacian)^{-1}.
+R is diagonal in the Fourier and Legendre bases, 1 / (1 + dt s + dt c
+lambda) with lambda = k^2 on S^1 and l (l + 1) on S^2, which is the
+unshifted step 1 / (1 + tau c lambda) taken at tau = dt / (1 + dt s).
+c is the midpoint (c_min + c_max) / 2 of h's local diffusivity d at phi,
+the best one-parameter choice for a variable coefficient (Concus and
+Golub 1973): each mode moves at a rate matched to the middle of d's
+range, not its top.  The shift s >= 0 is what c lambda leaves of the
+midpoint, over the nodes, of the linearized speed's decay rate at the
+lowest mode the run moves, ((n+p)/(n-k) - 1) Phi G / phi + d (lambda -
+n (1 + phi^-2) / 2); it damps the zeroth-order term, which grows with p
+and made the unshifted step overshoot into a period-2 cycle at p = 20.
+Phi is the Lagrange multiplier of the constraint W_k(phi_new) =
 W_k(phi_0), solved by Newton's method to roundoff with slope
-dt int w_new R G, w = phi^{-(k+1)} p_{n-k}(A) the first variation of
+tau int w_new R G, w = phi^{-(k+1)} p_{n-k}(A) the first variation of
 W_k; phi_new and its derivatives are affine in Phi, so the iterates need
 no further spectral pass.  Fixed points are the flow's steady states.
 
@@ -29,13 +37,17 @@ as the speed falls.  The step count does not grow with resolution,
 because R damps every mode the explicit step would limit.  At large
 steps the trajectory, and the time t in the trace, are a pseudo-time
 path: only its steady state is the solution, while W_k is conserved at
-every step.  An accepted step costs one spectral pass, the batched
-resolvent of G and h: one rfft and one irfft, two FFT calls on either
-grid.  When the run keeps evenness, G and h are projected onto even fields
-first, a node-wise antipodal average.  R is diagonal in the spectral
-basis and commutes with the antipodal map, so phi_new is band-limited
-and even whenever phi is, and Newton's last trial, whose derivatives are
-affine in Phi, is the next state as it stands: projecting it again would
+every step.  The trace's dt column and its time t record the nominal
+dt that SER sets, not tau.  An accepted step costs one spectral pass,
+the stacked resolvent of phi at mu = 0 and of G and h at mu = tau c:
+one rfft and one irfft, two FFT calls on either grid.  So each new
+state's gradient and Hessian are a fresh analysis of phi plus one
+affine update, and roundoff does not pile up in them over a run.  When
+the run keeps evenness, G and h are projected onto even fields first, a
+node-wise antipodal average.  R is diagonal in the spectral basis and
+commutes with the antipodal map, so phi_new is band-limited and even
+whenever phi is, and Newton's last trial, whose derivatives are affine
+in Phi, is the next state as it stands: projecting it again would
 change it only by roundoff.  The state it returns already holds the w
 that the next step's Newton solve reads, and the W_k the trace reads.
 
@@ -165,8 +177,9 @@ class FlowState:
     and what `_evaluate` computes at K when the state is built: pA =
     p_{n-k}(A), w = phi^{-(k+1)} pA, the first variation of W_k that the
     next step's Newton solve starts from, the speed Phi G - h with its
-    parts and what the stop test reads.  So `replace(state, K=L)` is the
-    state at L; it raises FlowStepError if L is off the uniformly h-convex cone.
+    parts, the next step's diffusivity c and shift s, and what the stop
+    test reads.  So `replace(state, K=L)` is the state at L; it raises
+    FlowStepError if L is off the uniformly h-convex cone.
     """
 
     K: SupportField
@@ -183,6 +196,7 @@ class FlowState:
     G: np.ndarray = field(init=False)
     h: np.ndarray = field(init=False)
     c: float = field(init=False)
+    s: float = field(init=False)
     speed: np.ndarray = field(init=False)
     gamma: float = field(init=False)
     gamma_variation: float = field(init=False)
@@ -250,15 +264,26 @@ def _evaluate(state: FlowState) -> dict:
     h = pA ** (-1.0 / nk)
     Phi = _multiplier(grid, w, G, h)
     speed = Phi * G - h
-    # Largest diffusivity of h in D^2 phi: the implicit part of a step.
+    # The local diffusivity d of h in D^2 phi; the step's implicit part
+    # takes c at the midpoint of its range, the best one-parameter choice.
     if nk == 1:
-        c = float((pA ** (-2.0)).max()) / n
+        d = pA ** (-2.0) / n
     else:
-        c = float((pA ** (-0.5) / (2.0 * eigs[:, 0])).max())
+        d = pA ** (-0.5) / (2.0 * eigs[:, 0])
+    c = 0.5 * float(d.max() + d.min())
+    # Node-wise decay rate of the linearized speed Phi dG[v] - dh[v] on a
+    # v of the lowest mode the run moves (l = 2 when it keeps evenness,
+    # else l = 1), without dA[v]'s |Dphi|^2 terms, which moved no step
+    # count.  The shift is what c lambda leaves of the rate's midpoint.
+    lam = 2.0 * (n + 1) if state.even else float(n)
+    rate = ((n + state.p) / nk - 1.0) * Phi * G / phi + d * (
+        lam - 0.5 * n * (1.0 + phi ** (-2.0))
+    )
+    shift = max(0.0, 0.5 * float(rate.max() + rate.min()) - c * lam)
     gamma_field = phi ** (-(state.p + k)) * pA / state.f  # measure_density(K, p, k) / f
     gamma = integrate(grid, gamma_field) / sphere_area(n)
     gamma_variation = float((gamma_field.max() - gamma_field.min()) / gamma)
-    return dict(pA=pA, w=w, Phi=Phi, G=G, h=h, c=c, speed=speed, gamma=gamma,
+    return dict(pA=pA, w=w, Phi=Phi, G=G, h=h, c=c, s=shift, speed=speed, gamma=gamma,
                 gamma_variation=gamma_variation, speed_sup=float(np.abs(speed).max()))
 
 
@@ -309,32 +334,37 @@ def step(state: FlowState, dt: float) -> FlowState:
     """The next state: one linearly implicit step of size dt that holds
     W_k at state.target.
 
-    The Newton iterates are affine in Phi on the derivatives cached in
-    state.K, and the last one is the new state's field, with the W_k it
-    was accepted on cached.  Raises FlowStepError if the new state leaves
-    the uniformly h-convex cone or the constraint does not converge; the
-    caller is expected to halve dt and retry.
+    The Newton iterates are affine in Phi on the derivatives of the
+    step's fresh analysis of phi, and the last one is the new state's
+    field, with the W_k it was accepted on cached.  Raises FlowStepError
+    if the new state leaves the uniformly h-convex cone or the constraint
+    does not converge; the caller is expected to halve dt and retry.
     """
     K, k, target = state.K, state.k, state.target
     grid, phi, w = K.grid, K.phi, state.w
-    mu = dt * state.c
+    # Dividing each mode by 1 + dt s + dt c lambda is the unshifted step
+    # taken at tau.
+    tau = dt / (1.0 + dt * state.s)
+    mu = tau * state.c
     if not mu < math.inf:
-        raise FlowStepError(f"resolvent step dt c = {mu} is not finite")
-    Gh = np.stack([state.G, state.h])
+        raise FlowStepError(f"resolvent step tau c = {mu} is not finite")
+    stack = np.stack([phi, state.G, state.h])
     if state.even:
-        Gh = even_project(grid, Gh)
-    (rG, rh), (gG, gh), (HG, Hh) = resolvent(grid, Gh, mu)
+        stack[1:] = even_project(grid, stack[1:])
+    # phi at mu = 0: the new state's derivatives are a fresh analysis of
+    # phi plus one affine update, not updates piled up over the run.
+    (_, rG, rh), (g, gG, gh), (H, HG, Hh) = resolvent(grid, stack, np.array([0.0, mu, mu]))
     Phi = _multiplier(grid, w, rG, rh)
     for _ in range(NEWTON_MAX_ITER):
-        phi_new = phi + dt * (Phi * rG - rh)
+        phi_new = phi + tau * (Phi * rG - rh)
         _in_cone(phi_new)
         trial = SupportField.with_derivatives(
-            grid, phi_new, K.gradient + dt * (Phi * gG - gh), K.hessian + dt * (Phi * HG - Hh)
+            grid, phi_new, g + tau * (Phi * gG - gh), H + tau * (Phi * HG - Hh)
         )
         residual = trial.memo(wk_value, k) - target
         if abs(residual) <= NEWTON_RTOL * abs(target):
             break
-        slope = dt * integrate(grid, measure_density(trial, 1.0, k) * rG)
+        slope = tau * integrate(grid, measure_density(trial, 1.0, k) * rG)
         if not slope > 0.0:
             raise FlowStepError(f"W_k constraint has slope {slope}")
         Phi -= residual / slope

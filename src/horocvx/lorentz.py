@@ -98,7 +98,13 @@ def _eta(dim: int) -> np.ndarray:
 
 
 def validate_isometry(F) -> None:
-    """ArgumentError unless F is a finite, future-preserving Lorentz matrix."""
+    """ArgumentError unless F is a finite, future-preserving Lorentz matrix.
+
+    The defect of F^T eta F from eta is judged against ISOMETRY_TOL times
+    max(1, max|F|)^2, the size of that product's roundoff: an exact boost
+    of rapidity s has entries near cosh(s), so a fixed tolerance refused
+    the boosts `boost` builds from s = 8 on.
+    """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ArgumentError("isometry must be a square matrix")
@@ -106,8 +112,9 @@ def validate_isometry(F) -> None:
         raise ArgumentError("isometry must be finite")
     eta = _eta(F.shape[0])
     defect = np.max(np.abs(F.T @ eta @ F - eta))
-    if not defect <= ISOMETRY_TOL:
-        raise ArgumentError(f"F^T eta F - eta deviates by {defect}, tolerance {ISOMETRY_TOL}")
+    tol = ISOMETRY_TOL * max(1.0, float(np.max(np.abs(F)))) ** 2
+    if not defect <= tol:
+        raise ArgumentError(f"F^T eta F - eta deviates by {defect}, tolerance {tol}")
     if not F[-1, -1] >= 1.0:
         raise ArgumentError("isometry does not preserve the future cone")
 

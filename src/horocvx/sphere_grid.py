@@ -14,7 +14,7 @@ spectral code; `make_grid` picks the kind from n, `grid_from_json_dict`
 from the JSON type, and no other function branches on it.  Its two pass
 hooks are `_analyze`, one rfft of a stack, and `_fields(c, mu)`, one
 irfft of the values, gradient and Hessian of c / (1 + mu lambda) on the
-band.  `_UniformS1`, on S^1, fills one spectrum buffer with all three.
+band, with one mu for the stack or one per field.  `_UniformS1`, on S^1, fills one spectrum buffer with all three.
 `_GLProductS2`, on S^2, holds the associated Legendre functions and
 their theta derivatives as one padded tensor PdP[., m, node, l], zero
 for l < m, so that its Legendre analysis and synthesis are each one
@@ -202,15 +202,15 @@ class _UniformS1(Grid):
         """Fourier coefficients of each field of a stack (..., N), one rfft."""
         return np.fft.rfft(values) / self.resolution[0]
 
-    def _fields(self, c: np.ndarray, mu: float):
+    def _fields(self, c: np.ndarray, mu):
         """(values, gradient, Hessian) of c / (1 + mu k^2), with the Nyquist
-        mode dropped, from one irfft.
+        mode dropped, from one irfft; mu is a number or one per field.
 
         The spectra (c N), (c i k) N and (c (i k)^2) N fill one buffer,
         order-major, so that each block is laid out as the product of its
         own would be and rounds the same."""
         N, k = self.resolution[0], self._wavenumbers
-        c = c / (1.0 + mu * k * k)
+        c = c / (1.0 + np.asarray(mu)[..., None] * k * k)
         c[..., -1] = 0.0
         spectra = np.empty((3,) + c.shape, dtype=complex)
         np.multiply(c, N, out=spectra[0])
@@ -390,12 +390,12 @@ class _GLProductS2(Grid):
         w = np.swapaxes(self.wx[:, None] * G[..., : self.band_limit + 1], -1, -2)
         return 2.0 * math.pi * _real_matmul(self._tables[0][0].transpose(0, 2, 1), w)
 
-    def _fields(self, a: np.ndarray, mu: float):
-        """(values, gradient, Hessian) of a / (1 + mu l (l + 1)) from one
-        irfft of all their polar profiles; the Hessian's profiles hold the
-        gradient's."""
+    def _fields(self, a: np.ndarray, mu):
+        """(values, gradient, Hessian) of a / (1 + mu l (l + 1)), mu a number
+        or one per field, from one irfft of all their polar profiles; the
+        Hessian's profiles hold the gradient's."""
         PdP, ll1 = self._tables
-        a = a / (1.0 + mu * ll1)
+        a = a / (1.0 + np.asarray(mu)[..., None, None] * ll1)
         # Polar profiles per order m; azimuthal derivatives are 1j m and -m m.
         m = np.arange(self.band_limit + 1)[:, None]
         vs = _real_matmul(PdP, a[..., None, :, :])
@@ -578,8 +578,28 @@ def derivatives(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return resolvent(grid, values, 0.0)[1:]
 
 
+def _resolvent_mu(mu, stack: tuple[int, ...]):
+    """mu as a float, or as a float array of the stack's shape (one mu per
+    field); ArgumentError unless every mu is a finite number >= 0."""
+    if np.ndim(mu) == 0:
+        mu = as_real(mu, "resolvent mu")
+        ok = mu >= 0.0
+    else:
+        mu = np.asarray(mu)
+        if mu.shape != stack:
+            raise ArgumentError(
+                f"resolvent mu must be a number or one per field, shape {stack}, "
+                f"got shape {mu.shape}"
+            )
+        ok = mu.dtype.kind in "iuf" and bool(np.all(np.isfinite(mu) & (mu >= 0)))
+        mu = mu.astype(float)
+    if not ok:
+        raise ArgumentError(f"resolvent mu must be finite and nonnegative, got {mu!r}")
+    return mu
+
+
 def resolvent(
-    grid: Grid, values: np.ndarray, mu: float
+    grid: Grid, values: np.ndarray, mu
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R v = (1 - mu Laplacian)^{-1} v on the band, with its gradient and
     Hessian, all from one analysis and one synthesis: the one spectral pass.
@@ -588,14 +608,15 @@ def resolvent(
     and l (l + 1) on S^2, and drops what lies above the band (the Nyquist
     bin on S^1), so R v is band-limited and R at mu = 0 is the band
     projection.  A stack of fields (..., size) is resolved in one pass,
-    each output with the same leading axes; a stack of finite, exactly
-    constant fields returns a copy, R c = c, with zero derivatives and no
-    pass.  A mu that is negative or not a finite number is an ArgumentError.
+    each output with the same leading axes; mu is one number for the whole
+    stack, or an array of the stack's leading shape with one mu per field,
+    and each field keeps the bits of its own one-field pass.  A stack of
+    finite, exactly constant fields returns a copy, R c = c, with zero
+    derivatives and no pass.  A mu that is negative or not a finite
+    number, or a mu array of another shape, is an ArgumentError.
     """
-    mu = as_real(mu, "resolvent mu")
-    if mu < 0.0:
-        raise ArgumentError(f"resolvent mu must be nonnegative, got {mu!r}")
     v = _node_values(grid, values)
+    mu = _resolvent_mu(mu, v.shape[:-1])
     if exactly_constant(v):
         shape = v.shape + (grid.n,)
         return v.copy(), np.zeros(shape), np.zeros(shape + (grid.n,))

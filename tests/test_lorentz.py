@@ -18,6 +18,7 @@ from horocvx.lorentz import (
     validate_hpoint,
     validate_isometry,
 )
+from horocvx.sphere_grid import ArgumentError
 
 
 def test_inner_signature():
@@ -127,6 +128,27 @@ def test_apply_isometry_rejects_non_isometries():
         F[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             validate_isometry(F)
+
+
+@pytest.mark.parametrize("s", [8.0, 10.0, 20.0])
+@pytest.mark.parametrize("d", [[1.0, 0.0], [0.6, -0.8]])
+def test_exact_large_boosts_are_isometries(s, d):
+    # F^T eta F rounds like max|F|^2 eps, about cosh(s)^2 eps: defect
+    # 1.8e-10 at s = 8 and 4.8 at s = 20 along the first axis, above the
+    # unscaled ISOMETRY_TOL.
+    F = boost(1, d, s)
+    validate_isometry(F)
+    moved = apply_isometry(F, origin(1))
+    assert moved[-1] == F[-1, -1] and moved[-1] > 1e3
+
+
+def test_a_large_boost_off_by_one_part_in_a_million_is_refused():
+    F = boost(1, [1.0, 0.0], 10.0)
+    F[0, 0] *= 1.0 + 1e-6
+    with pytest.raises(ArgumentError, match="deviates by"):
+        validate_isometry(F)
+    with pytest.raises(ArgumentError, match="deviates by"):
+        apply_isometry(F, origin(1))
 
 
 def test_apply_isometry_batches():

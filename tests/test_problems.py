@@ -386,6 +386,12 @@ ARGUMENT_RULES = {
         S1, 1.0, 1.0, origin(1), 1.0, origin(1), samples=2
     ),
     "resolvent-mu": lambda: resolvent(S1, K1.phi, -1.0),
+    # One mu per stacked field, each finite and nonnegative.
+    "resolvent-mu-vector-negative": lambda: resolvent(S1, np.stack([K1.phi] * 2), [0.3, -1.0]),
+    "resolvent-mu-vector-nan": lambda: resolvent(S1, np.stack([K1.phi] * 2), [0.3, math.nan]),
+    "resolvent-mu-vector-inf": lambda: resolvent(S1, np.stack([K1.phi] * 2), [math.inf, 0.3]),
+    "resolvent-mu-vector-length": lambda: resolvent(S1, np.stack([K1.phi] * 2), [0.3] * 3),
+    "resolvent-mu-vector-one-field": lambda: resolvent(S1, K1.phi, [0.3]),
     # The exponent p, and gamma, are finite numbers where they enter: a
     # bool ran as p = 1, a string raised a bare TypeError, NaN gave NaN or
     # a bracketing failure.

@@ -471,6 +471,16 @@ def test_stacked_pass_is_bitwise_the_per_field_passes(grid, F):
         for idx in np.ndindex(deep.shape[:-1]):
             for stacked, single in zip(out, resolvent(grid, deep[idx], mu)):
                 assert np.array_equal(stacked[idx], single)
+    # One mu per field: each field keeps the bits of its own pass, and a
+    # vector of one repeated mu those of the scalar.
+    mus = np.linspace(0.0, 0.6, deep.size // grid.size).reshape(deep.shape[:-1])
+    out = resolvent(grid, deep, mus)
+    for idx in np.ndindex(deep.shape[:-1]):
+        for stacked, single in zip(out, resolvent(grid, deep[idx], mus[idx])):
+            assert stacked[idx].tobytes() == single.tobytes()
+    repeated = resolvent(grid, deep, np.full(mus.shape, 0.3))
+    for same, scalar in zip(repeated, resolvent(grid, deep, 0.3)):
+        assert same.tobytes() == scalar.tobytes()
 
 
 CONSTANT_GRIDS = [make_grid(1, 96), S2]
