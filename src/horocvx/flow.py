@@ -3,27 +3,58 @@
 d/dt phi = Phi G - h,  G = phi^{1-(n+p)/(n-k)} f^{-1/(n-k)},  h = p_{n-k}(A[phi])^{-1/(n-k)},
 
 with the global term Phi keeping W_k fixed; its steady states solve
-phi^{-p-k} p_{n-k}(A[phi]) = gamma f.  The continuous flow decreases
-J_p, but a discrete step does not check that: it checks only that the
-new state stays in the uniformly h-convex cone and meets the W_k
-constraint.  A step is linearly implicit, phi_new = phi + dt R[Phi G - h]
-with G and h frozen at phi and R = (1 + dt s - dt c Laplacian)^{-1}.
+phi^{-p-k} p_{n-k}(A[phi]) = gamma f.  A step is linearly implicit: with
+G, h and h's local diffusivity d frozen at phi,
+
+    phi_new = phi + dt R[sigma (Phi_new G - h)],  R = (1 + dt s - dt c Laplacian)^{-1},
+    sigma = (1 + tau c lambda_1) / (1 + tau d lambda_1)  node-wise.
+
 R is diagonal in the Fourier and Legendre bases, 1 / (1 + dt s + dt c
 lambda) with lambda = k^2 on S^1 and l (l + 1) on S^2, which is the
 unshifted step 1 / (1 + tau c lambda) taken at tau = dt / (1 + dt s).
-c is the midpoint (c_min + c_max) / 2 of h's local diffusivity d at phi,
-the best one-parameter choice for a variable coefficient (Concus and
-Golub 1973): each mode moves at a rate matched to the middle of d's
-range, not its top.  The shift s >= 0 is what c lambda leaves of the
-midpoint, over the nodes, of the linearized speed's decay rate at the
-lowest mode the run moves, ((n+p)/(n-k) - 1) Phi G / phi + d (lambda -
-n (1 + phi^-2) / 2); it damps the zeroth-order term, which grows with p
-and made the unshifted step overshoot into a period-2 cycle at p = 20.
-Phi is the Lagrange multiplier of the constraint W_k(phi_new) =
-W_k(phi_0), solved by Newton's method to roundoff with slope
-tau int w_new R G, w = phi^{-(k+1)} p_{n-k}(A) the first variation of
-W_k; phi_new and its derivatives are affine in Phi, so the iterates need
-no further spectral pass.  Fixed points are the flow's steady states.
+c is the midpoint (c_min + c_max) / 2 of d at phi, the best
+one-parameter choice for a variable coefficient (Concus and Golub 1973),
+and lambda_1 the eigenvalue of the lowest mode the run moves (l = 2
+when it keeps evenness, else l = 1).  sigma R is the resolvent (1 + tau
+d lambda)^{-1} of the speed's principal part d Laplacian with d frozen
+node-wise, exact at lambda_1 for every dt:
+- as dt grows, sigma tends to c / d.  Since (d Laplacian)^{-1} =
+  Laplacian^{-1} diag(1 / d), dividing the speed by d makes the
+  constant-c resolvent exact in the principal part, whatever the contrast
+  of d, so a mode where d differs from c still moves the whole way per
+  step: the flow on s1:96 at p = 2 converges in 4 steps, and at p = -8
+  in 82;
+- as dt shrinks, sigma tends to 1, so the step's continuous limit is the
+  flow above.  The scale c / d at every dt would have the same steady
+  states, but its limit (c / d) (Phi G - h) is backward parabolic where
+  h > 2 Phi G (on S^1 its principal part is c (2 A Phi G - 1) Laplacian,
+  from the variation of d): far from the steady state, halving a
+  rejected step then did not help, and manufactured runs on s1:128 at
+  p = 0 and 1 stalled.
+The shift s >= 0 is the midpoint, over the nodes, of the zeroth-order
+decay rate of the speed's linearization scaled by c / d, (c / d)
+((n+p)/(n-k) - 1) Phi G / phi - c n (1 + phi^-2) / 2 (its principal part
+is c lambda at every node, which R holds); it damps the zeroth-order
+term, which grows with p and made the unshifted step overshoot into a
+period-2 cycle at p = 20.
+
+R is linear, so the step resolves sigma speed, with speed = Phi G - h
+at the state's own Phi, and sigma G, and takes phi_new = phi + tau
+(R[sigma speed] + dPhi R[sigma G]).  Resolving the small speed itself,
+not G and h, two O(1) fields whose difference it is, keeps the roundoff
+floor of the speed low: about 1e-11 at p = -8 on s1:96, against about
+1e-9 when G and h are resolved apart.  The correction dPhi is the
+Lagrange multiplier of the constraint W_k(phi_new) = W_k(phi_0), solved
+by Newton's method to roundoff from its linearization -int w R[sigma
+speed] / int w R[sigma G], with slope tau int w_new R[sigma G], w =
+phi^{-(k+1)} p_{n-k}(A) the first variation of W_k; phi_new and its
+derivatives are affine in dPhi, so the iterates need no further spectral
+pass.  Fixed points are the flow's steady states.  The continuous flow
+decreases J_p, and each state holds its J_p, which the trace's Jp column
+reads.  A step does not check it: it checks only that the new state
+stays in the uniformly h-convex cone and meets the W_k constraint.  A
+test checks instead that no accepted step of a table of runs over p
+raises J_p by more than 1e-12 of its size.
 
 The pseudo-time step follows switched evolution relaxation (Mulder and
 van Leer 1985; Kelley and Keyes 1998): after each accepted step
@@ -39,16 +70,16 @@ steps the trajectory, and the time t in the trace, are a pseudo-time
 path: only its steady state is the solution, while W_k is conserved at
 every step.  The trace's dt column and its time t record the nominal
 dt that SER sets, not tau.  An accepted step costs one spectral pass,
-the stacked resolvent of phi at mu = 0 and of G and h at mu = tau c:
-one rfft and one irfft, two FFT calls on either grid.  So each new
-state's gradient and Hessian are a fresh analysis of phi plus one
-affine update, and roundoff does not pile up in them over a run.  When
-the run keeps evenness, G and h are projected onto even fields first, a
-node-wise antipodal average.  R is diagonal in the spectral basis and
-commutes with the antipodal map, so phi_new is band-limited and even
-whenever phi is, and Newton's last trial, whose derivatives are affine
-in Phi, is the next state as it stands: projecting it again would
-change it only by roundoff.  The state it returns already holds the w
+the stacked resolvent of phi at mu = 0 and of sigma speed and sigma G
+at mu = tau c: one rfft and one irfft, two FFT calls on either grid.
+So each new state's gradient and Hessian are a fresh analysis of phi
+plus one affine update, and roundoff does not pile up in them over a
+run.  When the run keeps evenness, the two scaled fields are projected
+onto even fields first, a node-wise antipodal average.  R is diagonal
+in the spectral basis and commutes with the antipodal map, so phi_new
+is band-limited and even whenever phi is, and Newton's last trial,
+whose derivatives are affine in dPhi, is the next state as it stands:
+projecting it again would change it only by roundoff.  The state it returns already holds the w
 that the next step's Newton solve reads, and the W_k the trace reads.
 
 A point of the flow is one frozen `FlowState`: the band-limited field,
@@ -71,7 +102,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hconvex import SupportField, measure_density, p_tensor, squared_norm
-from .problems import J_p, check_assumption_h, check_nkp
+from .problems import check_assumption_h, check_nkp, jp_value
 from .quermass import wk_value
 from .sphere_grid import (
     ArgumentError,
@@ -116,9 +147,9 @@ MAX_REJECTIONS = 40
 DEFAULT_MAX_DT = 5.0
 # The largest max_dt that one step's MAX_REJECTIONS halvings bring down to
 # the default cap.  Far above that cap a step misses the W_k constraint by
-# the roundoff of its mode-0 term dt (Phi G - h), which grows with dt
-# (on s1:64 at dt = 1e4 by 1e-12), so a run from max_dt >= 1e16 ended
-# `stalled` at its first step.
+# the roundoff of its mode-0 term, which grows with dt (on s1:64 by 2.7e-13
+# at dt = 1e4 and 1.3e-9 at 1e8): there the first step from MAX_DT is cut
+# 22 times, and a run from max_dt = 1e18 ended `stalled` at its first step.
 MAX_DT = DEFAULT_MAX_DT * 2.0**MAX_REJECTIONS
 # Newton on the W_k constraint stops at roundoff: a looser residual
 # shows up as a rise of J_p along the flow.
@@ -176,10 +207,12 @@ class FlowState:
     each new state even, target: the W_k every step holds);
     and what `_evaluate` computes at K when the state is built: pA =
     p_{n-k}(A), w = phi^{-(k+1)} pA, the first variation of W_k that the
-    next step's Newton solve starts from, the speed Phi G - h with its
-    parts, the next step's diffusivity c and shift s, and what the stop
-    test reads.  So `replace(state, K=L)` is the state at L; it raises
-    FlowStepError if L is off the uniformly h-convex cone.
+    next step's Newton solve starts from, the speed Phi G - h and its G,
+    what the next step's resolvent reads (h's local diffusivity d, its
+    midpoint c, the lowest moving mode's eigenvalue lam and the shift s),
+    J_p, which the trace reads, and what the stop test reads.  So
+    `replace(state, K=L)` is the state at L; it raises FlowStepError if L
+    is off the uniformly h-convex cone.
     """
 
     K: SupportField
@@ -194,10 +227,12 @@ class FlowState:
     w: np.ndarray = field(init=False)
     Phi: float = field(init=False)
     G: np.ndarray = field(init=False)
-    h: np.ndarray = field(init=False)
     c: float = field(init=False)
     s: float = field(init=False)
     speed: np.ndarray = field(init=False)
+    d: np.ndarray = field(init=False)
+    lam: float = field(init=False)
+    Jp: float = field(init=False)
     gamma: float = field(init=False)
     gamma_variation: float = field(init=False)
     speed_sup: float = field(init=False)
@@ -271,19 +306,22 @@ def _evaluate(state: FlowState) -> dict:
     else:
         d = pA ** (-0.5) / (2.0 * eigs[:, 0])
     c = 0.5 * float(d.max() + d.min())
-    # Node-wise decay rate of the linearized speed Phi dG[v] - dh[v] on a
-    # v of the lowest mode the run moves (l = 2 when it keeps evenness,
-    # else l = 1), without dA[v]'s |Dphi|^2 terms, which moved no step
-    # count.  The shift is what c lambda leaves of the rate's midpoint.
+    # The eigenvalue of the lowest mode the run moves: l = 2 when it keeps
+    # evenness, else l = 1.
     lam = 2.0 * (n + 1) if state.even else float(n)
-    rate = ((n + state.p) / nk - 1.0) * Phi * G / phi + d * (
-        lam - 0.5 * n * (1.0 + phi ** (-2.0))
+    # Node-wise zeroth-order decay rate of the linearized speed scaled by
+    # c / d, the scale the step tends to at large dt, without dA[v]'s
+    # |Dphi|^2 terms, which moved no step count; its principal part is
+    # c lambda at every node, which R already holds.
+    rate = (c / d) * ((n + state.p) / nk - 1.0) * Phi * G / phi - 0.5 * c * n * (
+        1.0 + phi ** (-2.0)
     )
-    shift = max(0.0, 0.5 * float(rate.max() + rate.min()) - c * lam)
+    shift = max(0.0, 0.5 * float(rate.max() + rate.min()))
     gamma_field = phi ** (-(state.p + k)) * pA / state.f  # measure_density(K, p, k) / f
     gamma = integrate(grid, gamma_field) / sphere_area(n)
     gamma_variation = float((gamma_field.max() - gamma_field.min()) / gamma)
-    return dict(pA=pA, w=w, Phi=Phi, G=G, h=h, c=c, s=shift, speed=speed, gamma=gamma,
+    return dict(pA=pA, w=w, Phi=Phi, G=G, c=c, s=shift, speed=speed, d=d, lam=lam,
+                Jp=jp_value(K, state.f, state.p), gamma=gamma,
                 gamma_variation=gamma_variation, speed_sup=float(np.abs(speed).max()))
 
 
@@ -334,7 +372,7 @@ def step(state: FlowState, dt: float) -> FlowState:
     """The next state: one linearly implicit step of size dt that holds
     W_k at state.target.
 
-    The Newton iterates are affine in Phi on the derivatives of the
+    The Newton iterates are affine in dPhi on the derivatives of the
     step's fresh analysis of phi, and the last one is the new state's
     field, with the W_k it was accepted on cached.  Raises FlowStepError
     if the new state leaves the uniformly h-convex cone or the constraint
@@ -348,18 +386,22 @@ def step(state: FlowState, dt: float) -> FlowState:
     mu = tau * state.c
     if not mu < math.inf:
         raise FlowStepError(f"resolvent step tau c = {mu} is not finite")
-    stack = np.stack([phi, state.G, state.h])
+    # sigma R is the node-wise frozen resolvent (1 + tau d lambda)^{-1} of
+    # the speed's principal part, exact at the lowest mode the run moves.
+    sigma = (1.0 + mu * state.lam) / (1.0 + tau * state.d * state.lam)
+    stack = np.stack([phi, sigma * state.speed, sigma * state.G])
     if state.even:
         stack[1:] = even_project(grid, stack[1:])
     # phi at mu = 0: the new state's derivatives are a fresh analysis of
     # phi plus one affine update, not updates piled up over the run.
-    (_, rG, rh), (g, gG, gh), (H, HG, Hh) = resolvent(grid, stack, np.array([0.0, mu, mu]))
-    Phi = _multiplier(grid, w, rG, rh)
+    (_, rS, rG), (g, gS, gG), (H, HS, HG) = resolvent(grid, stack, np.array([0.0, mu, mu]))
+    # Newton on the correction dPhi to the state's Phi, from its linearization.
+    dPhi = -_multiplier(grid, w, rG, rS)
     for _ in range(NEWTON_MAX_ITER):
-        phi_new = phi + tau * (Phi * rG - rh)
+        phi_new = phi + tau * (rS + dPhi * rG)
         _in_cone(phi_new)
         trial = SupportField.with_derivatives(
-            grid, phi_new, g + tau * (Phi * gG - gh), H + tau * (Phi * HG - Hh)
+            grid, phi_new, g + tau * (gS + dPhi * gG), H + tau * (HS + dPhi * HG)
         )
         residual = trial.memo(wk_value, k) - target
         if abs(residual) <= NEWTON_RTOL * abs(target):
@@ -367,7 +409,7 @@ def step(state: FlowState, dt: float) -> FlowState:
         slope = tau * integrate(grid, measure_density(trial, 1.0, k) * rG)
         if not slope > 0.0:
             raise FlowStepError(f"W_k constraint has slope {slope}")
-        Phi -= residual / slope
+        dPhi -= residual / slope
     else:
         raise FlowStepError(f"W_k constraint missed by {residual:.3e}")
     # Built directly: replace(state, K=...) gives the same state, slower.
@@ -395,7 +437,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
             row = dict(
                 t=t,
                 Wk=K.memo(wk_value, state.k),
-                Jp=J_p(K, state.f, state.p),
+                Jp=state.Jp,
                 minEigA=float(K.eigenvalues[:, 0].min()),
                 maxGradRatio=float((np.sqrt(squared_norm(K.gradient)) / K.phi).max()),
                 evenErr=even_error(K.grid, K.phi),

@@ -36,6 +36,7 @@ __all__ = [
     "AssumptionHReport",
     "mixed_quermass",
     "J_p",
+    "jp_value",
     "pde_residual",
     "kw_residual",
     "ball_solutions",
@@ -102,7 +103,11 @@ def J_p(K: SupportField, f, p: float) -> float:
     """Flow functional (1/p) int f phi^p dsigma, or int f log(phi) at p = 0;
     p is a finite number (`as_real`)."""
     p = as_real(p, "p")
-    f = positive_field(K.grid, f, "f")
+    return jp_value(K, positive_field(K.grid, f, "f"), p)
+
+
+def jp_value(K: SupportField, f: np.ndarray, p: float) -> float:
+    """`J_p` with f and p taken as checked: f positive at K's nodes, p a float."""
     if p == 0.0:
         return integrate(K.grid, f * np.log(K.phi))
     return integrate(K.grid, f * K.phi**p) / p

@@ -970,10 +970,12 @@ def _flow_outputs_by_thread_count(tmp_path, cfg, *fields):
 
 
 def test_flow_outputs_are_identical_across_thread_counts(tmp_path):
-    # Steep data, so the run takes steps rather than stopping at the ball.
+    # Steep data, so the run takes steps rather than stopping at the ball;
+    # a low eps_stop and a small cap make it take more than ten.
     grid = make_grid(1, 64)
     write_field(tmp_path / "f.json", grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
-    cfg = {"n": 1, "k": 0, "p": 2.0, "initial_radius": math.log(2.0)}
+    cfg = {"n": 1, "k": 0, "p": 2.0, "initial_radius": math.log(2.0), "eps_stop": 1e-10,
+           "max_dt": 0.5}
     outputs = _flow_outputs_by_thread_count(tmp_path, cfg, "--f", "f.json")
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0].splitlines()) > 10
