@@ -58,14 +58,15 @@ raises J_p by more than 1e-12 of its size.
 
 The pseudo-time step follows switched evolution relaxation (Mulder and
 van Leer 1985; Kelley and Keyes 1998): after each accepted step
-dt <- min(max_dt, dt S_prev / S_new) with S the sup of |speed|.  Only
-the steady state is the answer and R keeps large steps stable, so the
-first step is tried at the cap, max_dt.  SER then matters after a
-rejection or a rise in speed: a step that leaves the uniformly h-convex
-cone, or misses its constraint, is retried at half the step size, that
-halved dt is the base of the next update, and dt grows back to the cap
-as the speed falls.  The step count does not grow with resolution,
-because R damps every mode the explicit step would limit.  At large
+dt <- min(MAX_DT, dt S_prev / S_new) with S the sup of |speed|, and the
+cap MAX_DT = 5 is a constant, not a setting.  Only the steady state is
+the answer and R keeps large steps stable, so the first step is tried at
+the cap.  SER then matters after a rejection or a rise in speed: a step
+that leaves the uniformly h-convex cone, or misses its constraint, is
+retried at half the step size, that halved dt is the base of the next
+update, and dt grows back to the cap as the speed falls.  The step
+count does not grow with resolution, because R damps every mode the
+explicit step would limit.  At large
 steps the trajectory, and the time t in the trace, are a pseudo-time
 path: only its steady state is the solution, while W_k is conserved at
 every step.  The trace's dt column and its time t record the nominal
@@ -142,15 +143,13 @@ TRACE_COLUMNS = (
     "rejected",
 )
 
+# The first step, and the cap on SER's.
+MAX_DT = 5.0
+# A rejected step is halved until it holds; the run ends `stalled` after
+# MAX_REJECTIONS halvings of one step, which take MAX_DT down to 4.5e-12,
+# a step that no h-convex state needs, or once dt falls below MIN_DT.
 MIN_DT = 1e-15
 MAX_REJECTIONS = 40
-DEFAULT_MAX_DT = 5.0
-# The largest max_dt that one step's MAX_REJECTIONS halvings bring down to
-# the default cap.  Far above that cap a step misses the W_k constraint by
-# the roundoff of its mode-0 term, which grows with dt (on s1:64 by 2.7e-13
-# at dt = 1e4 and 1.3e-9 at 1e8): there the first step from MAX_DT is cut
-# 22 times, and a run from max_dt = 1e18 ended `stalled` at its first step.
-MAX_DT = DEFAULT_MAX_DT * 2.0**MAX_REJECTIONS
 # Newton on the W_k constraint stops at roundoff: a looser residual
 # shows up as a rise of J_p along the flow.
 NEWTON_RTOL = 1e-13
@@ -167,13 +166,14 @@ class FlowConfig:
     config with a value of the wrong type or out of range raises
     ArgumentError ("flow config <key> must be ..."), and the values are
     stored as int or float.  What needs the grid waits for `make_state`.
+    The step size is not a setting: the first step and SER's cap are the
+    constant MAX_DT.
     """
 
     n: int
     k: int
     p: float
     f: np.ndarray | None = None  # positive data at grid nodes, default 1
-    max_dt: float = DEFAULT_MAX_DT  # the first step, and the cap on SER's, at most MAX_DT
     eps_stop: float = 1e-6
     max_steps: int = 200_000
     trace_every: int = 1
@@ -181,13 +181,10 @@ class FlowConfig:
     def __post_init__(self) -> None:
         for key in ("n", "k", "max_steps", "trace_every"):
             setattr(self, key, as_integer(getattr(self, key), f"flow config {key}"))
-        for key in ("p", "max_dt", "eps_stop"):
+        for key in ("p", "eps_stop"):
             setattr(self, key, as_real(getattr(self, key), f"flow config {key}"))
         check_nkp(self.n, self.k, self.p, "flow config ")
         for key, ok, rule in (
-            ("max_dt", 0.0 < self.max_dt <= MAX_DT,
-             f"positive and at most {MAX_DT:.6g}, which {MAX_REJECTIONS} halvings of a "
-             f"rejected step bring down to the default {DEFAULT_MAX_DT:g}"),
             # Below 0 the stop test speed_sup < eps_stop can never hold; 0
             # stays valid, to run a flow at rest for max_steps.
             ("eps_stop", self.eps_stop >= 0.0, "nonnegative"),
@@ -426,7 +423,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     state = make_state(config, phi0)
     trace = FlowTrace()
     t, steps, rejections = 0.0, 0, 0
-    dt = config.max_dt
+    dt = MAX_DT
     speed_prev = math.nan
     while True:
         K, speed_sup = state.K, state.speed_sup
@@ -451,7 +448,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         if steps > 0 and speed_sup > 0.0:
             # Switched evolution relaxation: dt grows as the speed falls.
             # A speed of exactly 0 (a ball with eps_stop = 0) keeps dt.
-            dt = min(config.max_dt, dt * speed_prev / speed_sup)
+            dt = min(MAX_DT, dt * speed_prev / speed_sup)
         speed_prev = speed_sup
         rejected = 0
         while True:

@@ -54,7 +54,7 @@ from .hconvex import (
     squared_norm,
 )
 from .sphere_grid import (
-    ArgumentError, Grid, as_integer, as_real, exactly_constant, integrate, sphere_area,
+    ArgumentError, as_integer, as_real, exactly_constant, integrate, sphere_area,
 )
 
 __all__ = [

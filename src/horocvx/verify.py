@@ -36,7 +36,6 @@ from .hconvex import (
     boundary_data,
     measure_density,
     p_tensor,
-    random_h_convex_fields,
     shrink_into_cone,
     support_of_ball,
 )

@@ -622,18 +622,19 @@ def test_flow_config_with_only_f_starts_from_a_ball_on_fs_grid(tmp_path, monkeyp
 
 
 def test_flow_terminal_file_holds_every_result_field(tmp_path):
-    # At max_dt 1e4 this flow rejects steps at the cap; the terminal file
+    # Steep data make this flow reject steps; the terminal file
     # carries every FlowResult field but the field itself and the trace,
     # so its rejections are the sum of the trace's rejected column.
     grid = make_grid(1, 64)
-    phi0 = tmp_path / "phi0.json"
+    phi0, f = tmp_path / "phi0.json", tmp_path / "f.json"
     write_field(phi0, grid, 2.0 * (1.0 + 0.05 * np.cos(2 * grid.theta)), kind="support")
-    cfg = {"n": 1, "k": 0, "p": 0.0, "max_dt": 1e4, "max_steps": 10}
+    write_field(f, grid, 1.0 + 0.9 * np.cos(2 * grid.theta))
+    cfg = {"n": 1, "k": 0, "p": 0.0, "max_steps": 10}
     cfg_path = tmp_path / "flow.json"
     cfg_path.write_text(json.dumps(cfg))
     trace, terminal = tmp_path / "trace.csv", tmp_path / "terminal.json"
-    argv = ["flow", "--config", str(cfg_path), "--K", str(phi0), "--out", str(trace),
-            "--terminal", str(terminal)]
+    argv = ["flow", "--config", str(cfg_path), "--K", str(phi0), "--f", str(f),
+            "--out", str(trace), "--terminal", str(terminal)]
     assert main(argv) in (0, 1)
     rep = read_json(terminal)
     result_keys = {fld.name for fld in dataclasses.fields(flow.FlowResult)} - {"terminal", "trace"}
@@ -696,10 +697,10 @@ def test_flow_config_without_optional_keys_uses_flowconfig_defaults(tmp_path, mo
     assert seen == [FlowConfig(n=1, k=0, p=2.0)]
     # Given keys still reach the config.
     cfg_path.write_text(json.dumps({
-        "n": 1, "k": 0, "p": 2.0, "grid": "s1:32", "max_dt": 0.5, "max_steps": 7,
+        "n": 1, "k": 0, "p": 2.0, "grid": "s1:32", "eps_stop": 0.5, "max_steps": 7,
     }))
     assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
-    assert seen[1] == FlowConfig(n=1, k=0, p=2.0, max_dt=0.5, max_steps=7)
+    assert seen[1] == FlowConfig(n=1, k=0, p=2.0, eps_stop=0.5, max_steps=7)
 
 
 def test_flow_config_errors(tmp_path):
@@ -833,8 +834,6 @@ def test_an_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkey
         ("trace_every", True),
         ("p", True),
         ("p", "2.0"),
-        ("max_dt", "0.05"),
-        ("max_dt", float("inf")),
         ("eps_stop", True),
         ("eps_stop", float("nan")),
     ],
@@ -863,15 +862,17 @@ def test_flow_config_initial_radius_is_checked_by_support_of_ball(tmp_path, caps
 
 def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
     # safety was the explicit scheme's dt limiter, dt_initial a first
-    # step below max_dt and assumption_mode a refusal of data failing
+    # step below the cap and max_dt the cap, which is now the constant
+    # flow.MAX_DT; assumption_mode was a refusal of data failing
     # assumption H; initial and f named fields, which are now the options
     # --K and --f; enforce_even set evenness, which now follows f and the
     # start; eps_stp is a typo.
     mkball(tmp_path, "A.json", 0.5, grid="s1:32")
     cfg = {
         "n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "safety": 0.05, "eps_stp": 1e-6,
-        "dt_initial": 0.05, "assumption_mode": "warn", "initial": str(tmp_path / "A.json"),
-        "f": str(tmp_path / "A.json"), "enforce_even": True,
+        "dt_initial": 0.05, "max_dt": 5.0, "assumption_mode": "warn",
+        "initial": str(tmp_path / "A.json"), "f": str(tmp_path / "A.json"),
+        "enforce_even": True,
     }
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(cfg))
@@ -879,8 +880,10 @@ def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
     assert main(["flow", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert ("unknown flow config key(s): assumption_mode, dt_initial, enforce_even, eps_stp, "
-            "f, initial, safety") in err
+            "f, initial, max_dt, safety") in err
     assert not out.exists()
+    with pytest.raises(TypeError, match="max_dt"):
+        FlowConfig(n=1, k=0, p=0.0, max_dt=5.0)
 
 
 def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
@@ -901,8 +904,6 @@ def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("max_dt", -1),
-        ("max_dt", 1e30),  # beyond what a step's halvings bring down to 5
         ("trace_every", 0),
         ("max_steps", -1),
         ("eps_stop", -1),
@@ -971,11 +972,10 @@ def _flow_outputs_by_thread_count(tmp_path, cfg, *fields):
 
 def test_flow_outputs_are_identical_across_thread_counts(tmp_path):
     # Steep data, so the run takes steps rather than stopping at the ball;
-    # a low eps_stop and a small cap make it take more than ten.
+    # p = 0 and a low eps_stop make it take more than ten.
     grid = make_grid(1, 64)
     write_field(tmp_path / "f.json", grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
-    cfg = {"n": 1, "k": 0, "p": 2.0, "initial_radius": math.log(2.0), "eps_stop": 1e-10,
-           "max_dt": 0.5}
+    cfg = {"n": 1, "k": 0, "p": 0.0, "initial_radius": math.log(2.0), "eps_stop": 1e-10}
     outputs = _flow_outputs_by_thread_count(tmp_path, cfg, "--f", "f.json")
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0].splitlines()) > 10
@@ -983,10 +983,11 @@ def test_flow_outputs_are_identical_across_thread_counts(tmp_path):
 
 def test_s2_flow_outputs_are_identical_across_thread_counts(tmp_path):
     # The S^2 Legendre transforms are BLAS matrix products; an n=2 k=1
-    # flow must not depend on how many threads BLAS may use.
+    # flow must not depend on how many threads BLAS may use; at p = -1.5
+    # it takes more than ten steps.
     grid = make_grid(2, 16)
     write_field(tmp_path / "f.json", grid, 1.0 + 0.2 * grid.nodes[:, 2] ** 2)
-    cfg = {"n": 2, "k": 1, "p": 1.0, "initial_radius": math.log(2.0), "max_dt": 0.05}
+    cfg = {"n": 2, "k": 1, "p": -1.5, "initial_radius": math.log(2.0)}
     outputs = _flow_outputs_by_thread_count(tmp_path, cfg, "--f", "f.json")
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0].splitlines()) > 10

@@ -3,7 +3,6 @@
 import csv
 import functools
 import math
-import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -76,12 +75,12 @@ def test_ball_is_stationary():
 def test_zero_speed_keeps_dt():
     # With eps_stop = 0 the ball never stops, and its speed is exactly 0.
     res = run(
-        FlowConfig(n=1, k=0, p=0.0, eps_stop=0.0, max_steps=3, max_dt=0.05),
+        FlowConfig(n=1, k=0, p=0.0, eps_stop=0.0, max_steps=3),
         SupportField(S1, np.full(S1.size, 2.0)),
     )
     assert res.status == "max-steps"
     assert list(res.trace.column("speedSup")) == [0.0] * 4
-    assert list(res.trace.column("dt")) == [0.05] * 3 + [0.0]
+    assert list(res.trace.column("dt")) == [flow.MAX_DT] * 3 + [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +129,7 @@ def test_flow_terminal_solves_the_equation():
 
 def rk4_reference(cfg, body):
     """Terminal phi and gamma of the explicit RK4 flow the implicit step
-    replaced: Phi refreshed at every stage, dt the smallest of max_dt, the
+    replaced: Phi refreshed at every stage, dt the smallest of MAX_DT, the
     0.05 lambda^2 h^2 limiter and twice the inverse of the largest
     diffusivity of h times the spectral radius of the Laplacian on the
     band."""
@@ -153,7 +152,7 @@ def rk4_reference(cfg, body):
             c_max = np.max(d.pA ** (-2.0)) / n
         else:
             c_max = np.max(d.pA ** (-0.5) / (2.0 * d.K.eigenvalues[:, 0]))
-        dt = min(0.05 * lam**2 * h * h, 2.0 / (c_max * B * (B + n - 1)), cfg.max_dt)
+        dt = min(0.05 * lam**2 * h * h, 2.0 / (c_max * B * (B + n - 1)), flow.MAX_DT)
 
         def speed(x):
             return replace(state, K=SupportField(grid, x)).speed
@@ -226,9 +225,7 @@ def test_first_step_is_tried_at_the_cap():
     cfg = FlowConfig(n=1, k=0, p=0.0, max_steps=3)
     res = run(cfg, perturbed_circle())
     assert res.rejections == 0
-    assert res.trace.column("dt")[0] == cfg.max_dt
-    capped = run(replace(cfg, max_dt=0.5), perturbed_circle())
-    assert capped.trace.column("dt")[0] == 0.5
+    assert res.trace.column("dt")[0] == flow.MAX_DT
 
 
 # The paper's p range (ROADMAP item 3): (n, k, p, budget).  The budget is
@@ -425,7 +422,7 @@ def test_an_odd_start_at_k1_keeps_its_odd_part():
 
 
 def test_step_rejects_cone_exit():
-    # Data this steep pulls the first step, even at the default max_dt,
+    # Data this steep pulls the first step, at the cap MAX_DT,
     # out of the uniformly h-convex cone: A[phi_new] gets a negative
     # eigenvalue where f^{-1} peaks.
     f = 1.0 + 0.9 * np.cos(2 * S1.theta)
@@ -433,7 +430,7 @@ def test_step_rejects_cone_exit():
         FlowConfig(n=1, k=0, p=0.0, f=f), SupportField(S1, np.full(S1.size, 2.0))
     )
     with pytest.raises(FlowStepError, match="eigenvalue"):
-        step(state, FlowConfig(n=1, k=0, p=0.0).max_dt)
+        step(state, flow.MAX_DT)
 
 
 def test_step_holds_wk_to_roundoff():
@@ -479,8 +476,8 @@ def test_rejected_accepted_state_halves_dt_and_continues(monkeypatch):
     assert res.rejections == 1
     dt, speed = res.trace.column("dt"), res.trace.column("speedSup")
     assert dt[0] == 0.5 * reference.trace.column("dt")[0]
-    # The halved step is the base of the next update, not max_dt.
-    assert dt[1] == min(cfg.max_dt, dt[0] * speed[0] / speed[1])
+    # The halved step is the base of the next update, not MAX_DT.
+    assert dt[1] == min(flow.MAX_DT, dt[0] * speed[0] / speed[1])
     assert list(res.trace.column("rejected")) == [1, 0, 0, 0]
 
 
@@ -677,7 +674,7 @@ def test_a_run_evaluates_w_k_of_its_start_once(wk_calls):
 def test_max_steps_outcome():
     # The first step from the ball is cut 10 times (see
     # test_rejected_column_sums_to_the_rejections); SER then grows dt
-    # from there, capped at max_dt.
+    # from there, capped at MAX_DT.
     f = 1.0 + 0.9 * np.cos(2 * S1.theta)
     cfg = FlowConfig(n=1, k=0, p=0.0, f=f, eps_stop=1e-12, max_steps=4)
     res = run(cfg, SupportField(S1, np.full(S1.size, 2.0)))
@@ -685,9 +682,9 @@ def test_max_steps_outcome():
     assert res.steps == 4
     assert list(res.trace.column("rejected")) == [10, 0, 0, 0, 0]
     speed = res.trace.column("speedSup")
-    expected = [cfg.max_dt * 0.5**10]
+    expected = [flow.MAX_DT * 0.5**10]
     for i in range(1, 4):
-        expected.append(min(cfg.max_dt, expected[-1] * speed[i - 1] / speed[i]))
+        expected.append(min(flow.MAX_DT, expected[-1] * speed[i - 1] / speed[i]))
     assert list(res.trace.column("dt")) == expected + [0.0]
     assert expected[-1] > expected[0]
     assert res.t_final == pytest.approx(sum(expected))
@@ -710,21 +707,21 @@ def test_stalled_outcome(monkeypatch):
     assert res.status == "stalled"
     assert res.steps == 0
     assert res.rejections == len(attempts) == flow.MAX_REJECTIONS + 1
-    assert attempts == [cfg.max_dt * 0.5**i for i in range(len(attempts))]
+    assert attempts == [flow.MAX_DT * 0.5**i for i in range(len(attempts))]
     assert np.allclose(res.terminal.phi, body.phi, atol=1e-14)
     assert len(res.trace.rows) == 1
     assert list(res.trace.column("rejected")) == [res.rejections]
 
 
 def test_rejected_column_sums_to_the_rejections():
-    # The first step from the ball leaves the cone at max_dt and nine
+    # The first step from the ball leaves the cone at MAX_DT and nine
     # more times after halving (see test_step_rejects_cone_exit).
     f = 1.0 + 0.9 * np.cos(2 * S1.theta)
     cfg = FlowConfig(n=1, k=0, p=0.0, f=f, max_steps=20)
     res = run(cfg, SupportField(S1, np.full(S1.size, 2.0)))
     rejected = res.trace.column("rejected")
     assert res.rejections == rejected.sum() == rejected[0] == 10
-    assert res.trace.column("dt")[0] == cfg.max_dt / 2**10
+    assert res.trace.column("dt")[0] == flow.MAX_DT / 2**10
 
 
 def test_trace_every_thins_rows():
@@ -776,10 +773,6 @@ def test_make_state_rejects_non_finite_f(bad):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("max_dt", 0.0),
-        ("max_dt", -0.05),
-        ("max_dt", math.nan),
-        ("max_dt", math.inf),
         ("trace_every", 0),
         ("trace_every", -1),
         ("max_steps", -1),
@@ -816,15 +809,14 @@ def test_flow_config_rejects_values_of_the_wrong_type(field, value):
 
 
 def test_flow_config_stores_ints_and_floats():
-    cfg = FlowConfig(n=np.int64(2), k=1, p=2, max_dt=np.float32(0.5), eps_stop=0)
-    assert type(cfg.n) is int and type(cfg.p) is float
-    assert (cfg.p, cfg.max_dt, cfg.eps_stop) == (2.0, 0.5, 0.0)
-    assert all(type(v) is float for v in (cfg.max_dt, cfg.eps_stop))
+    cfg = FlowConfig(n=np.int64(2), k=1, p=2, eps_stop=np.float32(0.5))
+    assert type(cfg.n) is int and type(cfg.p) is float and type(cfg.eps_stop) is float
+    assert (cfg.p, cfg.eps_stop) == (2.0, 0.5)
 
 
 @pytest.mark.parametrize("key, value", [("dt_initial", 0.05), ("assumption_mode", "warn")])
 def test_flow_config_has_no_first_step_or_assumption_mode_setting(key, value):
-    # The first step is always max_dt, and assumption H is always checked
+    # The first step is always MAX_DT, and assumption H is always checked
     # and recorded, never a refusal.
     with pytest.raises(TypeError, match=key):
         FlowConfig(n=1, k=0, p=0.0, **{key: value})
@@ -884,7 +876,7 @@ def test_stepped_state_is_bitwise_the_replaced_state(cfg, body):
     # seam and must give the same state, and w is the first variation
     # that measure_density gives.
     state = make_state(cfg, body())
-    for dt in (0.05, cfg.max_dt):
+    for dt in (0.05, flow.MAX_DT):
         new_state = step(state, dt)
         again = replace(state, K=new_state.K)
         assert again.K is new_state.K
@@ -921,7 +913,7 @@ def _first_attempt_is_rejected_and_halved(monkeypatch, name, value):
         attempts.clear()
         monkeypatch.setattr(flow, "step", patched)
         runs.append(run(cfg, perturbed_circle()))
-        assert attempts[:2] == [cfg.max_dt, 0.5 * cfg.max_dt]
+        assert attempts[:2] == [flow.MAX_DT, 0.5 * flow.MAX_DT]
     reference, res = runs
     assert res.rejections == reference.rejections == 1
     assert list(res.trace.column("rejected")) == [1, 0, 0, 0]
@@ -953,25 +945,6 @@ def test_newton_out_of_iterations_is_a_rejected_step(monkeypatch):
         step(state, 5.0)
     monkeypatch.undo()
     _first_attempt_is_rejected_and_halved(monkeypatch, "NEWTON_MAX_ITER", 1)
-
-
-@pytest.mark.parametrize("max_dt", [1e13, 1e30, sys.float_info.max])
-def test_flow_config_refuses_a_max_dt_its_rejections_cannot_bring_down(max_dt):
-    # Every max_dt from 1e16 up ended the run of the next test `stalled`
-    # at step 0 after 41 rejections: 40 halvings left each attempt far
-    # above the dt at which a step can hold W_k.
-    with pytest.raises(ValueError, match="flow config max_dt must be .* at most 5.49756e"):
-        FlowConfig(n=1, k=0, p=0.0, max_dt=max_dt)
-
-
-def test_largest_max_dt_converges_after_halving_down_to_the_default():
-    assert flow.MAX_DT == flow.DEFAULT_MAX_DT * 2**flow.MAX_REJECTIONS
-    assert FlowConfig(n=1, k=0, p=0.0).max_dt == flow.DEFAULT_MAX_DT
-    # The first step is cut 28 times from 1e12 and 22 times from MAX_DT.
-    for max_dt in (1e12, flow.MAX_DT):
-        res = run(FlowConfig(n=1, k=0, p=0.0, max_dt=max_dt), perturbed_circle())
-        assert res.status == "converged"
-        assert res.trace.column("dt")[0] < max_dt
 
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan, 1e308])

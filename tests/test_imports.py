@@ -1,0 +1,37 @@
+"""Every name a module of the package imports is used there or exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "horocvx"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that source imports, at any depth, but neither reads nor
+    lists in its __all__."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(set(imported) - used)
+
+
+def test_unused_imports_finds_a_function_level_import():
+    source = "import os\ndef f():\n    from math import pi, tau\n    return pi\n"
+    assert unused_imports(source) == ["os", "tau"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_name_it_does_not_use(path):
+    assert unused_imports(path.read_text()) == []

@@ -374,7 +374,6 @@ ARGUMENT_RULES = {
     "FlowConfig-n": lambda: FlowConfig(n=3, k=0, p=0.0),
     "FlowConfig-k": lambda: FlowConfig(n=1, k=1, p=0.0),
     "FlowConfig-p": lambda: FlowConfig(n=2, k=1, p=-5.0),
-    "FlowConfig-max_dt": lambda: FlowConfig(n=1, k=0, p=0.0, max_dt=-1.0),
     "run_suite-name": lambda: run_suite("nonsense"),
     "mixed_quermass-p": lambda: mixed_quermass(K1, K1, 0.4, 0),
     "firey_sum-p": lambda: firey_sum(1.0, K1, 0.5, 1.0, K1),
