@@ -45,11 +45,16 @@ not G and h, two O(1) fields whose difference it is, keeps the roundoff
 floor of the speed low: about 1e-11 at p = -8 on s1:96, against about
 1e-9 when G and h are resolved apart.  The correction dPhi is the
 Lagrange multiplier of the constraint W_k(phi_new) = W_k(phi_0), solved
-by Newton's method to roundoff from its linearization -int w R[sigma
-speed] / int w R[sigma G], with slope tau int w_new R[sigma G], w =
-phi^{-(k+1)} p_{n-k}(A) the first variation of W_k; phi_new and its
-derivatives are affine in dPhi, so the iterates need no further spectral
-pass.  Fixed points are the flow's steady states.  The continuous flow
+by Newton's method to roundoff, with slope tau int w_new R[sigma G], w =
+phi^{-(k+1)} p_{n-k}(A) the first variation of W_k.  Newton starts from
+the root of W_k's quadratic model in dPhi, built from w and its
+derivative dw[v] (`hconvex.d_measure_density`) along the two resolved
+fields; the linear start -int w R[sigma speed] / int w R[sigma G] is
+the fallback when the model has no real root.  The quadratic start
+saves about one W_k trial in three on the acceptance flows.  phi_new
+and its derivatives are affine in dPhi, so neither the start nor the
+iterates need a further spectral pass.  Fixed points are the flow's
+steady states.  The continuous flow
 decreases J_p, and each state holds its J_p, which the trace's Jp column
 reads.  A step does not check it: it checks only that the new state
 stays in the uniformly h-convex cone and meets the W_k constraint.  A
@@ -102,7 +107,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hconvex import SupportField, measure_density, p_tensor, squared_norm
+from .hconvex import SupportField, d_measure_density, measure_density, p_tensor, squared_norm
 from .problems import check_assumption_h, check_nkp, jp_value
 from .quermass import wk_value
 from .sphere_grid import (
@@ -209,7 +214,10 @@ class FlowState:
     midpoint c, the lowest moving mode's eigenvalue lam and the shift s),
     J_p, which the trace reads, and what the stop test reads.  So
     `replace(state, K=L)` is the state at L; it raises FlowStepError if L
-    is off the uniformly h-convex cone.
+    is off the uniformly h-convex cone.  trials counts the W_k Newton
+    trials of the step that built the state, 0 from `make_state`; it is
+    a record of that step, not evaluated at K, so `replace` passes it on
+    unless given.
     """
 
     K: SupportField
@@ -220,6 +228,7 @@ class FlowState:
     even: bool
     target: float
     warnings: tuple[str, ...]
+    trials: int = 0
     pA: np.ndarray = field(init=False)
     w: np.ndarray = field(init=False)
     Phi: float = field(init=False)
@@ -268,6 +277,7 @@ class FlowResult:
     t_final: float
     warnings: list[str]
     rejections: int  # rejected step attempts over the whole run
+    newton_trials: int  # W_k Newton trials of the accepted steps
 
 
 def _in_cone(phi: np.ndarray) -> None:
@@ -369,14 +379,16 @@ def step(state: FlowState, dt: float) -> FlowState:
     """The next state: one linearly implicit step of size dt that holds
     W_k at state.target.
 
-    The Newton iterates are affine in dPhi on the derivatives of the
-    step's fresh analysis of phi, and the last one is the new state's
-    field, with the W_k it was accepted on cached.  Raises FlowStepError
+    Newton on the correction dPhi starts from the root of W_k's quadratic
+    model (`_newton_start`).  Its iterates are affine in dPhi on the
+    derivatives of the step's fresh analysis of phi, and the last one is
+    the new state's field, with the W_k it was accepted on cached and
+    the number of W_k trials in its `trials`.  Raises FlowStepError
     if the new state leaves the uniformly h-convex cone or the constraint
     does not converge; the caller is expected to halve dt and retry.
     """
     K, k, target = state.K, state.k, state.target
-    grid, phi, w = K.grid, K.phi, state.w
+    grid, phi = K.grid, K.phi
     # Dividing each mode by 1 + dt s + dt c lambda is the unshifted step
     # taken at tau.
     tau = dt / (1.0 + dt * state.s)
@@ -391,10 +403,12 @@ def step(state: FlowState, dt: float) -> FlowState:
         stack[1:] = even_project(grid, stack[1:])
     # phi at mu = 0: the new state's derivatives are a fresh analysis of
     # phi plus one affine update, not updates piled up over the run.
-    (_, rS, rG), (g, gS, gG), (H, HS, HG) = resolvent(grid, stack, np.array([0.0, mu, mu]))
-    # Newton on the correction dPhi to the state's Phi, from its linearization.
-    dPhi = -_multiplier(grid, w, rG, rS)
-    for _ in range(NEWTON_MAX_ITER):
+    resolved = resolvent(grid, stack, np.array([0.0, mu, mu]))
+    (_, rS, rG), (g, gS, gG), (H, HS, HG) = resolved
+    # Newton on the correction dPhi to the state's Phi, from the root of
+    # W_k's quadratic model along phi + tau (rS + dPhi rG).
+    dPhi = _newton_start(state, tau, *(a[1:] for a in resolved))
+    for trials in range(1, NEWTON_MAX_ITER + 1):
         phi_new = phi + tau * (rS + dPhi * rG)
         _in_cone(phi_new)
         trial = SupportField.with_derivatives(
@@ -409,8 +423,42 @@ def step(state: FlowState, dt: float) -> FlowState:
         dPhi -= residual / slope
     else:
         raise FlowStepError(f"W_k constraint missed by {residual:.3e}")
-    # Built directly: replace(state, K=...) gives the same state, slower.
-    return FlowState(trial, k, state.p, state.f, state.fpow, state.even, target, state.warnings)
+    # Built directly: replace(state, K=..., trials=...) gives the same
+    # state, slower.
+    return FlowState(
+        trial, k, state.p, state.f, state.fpow, state.even, target, state.warnings, trials
+    )
+
+
+def _newton_start(state: FlowState, tau: float, r, dr, d2r) -> float:
+    """The correction dPhi that Newton on W_k starts from.
+
+    r = (rS, rG) are the resolved fields, dr and d2r their derivatives,
+    and phi_new = phi + tau (rS + x rG).  To second order in tau,
+    (W_k(phi_new) - W_k(phi)) / tau is c + b x + a x^2 with
+    c = int rS (w + tau dw[rS] / 2), b = int rG (w + tau dw[rS]) and
+    a = tau int rG dw[rG] / 2, where dw[v] is the derivative of the first
+    variation w along v (`d_measure_density` at p = 1), symmetric in the
+    pairing int u dw[v].  The start is the model's root on the branch of
+    the linear start x0 = -int w rS / int w rG: as tau -> 0 it tends to
+    x0 while the other root runs off to infinity.  When the model has no
+    finite real root the start is x0 itself.  It reads the state's w and
+    the resolvent's outputs only: no spectral pass.
+    """
+    K, w = state.K, state.w
+    grid, (rS, rG) = K.grid, r
+    dwS, dwG = d_measure_density(K, 1.0, state.k, r, dr, d2r)
+    c = integrate(grid, rS * (w + 0.5 * tau * dwS))
+    b = integrate(grid, rG * (w + tau * dwS))
+    a = 0.5 * tau * integrate(grid, rG * dwG)
+    disc = b * b - 4.0 * a * c
+    if disc >= 0.0:  # not NaN either
+        # Of the roots c / s and s / a, without cancellation, the one
+        # that tends to -c / b as a -> 0.
+        s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        if s != 0.0 and math.isfinite(root := c / s):
+            return root
+    return -_multiplier(grid, w, rG, rS)
 
 
 def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
@@ -422,7 +470,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     """
     state = make_state(config, phi0)
     trace = FlowTrace()
-    t, steps, rejections = 0.0, 0, 0
+    t, steps, rejections, newton_trials = 0.0, 0, 0, 0
     dt = MAX_DT
     speed_prev = math.nan
     while True:
@@ -470,6 +518,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         state = new_state
         t += dt
         steps += 1
+        newton_trials += state.trials
     return FlowResult(
         status=status,
         terminal=state.K,
@@ -480,4 +529,5 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
         t_final=t,
         warnings=list(state.warnings),
         rejections=rejections,
+        newton_trials=newton_trials,
     )

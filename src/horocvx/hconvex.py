@@ -15,7 +15,10 @@ their derivatives by the same constants and makes no pass:
 `shrink_into_cone` candidate do.  A constant field, such as an origin
 ball, has exactly zero derivatives and makes no pass either.
 `measure_density`, phi^{-p-k} p_{n-k}(A[phi]), is the package's one
-curvature-measure kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.
+curvature-measure kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.  Its
+linearization is built from `dA`, the derivative of A[phi], and
+`dp_tensor`, that of p_m: `d_measure_density` is the derivative of the
+density along a field v, given v's derivatives.
 `check_k` is its one rule for the index k, `squared_norm` its one
 |D phi|^2, `common_grid` its one grid match, `require_h_convex` its one
 not-h-convex refusal (a constant field below 1 too, in
@@ -47,8 +50,11 @@ __all__ = [
     "outer_parallel",
     "a_eigenvalues",
     "p_tensor",
+    "dp_tensor",
     "squared_norm",
+    "dA",
     "measure_density",
+    "d_measure_density",
     "check_k",
     "plus_identity",
     "convexity",
@@ -286,11 +292,11 @@ def outer_parallel(K: SupportField, rho: float) -> SupportField:
 
 
 def plus_identity(M: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """M + s I, read-only, for pointwise forms M of shape (size, n, n) and
-    a node field s."""
+    """M + s I, read-only, for pointwise forms M of shape (..., size, n, n)
+    and a node field s of shape (..., size)."""
     out = M.copy()
-    for i in range(M.shape[1]):
-        out[:, i, i] += s
+    for i in range(M.shape[-1]):
+        out[..., i, i] += s
     return _read_only(out)
 
 
@@ -305,29 +311,64 @@ def a_eigenvalues(A: np.ndarray) -> np.ndarray:
 
 
 def p_tensor(A: np.ndarray, m: int) -> np.ndarray:
-    """p_m of the eigenvalues of pointwise symmetric forms, via invariants."""
-    n = A.shape[1]
+    """p_m of the eigenvalues of pointwise symmetric forms, shape (...,
+    size, n, n), via invariants."""
+    n = A.shape[-1]
     if m == 0:
-        return np.ones(A.shape[0])
+        return np.ones(A.shape[:-2])
     if n == 1:
         if m == 1:
-            return A[:, 0, 0]
+            return A[..., 0, 0]
     else:
         if m == 1:
-            return 0.5 * (A[:, 0, 0] + A[:, 1, 1])
+            return 0.5 * (A[..., 0, 0] + A[..., 1, 1])
         if m == 2:
-            return A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
+            return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] ** 2
     raise ValueError(f"p_{m} undefined for {n}x{n} forms")
+
+
+def dp_tensor(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
+    """d/dt p_m(A + t B) at t = 0 for pointwise symmetric forms, B a stack
+    (..., size, n, n) of them if need be: p_m(B) for the linear p_1, and
+    for p_2 = det on 2x2 forms the cofactor contraction A00 B11 + B00 A11
+    - 2 A01 B01."""
+    if m == 0:
+        return np.zeros(B.shape[:-2])
+    if m == 2 and A.shape[-1] == 2:
+        return (A[..., 0, 0] * B[..., 1, 1] + B[..., 0, 0] * A[..., 1, 1]
+                - 2.0 * A[..., 0, 1] * B[..., 0, 1])
+    return p_tensor(B, m)
 
 
 def squared_norm(g: np.ndarray) -> np.ndarray:
     """|g|^2 per node of frame vectors g, shape (size, n): the squared
     columns added in order, the bits of np.sum(g * g, axis=1) without a
     reduction over the short axis."""
-    out = g[:, 0] * g[:, 0]
-    for i in range(1, g.shape[1]):
-        out += g[:, i] * g[:, i]
+    return _frame_dot(g, g)
+
+
+def _frame_dot(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """g . h per node of frame vectors, shape (..., size, n), summed in
+    order."""
+    out = g[..., 0] * h[..., 0]
+    for i in range(1, g.shape[-1]):
+        out += g[..., i] * h[..., i]
     return out
+
+
+def dA(K: SupportField, v: np.ndarray, dv: np.ndarray, d2v: np.ndarray) -> np.ndarray:
+    """dA[v] = d/dt A[phi + t v] at t = 0, read-only, from v (size,), its
+    frame gradient dv (size, n) and covariant Hessian d2v (size, n, n), or
+    from stacks of them, (..., size), (..., size, n), (..., size, n, n):
+
+        D^2 v + ((v + v / phi^2) / 2 - Dphi . Dv / phi + |Dphi|^2 v / (2 phi^2)) I,
+
+    with |Dphi|^2 / (2 phi) read off K's cached q.  It is linear in v and
+    makes no spectral pass."""
+    phi, q = K.phi, K._shifted[0]
+    # The node-wise factor first, so that a stack of v's takes few passes.
+    factor = 0.5 * (1.0 + 1.0 / (phi * phi)) + q / phi
+    return plus_identity(d2v, factor * v - _frame_dot(K.gradient, dv) / phi)
 
 
 def check_k(n: int, k) -> int:
@@ -346,6 +387,21 @@ def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
     n = K.grid.n
     k, p = check_k(n, k), as_real(p, "p")
     return K.phi ** (-(p + k)) * p_tensor(K.A, n - k)
+
+
+def d_measure_density(
+    K: SupportField, p: float, k: int, v: np.ndarray, dv: np.ndarray, d2v: np.ndarray
+) -> np.ndarray:
+    """d/dt measure_density(phi + t v, p, k) at t = 0, from v and its
+    derivatives as `dA` takes them, a stack of v's too:
+    phi^{-p-k} (dp_m(A)[dA[v]] - (p + k) v p_m(A) / phi), m = n - k.  At
+    p = 1 it is dw[v], the derivative of W_k's first variation
+    w = phi^{-(k+1)} p_m(A)."""
+    n = K.grid.n
+    k, p = check_k(n, k), as_real(p, "p")
+    m, phi, A = n - k, K.phi, K.A
+    scale = (p + k) * p_tensor(A, m) / phi
+    return phi ** (-(p + k)) * (dp_tensor(A, dA(K, v, dv, d2v), m) - scale * v)
 
 
 def convexity(K: SupportField) -> ConvexityReport:

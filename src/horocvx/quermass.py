@@ -45,6 +45,7 @@ from .hconvex import (
     SupportField,
     boundary_data,
     check_k,
+    dp_tensor,
     measure_density,
     outer_parallel,
     p_tensor,
@@ -377,8 +378,7 @@ def wk_value(K: SupportField, k: int) -> float:
     e = 0.5 * (d * d - squared_norm(g))
     if m == 2:
         C0, C1 = plus_identity(H, d), plus_identity(d[:, None, None] * H, e)
-        a, b = C0[:, 0, 0] * C1[:, 1, 1], C1[:, 0, 0] * C0[:, 1, 1]
-        P = [p_tensor(C0, 2), a + b - 2.0 * C0[:, 0, 1] * C1[:, 0, 1], p_tensor(C1, 2)]
+        P = [p_tensor(C0, 2), dp_tensor(C0, C1, 2), p_tensor(C1, 2)]
     elif m == 1:
         # p_1 reads only the diagonals of C0 and C1: the entries that
         # plus_identity forms, averaged as p_tensor does.

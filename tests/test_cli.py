@@ -643,6 +643,7 @@ def test_flow_terminal_file_holds_every_result_field(tmp_path):
         rejected = sum(int(row["rejected"]) for row in csv.DictReader(fh))
     assert rejected > 0
     assert rep["rejections"] == rejected
+    assert rep["newton_trials"] >= rep["steps"]
 
 
 def test_flow_data_failing_assumption_h_converges_with_a_warning(tmp_path, capsys):

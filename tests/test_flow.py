@@ -18,7 +18,7 @@ from horocvx.flow import (
     step,
 )
 from horocvx.hconvex import (
-    SupportField, measure_density, random_h_convex_fields, support_of_ball
+    SupportField, d_measure_density, measure_density, random_h_convex_fields, support_of_ball
 )
 from horocvx.lorentz import origin
 from horocvx.problems import J_p, check_assumption_h, pde_residual
@@ -219,6 +219,31 @@ def test_acceptance_flows_converge_within_their_step_bounds(make, size, bound):
     assert res.status == "converged"
     assert res.steps <= bound
     assert res.rejections == 0
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize(
+    "make, size, trials", [(bench_like_s1, 96, 7), (sphere_body, 16, 9)], ids=["s1", "s2"]
+)
+def test_acceptance_flows_take_their_steps_and_newton_trials(make, size, trials):
+    # The two benchmark solves, step for step: the Newton solve of each
+    # step starts from the root of W_k's quadratic model, and needs 7 and
+    # 9 W_k trials in all (10 and 14 from the linear start).
+    res = run(*make(size))
+    assert res.status == "converged"
+    assert (res.steps, res.rejections) == ((4, 0) if size == 96 else (5, 0))
+    assert res.newton_trials <= trials
+
+
+def test_newton_trials_count_the_accepted_steps_w_k_evaluations(wk_calls):
+    # Without rejections, every wk_value call but the start's target is a
+    # Newton trial of an accepted step; the trace rows read cached values.
+    start = make_state(FlowConfig(n=2, k=1, p=1.0), perturbed_sphere())
+    assert start.trials == 0
+    wk_calls.clear()
+    res = run(FlowConfig(n=2, k=1, p=1.0, max_steps=4), perturbed_sphere())
+    assert res.steps == 4 and res.rejections == 0
+    assert res.newton_trials == len(wk_calls) - 1 >= res.steps
 
 
 def test_first_step_is_tried_at_the_cap():
@@ -874,11 +899,13 @@ def _same_bits(a, b) -> bool:
 def test_stepped_state_is_bitwise_the_replaced_state(cfg, body):
     # step builds its state directly; replace(state, K=...) is the public
     # seam and must give the same state, and w is the first variation
-    # that measure_density gives.
+    # that measure_density gives.  trials records the step, not K, so
+    # replace takes it as given.
     state = make_state(cfg, body())
     for dt in (0.05, flow.MAX_DT):
         new_state = step(state, dt)
-        again = replace(state, K=new_state.K)
+        assert new_state.trials >= 1
+        again = replace(state, K=new_state.K, trials=new_state.trials)
         assert again.K is new_state.K
         for f in fields(flow.FlowState)[1:]:
             assert _same_bits(getattr(again, f.name), getattr(new_state, f.name)), f.name
@@ -938,13 +965,47 @@ def test_newton_slope_failure_is_a_rejected_step(monkeypatch):
 
 def test_newton_out_of_iterations_is_a_rejected_step(monkeypatch):
     # One iteration cannot meet the constraint when the first residual,
-    # from the linearized Phi, is above tolerance, as it is at dt = 5.
+    # from the root of W_k's quadratic model, is above tolerance, as it
+    # is at dt = 5.
     state = make_state(FlowConfig(n=1, k=0, p=0.0), perturbed_circle())
     monkeypatch.setattr(flow, "NEWTON_MAX_ITER", 1)
     with pytest.raises(FlowStepError, match="W_k constraint missed by"):
         step(state, 5.0)
     monkeypatch.undo()
     _first_attempt_is_rejected_and_halved(monkeypatch, "NEWTON_MAX_ITER", 1)
+
+
+def test_newton_start_is_the_root_of_the_quadratic_model(monkeypatch):
+    # Two smooth fields in the roles of rS and rG: the start solves c + b x
+    # + a x^2 = 0, and with no finite real root (here NaN coefficients)
+    # it is the linear start -int w rS / int w rG.
+    state = make_state(FlowConfig(n=2, k=1, p=1.0), perturbed_sphere())
+    z = S2.nodes
+    r = np.stack([0.01 * (3.0 * z[:, 2] ** 2 - 1.0), 0.5 + 0.1 * z[:, 0] ** 2])
+    dr, d2r = derivatives(S2, r)
+    tau, w = 2.0, state.w
+    x = flow._newton_start(state, tau, r, dr, d2r)
+    dwS, dwG = d_measure_density(state.K, 1.0, 1, r, dr, d2r)
+    c = integrate(S2, r[0] * (w + 0.5 * tau * dwS))
+    b = integrate(S2, r[1] * (w + tau * dwS))
+    a = 0.5 * tau * integrate(S2, r[1] * dwG)
+    assert abs(c + b * x + a * x * x) <= 1e-14 * abs(b * x)
+    # Of the two roots, the one nearer the linear start.
+    linear = -integrate(S2, w * r[0]) / integrate(S2, w * r[1])
+    assert abs(x - linear) < abs((-b / a - x) - linear)
+    monkeypatch.setattr(flow, "d_measure_density", lambda K, p, k, v, dv, d2v: np.full(v.shape, np.nan))
+    assert flow._newton_start(state, tau, r, dr, d2r) == linear
+
+
+def test_a_step_from_the_linear_start_holds_w_k_with_more_trials(monkeypatch):
+    state = make_state(FlowConfig(n=2, k=1, p=1.0), perturbed_sphere())
+    quadratic = step(state, flow.MAX_DT)
+    monkeypatch.setattr(flow, "d_measure_density", lambda K, p, k, v, dv, d2v: np.full(v.shape, np.nan))
+    linear = step(state, flow.MAX_DT)
+    assert linear.trials > quadratic.trials
+    for new_state in (quadratic, linear):
+        w1 = wk_value(SupportField(S2, new_state.K.phi), 1)
+        assert abs(w1 - state.target) <= 1e-12 * state.target
 
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan, 1e308])

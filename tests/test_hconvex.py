@@ -17,8 +17,14 @@ from horocvx.hconvex import (
     apply_isometry_field,
     boundary_data,
     convexity,
+    d_measure_density,
+    dA,
+    dp_tensor,
+    measure_density,
     outer_parallel,
+    p_tensor,
     plus_identity,
+    random_h_convex_fields,
     require_h_convex,
     shrink_into_cone,
     squared_norm,
@@ -321,6 +327,66 @@ def test_squared_norm_is_bitwise_the_axis_sum(grid):
         got = squared_norm(g)
         for want in (np.sum(g * g, axis=1), np.sum(g ** 2, axis=1)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the linearization of A[phi] and of the measure density
+
+
+def _along(K, v, t):
+    """The field phi + t v with the derivatives of K and v combined."""
+    dv, d2v = derivatives(K.grid, v)
+    return SupportField.with_derivatives(
+        K.grid, K.phi + t * v, K.gradient + t * dv, K.hessian + t * d2v
+    )
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_linearized_kernels_match_central_differences_to_second_order(grid):
+    # A seeded perturbed body and a direction v that is not a multiple of
+    # it; the central-difference error falls like h^2, so halving h cuts
+    # it about fourfold, at every k <= n.
+    K = random_h_convex_fields(1, [grid], 1)[0]
+    v = random_h_convex_fields(5, [grid], 1)[0].phi - 1.5
+    dv, d2v = derivatives(grid, v)
+    exact = [dA(K, v, dv, d2v)] + [d_measure_density(K, 1.0, k, v, dv, d2v)
+                                   for k in range(grid.n + 1)]
+    errors = []
+    for h in (1e-3, 5e-4):
+        plus, minus = _along(K, v, h), _along(K, v, -h)
+        diffs = [(plus.A - minus.A) / (2.0 * h)] + [
+            (measure_density(plus, 1.0, k) - measure_density(minus, 1.0, k)) / (2.0 * h)
+            for k in range(grid.n + 1)
+        ]
+        errors.append([float(np.max(np.abs(d - e))) for d, e in zip(diffs, exact)])
+    for coarse, fine in zip(*errors):
+        assert coarse < 1e-6
+        assert 3.5 < coarse / fine < 4.5
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_d_a_at_a_ball_is_the_hessian_plus_a_multiple_of_v(grid):
+    # phi = c has zero derivatives: dA[v] = D^2 v + (1 + c^-2) v / 2 I.
+    c = 1.7
+    K = SupportField(grid, np.full(grid.size, c))
+    v = _wavy(grid)
+    dv, d2v = derivatives(grid, v)
+    got = dA(K, v, dv, d2v)
+    assert not got.flags.writeable
+    want = d2v + (0.5 * (1.0 + c ** -2) * v)[:, None, None] * np.eye(grid.n)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
+def test_dp_tensor_is_the_polarization_of_p_m(grid):
+    # p_m(A + t B) is a polynomial of degree m in t, so its derivative at
+    # 0 is read off three values exactly, up to roundoff.
+    rng = np.random.default_rng(grid.n)
+    A, B = (rng.standard_normal((5, grid.n, grid.n)) for _ in range(2))
+    A, B = A + A.transpose(0, 2, 1), B + B.transpose(0, 2, 1)
+    for m in range(grid.n + 1):
+        p = [p_tensor(A + t * B, m) for t in (-1.0, 0.0, 1.0)]
+        assert np.allclose(dp_tensor(A, B, m), 0.5 * (p[2] - p[0]), rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
