@@ -172,7 +172,8 @@ class FlowConfig:
     ArgumentError ("flow config <key> must be ..."), and the values are
     stored as int or float.  What needs the grid waits for `make_state`.
     The step size is not a setting: the first step and SER's cap are the
-    constant MAX_DT.
+    constant MAX_DT.  Nor is the trace: `run` writes one row per accepted
+    step and one for the state it stops at.
     """
 
     n: int
@@ -181,10 +182,9 @@ class FlowConfig:
     f: np.ndarray | None = None  # positive data at grid nodes, default 1
     eps_stop: float = 1e-6
     max_steps: int = 200_000
-    trace_every: int = 1
 
     def __post_init__(self) -> None:
-        for key in ("n", "k", "max_steps", "trace_every"):
+        for key in ("n", "k", "max_steps"):
             setattr(self, key, as_integer(getattr(self, key), f"flow config {key}"))
         for key in ("p", "eps_stop"):
             setattr(self, key, as_real(getattr(self, key), f"flow config {key}"))
@@ -193,7 +193,6 @@ class FlowConfig:
             # Below 0 the stop test speed_sup < eps_stop can never hold; 0
             # stays valid, to run a flow at rest for max_steps.
             ("eps_stop", self.eps_stop >= 0.0, "nonnegative"),
-            ("trace_every", self.trace_every >= 1, "at least 1"),
             ("max_steps", self.max_steps >= 0, "nonnegative"),
         ):
             if not ok:
@@ -207,12 +206,13 @@ class FlowState:
     """One point of a flow run: the band-limited field K; the run's data,
     which `step` passes on unchanged (fpow = f^{-1/(n-k)}, even: keep
     each new state even, target: the W_k every step holds);
-    and what `_evaluate` computes at K when the state is built: pA =
-    p_{n-k}(A), w = phi^{-(k+1)} pA, the first variation of W_k that the
-    next step's Newton solve starts from, the speed Phi G - h and its G,
-    what the next step's resolvent reads (h's local diffusivity d, its
+    and what `_evaluate` computes at K when the state is built: w =
+    phi^{-(k+1)} p_{n-k}(A), the first variation of W_k that the next
+    step's Newton solve starts from, the speed Phi G - h and its G, what
+    the next step's resolvent reads (h's local diffusivity d, its
     midpoint c, the lowest moving mode's eigenvalue lam and the shift s),
-    J_p, which the trace reads, and what the stop test reads.  So
+    what the trace reads (min_eig, the least eigenvalue of A that the
+    cone check takes, and J_p), and what the stop test reads.  So
     `replace(state, K=L)` is the state at L; it raises FlowStepError if L
     is off the uniformly h-convex cone.  trials counts the W_k Newton
     trials of the step that built the state, 0 from `make_state`; it is
@@ -229,7 +229,6 @@ class FlowState:
     target: float
     warnings: tuple[str, ...]
     trials: int = 0
-    pA: np.ndarray = field(init=False)
     w: np.ndarray = field(init=False)
     Phi: float = field(init=False)
     G: np.ndarray = field(init=False)
@@ -238,6 +237,7 @@ class FlowState:
     speed: np.ndarray = field(init=False)
     d: np.ndarray = field(init=False)
     lam: float = field(init=False)
+    min_eig: float = field(init=False)
     Jp: float = field(init=False)
     gamma: float = field(init=False)
     gamma_variation: float = field(init=False)
@@ -296,9 +296,9 @@ def _evaluate(state: FlowState) -> dict:
     A[K] > 0."""
     K, k = state.K, state.k
     grid, phi, eigs = K.grid, K.phi, K.eigenvalues
-    eig_min = float(eigs[:, 0].min())
-    if not eig_min > 0.0:
-        raise FlowStepError(f"minimum eigenvalue of A is {eig_min}")
+    min_eig = float(eigs[:, 0].min())
+    if not min_eig > 0.0:
+        raise FlowStepError(f"minimum eigenvalue of A is {min_eig}")
     n, nk = grid.n, grid.n - k
     pA = p_tensor(K.A, nk)
     w = phi ** (-(k + 1.0)) * pA  # measure_density(K, 1.0, k)
@@ -327,7 +327,7 @@ def _evaluate(state: FlowState) -> dict:
     gamma_field = phi ** (-(state.p + k)) * pA / state.f  # measure_density(K, p, k) / f
     gamma = integrate(grid, gamma_field) / sphere_area(n)
     gamma_variation = float((gamma_field.max() - gamma_field.min()) / gamma)
-    return dict(pA=pA, w=w, Phi=Phi, G=G, c=c, s=shift, speed=speed, d=d, lam=lam,
+    return dict(w=w, Phi=Phi, G=G, c=c, s=shift, speed=speed, d=d, lam=lam, min_eig=min_eig,
                 Jp=jp_value(K, state.f, state.p), gamma=gamma,
                 gamma_variation=gamma_variation, speed_sup=float(np.abs(speed).max()))
 
@@ -466,7 +466,9 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     gamma variation stop criteria.
 
     Success requires sup |d phi/dt| < eps_stop and relative variation of
-    f^{-1} phi^{-p-k} p_{n-k}(A) at most 10 eps_stop.
+    f^{-1} phi^{-p-k} p_{n-k}(A) at most 10 eps_stop.  Each pass writes
+    one trace row, of its state and the step taken from it: steps + 1
+    rows, the last with dt 0 and rejected 0, or dt NaN if the run stalled.
     """
     state = make_state(config, phi0)
     trace = FlowTrace()
@@ -475,21 +477,18 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
     speed_prev = math.nan
     while True:
         K, speed_sup = state.K, state.speed_sup
+        row = dict(
+            t=t,
+            Wk=K.memo(wk_value, state.k),
+            Jp=state.Jp,
+            minEigA=state.min_eig,
+            maxGradRatio=float((np.sqrt(squared_norm(K.gradient)) / K.phi).max()),
+            evenErr=even_error(K.grid, K.phi),
+            gammaVar=state.gamma_variation,
+            speedSup=speed_sup,
+        )
         stop = speed_sup < config.eps_stop and state.gamma_variation <= 10.0 * config.eps_stop
-        terminal_row = stop or steps >= config.max_steps
-        row = None
-        if terminal_row or steps % config.trace_every == 0:
-            row = dict(
-                t=t,
-                Wk=K.memo(wk_value, state.k),
-                Jp=state.Jp,
-                minEigA=float(K.eigenvalues[:, 0].min()),
-                maxGradRatio=float((np.sqrt(squared_norm(K.gradient)) / K.phi).max()),
-                evenErr=even_error(K.grid, K.phi),
-                gammaVar=state.gamma_variation,
-                speedSup=speed_sup,
-            )
-        if terminal_row:
+        if stop or steps >= config.max_steps:
             trace.append(dt=0.0, rejected=0, **row)
             status = "converged" if stop else "max-steps"
             break
@@ -510,8 +509,7 @@ def run(config: FlowConfig, phi0: SupportField) -> FlowResult:
                 if dt < MIN_DT or rejected > MAX_REJECTIONS:
                     new_state = None
                     break
-        if row is not None:
-            trace.append(dt=math.nan if new_state is None else dt, rejected=rejected, **row)
+        trace.append(dt=math.nan if new_state is None else dt, rejected=rejected, **row)
         if new_state is None:
             status = "stalled"
             break

@@ -115,9 +115,11 @@ def two_point_ball(p: float, t: float, a: float, X, b: float, Y) -> TwoPointBall
     T = (1-t)^{1/q} a^{1/p} X + t^{1/q} b^{1/p} Y with 1/p + 1/q = 1;
     the ball has center T/N(T) and radius log N(T), empty when N(T) < 1.
     At p = 1, 1/q = 0, so every t gives the one ball of T = a X + b Y.
+    t is a number (`as_real`) in [0, 1], else an ArgumentError.
     """
     p = check_p(p)
     a, b = _check_coeffs(a, b)
+    t = as_real(t, "t")
     if not (0.0 <= t <= 1.0):
         raise ArgumentError(f"t must lie in [0, 1], got {t}")
     X = np.asarray(X, dtype=float)

@@ -162,7 +162,8 @@ def _exp_sinh_series(a: int, b: int) -> tuple[float, ...]:
 
 
 def exp_sinh_integral(a: int, b: int, rho: float) -> float:
-    """int_0^rho e^{at} sinh(t)^b dt for integers a and b >= 0, rho >= 0.
+    """int_0^rho e^{at} sinh(t)^b dt for integers a and b >= 0, rho >= 0 a
+    finite number (`as_real`); ArgumentError otherwise.
 
     From rho = EXP_SINH_SERIES_SWITCH on, and for b = 0 at every rho, the
     binomial expansion sinh^b = 2^{-b} sum_j C(b, j) (-1)^j e^{(b-2j)t}
@@ -173,10 +174,11 @@ def exp_sinh_integral(a: int, b: int, rho: float) -> float:
     """
     a = as_integer(a, "exponent a")
     b = as_integer(b, "sinh power b")
+    rho = as_real(rho, "upper limit rho")
     if b < 0:
-        raise ValueError(f"sinh power b must be nonnegative, got {b}")
-    if not 0.0 <= rho < math.inf:
-        raise ValueError(f"upper limit must be finite and nonnegative, got {rho}")
+        raise ArgumentError(f"sinh power b must be nonnegative, got {b}")
+    if rho < 0.0:
+        raise ArgumentError(f"upper limit rho must be nonnegative, got {rho}")
     if b > 0 and rho < EXP_SINH_SERIES_SWITCH:
         acc = 0.0
         for q in _exp_sinh_series(a, b):
@@ -239,21 +241,28 @@ def bracketed_newton(f, fprime, lo: float, hi: float, x: float | None = None) ->
 # ball quermass I_k and its inverse
 
 
+def _ball_radius(r) -> float:
+    """r as a float; ArgumentError unless it is a finite number (`as_real`) >= 0."""
+    r = as_real(r, "radius")
+    if r < 0.0:
+        raise ArgumentError(f"radius must be nonnegative, got {r}")
+    return r
+
+
 def I_k(n: int, k: int, r: float) -> float:
     """Modified k-quermass of the centered geodesic ball of radius r >= 0,
     a finite number (`as_real`): omega_n int_0^r sinh(t)^{n-k} e^{-kt} dt."""
     k = check_k(n, k)
-    r = as_real(r, "radius")
-    if r < 0.0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    return sphere_area(n) * exp_sinh_integral(-k, n - k, r)
+    return sphere_area(n) * exp_sinh_integral(-k, n - k, _ball_radius(r))
 
 
 def ball_curvature_integral(n: int, k: int, r: float, p: float = 0.0) -> float:
-    """The mass of dS_{p,k} of the centered ball of radius r:
-    omega_n sinh(r)^{n-k} e^{-(k+p) r}.  At p = 0 it is int p_k(kappa~) dmu
-    over the sphere of radius r, the r-derivative of I_k."""
+    """The mass of dS_{p,k} of the centered ball of radius r >= 0:
+    omega_n sinh(r)^{n-k} e^{-(k+p) r}, with r and p finite numbers
+    (`as_real`).  At p = 0 it is int p_k(kappa~) dmu over the sphere of
+    radius r, the r-derivative of I_k."""
     k = check_k(n, k)
+    r, p = _ball_radius(r), as_real(p, "p")
     return sphere_area(n) * math.sinh(r) ** (n - k) * math.exp(-(k + p) * r)
 
 
@@ -449,11 +458,13 @@ def S_functional(K: SupportField) -> float:
 
 
 def _rho_rules(check):
-    """A Steiner check at rho > 0 (else ArgumentError) that gives a finite
-    report (numpy's overflow raises here), else a ValueError naming rho."""
+    """A Steiner check at rho > 0, a finite number (`as_real`; else
+    ArgumentError), that gives a finite report (numpy's overflow raises
+    here), else a ValueError naming rho."""
 
     @functools.wraps(check)
     def checked(K: SupportField, rho: float):
+        rho = as_real(rho, "rho")
         if rho <= 0.0:
             raise ArgumentError(f"rho must be positive, got {rho}")
         try:

@@ -831,8 +831,7 @@ def test_an_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkey
     [
         ("max_steps", 3.7),
         ("max_steps", "3"),
-        ("trace_every", 1.5),
-        ("trace_every", True),
+        ("max_steps", True),
         ("p", True),
         ("p", "2.0"),
         ("eps_stop", True),
@@ -864,7 +863,8 @@ def test_flow_config_initial_radius_is_checked_by_support_of_ball(tmp_path, caps
 def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
     # safety was the explicit scheme's dt limiter, dt_initial a first
     # step below the cap and max_dt the cap, which is now the constant
-    # flow.MAX_DT; assumption_mode was a refusal of data failing
+    # flow.MAX_DT; trace_every thinned the trace, which now has a row
+    # per accepted step; assumption_mode was a refusal of data failing
     # assumption H; initial and f named fields, which are now the options
     # --K and --f; enforce_even set evenness, which now follows f and the
     # start; eps_stp is a typo.
@@ -873,7 +873,7 @@ def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
         "n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "safety": 0.05, "eps_stp": 1e-6,
         "dt_initial": 0.05, "max_dt": 5.0, "assumption_mode": "warn",
         "initial": str(tmp_path / "A.json"), "f": str(tmp_path / "A.json"),
-        "enforce_even": True,
+        "enforce_even": True, "trace_every": 1,
     }
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(cfg))
@@ -881,14 +881,15 @@ def test_flow_config_rejects_unknown_keys(tmp_path, capsys):
     assert main(["flow", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert ("unknown flow config key(s): assumption_mode, dt_initial, enforce_even, eps_stp, "
-            "f, initial, max_dt, safety") in err
+            "f, initial, max_dt, safety, trace_every") in err
     assert not out.exists()
-    with pytest.raises(TypeError, match="max_dt"):
-        FlowConfig(n=1, k=0, p=0.0, max_dt=5.0)
+    for key in ("max_dt", "trace_every"):
+        with pytest.raises(TypeError, match=key):
+            FlowConfig(n=1, k=0, p=0.0, **{key: 1})
 
 
 def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
-    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "trace_every": 0}
+    cfg = {"n": 1, "k": 0, "p": 0.0, "grid": "s1:32", "max_steps": -1}
     (tmp_path / "flow.json").write_text(json.dumps(cfg))
     src = str(Path(horocvx.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -899,13 +900,12 @@ def test_flow_config_value_error_is_reported_without_traceback(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: bad flow config flow.json:")
-    assert "trace_every" in proc.stderr and "Traceback" not in proc.stderr
+    assert "max_steps" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("trace_every", 0),
         ("max_steps", -1),
         ("eps_stop", -1),
         ("k", 1),  # k = n has no flow

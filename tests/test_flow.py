@@ -18,7 +18,12 @@ from horocvx.flow import (
     step,
 )
 from horocvx.hconvex import (
-    SupportField, d_measure_density, measure_density, random_h_convex_fields, support_of_ball
+    SupportField,
+    d_measure_density,
+    measure_density,
+    p_tensor,
+    random_h_convex_fields,
+    support_of_ball,
 )
 from horocvx.lorentz import origin
 from horocvx.problems import J_p, check_assumption_h, pde_residual
@@ -142,16 +147,17 @@ def rk4_reference(cfg, body):
     omega = 2.0 * math.pi if n == 1 else 4.0 * math.pi
     while True:
         d = replace(state, K=SupportField(grid, phi))
-        gamma_field = phi ** (-(state.p + state.k)) * d.pA / state.f
+        pA = p_tensor(d.K.A, nk)
+        gamma_field = phi ** (-(state.p + state.k)) * pA / state.f
         gamma = integrate(grid, gamma_field) / omega
         gamma_var = (np.max(gamma_field) - np.min(gamma_field)) / gamma
         if np.max(np.abs(d.speed)) < cfg.eps_stop and gamma_var <= 10 * cfg.eps_stop:
             return phi, gamma
-        lam = np.min(phi * d.pA ** (1.0 / nk))
+        lam = np.min(phi * pA ** (1.0 / nk))
         if nk == 1:
-            c_max = np.max(d.pA ** (-2.0)) / n
+            c_max = np.max(pA ** (-2.0)) / n
         else:
-            c_max = np.max(d.pA ** (-0.5) / (2.0 * d.K.eigenvalues[:, 0]))
+            c_max = np.max(pA ** (-0.5) / (2.0 * d.K.eigenvalues[:, 0]))
         dt = min(0.05 * lam**2 * h * h, 2.0 / (c_max * B * (B + n - 1)), flow.MAX_DT)
 
         def speed(x):
@@ -738,22 +744,36 @@ def test_stalled_outcome(monkeypatch):
     assert list(res.trace.column("rejected")) == [res.rejections]
 
 
-def test_rejected_column_sums_to_the_rejections():
+def test_rejected_column_sums_to_the_rejections(monkeypatch):
+    # Every run writes a row per accepted step and one for the state it
+    # stops at, whatever its outcome.
+    def check(res, status):
+        assert res.status == status
+        assert len(res.trace.rows) == res.steps + 1
+        assert res.trace.column("t")[-1] == res.t_final
+        assert res.trace.column("rejected").sum() == res.rejections
+
     # The first step from the ball leaves the cone at MAX_DT and nine
     # more times after halving (see test_step_rejects_cone_exit).
     f = 1.0 + 0.9 * np.cos(2 * S1.theta)
-    cfg = FlowConfig(n=1, k=0, p=0.0, f=f, max_steps=20)
-    res = run(cfg, SupportField(S1, np.full(S1.size, 2.0)))
+    ball = SupportField(S1, np.full(S1.size, 2.0))
+    res = run(FlowConfig(n=1, k=0, p=0.0, f=f, max_steps=20), ball)
+    check(res, "max-steps")
     rejected = res.trace.column("rejected")
-    assert res.rejections == rejected.sum() == rejected[0] == 10
+    assert res.rejections == rejected[0] == 10
     assert res.trace.column("dt")[0] == flow.MAX_DT / 2**10
+    res = run(FlowConfig(n=1, k=0, p=0.0, f=f, max_steps=1_000), ball)
+    check(res, "converged")
+    assert res.rejections == 10
 
+    # test_stalled_outcome's run: every attempt is rejected.
+    def rejecting(state, dt, *args):
+        raise FlowStepError("rejected")
 
-def test_trace_every_thins_rows():
-    cfg = FlowConfig(n=1, k=0, p=0.0, eps_stop=1e-14, max_steps=20, trace_every=10)
-    res = run(cfg, perturbed_circle())
-    assert res.status == "max-steps"
-    assert len(res.trace.rows) <= 4
+    monkeypatch.setattr(flow, "step", rejecting)
+    res = run(FlowConfig(n=1, k=0, p=0.0, max_steps=10), perturbed_circle())
+    check(res, "stalled")
+    assert res.rejections == flow.MAX_REJECTIONS + 1
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -798,17 +818,15 @@ def test_make_state_rejects_non_finite_f(bad):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("trace_every", 0),
-        ("trace_every", -1),
         ("max_steps", -1),
         ("eps_stop", -1.0),
         ("eps_stop", math.nan),
     ],
 )
 def test_make_state_rejects_bad_config_values(field, value):
-    # Unchecked, these divide by zero, take every step at dt = 0, stall,
-    # or run to max_steps, since no speed is below
-    # a negative or NaN eps_stop.  FlowConfig refuses them when the
+    # Unchecked, a negative max_steps ends a run before its first step,
+    # and a negative or NaN eps_stop runs to max_steps, since no speed is
+    # below it.  FlowConfig refuses them when the
     # config is built, so none reaches make_state.
     with pytest.raises(ValueError, match=field):
         make_state(replace(FlowConfig(n=1, k=0, p=0.0), **{field: value}), perturbed_circle())
@@ -1025,10 +1043,11 @@ def test_a_state_is_evaluated_at_its_field():
     new_state = step(state, 0.05)
     assert new_state.target == state.target and new_state.f is state.f
     again = replace(state, K=new_state.K)
-    for name in ("pA", "G", "speed", "d"):
+    for name in ("w", "G", "speed", "d"):
         assert np.array_equal(getattr(again, name), getattr(new_state, name))
-    assert (again.Phi, again.c, again.s, again.Jp) == (
-        new_state.Phi, new_state.c, new_state.s, new_state.Jp
+    assert new_state.min_eig == float(new_state.K.eigenvalues[:, 0].min())
+    assert (again.Phi, again.c, again.s, again.min_eig, again.Jp) == (
+        new_state.Phi, new_state.c, new_state.s, new_state.min_eig, new_state.Jp
     )
     kinked = SupportField(S2, 2.0 * (1.0 + 0.3 * S2.nodes[:, 2] ** 6))
     with pytest.raises(FlowStepError, match="eigenvalue"):

@@ -30,6 +30,7 @@ from horocvx.quermass import (
     I_k_inverse,
     ball_curvature_integral,
     curvature_integral,
+    exp_sinh_integral,
     k_mean_radius,
     modified_quermass,
     steiner_check,
@@ -433,6 +434,25 @@ ARGUMENT_RULES = {
     "apply_isometry_field-size": lambda: hconvex.apply_isometry_field(
         K8, boost(1, [1.0, 0.0], 0.3)
     ),
+    # The ball kernels' radii, powers and upper limits are finite numbers
+    # in range where they enter: a negative radius was a plain ValueError,
+    # or gave a negative mass; a NaN gave NaN, a string a bare TypeError,
+    # and a bool ran as 1.
+    "I_k-r-negative": lambda: I_k(1, 0, -0.1),
+    "exp_sinh_integral-b": lambda: exp_sinh_integral(0, -1, 0.5),
+    "exp_sinh_integral-rho-negative": lambda: exp_sinh_integral(0, 1, -0.1),
+    "exp_sinh_integral-rho-nan": lambda: exp_sinh_integral(0, 1, math.nan),
+    "exp_sinh_integral-rho-str": lambda: exp_sinh_integral(0, 1, "1"),
+    "exp_sinh_integral-rho-bool": lambda: exp_sinh_integral(0, 1, True),
+    "ball_curvature_integral-r-negative": lambda: ball_curvature_integral(1, 0, -1.0),
+    "ball_curvature_integral-r-nan": lambda: ball_curvature_integral(1, 0, math.nan),
+    "ball_curvature_integral-r-str": lambda: ball_curvature_integral(1, 0, "1"),
+    "ball_curvature_integral-p-str": lambda: ball_curvature_integral(1, 0, 0.5, "1"),
+    "ball_curvature_integral-p-nan": lambda: ball_curvature_integral(1, 0, 0.5, math.nan),
+    "steiner-rho-str": lambda: steiner_check(K1, "0.3"),
+    "weighted_steiner-rho-str": lambda: weighted_steiner_check(K1, "0.3"),
+    "two_point_ball-t-bool": lambda: two_point_ball(1.5, True, 1.0, origin(1), 1.0, origin(1)),
+    "two_point_ball-t-str": lambda: two_point_ball(1.5, "0.5", 1.0, origin(1), 1.0, origin(1)),
 }
 
 
@@ -441,6 +461,13 @@ def test_argument_rules_raise_argument_error(rule):
     with pytest.raises(ArgumentError) as info:
         ARGUMENT_RULES[rule]()
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("check", [steiner_check, weighted_steiner_check])
+def test_steiner_checks_name_rho_when_it_is_nan(check):
+    # The error named outer_parallel's "parallel distance".
+    with pytest.raises(ArgumentError, match="^rho must be a finite number, got nan$"):
+        check(K1, math.nan)
 
 
 # Checks on a computed result: a plain ValueError, not the caller's fault.
