@@ -439,7 +439,7 @@ def _cmd_verify(args) -> int:
     for r in records:
         by_suite.setdefault(r.suite, []).append(r)
     for suite, rs in by_suite.items():
-        exploratory = suite.startswith("xp_")
+        exploratory = suite in verify_mod.EXPLORATORY_SUITES
         failed = [r for r in rs if not r.passed]
         status = "recorded" if exploratory else ("ok" if not failed else "FAIL")
         print(f"{suite}: {len(rs)} records, {status}")

@@ -85,8 +85,9 @@ onto even fields first, a node-wise antipodal average.  R is diagonal
 in the spectral basis and commutes with the antipodal map, so phi_new
 is band-limited and even whenever phi is, and Newton's last trial,
 whose derivatives are affine in dPhi, is the next state as it stands:
-projecting it again would change it only by roundoff.  The state it returns already holds the w
-that the next step's Newton solve reads, and the W_k the trace reads.
+projecting it again would change it only by roundoff.  The state holds
+the w that the next Newton solve reads, and its field caches the W_k the
+trace reads and the p_{n-k}(A) (`SupportField.pA`) of w, h and gamma.
 
 A point of the flow is one frozen `FlowState`: the band-limited field,
 the run's data and what is evaluated there.  `make_state(config, phi0)`
@@ -107,7 +108,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hconvex import SupportField, d_measure_density, measure_density, p_tensor, squared_norm
+from .hconvex import SupportField, d_measure_density, measure_density, squared_norm
 from .problems import check_assumption_h, check_nkp, jp_value
 from .quermass import wk_value
 from .sphere_grid import (
@@ -184,11 +185,9 @@ class FlowConfig:
     max_steps: int = 200_000
 
     def __post_init__(self) -> None:
-        for key in ("n", "k", "max_steps"):
-            setattr(self, key, as_integer(getattr(self, key), f"flow config {key}"))
-        for key in ("p", "eps_stop"):
-            setattr(self, key, as_real(getattr(self, key), f"flow config {key}"))
-        check_nkp(self.n, self.k, self.p, "flow config ")
+        self.n, self.k, self.p = check_nkp(self.n, self.k, self.p, "flow config ")
+        self.max_steps = as_integer(self.max_steps, "flow config max_steps")
+        self.eps_stop = as_real(self.eps_stop, "flow config eps_stop")
         for key, ok, rule in (
             # Below 0 the stop test speed_sup < eps_stop can never hold; 0
             # stays valid, to run a flow at rest for max_steps.
@@ -206,18 +205,18 @@ class FlowState:
     """One point of a flow run: the band-limited field K; the run's data,
     which `step` passes on unchanged (fpow = f^{-1/(n-k)}, even: keep
     each new state even, target: the W_k every step holds);
-    and what `_evaluate` computes at K when the state is built: w =
-    phi^{-(k+1)} p_{n-k}(A), the first variation of W_k that the next
-    step's Newton solve starts from, the speed Phi G - h and its G, what
-    the next step's resolvent reads (h's local diffusivity d, its
-    midpoint c, the lowest moving mode's eigenvalue lam and the shift s),
-    what the trace reads (min_eig, the least eigenvalue of A that the
-    cone check takes, and J_p), and what the stop test reads.  So
-    `replace(state, K=L)` is the state at L; it raises FlowStepError if L
-    is off the uniformly h-convex cone.  trials counts the W_k Newton
-    trials of the step that built the state, 0 from `make_state`; it is
-    a record of that step, not evaluated at K, so `replace` passes it on
-    unless given.
+    and what `_evaluate` computes at K, on the p_{n-k}(A) that K caches,
+    when the state is built: w = phi^{-(k+1)} p_{n-k}(A), the first
+    variation of W_k that the next step's Newton solve starts from, the
+    speed Phi G - h and its G, what the next step's resolvent reads (h's
+    local diffusivity d, its midpoint c, the lowest moving mode's
+    eigenvalue lam and the shift s), what the trace reads (min_eig, the
+    least eigenvalue of A that the cone check takes, and J_p), and what
+    the stop test reads.  So `replace(state, K=L)` is the state at L; it
+    raises FlowStepError if L is off the uniformly h-convex cone.  trials
+    counts the W_k Newton trials of the step that built the state, 0 from
+    `make_state`; it is a record of that step, not evaluated at K, so
+    `replace` passes it on unless given.
     """
 
     K: SupportField
@@ -300,8 +299,7 @@ def _evaluate(state: FlowState) -> dict:
     if not min_eig > 0.0:
         raise FlowStepError(f"minimum eigenvalue of A is {min_eig}")
     n, nk = grid.n, grid.n - k
-    pA = p_tensor(K.A, nk)
-    w = phi ** (-(k + 1.0)) * pA  # measure_density(K, 1.0, k)
+    pA, w = K.pA(nk), measure_density(K, 1.0, k)
     G = phi ** (1.0 - (n + state.p) / nk) * state.fpow
     h = pA ** (-1.0 / nk)
     Phi = _multiplier(grid, w, G, h)
@@ -324,7 +322,7 @@ def _evaluate(state: FlowState) -> dict:
         1.0 + phi ** (-2.0)
     )
     shift = max(0.0, 0.5 * float(rate.max() + rate.min()))
-    gamma_field = phi ** (-(state.p + k)) * pA / state.f  # measure_density(K, p, k) / f
+    gamma_field = measure_density(K, state.p, k) / state.f
     gamma = integrate(grid, gamma_field) / sphere_area(n)
     gamma_variation = float((gamma_field.max() - gamma_field.min()) / gamma)
     return dict(w=w, Phi=Phi, G=G, c=c, s=shift, speed=speed, d=d, lam=lam, min_eig=min_eig,

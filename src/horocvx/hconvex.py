@@ -7,18 +7,19 @@ Boundary position and normal are recovered pointwise from phi and its
 first two frame derivatives.  A SupportField is finite and positive at
 every node (`sphere_grid.positive_field`, the rule flow data f share)
 and immutable, and computes its geometry once, on first use, from one
-spectral pass; a functional decorated with `per_field` is cached on the
-field too.  Spectral differentiation is linear and sends constants to
-zero, so a field built from differentiated ones by constants takes
-their derivatives by the same constants and makes no pass:
+spectral pass; p_m(A) (`SupportField.pA`) and a functional decorated
+with `per_field`, such as `convexity`, are cached on the field too.
+Spectral differentiation is linear and sends constants to zero, so a
+field built from differentiated ones by constants takes their
+derivatives by the same constants and makes no pass:
 `SupportField.scaled` (c K, and so `outer_parallel`) and every
 `shrink_into_cone` candidate do.  A constant field, such as an origin
 ball, has exactly zero derivatives and makes no pass either.
 `measure_density`, phi^{-p-k} p_{n-k}(A[phi]), is the package's one
-curvature-measure kernel; at p = 0 it is p_k(kappa~) dmu / dsigma.  Its
-linearization is built from `dA`, the derivative of A[phi], and
-`dp_tensor`, that of p_m: `d_measure_density` is the derivative of the
-density along a field v, given v's derivatives.
+curvature-measure kernel, on the cached p_{n-k}(A); at p = 0 it is
+p_k(kappa~) dmu / dsigma.  Its linearization is built from `dA`, the
+derivative of A[phi], and `dp_tensor`, that of p_m: `d_measure_density`
+is the derivative of the density along a field v, given v's derivatives.
 `check_k` is its one rule for the index k, `squared_norm` its one
 |D phi|^2, `common_grid` its one grid match, `require_h_convex` its one
 not-h-convex refusal (a constant field below 1 too, in
@@ -114,9 +115,9 @@ class SupportField:
     Hessian, A[phi], its eigenvalues and the boundary data are computed
     once, on first use, from one spectral pass (or from the gradient and
     Hessian given to `with_derivatives`); their arrays are read-only
-    too.  `memo` caches any value computed from the field alone:
-    quermass caches W_k, the k-mean radius, the curvature integrals and
-    the weighted volume there, and euclid_bridge the Euclidean volume V.
+    too.  `memo` caches any value computed from the field alone: p_m(A),
+    the convexity report, quermass's W_k, k-mean radius, curvature
+    integrals and weighted volume, and euclid_bridge's Euclidean volume V.
     Since nothing about a field can change, a cached value stays valid
     for the field's whole life, and it dies with the field.
     """
@@ -214,10 +215,14 @@ class SupportField:
         """Eigenvalues of A[phi] per node, ascending."""
         return _read_only(a_eigenvalues(self.A))
 
+    def pA(self, m: int) -> np.ndarray:
+        """p_m(A[phi]) per node, read-only, computed once per m (`memo`)."""
+        return self.memo(_p_of_A, m)
+
     @cached_property
     def _boundary(self) -> BoundaryData:
         grid, phi = self.grid, self.phi
-        g, (q, A) = self.gradient, self._shifted
+        g, q = self.gradient, self._shifted[0]
         grad_ambient = ambient_gradient(grid, g)
         z = grid.nodes
         half_minus = 0.5 * (phi - 1.0 / phi)
@@ -229,7 +234,7 @@ class SupportField:
         nu[:, :-1] = (q - half_plus)[:, None] * z - grad_ambient
         nu[:, -1] = q + half_minus
         lam = phi[:, None] * self.eigenvalues
-        arrays = (X, nu, q + half_plus, q + half_minus, lam, p_tensor(A, grid.n))
+        arrays = (X, nu, q + half_plus, q + half_minus, lam, self.pA(grid.n))
         return BoundaryData(*(_read_only(a) for a in arrays))
 
 
@@ -249,8 +254,8 @@ def per_field(fn):
     return cached
 
 
-@dataclass
-class ConvexityReport:
+@dataclass(frozen=True)
+class ConvexityReport:  # frozen: `convexity` caches it on the field
     classification: str  # uniformly-h-convex | h-convex | not-h-convex
     min_eigenvalue: float
     argmin_node: int
@@ -327,6 +332,10 @@ def p_tensor(A: np.ndarray, m: int) -> np.ndarray:
     raise ValueError(f"p_{m} undefined for {n}x{n} forms")
 
 
+def _p_of_A(K: SupportField, m: int) -> np.ndarray:
+    return _read_only(p_tensor(K.A, m))
+
+
 def dp_tensor(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
     """d/dt p_m(A + t B) at t = 0 for pointwise symmetric forms, B a stack
     (..., size, n, n) of them if need be: p_m(B) for the linear p_1, and
@@ -386,7 +395,7 @@ def measure_density(K: SupportField, p: float, k: int) -> np.ndarray:
     p is a finite number (`as_real`)."""
     n = K.grid.n
     k, p = check_k(n, k), as_real(p, "p")
-    return K.phi ** (-(p + k)) * p_tensor(K.A, n - k)
+    return K.phi ** (-(p + k)) * K.pA(n - k)
 
 
 def d_measure_density(
@@ -399,14 +408,15 @@ def d_measure_density(
     w = phi^{-(k+1)} p_m(A)."""
     n = K.grid.n
     k, p = check_k(n, k), as_real(p, "p")
-    m, phi, A = n - k, K.phi, K.A
-    scale = (p + k) * p_tensor(A, m) / phi
-    return phi ** (-(p + k)) * (dp_tensor(A, dA(K, v, dv, d2v), m) - scale * v)
+    m, phi = n - k, K.phi
+    scale = (p + k) * K.pA(m) / phi
+    return phi ** (-(p + k)) * (dp_tensor(K.A, dA(K, v, dv, d2v), m) - scale * v)
 
 
+@per_field
 def convexity(K: SupportField) -> ConvexityReport:
     """Classify by the minimum eigenvalue of A[phi] over the grid, against
-    the tolerance UNIFORM_TOL_SCALE (1 + max phi)."""
+    the tolerance UNIFORM_TOL_SCALE (1 + max phi); cached on K."""
     eigs = K.eigenvalues
     tol = UNIFORM_TOL_SCALE * (1.0 + float(np.max(K.phi)))
     node = int(np.argmin(eigs[:, 0]))

@@ -7,7 +7,7 @@ integrand is d P(t) / phi_t^{n+1}, d = phi - 1, with P a polynomial of
 degree at most 4, and the t-integral is exact: a sum of P's coefficients
 times the moments int_0^1 t^j (1 + d t)^{-(n+1)} dt, which have a closed
 form in log1p(d) away from d = 0 and a binomial series near it.  One
-gradient and Hessian and one compensated sum give W_k; for k = n it is
+gradient and Hessian and one pairwise sum give W_k; for k = n it is
 (1/n) int (1 - phi^{-n}) dsigma.  Curvature integrals and the Steiner
 and Minkowski formulas integrate `hconvex.measure_density`, p_j(kappa~)
 dmu at p = 0, and the true curvatures through p_m(1 + kappa~) =
@@ -26,10 +26,10 @@ nothing here loads scipy.
 the field's cache (`hconvex.per_field`): a SupportField cannot change,
 so its W_k cannot either, and the cached values go with the field.
 `QuermassReport` is frozen because every caller shares the cached one.
-`wk_value` is the uncached kernel under `modified_quermass`: the flow's
-Newton solve calls it once on each trial field, which it builds from
-the derivatives it already has (`SupportField.with_derivatives`).  An
-exactly constant field is a centered ball, whose W_k is I_k.
+`wk_value` is the kernel under `modified_quermass`, cached per field
+and k as `K.memo(wk_value, k)`, the entry the flow fills on its states
+and on the trial fields of its Newton solve.  An exactly
+constant field is a centered ball, whose W_k is I_k.
 """
 
 from __future__ import annotations
@@ -376,7 +376,7 @@ def wk_value(K: SupportField, k: int) -> float:
     so the integrand (phi - 1) phi_t^{-1-k} p_m(A_t), m = n - k, is
     d t^m p_m(C0 + t C1) / phi_t^{n+1} and its t-integral is exact:
     W_k = int d sum_j P_j I_j(d) dsigma, j = m..2m, P_j the coefficients
-    of t^m p_m(C0 + t C1).  One compensated sum over the grid.
+    of t^m p_m(C0 + t C1).  One pairwise sum over the grid (`integrate`).
     """
     grid, phi = K.grid, K.phi
     n = grid.n
@@ -412,7 +412,7 @@ def modified_quermass(K: SupportField, k: int) -> QuermassReport:
     if exactly_constant(K.phi):
         r = max(math.log(require_h_convex(K, "constant field").phi.item(0)), 0.0)
         return QuermassReport(k, I_k(K.grid.n, k, r), "ball-closed-form")
-    return QuermassReport(k, wk_value(K, k), "closed-form")
+    return QuermassReport(k, K.memo(wk_value, k), "closed-form")
 
 
 @per_field

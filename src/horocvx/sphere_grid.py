@@ -11,10 +11,12 @@ finite-and-positive test, `exactly_constant` the one constant-stack test.
 
 Each kind of grid is one private subclass of Grid that holds all of its
 spectral code; `make_grid` picks the kind from n, `grid_from_json_dict`
-from the JSON type, and no other function branches on it.  Its two pass
-hooks are `_analyze`, one rfft of a stack, and `_fields(c, mu)`, one
-irfft of the values, gradient and Hessian of c / (1 + mu lambda) on the
-band, with one mu for the stack or one per field.  `_UniformS1`, on S^1, fills one spectrum buffer with all three.
+from the JSON type.  Only `hconvex.random_h_convex_fields`,
+`verify._perturbed` and `verify.Bodies.grid` branch on grid.n elsewhere
+(ROADMAP item 15).  Its two pass hooks are `_analyze`, one rfft of a
+stack, and `_fields(c, mu)`, one irfft of the values, gradient and
+Hessian of c / (1 + mu lambda) on the band, with one mu for the stack or
+one per field; `_UniformS1` fills one spectrum buffer with all three.
 `_GLProductS2`, on S^2, holds the associated Legendre functions and
 their theta derivatives as one padded tensor PdP[., m, node, l], zero
 for l < m, so that its Legendre analysis and synthesis are each one

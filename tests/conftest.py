@@ -1,7 +1,9 @@
 """Shared fixtures."""
 
 # horocvx before numpy, so that HOROCVX_THREADS sets the BLAS thread count.
-from horocvx import flow, quermass  # isort: skip
+from horocvx import flow, hconvex, quermass  # isort: skip
+
+import sys
 
 import numpy as np
 import pytest
@@ -35,4 +37,23 @@ def wk_calls(monkeypatch):
 
     for module in (quermass, flow):
         monkeypatch.setattr(module, "wk_value", recorded)
+    return calls
+
+
+@pytest.fixture
+def p_tensor_calls(monkeypatch):
+    """(A, m) of every `p_tensor` call made while the test runs, through
+    any package module's binding; holding each A keeps its id its own."""
+    calls = []
+    real = hconvex.p_tensor
+
+    def recorded(A, m):
+        calls.append((A, m))
+        return real(A, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "horocvx":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, recorded)
     return calls

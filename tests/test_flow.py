@@ -27,7 +27,7 @@ from horocvx.hconvex import (
 )
 from horocvx.lorentz import origin
 from horocvx.problems import J_p, check_assumption_h, pde_residual
-from horocvx.quermass import k_mean_radius, wk_value
+from horocvx.quermass import k_mean_radius, modified_quermass, wk_value
 from horocvx.sphere_grid import (
     ArgumentError,
     derivatives,
@@ -676,28 +676,15 @@ def test_wk_calls_per_accepted_step(cfg, body, wk_calls):
     assert (totals[1] - totals[0]) / 8 <= 3
 
 
-def test_run_reads_gamma_and_the_speed_off_the_state(monkeypatch):
-    # p_{n-k}(A) is computed once per state, by _evaluate: measure_density
-    # runs only inside step, for the slope of a Newton iterate.
-    real_step, real_density = flow.step, flow.measure_density
-    inside = []
-
-    def spied_step(state, dt):
-        inside.append(True)
-        try:
-            return real_step(state, dt)
-        finally:
-            inside.pop()
-
-    def spied_density(K, p, k):
-        assert inside, "measure_density called outside step"
-        return real_density(K, p, k)
-
-    monkeypatch.setattr(flow, "step", spied_step)
-    monkeypatch.setattr(flow, "measure_density", spied_density)
+def test_a_run_takes_p_of_each_a_once(p_tensor_calls):
+    # Each field caches its p_{n-k}(A) (`SupportField.pA`): a state's w, h
+    # and gamma, and the next step's quadratic Newton start, read one
+    # evaluation, so no (array, m) reaches p_tensor twice.
     res = run(FlowConfig(n=1, k=0, p=0.0, max_steps=3), perturbed_circle())
     assert res.steps == 3
     assert res.trace.column("speedSup")[-1] > 0.0
+    assert p_tensor_calls
+    assert len({(id(A), m) for A, m in p_tensor_calls}) == len(p_tensor_calls)
 
 
 def test_a_run_evaluates_w_k_of_its_start_once(wk_calls):
@@ -706,6 +693,20 @@ def test_a_run_evaluates_w_k_of_its_start_once(wk_calls):
     assert res.steps == 0 and len(res.trace.rows) == 1
     assert len(wk_calls) == 1
     assert res.trace.column("Wk")[0] == wk_value(res.terminal, 1)
+
+
+def test_modified_quermass_of_a_terminal_reads_the_flows_w_k(wk_calls):
+    # The flow caches each state's W_k as K.memo(wk_value, k), the entry
+    # that modified_quermass reads: the terminal's W_k is the trace's last
+    # Wk, with no further evaluation.  The benchmark's flow-s2 solve.
+    x, y, z = S2_16.nodes.T
+    phi = 2.0 * (1.0 + 0.0225 * (3.0 * z**2 - 1.0) + 0.06 * (x**2 - y**2))
+    res = run(FlowConfig(n=2, k=1, p=1.0, eps_stop=1e-6), SupportField(S2_16, phi))
+    assert (res.status, res.steps, res.newton_trials) == ("converged", 5, 9)
+    wk_calls.clear()
+    W = modified_quermass(res.terminal, 1).value
+    assert wk_calls == []
+    assert W.hex() == float(res.trace.column("Wk")[-1]).hex()
 
 
 def test_max_steps_outcome():

@@ -86,6 +86,26 @@ def test_run_all_computes_each_cached_functional_once_per_field(monkeypatch):
     assert asked["curvature_integral"] == 28 and computed["curvature_integral"] == 13
 
 
+def test_run_all_takes_each_p_and_each_convexity_once(p_tensor_calls, monkeypatch):
+    # Each field caches p_m(A) (`SupportField.pA`) and its convexity report:
+    # no (array, m) reaches p_tensor twice, and the suites' 248 convexity
+    # calls on 125 distinct fields classify each field once.
+    asked, computed = [], []
+    real = SupportField.memo
+
+    def memo(K, fn, *args):
+        if fn is convexity.__wrapped__:
+            asked.append(K)  # so that no two fields of the run share an id
+            computed.append((fn, *args) not in K._memo)
+        return real(K, fn, *args)
+
+    monkeypatch.setattr(SupportField, "memo", memo)
+    run_all(Corpus(), exploratory=True)
+    assert len({(id(A), m) for A, m in p_tensor_calls}) == len(p_tensor_calls) == 157
+    assert len(asked) == 248
+    assert sum(computed) == len({id(K) for K in asked}) == 125
+
+
 def test_bm_general_builds_each_p_sum_once(monkeypatch):
     # Each of its 6 sums serves every k of its (n, p): 15 records.
     sums = []
