@@ -3,13 +3,17 @@
 The projection pi sends an h-convex domain to the Euclidean convex body
 whose support function u^ equals phi, so on node arrays it is the
 identity: a Euclidean body is a SupportField too, and `euclid_form`
-gives its form D^2 u^ + u^ I.  pi intertwines the hyperbolic p-sum with
-the Firey p-sum, and the weighted functionals V, V_p pull back
-Euclidean volume and p-mixed volume.  The Firey side takes a finite
+gives its form D^2 u^ + u^ I.  `euclid_density`, the form's p_n after
+its positive-semidefinite check, is computed once per field and read by
+the Firey sum, the Euclidean volume and the p-mixed volume.  pi
+intertwines the hyperbolic p-sum with the Firey p-sum, and the weighted
+functionals V, V_p pull back Euclidean volume and p-mixed volume.  The Firey side takes a finite
 p >= 1 only, one rule (`_firey_p`) for the Firey sum, the commutation
 check and the p-mixed volume.  Both functionals are evaluated two
 ways: through the projection and directly as hyperbolic boundary
-integrals, with the cross-residual reported as a certificate.
+integrals, with the cross-residual reported as a certificate; the
+boundary integrand's factors that do not depend on p are cached per
+field.
 `V_functional` is computed once per field and then read from the
 field's cache (`hconvex.per_field`), so its `BridgeReport` is frozen:
 every caller shares the cached one.
@@ -38,6 +42,7 @@ __all__ = [
     "BridgeReport",
     "project",
     "euclid_form",
+    "euclid_density",
     "firey_sum",
     "commute_check",
     "euclid_volume",
@@ -63,14 +68,23 @@ def euclid_form(K: SupportField) -> np.ndarray:
     return plus_identity(K.hessian, K.phi)
 
 
-def _admissible_form(Khat: SupportField) -> np.ndarray:
-    """euclid_form(Khat); ValueError unless it is positive semidefinite."""
+def euclid_density(Khat: SupportField) -> np.ndarray:
+    """p_n(D^2 u^ + u^ I) per node, read-only: the Euclidean
+    curvature-radius density of the body with support function u^ = phi,
+    computed once per field (`SupportField.memo`).  A ValueError unless
+    the form is positive semidefinite, to ADMISSIBILITY_TOL (1 + max phi)."""
+    return Khat.memo(_euclid_density)
+
+
+def _euclid_density(Khat: SupportField) -> np.ndarray:
     form = euclid_form(Khat)
     eig_min = float(np.min(a_eigenvalues(form)[:, 0]))
     scale = 1.0 + float(np.max(Khat.phi))
     if eig_min < -ADMISSIBILITY_TOL * scale:
         raise ValueError(f"support function is not convex: min eig {eig_min}")
-    return form
+    density = p_tensor(form, Khat.grid.n)
+    density.flags.writeable = False
+    return density
 
 
 def _firey_p(p, what: str) -> float:
@@ -99,7 +113,7 @@ def firey_sum(
     if a < 0.0 or b < 0.0:
         raise ArgumentError(f"Firey coefficients must be nonnegative, got a={a}, b={b}")
     out = power_sum(a, Khat, p, b, Lhat)
-    _admissible_form(out)
+    euclid_density(out)
     return out
 
 
@@ -118,29 +132,34 @@ def commute_check(
 
 def euclid_volume(Khat: SupportField) -> float:
     """Euclidean volume (1/(n+1)) int u^ p_n(D^2 u^ + u^ I) dsigma."""
-    form = _admissible_form(Khat)
     n = Khat.grid.n
-    return integrate(Khat.grid, Khat.phi * p_tensor(form, n)) / (n + 1)
+    return integrate(Khat.grid, Khat.phi * euclid_density(Khat)) / (n + 1)
 
 
 def euclid_mixed_volume_p(Khat: SupportField, Lhat: SupportField, p: float) -> float:
     """p-mixed volume (1/(n+1)) int u_L^p u_K^{1-p} p_n(D^2 u_K + u_K I)."""
     p = _firey_p(p, "p-mixed volume p")
     n = common_grid(Khat, Lhat).n
-    form = _admissible_form(Khat)
-    field = Lhat.phi**p * Khat.phi ** (1.0 - p) * p_tensor(form, n)
+    field = Lhat.phi**p * Khat.phi ** (1.0 - p) * euclid_density(Khat)
     return integrate(Khat.grid, field) / (n + 1)
 
 
 def _hyperbolic_v_integrand(K: SupportField, p: float) -> np.ndarray:
     """phi_gap^{p - n - 1} p_n(cosh(r) kappa - u~) against dmu, evaluated
-    from the boundary data with kappa = 1 + 1/lambda~."""
+    from the boundary data with kappa = 1 + 1/lambda~; its p-independent
+    factors are computed once per field."""
+    gap, pn, area_density = K.memo(_v_factors)
+    return pn / gap ** (K.grid.n + 1.0 - p) * area_density
+
+
+def _v_factors(K: SupportField) -> tuple:
+    """phi_gap = cosh r - u~, p_n(cosh(r) kappa - u~) and dmu / dsigma, read-only."""
     bd = boundary_data(K)
     kappa = 1.0 + bd.kappa_tilde
     gap = bd.coshr - bd.u_tilde
-    factors = bd.coshr[:, None] * kappa - bd.u_tilde[:, None]
-    pn = np.prod(factors, axis=1)
-    return pn / gap ** (K.grid.n + 1.0 - p) * bd.area_density
+    pn = np.prod(bd.coshr[:, None] * kappa - bd.u_tilde[:, None], axis=1)
+    gap.flags.writeable = pn.flags.writeable = False
+    return gap, pn, bd.area_density
 
 
 @per_field

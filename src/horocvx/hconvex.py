@@ -4,11 +4,12 @@ A domain is the intersection of the horo-balls {B_z(u(z))} over all unit
 directions z; we store phi = e^u at grid nodes.  The shifted second
 fundamental form A[phi] decides convexity: A > 0 is uniform h-convexity.
 Boundary position and normal are recovered pointwise from phi and its
-first two frame derivatives.  A SupportField is finite and positive at
-every node (`sphere_grid.positive_field`, the rule flow data f share)
-and immutable, and computes its geometry once, on first use, from one
-spectral pass; p_m(A) (`SupportField.pA`) and a functional decorated
-with `per_field`, such as `convexity`, are cached on the field too.
+first two frame derivatives, on their first read.  A SupportField is
+finite and positive at every node (`sphere_grid.positive_field`, the
+rule flow data f share) and immutable, and computes its geometry once,
+on first use, from one spectral pass; p_m(A) (`SupportField.pA`) and a
+functional decorated with `per_field`, such as `convexity`, are cached
+on the field too.
 Spectral differentiation is linear and sends constants to zero, so a
 field built from differentiated ones by constants takes their
 derivatives by the same constants and makes no pass:
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 
 import numpy as np
 
@@ -79,20 +81,38 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Pointwise boundary quantities indexed by grid node, read-only.
+    """Pointwise boundary quantities of a field, indexed by grid node,
+    read-only.
 
-    X, nu: boundary point and outward unit normal in R^{n+1,1};
-    lambda_tilde = phi * eig(A[phi]) are the shifted principal radii;
-    area_density is p_n(A[phi]) = det A[phi], the density of d(mu)
-    against d(sigma).
+    coshr and u_tilde are the height and the shifted support of the
+    boundary point; lambda_tilde = phi * eig(A[phi]) are the shifted
+    principal radii; area_density is p_n(A[phi]) = det A[phi], the
+    density of d(mu) against d(sigma).  X and nu, the boundary point and
+    outward unit normal in R^{n+1,1}, are computed on the first read of
+    either, once, by make_points(): few callers read them.  make_points
+    holds the field's arrays, not the field, which caches this object, so
+    that a dead field is freed at once rather than left in a cycle.
     """
 
-    X: np.ndarray
-    nu: np.ndarray
     coshr: np.ndarray
     u_tilde: np.ndarray
     lambda_tilde: np.ndarray
     area_density: np.ndarray
+    make_points: Callable[[], tuple]
+
+    @property
+    def X(self) -> np.ndarray:
+        """Boundary point per node, shape (size, n + 2)."""
+        return self._points[0]
+
+    @property
+    def nu(self) -> np.ndarray:
+        """Outward unit normal per node, shape (size, n + 2)."""
+        return self._points[1]
+
+    @cached_property
+    def _points(self) -> tuple:
+        return self.make_points()
 
     def require_curvature(self) -> BoundaryData:
         """self; ValueError unless every lambda~ > 0 (uniform h-convexity)."""
@@ -114,10 +134,12 @@ class SupportField:
     Immutable: phi is a read-only copy of the given values.  The gradient,
     Hessian, A[phi], its eigenvalues and the boundary data are computed
     once, on first use, from one spectral pass (or from the gradient and
-    Hessian given to `with_derivatives`); their arrays are read-only
-    too.  `memo` caches any value computed from the field alone: p_m(A),
-    the convexity report, quermass's W_k, k-mean radius, curvature
-    integrals and weighted volume, and euclid_bridge's Euclidean volume V.
+    Hessian given to `with_derivatives`), the boundary points and normals
+    on their own first read; their arrays are read-only too.  `memo`
+    caches any value computed from the field alone: p_m(A), the
+    convexity report, quermass's W_k, k-mean radius, curvature integrals
+    and weighted volume, and euclid_bridge's Euclidean density, the
+    p-independent factors of its boundary integrand and its volume V.
     Since nothing about a field can change, a cached value stays valid
     for the field's whole life, and it dies with the field.
     """
@@ -221,21 +243,27 @@ class SupportField:
 
     @cached_property
     def _boundary(self) -> BoundaryData:
-        grid, phi = self.grid, self.phi
-        g, q = self.gradient, self._shifted[0]
-        grad_ambient = ambient_gradient(grid, g)
-        z = grid.nodes
-        half_minus = 0.5 * (phi - 1.0 / phi)
-        half_plus = 0.5 * (phi + 1.0 / phi)
-        X = np.empty((grid.size, grid.n + 2))
-        nu = np.empty_like(X)
-        X[:, :-1] = (q - half_minus)[:, None] * z - grad_ambient
-        X[:, -1] = q + half_plus
-        nu[:, :-1] = (q - half_plus)[:, None] * z - grad_ambient
-        nu[:, -1] = q + half_minus
-        lam = phi[:, None] * self.eigenvalues
-        arrays = (X, nu, q + half_plus, q + half_minus, lam, self.pA(grid.n))
-        return BoundaryData(*(_read_only(a) for a in arrays))
+        phi, q = self.phi, self._shifted[0]
+        coshr = q + 0.5 * (phi + 1.0 / phi)
+        u_tilde = q + 0.5 * (phi - 1.0 / phi)
+        arrays = (coshr, u_tilde, phi[:, None] * self.eigenvalues)
+        points = partial(_boundary_points, self.grid, phi, self.gradient, q, coshr, u_tilde)
+        return BoundaryData(*(_read_only(a) for a in arrays), self.pA(self.grid.n), points)
+
+
+def _boundary_points(grid: Grid, phi, g, q, coshr, u_tilde) -> tuple:
+    """Read-only boundary points X and outward normals nu of the field phi
+    with frame gradient g and q = |g|^2 / (2 phi), whose X and nu have the
+    heights coshr and u_tilde."""
+    grad_ambient = ambient_gradient(grid, g)
+    z = grid.nodes
+    X = np.empty((grid.size, grid.n + 2))
+    nu = np.empty_like(X)
+    X[:, :-1] = (q - 0.5 * (phi - 1.0 / phi))[:, None] * z - grad_ambient
+    X[:, -1] = coshr
+    nu[:, :-1] = (q - 0.5 * (phi + 1.0 / phi))[:, None] * z - grad_ambient
+    nu[:, -1] = u_tilde
+    return _read_only(X), _read_only(nu)
 
 
 def per_field(fn):
@@ -383,6 +411,9 @@ def dA(K: SupportField, v: np.ndarray, dv: np.ndarray, d2v: np.ndarray) -> np.nd
 def check_k(n: int, k) -> int:
     """k as an int; ArgumentError unless n is 1 or 2 and k an integer in
     0..n: the one rule of the index k of p_{n-k}, W_k and I_k."""
+    # Exact ints in range first: two type tests and two comparisons.
+    if type(k) is int and type(n) is int and 0 <= k <= n and 1 <= n <= 2:
+        return k
     k = as_integer(k, "k")
     if n not in (1, 2) or not 0 <= k <= n:
         raise ArgumentError(f"k must lie in 0..n for n = 1 or 2, got n = {n!r}, k = {k}")

@@ -17,9 +17,11 @@ On balls and Steiner parallels every quantity reduces to
 int_0^rho e^{at} sinh(t)^b dt with small integers a, b
 (`exp_sinh_integral`): I_k(r), the k-th quermass of the centered ball of
 radius r, the Steiner coefficients and the weighted Steiner
-coefficients.  I_k's inverse is elementary for k = n and for n = 1,
-k = 0, and otherwise a bracketed Newton root (`bracketed_newton`), so
-nothing here loads scipy.
+coefficients.  Its formula is one private kernel that the checked
+`exp_sinh_integral` and `I_k` call.  I_k's inverse is elementary for
+k = n and for n = 1, k = 0, and otherwise a bracketed Newton root
+(`bracketed_newton`) that checks its arguments once and iterates on the
+unchecked kernels, so nothing here loads scipy.
 
 `modified_quermass`, `k_mean_radius`, `curvature_integral` and
 `weighted_volume` are computed once per field and k and then read from
@@ -179,6 +181,12 @@ def exp_sinh_integral(a: int, b: int, rho: float) -> float:
         raise ArgumentError(f"sinh power b must be nonnegative, got {b}")
     if rho < 0.0:
         raise ArgumentError(f"upper limit rho must be nonnegative, got {rho}")
+    return _exp_sinh(a, b, rho)
+
+
+def _exp_sinh(a: int, b: int, rho: float) -> float:
+    """`exp_sinh_integral` on arguments it has checked: ints a and b >= 0
+    and a float rho >= 0."""
     if b > 0 and rho < EXP_SINH_SERIES_SWITCH:
         acc = 0.0
         for q in _exp_sinh_series(a, b):
@@ -253,7 +261,7 @@ def I_k(n: int, k: int, r: float) -> float:
     """Modified k-quermass of the centered geodesic ball of radius r >= 0,
     a finite number (`as_real`): omega_n int_0^r sinh(t)^{n-k} e^{-kt} dt."""
     k = check_k(n, k)
-    return sphere_area(n) * exp_sinh_integral(-k, n - k, _ball_radius(r))
+    return sphere_area(n) * _exp_sinh(-k, n - k, _ball_radius(r))
 
 
 def ball_curvature_integral(n: int, k: int, r: float, p: float = 0.0) -> float:
@@ -262,12 +270,18 @@ def ball_curvature_integral(n: int, k: int, r: float, p: float = 0.0) -> float:
     (`as_real`).  At p = 0 it is int p_k(kappa~) dmu over the sphere of
     radius r, the r-derivative of I_k."""
     k = check_k(n, k)
-    r, p = _ball_radius(r), as_real(p, "p")
+    return _ball_mass(n, k, _ball_radius(r), as_real(p, "p"))
+
+
+def _ball_mass(n: int, k: int, r: float, p: float) -> float:
+    """`ball_curvature_integral` on arguments it has checked."""
     return sphere_area(n) * math.sinh(r) ** (n - k) * math.exp(-(k + p) * r)
 
 
 def I_k_inverse(n: int, k: int, w: float) -> float:
-    """Radius r with I_k(n, k, r) = w, to a few ulp; w >= 0 is a finite number (`as_real`)."""
+    """Radius r with I_k(n, k, r) = w, to a few ulp; w >= 0 is a finite
+    number (`as_real`).  The arguments are checked once, and the Newton
+    iteration evaluates I_k and its r-derivative on unchecked kernels."""
     k = check_k(n, k)
     w = as_real(w, "quermass value")
     if w < 0.0:
@@ -281,16 +295,20 @@ def I_k_inverse(n: int, k: int, w: float) -> float:
         return -math.log1p(-n * w / omega) / n
     if (n, k) == (1, 0):  # I_0 = 4 pi sinh(r/2)^2
         return 2.0 * math.asinh(math.sqrt(w / (2.0 * omega)))
+    # I_k ~ omega r^{m+1} / (m+1) near r = 0, m = n - k.
+    m = n - k
+
+    def I(t: float) -> float:
+        return omega * _exp_sinh(-k, m, t)
+
     r_hi = 1.0
-    while I_k(n, k, r_hi) < w:
+    while I(r_hi) < w:
         r_hi *= 2.0
         if r_hi > 512.0:
             raise ValueError(f"no radius found for quermass value {w}")
-    # I_k ~ omega r^{m+1} / (m+1) near r = 0, m = n - k.
-    m = n - k
     return bracketed_newton(
-        lambda t: I_k(n, k, t) - w,
-        lambda t: ball_curvature_integral(n, k, t),
+        lambda t: I(t) - w,
+        lambda t: _ball_mass(n, k, t, 0.0),
         0.0,
         r_hi,
         ((m + 1) * w / omega) ** (1.0 / (m + 1)),

@@ -124,6 +124,10 @@ class Grid:
         return hash((self.n, self.resolution))
 
 
+_FLOAT_MAX = sys.float_info.max
+_FLOAT64 = np.dtype(float)
+
+
 class ArgumentError(ValueError):
     """A value a caller passes breaks the rule of the kernel it feeds (a
     plain ValueError checks a computed result); the CLI's exit 2."""
@@ -131,6 +135,9 @@ class ArgumentError(ValueError):
 
 def as_integer(value, what: str) -> int:
     """value as an int; ArgumentError unless it is an integer (numpy's too)."""
+    # An exact int first: one type test on the common path.
+    if type(value) is int:
+        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ArgumentError(f"{what} must be an integer, got {value!r}")
@@ -139,12 +146,15 @@ def as_integer(value, what: str) -> int:
 def as_real(value, what: str) -> float:
     """value as a float; ArgumentError unless it is a finite number (numpy's
     too; not a bool, not a string)."""
+    # A finite exact float first: one type test and one comparison.
+    if type(value) is float and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return value
     if isinstance(value, np.generic):
         value = value.item()
     if (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
+        and abs(value) <= _FLOAT_MAX
     ):
         return float(value)
     raise ArgumentError(f"{what} must be a finite number, got {value!r}")
@@ -508,6 +518,15 @@ def _node_values(grid: Grid, values, stack: bool = True, what: str = "a field") 
     """values as floats, one per node along the last axis; a stack of
     fields only where stack is true.  Else a ValueError naming what, an
     ArgumentError for an entry that is not a number."""
+    # A float64 ndarray that fits is returned as it is, as the path below
+    # would return it, after a few attribute reads.
+    if (
+        type(values) is np.ndarray
+        and values.dtype is _FLOAT64
+        and values.shape[-1:] == (grid.size,)
+        and (stack or values.ndim == 1)
+    ):
+        return values
     v = np.asarray(values)
     # A string or None makes a non-number dtype; a bool among numbers does not.
     if v.dtype.kind not in "iuf" or not isinstance(values, np.ndarray) and any(

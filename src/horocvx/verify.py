@@ -16,9 +16,10 @@ adds the suite name and the verdict.  A `Bodies` set builds each
 grid body on its first request and lives for one `run_all` call (or
 one lone `run_suite` call), so every suite of a run that asks for the
 same body shares it and what its field has computed: its W_k, k-mean
-radii, curvature integrals, weighted volume and V, each cached on the
-field (`hconvex.per_field`).  A suite that reads a derived body, such as
-a p-sum, at several k builds it once and reads its cached radii.
+radii, curvature integrals, weighted volume, V and Euclidean density,
+each cached on the field (`SupportField.memo`).  A suite that reads a
+derived body, such as a p-sum, at several k builds it once and reads its
+cached radii.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lorentz
-from .euclid_bridge import V_functional, V_p_functional, euclid_form, project
+from .euclid_bridge import V_functional, V_p_functional, euclid_density, project
 from .hconvex import (
     SupportField,
     boundary_data,
     measure_density,
-    p_tensor,
     shrink_into_cone,
     support_of_ball,
 )
@@ -433,7 +433,7 @@ def _suite_euclid(bodies):
         for p in (1.0, 2.0):
             for tag, body, eq in iso_bodies:
                 hat = project(body)
-                lhs = integrate(grid, hat.phi ** (1.0 - p) * p_tensor(euclid_form(hat), n))
+                lhs = integrate(grid, hat.phi ** (1.0 - p) * euclid_density(hat))
                 v = V_functional(body).value
                 rhs = (
                     (n + 1.0) ** ((n + 1.0 - p) / (n + 1.0))

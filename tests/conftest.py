@@ -1,7 +1,7 @@
 """Shared fixtures."""
 
 # horocvx before numpy, so that HOROCVX_THREADS sets the BLAS thread count.
-from horocvx import flow, hconvex, quermass  # isort: skip
+from horocvx import euclid_bridge, flow, hconvex, quermass, sphere_grid  # isort: skip
 
 import sys
 
@@ -40,16 +40,15 @@ def wk_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def p_tensor_calls(monkeypatch):
-    """(A, m) of every `p_tensor` call made while the test runs, through
-    any package module's binding; holding each A keeps its id its own."""
+def spy_on(monkeypatch, real) -> list:
+    """The arguments of every call to the package function real made while
+    the test runs, through any package module's binding; holding each
+    argument keeps its id its own."""
     calls = []
-    real = hconvex.p_tensor
 
-    def recorded(A, m):
-        calls.append((A, m))
-        return real(A, m)
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "horocvx":
@@ -57,3 +56,23 @@ def p_tensor_calls(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(module, attr, recorded)
     return calls
+
+
+@pytest.fixture
+def p_tensor_calls(monkeypatch):
+    """(A, m) of every `p_tensor` call made while the test runs (`spy_on`)."""
+    return spy_on(monkeypatch, hconvex.p_tensor)
+
+
+@pytest.fixture
+def ambient_gradient_calls(monkeypatch):
+    """(grid, gradient) of every `sphere_grid.ambient_gradient` call made
+    while the test runs (`spy_on`)."""
+    return spy_on(monkeypatch, sphere_grid.ambient_gradient)
+
+
+@pytest.fixture
+def euclid_form_calls(monkeypatch):
+    """(K,) of every `euclid_bridge.euclid_form` call made while the test
+    runs (`spy_on`)."""
+    return spy_on(monkeypatch, euclid_bridge.euclid_form)

@@ -1,14 +1,17 @@
 """Support fields, the shifted form A[phi], boundary recovery."""
 
 import dataclasses
+import gc
 import math
+import types
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocvx import sphere_grid
+from horocvx import psum, sphere_grid
 from horocvx.euclid_bridge import V_p_functional, commute_check, euclid_mixed_volume_p, firey_sum
 from horocvx.hconvex import (
     BoundaryData,
@@ -33,7 +36,7 @@ from horocvx.hconvex import (
 )
 from horocvx.lorentz import boost, geodesic_distance, origin, validate_hpoint
 from horocvx.problems import mixed_quermass
-from horocvx.psum import dilates_check, p_dilate, p_sum
+from horocvx.psum import compatibility_check, dilates_check, p_dilate, p_sum
 from horocvx.sphere_grid import ArgumentError, derivatives, integrate, make_grid
 
 S1 = make_grid(1, 64)
@@ -66,16 +69,72 @@ def test_support_field_is_an_immutable_copy():
         K.phi[0] = 3.0
 
 
-def test_cached_geometry_is_read_only_and_computed_once():
+def test_cached_geometry_is_read_only_and_computed_once(ambient_gradient_calls):
     theta = S1.theta
     K = SupportField(S1, 2.0 * (1.0 + 0.05 * np.cos(2 * theta)))
     bd = boundary_data(K)
     assert boundary_data(K) is bd and K.A is K.A
-    cached = (K.gradient, K.hessian, K.A, K.eigenvalues, bd.kappa_tilde)
-    cached += tuple(getattr(bd, f.name) for f in dataclasses.fields(bd))
+    # X and nu are computed together on the first read of either, once.
+    assert ambient_gradient_calls == []
+    assert bd.nu is bd.nu and bd.X is bd.X and len(ambient_gradient_calls) == 1
+    cached = (K.gradient, K.hessian, K.A, K.eigenvalues, bd.kappa_tilde, bd.X, bd.nu)
+    fields = dataclasses.fields(bd)
+    cached += tuple(getattr(bd, f.name) for f in fields if f.name != "make_points")
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+    # The boundary data that K caches holds K's arrays, not K: no reference
+    # cycle keeps a dead field alive until the cyclic collector runs.
+    ref = weakref.ref(K)
+    gc.disable()
+    try:
+        del K, bd, cached
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def eager_boundary_points(K):
+    """X and nu of K by the formula that boundary_data evaluated on every
+    call before it read them lazily, to hold their bits."""
+    grid, phi, g = K.grid, K.phi, K.gradient
+    q = 0.5 * squared_norm(g) / phi
+    grad_ambient = sphere_grid.ambient_gradient(grid, g)
+    z = grid.nodes
+    half_minus = 0.5 * (phi - 1.0 / phi)
+    half_plus = 0.5 * (phi + 1.0 / phi)
+    X = np.empty((grid.size, grid.n + 2))
+    nu = np.empty_like(X)
+    X[:, :-1] = (q - half_minus)[:, None] * z - grad_ambient
+    X[:, -1] = q + half_plus
+    nu[:, :-1] = (q - half_plus)[:, None] * z - grad_ambient
+    nu[:, -1] = q + half_minus
+    return X, nu
+
+
+@pytest.mark.bitwise
+def test_lazy_boundary_points_keep_the_bits_of_the_eager_formula(
+    ambient_gradient_calls, monkeypatch
+):
+    fields = random_h_convex_fields(5, [S1, S2], 4)
+    fields.append(support_of_point(S2, boost(2, [0.0, 0.6, 0.8], 0.4) @ origin(2)))
+    for K in fields:
+        bd = boundary_data(K)
+        assert ambient_gradient_calls == []
+        lazy = bd.X.tobytes(), bd.nu.tobytes()
+        assert len(ambient_gradient_calls) == 1
+        X, nu = eager_boundary_points(K)
+        assert lazy == (X.tobytes(), nu.tobytes())
+        ambient_gradient_calls.clear()
+    # compatibility_check, the one package reader of X, gives the same bits
+    # from the lazy X as from the eager formula.
+    args = [(S1, 1.5, 0.7, origin(1), 0.6, boost(1, [1.0, 0.0], 0.5) @ origin(1)),
+            (S2, 0.5, 0.8, origin(2), 0.4, boost(2, [0.0, 0.0, 1.0], 0.3) @ origin(2))]
+    lazy = [compatibility_check(*a, samples=40) for a in args]
+    monkeypatch.setattr(
+        psum, "boundary_data", lambda K: types.SimpleNamespace(X=eager_boundary_points(K)[0])
+    )
+    assert [compatibility_check(*a, samples=40) for a in args] == lazy
 
 
 @pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
@@ -119,11 +178,12 @@ def test_bodies_on_one_resolution_share_the_grid_tables(monkeypatch):
 
 
 def test_kappa_tilde_needs_positive_radii():
+    # kappa~ reads lambda~ alone, not the boundary points.
     ones = np.ones((3, 1))
-    bd = BoundaryData(ones, ones, ones, ones, np.array([[2.0], [0.5], [4.0]]), ones)
+    bd = BoundaryData(ones, ones, np.array([[2.0], [0.5], [4.0]]), ones, None)
     assert np.array_equal(bd.kappa_tilde, [[0.5], [2.0], [0.25]])
     # A zero radius is a point of the boundary with no curvature data.
-    bd = BoundaryData(ones, ones, ones, ones, np.array([[2.0], [0.0], [4.0]]), ones)
+    bd = BoundaryData(ones, ones, np.array([[2.0], [0.0], [4.0]]), ones, None)
     with pytest.raises(ValueError, match="uniformly h-convex"):
         bd.kappa_tilde
 

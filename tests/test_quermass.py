@@ -150,6 +150,36 @@ def test_exp_sinh_integral_edges():
             exp_sinh_integral(a, b, rho)
 
 
+def test_ball_kernels_evaluate_one_exp_sinh_formula():
+    # exp_sinh_integral and I_k check their arguments and then evaluate one
+    # private kernel, on both sides of EXP_SINH_SERIES_SWITCH.
+    for rho in EXP_SINH_RHOS:
+        for a in range(-3, 4):
+            for b in range(4):
+                assert exp_sinh_integral(a, b, rho) == quermass._exp_sinh(a, b, rho), (a, b, rho)
+        for n in (1, 2):
+            for k in range(n + 1):
+                want = sphere_area(n) * quermass._exp_sinh(-k, n - k, rho)
+                assert I_k(n, k, rho) == want, (n, k, rho)
+
+
+def test_I_k_inverse_checks_once_and_inverts_I_k_to_a_few_ulp(monkeypatch):
+    radii = (1e-6, 1e-3, 0.05, 0.2, 0.7, EXP_SINH_SERIES_SWITCH, 1.3, 2.5, 5.0, 10.0)
+    cases = [(n, k, I_k(n, k, r)) for n in (1, 2) for k in range(n + 1) for r in radii]
+    # The Newton iteration runs on the unchecked kernels: one check_k per
+    # inverse, and no call to the checked I_k or ball_curvature_integral.
+    checks = []
+    real = quermass.check_k
+    monkeypatch.setattr(quermass, "check_k", lambda n, k: checks.append(k) or real(n, k))
+    monkeypatch.setattr(quermass, "I_k", None)
+    monkeypatch.setattr(quermass, "ball_curvature_integral", None)
+    inverses = [I_k_inverse(n, k, w) for n, k, w in cases]
+    assert checks == [k for _, k, _ in cases]
+    monkeypatch.undo()
+    for (n, k, w), r in zip(cases, inverses):
+        assert abs(I_k(n, k, r) - w) <= 8.0 * math.ulp(w), (n, k, w)
+
+
 def test_bracketed_newton_falls_back_to_bisection():
     # Newton on atan diverges from x = 20; an f' that vanishes gives no step.
     root = bracketed_newton(

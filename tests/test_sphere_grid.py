@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocvx import sphere_grid
+from horocvx.hconvex import check_k
 from horocvx.sphere_grid import (
     ArgumentError,
     antipodal,
@@ -100,6 +102,41 @@ def test_make_grid_rejects_non_integral_resolutions():
     ):
         with pytest.raises(ValueError, match="integer"):
             field_from_json_dict(bad)
+
+
+def test_exact_types_take_a_fast_path_to_what_the_general_path_returns():
+    # as_real, as_integer, check_k and _node_values test exact types first;
+    # each fast path returns the value its general path returns, and any
+    # other value takes the general path and its error.
+    for x in (0.0, -1.5, 3e-310, sys.float_info.max, -sys.float_info.max):
+        assert sphere_grid.as_real(x, "x") is x
+    assert type(sphere_grid.as_real(np.float64(2.5), "x")) is float
+    assert sphere_grid.as_real(3, "x") == 3.0
+    for x in (math.nan, math.inf, -math.inf, True, "1.0"):
+        with pytest.raises(ArgumentError, match="x must be a finite number"):
+            sphere_grid.as_real(x, "x")
+    for i in (0, -7, 10**30):
+        assert sphere_grid.as_integer(i, "i") is i
+    assert type(sphere_grid.as_integer(np.int64(4), "i")) is int
+    for i in (True, 1.0):
+        with pytest.raises(ArgumentError, match="i must be an integer"):
+            sphere_grid.as_integer(i, "i")
+    assert [check_k(n, k) for n, k in ((1, 0), (1, 1), (2, 0), (2, 2), (2, np.int64(1)))] == [
+        0, 1, 0, 2, 1
+    ]
+    for n, k in ((1, 2), (2, -1), (3, 0), (0, 0), (2, True), (2, 1.0)):
+        with pytest.raises(ArgumentError):
+            check_k(n, k)
+    v = np.linspace(1.0, 2.0, S1.size)
+    stack = np.ones((3, S1.size))
+    assert sphere_grid._node_values(S1, v) is v
+    assert sphere_grid._node_values(S1, stack) is stack
+    with pytest.raises(ValueError, match=r"expected shape \(64,\)"):
+        sphere_grid._node_values(S1, stack, stack=False)
+    single = v.astype(np.float32)
+    out = sphere_grid._node_values(S1, single)
+    assert out.dtype == float and np.array_equal(out, single)
+    assert sphere_grid._node_values(S1, list(v)).tobytes() == v.tobytes()
 
 
 def test_grid_shapes():

@@ -87,8 +87,9 @@ def test_run_all_computes_each_cached_functional_once_per_field(monkeypatch):
 
 
 def test_run_all_takes_each_p_and_each_convexity_once(p_tensor_calls, monkeypatch):
-    # Each field caches p_m(A) (`SupportField.pA`) and its convexity report:
-    # no (array, m) reaches p_tensor twice, and the suites' 248 convexity
+    # Each field caches p_m(A) (`SupportField.pA`), its Euclidean density
+    # p_n(D^2 u + u I) (`euclid_density`) and its convexity report: no
+    # (array, m) reaches p_tensor twice, and the suites' 240 convexity
     # calls on 125 distinct fields classify each field once.
     asked, computed = [], []
     real = SupportField.memo
@@ -101,9 +102,24 @@ def test_run_all_takes_each_p_and_each_convexity_once(p_tensor_calls, monkeypatc
 
     monkeypatch.setattr(SupportField, "memo", memo)
     run_all(Corpus(), exploratory=True)
-    assert len({(id(A), m) for A, m in p_tensor_calls}) == len(p_tensor_calls) == 157
-    assert len(asked) == 248
+    assert len({(id(A), m) for A, m in p_tensor_calls}) == len(p_tensor_calls) == 137
+    assert len(asked) == 240
     assert sum(computed) == len({id(K) for K in asked}) == 125
+
+
+def test_run_all_reads_no_boundary_point(ambient_gradient_calls):
+    # The suites read coshr, u~, lambda~ and dmu of 74 fields' boundary
+    # data, but never X or nu, which are computed on their first read.
+    run_all(Corpus(), exploratory=True)
+    assert ambient_gradient_calls == []
+
+
+def test_run_all_takes_each_fields_euclidean_density_once(euclid_form_calls):
+    # The bridge's volumes, Firey sums and the iso records read p_n(D^2 u +
+    # u I) through the field's cache: 20 fields build their form once each,
+    # where 40 builds were made when each caller built its own.
+    run_all(Corpus(), exploratory=True)
+    assert len({id(K) for K, in euclid_form_calls}) == len(euclid_form_calls) == 20
 
 
 def test_bm_general_builds_each_p_sum_once(monkeypatch):
