@@ -276,14 +276,10 @@ def _cmd_quermass(args, K: SupportField) -> int:
 
     n = K.grid.n
     ks = [args.k] if args.k is not None else list(range(n + 1))
-    values = {}
-    for k in ks:
-        rep = modified_quermass(K, k)
-        values[f"W{k}"] = {
-            "value": rep.value,
-            "method": rep.method,
-            "mean_radius": k_mean_radius(K, k),
-        }
+    values = {
+        f"W{k}": {"value": modified_quermass(K, k).value, "mean_radius": k_mean_radius(K, k)}
+        for k in ks
+    }
     return _emit(args, K.grid, {"n": n, "quermass": values})
 
 

@@ -23,9 +23,9 @@ derivative of A[phi], and `dp_tensor`, that of p_m: `d_measure_density`
 is the derivative of the density along a field v, given v's derivatives.
 `check_k` is its one rule for the index k, `squared_norm` its one
 |D phi|^2, `common_grid` its one grid match, `require_h_convex` its one
-not-h-convex refusal (a constant field below 1 too, in
-`quermass.modified_quermass`), and `shrink_into_cone` its one shrinking
-of a perturbation into the uniformly h-convex cone.
+not-h-convex refusal (of `boundary_data`, `quermass.modified_quermass`,
+`psum.p_sum` and `euclid_bridge.project`), and `shrink_into_cone` its one
+shrinking of a perturbation into the uniformly h-convex cone.
 """
 
 from __future__ import annotations
@@ -533,11 +533,15 @@ def shrink_into_cone(grid: Grid, c: float, pert: np.ndarray, margin: float = 0.0
 
 
 def random_h_convex_fields(seed: int, grids: list[Grid], count: int) -> list[SupportField]:
-    """Seeded corpus of uniformly h-convex fields on the given grids.  The
-    seed is an integer >= 0 (not a bool): otherwise an ArgumentError."""
-    seed = as_integer(seed, "seed")
-    if seed < 0:
-        raise ArgumentError(f"seed must be nonnegative, got {seed}")
+    """Seeded corpus of count uniformly h-convex fields on the grids in turn;
+    an ArgumentError unless seed and count are ints >= 0 (not bools) and
+    grids is not empty."""
+    seed, count = as_integer(seed, "seed"), as_integer(count, "count")
+    for name, value in (("seed", seed), ("count", count)):
+        if value < 0:
+            raise ArgumentError(f"{name} must be nonnegative, got {value}")
+    if not grids:
+        raise ArgumentError("grids must name at least one grid")
     rng = np.random.default_rng(seed)
     fields = []
     while len(fields) < count:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lorentz
 from .hconvex import SupportField, boundary_data, common_grid, require_h_convex, support_of_point
-from .sphere_grid import ArgumentError, Grid, as_real
+from .sphere_grid import ArgumentError, Grid, as_integer, as_real
 
 __all__ = [
     "TwoPointBall",
@@ -164,8 +164,10 @@ def compatibility_check(
     intersection (p < 1, open t-interval) of the ball family; returns
     the sup of the refined |defect| in geodesic distance.  Public: it
     checks the paper's two-point figure, the p-sum of two points against
-    its ball family.  A ValueError if every sampled ball is empty.
+    its ball family, at samples t, an integer >= 3 (`as_integer`).  A
+    ValueError if every sampled ball is empty.
     """
+    samples = as_integer(samples, "samples")
     if samples < 3:
         raise ArgumentError(f"samples must be at least 3, got {samples}")
     summed = p_sum(a, support_of_point(grid, X), p, b, support_of_point(grid, Y))

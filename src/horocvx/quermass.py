@@ -23,15 +23,13 @@ k = n and for n = 1, k = 0, and otherwise a bracketed Newton root
 (`bracketed_newton`) that checks its arguments once and iterates on the
 unchecked kernels, so nothing here loads scipy.
 
-`modified_quermass`, `k_mean_radius`, `curvature_integral` and
-`weighted_volume` are computed once per field and k and then read from
-the field's cache (`hconvex.per_field`): a SupportField cannot change,
-so its W_k cannot either, and the cached values go with the field.
-`QuermassReport` is frozen because every caller shares the cached one.
-`wk_value` is the kernel under `modified_quermass`, cached per field
-and k as `K.memo(wk_value, k)`, the entry the flow fills on its states
-and on the trial fields of its Newton solve.  An exactly
-constant field is a centered ball, whose W_k is I_k.
+`wk_value` is the one route to W_k, cached per field and k as
+`K.memo(wk_value, k)`: the flow fills it on its states and Newton trial
+fields, and `modified_quermass` reads it once `require_h_convex` has
+passed the field.  It gives an exactly constant field, a centered ball,
+I_k.  `k_mean_radius`, `curvature_integral` and `weighted_volume` are
+cached on the field (`hconvex.per_field`), per k where they take one: a
+SupportField cannot change, so neither can they, and they go with it.
 """
 
 from __future__ import annotations
@@ -98,7 +96,6 @@ NEWTON_MAX_ITER = 200
 class QuermassReport:
     k: int
     value: float
-    method: str  # closed-form | ball-closed-form
 
 
 @dataclass
@@ -279,19 +276,19 @@ def _ball_mass(n: int, k: int, r: float, p: float) -> float:
 
 
 def I_k_inverse(n: int, k: int, w: float) -> float:
-    """Radius r with I_k(n, k, r) = w, to a few ulp; w >= 0 is a finite
-    number (`as_real`).  The arguments are checked once, and the Newton
-    iteration evaluates I_k and its r-derivative on unchecked kernels."""
+    """Radius r with I_k(n, k, r) = w, to a few ulp; an ArgumentError unless
+    w >= 0 is a finite number (`as_real`), below omega / n at k = n.  Checked
+    once, it runs Newton on the unchecked kernels of I_k and its derivative."""
     k = check_k(n, k)
     w = as_real(w, "quermass value")
     if w < 0.0:
-        raise ValueError(f"quermass value must be nonnegative, got {w}")
+        raise ArgumentError(f"quermass value must be nonnegative, got {w}")
     if w == 0.0:
         return 0.0
     omega = sphere_area(n)
     if k == n:
         if w >= omega / n:
-            raise ValueError(f"I_n is bounded by {omega / n}, got {w}")
+            raise ArgumentError(f"I_n is bounded by {omega / n}, got {w}")
         return -math.log1p(-n * w / omega) / n
     if (n, k) == (1, 0):  # I_0 = 4 pi sinh(r/2)^2
         return 2.0 * math.asinh(math.sqrt(w / (2.0 * omega)))
@@ -395,10 +392,14 @@ def wk_value(K: SupportField, k: int) -> float:
     d t^m p_m(C0 + t C1) / phi_t^{n+1} and its t-integral is exact:
     W_k = int d sum_j P_j I_j(d) dsigma, j = m..2m, P_j the coefficients
     of t^m p_m(C0 + t C1).  One pairwise sum over the grid (`integrate`).
+    An exactly constant field (`sphere_grid.exactly_constant`) is the
+    centered ball of radius max(log phi, 0): I_k, with no spectral pass.
     """
     grid, phi = K.grid, K.phi
     n = grid.n
     k = check_k(n, k)
+    if exactly_constant(phi):
+        return I_k(n, k, max(math.log(phi.item(0)), 0.0))
     g, H = K.gradient, K.hessian
     m = n - k
     d = phi - 1.0
@@ -421,16 +422,11 @@ def wk_value(K: SupportField, k: int) -> float:
     return integrate(grid, d * acc)
 
 
-@per_field
 def modified_quermass(K: SupportField, k: int) -> QuermassReport:
-    """Modified quermassintegral W_k of an h-convex support field, cached
-    on K.  An exactly constant field (`sphere_grid.exactly_constant`) is
-    the centered ball of radius max(log phi, 0); `require_h_convex`
-    refuses one below 1 beyond `convexity`'s tolerance."""
-    if exactly_constant(K.phi):
-        r = max(math.log(require_h_convex(K, "constant field").phi.item(0)), 0.0)
-        return QuermassReport(k, I_k(K.grid.n, k, r), "ball-closed-form")
-    return QuermassReport(k, K.memo(wk_value, k), "closed-form")
+    """Modified quermassintegral W_k of an h-convex field, `K.memo(wk_value,
+    k)`; a ValueError (`require_h_convex`) on a field that is not."""
+    k = check_k(K.grid.n, k)
+    return QuermassReport(k, require_h_convex(K, "field").memo(wk_value, k))
 
 
 @per_field

@@ -7,7 +7,8 @@ operators also take a stack of fields, shape (..., size), and return
 outputs with the same leading axes.  Node values enter through one
 rule: an entry that is not a number is an ArgumentError, and a field
 without one value per node a ValueError.  `positive_field` is the one
-finite-and-positive test, `exactly_constant` the one constant-stack test.
+finite-and-positive test, `exactly_constant` the one constant-stack test
+(of `resolvent`, which skips the pass, and `quermass.wk_value`: I_k).
 
 Each kind of grid is one private subclass of Grid that holds all of its
 spectral code; `make_grid` picks the kind from n, `grid_from_json_dict`

@@ -423,7 +423,20 @@ def test_quermass_report(tmp_path):
     )
     assert rep["quermass"]["W1"]["value"] == pytest.approx(math.pi, abs=1e-10)
     assert rep["quermass"]["W0"]["mean_radius"] == pytest.approx(r, abs=1e-10)
-    assert rep["quermass"]["W1"]["method"] == "ball-closed-form"
+    assert set(rep["quermass"]["W1"]) == {"value", "mean_radius"}
+
+
+def test_quermass_of_a_field_that_is_not_h_convex_is_an_error_line(tmp_path, capsys):
+    # 2 (1 + 0.3 cos 6 theta) on s1:32: exit 1 and no report, where it
+    # wrote W_1 and a mean radius.
+    grid = make_grid(1, 32)
+    K, out = tmp_path / "kinked.json", tmp_path / "w.json"
+    write_field(K, grid, 2.0 * (1.0 + 0.3 * np.cos(6.0 * grid.theta)), kind="support")
+    capsys.readouterr()
+    assert main(["quermass", "--K", str(K), "--k", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field is not h-convex: min eig A = ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_quermass_of_a_large_constant_field_reports_its_radius(tmp_path):

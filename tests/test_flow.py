@@ -27,7 +27,7 @@ from horocvx.hconvex import (
 )
 from horocvx.lorentz import origin
 from horocvx.problems import J_p, check_assumption_h, pde_residual
-from horocvx.quermass import k_mean_radius, modified_quermass, wk_value
+from horocvx.quermass import I_k, k_mean_radius, modified_quermass, wk_value
 from horocvx.sphere_grid import (
     ArgumentError,
     derivatives,
@@ -693,6 +693,25 @@ def test_a_run_evaluates_w_k_of_its_start_once(wk_calls):
     assert res.steps == 0 and len(res.trace.rows) == 1
     assert len(wk_calls) == 1
     assert res.trace.column("Wk")[0] == wk_value(res.terminal, 1)
+
+
+@pytest.mark.parametrize("c", [1.2, 2.0, math.exp(0.9)])
+@pytest.mark.parametrize("spec", [(1, 96), (2, 16)], ids=["s1:96", "s2:16"])
+def test_a_ball_has_one_w_k_whoever_reads_it(spec, c):
+    # wk_value gives an exactly constant field I_k, so modified_quermass,
+    # the flow's target and its first trace row read one float.  When
+    # modified_quermass took I_k itself, W_0 of phi = 2 on s1:96 was 2.8e-16
+    # relative off the target.
+    grid = make_grid(*spec)
+    n = grid.n
+    K = SupportField(grid, np.full(grid.size, c))
+    for k in range(n + 1):
+        W = modified_quermass(K, k).value
+        assert W.hex() == K.memo(wk_value, k).hex() == I_k(n, k, math.log(c)).hex()
+        if k < n:
+            config = FlowConfig(n=n, k=k, p=1.0, max_steps=0)
+            assert make_state(config, K).target.hex() == W.hex()
+            assert float(run(config, K).trace.column("Wk")[0]).hex() == W.hex()
 
 
 def test_modified_quermass_of_a_terminal_reads_the_flows_w_k(wk_calls):

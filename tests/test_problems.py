@@ -296,7 +296,7 @@ def test_ball_solutions_validation():
 
 # Every rule on a value that a caller passes to a kernel, one case each.
 K1 = support_of_ball(S1, origin(1), 0.5)
-# A field that is not constant on s2:8, so that W_k goes to wk_value.
+# A field on s2:8 that is not a ball.
 K8 = random_h_convex_fields(3, [make_grid(2, 8)], 1)[0]
 
 
@@ -341,6 +341,11 @@ ARGUMENT_RULES = {
     "I_k_inverse-w-inf-n2k0": lambda: I_k_inverse(2, 0, math.inf),
     "I_k_inverse-w-nan-n2k1": lambda: I_k_inverse(2, 1, math.nan),
     "I_k_inverse-w-nan-n2k2": lambda: I_k_inverse(2, 2, math.nan),
+    # A negative quermass value, and one at or above I_n's bound omega / n.
+    "I_k_inverse-w-negative-n1k0": lambda: I_k_inverse(1, 0, -0.1),
+    "I_k_inverse-w-negative-n2k1": lambda: I_k_inverse(2, 1, -0.1),
+    "I_k_inverse-w-bound-n1k1": lambda: I_k_inverse(1, 1, sphere_area(1)),
+    "I_k_inverse-w-bound-n2k2": lambda: I_k_inverse(2, 2, 3.0 * sphere_area(2)),
     "ball_solutions-n": lambda: ball_solutions(3, 0, 1.0, 0.5),
     "ball_solutions-k=n": lambda: ball_solutions(1, 1, 1.0, 0.5),
     "ball_solutions-p": lambda: ball_solutions(2, 1, -3.0, 0.5),
@@ -372,6 +377,10 @@ ARGUMENT_RULES = {
     "random_h_convex_fields-seed-negative": lambda: random_h_convex_fields(-1, [S1], 1),
     "random_h_convex_fields-seed-float": lambda: random_h_convex_fields(1.5, [S1], 1),
     "random_h_convex_fields-seed-bool": lambda: random_h_convex_fields(True, [S1], 1),
+    # count 2.5 gave 3 fields, -1 gave none, and no grid a ZeroDivisionError.
+    "random_h_convex_fields-count-float": lambda: random_h_convex_fields(1, [S1], 2.5),
+    "random_h_convex_fields-count-negative": lambda: random_h_convex_fields(1, [S1], -1),
+    "random_h_convex_fields-grids-empty": lambda: random_h_convex_fields(1, [], 1),
     "FlowConfig-n": lambda: FlowConfig(n=3, k=0, p=0.0),
     "FlowConfig-k": lambda: FlowConfig(n=1, k=1, p=0.0),
     "FlowConfig-p": lambda: FlowConfig(n=2, k=1, p=-5.0),
@@ -384,6 +393,16 @@ ARGUMENT_RULES = {
     "two_point_ball-t": lambda: two_point_ball(1.0, 1.5, 1.0, origin(1), 1.0, origin(1)),
     "compatibility_check-samples": lambda: compatibility_check(
         S1, 1.0, 1.0, origin(1), 1.0, origin(1), samples=2
+    ),
+    # samples that is not an integer escaped as a bare TypeError.
+    "compatibility_check-samples-float": lambda: compatibility_check(
+        S1, 1.0, 1.0, origin(1), 1.0, origin(1), samples=3.5
+    ),
+    "compatibility_check-samples-str": lambda: compatibility_check(
+        S1, 1.0, 1.0, origin(1), 1.0, origin(1), samples="5"
+    ),
+    "compatibility_check-samples-none": lambda: compatibility_check(
+        S1, 1.0, 1.0, origin(1), 1.0, origin(1), samples=None
     ),
     "resolvent-mu": lambda: resolvent(S1, K1.phi, -1.0),
     # One mu per stacked field, each finite and nonnegative.
@@ -476,6 +495,9 @@ RESULT_CHECKS = {
         0.0, K1, 1.0, 1.0, SupportField(S1, 2.2 * (1.0 + 0.05 * np.cos(3 * S1.theta)))
     ),
     "p_dilate-overflow": lambda: p_dilate(1e300, 0.001, K1),
+    "modified_quermass-not-h-convex": lambda: modified_quermass(
+        SupportField(S1, 2.2 * (1.0 + 0.05 * np.cos(3 * S1.theta))), 0
+    ),
     "steiner-overflow": lambda: steiner_check(K1, 800.0),
     "weighted_steiner-overflow": lambda: weighted_steiner_check(K1, 400.0),
     "ball_solutions-overflow": lambda: ball_solutions(2, 1, 300.0, 0.001),

@@ -207,14 +207,18 @@ def test_I_k_monotone_property(r):
 
 
 def test_ball_quermass_matches_I_k():
+    # A centered ball takes I_k's closed form; one ulp off it, the field
+    # takes the spectral kernel, which agrees with I_k.
     for grid in (S1, S2):
         n = grid.n
         for r in (0.3, math.log(2.0), 1.2):
             K = support_of_ball(grid, origin(n), r)
+            phi = K.phi.copy()
+            phi[5] = np.nextafter(phi[5], 3.0)
+            off = SupportField(grid, phi)
             for k in range(n + 1):
-                rep = modified_quermass(K, k)
-                assert rep.method == "ball-closed-form"
-                assert abs(rep.value - I_k(n, k, r)) < 1e-12
+                assert abs(modified_quermass(K, k).value - I_k(n, k, r)) < 1e-12
+                assert abs(modified_quermass(off, k).value - I_k(n, k, r)) < 1e-12
 
 
 def test_offcenter_ball_quermass_is_isometry_invariant():
@@ -223,9 +227,7 @@ def test_offcenter_ball_quermass_is_isometry_invariant():
     for grid in (S1, S2):
         K = offcenter_ball(grid, 0.5, r)
         for k in range(grid.n + 1):
-            rep = modified_quermass(K, k)
-            assert rep.method == "closed-form"
-            assert abs(rep.value - I_k(grid.n, k, r)) < 1e-8
+            assert abs(modified_quermass(K, k).value - I_k(grid.n, k, r)) < 1e-8
 
 
 def test_k_mean_radius_of_ball():
@@ -260,9 +262,8 @@ def test_k_n_mean_radius_of_a_point_is_zero(spec, x):
 def test_an_exactly_constant_field_takes_the_ball_path_with_no_fft_call(grid, fft_counts):
     K = SupportField(grid, np.full(grid.size, 2.0))
     for k in range(grid.n + 1):
-        rep = modified_quermass(K, k)
-        assert rep.method == "ball-closed-form"
-        assert rep.value == I_k(grid.n, k, math.log(2.0))
+        assert wk_value(K, k) == I_k(grid.n, k, math.log(2.0))
+        assert modified_quermass(K, k).value == I_k(grid.n, k, math.log(2.0))
     assert fft_counts == {"rfft": 0, "irfft": 0}
 
 
@@ -273,10 +274,8 @@ def test_a_field_one_ulp_off_a_constant_takes_the_spectral_pass(grid, fft_counts
     phi[5] = np.nextafter(2.0, 3.0)
     K = SupportField(grid, phi)
     for k in range(grid.n + 1):
-        rep = modified_quermass(K, k)
         want = I_k(grid.n, k, math.log(2.0))
-        assert rep.method == "closed-form"
-        assert abs(rep.value - want) <= 1e-13 * want
+        assert abs(modified_quermass(K, k).value - want) <= 1e-13 * want
     assert fft_counts["rfft"] == 1
 
 
@@ -285,10 +284,19 @@ def test_modified_quermass_validation():
     with pytest.raises(ValueError):
         modified_quermass(K, 2)
     # A = (phi - 1/phi) / 2 = -0.75 at phi = 0.5: the one not-h-convex refusal.
-    below_one = r"^constant field is not h-convex: min eig A = -0\.75 "
+    below_one = r"^field is not h-convex: min eig A = -0\.75 "
     for grid in (S1, S2):
         with pytest.raises(ValueError, match=below_one):
             modified_quermass(SupportField(grid, np.full(grid.size, 0.5)), 0)
+
+
+def test_modified_quermass_refuses_a_field_that_is_not_h_convex():
+    # 2 (1 + 0.3 cos 6 theta) has min eig A = -20.5; its W_0 read -8.77.
+    grid = make_grid(1, 32)
+    K = SupportField(grid, 2.0 * (1.0 + 0.3 * np.cos(6.0 * grid.theta)))
+    for k in range(grid.n + 1):
+        with pytest.raises(ValueError, match=r"^field is not h-convex: min eig A = -20\.49"):
+            modified_quermass(K, k)
 
 
 def _homotopy_reference(K, k, order):
@@ -410,8 +418,7 @@ def test_wk_value_k_n_is_the_closed_form(grid):
 
 @pytest.mark.parametrize("grid", [S1, S2], ids=["s1", "s2"])
 def test_modified_quermass_does_one_analysis(grid, fft_counts):
-    rep = modified_quermass(smooth_body(grid), 0)
-    assert rep.method == "closed-form"
+    modified_quermass(smooth_body(grid), 0)
     assert fft_counts["rfft"] == 1
 
 
@@ -419,7 +426,7 @@ def test_modified_quermass_does_one_analysis(grid, fft_counts):
 def test_one_analysis_serves_every_quantity_of_a_field(grid, fft_counts):
     K = smooth_body(grid)
     for k in range(grid.n + 1):
-        assert modified_quermass(K, k).method != "ball-closed-form"
+        modified_quermass(K, k)
     boundary_data(K)
     for m in range(grid.n + 1):
         curvature_integral(K, m)
@@ -447,7 +454,7 @@ def test_cached_scalars_equal_those_of_a_fresh_field(grid):
     vw = weighted_volume(K)
     fresh = SupportField(grid, K.phi)
     for k in range(grid.n + 1):
-        assert modified_quermass(K, k) is reports[k]
+        assert modified_quermass(K, k).value is K.memo(wk_value, k) is reports[k].value
         assert reports[k].value == modified_quermass(fresh, k).value
         assert k_mean_radius(K, k) == radii[k] == k_mean_radius(fresh, k)
         assert curvature_integral(K, k) is masses[k]
@@ -457,13 +464,13 @@ def test_cached_scalars_equal_those_of_a_fresh_field(grid):
 
 
 def test_a_keyword_argument_shares_the_memo_entry_of_its_positional_form():
-    # per_field binds keywords to the signature, so k=0 and 0 are one key.
+    # per_field binds keywords to the signature, so k=0 and 0 are one key;
+    # modified_quermass reads the field's one W_0 entry either way.
     K = smooth_body(S1)
-    w = modified_quermass(K, k=0)
-    assert modified_quermass(K, 0) is w
+    assert modified_quermass(K, k=0).value is modified_quermass(K, 0).value
     assert k_mean_radius(K, k=0) is k_mean_radius(K, 0)
-    assert [key for key in K._memo if key[0] is modified_quermass.__wrapped__] == [
-        (modified_quermass.__wrapped__, 0)
+    assert [key for key in K._memo if key[0] in (wk_value, k_mean_radius.__wrapped__)] == [
+        (wk_value, 0), (k_mean_radius.__wrapped__, 0)
     ]
 
 

@@ -11,5 +11,5 @@ def test_readme_python_block_runs(capsys):
     exec(compile(block, str(README), "exec"), {"__name__": "readme"})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "uniformly-h-convex"
-    assert lines[1].endswith(" closed-form")
+    assert float(lines[1]) > 0.0
     assert lines[-1].startswith("converged ")

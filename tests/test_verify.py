@@ -53,17 +53,18 @@ def test_run_all_builds_each_body_once(fft_counts):
 
 
 def test_run_all_evaluates_each_w_k_once_per_field(wk_calls, fft_counts):
-    # The suites ask for W_k 66 times, and each of the 47 distinct (field,
-    # k) pairs with no closed form computes it once; each field caches its
-    # own, and a new run's fields compute it again.  A k = n mean radius
-    # reads no W_n (it is the mean of phi^{-n}): that took 35 pairs, and
-    # the derivative passes of 12 FFT calls, off the count.
+    # The suites ask for W_k 66 times, and each of the 62 distinct (field,
+    # k) pairs computes it once, the 15 on exactly constant fields by
+    # I_k; each field caches its own, and a new run's fields compute it
+    # again.  A k = n mean radius reads no W_n (it is the mean of
+    # phi^{-n}): that took 35 pairs, and the derivative passes of 12 FFT
+    # calls, off the count.
     for _ in range(2):
         wk_calls.clear()
         fft_counts.update(rfft=0, irfft=0)
         run_all(Corpus(), exploratory=True)
         # wk_calls holds each field, so no two live fields share an id.
-        assert len({(id(K), k) for K, k in wk_calls}) == len(wk_calls) == 47
+        assert len({(id(K), k) for K, k in wk_calls}) == len(wk_calls) == 62
         assert fft_counts["rfft"] + fft_counts["irfft"] == 144
 
 
@@ -89,8 +90,10 @@ def test_run_all_computes_each_cached_functional_once_per_field(monkeypatch):
 def test_run_all_takes_each_p_and_each_convexity_once(p_tensor_calls, monkeypatch):
     # Each field caches p_m(A) (`SupportField.pA`), its Euclidean density
     # p_n(D^2 u + u I) (`euclid_density`) and its convexity report: no
-    # (array, m) reaches p_tensor twice, and the suites' 240 convexity
-    # calls on 125 distinct fields classify each field once.
+    # (array, m) reaches p_tensor twice, and the suites' 291 convexity
+    # calls on 132 distinct fields classify each field once.  66 of the
+    # calls are modified_quermass's refusal, 7 fields are classified for
+    # it alone.
     asked, computed = [], []
     real = SupportField.memo
 
@@ -103,8 +106,8 @@ def test_run_all_takes_each_p_and_each_convexity_once(p_tensor_calls, monkeypatc
     monkeypatch.setattr(SupportField, "memo", memo)
     run_all(Corpus(), exploratory=True)
     assert len({(id(A), m) for A, m in p_tensor_calls}) == len(p_tensor_calls) == 137
-    assert len(asked) == 240
-    assert sum(computed) == len({id(K) for K in asked}) == 125
+    assert len(asked) == 291
+    assert sum(computed) == len({id(K) for K in asked}) == 132
 
 
 def test_run_all_reads_no_boundary_point(ambient_gradient_calls):
